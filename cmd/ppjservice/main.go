@@ -82,9 +82,7 @@ func main() {
 		TenantMaxInFlight: o.tenantInFlight,
 		TenantRate:        o.tenantRate,
 		TenantBurst:       o.tenantBurst,
-		Scheduler:         o.scheduler,
 		TickEvery:         o.tick,
-		AllowLegacyUpload: o.legacyUpload,
 		Logf:              log.Printf,
 		DataDir:           o.dataDir,
 	}})

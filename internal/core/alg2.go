@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"ppj/internal/relation"
 	"ppj/internal/sim"
 )
@@ -16,84 +14,11 @@ import (
 //
 // delta is the §4.4.3 bookkeeping allowance δ (memory reserved for counters
 // and the current input tuples); the usable result buffer is M−delta tuples.
+//
+// The sequential algorithm is the parallel one on a single device: one
+// partition covering all of A (TestSequentialIsParallelAtP1 pins the trace).
 func Join2(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate, n int64, delta int64) (Result, error) {
-	if err := validateCh4(a, b, n); err != nil {
-		return Result{}, err
-	}
-	outSchema, err := outputSchema2(a, b)
-	if err != nil {
-		return Result{}, err
-	}
-	usable := int64(t.Memory()) - delta
-	if usable < 1 {
-		return Result{}, fmt.Errorf("%w: no memory left after δ=%d of M=%d", errInvalid, delta, t.Memory())
-	}
-	gamma := (n + usable - 1) / usable
-	if gamma < 1 {
-		gamma = 1
-	}
-	blk := (n + gamma - 1) / gamma
-
-	release, err := t.Grant(int(blk))
-	if err != nil {
-		return Result{}, fmt.Errorf("core: algorithm 2: %w", err)
-	}
-	defer release()
-	t.ResetStats()
-
-	host := t.Host()
-	out := host.FreshRegion("alg2.out", int(gamma*blk*a.N))
-	payloadSize := outSchema.TupleSize()
-	outPos := int64(0)
-
-	for ai := int64(0); ai < a.N; ai++ {
-		aT, err := t.GetTuple(a, ai)
-		if err != nil {
-			return Result{}, err
-		}
-		last := int64(-1) // position of the last matched B tuple
-		for pass := int64(0); pass < gamma; pass++ {
-			joined := make([][]byte, 0, blk) // lives in T's memory (Granted)
-			scanErr := t.ScanRange(b.Region, 0, b.N, func(bi int64, pt []byte) error {
-				bT, err := b.Schema.Decode(pt)
-				if err != nil {
-					return fmt.Errorf("core: decoding B[%d]: %w", bi, err)
-				}
-				// The predicate is evaluated for every tuple regardless of
-				// whether the result can still be stored (Fixed Time).
-				t.ChargePredicate()
-				matched := pred.Match(aT, bT)
-				if bi > last && int64(len(joined)) < blk && matched {
-					payload, err := joinPayload(outSchema, aT, bT)
-					if err != nil {
-						return err
-					}
-					joined = append(joined, wrapReal(payload))
-					last = bi
-				}
-				return nil
-			})
-			if scanErr != nil {
-				return Result{}, scanErr
-			}
-			// Pad to blk and flush: the output per pass has fixed size.
-			for int64(len(joined)) < blk {
-				joined = append(joined, wrapDecoy(payloadSize))
-			}
-			if err := t.PutRange(out, outPos, joined); err != nil {
-				return Result{}, err
-			}
-			outPos += blk
-			if err := t.RequestDisk(out, outPos-blk, blk); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	return Result{
-		Output:    sim.Table{Region: out, N: outPos, Schema: outSchema},
-		OutputLen: outPos,
-		Stats:     t.Stats(),
-	}, nil
+	return ParallelJoin2([]*sim.Coprocessor{t}, a, b, pred, n, delta)
 }
 
 // Join2Transfers is the exact transfer count of this implementation:

@@ -16,89 +16,11 @@ import (
 //
 // preSorted records that the data provider supplied B already sorted on the
 // join attribute, skipping the oblivious sort (§4.5.2 cost discussion).
+//
+// The sequential algorithm is the parallel one on a single device
+// (TestSequentialIsParallelAtP1 pins the trace).
 func Join3(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi, n int64, preSorted bool) (Result, error) {
-	if err := validateCh4(a, b, n); err != nil {
-		return Result{}, err
-	}
-	outSchema, err := outputSchema2(a, b)
-	if err != nil {
-		return Result{}, err
-	}
-	t.ResetStats()
-
-	if !preSorted {
-		less := func(x, y []byte) bool {
-			tx, err := b.Schema.Decode(x)
-			if err != nil {
-				return false
-			}
-			ty, err := b.Schema.Decode(y)
-			if err != nil {
-				return false
-			}
-			return pred.Less(tx, ty)
-		}
-		if err := oblivious.Sort(t, b.Region, b.N, less); err != nil {
-			return Result{}, err
-		}
-	}
-
-	host := t.Host()
-	scratch := host.FreshRegion("alg3.scratch", int(n))
-	out := host.FreshRegion("alg3.out", int(n*a.N))
-	payloadSize := outSchema.TupleSize()
-
-	decoy := wrapDecoy(payloadSize)
-	decoyFill := make([][]byte, n)
-	for j := range decoyFill {
-		decoyFill[j] = decoy
-	}
-
-	for ai := int64(0); ai < a.N; ai++ {
-		aT, err := t.GetTuple(a, ai)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := t.PutRange(scratch, 0, decoyFill); err != nil {
-			return Result{}, err
-		}
-		i := int64(0)
-		for bi := int64(0); bi < b.N; bi++ {
-			bT, err := t.GetTuple(b, bi)
-			if err != nil {
-				return Result{}, err
-			}
-			prev, err := t.Get(scratch, i%n)
-			if err != nil {
-				return Result{}, err
-			}
-			t.ChargePredicate()
-			if pred.Match(aT, bT) {
-				payload, err := joinPayload(outSchema, aT, bT)
-				if err != nil {
-					return Result{}, err
-				}
-				if err := t.Put(scratch, i%n, wrapReal(payload)); err != nil {
-					return Result{}, err
-				}
-			} else {
-				// Write back the value just read; semantic security makes the
-				// re-encryption indistinguishable from a fresh result.
-				if err := t.Put(scratch, i%n, prev); err != nil {
-					return Result{}, err
-				}
-			}
-			i++
-		}
-		if err := t.RequestCopyOut(out, ai*n, scratch, 0, n); err != nil {
-			return Result{}, err
-		}
-	}
-	return Result{
-		Output:    sim.Table{Region: out, N: n * a.N, Schema: outSchema},
-		OutputLen: n * a.N,
-		Stats:     t.Stats(),
-	}, nil
+	return ParallelJoin3([]*sim.Coprocessor{t}, a, b, pred, n, preSorted)
 }
 
 // Join3Transfers is the exact transfer count of this implementation, the

@@ -53,21 +53,8 @@ import (
 // fill-forward hold slot), so unlike Algorithms 1-6 the memory parameter M
 // never appears in the cost.
 func Join7(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (Result, error) {
-	if a.N < 0 || b.N < 0 {
-		return Result{}, fmt.Errorf("%w: negative relation size", errInvalid)
-	}
-	if pred == nil {
-		return Result{}, fmt.Errorf("%w: alg7 needs an equality predicate", errInvalid)
-	}
-	if !pred.Orderable() {
-		return Result{}, fmt.Errorf("%w: alg7 needs an orderable join attribute", errInvalid)
-	}
-	outSchema, err := outputSchema2(a, b)
-	if err != nil {
-		return Result{}, err
-	}
-	t.ResetStats()
-	release, err := t.Grant(a7Memory)
+	cops := []*sim.Coprocessor{t}
+	outSchema, release, err := join7Begin(cops, a, b, pred)
 	if err != nil {
 		return Result{}, err
 	}
@@ -76,10 +63,8 @@ func Join7(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (Result, err
 	host := t.Host()
 	codec := newA7Codec(pred, a.Schema, b.Schema)
 	n := a.N + b.N
-
 	if n == 0 {
-		out := host.FreshRegion("alg7.out", 0)
-		return Result{Output: sim.Table{Region: out, N: 0, Schema: outSchema}, Stats: t.Stats()}, nil
+		return join7Empty(cops, outSchema), nil
 	}
 
 	// Phase 1+2: union build and sort by (key, tag).
@@ -107,6 +92,61 @@ func Join7(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (Result, err
 		return Result{}, err
 	}
 	return Result{Output: out, OutputLen: s, Stats: t.Stats()}, nil
+}
+
+// join7Begin is the prologue all four Algorithm 7 entry points share:
+// admissibility (device count, sizes, an orderable equality predicate), the
+// output schema, fresh counters on every device, and the one-cell Grant on
+// every device. The returned release undoes the grants.
+func join7Begin(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (*relation.Schema, func(), error) {
+	switch {
+	case len(cops) == 0:
+		return nil, nil, fmt.Errorf("%w: no coprocessors", errInvalid)
+	case a.N < 0 || b.N < 0:
+		return nil, nil, fmt.Errorf("%w: negative relation size", errInvalid)
+	case pred == nil:
+		return nil, nil, fmt.Errorf("%w: alg7 needs an equality predicate", errInvalid)
+	case !pred.Orderable():
+		return nil, nil, fmt.Errorf("%w: alg7 needs an orderable join attribute", errInvalid)
+	}
+	outSchema, err := outputSchema2(a, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, c := range cops {
+		c.ResetStats()
+	}
+	releases := make([]func(), 0, len(cops))
+	release := func() {
+		for _, r := range releases {
+			r()
+		}
+	}
+	for _, c := range cops {
+		r, err := c.Grant(a7Memory)
+		if err != nil {
+			release()
+			return nil, nil, err
+		}
+		releases = append(releases, r)
+	}
+	return outSchema, release, nil
+}
+
+// join7Empty is the join of two empty relations: an empty output region and
+// no transfers.
+func join7Empty(cops []*sim.Coprocessor, outSchema *relation.Schema) Result {
+	out := cops[0].Host().FreshRegion("alg7.out", 0)
+	return Result{Output: sim.Table{Region: out, N: 0, Schema: outSchema}, Stats: sumStats(cops)}
+}
+
+// sumStats adds the cost counters of every device in a fleet.
+func sumStats(cops []*sim.Coprocessor) sim.Stats {
+	var st sim.Stats
+	for _, c := range cops {
+		st.Add(c.Stats())
+	}
+	return st
 }
 
 // join7Tail runs phases 3–5 of Algorithm 7 over a key-sorted union held in

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"ppj/internal/oblivious"
 	"ppj/internal/relation"
 	"ppj/internal/sim"
@@ -83,21 +81,8 @@ func (u CacheUse) Misses() int {
 // readback less than a miss.
 func Join7Cached(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache SortedCache, keyA, keyB string) (Result, CacheUse, error) {
 	var use CacheUse
-	if a.N < 0 || b.N < 0 {
-		return Result{}, use, fmt.Errorf("%w: negative relation size", errInvalid)
-	}
-	if pred == nil {
-		return Result{}, use, fmt.Errorf("%w: alg7 needs an equality predicate", errInvalid)
-	}
-	if !pred.Orderable() {
-		return Result{}, use, fmt.Errorf("%w: alg7 needs an orderable join attribute", errInvalid)
-	}
-	outSchema, err := outputSchema2(a, b)
-	if err != nil {
-		return Result{}, use, err
-	}
-	t.ResetStats()
-	release, err := t.Grant(a7Memory)
+	cops := []*sim.Coprocessor{t}
+	outSchema, release, err := join7Begin(cops, a, b, pred)
 	if err != nil {
 		return Result{}, use, err
 	}
@@ -107,8 +92,7 @@ func Join7Cached(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache 
 	codec := newA7Codec(pred, a.Schema, b.Schema)
 	n := a.N + b.N
 	if n == 0 {
-		out := host.FreshRegion("alg7.out", 0)
-		return Result{Output: sim.Table{Region: out, N: 0, Schema: outSchema}, Stats: t.Stats()}, use, nil
+		return join7Empty(cops, outSchema), use, nil
 	}
 
 	halfM := a7HalfM(a.N, b.N)
@@ -145,54 +129,19 @@ func Join7Cached(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache 
 // remain a pure function of (|A|, |B|, S, P) conditioned on the hit bits.
 func ParallelJoin7Cached(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache SortedCache, keyA, keyB string) (Result, CacheUse, error) {
 	var use CacheUse
-	if len(cops) == 0 {
-		return Result{}, use, fmt.Errorf("%w: no coprocessors", errInvalid)
-	}
 	if len(cops) == 1 {
 		return Join7Cached(cops[0], a, b, pred, cache, keyA, keyB)
 	}
-	if a.N < 0 || b.N < 0 {
-		return Result{}, use, fmt.Errorf("%w: negative relation size", errInvalid)
-	}
-	if pred == nil {
-		return Result{}, use, fmt.Errorf("%w: alg7 needs an equality predicate", errInvalid)
-	}
-	if !pred.Orderable() {
-		return Result{}, use, fmt.Errorf("%w: alg7 needs an orderable join attribute", errInvalid)
-	}
-	outSchema, err := outputSchema2(a, b)
+	outSchema, release, err := join7Begin(cops, a, b, pred)
 	if err != nil {
 		return Result{}, use, err
 	}
-	for _, c := range cops {
-		c.ResetStats()
-	}
-	releases := make([]func(), 0, len(cops))
-	defer func() {
-		for _, r := range releases {
-			r()
-		}
-	}()
-	for _, c := range cops {
-		release, err := c.Grant(a7Memory)
-		if err != nil {
-			return Result{}, use, err
-		}
-		releases = append(releases, release)
-	}
+	defer release()
 
 	host := cops[0].Host()
 	n := a.N + b.N
-	sumStats := func() sim.Stats {
-		var st sim.Stats
-		for _, c := range cops {
-			st.Add(c.Stats())
-		}
-		return st
-	}
 	if n == 0 {
-		out := host.FreshRegion("palg7.out", 0)
-		return Result{Output: sim.Table{Region: out, N: 0, Schema: outSchema}, Stats: sumStats()}, use, nil
+		return join7Empty(cops, outSchema), use, nil
 	}
 
 	ps := pow2Prefix(len(cops))
@@ -219,7 +168,7 @@ func ParallelJoin7Cached(cops []*sim.Coprocessor, a, b sim.Table, pred *relation
 	if err != nil {
 		return Result{}, use, err
 	}
-	return Result{Output: out, OutputLen: s, Stats: sumStats()}, use, nil
+	return Result{Output: out, OutputLen: s, Stats: sumStats(cops)}, use, nil
 }
 
 // a7HalfM is the fixed size of each side's half of the cached working

@@ -49,7 +49,7 @@ func ParallelJoin2(cops []*sim.Coprocessor, a, b sim.Table, pred relation.Predic
 	blk := (n + gamma - 1) / gamma
 
 	host := cops[0].Host()
-	out := host.FreshRegion("palg2.out", int(gamma*blk*a.N))
+	out := host.FreshRegion("alg2.out", int(gamma*blk*a.N))
 	payloadSize := outSchema.TupleSize()
 
 	p := int64(len(cops))
@@ -85,7 +85,7 @@ func join2Range(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate,
 	outSchema *relation.Schema, out sim.RegionID, payloadSize int64, lo, hi, gamma, blk int64) error {
 	release, err := t.Grant(int(blk))
 	if err != nil {
-		return err
+		return fmt.Errorf("core: algorithm 2: %w", err)
 	}
 	defer release()
 	t.ResetStats()
@@ -94,18 +94,20 @@ func join2Range(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate,
 		if err != nil {
 			return err
 		}
-		last := int64(-1)
+		last := int64(-1) // position of the last matched B tuple
 		for pass := int64(0); pass < gamma; pass++ {
-			joined := make([][]byte, 0, blk)
+			joined := make([][]byte, 0, blk) // lives in T's memory (Granted)
 			scanErr := t.ScanRange(b.Region, 0, b.N, func(bi int64, pt []byte) error {
 				bT, err := b.Schema.Decode(pt)
 				if err != nil {
 					return fmt.Errorf("core: decoding B[%d]: %w", bi, err)
 				}
+				// The predicate is evaluated for every tuple regardless of
+				// whether the result can still be stored (Fixed Time).
 				t.ChargePredicate()
 				matched := pred.Match(aT, bT)
 				if bi > last && int64(len(joined)) < blk && matched {
-					payload, err := outSchema.Encode(relation.JoinTuples(aT, bT))
+					payload, err := joinPayload(outSchema, aT, bT)
 					if err != nil {
 						return err
 					}
@@ -117,6 +119,7 @@ func join2Range(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate,
 			if scanErr != nil {
 				return scanErr
 			}
+			// Pad to blk and flush: the output per pass has fixed size.
 			for int64(len(joined)) < blk {
 				joined = append(joined, wrapDecoy(int(payloadSize)))
 			}
@@ -296,20 +299,22 @@ func ParallelJoin3(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 		}
 		// ParallelSort needs a power-of-two device count; use the largest
 		// power-of-two prefix of the fleet.
-		ps := 1
-		for ps*2 <= len(cops) {
-			ps *= 2
-		}
-		if err := oblivious.ParallelSort(cops[:ps], b.Region, b.N, less); err != nil {
+		if err := oblivious.ParallelSort(cops[:pow2Prefix(len(cops))], b.Region, b.N, less); err != nil {
 			return Result{}, err
 		}
 	}
 
+	// Regions are allocated here, in device order, so their ids — part of
+	// the traced access sequence — never depend on goroutine scheduling.
 	host := cops[0].Host()
-	out := host.FreshRegion("palg3.out", int(n*a.N))
+	p := int64(len(cops))
+	scratch := make([]sim.RegionID, p)
+	for w := range scratch {
+		scratch[w] = host.FreshRegion("alg3.scratch", int(n))
+	}
+	out := host.FreshRegion("alg3.out", int(n*a.N))
 	payloadSize := outSchema.TupleSize()
 
-	p := int64(len(cops))
 	var wg sync.WaitGroup
 	errs := make([]error, p)
 	for w := int64(0); w < p; w++ {
@@ -318,7 +323,7 @@ func ParallelJoin3(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 		wg.Add(1)
 		go func(w, lo, hi int64) {
 			defer wg.Done()
-			errs[w] = join3Range(cops[w], a, b, pred, outSchema, out, int64(payloadSize), n, lo, hi)
+			errs[w] = join3Range(cops[w], a, b, pred, outSchema, scratch[w], out, int64(payloadSize), n, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -339,11 +344,7 @@ func ParallelJoin3(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 // join3Range is Algorithm 3's inner discipline over A rows [lo, hi) with a
 // device-private scratch ring of N cells.
 func join3Range(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
-	outSchema *relation.Schema, out sim.RegionID, payloadSize, n, lo, hi int64) error {
-	if lo >= hi {
-		return nil
-	}
-	scratch := t.Host().FreshRegion("palg3.scratch", int(n))
+	outSchema *relation.Schema, scratch, out sim.RegionID, payloadSize, n, lo, hi int64) error {
 	decoy := wrapDecoy(int(payloadSize))
 	decoyFill := make([][]byte, n)
 	for j := range decoyFill {
@@ -377,6 +378,8 @@ func join3Range(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 					return err
 				}
 			} else {
+				// Write back the value just read; semantic security makes the
+				// re-encryption indistinguishable from a fresh result.
 				if err := t.Put(scratch, i%n, prev); err != nil {
 					return err
 				}
@@ -475,14 +478,10 @@ func ParallelJoin4(cops []*sim.Coprocessor, tables []sim.Table, pred relation.Mu
 			return Result{}, err
 		}
 	}
-	var stats sim.Stats
-	for _, c := range cops {
-		stats.Add(c.Stats())
-	}
 	return Result{
 		Output:    sim.Table{Region: out, N: s, Schema: outSchema},
 		OutputLen: s,
-		Stats:     stats,
+		Stats:     sumStats(cops),
 	}, nil
 }
 
@@ -497,54 +496,19 @@ func ParallelJoin4(cops []*sim.Coprocessor, tables []sim.Table, pred relation.Mu
 // partitions, and the scan bounds derive only from public sizes, so the
 // per-device invariance guarantee matches the serial algorithm's.
 func ParallelJoin7(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (Result, error) {
-	if len(cops) == 0 {
-		return Result{}, fmt.Errorf("%w: no coprocessors", errInvalid)
-	}
 	if len(cops) == 1 {
 		return Join7(cops[0], a, b, pred)
 	}
-	if a.N < 0 || b.N < 0 {
-		return Result{}, fmt.Errorf("%w: negative relation size", errInvalid)
-	}
-	if pred == nil {
-		return Result{}, fmt.Errorf("%w: alg7 needs an equality predicate", errInvalid)
-	}
-	if !pred.Orderable() {
-		return Result{}, fmt.Errorf("%w: alg7 needs an orderable join attribute", errInvalid)
-	}
-	outSchema, err := outputSchema2(a, b)
+	outSchema, release, err := join7Begin(cops, a, b, pred)
 	if err != nil {
 		return Result{}, err
 	}
-	for _, c := range cops {
-		c.ResetStats()
-	}
-	releases := make([]func(), 0, len(cops))
-	defer func() {
-		for _, r := range releases {
-			r()
-		}
-	}()
-	for _, c := range cops {
-		release, err := c.Grant(a7Memory)
-		if err != nil {
-			return Result{}, err
-		}
-		releases = append(releases, release)
-	}
+	defer release()
 
 	host := cops[0].Host()
 	n := a.N + b.N
-	sumStats := func() sim.Stats {
-		var st sim.Stats
-		for _, c := range cops {
-			st.Add(c.Stats())
-		}
-		return st
-	}
 	if n == 0 {
-		out := host.FreshRegion("palg7.out", 0)
-		return Result{Output: sim.Table{Region: out, N: 0, Schema: outSchema}, Stats: sumStats()}, nil
+		return join7Empty(cops, outSchema), nil
 	}
 
 	// Largest power-of-two device prefix, as in ParallelJoin3.
@@ -574,7 +538,7 @@ func ParallelJoin7(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Output: out, OutputLen: s, Stats: sumStats()}, nil
+	return Result{Output: out, OutputLen: s, Stats: sumStats(cops)}, nil
 }
 
 // pow2Prefix returns the largest power of two <= n (n >= 1).

@@ -34,7 +34,8 @@ func TestPipelineProperty(t *testing.T) {
 		if n == 0 {
 			n = 1
 		}
-		for _, alg := range []string{"alg1", "alg2", "alg3", "alg4", "alg5", "alg6", "alg7"} {
+		for _, desc := range Algorithms {
+			alg := desc.Name
 			h := sim.NewHost(0)
 			cop, err := sim.NewCoprocessor(h, sim.Config{Memory: mem, Sealer: sim.PlainSealer{}, Seed: sh.Seed | 1})
 			if err != nil {
@@ -48,25 +49,7 @@ func TestPipelineProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			var res Result
-			switch alg {
-			case "alg1":
-				res, err = Join1(cop, tabA, tabB, eq, n)
-			case "alg2":
-				res, err = Join2(cop, tabA, tabB, eq, n, 0)
-			case "alg3":
-				res, err = Join3(cop, tabA, tabB, eq, n, false)
-			case "alg4":
-				res, err = Join4(cop, []sim.Table{tabA, tabB}, relation.Pairwise(eq))
-			case "alg5":
-				res, err = Join5(cop, []sim.Table{tabA, tabB}, relation.Pairwise(eq))
-			case "alg6":
-				var rep Join6Report
-				rep, err = Join6(cop, []sim.Table{tabA, tabB}, relation.Pairwise(eq), 1e-6)
-				res = rep.Result
-			case "alg7":
-				res, err = Join7(cop, tabA, tabB, eq)
-			}
+			res, _, err := desc.Run([]*sim.Coprocessor{cop}, []sim.Table{tabA, tabB}, Inputs{Pred: eq, N: n, Epsilon: 1e-6})
 			if err != nil {
 				t.Logf("%s failed on %+v: %v", alg, sh, err)
 				return false

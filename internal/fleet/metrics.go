@@ -69,9 +69,6 @@ func aggregate(shards []server.Snapshot) server.Snapshot {
 		out.SortCacheMisses += s.SortCacheMisses
 		out.RecurrencesFired += s.RecurrencesFired
 		out.RecurrencesSkipped += s.RecurrencesSkipped
-		// Every shard runs the same template config, so the policy label is
-		// uniform across the fleet.
-		out.Scheduler = s.Scheduler
 	}
 	return out
 }

@@ -125,7 +125,6 @@ func TestFleetMetricsGoldenSnapshot(t *testing.T) {
       "sort_cache_evictions": 0,
       "sort_cache_hits": 0,
       "sort_cache_misses": 0,
-      "scheduler": "fair",
       "recurrences_fired": 0,
       "recurrences_skipped": 0
     },
@@ -163,7 +162,6 @@ func TestFleetMetricsGoldenSnapshot(t *testing.T) {
       "sort_cache_evictions": 0,
       "sort_cache_hits": 0,
       "sort_cache_misses": 0,
-      "scheduler": "fair",
       "recurrences_fired": 0,
       "recurrences_skipped": 0
     }
@@ -201,7 +199,6 @@ func TestFleetMetricsGoldenSnapshot(t *testing.T) {
     "sort_cache_evictions": 0,
     "sort_cache_hits": 0,
     "sort_cache_misses": 0,
-    "scheduler": "fair",
     "recurrences_fired": 0,
     "recurrences_skipped": 0
   },

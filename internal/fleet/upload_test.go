@@ -3,7 +3,9 @@ package fleet
 import (
 	"context"
 	"crypto/ed25519"
+	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -121,5 +123,48 @@ func TestUploadLimitsPerShard(t *testing.T) {
 			t.Fatalf("shard %d verdict %v, want ErrUploadTooLarge", shard, herr)
 		}
 		driveToDelivered(t, rt.HandleConn, key, g, j)
+	}
+}
+
+// TestUnsupportedProtoRefusedThroughRouter: the router reads the hello to
+// route it, and the owning shard's handshake refuses any protocol version
+// but the one served — typed, before anything is written back — whichever
+// shard the contract landed on.
+func TestUnsupportedProtoRefusedThroughRouter(t *testing.T) {
+	rt, err := New(Config{Config: server.Config{Shards: 2, Workers: 1, QueueDepth: 4, Memory: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	defer rt.Shutdown(context.Background())
+	g := newGroup(t, "proto-fleet-1", "alg5", 81, 82, 4, 4)
+	j, err := rt.Register(g.contract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []byte{0, 1, 3, 255} {
+		serverEnd, clientEnd := net.Pipe()
+		handler := make(chan error, 1)
+		go func() {
+			defer serverEnd.Close()
+			handler <- rt.HandleConn(serverEnd)
+		}()
+		if err := gob.NewEncoder(clientEnd).Encode(service.Hello{
+			Party: g.provA.name, Role: service.RoleProvider, ContractID: g.contract.ID,
+			Challenge: make([]byte, 32), Proto: v,
+		}); err != nil {
+			t.Fatalf("version %d: sending hello: %v", v, err)
+		}
+		back, _ := io.ReadAll(clientEnd)
+		clientEnd.Close()
+		if herr := <-handler; !errors.Is(herr, service.ErrUnsupportedProto) {
+			t.Fatalf("version %d: router verdict %v, want ErrUnsupportedProto", v, herr)
+		}
+		if len(back) != 0 {
+			t.Fatalf("version %d: fleet wrote %d bytes to a peer it refused", v, len(back))
+		}
+		if j.State() != server.StatePending {
+			t.Fatalf("version %d: refused hello moved the job to %s", v, j.State())
+		}
 	}
 }

@@ -72,37 +72,25 @@ type Plan struct {
 }
 
 // AlgorithmName renders the chosen algorithm in the contract vocabulary
-// ("alg1".."alg7", or "aggregate" for the aggregation pass), so schedulers
-// that plan per-contract (an "auto" algorithm in internal/server) can feed
-// the decision back into the service execution path.
+// (the core.Algorithms table's name, or "aggregate" for the aggregation
+// pass), so schedulers that plan per-contract (an "auto" algorithm in
+// internal/server) can feed the decision back into the service execution
+// path.
 func (p Plan) AlgorithmName() string {
-	if p.Algorithm == 0 {
-		return "aggregate"
+	if alg, err := core.AlgorithmByNumber(p.Algorithm); err == nil {
+		return alg.Name
 	}
-	return fmt.Sprintf("alg%d", p.Algorithm)
+	return "aggregate"
 }
 
 // Devices returns how many of the requested coprocessors the chosen
-// algorithm can exploit. Algorithms 2, 3 and 5 partition the outer relation
-// (or the rank space) across any device count; Algorithm 4's parallel decoy
-// filter and Algorithm 7's parallel sorts are parallel bitonic networks,
-// which need a power-of-two fleet; the rest run on a single device.
+// algorithm can exploit: its row's device rule in core.Algorithms, and one
+// for the aggregation pass.
 func (p Plan) Devices(requested int) int {
-	if requested < 1 {
-		return 1
+	if alg, err := core.AlgorithmByNumber(p.Algorithm); err == nil {
+		return alg.Devices(requested)
 	}
-	switch p.Algorithm {
-	case 2, 3, 5:
-		return requested
-	case 4, 7:
-		ps := 1
-		for ps*2 <= requested {
-			ps *= 2
-		}
-		return ps
-	default:
-		return 1
-	}
+	return 1
 }
 
 // String renders the plan.
@@ -288,34 +276,13 @@ func (pl Planner) Execute(q Query, rels []*relation.Relation, seed uint64) (*rel
 		}
 	}
 
-	var res core.Result
-	switch plan.Algorithm {
-	case 1:
-		res, err = core.Join1(cop, tabs[0], tabs[1], q.Predicate, plan.N)
-	case 2:
-		res, err = core.Join2(cop, tabs[0], tabs[1], q.Predicate, plan.N, 0)
-	case 3:
-		res, err = core.Join3(cop, tabs[0], tabs[1], q.Predicate.(*relation.Equi), plan.N, false)
-	case 7:
-		res, err = core.Join7(cop, tabs[0], tabs[1], q.Predicate.(*relation.Equi))
-	case 4, 5, 6:
-		mp, merr := q.multiPred(rels)
-		if merr != nil {
-			return nil, Plan{}, merr
-		}
-		switch plan.Algorithm {
-		case 4:
-			res, err = core.Join4(cop, tabs, mp)
-		case 5:
-			res, err = core.Join5(cop, tabs, mp)
-		default:
-			var rep core.Join6Report
-			rep, err = core.Join6(cop, tabs, mp, q.Epsilon)
-			res = rep.Result
-		}
-	default:
-		return nil, Plan{}, fmt.Errorf("query: plan selected unknown algorithm %d", plan.Algorithm)
+	alg, err := core.AlgorithmByNumber(plan.Algorithm)
+	if err != nil {
+		return nil, Plan{}, err
 	}
+	res, _, err := alg.Run([]*sim.Coprocessor{cop}, tabs, core.Inputs{
+		Pred: q.Predicate, Multi: q.Multi, N: plan.N, Epsilon: q.Epsilon,
+	})
 	if err != nil {
 		return nil, Plan{}, err
 	}

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"context"
+	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -169,4 +172,69 @@ func TestWALFailureCounterTracksLostTransitions(t *testing.T) {
 	if got := srv.MetricsSnapshot().WALAppendFailures; got != 5 {
 		t.Fatalf("wal_append_failures = %d, want 5 (every append after the seal)", got)
 	}
+}
+
+// helloAtVersion sends one raw hello at the given protocol version to
+// handle over a net.Pipe and returns the handler's verdict together with
+// how many bytes the server wrote back before dropping the connection.
+func helloAtVersion(t *testing.T, handle func(io.ReadWriter) error, hello service.Hello) (verdict error, answered int) {
+	t.Helper()
+	serverEnd, clientEnd := net.Pipe()
+	defer clientEnd.Close()
+	handler := make(chan error, 1)
+	go func() {
+		defer serverEnd.Close()
+		handler <- handle(serverEnd)
+	}()
+	if err := gob.NewEncoder(clientEnd).Encode(hello); err != nil {
+		t.Fatalf("sending hello: %v", err)
+	}
+	back, _ := io.ReadAll(clientEnd)
+	return <-handler, len(back)
+}
+
+// TestUnsupportedProtoRefused: the hello's version byte comes from an
+// unauthenticated peer, and exactly one version is served. Every other
+// value — the two retired versions, a future one, garbage — is refused
+// with the typed error before the device signs an attestation or agrees a
+// key (nothing is written back), without touching the job, and the
+// listener keeps serving the current version afterwards.
+func TestUnsupportedProtoRefused(t *testing.T) {
+	srv, err := New(Config{Workers: 1, Memory: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown(context.Background())
+	g := newGroup(t, "proto-1", "alg5", 121, 122, 4, 4)
+	j, err := srv.Register(g.contract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []byte{0, 1, 3, 255} {
+		verdict, answered := helloAtVersion(t, srv.HandleConn, service.Hello{
+			Party: g.provA.name, Role: service.RoleProvider, ContractID: g.contract.ID,
+			Challenge: make([]byte, 32), Proto: v,
+		})
+		if !errors.Is(verdict, service.ErrUnsupportedProto) {
+			t.Fatalf("version %d: handler verdict %v, want ErrUnsupportedProto", v, verdict)
+		}
+		if answered != 0 {
+			t.Fatalf("version %d: server wrote %d bytes to a peer it refused", v, answered)
+		}
+		if j.State() != StatePending {
+			t.Fatalf("version %d: refused hello moved the job to %s", v, j.State())
+		}
+	}
+	recv := g.pipeRecipient(t, srv)
+	if err := g.pipeProvider(t, srv, g.provA, g.relA); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.pipeProvider(t, srv, g.provB, g.relB); err != nil {
+		t.Fatal(err)
+	}
+	if out := <-recv; out.err != nil {
+		t.Fatalf("current-version flow after the refusals: %v", out.err)
+	}
+	waitDone(t, j)
 }

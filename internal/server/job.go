@@ -40,7 +40,7 @@ func (e *ResultEvictedError) Is(target error) bool { return target == ErrResultE
 //	Pending → Uploading → Running → Stored → Delivered
 //	                 \________\___→ Failed
 //
-// A ready job (all uploads in, all recipients connected) sits in the FIFO
+// A ready job (all uploads in, all recipients connected) sits in the ready
 // queue in state Uploading until a worker picks it up; the queue-depth
 // gauge counts those. A successful run lands in Stored — the sealed result
 // is in the durable result store and recipients are being (re)served from
@@ -357,13 +357,10 @@ func (j *Job) finish(out service.Outcome) {
 	if out.Err != nil {
 		j.err = out.Err
 		j.setStateLocked(StateFailed)
-		elapsed := time.Since(j.runStart)
+		j.srv.metrics.recordExecution(&out, time.Since(j.runStart))
 		j.mu.Unlock()
 		j.settle()
 		j.cancel()
-		j.srv.metrics.recordRun(out.Algorithm, false, elapsed)
-		j.srv.metrics.addStats(out.Stats)
-		j.srv.metrics.recordDevices(out.Devices)
 		j.closeDone()
 		return
 	}
@@ -378,15 +375,14 @@ func (j *Job) finish(out service.Outcome) {
 	}
 	j.out = &out
 	j.setStateLocked(StateStored)
-	elapsed := time.Since(j.runStart)
+	// Recorded under j.mu, before the new state can be observed: whoever
+	// sees Stored (or the settled channel) also sees this run's metrics.
+	j.srv.metrics.recordExecution(&out, time.Since(j.runStart))
 	j.mu.Unlock()
 	j.settle()
 	// The job deadline no longer governs: the result is durable, and
 	// delivery pace belongs to the recipients (and the store's TTL).
 	j.cancel()
-	j.srv.metrics.recordRun(out.Algorithm, true, elapsed)
-	j.srv.metrics.addStats(out.Stats)
-	j.srv.metrics.recordDevices(out.Devices)
 }
 
 // fail moves the job to Failed with the given cause, waking any waiting
@@ -402,10 +398,10 @@ func (j *Job) fail(cause error, skipRunning bool) bool {
 	}
 	j.err = cause
 	j.setStateLocked(StateFailed)
+	j.srv.metrics.recordFailure(j.svc.Contract.Algorithm)
 	j.mu.Unlock()
 	j.settle()
 	j.cancel()
-	j.srv.metrics.recordFailure(j.svc.Contract.Algorithm)
 	j.closeDone()
 	return true
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ppj/internal/service"
 	"ppj/internal/sim"
 )
 
@@ -102,8 +103,27 @@ func (m *Metrics) sortCacheHit() { m.sortCacheHits.Add(1) }
 // cold.
 func (m *Metrics) sortCacheMiss() { m.sortCacheMisses.Add(1) }
 
-// recordRun records a worker-executed job: completion count and, for
-// successful runs, the execution latency summary.
+// recordExecution records one worker-executed job: its algorithm's
+// completion count (and, for a successful run, latency summary), T's cost
+// counters folded into the server-wide aggregate, and the device usage.
+func (m *Metrics) recordExecution(out *service.Outcome, d time.Duration) {
+	m.recordRun(out.Algorithm, out.Err == nil, d)
+	m.cop.Add(out.Stats)
+	n := max(out.Devices, 1)
+	m.devicesAttached.Add(uint64(n))
+	if n > 1 {
+		m.parallelRuns.Add(1)
+	}
+	for {
+		cur := m.maxDevices.Load()
+		if int64(n) <= cur || m.maxDevices.CompareAndSwap(cur, int64(n)) {
+			return
+		}
+	}
+}
+
+// recordRun counts one job against its algorithm: a completion with its
+// execution latency, or a failure.
 func (m *Metrics) recordRun(alg string, ok bool, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -130,27 +150,6 @@ func (m *Metrics) recordRun(alg string, ok bool, d time.Duration) {
 // recordFailure records a job that failed without running (backpressure,
 // cancellation, deadline, shutdown).
 func (m *Metrics) recordFailure(alg string) { m.recordRun(alg, false, 0) }
-
-// addStats folds one execution's coprocessor cost counters into the
-// server-wide aggregate.
-func (m *Metrics) addStats(s sim.Stats) { m.cop.Add(s) }
-
-// recordDevices records how many coprocessors one execution attached.
-func (m *Metrics) recordDevices(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.devicesAttached.Add(uint64(n))
-	if n > 1 {
-		m.parallelRuns.Add(1)
-	}
-	for {
-		cur := m.maxDevices.Load()
-		if int64(n) <= cur || m.maxDevices.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
-}
 
 // AlgSnapshot summarises one algorithm's completions.
 type AlgSnapshot struct {
@@ -201,8 +200,6 @@ type Snapshot struct {
 	// across executions that consulted the sorted-relation cache.
 	SortCacheHits   uint64 `json:"sort_cache_hits"`
 	SortCacheMisses uint64 `json:"sort_cache_misses"`
-	// Scheduler names the ready-queue discipline in force ("fair"/"fifo").
-	Scheduler string `json:"scheduler"`
 	// RecurrencesFired counts due recurring-contract schedules whose
 	// re-execution was submitted; RecurrencesSkipped counts due schedules
 	// whose fire was refused (quota, backpressure, shutdown).

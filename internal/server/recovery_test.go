@@ -125,7 +125,6 @@ func TestRecoverRebuildsJobTable(t *testing.T) {
   "sort_cache_evictions": 0,
   "sort_cache_hits": 0,
   "sort_cache_misses": 0,
-  "scheduler": "fair",
   "recurrences_fired": 0,
   "recurrences_skipped": 0
 }`

@@ -124,8 +124,8 @@ func (s *Server) loadResult(id string) (service.Outcome, error) {
 
 // serveRecipient is a recipient connection's whole life after the
 // handshake: register presence (feeding job readiness), wait for the
-// outcome to settle, then deliver — streamed from the hello's resume
-// offset on v2 sessions, one-shot on older ones. A completed fetch counts
+// outcome to settle, then deliver, streamed from the hello's resume
+// offset. A completed fetch counts
 // toward the Stored → Delivered transition; a broken stream leaves the
 // job Stored and the result in the store, so the recipient can reconnect
 // and resume. Gone results are refused in-band with the typed eviction

@@ -477,7 +477,9 @@ func meteredFetch(t *testing.T, srv *Server, g *group, f *service.ResultFetch) [
 	defer clientEnd.Close()
 	var mu sync.Mutex
 	var writes []int
+	served := make(chan struct{})
 	go func() {
+		defer close(served)
 		defer serverEnd.Close()
 		_ = srv.HandleConn(meterConn{Conn: serverEnd, mu: &mu, writes: &writes})
 	}()
@@ -489,6 +491,9 @@ func meteredFetch(t *testing.T, srv *Server, g *group, f *service.ResultFetch) [
 	if err := cs.FetchResult(f); err != nil {
 		t.Fatal(err)
 	}
+	// A pipe write returns to the client before the server side has logged
+	// its size, so the trace is complete only once HandleConn has returned.
+	<-served
 	mu.Lock()
 	defer mu.Unlock()
 	return append([]int(nil), writes...)

@@ -5,129 +5,6 @@ import (
 	"sync"
 )
 
-// Scheduler policy names accepted by Config.Scheduler.
-const (
-	// PolicyFair is the default: weighted deficit round-robin across
-	// per-tenant queues with per-contract priority classes. The QueueDepth
-	// bound applies per tenant, so one tenant flooding its queue full
-	// refuses only that tenant's jobs with ErrQueueFull.
-	PolicyFair = "fair"
-	// PolicyFIFO is the historical discipline: one bounded queue shared by
-	// every tenant, served strictly in arrival order.
-	PolicyFIFO = "fifo"
-)
-
-// Scheduler is the ready-queue seam between job readiness and the worker
-// pool. Implementations own the queueing discipline; the server owns
-// everything around it (metrics, failing refused jobs, shutdown order).
-type Scheduler interface {
-	// Enqueue admits a ready job, or refuses it with a typed error:
-	// ErrQueueFull when the discipline's bound is hit (per tenant for the
-	// fair scheduler, globally for FIFO), ErrShuttingDown after Close.
-	// A refused job is not queued; the caller fails it.
-	Enqueue(j *Job) error
-	// Next blocks until a job is ready to run, returning ok=false once the
-	// scheduler is closed and drained.
-	Next() (j *Job, ok bool)
-	// Close stops the scheduler, wakes every blocked Next, and returns the
-	// jobs still queued (they will never run; the caller fails them).
-	Close() []*Job
-	// Depth is the total number of queued jobs.
-	Depth() int
-	// Cap is the discipline's nominal bound — the per-tenant bound for
-	// fair, the whole queue for FIFO. Load/spillover ordering reads it.
-	Cap() int
-	// Full reports whether registration-time admission control should
-	// refuse new contracts: total depth at or over the nominal bound.
-	Full() bool
-}
-
-// newScheduler builds the configured discipline. Empty policy selects
-// fair; unknown policies are a construction error, not a silent fallback.
-func newScheduler(policy string, depth int, weights map[string]int) (Scheduler, error) {
-	switch policy {
-	case "", PolicyFair:
-		return newFairScheduler(depth, weights), nil
-	case PolicyFIFO:
-		return newFIFOScheduler(depth), nil
-	}
-	return nil, fmt.Errorf("server: unknown scheduler policy %q (want %q or %q)", policy, PolicyFair, PolicyFIFO)
-}
-
-// fifoScheduler is the historical single bounded FIFO: arrival order,
-// one global bound, no tenant awareness.
-type fifoScheduler struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*Job
-	bound  int
-	closed bool
-}
-
-func newFIFOScheduler(bound int) *fifoScheduler {
-	s := &fifoScheduler{bound: bound}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// Enqueue implements Scheduler.
-func (s *fifoScheduler) Enqueue(j *Job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrShuttingDown
-	}
-	if len(s.queue) >= s.bound {
-		return fmt.Errorf("%w (depth %d)", ErrQueueFull, s.bound)
-	}
-	s.queue = append(s.queue, j)
-	s.cond.Signal()
-	return nil
-}
-
-// Next implements Scheduler.
-func (s *fifoScheduler) Next() (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.queue) == 0 && !s.closed {
-		s.cond.Wait()
-	}
-	if len(s.queue) == 0 {
-		return nil, false
-	}
-	j := s.queue[0]
-	s.queue = s.queue[1:]
-	return j, true
-}
-
-// Close implements Scheduler.
-func (s *fifoScheduler) Close() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	drained := s.queue
-	s.queue = nil
-	s.closed = true
-	s.cond.Broadcast()
-	return drained
-}
-
-// Depth implements Scheduler.
-func (s *fifoScheduler) Depth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
-// Cap implements Scheduler.
-func (s *fifoScheduler) Cap() int { return s.bound }
-
-// Full implements Scheduler.
-func (s *fifoScheduler) Full() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue) >= s.bound
-}
-
 // numClasses is the per-tenant priority ladder: high, normal, low. A
 // contract's Priority field maps onto it by sign, so any int collapses to
 // three classes and the starvation analysis stays three-deep.
@@ -173,9 +50,13 @@ func (t *tenantQueue) pop() *Job {
 	return nil
 }
 
-// fairScheduler is weighted deficit round-robin across per-tenant queues.
-// Each tenant owns a bounded queue (the QueueDepth bound applies per
-// tenant) split into priority classes; the dispatcher cycles the active
+// fairScheduler is the ready queue between job readiness and the worker
+// pool: weighted deficit round-robin across per-tenant queues. It owns the
+// queueing discipline; the server owns everything around it (metrics,
+// failing refused jobs, shutdown order). For a single tenant at priority 0
+// it is a bounded FIFO (TestFairSchedulerSingleTenantIsFIFO). Each tenant
+// owns a bounded queue (the QueueDepth bound applies per tenant) split
+// into priority classes; the dispatcher cycles the active
 // tenants, topping up each tenant's deficit by its weight and dequeueing
 // one job per unit. With unit job cost this degenerates to weighted
 // round-robin, which gives the starvation bound the tests pin: between
@@ -211,9 +92,11 @@ func (s *fairScheduler) weight(tenant string) int {
 	return 1
 }
 
-// Enqueue implements Scheduler. The bound is per tenant, and so is the
-// refusal: a flooding tenant hitting its bound gets ErrQueueFull naming
-// it, while every other tenant's queue is untouched.
+// Enqueue admits a ready job, or refuses it with a typed error the caller
+// fails the job with: ErrShuttingDown after Close, ErrQueueFull at the
+// bound. The bound is per tenant, and so is the refusal: a flooding tenant
+// hitting its bound gets ErrQueueFull naming it, while every other tenant's
+// queue is untouched.
 func (s *fairScheduler) Enqueue(j *Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,7 +122,8 @@ func (s *fairScheduler) Enqueue(j *Job) error {
 	return nil
 }
 
-// Next implements Scheduler.
+// Next blocks until a job is ready to run, returning ok=false once the
+// scheduler is closed and drained.
 func (s *fairScheduler) Next() (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,7 +165,8 @@ func (s *fairScheduler) pickLocked() *Job {
 	return j
 }
 
-// Close implements Scheduler.
+// Close stops the scheduler, wakes every blocked Next, and returns the jobs
+// still queued (they will never run; the caller fails them).
 func (s *fairScheduler) Close() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -296,17 +181,18 @@ func (s *fairScheduler) Close() []*Job {
 	return drained
 }
 
-// Depth implements Scheduler.
+// Depth is the total number of queued jobs.
 func (s *fairScheduler) Depth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.depth
 }
 
-// Cap implements Scheduler.
+// Cap is the per-tenant bound. Load/spillover ordering reads it.
 func (s *fairScheduler) Cap() int { return s.bound }
 
-// Full implements Scheduler. Admission control keys off the total depth
+// Full reports whether registration-time admission control should refuse
+// new contracts. It keys off the total depth
 // against the nominal bound: a shard whose scheduler holds a full bound's
 // worth of jobs (across any mix of tenants) should spill new contracts,
 // even though an under-bound tenant could still Enqueue.

@@ -16,34 +16,60 @@ func schedJob(id, tenant string, priority int) *Job {
 	return &Job{id: id, tenant: tenant, priority: priority}
 }
 
-func TestFIFOSchedulerOrderAndBound(t *testing.T) {
-	s := newFIFOScheduler(3)
-	for i := 0; i < 3; i++ {
-		if err := s.Enqueue(schedJob(fmt.Sprintf("j%d", i), "", 0)); err != nil {
-			t.Fatal(err)
+// TestFairSchedulerSingleTenantIsFIFO pins the claim that let the separate
+// FIFO scheduler go: for a single tenant at priority 0 the fair scheduler is
+// a bounded FIFO. Seeded Enqueue/Next interleavings are checked step by step
+// against a plain slice model — dequeue order equals arrival order,
+// ErrQueueFull exactly at the bound, Full/Depth/Cap agree — and Close drains
+// the remainder in arrival order, ends Next, and turns Enqueue into
+// ErrShuttingDown: every assertion the FIFO scheduler's own test made.
+func TestFairSchedulerSingleTenantIsFIFO(t *testing.T) {
+	const bound = 3
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := newFairScheduler(bound, nil)
+		var model []string
+		arrivals := 0
+		for step := 0; step < 200; step++ {
+			if rng.Intn(2) == 0 || len(model) == 0 {
+				id := fmt.Sprintf("j%d", arrivals)
+				arrivals++
+				err := s.Enqueue(schedJob(id, "", 0))
+				if len(model) >= bound {
+					if !errors.Is(err, ErrQueueFull) {
+						t.Fatalf("seed %d step %d: enqueue past bound = %v, want ErrQueueFull", seed, step, err)
+					}
+				} else if err != nil {
+					t.Fatalf("seed %d step %d: enqueue under bound refused: %v", seed, step, err)
+				} else {
+					model = append(model, id)
+				}
+			} else {
+				j, ok := s.Next()
+				if !ok || j.id != model[0] {
+					t.Fatalf("seed %d step %d: dequeued %v/%v, want %s (arrival order)", seed, step, j, ok, model[0])
+				}
+				model = model[1:]
+			}
+			if s.Full() != (len(model) >= bound) || s.Depth() != len(model) || s.Cap() != bound {
+				t.Fatalf("seed %d step %d: Full/Depth/Cap = %v/%d/%d with %d queued", seed, step, s.Full(), s.Depth(), s.Cap(), len(model))
+			}
 		}
-	}
-	if err := s.Enqueue(schedJob("overflow", "", 0)); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("enqueue past bound = %v, want ErrQueueFull", err)
-	}
-	if !s.Full() || s.Depth() != 3 || s.Cap() != 3 {
-		t.Fatalf("Full/Depth/Cap = %v/%d/%d, want true/3/3", s.Full(), s.Depth(), s.Cap())
-	}
-	for i := 0; i < 3; i++ {
-		j, ok := s.Next()
-		if !ok || j.id != fmt.Sprintf("j%d", i) {
-			t.Fatalf("dequeue %d = %v/%v, want j%d in arrival order", i, j, ok, i)
+		drained := s.Close()
+		if len(drained) != len(model) {
+			t.Fatalf("seed %d: Close drained %d jobs, want %d", seed, len(drained), len(model))
 		}
-	}
-	drained := s.Close()
-	if len(drained) != 0 {
-		t.Fatalf("Close drained %d jobs from an empty queue", len(drained))
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("Next after Close returned a job")
-	}
-	if err := s.Enqueue(schedJob("late", "", 0)); !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("enqueue after Close = %v, want ErrShuttingDown", err)
+		for i, j := range drained {
+			if j.id != model[i] {
+				t.Fatalf("seed %d: drained[%d] = %s, want %s (arrival order)", seed, i, j.id, model[i])
+			}
+		}
+		if _, ok := s.Next(); ok {
+			t.Fatalf("seed %d: Next after Close returned a job", seed)
+		}
+		if err := s.Enqueue(schedJob("late", "", 0)); !errors.Is(err, ErrShuttingDown) {
+			t.Fatalf("seed %d: enqueue after Close = %v, want ErrShuttingDown", seed, err)
+		}
 	}
 }
 
@@ -276,27 +302,5 @@ func TestFairSchedulerCloseDrains(t *testing.T) {
 	// plus consumed must cover all five with no duplicates.
 	if got+len(ids) != 5 && len(ids) != 0 {
 		t.Fatalf("drain accounting broken: %d drained, %d unaccounted", got, len(ids))
-	}
-}
-
-// TestSchedulerPolicySelection pins the config seam: empty and "fair"
-// select DRR, "fifo" selects the historical queue, anything else is
-// refused at construction.
-func TestSchedulerPolicySelection(t *testing.T) {
-	if s, err := newScheduler("", 4, nil); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*fairScheduler); !ok {
-		t.Fatalf("default scheduler is %T, want *fairScheduler", s)
-	}
-	if s, err := newScheduler(PolicyFIFO, 4, nil); err != nil {
-		t.Fatal(err)
-	} else if _, ok := s.(*fifoScheduler); !ok {
-		t.Fatalf("fifo scheduler is %T, want *fifoScheduler", s)
-	}
-	if _, err := newScheduler("priority-lottery", 4, nil); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if _, err := New(Config{Scheduler: "bogus"}); err == nil {
-		t.Fatal("server with unknown scheduler policy booted")
 	}
 }

@@ -3,8 +3,7 @@
 // many registered contracts; a single listener accepts sessions for any of
 // them (the hello's ContractID routes each connection); and a bounded
 // worker pool of simulated coprocessors executes ready jobs from a
-// pluggable scheduler — weighted fair-share across tenants by default, the
-// historical FIFO as a config choice — with explicit backpressure. This is
+// weighted fair-share scheduler with explicit backpressure. This is
 // the shape TEE-backed encrypted
 // databases take in production — a continuously available service
 // dispatching oblivious joins across limited secure-worker capacity —
@@ -43,19 +42,14 @@ type Config struct {
 	// Defaults to 2.
 	Workers int
 	// QueueDepth bounds the ready-job queue; a job that becomes ready
-	// while the bound is hit fails with ErrQueueFull. Under the fair
-	// scheduler the bound applies per tenant (one tenant flooding refuses
-	// only its own jobs); under "fifo" it is the whole queue. Defaults
+	// while the bound is hit fails with ErrQueueFull. The bound applies per
+	// tenant (one tenant flooding refuses only its own jobs). Defaults
 	// to 16.
 	QueueDepth int
-	// Scheduler selects the ready-queue discipline: "fair" (the default;
-	// weighted deficit round-robin across per-tenant queues with
-	// per-contract priority classes) or "fifo" (the historical single
-	// bounded queue, strict arrival order). Unknown values are refused at
-	// construction.
-	Scheduler string
-	// TenantWeights sets per-tenant fair-share weights for the "fair"
-	// scheduler; unlisted tenants (and values < 1) weigh 1. A tenant of
+	// TenantWeights sets per-tenant fair-share weights for the scheduler
+	// (weighted deficit round-robin across per-tenant queues with
+	// per-contract priority classes); unlisted tenants (and values < 1)
+	// weigh 1. A tenant of
 	// weight w receives w job slots per round-robin cycle while it has
 	// queued work.
 	TenantWeights map[string]int
@@ -88,11 +82,10 @@ type Config struct {
 	// effectively unbounded).
 	Memory int
 	// DevicesPerJob attaches that many coprocessors (sharing one sealer)
-	// to each job's host; algorithms with a parallel variant (2, 3, 4, 5)
-	// then dispatch to it — the §4.4.4/§5.3.5 intra-job parallelism. For
-	// "auto" contracts the planner's Plan.Devices rule decides how many of
-	// them the chosen algorithm can exploit. Zero or 1 keeps jobs
-	// sequential.
+	// to each job's host; algorithms with a parallel schedule then run it —
+	// the §4.4.4/§5.3.5 intra-job parallelism. The executed algorithm's
+	// device rule (core.Algorithm.Devices) decides how many of them it can
+	// exploit. Zero or 1 keeps jobs sequential.
 	DevicesPerJob int
 	// Seed pins every job's coprocessor randomness (tests only). Zero —
 	// the production setting — draws fresh crypto/rand entropy per job.
@@ -100,19 +93,19 @@ type Config struct {
 	// JobTimeout, when positive, bounds each job's lifetime from
 	// registration; expiry fails the job with context.DeadlineExceeded.
 	JobTimeout time.Duration
-	// MaxUploadBytes bounds the sealed payload bytes of one provider upload
-	// (chunked or legacy). An oversize upload — or a chunked stream that
-	// lies upward past its declared row count — is refused with
+	// MaxUploadBytes bounds the sealed payload bytes of one provider upload.
+	// An oversize upload — or a stream that lies upward past its declared
+	// row count — is refused with
 	// service.ErrUploadTooLarge before the excess is opened, while the job
 	// is still Uploading. Zero means unbounded.
 	MaxUploadBytes int64
-	// UploadWindow is the credit window W granted to chunked uploaders: a
+	// UploadWindow is the credit window W granted to uploaders: a
 	// provider may have at most W unacknowledged chunks in flight, so the
 	// server's ingest memory per connection is bounded by W x chunk bytes.
 	// Zero selects service.DefaultUploadWindow.
 	UploadWindow int
 	// UploadDeadline, when positive, bounds one provider upload's wall
-	// clock from its first frame. A chunked stream that stalls past it
+	// clock from its first frame. A stream that stalls past it
 	// fails the job with service.ErrUploadTruncated (the provider has
 	// committed to a row count it is no longer delivering). Zero leaves
 	// only the job deadline.
@@ -148,10 +141,6 @@ type Config struct {
 	Quotas *Quotas
 	// QuotaNow overrides the quota clock (tests only); nil uses time.Now.
 	QuotaNow func() time.Time
-	// AllowLegacyUpload re-enables the deprecated ProtoLegacy one-shot
-	// dataMsg upload. Off by default: legacy providers are refused with
-	// service.ErrLegacyUploadDisabled before any row is opened.
-	AllowLegacyUpload bool
 	// Logf, when set, receives connection-level errors from Serve.
 	Logf func(format string, args ...any)
 	// DataDir, when set, enables the write-ahead job store: contract
@@ -181,7 +170,7 @@ type Server struct {
 	sortcache *resultstore.Store
 	cache     *sortedCache
 	quotas    *Quotas
-	sched     Scheduler
+	sched     *fairScheduler
 	clk       clock.Clock
 
 	// recurMu guards the recurrence table. fireRecurrence holds it across
@@ -222,10 +211,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Shards > 1 {
 		return nil, fmt.Errorf("server: Config.Shards = %d: a Server is one shard; build a fleet with internal/fleet.New", cfg.Shards)
 	}
-	sched, err := newScheduler(cfg.Scheduler, cfg.QueueDepth, cfg.TenantWeights)
-	if err != nil {
-		return nil, err
-	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = clock.System()
@@ -240,7 +225,7 @@ func New(cfg Config) (*Server, error) {
 		registry: newRegistry(),
 		metrics:  newMetrics(),
 		store:    NopStore{},
-		sched:    sched,
+		sched:    newFairScheduler(cfg.QueueDepth, cfg.TenantWeights),
 		clk:      clk,
 		recur:    make(map[string]*recurrence),
 		tickStop: make(chan struct{}),
@@ -329,7 +314,6 @@ func (s *Server) newService(c *service.Contract) (*service.Service, error) {
 	svc.Devices = s.cfg.DevicesPerJob
 	svc.MaxUploadBytes = s.cfg.MaxUploadBytes
 	svc.UploadWindow = s.cfg.UploadWindow
-	svc.AllowLegacyUpload = s.cfg.AllowLegacyUpload
 	svc.SortCache = s.cache
 	return svc, nil
 }
@@ -352,10 +336,6 @@ func (s *Server) MetricsSnapshot() Snapshot {
 	snap.SortCacheEvictions = s.sortcache.Evictions() + s.sortcache.RecoveryEvictions()
 	snap.SortCacheHits = s.metrics.sortCacheHits.Load()
 	snap.SortCacheMisses = s.metrics.sortCacheMisses.Load()
-	snap.Scheduler = s.cfg.Scheduler
-	if snap.Scheduler == "" {
-		snap.Scheduler = PolicyFair
-	}
 	snap.RecurrencesFired = s.metrics.recurFired.Load()
 	snap.RecurrencesSkipped = s.metrics.recurSkipped.Load()
 	return snap
@@ -630,9 +610,8 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // enqueue hands a ready job to the scheduler, failing it with the
-// scheduler's typed refusal — ErrQueueFull at the discipline's bound
-// (queue-depth backpressure, per tenant under fair scheduling) or
-// ErrShuttingDown during drain.
+// scheduler's typed refusal — ErrQueueFull at the tenant's queue-depth
+// bound or ErrShuttingDown during drain.
 func (s *Server) enqueue(j *Job) {
 	s.mu.Lock()
 	if s.shuttingDown {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 
-	"ppj/internal/core"
 	"ppj/internal/relation"
 	"ppj/internal/secop"
 )
@@ -24,16 +23,6 @@ type Client struct {
 	Identity  ed25519.PrivateKey
 	DeviceKey ed25519.PublicKey
 	Expected  secop.ExpectedStack
-	// Legacy pins the session to the ProtoLegacy one-shot upload (the whole
-	// relation in a single dataMsg) instead of the default chunked stream.
-	// Servers now refuse it unless they opt in with AllowLegacyUpload; it
-	// exists so that deprecation gate stays tested. New code should leave
-	// it false.
-	Legacy bool
-	// Proto, when non-zero, pins the session's protocol version instead of
-	// the default ProtoStreamedResult — e.g. ProtoChunked for a client that
-	// wants chunked uploads but one-shot delivery. Legacy wins over Proto.
-	Proto byte
 }
 
 // ClientSession is an authenticated channel to the attested coprocessor.
@@ -80,18 +69,11 @@ func (c *Client) ConnectJob(conn io.ReadWriter, role Role, contractID, jobID str
 // ConnectJobResume is ConnectJob with a recipient resume offset.
 func (c *Client) ConnectJobResume(conn io.ReadWriter, role Role, contractID, jobID string, resume uint32) (*ClientSession, error) {
 	sess := newSession(conn)
-	proto := ProtoStreamedResult
-	if c.Proto != 0 {
-		proto = c.Proto
-	}
-	if c.Legacy {
-		proto = ProtoLegacy
-	}
 	challenge := make([]byte, 32)
 	if _, err := rand.Read(challenge); err != nil {
 		return nil, err
 	}
-	if err := sess.enc.Encode(Hello{Party: c.Name, Role: role, Challenge: challenge, ContractID: contractID, JobID: jobID, Proto: proto, ResumeChunks: resume}); err != nil {
+	if err := sess.enc.Encode(Hello{Party: c.Name, Role: role, Challenge: challenge, ContractID: contractID, JobID: jobID, Proto: ProtoVersion, ResumeChunks: resume}); err != nil {
 		return nil, err
 	}
 	var auth serverAuthMsg
@@ -138,7 +120,7 @@ func (c *Client) ConnectJobResume(conn io.ReadWriter, role Role, contractID, job
 	if err != nil {
 		return nil, err
 	}
-	return &ClientSession{client: c, sess: &Session{enc: sess.enc, dec: sess.dec, sealer: sealDir, opener: open, proto: proto}}, nil
+	return &ClientSession{client: c, sess: &Session{enc: sess.enc, dec: sess.dec, sealer: sealDir, opener: open}}, nil
 }
 
 // UploadOptions configures the streaming producer.
@@ -150,40 +132,16 @@ type UploadOptions struct {
 }
 
 // SubmitRelation uploads a provider's relation under the session key, each
-// row bound to the contract ID. Sessions opened at ProtoChunked (the
-// default) stream the relation in acknowledged chunks with the default
-// chunk size; Legacy sessions send the one-shot dataMsg.
+// row bound to the contract ID, streamed in acknowledged chunks of the
+// default chunk size.
 func (cs *ClientSession) SubmitRelation(contractID string, rel *relation.Relation) error {
 	return cs.SubmitRelationOpts(contractID, rel, UploadOptions{})
 }
 
-// SubmitRelationOpts is SubmitRelation with explicit streaming options.
-func (cs *ClientSession) SubmitRelationOpts(contractID string, rel *relation.Relation, opt UploadOptions) error {
-	if cs.sess.proto < ProtoChunked {
-		return cs.submitLegacy(contractID, rel)
-	}
-	return cs.submitChunked(contractID, rel, opt)
-}
-
-// submitLegacy is the ProtoLegacy one-shot upload: every row sealed into a
-// single dataMsg.
-func (cs *ClientSession) submitLegacy(contractID string, rel *relation.Relation) error {
-	encs, err := rel.EncodeAll()
-	if err != nil {
-		return err
-	}
-	msg := dataMsg{ContractID: contractID, Schema: toWire(rel.Schema), Rows: make([][]byte, len(encs))}
-	prefix := []byte(contractID)
-	for i, e := range encs {
-		pt := append(append([]byte(nil), prefix...), e...)
-		msg.Rows[i] = cs.sess.sealer.seal(pt)
-	}
-	return cs.sess.enc.Encode(msg)
-}
-
-// submitChunked is the streaming producer: a begin frame declaring the row
-// count, then chunk frames under the server-granted credit window (at most
-// W unacknowledged chunks in flight), then the end frame with the totals.
+// SubmitRelationOpts is SubmitRelation with explicit streaming options. It
+// is the streaming producer: a begin frame declaring the row count, then
+// chunk frames under the server-granted credit window (at most W
+// unacknowledged chunks in flight), then the end frame with the totals.
 // Rows are sealed lazily per chunk, so producer memory is one chunk plus
 // the relation it already owns. It returns once the server confirms the
 // completed upload, or with the server's refusal verdict.
@@ -193,7 +151,7 @@ func (cs *ClientSession) submitLegacy(contractID string, rel *relation.Relation)
 // or a synchronous transport deadlocks three ways at once (server blocked
 // writing an ack, reader blocked handing it over, producer blocked writing
 // a chunk the server will never read).
-func (cs *ClientSession) submitChunked(contractID string, rel *relation.Relation, opt UploadOptions) error {
+func (cs *ClientSession) SubmitRelationOpts(contractID string, rel *relation.Relation, opt UploadOptions) error {
 	chunkRows := opt.ChunkRows
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
@@ -248,49 +206,17 @@ func (cs *ClientSession) submitChunked(contractID string, rel *relation.Relation
 
 // ReceiveResult waits for the recipient's result, decrypts it, drops decoy
 // oTuples (for the padded Chapter 4 algorithms), and returns the exact join
-// rows. On ProtoStreamedResult sessions this is a complete single-shot
-// fetch of the chunk stream; use FetchResult directly for pause/resume
-// control.
+// rows: a complete single-shot fetch of the chunk stream; use FetchResult
+// directly for pause/resume control.
 func (cs *ClientSession) ReceiveResult() (*relation.Relation, error) {
-	if cs.sess.proto >= ProtoStreamedResult {
-		f := &ResultFetch{}
-		if err := cs.FetchResult(f); err != nil {
-			return nil, err
-		}
-		if f.Rows == nil {
-			return nil, errors.New("service: result carries an aggregate, not rows")
-		}
-		return f.Rows, nil
-	}
-	var msg resultMsg
-	if err := cs.sess.dec.Decode(&msg); err != nil {
-		return nil, fmt.Errorf("service: reading result: %w", err)
-	}
-	if msg.Err != "" {
-		return nil, fmt.Errorf("service: join failed: %s", msg.Err)
-	}
-	schema, err := msg.Schema.schema()
-	if err != nil {
+	f := &ResultFetch{}
+	if err := cs.FetchResult(f); err != nil {
 		return nil, err
 	}
-	out := relation.NewRelation(schema)
-	for i, ct := range msg.Rows {
-		cell, err := cs.sess.opener.open(ct)
-		if err != nil {
-			return nil, fmt.Errorf("service: result row %d: %w", i, err)
-		}
-		if !core.IsReal(cell) {
-			continue // decoy: "decrypted and filtered out by the recipient" (§4.3)
-		}
-		row, err := schema.Decode(core.Payload(cell))
-		if err != nil {
-			return nil, fmt.Errorf("service: result row %d: %w", i, err)
-		}
-		if err := out.Append(row); err != nil {
-			return nil, err
-		}
+	if f.Rows == nil {
+		return nil, errors.New("service: result carries an aggregate, not rows")
 	}
-	return out, nil
+	return f.Rows, nil
 }
 
 // AggOutcome is a delivered aggregate statistic.
@@ -303,31 +229,14 @@ type AggOutcome struct {
 // ReceiveAggregate waits for an "aggregate" contract's result: a single
 // statistic, decrypted under the session key.
 func (cs *ClientSession) ReceiveAggregate() (AggOutcome, error) {
-	if cs.sess.proto >= ProtoStreamedResult {
-		f := &ResultFetch{}
-		if err := cs.FetchResult(f); err != nil {
-			return AggOutcome{}, err
-		}
-		if f.Agg == nil {
-			return AggOutcome{}, errors.New("service: result carries rows, not an aggregate")
-		}
-		return *f.Agg, nil
-	}
-	var msg resultMsg
-	if err := cs.sess.dec.Decode(&msg); err != nil {
-		return AggOutcome{}, fmt.Errorf("service: reading aggregate: %w", err)
-	}
-	if msg.Err != "" {
-		return AggOutcome{}, fmt.Errorf("service: aggregate failed: %s", msg.Err)
-	}
-	if msg.Agg == nil {
-		return AggOutcome{}, errors.New("service: result carries rows, not an aggregate")
-	}
-	cell, err := cs.sess.opener.open(msg.Agg)
-	if err != nil {
+	f := &ResultFetch{}
+	if err := cs.FetchResult(f); err != nil {
 		return AggOutcome{}, err
 	}
-	return decodeAggCell(cell)
+	if f.Agg == nil {
+		return AggOutcome{}, errors.New("service: result carries rows, not an aggregate")
+	}
+	return *f.Agg, nil
 }
 
 // NewIdentity draws an ed25519 identity key pair for a party.

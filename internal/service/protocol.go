@@ -184,18 +184,15 @@ type Hello struct {
 	Role       Role
 	Challenge  []byte // attestation nonce
 	ContractID string
-	// Proto is the protocol version the requestor speaks: ProtoLegacy
-	// (one-shot dataMsg upload and one-shot result), ProtoChunked (windowed
-	// chunk-stream upload), or ProtoStreamedResult (chunked upload plus
-	// streamed, resumable result delivery). Hellos from old clients
-	// gob-decode without the field, landing on ProtoLegacy — now refused
-	// for uploads unless the service opts in (AllowLegacyUpload).
+	// Proto is the protocol version the requestor speaks. Exactly one is
+	// served — ProtoVersion; Handshake refuses every other value, including
+	// the zero an encoder without the field produces.
 	Proto byte
 	// ResumeChunks is a recipient's resume offset in whole result chunks:
 	// the server starts the result stream at this chunk instead of 0, so a
 	// recipient that disconnected mid-delivery — even across a server
 	// restart — fetches only what it is missing. Meaningful only for
-	// RoleRecipient hellos at ProtoStreamedResult.
+	// RoleRecipient hellos.
 	ResumeChunks uint32
 	// JobID addresses one execution of the contract when the contract has
 	// been resubmitted (see server.Resubmit). Empty — what every pre-job
@@ -236,45 +233,13 @@ func (w schemaWire) schema() (*relation.Schema, error) {
 	return relation.NewSchema(w.Attrs...)
 }
 
-// dataMsg is a ProtoLegacy provider upload: the whole relation in one
-// message, each row sealed under the session key and prepended with the
-// contract ID inside the plaintext ("Each party prepends its relation with
-// the contract ID and encrypts the two together as one message", §3.3.3 —
-// here per row, binding every ciphertext to the contract). ProtoChunked
-// clients stream the same sealed rows as uploadChunkMsg frames instead; the
-// one-shot form stays accepted for one release.
-type dataMsg struct {
-	ContractID string
-	Schema     schemaWire
-	Rows       [][]byte
-}
-
-// resultMsg delivers the join result to the recipient: rows sealed under
-// the recipient's session key (decoys already removed by T for the exact
-// algorithms; flagged oTuples for the Chapter 4 algorithms). For aggregate
-// contracts, Agg carries the single sealed statistic instead of rows.
-type resultMsg struct {
-	ContractID string
-	Schema     schemaWire
-	Rows       [][]byte
-	// Padded reports that rows are oTuples (flag byte + payload) rather
-	// than bare encodings.
-	Padded bool
-	// Agg is the sealed aggregate payload (count:8 | value:8 | valid:1)
-	// when the contract computes a statistic.
-	Agg []byte
-	Err string
-}
-
-// Session wraps a connection with gob codecs, the directional session
-// sealers (sealer encrypts outgoing payloads, opener decrypts incoming),
-// and the upload protocol version negotiated in the hello.
+// Session wraps a connection with gob codecs and the directional session
+// sealers (sealer encrypts outgoing payloads, opener decrypts incoming).
 type Session struct {
 	enc    *gob.Encoder
 	dec    *gob.Decoder
 	sealer *sessionSealer
 	opener *sessionSealer
-	proto  byte
 }
 
 func newSession(rw io.ReadWriter) *Session {
@@ -290,7 +255,6 @@ func ReadHello(conn io.ReadWriter) (*Session, Hello, error) {
 	if err := sess.dec.Decode(&hello); err != nil {
 		return nil, Hello{}, fmt.Errorf("service: reading hello: %w", err)
 	}
-	sess.proto = hello.Proto
 	return sess, hello, nil
 }
 

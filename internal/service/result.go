@@ -9,21 +9,15 @@ import (
 	"ppj/internal/relation"
 )
 
-// Streamed result delivery (protocol version 2) mirrors the chunked upload
-// protocol on the way out. One-shot delivery serialises the whole sealed
-// result into a single resultMsg, so a recipient that disconnects mid-read
-// loses everything and the host must hold the full [][]byte for the
-// slowest reader. Version 2 streams resultBeginMsg, then fixed-size
-// resultChunkMsg frames chained by a running CRC-32C under a
-// recipient-granted credit window, then resultEndMsg with the totals. The
-// hello carries a resume offset in whole chunks, so a recipient can
-// disconnect — or outlive a server restart — and re-fetch only what it is
-// missing; rows are re-sealed under the new session key, and the byte
-// identity the property tests pin is of the reassembled plaintext.
-
-// ProtoStreamedResult is the protocol version whose result delivery is the
-// resumable chunk stream. Upload framing is ProtoChunked's.
-const ProtoStreamedResult byte = 2
+// Result delivery mirrors the chunked upload protocol on the way out: the
+// server streams resultBeginMsg, then fixed-size resultChunkMsg frames
+// chained by a running CRC-32C under a recipient-granted credit window,
+// then resultEndMsg with the totals, so the host never holds the whole
+// sealed result for the slowest reader. The hello carries a resume offset
+// in whole chunks, so a recipient can disconnect — or outlive a server
+// restart — and re-fetch only what it is missing; rows are re-sealed under
+// the new session key, and the byte identity the property tests pin is of
+// the reassembled plaintext.
 
 const (
 	// ResultChunkRows is the fixed rows-per-chunk of streamed delivery. It
@@ -90,7 +84,7 @@ type resultBeginMsg struct {
 type resultChunkMsg struct {
 	Seq  uint32
 	Rows [][]byte
-	CRC  uint32
+	CRC  wireCRC
 }
 
 // resultEndMsg closes the stream with the totals the recipient must agree
@@ -98,7 +92,7 @@ type resultChunkMsg struct {
 type resultEndMsg struct {
 	Frames uint32
 	Rows   int64
-	CRC    uint32
+	CRC    wireCRC
 }
 
 // resultFrameMsg is the stream envelope: exactly one of Chunk or End set.
@@ -179,12 +173,8 @@ func mapResultDecodeErr(err error) error {
 // window, end frame, done ack. Failure verdicts and aggregate results
 // travel in the begin frame (zero chunks follow an aggregate; nothing
 // follows a failure). Rows are re-sealed per session, so a resumed stream
-// is fresh ciphertext over the same plaintext suffix. Legacy sessions fall
-// back to the one-shot resultMsg, ignoring startChunk.
+// is fresh ciphertext over the same plaintext suffix.
 func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) error {
-	if sess.proto < ProtoStreamedResult {
-		return s.deliverOneShot(sess, out)
-	}
 	begin := resultBeginMsg{ContractID: s.Contract.ID, Padded: out.Padded}
 	if out.Err != nil {
 		begin.Err = out.Err.Error()
@@ -271,15 +261,12 @@ type ResultFetch struct {
 	PauseAfter uint32
 }
 
-// FetchResult runs the recipient side of one streamed delivery on a
-// ProtoStreamedResult session: read the begin frame, grant credit, verify
-// and decrypt each chunk against the running CRC chain, acknowledge it,
-// and verify the end totals. The fetch state lands in f.
+// FetchResult runs the recipient side of one streamed delivery: read the
+// begin frame, grant credit, verify and decrypt each chunk against the
+// running CRC chain, acknowledge it, and verify the end totals. The fetch
+// state lands in f.
 func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 	sess := cs.sess
-	if sess.proto < ProtoStreamedResult {
-		return errors.New("service: session does not speak streamed result delivery")
-	}
 	var begin resultBeginMsg
 	if err := sess.dec.Decode(&begin); err != nil {
 		return mapResultDecodeErr(err)

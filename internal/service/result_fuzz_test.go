@@ -62,7 +62,6 @@ func FuzzResultStream(f *testing.F) {
 			enc:    gob.NewEncoder(io.Discard),
 			dec:    gob.NewDecoder(bytes.NewReader(raw)),
 			opener: opener,
-			proto:  ProtoStreamedResult,
 		}
 		cs := &ClientSession{sess: sess}
 		fetch := &ResultFetch{Chunks: resume % 8}

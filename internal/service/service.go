@@ -9,7 +9,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -69,24 +68,20 @@ type Service struct {
 	// placement.
 	Seed uint64
 	// Devices is the number of coprocessors to attach to an execution's
-	// host. Values above 1 dispatch to the parallel variants (ParallelJoin2/
-	// 3/4/5, ParallelSort-backed) when the chosen algorithm admits them; the
-	// fleet shares one sealer, and each device keeps its own seed, trace and
-	// stats. Zero or 1 means sequential execution.
+	// host. The chosen algorithm's device rule (core.Algorithm.Devices)
+	// decides how many of them it uses; the fleet shares one sealer, and each
+	// device keeps its own seed, trace and stats. Zero or 1 means sequential
+	// execution.
 	Devices int
 	// MaxUploadBytes bounds one provider upload's total sealed payload
 	// bytes; an upload exceeding it fails with ErrUploadTooLarge before the
 	// excess is opened. Zero means unbounded.
 	MaxUploadBytes int64
-	// UploadWindow is the credit window W granted to ProtoChunked uploaders:
-	// at most W unacknowledged chunks in flight per connection, so ingest
-	// memory per connection is bounded by W x chunk bytes. Zero selects
+	// UploadWindow is the credit window W granted to uploaders: at most W
+	// unacknowledged chunks in flight per connection, so ingest memory per
+	// connection is bounded by W x chunk bytes. Zero selects
 	// DefaultUploadWindow.
 	UploadWindow int
-	// AllowLegacyUpload re-enables the deprecated ProtoLegacy one-shot
-	// dataMsg upload. Off (the default), a legacy session's upload is
-	// refused with ErrLegacyUploadDisabled before any ciphertext is read.
-	AllowLegacyUpload bool
 	// SortCache, when set, lets sort-based joins (alg7) reuse the
 	// obliviously-sorted form of an unchanged upload across executions of
 	// the same contract. Keys bind the contract, side, public size, and an
@@ -227,7 +222,7 @@ func (s *Service) Execute(conns map[string]io.ReadWriter) error {
 		case err := <-errs:
 			return err
 		}
-		if err := s.Deliver(rs.sess, out); err != nil {
+		if err := s.DeliverStream(rs.sess, out, 0); err != nil {
 			return fmt.Errorf("service: delivering to %s: %w", rs.name, err)
 		}
 	}
@@ -260,8 +255,14 @@ func (s *Service) handshake(conn io.ReadWriter) (*Session, Party, error) {
 // contract, deriving the session sealer. It returns the authenticated
 // contract party. The hello must already have been read (ReadHello), so a
 // multi-contract listener can route on Hello.ContractID before committing
-// to a contract.
+// to a contract. A hello at any protocol version but ProtoVersion is refused
+// with ErrUnsupportedProto.
 func (s *Service) Handshake(sess *Session, hello Hello) (Party, error) {
+	// Checked before any attestation signing or key agreement: the hello is
+	// bytes from an unauthenticated peer.
+	if hello.Proto != ProtoVersion {
+		return Party{}, fmt.Errorf("%w: hello speaks version %d, want %d", ErrUnsupportedProto, hello.Proto, ProtoVersion)
+	}
 	if hello.ContractID != "" && hello.ContractID != s.Contract.ID {
 		return Party{}, fmt.Errorf("hello for foreign contract %q, serving %s", hello.ContractID, s.Contract.ID)
 	}
@@ -334,10 +335,7 @@ func (s *Service) Handshake(sess *Session, hello Hello) (Party, error) {
 // the join. The party's upload slot is reserved before any ciphertext is
 // read — a duplicate or concurrent second upload fails immediately and can
 // never burn a decrypt pass — and released again if the upload errors, so a
-// provider whose stream broke may reconnect and retry. The session's
-// negotiated protocol version selects the chunked incremental consumer or
-// the legacy one-shot path; both funnel through the same row-validation
-// core.
+// provider whose stream broke may reconnect and retry.
 func (s *Service) ReceiveUpload(party string, sess *Session) error {
 	return s.ReceiveUploadCtx(context.Background(), party, sess)
 }
@@ -347,21 +345,10 @@ func (s *Service) ReceiveUpload(party string, sess *Session) error {
 // (the serving layer derives ctx from the job deadline and the configured
 // upload deadline).
 func (s *Service) ReceiveUploadCtx(ctx context.Context, party string, sess *Session) error {
-	if sess.proto < ProtoChunked && !s.AllowLegacyUpload {
-		return ErrLegacyUploadDisabled
-	}
 	if err := s.reserveUpload(party); err != nil {
 		return err
 	}
-	var (
-		rel *relation.Relation
-		err error
-	)
-	if sess.proto >= ProtoChunked {
-		rel, err = s.receiveChunked(ctx, sess)
-	} else {
-		rel, err = s.receiveLegacy(sess)
-	}
+	rel, err := s.receiveChunked(ctx, sess)
 	if err != nil {
 		s.releaseUpload(party)
 		return err
@@ -414,7 +401,7 @@ func (s *Service) UploadsComplete() bool {
 }
 
 // Outcome is the computed result of a contract execution, ready to be
-// sealed per recipient session by Deliver. Err carries a join failure that
+// sealed per recipient session by DeliverStream. Err carries a join failure that
 // is reported to recipients rather than silently dropped.
 type Outcome struct {
 	Rows   [][]byte
@@ -445,44 +432,9 @@ func (s *Service) RunContract() Outcome {
 		agg, stats, err := s.runAggregate()
 		return Outcome{Agg: agg, Algorithm: "aggregate", Devices: 1, Stats: stats, Err: err}
 	}
-	rows, schema, padded, alg, devices, stats, use, err := s.runJoin()
-	return Outcome{
-		Rows: rows, Schema: schema, Padded: padded, Algorithm: alg,
-		Devices: devices, Stats: stats,
-		CacheHits: use.Hits(), CacheMisses: use.Misses(),
-		Err: err,
-	}
-}
-
-// Deliver seals an outcome under a recipient session and sends it, using
-// the session's negotiated protocol: the resumable chunk stream for
-// ProtoStreamedResult sessions (from offset 0), the one-shot resultMsg
-// otherwise.
-func (s *Service) Deliver(sess *Session, out Outcome) error {
-	if sess.proto >= ProtoStreamedResult {
-		return s.DeliverStream(sess, out, 0)
-	}
-	return s.deliverOneShot(sess, out)
-}
-
-// deliverOneShot is the pre-v2 delivery: the whole sealed result in one
-// resultMsg.
-func (s *Service) deliverOneShot(sess *Session, out Outcome) error {
-	msg := resultMsg{ContractID: s.Contract.ID, Padded: out.Padded}
-	switch {
-	case out.Err != nil:
-		msg.Err = out.Err.Error()
-	case out.Agg != nil:
-		msg.Agg = sess.sealer.seal(out.Agg)
-	default:
-		msg.Schema = toWire(out.Schema)
-		sealed := make([][]byte, len(out.Rows))
-		for j, r := range out.Rows {
-			sealed[j] = sess.sealer.seal(r)
-		}
-		msg.Rows = sealed
-	}
-	return sess.enc.Encode(msg)
+	out, err := s.runJoin()
+	out.Err = err
+	return out
 }
 
 // execSeed resolves the seed for one contract execution: the pinned seed
@@ -523,6 +475,18 @@ func (s *Service) gatherUploads() ([]*relation.Relation, []string, error) {
 	return rels, names, nil
 }
 
+// predicates instantiates the contract predicate over the uploads: the
+// two-way form for two providers, the J-way lift (see multiPredicate) for
+// more.
+func (s *Service) predicates(rels []*relation.Relation) (relation.Predicate, relation.MultiPredicate, error) {
+	if len(rels) == 2 {
+		pred, err := s.Contract.Predicate.Build(rels[0].Schema, rels[1].Schema)
+		return pred, nil, err
+	}
+	mp, err := s.multiPredicate(rels)
+	return nil, mp, err
+}
+
 // planAlgorithm resolves an "auto" contract: the query planner's §4.6/§5.3.4
 // analysis picks the cheapest admissible algorithm for the uploaded
 // relations.
@@ -531,210 +495,108 @@ func (s *Service) planAlgorithm(rels []*relation.Relation) (query.Plan, error) {
 	if mem <= 0 {
 		mem = 1 << 40 // the simulator's "effectively unbounded" convention
 	}
-	q := query.Query{Epsilon: s.Contract.Epsilon}
-	if len(rels) == 2 {
-		pred, err := s.Contract.Predicate.Build(rels[0].Schema, rels[1].Schema)
-		if err != nil {
-			return query.Plan{}, err
-		}
-		q.Predicate = pred
-	} else {
-		mp, err := s.multiPredicate(rels)
-		if err != nil {
-			return query.Plan{}, err
-		}
-		q.Multi = mp
+	pred, mp, err := s.predicates(rels)
+	if err != nil {
+		return query.Plan{}, err
 	}
+	q := query.Query{Predicate: pred, Multi: mp, Epsilon: s.Contract.Epsilon}
 	return query.Planner{Memory: mem}.Plan(q, rels)
 }
 
-// algorithmNumber maps a contract algorithm name to its chapter number (0
-// when unknown), for the planner's device-count rule.
-func algorithmNumber(alg string) int {
-	if len(alg) == 4 && alg[:3] == "alg" && alg[3] >= '1' && alg[3] <= '7' {
-		return int(alg[3] - '0')
-	}
-	return 0
-}
-
-// runJoin executes the contracted algorithm over the uploaded relations,
-// returning oTuple cells (flag byte + payload), the algorithm actually run,
-// the device count used, and T's cost counters summed across devices.
-func (s *Service) runJoin() (rows [][]byte, schema *relation.Schema, padded bool, alg string, devices int, stats sim.Stats, use core.CacheUse, err error) {
+// runJoin executes the contracted algorithm's row of core.Algorithms over
+// the uploaded relations. On failure the returned Outcome still names the
+// algorithm, the device count and T's counters up to the failure.
+func (s *Service) runJoin() (Outcome, error) {
+	out := Outcome{Devices: 1}
 	rels, names, err := s.gatherUploads()
 	if err != nil {
-		return nil, nil, false, "", 1, sim.Stats{}, use, err
+		return out, err
 	}
-
-	alg = s.Contract.Algorithm
+	alg := s.Contract.Algorithm
 	if alg == "auto" {
-		plan, perr := s.planAlgorithm(rels)
-		if perr != nil {
-			return nil, nil, false, "", 1, sim.Stats{}, use, perr
+		plan, err := s.planAlgorithm(rels)
+		if err != nil {
+			return out, err
 		}
 		alg = plan.AlgorithmName()
 	}
+	out.Algorithm = alg
+	desc, err := core.AlgorithmByName(alg)
+	if err != nil {
+		return out, fmt.Errorf("service: %w", err)
+	}
 	// How many of the configured devices the algorithm can exploit.
-	devices = query.Plan{Algorithm: algorithmNumber(alg)}.Devices(s.Devices)
+	out.Devices = desc.Devices(s.Devices)
+
+	in := core.Inputs{Epsilon: s.Contract.Epsilon}
+	if in.Pred, in.Multi, err = s.predicates(rels); err != nil {
+		return out, err
+	}
+	if desc.Padded && in.Pred != nil {
+		in.N = max(1, int64(relation.MaxMatches(rels[0], rels[1], in.Pred)))
+	}
+	if desc.UsesCache && s.SortCache != nil && len(rels) == 2 {
+		in.Cache = s.SortCache
+		if in.KeyA, err = sortCacheKey(s.Contract.ID, "A", rels[0]); err != nil {
+			return out, err
+		}
+		if in.KeyB, err = sortCacheKey(s.Contract.ID, "B", rels[1]); err != nil {
+			return out, err
+		}
+	}
 
 	seed, err := s.execSeed()
 	if err != nil {
-		return nil, nil, false, alg, devices, sim.Stats{}, use, err
+		return out, err
 	}
 	host := sim.NewHost(0)
 	cop, err := sim.NewCoprocessor(host, sim.Config{Memory: s.Memory, Seed: seed})
 	if err != nil {
-		return nil, nil, false, alg, devices, sim.Stats{}, use, err
+		return out, err
 	}
 	// The fleet shares device 0's sealer (parallel variants re-encrypt cells
 	// for each other) while every device keeps its own derived seed, trace
 	// and stats.
-	cops := make([]*sim.Coprocessor, devices)
+	cops := make([]*sim.Coprocessor, out.Devices)
 	cops[0] = cop
-	for i := 1; i < devices; i++ {
+	for i := 1; i < len(cops); i++ {
 		dseed := seed + uint64(i)*0x9e3779b97f4a7c15
 		if dseed == 0 {
 			dseed = 1
 		}
 		cops[i], err = sim.NewCoprocessor(host, sim.Config{Memory: s.Memory, Sealer: cop.Sealer(), Seed: dseed})
 		if err != nil {
-			return nil, nil, false, alg, devices, sim.Stats{}, use, err
+			return out, err
 		}
 	}
 	tabs := make([]sim.Table, len(rels))
 	for i, rel := range rels {
 		tabs[i], err = sim.LoadTable(host, cop.Sealer(), names[i], rel)
 		if err != nil {
-			return nil, nil, false, alg, devices, sim.Stats{}, use, err
+			return out, err
 		}
 	}
 
-	fleetStats := func() sim.Stats {
-		var st sim.Stats
+	res, use, err := desc.Run(cops, tabs, in)
+	out.CacheHits, out.CacheMisses = use.Hits(), use.Misses()
+	if err != nil {
 		for _, c := range cops {
-			st.Add(c.Stats())
+			out.Stats.Add(c.Stats())
 		}
-		return st
+		return out, err
 	}
-	fail := func(ferr error) ([][]byte, *relation.Schema, bool, string, int, sim.Stats, core.CacheUse, error) {
-		return nil, nil, false, alg, devices, fleetStats(), use, ferr
-	}
-
-	var res core.Result
-	switch alg {
-	case "alg1", "alg2", "alg3":
-		if len(rels) != 2 {
-			return fail(fmt.Errorf("service: %s requires exactly 2 providers", alg))
-		}
-		pred, err := s.Contract.Predicate.Build(rels[0].Schema, rels[1].Schema)
-		if err != nil {
-			return fail(err)
-		}
-		n := int64(relation.MaxMatches(rels[0], rels[1], pred))
-		if n == 0 {
-			n = 1
-		}
-		switch alg {
-		case "alg1":
-			res, err = core.Join1(cop, tabs[0], tabs[1], pred, n)
-		case "alg2":
-			if devices > 1 {
-				res, err = core.ParallelJoin2(cops, tabs[0], tabs[1], pred, n, 0)
-			} else {
-				res, err = core.Join2(cop, tabs[0], tabs[1], pred, n, 0)
-			}
-		case "alg3":
-			eq, ok := pred.(*relation.Equi)
-			if !ok {
-				return fail(errors.New("service: alg3 requires an equi predicate"))
-			}
-			if devices > 1 {
-				res, err = core.ParallelJoin3(cops, tabs[0], tabs[1], eq, n, false)
-			} else {
-				res, err = core.Join3(cop, tabs[0], tabs[1], eq, n, false)
-			}
-		}
-		if err != nil {
-			return fail(err)
-		}
-		padded = true
-	case "alg4", "alg5", "alg6":
-		pred, err := s.multiPredicate(rels)
-		if err != nil {
-			return fail(err)
-		}
-		switch alg {
-		case "alg4":
-			if devices > 1 {
-				res, err = core.ParallelJoin4(cops, tabs, pred)
-			} else {
-				res, err = core.Join4(cop, tabs, pred)
-			}
-		case "alg5":
-			if devices > 1 {
-				res, err = core.ParallelJoin5(cops, tabs, pred)
-			} else {
-				res, err = core.Join5(cop, tabs, pred)
-			}
-		case "alg6":
-			var rep core.Join6Report
-			rep, err = core.Join6(cop, tabs, pred, s.Contract.Epsilon)
-			res = rep.Result
-		}
-		if err != nil {
-			return fail(err)
-		}
-		padded = false
-	case "alg7":
-		if len(rels) != 2 {
-			return fail(fmt.Errorf("service: %s requires exactly 2 providers", alg))
-		}
-		pred, err := s.Contract.Predicate.Build(rels[0].Schema, rels[1].Schema)
-		if err != nil {
-			return fail(err)
-		}
-		eq, ok := pred.(*relation.Equi)
-		if !ok {
-			return fail(errors.New("service: alg7 requires an equi predicate"))
-		}
-		if s.SortCache != nil {
-			keyA, kerr := sortCacheKey(s.Contract.ID, "A", rels[0])
-			if kerr != nil {
-				return fail(kerr)
-			}
-			keyB, kerr := sortCacheKey(s.Contract.ID, "B", rels[1])
-			if kerr != nil {
-				return fail(kerr)
-			}
-			if devices > 1 {
-				res, use, err = core.ParallelJoin7Cached(cops, tabs[0], tabs[1], eq, s.SortCache, keyA, keyB)
-			} else {
-				res, use, err = core.Join7Cached(cop, tabs[0], tabs[1], eq, s.SortCache, keyA, keyB)
-			}
-		} else if devices > 1 {
-			res, err = core.ParallelJoin7(cops, tabs[0], tabs[1], eq)
-		} else {
-			res, err = core.Join7(cop, tabs[0], tabs[1], eq)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		padded = false
-	default:
-		return fail(fmt.Errorf("service: unknown algorithm %q", alg))
-	}
-
+	out.Stats = res.Stats
 	// Re-open the output cells inside T for recipient re-encryption.
-	out := make([][]byte, 0, res.OutputLen)
+	rows := make([][]byte, 0, res.OutputLen)
 	for i := int64(0); i < res.OutputLen; i++ {
-		ct := host.Inspect(res.Output.Region, i)
-		cell, err := cop.Sealer().Open(ct)
+		cell, err := cop.Sealer().Open(host.Inspect(res.Output.Region, i))
 		if err != nil {
-			return fail(err)
+			return out, err
 		}
-		out = append(out, cell)
+		rows = append(rows, cell)
 	}
-	return out, res.Output.Schema, padded, alg, devices, res.Stats, use, nil
+	out.Rows, out.Schema, out.Padded = rows, res.Output.Schema, desc.Padded
+	return out, nil
 }
 
 // sortCacheKey derives the sorted-relation cache key for one side of an

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"ppj/internal/core"
 	"ppj/internal/relation"
 )
 
@@ -47,9 +48,8 @@ func buildContract(t *testing.T, alg string, pA, pB, pC testParty, pred Predicat
 }
 
 // runService executes the full three-party flow over net.Pipe connections
-// and returns the recipient's decoded result. Optional opts tweak every
-// party's client (e.g. pinning the legacy upload protocol).
-func runService(t *testing.T, svc *Service, pA, pB, pC testParty, relA, relB *relation.Relation, opts ...func(*Client)) (*relation.Relation, error) {
+// and returns the recipient's decoded result.
+func runService(t *testing.T, svc *Service, pA, pB, pC testParty, relA, relB *relation.Relation) (*relation.Relation, error) {
 	t.Helper()
 	mk := func() (io.ReadWriter, io.ReadWriter) { return net.Pipe() }
 	serverA, clientA := mk()
@@ -57,16 +57,12 @@ func runService(t *testing.T, svc *Service, pA, pB, pC testParty, relA, relB *re
 	serverC, clientC := mk()
 
 	client := func(p testParty) *Client {
-		c := &Client{
+		return &Client{
 			Name:      p.name,
 			Identity:  p.priv,
 			DeviceKey: svc.Device.DeviceKey(),
 			Expected:  ExpectedStack(),
 		}
-		for _, o := range opts {
-			o(c)
-		}
-		return c
 	}
 
 	var (
@@ -127,9 +123,9 @@ func TestEndToEndAllAlgorithms(t *testing.T) {
 		eq, _ := relation.NewEqui(relA.Schema, "key", relB.Schema, "key")
 		return relation.ReferenceJoin(relA, relB, eq)
 	}()
-	for _, alg := range []string{"alg1", "alg2", "alg3", "alg4", "alg5", "alg6", "alg7"} {
-		t.Run(alg, func(t *testing.T) {
-			contract := buildContract(t, alg, pA, pB, pC, pred, 1e-9)
+	for _, alg := range core.Algorithms {
+		t.Run(alg.Name, func(t *testing.T) {
+			contract := buildContract(t, alg.Name, pA, pB, pC, pred, 1e-9)
 			svc, err := NewService(contract, 8, 99)
 			if err != nil {
 				t.Fatal(err)

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -15,22 +16,18 @@ import (
 	"ppj/internal/relation"
 )
 
-// The protocol version byte carried in the hello. Version 0 is the original
-// one-shot upload: the provider's whole relation travels as a single dataMsg,
-// so the host must buffer an arbitrarily large [][]byte before the first row
-// is opened. Version 1 replaces it with a chunked stream — uploadBeginMsg,
+// ProtoVersion is the one wire protocol version served, carried in the
+// hello: a provider's relation travels as a chunked stream — uploadBeginMsg,
 // then fixed-budget uploadChunkMsg frames under a credit window, then
-// uploadEndMsg — so server memory per connection is bounded by
-// window × chunk bytes. Version 0's one-shot upload was accepted
-// unconditionally for one release; it is now gated behind an explicit
-// opt-in (Service.AllowLegacyUpload). Version 2 keeps version 1's upload
-// framing and adds streamed, resumable result delivery (see result.go).
-const (
-	// ProtoLegacy is the one-shot dataMsg upload protocol.
-	ProtoLegacy byte = 0
-	// ProtoChunked is the windowed chunk-stream upload protocol.
-	ProtoChunked byte = 1
-)
+// uploadEndMsg — so server memory per connection is bounded by window ×
+// chunk bytes, and the result travels back as the resumable chunk stream of
+// result.go. (Versions 0 and 1, the one-shot upload and the one-shot
+// delivery, are no longer spoken; Handshake refuses them.)
+const ProtoVersion byte = 2
+
+// ErrUnsupportedProto refuses a hello whose version byte is not
+// ProtoVersion, before any attestation signing or key agreement.
+var ErrUnsupportedProto = errors.New("service: unsupported protocol version")
 
 const (
 	// DefaultChunkRows is the producer's default chunk size in rows.
@@ -56,16 +53,31 @@ var (
 	// duplicated or replayed sequence numbers, a broken running CRC, or a
 	// frame that is neither chunk nor end.
 	ErrUploadFrame = errors.New("service: malformed upload frame")
-	// ErrLegacyUploadDisabled refuses a ProtoLegacy one-shot upload on a
-	// service that has not opted in. The compatibility window promised for
-	// one release is over; operators who still need it enable it
-	// explicitly (Service.AllowLegacyUpload, the server's -legacy-upload
-	// flag).
-	ErrLegacyUploadDisabled = errors.New("service: legacy one-shot upload is disabled (opt in with -legacy-upload)")
 )
 
 // crcTable is the Castagnoli table the running upload CRC chains over.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// wireCRC is a running CRC as it travels in a frame: four bytes whatever
+// its value. gob's own unsigned encoding drops leading zero bytes, so one
+// CRC in 256 would shorten its frame by a byte — and the size of every
+// write on a session must be a function of public sizes only (the delivery
+// invariance tests compare write sizes across runs).
+type wireCRC uint32
+
+// GobEncode implements gob.GobEncoder.
+func (c wireCRC) GobEncode() ([]byte, error) {
+	return binary.BigEndian.AppendUint32(nil, uint32(c)), nil
+}
+
+// GobDecode implements gob.GobDecoder.
+func (c *wireCRC) GobDecode(b []byte) error {
+	if len(b) != 4 {
+		return fmt.Errorf("service: frame CRC is %d bytes, want 4", len(b))
+	}
+	*c = wireCRC(binary.BigEndian.Uint32(b))
+	return nil
+}
 
 // minSealedRowBytes is the smallest wire size of one sealed row: nonce and
 // tag plus at least one plaintext byte (every row carries the contract-ID
@@ -76,8 +88,8 @@ const minSealedRowBytes = int64(ocb.NonceSize + ocb.TagSize + 1)
 // --- Wire frames (gob-encoded over the session connection) ---
 
 // uploadBeginMsg opens a chunked upload: the contract binding and schema —
-// checked before the first chunk is read, exactly as the one-shot path — and
-// the declared row count the stream commits to.
+// checked before the first chunk is read — and the declared row count the
+// stream commits to.
 type uploadBeginMsg struct {
 	ContractID   string
 	Schema       schemaWire
@@ -91,7 +103,7 @@ type uploadBeginMsg struct {
 type uploadChunkMsg struct {
 	Seq  uint32
 	Rows [][]byte
-	CRC  uint32
+	CRC  wireCRC
 }
 
 // uploadEndMsg closes the stream with the totals the receiver must agree
@@ -99,7 +111,7 @@ type uploadChunkMsg struct {
 type uploadEndMsg struct {
 	Frames uint32
 	Rows   int64
-	CRC    uint32
+	CRC    wireCRC
 }
 
 // uploadFrameMsg is the stream envelope: exactly one of Chunk or End is set.
@@ -173,7 +185,7 @@ func (a *chunkAssembler) chunk(c *uploadChunkMsg) error {
 	if a.maxBytes > 0 && a.bytes > a.maxBytes {
 		return fmt.Errorf("%w: %d sealed bytes exceed the %d-byte budget", ErrUploadTooLarge, a.bytes, a.maxBytes)
 	}
-	if c.CRC != a.crc {
+	if uint32(c.CRC) != a.crc {
 		return fmt.Errorf("%w: chunk %d running CRC %08x, want %08x", ErrUploadFrame, c.Seq, c.CRC, a.crc)
 	}
 	a.next++
@@ -192,7 +204,7 @@ func (a *chunkAssembler) end(e *uploadEndMsg) error {
 	if e.Rows != a.rows {
 		return fmt.Errorf("%w: end frame counts %d rows, received %d", ErrUploadFrame, e.Rows, a.rows)
 	}
-	if e.CRC != a.crc {
+	if uint32(e.CRC) != a.crc {
 		return fmt.Errorf("%w: final CRC %08x, want %08x", ErrUploadFrame, e.CRC, a.crc)
 	}
 	if a.rows < a.declared {
@@ -216,14 +228,14 @@ func (c *chunker) frame(rows [][]byte) *uploadChunkMsg {
 	for _, r := range rows {
 		c.crc = crc32.Update(c.crc, crcTable, r)
 	}
-	m := &uploadChunkMsg{Seq: c.seq, Rows: rows, CRC: c.crc}
+	m := &uploadChunkMsg{Seq: c.seq, Rows: rows, CRC: wireCRC(c.crc)}
 	c.seq++
 	return m
 }
 
 // endFrame closes the stream.
 func (c *chunker) endFrame(rows int64) *uploadEndMsg {
-	return &uploadEndMsg{Frames: c.seq, Rows: rows, CRC: c.crc}
+	return &uploadEndMsg{Frames: c.seq, Rows: rows, CRC: wireCRC(c.crc)}
 }
 
 // ackTracker accumulates the producer's view of the ack stream. A dedicated
@@ -367,7 +379,7 @@ func (s *Service) uploadWindow() int {
 	return DefaultUploadWindow
 }
 
-// receiveChunked ingests one ProtoChunked upload: contract and schema are
+// receiveChunked ingests one upload stream: contract and schema are
 // checked at the begin frame before any chunk is read, then rows are opened,
 // contract-bound and appended chunk by chunk, with a cumulative ack after
 // each consumed chunk returning window credit to the producer. The server
@@ -451,44 +463,11 @@ func (s *Service) receiveChunked(ctx context.Context, sess *Session) (*relation.
 	}
 }
 
-// receiveLegacy ingests a ProtoLegacy one-shot dataMsg upload. The whole
-// relation arrives as one message (the §3.3.3 shape); the byte budget is
-// still enforced before any row is opened so an oversize legacy upload
-// cannot buy a full decrypt pass.
-func (s *Service) receiveLegacy(sess *Session) (*relation.Relation, error) {
-	var msg dataMsg
-	if err := sess.dec.Decode(&msg); err != nil {
-		return nil, err
-	}
-	if msg.ContractID != s.Contract.ID {
-		return nil, fmt.Errorf("upload for foreign contract %q", msg.ContractID)
-	}
-	schema, err := msg.Schema.schema()
-	if err != nil {
-		return nil, err
-	}
-	if s.MaxUploadBytes > 0 {
-		var total int64
-		for _, ct := range msg.Rows {
-			total += int64(len(ct))
-		}
-		if total > s.MaxUploadBytes {
-			return nil, fmt.Errorf("%w: %d sealed bytes exceed the %d-byte budget", ErrUploadTooLarge, total, s.MaxUploadBytes)
-		}
-	}
-	rel := relation.NewRelation(schema)
-	if err := appendSealedRows(sess, s.Contract.ID, rel, msg.Rows); err != nil {
-		return nil, err
-	}
-	return rel, nil
-}
-
-// appendSealedRows is the row-validation core shared by the legacy one-shot
-// and chunked paths: every sealed row is opened with the session key inside
-// T, checked for the contract binding, decoded against the schema, and
-// appended. Both ingest paths funnel through here, so the privacy argument
-// (T's access pattern depends only on public sizes) is identical for either
-// framing.
+// appendSealedRows is the row-validation core of ingest: every sealed row
+// is opened with the session key inside T, checked for the contract binding
+// ("Each party prepends its relation with the contract ID and encrypts the
+// two together as one message", §3.3.3 — here per row, binding every
+// ciphertext to the contract), decoded against the schema, and appended.
 func appendSealedRows(sess *Session, contractID string, rel *relation.Relation, rows [][]byte) error {
 	prefix := []byte(contractID)
 	base := rel.Len()

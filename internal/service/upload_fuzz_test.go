@@ -91,7 +91,7 @@ func fuzzAssembler(t *testing.T, declared, maxBytes int64, script []byte) {
 			lastGood = c
 		case 2: // broken running CRC
 			c := *ck.frame(mkRows(1, int(arg%7)))
-			c.CRC ^= uint32(arg) + 1
+			c.CRC ^= wireCRC(arg) + 1
 			err := asm.chunk(&c)
 			if err == nil {
 				t.Fatal("corrupted CRC admitted")

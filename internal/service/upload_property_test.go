@@ -3,56 +3,60 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"ppj/internal/core"
 	"ppj/internal/relation"
 )
 
 // ingestAll uploads relA and relB into a fresh service for the given
 // contract and returns the service (t.Fatal on any verdict).
-func ingestAll(t *testing.T, contract *Contract, pA, pB testParty, relA, relB *relation.Relation, legacy bool, chunkRows int) *Service {
+func ingestAll(t *testing.T, contract *Contract, pA, pB testParty, relA, relB *relation.Relation, chunkRows int) *Service {
 	t.Helper()
 	svc, err := NewService(contract, 8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The equivalence grid drives the deprecated one-shot path on purpose.
-	svc.AllowLegacyUpload = legacy
 	for _, u := range []struct {
 		p   testParty
 		rel *relation.Relation
 	}{{pA, relA}, {pB, relB}} {
-		if srvErr, cliErr := uploadOnce(t, svc, u.p, contract.ID, u.rel, legacy, chunkRows); srvErr != nil || cliErr != nil {
-			t.Fatalf("upload %s (legacy=%v chunk=%d): server=%v client=%v",
-				u.p.name, legacy, chunkRows, srvErr, cliErr)
+		if srvErr, cliErr := uploadOnce(t, svc, u.p, contract.ID, u.rel, chunkRows); srvErr != nil || cliErr != nil {
+			t.Fatalf("upload %s (chunk=%d): server=%v client=%v", u.p.name, chunkRows, srvErr, cliErr)
 		}
 	}
 	return svc
 }
 
-// assertSameUpload compares two committed uploads row for row.
-func assertSameUpload(t *testing.T, base, got *Service, party, label string) {
+// assertUploadIs compares a committed upload row for row against the ground
+// truth every framing must land: the input relation's own encoding.
+func assertUploadIs(t *testing.T, svc *Service, party string, want *relation.Relation, label string) {
 	t.Helper()
-	want := uploadedRows(t, base, party)
-	have := uploadedRows(t, got, party)
-	if len(have) != len(want) {
-		t.Fatalf("%s: %s landed %d rows, legacy landed %d", label, party, len(have), len(want))
+	wantRows, err := want.EncodeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := uploadedRows(t, svc, party)
+	if len(have) != len(wantRows) {
+		t.Fatalf("%s: %s landed %d rows, the relation has %d", label, party, len(have), len(wantRows))
 	}
 	for i := range have {
-		if !bytes.Equal(have[i], want[i]) {
-			t.Fatalf("%s: %s row %d differs from the legacy upload", label, party, i)
+		if !bytes.Equal(have[i], wantRows[i]) {
+			t.Fatalf("%s: %s row %d differs from the relation's encoding", label, party, i)
 		}
 	}
 }
 
-// TestStreamingMatchesLegacy is the equivalence property of the tentpole:
+// TestStreamingMatchesGroundTruth is the framing-is-pure-transport property:
 // for relation sizes straddling the default chunk boundary and chunk sizes
-// {1, 7, 64}, a streamed upload must land the byte-identical relation a
-// legacy one-shot upload lands, and a pinned-seed execution over it must
-// produce the identical outcome — same rows, same sim.Stats — for a padded
-// (alg3) and an unpadded (alg5) algorithm. The framing is pure transport;
-// nothing downstream may observe it.
-func TestStreamingMatchesLegacy(t *testing.T) {
+// {1, 7, 64}, a streamed upload must commit exactly the input relation's
+// EncodeAll(), and a pinned-seed execution over it must produce the same
+// outcome whatever the chunk size — same cells, same sim.Stats, the same
+// refusal text for degenerate inputs — and rows equal to the reference
+// join, for a padded (alg3) and an unpadded (alg5) algorithm. Nothing
+// downstream of ingest may observe the framing.
+func TestStreamingMatchesGroundTruth(t *testing.T) {
 	pA, pB, pC := newParty(t, "p1"), newParty(t, "p2"), newParty(t, "r")
 	pred := PredicateSpec{Kind: "equi", AttrA: "key", AttrB: "key"}
 	relB := relation.GenKeyed(relation.NewRand(7), 16, 5)
@@ -60,42 +64,62 @@ func TestStreamingMatchesLegacy(t *testing.T) {
 	for _, alg := range []string{"alg3", "alg5"} {
 		for _, size := range []int{0, 1, 63, 64, 65} {
 			relA := relation.GenKeyed(relation.NewRand(uint64(size)+11), size, 5)
+			eq, err := relation.NewEqui(relA.Schema, "key", relB.Schema, "key")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := relation.ReferenceJoin(relA, relB, eq)
 			contract := buildContract(t, alg, pA, pB, pC, pred, 1e-9)
 			contract.ID = fmt.Sprintf("equiv-%s-%d", alg, size)
 			contract.Signatures = nil
 			contract.Sign(0, pA.priv)
 			contract.Sign(1, pB.priv)
 
-			base := ingestAll(t, contract, pA, pB, relA, relB, true, 0)
-			baseOut := base.RunContract()
+			var first *Outcome
 			for _, chunkRows := range []int{1, 7, 64} {
 				label := fmt.Sprintf("%s size %d chunk %d", alg, size, chunkRows)
-				svc := ingestAll(t, contract, pA, pB, relA, relB, false, chunkRows)
-				assertSameUpload(t, base, svc, pA.name, label)
-				assertSameUpload(t, base, svc, pB.name, label)
+				svc := ingestAll(t, contract, pA, pB, relA, relB, chunkRows)
+				assertUploadIs(t, svc, pA.name, relA, label)
+				assertUploadIs(t, svc, pB.name, relB, label)
 				out := svc.RunContract()
-				if baseOut.Err != nil {
-					// Some algorithms refuse degenerate inputs (alg3 rejects
-					// an empty relation); the streamed path must reproduce
-					// the exact verdict, not invent one of its own.
-					if out.Err == nil || out.Err.Error() != baseOut.Err.Error() {
-						t.Fatalf("%s: execution verdict %v, legacy verdict %v", label, out.Err, baseOut.Err)
+				if first == nil {
+					first = &out
+					if alg == "alg3" && size == 0 {
+						// alg3 refuses an empty relation; the verdict is
+						// pinned here and must repeat for every chunk size.
+						if out.Err == nil || !strings.Contains(out.Err.Error(), "empty input relation") {
+							t.Fatalf("%s: verdict %v, want alg3's empty-input refusal", label, out.Err)
+						}
+					}
+				}
+				if first.Err != nil || out.Err != nil {
+					if first.Err == nil || out.Err == nil || out.Err.Error() != first.Err.Error() {
+						t.Fatalf("%s: execution verdict %v, chunk-1 verdict %v", label, out.Err, first.Err)
 					}
 					continue
 				}
-				if out.Err != nil {
-					t.Fatalf("%s: streamed execution failed: %v", label, out.Err)
+				if out.Stats != first.Stats {
+					t.Fatalf("%s: stats depend on chunk size:\n got %+v\nwant %+v", label, out.Stats, first.Stats)
 				}
-				if out.Stats != baseOut.Stats {
-					t.Fatalf("%s: stats diverge from legacy:\n got %+v\nwant %+v", label, out.Stats, baseOut.Stats)
+				if len(out.Rows) != len(first.Rows) {
+					t.Fatalf("%s: %d output cells, chunk-1 produced %d", label, len(out.Rows), len(first.Rows))
 				}
-				if len(out.Rows) != len(baseOut.Rows) {
-					t.Fatalf("%s: %d output cells, legacy produced %d", label, len(out.Rows), len(baseOut.Rows))
-				}
-				for i := range out.Rows {
-					if !bytes.Equal(out.Rows[i], baseOut.Rows[i]) {
-						t.Fatalf("%s: output cell %d differs from legacy", label, i)
+				got := relation.NewRelation(out.Schema)
+				for i, cell := range out.Rows {
+					if !bytes.Equal(cell, first.Rows[i]) {
+						t.Fatalf("%s: output cell %d depends on chunk size", label, i)
 					}
+					if !core.IsReal(cell) {
+						continue
+					}
+					row, err := out.Schema.Decode(core.Payload(cell))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got.MustAppend(row)
+				}
+				if !relation.SameMultiset(got, want) {
+					t.Fatalf("%s: %d rows, reference join has %d", label, got.Len(), want.Len())
 				}
 			}
 		}
@@ -103,8 +127,8 @@ func TestStreamingMatchesLegacy(t *testing.T) {
 }
 
 // TestStreamingLargeUploadByteIdentity is the 10k-row point of the size
-// grid: the join would dominate the suite, so only the upload-equivalence
-// half of the property is asserted at this size.
+// grid: the join would dominate the suite, so only the upload half of the
+// property is asserted at this size.
 func TestStreamingLargeUploadByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-row upload grid skipped in -short")
@@ -115,11 +139,10 @@ func TestStreamingLargeUploadByteIdentity(t *testing.T) {
 	relB := relation.GenKeyed(relation.NewRand(32), 16, 5)
 	contract := buildContract(t, "alg5", pA, pB, pC, pred, 0)
 
-	base := ingestAll(t, contract, pA, pB, relA, relB, true, 0)
 	for _, chunkRows := range []int{1, 7, 64} {
 		label := fmt.Sprintf("10k chunk %d", chunkRows)
-		svc := ingestAll(t, contract, pA, pB, relA, relB, false, chunkRows)
-		assertSameUpload(t, base, svc, pA.name, label)
-		assertSameUpload(t, base, svc, pB.name, label)
+		svc := ingestAll(t, contract, pA, pB, relA, relB, chunkRows)
+		assertUploadIs(t, svc, pA.name, relA, label)
+		assertUploadIs(t, svc, pB.name, relB, label)
 	}
 }

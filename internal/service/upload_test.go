@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"net"
 	"strings"
@@ -32,7 +33,7 @@ func newUploadFixture(t *testing.T, maxBytes int64, window int) (*Service, testP
 // server session, the client session, and the client's pipe end (closing it
 // simulates a vanished peer). Both ends close at cleanup so blocked decoders
 // unwind.
-func dialProvider(t *testing.T, svc *Service, p testParty, legacy bool) (*Session, *ClientSession, net.Conn) {
+func dialProvider(t *testing.T, svc *Service, p testParty) (*Session, *ClientSession, net.Conn) {
 	t.Helper()
 	serverEnd, clientEnd := net.Pipe()
 	t.Cleanup(func() { serverEnd.Close(); clientEnd.Close() })
@@ -46,7 +47,7 @@ func dialProvider(t *testing.T, svc *Service, p testParty, legacy bool) (*Sessio
 		done <- hsOut{sess, err}
 	}()
 	c := &Client{Name: p.name, Identity: p.priv,
-		DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack(), Legacy: legacy}
+		DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}
 	cs, err := c.Connect(clientEnd, RoleProvider)
 	if err != nil {
 		t.Fatal(err)
@@ -60,9 +61,9 @@ func dialProvider(t *testing.T, svc *Service, p testParty, legacy bool) (*Sessio
 
 // uploadOnce drives one complete provider upload through the real producer
 // and ReceiveUpload, returning the server's verdict and the client's.
-func uploadOnce(t *testing.T, svc *Service, p testParty, contractID string, rel *relation.Relation, legacy bool, chunkRows int) (srvErr, cliErr error) {
+func uploadOnce(t *testing.T, svc *Service, p testParty, contractID string, rel *relation.Relation, chunkRows int) (srvErr, cliErr error) {
 	t.Helper()
-	sess, cs, clientEnd := dialProvider(t, svc, p, legacy)
+	sess, cs, clientEnd := dialProvider(t, svc, p)
 	done := make(chan error, 1)
 	go func() {
 		done <- cs.SubmitRelationOpts(contractID, rel, UploadOptions{ChunkRows: chunkRows})
@@ -88,7 +89,7 @@ type uploadScript struct {
 
 func startScript(t *testing.T, svc *Service, p testParty) *uploadScript {
 	t.Helper()
-	sess, cs, clientEnd := dialProvider(t, svc, p, false)
+	sess, cs, clientEnd := dialProvider(t, svc, p)
 	sc := &uploadScript{t: t, svc: svc, cs: cs, clientEnd: clientEnd, srv: make(chan error, 1)}
 	go func() { sc.srv <- svc.ReceiveUpload(p.name, sess) }()
 	return sc
@@ -346,7 +347,7 @@ func TestUploadLimitsRefuseBeforeRows(t *testing.T) {
 	t.Run("refused at begin", func(t *testing.T) {
 		svc, pA := newUploadFixture(t, 100, 0)
 		rel := relation.GenKeyed(relation.NewRand(2), 50, 5)
-		srvErr, cliErr := uploadOnce(t, svc, pA, svc.Contract.ID, rel, false, 8)
+		srvErr, cliErr := uploadOnce(t, svc, pA, svc.Contract.ID, rel, 8)
 		if !errors.Is(srvErr, ErrUploadTooLarge) {
 			t.Fatalf("server = %v", srvErr)
 		}
@@ -360,7 +361,7 @@ func TestUploadLimitsRefuseBeforeRows(t *testing.T) {
 		// but every real sealed row is larger, so the budget dies mid-stream.
 		svc, pA := newUploadFixture(t, 8*minSealedRowBytes, 0)
 		rel := relation.GenKeyed(relation.NewRand(3), 8, 5)
-		srvErr, cliErr := uploadOnce(t, svc, pA, svc.Contract.ID, rel, false, 2)
+		srvErr, cliErr := uploadOnce(t, svc, pA, svc.Contract.ID, rel, 2)
 		if !errors.Is(srvErr, ErrUploadTooLarge) || !strings.Contains(srvErr.Error(), "budget") {
 			t.Fatalf("server = %v", srvErr)
 		}
@@ -368,16 +369,6 @@ func TestUploadLimitsRefuseBeforeRows(t *testing.T) {
 		// refusal nack or the abandoned stream; it must not succeed.
 		if cliErr == nil {
 			t.Fatal("client verdict missing for over-budget stream")
-		}
-	})
-
-	t.Run("legacy upload over budget", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 100, 0)
-		svc.AllowLegacyUpload = true
-		rel := relation.GenKeyed(relation.NewRand(4), 50, 5)
-		srvErr, _ := uploadOnce(t, svc, pA, svc.Contract.ID, rel, true, 0)
-		if !errors.Is(srvErr, ErrUploadTooLarge) {
-			t.Fatalf("server = %v", srvErr)
 		}
 	})
 }
@@ -388,7 +379,7 @@ func TestUploadLimitsRefuseBeforeRows(t *testing.T) {
 func TestStreamingRefusalReachesClient(t *testing.T) {
 	svc, pA := newUploadFixture(t, 0, 0)
 	rel := relation.GenKeyed(relation.NewRand(6), 4, 5)
-	srvErr, cliErr := uploadOnce(t, svc, pA, "some-other-contract", rel, false, 2)
+	srvErr, cliErr := uploadOnce(t, svc, pA, "some-other-contract", rel, 2)
 	if srvErr == nil || !strings.Contains(srvErr.Error(), "foreign contract") {
 		t.Fatalf("server = %v", srvErr)
 	}
@@ -403,10 +394,10 @@ func TestStreamingRefusalReachesClient(t *testing.T) {
 func TestFailedUploadReleasesSlot(t *testing.T) {
 	svc, pA := newUploadFixture(t, 0, 0)
 	rel := relation.GenKeyed(relation.NewRand(7), 5, 5)
-	if srvErr, _ := uploadOnce(t, svc, pA, "wrong-contract", rel, false, 2); srvErr == nil {
+	if srvErr, _ := uploadOnce(t, svc, pA, "wrong-contract", rel, 2); srvErr == nil {
 		t.Fatal("foreign-contract upload accepted")
 	}
-	if srvErr, cliErr := uploadOnce(t, svc, pA, svc.Contract.ID, rel, false, 2); srvErr != nil || cliErr != nil {
+	if srvErr, cliErr := uploadOnce(t, svc, pA, svc.Contract.ID, rel, 2); srvErr != nil || cliErr != nil {
 		t.Fatalf("retry failed: server=%v client=%v", srvErr, cliErr)
 	}
 	svc.mu.Lock()
@@ -435,7 +426,7 @@ func TestConcurrentUploadReservesSlot(t *testing.T) {
 		})
 	}
 
-	sess1, cs1, _ := dialProvider(t, svc, pA, false)
+	sess1, cs1, _ := dialProvider(t, svc, pA)
 	first := make(chan error, 1)
 	go func() { first <- svc.ReceiveUpload(pA.name, sess1) }()
 	go cs1.SubmitRelationOpts(svc.Contract.ID, rel, UploadOptions{ChunkRows: 2})
@@ -450,7 +441,7 @@ func TestConcurrentUploadReservesSlot(t *testing.T) {
 		t.Fatal("no pending reservation while first stream is mid-flight")
 	}
 
-	sess2, cs2, _ := dialProvider(t, svc, pA, false)
+	sess2, cs2, _ := dialProvider(t, svc, pA)
 	go cs2.SubmitRelationOpts(svc.Contract.ID, rel, UploadOptions{ChunkRows: 2})
 	if err := svc.ReceiveUpload(pA.name, sess2); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("concurrent duplicate = %v", err)
@@ -468,103 +459,10 @@ func TestConcurrentUploadReservesSlot(t *testing.T) {
 	}
 
 	// And a third attempt after commit still reads as a duplicate.
-	sess3, cs3, _ := dialProvider(t, svc, pA, false)
+	sess3, cs3, _ := dialProvider(t, svc, pA)
 	go cs3.SubmitRelation(svc.Contract.ID, rel)
 	if err := svc.ReceiveUpload(pA.name, sess3); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("post-commit duplicate = %v", err)
-	}
-}
-
-// TestLegacyUploadDisabledByDefault pins the deprecation gate: without the
-// AllowLegacyUpload opt-in, a ProtoLegacy session is refused with the typed
-// sentinel before a single byte of the upload is read — the test never
-// submits anything, so a gate that read first would deadlock the pipe — and
-// the refusal burns no reservation: the same party retries chunked and
-// commits.
-func TestLegacyUploadDisabledByDefault(t *testing.T) {
-	svc, pA := newUploadFixture(t, 0, 0)
-	sess, _, _ := dialProvider(t, svc, pA, true)
-	if err := svc.ReceiveUpload(pA.name, sess); !errors.Is(err, ErrLegacyUploadDisabled) {
-		t.Fatalf("legacy upload without opt-in = %v, want ErrLegacyUploadDisabled", err)
-	}
-	svc.mu.Lock()
-	_, reserved := svc.uploads[pA.name]
-	svc.mu.Unlock()
-	if reserved {
-		t.Fatal("refused legacy upload left a reservation behind")
-	}
-	rel := relation.GenKeyed(relation.NewRand(25), 5, 5)
-	if srvErr, cliErr := uploadOnce(t, svc, pA, svc.Contract.ID, rel, false, 2); srvErr != nil || cliErr != nil {
-		t.Fatalf("chunked retry after legacy refusal: server=%v client=%v", srvErr, cliErr)
-	}
-}
-
-// TestLegacyClientInterop runs the full three-party flow with every client
-// pinned to ProtoLegacy against the current server: the one-release
-// compatibility window.
-func TestLegacyClientInterop(t *testing.T) {
-	pA, pB, pC := newParty(t, "p1"), newParty(t, "p2"), newParty(t, "r")
-	relA := relation.GenKeyed(relation.NewRand(21), 8, 5)
-	relB := relation.GenKeyed(relation.NewRand(22), 10, 5)
-	contract := buildContract(t, "alg5", pA, pB, pC,
-		PredicateSpec{Kind: "equi", AttrA: "key", AttrB: "key"}, 0)
-	svc, err := NewService(contract, 8, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.AllowLegacyUpload = true
-	got, err := runService(t, svc, pA, pB, pC, relA, relB, func(c *Client) { c.Legacy = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, _ := relation.NewEqui(relA.Schema, "key", relB.Schema, "key")
-	want := relation.ReferenceJoin(relA, relB, eq)
-	if got.Len() != want.Len() {
-		t.Fatalf("legacy clients: got %d rows, want %d", got.Len(), want.Len())
-	}
-}
-
-// TestMixedProtocolProviders accepts one legacy and one chunked provider in
-// the same execution; both relations land byte-identically and the join
-// runs.
-func TestMixedProtocolProviders(t *testing.T) {
-	pA, pB, pC := newParty(t, "p1"), newParty(t, "p2"), newParty(t, "r")
-	relA := relation.GenKeyed(relation.NewRand(23), 7, 5)
-	relB := relation.GenKeyed(relation.NewRand(24), 9, 5)
-	contract := buildContract(t, "alg5", pA, pB, pC,
-		PredicateSpec{Kind: "equi", AttrA: "key", AttrB: "key"}, 0)
-	svc, err := NewService(contract, 8, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc.AllowLegacyUpload = true
-	if srvErr, cliErr := uploadOnce(t, svc, pA, contract.ID, relA, true, 0); srvErr != nil || cliErr != nil {
-		t.Fatalf("legacy provider: server=%v client=%v", srvErr, cliErr)
-	}
-	if srvErr, cliErr := uploadOnce(t, svc, pB, contract.ID, relB, false, 3); srvErr != nil || cliErr != nil {
-		t.Fatalf("chunked provider: server=%v client=%v", srvErr, cliErr)
-	}
-	if !svc.UploadsComplete() {
-		t.Fatal("uploads not complete after both providers")
-	}
-	for party, want := range map[string]*relation.Relation{pA.name: relA, pB.name: relB} {
-		got := uploadedRows(t, svc, party)
-		wantRows, err := want.EncodeAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(wantRows) {
-			t.Fatalf("%s: %d rows landed, want %d", party, len(got), len(wantRows))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], wantRows[i]) {
-				t.Fatalf("%s: row %d differs", party, i)
-			}
-		}
-	}
-	out := svc.RunContract()
-	if out.Err != nil || out.Algorithm != "alg5" {
-		t.Fatalf("mixed-protocol join: %v (%s)", out.Err, out.Algorithm)
 	}
 }
 
@@ -582,4 +480,30 @@ func uploadedRows(t *testing.T, svc *Service, party string) [][]byte {
 		t.Fatal(err)
 	}
 	return encs
+}
+
+// TestFrameSizeIndependentOfCRC pins the fixed-width CRC encoding: a
+// frame's wire size must not shrink when its running CRC happens to start
+// with zero bytes (gob's native uint encoding would drop them), or the
+// byte-size trace of a stream would vary from run to run with the session
+// key.
+func TestFrameSizeIndependentOfCRC(t *testing.T) {
+	size := func(crc wireCRC) int {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		// The first message carries gob's type descriptors; measure the second.
+		for i := 0; i < 2; i++ {
+			buf.Reset()
+			if err := enc.Encode(uploadFrameMsg{Chunk: &uploadChunkMsg{Seq: 1, Rows: [][]byte{{1, 2, 3}}, CRC: crc}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Len()
+	}
+	want := size(0xffffffff)
+	for _, crc := range []wireCRC{1, 0x7f, 0x80, 0xffff, 0x00ffffff, 0x01000000} {
+		if got := size(crc); got != want {
+			t.Errorf("frame with CRC %#x is %d bytes, with CRC 0xffffffff %d", uint32(crc), got, want)
+		}
+	}
 }

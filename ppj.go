@@ -5,8 +5,10 @@
 //
 // The package exposes the system through an Engine: a simulated untrusted
 // host with an attached simulated coprocessor. Relations are loaded
-// encrypted onto the host; the six join algorithms of the paper run inside
-// the coprocessor and leave encrypted results on the host; every host
+// encrypted onto the host; the join algorithms — the paper's six plus the
+// sort-based equijoin alg7, the seven rows of the internal/core algorithm
+// table — run inside the coprocessor and leave encrypted results on the
+// host; every host
 // access is traced, and the safe algorithms' traces depend only on public
 // sizes — the paper's privacy definition, enforced by this repository's
 // tests.
@@ -128,7 +130,7 @@ const (
 
 // String implements fmt.Stringer.
 func (a Algorithm) String() string {
-	if a >= Alg1 && a <= Alg7 {
+	if _, err := core.AlgorithmByNumber(int(a)); err == nil {
 		return fmt.Sprintf("Algorithm %d", int(a))
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
@@ -194,59 +196,24 @@ type JoinOptions struct {
 	PreSorted bool
 }
 
-// Join dispatches to the selected algorithm. Chapter 4 algorithms (Alg1-3)
-// need exactly two tables and opts.Pred2 plus opts.N; Chapter 5 algorithms
-// take any number of tables and the MultiPredicate argument.
+// Join runs the selected algorithm's row of the core.Algorithms table.
+// Two-way algorithms (Alg1-3, Alg7) need exactly two tables and opts.Pred2
+// (plus opts.N for the Chapter 4 ones); the others take any number of
+// tables and the MultiPredicate argument.
 func (e *Engine) Join(alg Algorithm, tables []TableRef, pred MultiPredicate, opts JoinOptions) (Result, error) {
-	switch alg {
-	case Alg1, Alg2, Alg3:
-		if len(tables) != 2 {
-			return Result{}, fmt.Errorf("ppj: %s needs exactly 2 tables", alg)
-		}
-		if opts.Pred2 == nil {
-			return Result{}, fmt.Errorf("ppj: %s needs JoinOptions.Pred2", alg)
-		}
-		if opts.N <= 0 {
-			return Result{}, fmt.Errorf("ppj: %s needs JoinOptions.N (use MaxMatches)", alg)
-		}
-		switch alg {
-		case Alg1:
-			return core.Join1(e.cop, tables[0], tables[1], opts.Pred2, opts.N)
-		case Alg2:
-			return core.Join2(e.cop, tables[0], tables[1], opts.Pred2, opts.N, opts.Delta)
-		default:
-			eq, ok := opts.Pred2.(*relation.Equi)
-			if !ok {
-				return Result{}, fmt.Errorf("ppj: Alg3 requires an equijoin predicate")
-			}
-			return core.Join3(e.cop, tables[0], tables[1], eq, opts.N, opts.PreSorted)
-		}
-	case Alg4:
-		return core.Join4(e.cop, tables, pred)
-	case Alg5:
-		return core.Join5(e.cop, tables, pred)
-	case Alg6:
-		eps := opts.Epsilon
-		if eps == 0 {
-			eps = 1e-10
-		}
-		rep, err := core.Join6(e.cop, tables, pred, eps)
-		return rep.Result, err
-	case Alg7:
-		if len(tables) != 2 {
-			return Result{}, fmt.Errorf("ppj: %s needs exactly 2 tables", alg)
-		}
-		if opts.Pred2 == nil {
-			return Result{}, fmt.Errorf("ppj: %s needs JoinOptions.Pred2", alg)
-		}
-		eq, ok := opts.Pred2.(*relation.Equi)
-		if !ok {
-			return Result{}, fmt.Errorf("ppj: Alg7 requires an equijoin predicate")
-		}
-		return core.Join7(e.cop, tables[0], tables[1], eq)
-	default:
-		return Result{}, fmt.Errorf("ppj: unknown algorithm %d", alg)
+	desc, err := core.AlgorithmByNumber(int(alg))
+	if err != nil {
+		return Result{}, fmt.Errorf("ppj: %w", err)
 	}
+	eps := opts.Epsilon
+	if eps == 0 {
+		eps = 1e-10
+	}
+	res, _, err := desc.Run([]*sim.Coprocessor{e.cop}, tables, core.Inputs{
+		Pred: opts.Pred2, Multi: pred, N: opts.N, Delta: opts.Delta,
+		PreSorted: opts.PreSorted, Epsilon: eps,
+	})
+	return res, err
 }
 
 // Join6Full runs Algorithm 6 and returns its full report (n*, segments,
