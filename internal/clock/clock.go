@@ -63,6 +63,6 @@ func (f *Fake) Set(t time.Time) {
 }
 
 // NowFunc adapts the fake to the `func() time.Time` override seams
-// (resultstore.Config.Now, server.Config.QuotaNow) so one Fake can drive
+// (resultstore.Config.Now, server.NewQuotas) so one Fake can drive
 // every clock a test touches.
 func (f *Fake) NowFunc() func() time.Time { return f.Now }

@@ -74,11 +74,15 @@ func New(cfg Config) (*Router, error) {
 	// contracts land on (spillover included).
 	quotas := cfg.Quotas
 	if quotas == nil {
+		var now func() time.Time // nil is the system clock's
+		if cfg.Clock != nil {
+			now = cfg.Clock.Now
+		}
 		quotas = server.NewQuotas(server.QuotaConfig{
 			MaxInFlight: cfg.TenantMaxInFlight,
 			Rate:        cfg.TenantRate,
 			Burst:       cfg.TenantBurst,
-		}, cfg.QuotaNow)
+		}, now)
 	}
 	for i := 0; i < n; i++ {
 		scfg := cfg.Config

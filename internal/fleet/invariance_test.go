@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"ppj/internal/relation"
@@ -55,7 +56,7 @@ func genJoinSized(seed uint64, nA, nB, s int) (*relation.Relation, *relation.Rel
 // exactly; a data-dependent counter anywhere in the sharded path (router,
 // session handling, per-shard device) would split them.
 func TestPerShardAccessPatternInvariance(t *testing.T) {
-	runFleet := func(dataSeed, copSeed uint64) [2]sim.Stats {
+	runFleet := func(dataSeed, copSeed uint64) ([2]sim.Stats, Snapshot) {
 		t.Helper()
 		rt, err := New(Config{Config: server.Config{Shards: 2, Workers: 1, Memory: 16, Seed: copSeed}})
 		if err != nil {
@@ -83,11 +84,21 @@ func TestPerShardAccessPatternInvariance(t *testing.T) {
 		}
 
 		snap := rt.MetricsSnapshot()
-		return [2]sim.Stats{snap.PerShard[0].Coprocessor, snap.PerShard[1].Coprocessor}
+		stats := [2]sim.Stats{snap.PerShard[0].Coprocessor, snap.PerShard[1].Coprocessor}
+		// Beyond the coprocessor counters: the whole admin surface, once
+		// its wall-clock fields are zeroed, is what the host H reads.
+		snap.Fleet = untimed(snap.Fleet)
+		for i := range snap.PerShard {
+			snap.PerShard[i].Snapshot = untimed(snap.PerShard[i].Snapshot)
+		}
+		return stats, snap
 	}
 
-	run1 := runFleet(1001, 7)
-	run2 := runFleet(2002, 8)
+	run1, snap1 := runFleet(1001, 7)
+	run2, snap2 := runFleet(2002, 8)
+	if !reflect.DeepEqual(snap1, snap2) {
+		t.Errorf("fleet metrics snapshot depends on tuple contents or seeds:\n run1 %+v\n run2 %+v", snap1, snap2)
+	}
 	for shard := range run1 {
 		if run1[shard].Transfers() == 0 || run1[shard].PredEvals == 0 {
 			t.Fatalf("shard %d: degenerate run %+v", shard, run1[shard])
@@ -97,4 +108,16 @@ func TestPerShardAccessPatternInvariance(t *testing.T) {
 				shard, run1[shard], run2[shard])
 		}
 	}
+}
+
+// untimed zeroes a snapshot's wall-clock fields; what is left must be a
+// function of public sizes alone.
+func untimed(s server.Snapshot) server.Snapshot {
+	algs := make(map[string]server.AlgSnapshot, len(s.Algorithms))
+	for alg, a := range s.Algorithms {
+		a.AvgMillis, a.MinMillis, a.MaxMillis = 0, 0, 0
+		algs[alg] = a
+	}
+	s.Algorithms = algs
+	return s
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ppj/internal/server"
+	"ppj/internal/server/wal"
 )
 
 // seedShardWAL hand-writes one shard's WAL: each contract registered, then
@@ -19,24 +20,26 @@ type walTransition struct {
 
 func seedShardWAL(t *testing.T, dir string, jobs map[*group][]walTransition, order []*group) {
 	t.Helper()
-	store, recs, err := server.OpenWALStore(dir, nil)
+	log, err := wal.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 0 {
-		t.Fatalf("fresh dir replayed %d records", len(recs))
-	}
 	for _, g := range order {
-		if err := store.LogRegistered(g.contract); err != nil {
+		raw, err := server.EncodeContract(g.contract)
+		if err != nil {
 			t.Fatal(err)
 		}
+		recs := []wal.Record{{Type: wal.TypeRegistered, Contract: raw}}
 		for _, tr := range jobs[g] {
-			if err := store.LogTransition(g.contract.ID, tr.from, tr.to, tr.cause); err != nil {
+			recs = append(recs, wal.Record{Type: wal.TypeTransition, ContractID: g.contract.ID, From: int32(tr.from), To: int32(tr.to), Cause: tr.cause})
+		}
+		for _, rec := range recs {
+			if err := log.Append(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := store.Close(); err != nil {
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
+	"ppj/internal/clock"
 	"ppj/internal/server"
 )
 
@@ -137,5 +139,30 @@ func TestFleetResubmitRouting(t *testing.T) {
 	}
 	if _, err := rt.Resubmit("rr-never-registered"); !errors.Is(err, server.ErrUnknownContract) {
 		t.Fatalf("resubmit of unknown contract = %v, want ErrUnknownContract", err)
+	}
+}
+
+// TestFleetQuotaFollowsConfigClock pins the fleet's shared token bucket to
+// Config.Clock: under a fake clock a spent token comes back when the test
+// advances the clock, not when wall time passes — no sleep anywhere.
+func TestFleetQuotaFollowsConfigClock(t *testing.T) {
+	fake := clock.NewFake(time.Unix(1_700_000_000, 0))
+	rt, err := New(Config{Config: server.Config{
+		Shards: 2, Workers: 1, Memory: 16, Clock: fake, TenantRate: 1, TenantBurst: 1,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := tenantGroup(t, newGroup(t, "clock-a", "alg5", 1, 2, 5, 5), "acme")
+	second := tenantGroup(t, newGroup(t, "clock-b", "alg5", 3, 4, 5, 5), "acme")
+	if _, err := rt.Register(first.contract); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Register(second.contract); !errors.Is(err, server.ErrQuotaExceeded) {
+		t.Fatalf("second registration with the bucket empty: %v, want ErrQuotaExceeded", err)
+	}
+	fake.Advance(time.Second)
+	if _, err := rt.Register(second.contract); err != nil {
+		t.Fatalf("second registration after one fake second: %v", err)
 	}
 }

@@ -40,29 +40,3 @@ func (c *sortedCache) Store(key string, cells [][]byte) {
 		c.srv.logf("server: sort cache: storing %s: %v", key, err)
 	}
 }
-
-// cacheJournal routes the sort-cache store's manifest events into the
-// server's job Store, exactly as walJournal does for results: one log
-// carries the job lifecycle, the result manifest, and the cache manifest,
-// so one replay rebuilds all three.
-type cacheJournal struct{ s *Server }
-
-// ResultStored implements resultstore.Journal for the sort cache.
-func (w cacheJournal) ResultStored(key string, size int64) error {
-	if err := w.s.store.LogCacheStored(key, size); err != nil {
-		w.s.metrics.walAppendFailed()
-		w.s.logf("server: wal: cache stored %s: %v", key, err)
-		return err
-	}
-	return nil
-}
-
-// ResultEvicted implements resultstore.Journal for the sort cache.
-func (w cacheJournal) ResultEvicted(key, cause string) error {
-	if err := w.s.store.LogCacheEvicted(key, cause); err != nil {
-		w.s.metrics.walAppendFailed()
-		w.s.logf("server: wal: cache evicted %s (%s): %v", key, cause, err)
-		return err
-	}
-	return nil
-}

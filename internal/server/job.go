@@ -7,6 +7,8 @@ import (
 	"sync"
 	"time"
 
+	"ppj/internal/server/resultstore"
+	"ppj/internal/server/wal"
 	"ppj/internal/service"
 )
 
@@ -91,11 +93,59 @@ func (s State) String() string {
 
 // Terminal reports whether the state is final. Stored is deliberately not
 // terminal: the job still owes deliveries.
-func (s State) Terminal() bool { return s == StateDelivered || s == StateFailed }
+func (s State) Terminal() bool { return transitions[s].done }
 
 // Settled reports that the job's outcome is decided (result stored, or the
 // job terminal): recipients waiting on it can be answered.
-func (s State) Settled() bool { return s.Terminal() || s == StateStored }
+func (s State) Settled() bool { return transitions[s].settles }
+
+// stateSet is a set of States, one bit each.
+type stateSet uint8
+
+func setOf(states ...State) (set stateSet) {
+	for _, s := range states {
+		set |= 1 << s
+	}
+	return set
+}
+
+func (set stateSet) has(s State) bool { return set&(1<<s) != 0 }
+
+// transition is one row of the lifecycle table: what arriving in a state
+// requires and causes. Job.transition executes rows under j.mu and
+// Job.arrive performs their effects outside it; nothing else writes a
+// job's state, appends a transition record or closes its channels.
+type transition struct {
+	// from lists the legal predecessors; a move from any other state is
+	// refused and changes nothing.
+	from stateSet
+	// counts: the arrival ends an execution and is recorded in the
+	// per-algorithm summary — with the run's cost counters when a worker
+	// produced an outcome, as a bare failure otherwise.
+	counts bool
+	// serves: while the job is in this state recipients are served from
+	// the outcome cached on the job, not from the result store.
+	serves bool
+	// settles: the outcome is decided — waiting recipients wake, the
+	// tenant's in-flight quota slot is returned, and the job context is
+	// cancelled, since neither deadline nor Cancel governs a settled job
+	// (delivery pace belongs to the recipients and the store's TTL).
+	settles bool
+	// done: the state is terminal; Done() closes.
+	done bool
+}
+
+// transitions is the whole lifecycle, indexed by target state. Pending has
+// no predecessors: jobs are constructed in it (or, at recovery, in
+// whatever state the log last recorded).
+var transitions = [numStates]transition{
+	StatePending:   {},
+	StateUploading: {from: setOf(StatePending)},
+	StateRunning:   {from: setOf(StateUploading)},
+	StateStored:    {from: setOf(StateRunning), counts: true, serves: true, settles: true},
+	StateDelivered: {from: setOf(StateStored), settles: true, done: true},
+	StateFailed:    {from: setOf(StatePending, StateUploading, StateRunning), counts: true, settles: true, done: true},
+}
 
 // Job is one execution of a registered contract: it gathers the parties'
 // sessions, waits in the ready queue, runs on a worker, stores its result,
@@ -132,7 +182,6 @@ type Job struct {
 	served   map[string]bool
 	enqueued bool
 	err      error
-	runStart time.Time
 	// out caches the outcome between Stored and Delivered so first-wave
 	// recipients are served without a store read; re-fetches after
 	// Delivered load from the result store.
@@ -183,37 +232,115 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // cancellation.
 func (j *Job) Cancel() { j.cancel() }
 
-// setStateLocked transitions the state, keeps the per-state gauges
-// consistent, and appends the transition to the job store. Failure causes
-// are durable (j.err is always set before the transition to StateFailed),
-// so recovery can replay them; a store error is logged but does not undo
-// the in-memory transition — the crash-recovery path owns that gap.
-// Callers hold j.mu.
-func (j *Job) setStateLocked(to State) {
-	from := j.state
-	j.srv.metrics.stateMove(from, to)
-	j.state = to
-	cause := ""
-	if to == StateFailed && j.err != nil {
-		cause = j.err.Error()
+// newJob constructs one execution of contract c in the given state —
+// Pending for a fresh admission, whatever the log last recorded at
+// recovery. The job is not yet visible: Server.admit publishes it. The
+// deadline (Config.JobTimeout) starts now and only for a job whose outcome
+// is still open.
+func (s *Server) newJob(c *service.Contract, id string, seq int, state State) (*Job, error) {
+	svc, err := s.newService(c)
+	if err != nil {
+		return nil, err
 	}
-	if err := j.srv.store.LogTransition(j.id, from, to, cause); err != nil {
-		// The in-memory lifecycle keeps going, but every transition lost
-		// here widens the gap a crash would expose — count it so operators
-		// see the durability alarm, not just per-transition log lines.
-		j.srv.metrics.walAppendFailed()
-		j.srv.logf("server: wal: job %s %s->%s: %v", j.id, from, to, err)
+	j := &Job{
+		svc:      svc,
+		srv:      s,
+		id:       id,
+		seq:      seq,
+		tenant:   c.Tenant,
+		priority: c.Priority,
+		state:    state,
+		settled:  make(chan struct{}),
+		done:     make(chan struct{}),
+	}
+	j.providers, j.wantRecipients = c.CountRoles()
+	if s.cfg.JobTimeout > 0 && !state.Settled() {
+		j.ctx, j.cancel = context.WithTimeout(context.Background(), s.cfg.JobTimeout)
+	} else {
+		j.ctx, j.cancel = context.WithCancel(context.Background())
+	}
+	return j, nil
+}
+
+// move is one requested transition.
+type move struct {
+	to State
+	// among, when non-zero, narrows the row's legal predecessors for this
+	// one move (graceful shutdown fails gathering jobs but not running ones).
+	among stateSet
+	// err is the failure cause of a move to Failed. It is durable — the
+	// transition record carries its text — so recovery can replay it.
+	err error
+	// out and ran are the worker's outcome and the time RunContract took,
+	// for the moves that end an execution a worker ran.
+	out *service.Outcome
+	ran time.Duration
+}
+
+// transition is the only writer of a job's state. It executes the target
+// state's row in one order. Under j.mu: stamp the cause and the cached
+// outcome on the job, move the gauges, write the state, append the
+// transition record, record the metrics — so whoever observes the new
+// state (or a channel closed for it) also sees its metrics, and the log
+// never orders two transitions of one job differently from memory. After
+// j.mu: settle, cancel, done. A journal error is counted and logged but
+// does not undo the in-memory transition — the crash-recovery path owns
+// that gap. It returns false, having changed nothing, when the current
+// state is not a legal predecessor.
+func (j *Job) transition(m move) bool {
+	row := transitions[m.to]
+	legal := row.from
+	if m.among != 0 {
+		legal &= m.among
+	}
+	j.mu.Lock()
+	from := j.state
+	if !legal.has(from) {
+		j.mu.Unlock()
+		return false
+	}
+	j.err, j.out = m.err, nil
+	if row.serves {
+		j.out = m.out
+	}
+	j.srv.metrics.stateMove(from, m.to)
+	j.state = m.to
+	rec := wal.Record{Type: wal.TypeTransition, ContractID: j.id, From: int32(from), To: int32(m.to)}
+	if m.err != nil {
+		rec.Cause = m.err.Error()
+	}
+	j.srv.record(TransitionSite(from, m.to), rec)
+	if row.counts && m.out != nil {
+		j.srv.metrics.recordExecution(m.out, m.ran)
+	} else if row.counts {
+		j.srv.metrics.recordFailure(j.svc.Contract.Algorithm)
+	}
+	j.mu.Unlock()
+	j.arrive(m.to)
+	return true
+}
+
+// arrive performs a state's effects outside j.mu — all idempotent, because
+// a job can reach Delivered through concurrent recipient completions and
+// recovery re-arrives jobs in the state the log left them.
+func (j *Job) arrive(state State) {
+	row := transitions[state]
+	if row.settles {
+		j.settleOnce.Do(func() {
+			if j.quotaHeld {
+				j.srv.quotas.Release(j.tenant)
+			}
+			close(j.settled)
+		})
+		j.cancel()
+	}
+	if row.done {
+		j.doneOnce.Do(func() { close(j.done) })
 	}
 }
 
 // noteSession records that a party connected, moving Pending → Uploading.
-func (j *Job) noteSession() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state == StatePending {
-		j.setStateLocked(StateUploading)
-	}
-}
+func (j *Job) noteSession() { j.transition(move{to: StateUploading}) }
 
 // readyLocked reports (once) that every provider uploaded and every
 // recipient is connected; the caller must then enqueue the job.
@@ -240,18 +367,14 @@ func (j *Job) providerUploaded() {
 	}
 }
 
-// noteRecipient registers a connected recipient, moving Pending →
-// Uploading and enqueueing the job when it becomes ready. Recipients
-// arriving after the outcome is settled never affect readiness — they are
-// served straight from the settled job.
+// noteRecipient registers a connected recipient, enqueueing the job when
+// it becomes ready. Recipients arriving after the outcome is settled never
+// affect readiness — they are served straight from the settled job.
 func (j *Job) noteRecipient(name string) {
 	j.mu.Lock()
 	if j.state.Settled() {
 		j.mu.Unlock()
 		return
-	}
-	if j.state == StatePending {
-		j.setStateLocked(StateUploading)
 	}
 	if j.present == nil {
 		j.present = make(map[string]bool)
@@ -263,22 +386,6 @@ func (j *Job) noteRecipient(name string) {
 		j.srv.enqueue(j)
 	}
 }
-
-// settle wakes every recipient waiting on the outcome and returns the
-// job's tenant quota slot — the outcome is decided, so the job no longer
-// counts against the in-flight cap. Idempotent.
-func (j *Job) settle() {
-	j.settleOnce.Do(func() {
-		if j.quotaHeld {
-			j.srv.quotas.Release(j.tenant)
-		}
-		close(j.settled)
-	})
-}
-
-// closeDone performs the done close. Idempotent, because a job can reach
-// Delivered through concurrent recipient completions and recovery paths.
-func (j *Job) closeDone() { j.doneOnce.Do(func() { close(j.done) }) }
 
 // Settled returns a channel that closes once the job's outcome is decided
 // (result stored, or the job failed).
@@ -303,108 +410,56 @@ func (j *Job) outcomeForDelivery() (service.Outcome, error) {
 }
 
 // recipientServed counts a completed fetch; once every contracted
-// recipient has fetched, the job transitions Stored → Delivered and done
-// closes. The result stays in the store for re-fetches until evicted.
+// recipient has fetched, the job moves Stored → Delivered (dropping the
+// cached outcome: later re-fetches load from the store, where the result
+// stays until evicted).
 func (j *Job) recipientServed(name string) {
 	j.mu.Lock()
-	if j.state != StateStored {
-		j.mu.Unlock()
-		return
-	}
 	if j.served == nil {
 		j.served = make(map[string]bool)
 	}
 	j.served[name] = true
-	if len(j.served) < j.wantRecipients {
-		j.mu.Unlock()
-		return
-	}
-	j.setStateLocked(StateDelivered)
-	j.out = nil // later re-fetches load from the store
+	all := len(j.served) >= j.wantRecipients
 	j.mu.Unlock()
-	j.closeDone()
+	if all {
+		j.transition(move{to: StateDelivered})
+	}
 }
 
 // startRun marks the job Running. It returns false when the job reached a
 // terminal state before a worker picked it up (cancellation, deadline,
 // shutdown).
-func (j *Job) startRun() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
-	j.setStateLocked(StateRunning)
-	j.runStart = time.Now()
-	return true
-}
+func (j *Job) startRun() bool { return j.transition(move{to: StateRunning}) }
 
-// finish settles a computed outcome. A failure settles Failed and wakes
-// waiting recipients with the verdict. A success persists the sealed
-// result to the durable store and its manifest record to the WAL first,
-// then transitions Running → Stored: if the process dies mid-persist, the
-// WAL never says Stored and recovery fails the job as interrupted instead
-// of pointing recipients at nothing. Recipients then serve themselves
-// (Server.serveRecipient); the last contracted fetch moves Stored →
-// Delivered. No-op if the job already failed (e.g. deadline fired
-// mid-run).
-func (j *Job) finish(out service.Outcome) {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
+// finish settles the outcome a worker computed in ran. A failure settles
+// Failed and wakes waiting recipients with the verdict. A success persists
+// the sealed result to the durable store and its manifest record to the
+// WAL first, then moves Running → Stored: if the process dies mid-persist,
+// the WAL never says Stored and recovery fails the job as interrupted
+// instead of pointing recipients at nothing. Recipients then serve
+// themselves (Server.serveRecipient); the last contracted fetch moves
+// Stored → Delivered. If the job failed meanwhile (deadline, Cancel) the
+// verdict stands and nothing is recorded twice.
+func (j *Job) finish(out service.Outcome, ran time.Duration) {
 	if out.Err != nil {
-		j.err = out.Err
-		j.setStateLocked(StateFailed)
-		j.srv.metrics.recordExecution(&out, time.Since(j.runStart))
-		j.mu.Unlock()
-		j.settle()
-		j.cancel()
-		j.closeDone()
+		j.transition(move{to: StateFailed, err: out.Err, out: &out, ran: ran})
 		return
 	}
-	j.mu.Unlock()
 	j.srv.storeResult(j.id, &out)
-	j.mu.Lock()
-	if j.state.Terminal() {
-		// Failed while persisting (deadline, shutdown): the verdict stands;
-		// the stored segment is an orphan the next recovery removes.
-		j.mu.Unlock()
-		return
+	if !j.transition(move{to: StateStored, out: &out, ran: ran}) {
+		// Failed while persisting: the job's only answer is its failure
+		// verdict, so the result just stored serves no one. Evict it as
+		// recovery would, rather than let it count against MaxResultBytes
+		// until the next restart (or forever, with no DataDir).
+		j.srv.results.Evict(j.id, resultstore.CauseTorn)
 	}
-	j.out = &out
-	j.setStateLocked(StateStored)
-	// Recorded under j.mu, before the new state can be observed: whoever
-	// sees Stored (or the settled channel) also sees this run's metrics.
-	j.srv.metrics.recordExecution(&out, time.Since(j.runStart))
-	j.mu.Unlock()
-	j.settle()
-	// The job deadline no longer governs: the result is durable, and
-	// delivery pace belongs to the recipients (and the store's TTL).
-	j.cancel()
 }
 
 // fail moves the job to Failed with the given cause, waking any waiting
-// recipients with it. skipRunning leaves in-flight jobs alone (graceful
-// shutdown drains them); a job whose result is already Stored can no
-// longer fail — the outcome is durable. Returns true if this call
-// performed the transition.
-func (j *Job) fail(cause error, skipRunning bool) bool {
-	j.mu.Lock()
-	if j.state.Terminal() || j.state == StateStored || (skipRunning && j.state == StateRunning) {
-		j.mu.Unlock()
-		return false
-	}
-	j.err = cause
-	j.setStateLocked(StateFailed)
-	j.srv.metrics.recordFailure(j.svc.Contract.Algorithm)
-	j.mu.Unlock()
-	j.settle()
-	j.cancel()
-	j.closeDone()
-	return true
-}
+// recipients with it. A job whose result is already Stored can no longer
+// fail — the outcome is durable. Returns true if this call performed the
+// transition.
+func (j *Job) fail(cause error) bool { return j.transition(move{to: StateFailed, err: cause}) }
 
 // watch enforces the job's context: cancellation or deadline expiry fails
 // the job wherever it is in the lifecycle (a running job is failed so its
@@ -414,7 +469,7 @@ func (j *Job) fail(cause error, skipRunning bool) bool {
 func (j *Job) watch() {
 	select {
 	case <-j.ctx.Done():
-		j.fail(j.ctx.Err(), false)
+		j.fail(j.ctx.Err())
 	case <-j.settled:
 	}
 }

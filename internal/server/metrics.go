@@ -59,18 +59,13 @@ func newMetrics() *Metrics {
 	return &Metrics{algs: make(map[string]*algStats)}
 }
 
-// jobSubmitted counts a registration (a job entering Pending).
-func (m *Metrics) jobSubmitted() {
+// jobAdmitted counts a job entering the table: in Pending for a fresh
+// admission, directly in its recovered state for one rebuilt from the WAL —
+// recovery bypasses the intermediate transitions, so the gauge invariant
+// sum(gauges) == submitted is restored in one step.
+func (m *Metrics) jobAdmitted(in State) {
 	m.submitted.Add(1)
-	m.gauges[StatePending].Add(1)
-}
-
-// jobRecovered counts a job rebuilt from the WAL directly into its
-// recovered state — recovery bypasses the intermediate transitions, so the
-// gauge invariant sum(gauges) == submitted is restored in one step.
-func (m *Metrics) jobRecovered(to State) {
-	m.submitted.Add(1)
-	m.gauges[to].Add(1)
+	m.gauges[in].Add(1)
 }
 
 // stateMove keeps the per-state gauges consistent across a transition. The

@@ -46,9 +46,9 @@ func TestMetricsGaugeInvariant(t *testing.T) {
 	for step := 0; step < 20000; step++ {
 		switch op := rng.Intn(10); {
 		case op == 0: // a recovered job lands directly in its replayed state
-			m.jobRecovered(State(rng.Intn(numStates)))
+			m.jobAdmitted(State(rng.Intn(numStates)))
 		case op <= 3 || len(live) == 0: // new registration
-			m.jobSubmitted()
+			m.jobAdmitted(StatePending)
 			live = append(live, StatePending)
 		default: // advance a random live job along a legal edge
 			i := rng.Intn(len(live))

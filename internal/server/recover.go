@@ -1,9 +1,9 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -42,57 +42,73 @@ type recoveredJob struct {
 	seq   int
 	state State
 	cause string
-	// resultStored reports a result-stored manifest record for the job;
-	// evictCause carries the last result-evicted record's cause. Together
-	// with the segments the result store's scan found on disk, they drive
-	// the recovery reconciliation in recoverResult.
-	resultStored bool
-	evictCause   string
 }
 
-// recoveredCache is one sort-cache key's last durable manifest word.
-type recoveredCache struct {
+// manifestLog is one store's replayed manifest: per key its last durable
+// word, a stored record not followed by an eviction or the last eviction's
+// cause.
+type manifestLog map[string]manifestWord
+
+type manifestWord struct {
 	stored     bool
 	evictCause string
 }
 
-// foldRecords replays WAL records into per-contract execution histories
-// (registration order, executions in submission order) plus the sort-cache
-// manifest. Transition and result-manifest records address executions by
-// job ID — which is the contract ID itself for first executions, so logs
-// written before re-execution existed fold identically. Transitions simply
-// overwrite the state — the log is the authority on ordering — and records
-// for unregistered contracts or unborn jobs (possible only through manual
-// log surgery) are dropped.
-func foldRecords(recs []wal.Record) ([]*recoveredContract, map[string]*recoveredCache, map[string]Schedule, error) {
+func (man manifestLog) fold(rec wal.Record, stored bool) {
+	w := manifestWord{stored: true}
+	if !stored {
+		w = man[rec.ContractID]
+		w.evictCause = rec.Cause
+	}
+	man[rec.ContractID] = w
+}
+
+// replayed is the WAL folded into what recovery rebuilds from: per-contract
+// execution histories (registration order, executions in submission
+// order), both stores' manifests, and the recurrence table.
+type replayed struct {
+	contracts      []*recoveredContract
+	results, cache manifestLog
+	schedules      map[string]Schedule
+}
+
+// foldRecords replays WAL records. Transition and result-manifest records
+// address executions by job ID — which is the contract ID itself for first
+// executions, so logs written before re-execution existed fold
+// identically. Later records simply overwrite earlier ones — the log is
+// the authority on ordering — and records for unregistered contracts or
+// unborn jobs (possible only through manual log surgery) are dropped.
+func foldRecords(recs []wal.Record) (*replayed, error) {
+	re := &replayed{
+		results:   make(manifestLog),
+		cache:     make(manifestLog),
+		schedules: make(map[string]Schedule),
+	}
 	byContract := make(map[string]*recoveredContract)
 	byJob := make(map[string]*recoveredJob)
-	cache := make(map[string]*recoveredCache)
-	schedules := make(map[string]Schedule)
-	var order []*recoveredContract
 	for _, rec := range recs {
 		switch rec.Type {
 		case wal.TypeRegistered:
 			c, err := decodeContract(rec.Contract)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			if _, dup := byContract[c.ID]; dup {
-				return nil, nil, nil, fmt.Errorf("server: wal registers contract %q twice", c.ID)
+				return nil, fmt.Errorf("server: wal registers contract %q twice", c.ID)
 			}
 			rc := &recoveredContract{contract: c}
 			rj := &recoveredJob{id: c.ID, seq: 1, state: StatePending}
 			rc.jobs = append(rc.jobs, rj)
 			byContract[c.ID] = rc
 			byJob[rj.id] = rj
-			order = append(order, rc)
+			re.contracts = append(re.contracts, rc)
 		case wal.TypeResubmitted:
 			rc, ok := byContract[rec.ContractID]
 			if !ok {
 				continue
 			}
 			if _, dup := byJob[rec.JobID]; dup {
-				return nil, nil, nil, fmt.Errorf("server: wal resubmits job %q twice", rec.JobID)
+				return nil, fmt.Errorf("server: wal resubmits job %q twice", rec.JobID)
 			}
 			rj := &recoveredJob{id: rec.JobID, seq: len(rc.jobs) + 1, state: StatePending}
 			rc.jobs = append(rc.jobs, rj)
@@ -103,197 +119,117 @@ func foldRecords(recs []wal.Record) ([]*recoveredContract, map[string]*recovered
 				continue
 			}
 			if rec.To < 0 || rec.To >= numStates {
-				return nil, nil, nil, fmt.Errorf("server: wal transition to unknown state %d", rec.To)
+				return nil, fmt.Errorf("server: wal transition to unknown state %d", rec.To)
 			}
 			rj.state = State(rec.To)
 			rj.cause = rec.Cause
-		case wal.TypeResultStored:
-			if rj, ok := byJob[rec.ContractID]; ok {
-				rj.resultStored = true
+		case wal.TypeResultStored, wal.TypeResultEvicted:
+			if _, ok := byJob[rec.ContractID]; ok {
+				re.results.fold(rec, rec.Type == wal.TypeResultStored)
 			}
-		case wal.TypeResultEvicted:
-			if rj, ok := byJob[rec.ContractID]; ok {
-				rj.evictCause = rec.Cause
-			}
-		case wal.TypeCacheStored:
-			cache[rec.ContractID] = &recoveredCache{stored: true}
-		case wal.TypeCacheEvicted:
-			cr, ok := cache[rec.ContractID]
-			if !ok {
-				cr = &recoveredCache{}
-				cache[rec.ContractID] = cr
-			}
-			cr.evictCause = rec.Cause
+		case wal.TypeCacheStored, wal.TypeCacheEvicted:
+			re.cache.fold(rec, rec.Type == wal.TypeCacheStored)
 		case wal.TypeScheduled:
-			// Schedule records for unregistered contracts (log surgery) are
-			// dropped below; here the last record per contract simply wins —
-			// each fire appends the advanced due-time, so the log's final
-			// word is the live schedule.
+			// The last record per contract wins — each fire appends the
+			// advanced due-time, so the log's final word is the live schedule.
 			if _, ok := byContract[rec.ContractID]; ok {
-				schedules[rec.ContractID] = Schedule{
+				re.schedules[rec.ContractID] = Schedule{
 					Every: time.Duration(rec.Every),
 					Next:  time.Unix(0, rec.Due),
 				}
 			}
 		}
 	}
-	return order, cache, schedules, nil
+	return re, nil
 }
 
 // recover rebuilds the registry, the job table, the tenant quota slots, and
-// the sort cache from replayed WAL records. Jobs that were Pending resume
-// live (no data had arrived; the parties simply reconnect). Jobs that were
-// Uploading or Running are failed with ErrInterrupted — and that verdict is
-// appended to the WAL, so a second restart reaches the identical table.
-// Jobs that were Stored resume serving their result from the durable
-// store; Delivered and Failed jobs become tombstones that answer
-// reconnecting recipients. Live jobs re-occupy their tenant's in-flight
-// quota slots (without consuming tokens — the original submission paid).
-// Both stores are then reconciled against the replayed manifest: stored
-// entries with no surviving segment are tombstoned as torn, evictions the
-// manifest recorded are rematerialised, and orphan segments whose manifest
-// record never made the log are dropped — for the sort cache that means a
-// torn cache-stored record costs exactly the cached sorted form; the job
-// itself stays runnable cold.
+// both stores' indexes from replayed WAL records. Jobs that were Pending
+// resume live (no data had arrived; the parties simply reconnect). Jobs
+// that were Uploading or Running are failed with ErrInterrupted — their
+// uploads died with the process — and that verdict is appended to the WAL,
+// so a second restart reaches the identical table. Jobs that were Stored
+// resume serving their result from the durable store (done stays open: the
+// job still owes deliveries); Delivered and Failed jobs become tombstones
+// that answer reconnecting recipients.
 func (s *Server) recover(recs []wal.Record) error {
-	folded, cacheMan, schedules, err := foldRecords(recs)
+	re, err := foldRecords(recs)
 	if err != nil {
 		return err
 	}
-	manifested := make(map[string]bool)
-	for _, rc := range folded {
+	serving := make(map[string]bool)
+	for _, rc := range re.contracts {
 		for _, rj := range rc.jobs {
-			if err := s.recoverJob(rc.contract, rj); err != nil {
+			j, err := s.newJob(rc.contract, rj.id, rj.seq, rj.state)
+			if err == nil {
+				j.err = recoveredCause(rj)
+				err = s.admit(j, "", nil)
+			}
+			if err != nil {
 				return fmt.Errorf("server: recovering job %q: %w", rj.id, err)
 			}
-			s.recoverResult(rj)
-			if rj.resultStored {
-				manifested[rj.id] = true
+			j.arrive(rj.state)
+			switch rj.state {
+			case StateUploading, StateRunning:
+				j.fail(ErrInterrupted)
+			case StateStored, StateDelivered:
+				serving[rj.id] = true
+				if _, ok := re.results[rj.id]; !ok && rj.state == StateDelivered {
+					// Delivered before the result store existed: the result was
+					// never persisted, so reconnecting recipients get the typed
+					// pre-store eviction instead of a bare "unavailable".
+					s.results.MarkEvicted(rj.id, resultstore.CausePreStore)
+				}
 			}
 		}
 	}
-	for _, id := range s.results.IDs() {
-		if !manifested[id] {
-			s.results.Remove(id)
-		}
-	}
-	live := make(map[string]bool)
-	for key, cr := range cacheMan {
-		switch {
-		case cr.evictCause != "":
-			s.sortcache.MarkEvicted(key, resultstore.Cause(cr.evictCause))
-		case cr.stored && !s.sortcache.Has(key):
-			s.sortcache.MarkLost(key)
-		case cr.stored:
-			live[key] = true
-		}
-	}
-	for _, key := range s.sortcache.IDs() {
-		if !live[key] {
-			s.sortcache.Remove(key)
-		}
-	}
+	reconcile(s.results, re.results, serving)
+	reconcile(s.sortcache, re.cache, nil)
 	// Recurring schedules resume at their journaled due instants — not
 	// "now + every" — so a due-time survives any number of restarts
 	// unchanged and Tick fires it as soon as the clock catches up.
-	for id, sc := range schedules {
+	for id, sc := range re.schedules {
 		s.recur[id] = &recurrence{every: sc.Every, next: sc.Next}
 	}
 	return nil
 }
 
-// recoverResult reconciles one job's durable result manifest against what
-// the result store's scan found on disk.
-func (s *Server) recoverResult(rj *recoveredJob) {
-	id := rj.id
-	switch {
-	case rj.evictCause != "":
-		// The manifest's last word is an eviction: rematerialise the
-		// tombstone (quietly — the record is already durable).
-		s.results.MarkEvicted(id, resultstore.Cause(rj.evictCause))
-	case rj.resultStored && !s.results.Has(id):
-		// The manifest says stored, but no intact segment survived (torn
-		// segments were dropped by the scan): tombstone as torn, journaled
-		// so the next replay agrees.
-		s.results.MarkLost(id)
-	case rj.resultStored && !rj.state.Settled():
-		// The crash hit between the manifest append and the Stored
-		// transition: the job recovers as interrupted, so its intact
-		// segment serves no one. Evict it, journaled.
-		s.results.Discard(id, resultstore.CauseTorn)
-	case rj.state == StateDelivered && !rj.resultStored:
-		// A job delivered before the result store existed: its result was
-		// never persisted, so reconnecting recipients get the typed
-		// pre-store eviction instead of a bare "unavailable".
-		s.results.MarkEvicted(id, resultstore.CausePreStore)
+// reconcile squares one store's index — what its scan found on disk —
+// with its replayed manifest. An eviction the manifest records is
+// rematerialised as a tombstone (quietly: the record is already durable).
+// A stored entry with no surviving segment (the scan drops torn ones) is
+// tombstoned as torn. An intact entry nobody can be served from — wanted,
+// when given, lists the keys that still have a reader; the result of a job
+// that never durably reached Stored has none — is evicted as torn. Both
+// are journaled, so the next replay agrees without re-counting. Finally
+// orphan segments, whose stored record never made the log, are dropped:
+// for the sort cache a torn cache-stored record costs exactly the cached
+// sorted form, and the job stays runnable cold. Keys are visited in
+// sorted order so recovery appends the same records on every run.
+func reconcile(st *resultstore.Store, man manifestLog, wanted map[string]bool) {
+	keys := make([]string, 0, len(man))
+	for key := range man {
+		keys = append(keys, key)
 	}
-}
-
-func (s *Server) recoverJob(c *service.Contract, rj *recoveredJob) error {
-	svc, err := s.newService(c)
-	if err != nil {
-		return err
+	sort.Strings(keys)
+	live := make(map[string]bool)
+	for _, key := range keys {
+		switch w := man[key]; {
+		case w.evictCause != "":
+			st.MarkEvicted(key, resultstore.Cause(w.evictCause))
+		case !st.Has(key):
+			st.MarkLost(key)
+		case wanted != nil && !wanted[key]:
+			st.Discard(key, resultstore.CauseTorn)
+		default:
+			live[key] = true
+		}
 	}
-	providers, recipients := c.CountRoles()
-	ctx, cancel := context.WithCancel(context.Background())
-	if s.cfg.JobTimeout > 0 && !rj.state.Settled() {
-		ctx, cancel = context.WithTimeout(context.Background(), s.cfg.JobTimeout)
+	for _, key := range st.IDs() {
+		if !live[key] {
+			st.Remove(key)
+		}
 	}
-	j := &Job{
-		svc:            svc,
-		srv:            s,
-		id:             rj.id,
-		seq:            rj.seq,
-		tenant:         c.Tenant,
-		priority:       c.Priority,
-		ctx:            ctx,
-		cancel:         cancel,
-		providers:      providers,
-		wantRecipients: recipients,
-		state:          rj.state,
-		settled:        make(chan struct{}),
-		done:           make(chan struct{}),
-	}
-	if rj.seq == 1 {
-		err = s.registry.add(j)
-	} else {
-		err = s.registry.addExecution(j)
-	}
-	if err != nil {
-		cancel()
-		return err
-	}
-	s.metrics.jobRecovered(rj.state)
-	// A job recovering into a live state re-occupies its tenant's in-flight
-	// slot; settle (including the fail below) releases it. Settled states
-	// returned their slot before the crash.
-	if !rj.state.Settled() {
-		s.quotas.restore(j.tenant)
-		j.quotaHeld = true
-	}
-	switch {
-	case rj.state == StatePending:
-		go j.watch()
-	case rj.state == StateStored:
-		// The result outlived the process in the durable store; the job
-		// resumes serving it from there (outcomeForDelivery finds no cached
-		// outcome and loads the segment). The outcome is settled and there
-		// is nothing left to run, cancel, or time out — but done stays
-		// open: the job still owes deliveries.
-		j.settle()
-		cancel()
-	case rj.state.Terminal():
-		j.err = recoveredCause(rj)
-		j.settle()
-		cancel()
-		j.closeDone()
-	default:
-		// Uploading or Running at crash time: the uploads are gone. fail()
-		// appends the interrupted verdict to the WAL and settles metrics,
-		// making a second recovery idempotent.
-		j.fail(ErrInterrupted, false)
-	}
-	return nil
 }
 
 // recoveredCause reconstructs a terminal job's error from its recorded

@@ -415,18 +415,10 @@ func bulkContract(tb testing.TB, id string) *service.Contract {
 // delivered, odd jobs failed).
 func buildBulkWAL(tb testing.TB, dir string, n int) {
 	tb.Helper()
-	store, recs, err := OpenWALStore(dir, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if len(recs) != 0 {
-		tb.Fatalf("fresh dir replayed %d records", len(recs))
-	}
+	jn := seedJournal(tb, dir)
 	for i := 0; i < n; i++ {
 		c := bulkContract(tb, fmt.Sprintf("bulk-%04d", i))
-		if err := store.LogRegistered(c); err != nil {
-			tb.Fatal(err)
-		}
+		seedRegistered(tb, jn, c)
 		transitions := []struct {
 			from, to State
 			cause    string
@@ -446,12 +438,44 @@ func buildBulkWAL(tb testing.TB, dir string, n int) {
 			}{StateRunning, StateFailed, "context deadline exceeded"})
 		}
 		for _, tr := range transitions {
-			if err := store.LogTransition(c.ID, tr.from, tr.to, tr.cause); err != nil {
-				tb.Fatal(err)
-			}
+			seedTransition(tb, jn, c.ID, tr.from, tr.to, tr.cause)
 		}
 	}
-	if err := store.Close(); err != nil {
+	if err := jn.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// seedJournal opens a fresh dir's journal for a test to hand-write a log
+// with seedRegistered and seedTransition — the records Register and
+// Job.transition append, without running a server.
+func seedJournal(tb testing.TB, dir string) *journal {
+	tb.Helper()
+	jn, recs, err := openJournal(dir, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(recs) != 0 {
+		tb.Fatalf("fresh dir replayed %d records", len(recs))
+	}
+	return jn
+}
+
+func seedRegistered(tb testing.TB, jn *journal, c *service.Contract) {
+	tb.Helper()
+	raw, err := EncodeContract(c)
+	if err == nil {
+		err = jn.append(SiteRegister, wal.Record{Type: wal.TypeRegistered, Contract: raw})
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func seedTransition(tb testing.TB, jn *journal, jobID string, from, to State, cause string) {
+	tb.Helper()
+	rec := wal.Record{Type: wal.TypeTransition, ContractID: jobID, From: int32(from), To: int32(to), Cause: cause}
+	if err := jn.append(TransitionSite(from, to), rec); err != nil {
 		tb.Fatal(err)
 	}
 }

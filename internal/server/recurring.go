@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"ppj/internal/server/wal"
 	"ppj/internal/service"
 )
 
@@ -40,18 +41,34 @@ func (s *Server) RegisterScheduled(c *service.Contract, every time.Duration) (*J
 	if err != nil {
 		return nil, err
 	}
-	due := s.clk.Now().Add(every)
-	if err := s.store.LogScheduled(c.ID, every, due); err != nil {
+	s.recurMu.Lock()
+	defer s.recurMu.Unlock()
+	r := &recurrence{every: every}
+	if err := s.reschedule(c.ID, r, s.clk.Now().Add(every)); err != nil {
 		// The contract itself was admitted and stays admitted — its
 		// registration record is already durable and its first job live. Only
 		// the recurrence failed to journal, so only the recurrence is
 		// refused.
-		return nil, fmt.Errorf("server: logging schedule of %q: %w", c.ID, err)
+		return nil, fmt.Errorf("server: journaling schedule of %q: %w", c.ID, err)
 	}
-	s.recurMu.Lock()
-	s.recur[c.ID] = &recurrence{every: every, next: due}
-	s.recurMu.Unlock()
+	s.recur[c.ID] = r
 	return j, nil
+}
+
+// reschedule journals a recurrence's next due instant and only then moves
+// the in-memory copy, so memory never runs ahead of the log. Callers hold
+// recurMu.
+func (s *Server) reschedule(id string, r *recurrence, next time.Time) error {
+	err := s.journal.append(SiteScheduled, wal.Record{
+		Type:       wal.TypeScheduled,
+		ContractID: id,
+		Every:      r.every.Nanoseconds(),
+		Due:        next.UnixNano(),
+	})
+	if err == nil {
+		r.next = next
+	}
+	return err
 }
 
 // Schedules returns a snapshot of the live recurrence table, keyed by
@@ -112,14 +129,13 @@ func (s *Server) fireRecurrence(id string, now time.Time) bool {
 	for !next.After(now) {
 		next = next.Add(r.every)
 	}
-	if err := s.store.LogScheduled(id, r.every, next); err != nil {
-		s.recurMu.Unlock()
+	err := s.reschedule(id, r, next)
+	s.recurMu.Unlock()
+	if err != nil {
 		s.metrics.recurrenceSkipped()
 		s.logf("server: recurrence %s: journaling due-time: %v", id, err)
 		return false
 	}
-	r.next = next
-	s.recurMu.Unlock()
 	if _, err := s.Resubmit(id); err != nil {
 		// The schedule has advanced — durably and in memory — but this
 		// fire's re-execution was refused (quota, backpressure, shutdown).

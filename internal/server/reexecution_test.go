@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"testing"
 
 	"ppj/internal/oblivious"
@@ -81,6 +82,8 @@ type reexecOutcome struct {
 	warmHits, warmMisses    uint64
 	cacheBytesAfterCold     int64
 	firstJobSeq, warmJobSeq int
+	// final is the whole metrics surface after both runs, timings zeroed.
+	final Snapshot
 }
 
 // runColdWarm registers an alg7 contract on a fresh server with P devices
@@ -121,6 +124,7 @@ func runColdWarm(t *testing.T, p int, relA, relB *relation.Relation) reexecOutco
 		cacheBytesAfterCold: mid.SortCacheBytes,
 		firstJobSeq:         j.Seq(),
 		warmJobSeq:          j2.Seq(),
+		final:               untimed(end),
 	}
 }
 
@@ -162,6 +166,9 @@ func TestReexecutionAccessPatternInvariance(t *testing.T) {
 			if r1.cacheBytesAfterCold != r2.cacheBytesAfterCold {
 				t.Fatalf("cached bytes depend on tuple contents: %d vs %d",
 					r1.cacheBytesAfterCold, r2.cacheBytesAfterCold)
+			}
+			if !reflect.DeepEqual(r1.final, r2.final) {
+				t.Fatalf("metrics snapshot depends on tuple contents:\n server1 %+v\n server2 %+v", r1.final, r2.final)
 			}
 			if p == 1 {
 				perSide := 2*int64(q) + 4*oblivious.Comparators(oblivious.NextPow2(q))

@@ -47,31 +47,23 @@ func newRegistry() *Registry {
 	}
 }
 
-// add registers a contract's first job under its contract ID.
+// add publishes a job: a contract's first execution registers the contract
+// under its ID, a later one joins the contract's history.
 func (r *Registry) add(j *Job) error {
 	id := j.Contract().ID
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.contracts[id]; dup {
-		return fmt.Errorf("server: contract %q already registered", id)
-	}
-	r.contracts[id] = &contractEntry{contract: j.Contract(), jobs: []*Job{j}}
-	r.jobsByID[j.ID()] = j
-	r.order = append(r.order, id)
-	return nil
-}
-
-// addExecution appends a re-execution to its contract's history.
-func (r *Registry) addExecution(j *Job) error {
-	id := j.Contract().ID
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	e, ok := r.contracts[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownContract, id)
-	}
-	if _, dup := r.jobsByID[j.ID()]; dup {
+	if _, dup := r.jobsByID[j.ID()]; dup || (ok && j.seq == 1) {
 		return fmt.Errorf("server: job %q already registered", j.ID())
+	}
+	if !ok {
+		if j.seq != 1 {
+			return fmt.Errorf("%w: %q", ErrUnknownContract, id)
+		}
+		e = &contractEntry{contract: j.Contract()}
+		r.contracts[id] = e
+		r.order = append(r.order, id)
 	}
 	e.jobs = append(e.jobs, j)
 	r.jobsByID[j.ID()] = j

@@ -59,32 +59,6 @@ func decodeResultMeta(raw []byte) (service.Outcome, error) {
 	return out, nil
 }
 
-// walJournal routes the result store's manifest events into the server's
-// job Store, so the manifest and the job lifecycle share one log. An
-// append the log refuses is counted like any lost transition: the live
-// index keeps going, and a non-zero counter means recovery would lag it.
-type walJournal struct{ s *Server }
-
-// ResultStored implements resultstore.Journal.
-func (w walJournal) ResultStored(id string, size int64) error {
-	if err := w.s.store.LogResultStored(id, size); err != nil {
-		w.s.metrics.walAppendFailed()
-		w.s.logf("server: wal: result stored %s: %v", id, err)
-		return err
-	}
-	return nil
-}
-
-// ResultEvicted implements resultstore.Journal.
-func (w walJournal) ResultEvicted(id, cause string) error {
-	if err := w.s.store.LogResultEvicted(id, cause); err != nil {
-		w.s.metrics.walAppendFailed()
-		w.s.logf("server: wal: result evicted %s (%s): %v", id, cause, err)
-		return err
-	}
-	return nil
-}
-
 // storeResult persists a successful outcome to the result store (segment
 // plus manifest record). Failures don't fail the job: the outcome stays
 // cached in memory for this process's recipients, the refusal or error is

@@ -420,15 +420,19 @@ func (s *Store) MarkEvicted(id string, cause Cause) {
 // segment serves no one. The drop is journaled with the given cause and
 // counted as a recovery eviction, making the next replay agree without
 // re-counting.
-func (s *Store) Discard(id string, cause Cause) {
+func (s *Store) Discard(id string, cause Cause) { s.evict(id, cause, &s.recoveryEvictions) }
+
+// Evict is Discard in a live process, counted as a runtime eviction: the
+// owner found that a result it just stored can serve no one.
+func (s *Store) Evict(id string, cause Cause) { s.evict(id, cause, &s.evictions) }
+
+func (s *Store) evict(id string, cause Cause, counter *uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[id]
-	if !ok {
-		return
+	if e, ok := s.entries[id]; ok {
+		*counter++
+		s.dropLocked(e, cause, true)
 	}
-	s.recoveryEvictions++
-	s.dropLocked(e, cause, true)
 }
 
 // Remove drops a live result and its segment without a tombstone: an

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -311,22 +312,12 @@ func TestResultEvictionCauses(t *testing.T) {
 		// tombstone it pre-store, not leave a bare "unavailable".
 		dir := t.TempDir()
 		g := newGroup(t, "old-era", "alg5", 87, 88, 5, 5)
-		store, recs, err := OpenWALStore(dir, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) != 0 {
-			t.Fatalf("fresh dir replayed %d records", len(recs))
-		}
-		if err := store.LogRegistered(g.contract); err != nil {
-			t.Fatal(err)
-		}
+		jn := seedJournal(t, dir)
+		seedRegistered(t, jn, g.contract)
 		for _, tr := range [][2]State{{StatePending, StateUploading}, {StateUploading, StateRunning}, {StateRunning, StateDelivered}} {
-			if err := store.LogTransition(g.contract.ID, tr[0], tr[1], ""); err != nil {
-				t.Fatal(err)
-			}
+			seedTransition(t, jn, g.contract.ID, tr[0], tr[1], "")
 		}
-		if err := store.Close(); err != nil {
+		if err := jn.Close(); err != nil {
 			t.Fatal(err)
 		}
 
@@ -512,7 +503,7 @@ func TestDeliveryAccessPatternInvariance(t *testing.T) {
 		full, resumed []int
 		chunks        uint32
 	}
-	run := func(dataSeed, copSeed uint64) map[string]trace {
+	run := func(dataSeed, copSeed uint64) (map[string]trace, Snapshot) {
 		t.Helper()
 		srv, err := New(Config{Workers: 1, Memory: 16, Seed: copSeed})
 		if err != nil {
@@ -551,11 +542,14 @@ func TestDeliveryAccessPatternInvariance(t *testing.T) {
 			}
 			out[g.contract.Algorithm] = trace{full: full, resumed: resumed, chunks: f.Chunks}
 		}
-		return out
+		return out, untimed(srv.MetricsSnapshot())
 	}
 
-	run1 := run(4001, 7)
-	run2 := run(5002, 8)
+	run1, snap1 := run(4001, 7)
+	run2, snap2 := run(5002, 8)
+	if !reflect.DeepEqual(snap1, snap2) {
+		t.Errorf("metrics snapshot depends on tuple contents:\n run1 %+v\n run2 %+v", snap1, snap2)
+	}
 	for _, alg := range []string{"alg3", "alg5"} {
 		t1, t2 := run1[alg], run2[alg]
 		if t1.chunks != t2.chunks {

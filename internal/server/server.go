@@ -55,8 +55,8 @@ type Config struct {
 	TenantWeights map[string]int
 	// Clock overrides the server's time source (tests use clock.NewFake to
 	// drive recurring contracts deterministically). Nil uses the system
-	// clock. It governs recurrence due-times, the quota limiter (unless
-	// QuotaNow is set), and the result store's TTL clock.
+	// clock. It governs recurrence due-times, the quota limiter, and the
+	// result store's TTL clock.
 	Clock clock.Clock
 	// TickEvery, when positive, starts a background loop that fires due
 	// recurring contracts every interval. Zero leaves firing to explicit
@@ -139,20 +139,14 @@ type Config struct {
 	// tenant caps hold fleet-wide regardless of which shard a contract
 	// lands on.
 	Quotas *Quotas
-	// QuotaNow overrides the quota clock (tests only); nil uses time.Now.
-	QuotaNow func() time.Time
 	// Logf, when set, receives connection-level errors from Serve.
 	Logf func(format string, args ...any)
-	// DataDir, when set, enables the write-ahead job store: contract
+	// DataDir, when set, enables the write-ahead journal: contract
 	// registrations and job state transitions are fsynced to DataDir before
 	// they are acknowledged, and New replays the log to rebuild the
 	// registry and job table after a crash. Empty keeps jobs in memory.
 	DataDir string
-	// Store overrides the job store directly (tests, alternative
-	// backends). When nil, DataDir selects the WAL store and an in-memory
-	// no-op store otherwise. A custom Store is not replayed.
-	Store Store
-	// Faults injects named fault hooks into the WAL store (tests only):
+	// Faults injects named fault hooks into the journal (tests only):
 	// short writes, fsync failures, torn records, and crash points between
 	// state transitions. Nil — the production setting — is inert.
 	Faults *wal.Faults
@@ -165,7 +159,7 @@ type Server struct {
 	device    *secop.Device
 	registry  *Registry
 	metrics   *Metrics
-	store     Store
+	journal   *journal
 	results   *resultstore.Store
 	sortcache *resultstore.Store
 	cache     *sortedCache
@@ -224,80 +218,58 @@ func New(cfg Config) (*Server, error) {
 		device:   dev,
 		registry: newRegistry(),
 		metrics:  newMetrics(),
-		store:    NopStore{},
+		journal:  &journal{},
 		sched:    newFairScheduler(cfg.QueueDepth, cfg.TenantWeights),
 		clk:      clk,
 		recur:    make(map[string]*recurrence),
 		tickStop: make(chan struct{}),
 	}
+	// Both stores open after the journal exists (their manifests ride it)
+	// and before recovery runs (recovery reconciles the replayed manifests
+	// against the segments the stores' scans found on disk).
 	var recs []wal.Record
-	replay := false
-	switch {
-	case cfg.Store != nil:
-		s.store = cfg.Store
-	case cfg.DataDir != "":
-		st, r, err := OpenWALStore(cfg.DataDir, cfg.Faults)
-		if err != nil {
+	resultDir, cacheDir := "", ""
+	if cfg.DataDir != "" {
+		if s.journal, recs, err = openJournal(cfg.DataDir, cfg.Faults); err != nil {
 			return nil, err
 		}
-		s.store = st
-		recs, replay = r, true
-	}
-	// The result store opens after the job store exists (its manifest
-	// journals through it) and before recovery runs (recovery reconciles
-	// the WAL manifest against the segments the scan found on disk).
-	resultDir := ""
-	if cfg.DataDir != "" {
 		resultDir = filepath.Join(cfg.DataDir, "results")
+		cacheDir = filepath.Join(cfg.DataDir, "sortcache")
 	}
-	results, err := resultstore.Open(resultstore.Config{
+	s.results, err = resultstore.Open(resultstore.Config{
 		Dir:      resultDir,
 		MaxBytes: cfg.MaxResultBytes,
 		TTL:      cfg.ResultTTL,
-		Journal:  walJournal{s},
+		Journal:  manifest{s, wal.TypeResultStored, SiteResultStored, wal.TypeResultEvicted, SiteResultEvicted},
 		Now:      clk.Now,
 	})
+	if err == nil {
+		// The sorted-relation cache is a second result store instance under
+		// its own subdirectory: same segment format, same manifest through
+		// the journal, but holding obliviously pre-sorted upload halves keyed
+		// by cache key instead of sealed results keyed by job.
+		s.sortcache, err = resultstore.Open(resultstore.Config{
+			Dir:      cacheDir,
+			MaxBytes: cfg.MaxCacheBytes,
+			Journal:  manifest{s, wal.TypeCacheStored, SiteCacheStored, wal.TypeCacheEvicted, SiteCacheEvicted},
+		})
+	}
 	if err != nil {
-		s.store.Close()
+		s.journal.Close()
 		return nil, err
 	}
-	s.results = results
-	// The sorted-relation cache is a second result store instance under its
-	// own subdirectory: same segment format, same manifest-through-the-WAL
-	// journaling, but holding obliviously pre-sorted upload halves keyed by
-	// cache key instead of sealed results keyed by job.
-	cacheDir := ""
-	if cfg.DataDir != "" {
-		cacheDir = filepath.Join(cfg.DataDir, "sortcache")
-	}
-	sortcache, err := resultstore.Open(resultstore.Config{
-		Dir:      cacheDir,
-		MaxBytes: cfg.MaxCacheBytes,
-		Journal:  cacheJournal{s},
-	})
-	if err != nil {
-		s.store.Close()
-		return nil, err
-	}
-	s.sortcache = sortcache
 	s.cache = &sortedCache{srv: s}
 	s.quotas = cfg.Quotas
 	if s.quotas == nil {
-		quotaNow := cfg.QuotaNow
-		if quotaNow == nil {
-			quotaNow = clk.Now
-		}
 		s.quotas = NewQuotas(QuotaConfig{
 			MaxInFlight: cfg.TenantMaxInFlight,
 			Rate:        cfg.TenantRate,
 			Burst:       cfg.TenantBurst,
-		}, quotaNow)
+		}, clk.Now)
 	}
-	if replay {
-		if err := s.recover(recs); err != nil {
-			s.store.Close()
-			return nil, err
-		}
+	if err := s.recover(recs); err != nil {
+		s.journal.Close()
+		return nil, err
 	}
 	return s, nil
 }
@@ -360,21 +332,78 @@ func (s *Server) Start() {
 	}
 }
 
-// Register verifies and admits a contract, creating its job in state
-// Pending. The job's deadline starts now when Config.JobTimeout is set.
-func (s *Server) Register(c *service.Contract) (*Job, error) {
+// admissible refuses new work while the server drains, and — under
+// AdmissionControl — while the ready queue is full. The check is
+// deliberately side-effect free (no metric, no WAL record), so a refused
+// admission leaves no gauge drift behind when the fleet router re-registers
+// the contract on another shard.
+func (s *Server) admissible() error {
 	s.mu.Lock()
 	down := s.shuttingDown
 	s.mu.Unlock()
 	if down {
-		return nil, ErrShuttingDown
+		return ErrShuttingDown
 	}
-	// Registration-time backpressure (fleet spillover hook). The check is
-	// deliberately side-effect free — no metric, no WAL record — so a
-	// refused admission leaves no gauge drift behind when the router
-	// re-registers the contract on another shard.
 	if s.cfg.AdmissionControl && s.sched.Full() {
-		return nil, fmt.Errorf("%w (depth %d): admission refused", ErrQueueFull, s.sched.Cap())
+		return fmt.Errorf("%w (depth %d): admission refused", ErrQueueFull, s.sched.Cap())
+	}
+	return nil
+}
+
+// admit makes a constructed job live, in one order: quota → journal →
+// publish → count → watch. Callers hold regMu, which makes the duplicate
+// check, the append and the publication one critical section: a job is
+// never visible to connections before its admission is durable (a
+// concurrent HandleConn could otherwise start a handshake against an
+// admission that is then unwound), and two racing admissions can never
+// both append a record for one ID. The quota gate precedes the append — a
+// refusal leaves no record and no metric drift — and every later refusal
+// returns the slot and token it took.
+//
+// rec is the admission's record. A job replayed from the log has none: its
+// admission is already durable and already paid for, so a live one only
+// re-occupies its tenant's in-flight slot (settled ones returned theirs
+// before the crash).
+func (s *Server) admit(j *Job, site string, rec *wal.Record) error {
+	refuse := func(err error) error {
+		if j.quotaHeld {
+			s.quotas.Release(j.tenant)
+		}
+		j.cancel()
+		return err
+	}
+	if rec == nil {
+		if !j.state.Settled() {
+			s.quotas.restore(j.tenant)
+			j.quotaHeld = true
+		}
+	} else {
+		if s.registry.has(j.id) {
+			return refuse(fmt.Errorf("server: contract %q already registered", j.id))
+		}
+		if err := s.quotas.Acquire(j.tenant); err != nil {
+			return refuse(err)
+		}
+		j.quotaHeld = true
+		if err := s.journal.append(site, *rec); err != nil {
+			return refuse(fmt.Errorf("server: journaling %s of %q: %w", site, j.id, err))
+		}
+	}
+	if err := s.registry.add(j); err != nil {
+		return refuse(err)
+	}
+	s.metrics.jobAdmitted(j.state)
+	if !j.state.Settled() {
+		go j.watch()
+	}
+	return nil
+}
+
+// Register verifies and admits a contract, creating its job in state
+// Pending. The job's deadline starts now when Config.JobTimeout is set.
+func (s *Server) Register(c *service.Contract) (*Job, error) {
+	if err := s.admissible(); err != nil {
+		return nil, err
 	}
 	if err := c.CheckRoles(); err != nil {
 		return nil, err
@@ -385,63 +414,19 @@ func (s *Server) Register(c *service.Contract) (*Job, error) {
 	if strings.Contains(c.ID, "#") {
 		return nil, fmt.Errorf("server: contract ID %q: '#' is reserved for re-execution job IDs", c.ID)
 	}
-	svc, err := s.newService(c)
+	raw, err := EncodeContract(c)
 	if err != nil {
 		return nil, err
 	}
-	providers, recipients := c.CountRoles()
-	ctx, cancel := context.WithCancel(context.Background())
-	if s.cfg.JobTimeout > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), s.cfg.JobTimeout)
+	j, err := s.newJob(c, c.ID, 1, StatePending)
+	if err != nil {
+		return nil, err
 	}
-	j := &Job{
-		svc:            svc,
-		srv:            s,
-		id:             c.ID,
-		seq:            1,
-		tenant:         c.Tenant,
-		priority:       c.Priority,
-		ctx:            ctx,
-		cancel:         cancel,
-		providers:      providers,
-		wantRecipients: recipients,
-		state:          StatePending,
-		settled:        make(chan struct{}),
-		done:           make(chan struct{}),
-	}
-	// Durability gate: a job whose admission never reached the WAL would be
-	// silently lost by a crash, so the tenant is told now instead. The
-	// record is appended BEFORE the job is published in the registry —
-	// otherwise a concurrent HandleConn could look the job up and start a
-	// handshake against an admission that is then unwound when the append
-	// fails, leaving a session running against a contract the tenant was
-	// told was refused. The tenant quota gate sits between the duplicate
-	// check and the append: a quota refusal must leave no WAL record and no
-	// metric drift, and an append failure must return the slot and token it
-	// acquired.
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	if s.registry.has(c.ID) {
-		cancel()
-		return nil, fmt.Errorf("server: contract %q already registered", c.ID)
-	}
-	if err := s.quotas.Acquire(c.Tenant); err != nil {
-		cancel()
+	if err := s.admit(j, SiteRegister, &wal.Record{Type: wal.TypeRegistered, Contract: raw}); err != nil {
 		return nil, err
 	}
-	j.quotaHeld = true
-	if err := s.store.LogRegistered(c); err != nil {
-		s.quotas.Release(c.Tenant)
-		cancel()
-		return nil, fmt.Errorf("server: logging registration of %q: %w", c.ID, err)
-	}
-	if err := s.registry.add(j); err != nil {
-		s.quotas.Release(c.Tenant)
-		cancel()
-		return nil, err
-	}
-	s.metrics.jobSubmitted()
-	go j.watch()
 	return j, nil
 }
 
@@ -455,65 +440,25 @@ func (s *Server) Register(c *service.Contract) (*Job, error) {
 // recipients address the new run with Hello.JobID — or implicitly, since
 // an empty JobID routes to the contract's latest execution.
 func (s *Server) Resubmit(contractID string) (*Job, error) {
-	s.mu.Lock()
-	down := s.shuttingDown
-	s.mu.Unlock()
-	if down {
-		return nil, ErrShuttingDown
-	}
-	if s.cfg.AdmissionControl && s.sched.Full() {
-		return nil, fmt.Errorf("%w (depth %d): admission refused", ErrQueueFull, s.sched.Cap())
+	if err := s.admissible(); err != nil {
+		return nil, err
 	}
 	c, err := s.registry.Contract(contractID)
 	if err != nil {
 		return nil, err
 	}
-	svc, err := s.newService(c)
+	// The sequence number is read under regMu, so two racing Resubmits
+	// cannot mint the same job ID.
+	s.regMu.Lock()
+	defer s.regMu.Unlock()
+	seq := len(s.registry.Executions(contractID)) + 1
+	j, err := s.newJob(c, fmt.Sprintf("%s#%d", contractID, seq), seq, StatePending)
 	if err != nil {
 		return nil, err
 	}
-	providers, recipients := c.CountRoles()
-	ctx, cancel := context.WithCancel(context.Background())
-	if s.cfg.JobTimeout > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), s.cfg.JobTimeout)
-	}
-	j := &Job{
-		svc:            svc,
-		srv:            s,
-		tenant:         c.Tenant,
-		priority:       c.Priority,
-		ctx:            ctx,
-		cancel:         cancel,
-		providers:      providers,
-		wantRecipients: recipients,
-		state:          StatePending,
-		settled:        make(chan struct{}),
-		done:           make(chan struct{}),
-	}
-	// The sequence number is assigned under regMu so two racing Resubmits
-	// cannot mint the same job ID, and — like Register — the quota gate
-	// precedes the WAL append, which precedes publication.
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	j.seq = len(s.registry.Executions(contractID)) + 1
-	j.id = fmt.Sprintf("%s#%d", contractID, j.seq)
-	if err := s.quotas.Acquire(c.Tenant); err != nil {
-		cancel()
+	if err := s.admit(j, SiteResubmit, &wal.Record{Type: wal.TypeResubmitted, ContractID: contractID, JobID: j.id}); err != nil {
 		return nil, err
 	}
-	j.quotaHeld = true
-	if err := s.store.LogResubmitted(contractID, j.id); err != nil {
-		s.quotas.Release(c.Tenant)
-		cancel()
-		return nil, fmt.Errorf("server: logging resubmission of %q: %w", contractID, err)
-	}
-	if err := s.registry.addExecution(j); err != nil {
-		s.quotas.Release(c.Tenant)
-		cancel()
-		return nil, err
-	}
-	s.metrics.jobSubmitted()
-	go j.watch()
 	return j, nil
 }
 
@@ -565,7 +510,7 @@ func (s *Server) HandleSession(sess *service.Session, hello service.Hello) error
 			// instead of idling until the job deadline. Other upload errors
 			// release only the party slot — the provider may reconnect.
 			if errors.Is(err, service.ErrUploadTruncated) && ctx.Err() != nil {
-				j.fail(err, false)
+				j.fail(err)
 			}
 			return err
 		}
@@ -616,7 +561,7 @@ func (s *Server) enqueue(j *Job) {
 	s.mu.Lock()
 	if s.shuttingDown {
 		s.mu.Unlock()
-		j.fail(ErrShuttingDown, false)
+		j.fail(ErrShuttingDown)
 		return
 	}
 	err := s.sched.Enqueue(j)
@@ -625,7 +570,7 @@ func (s *Server) enqueue(j *Job) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		j.fail(err, false)
+		j.fail(err)
 	}
 }
 
@@ -643,20 +588,24 @@ func (s *Server) worker() {
 }
 
 // runJob is one worker's handling of one job: honour cancellation and
-// deadlines, execute the contract, deliver.
+// deadlines, execute the contract, deliver. The run clock brackets
+// RunContract alone, so the per-algorithm latency is T's time and not the
+// journal's.
 func (s *Server) runJob(j *Job) {
 	if err := j.ctx.Err(); err != nil {
-		j.fail(err, false)
+		j.fail(err)
 		return
 	}
 	if !j.startRun() {
 		return // failed (canceled, deadline, shutdown) before pickup
 	}
+	start := time.Now()
 	out := j.svc.RunContract()
+	ran := time.Since(start)
 	if err := j.ctx.Err(); err != nil && out.Err == nil {
 		out.Err = err
 	}
-	j.finish(out)
+	j.finish(out, ran)
 }
 
 // Shutdown drains the server gracefully: no new registrations or enqueues
@@ -676,10 +625,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	for _, j := range queued {
-		j.fail(ErrShuttingDown, false)
+		j.fail(ErrShuttingDown)
 	}
 	for _, j := range s.registry.Jobs() {
-		j.fail(ErrShuttingDown, true) // skip Running: workers drain them
+		// Running jobs are spared: the workers drain them.
+		j.transition(move{to: StateFailed, err: ErrShuttingDown, among: setOf(StatePending, StateUploading)})
 	}
 	done := make(chan struct{})
 	go func() {
@@ -688,14 +638,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		return s.store.Close()
+		return s.journal.Close()
 	case <-ctx.Done():
 		// The WAL descriptor (and its data-dir lock) must not leak when the
 		// drain deadline expires: close it now. A worker still finishing a
 		// job appends to a closed log, which fails and is counted like any
 		// other lost transition — the recovery path owns that gap.
-		if cerr := s.store.Close(); cerr != nil {
-			s.logf("server: closing store after drain timeout: %v", cerr)
+		if cerr := s.journal.Close(); cerr != nil {
+			s.logf("server: closing journal after drain timeout: %v", cerr)
 		}
 		return ctx.Err()
 	}

@@ -5,81 +5,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"time"
 
 	"ppj/internal/server/wal"
 	"ppj/internal/service"
 )
-
-// Store abstracts job durability: the server tells it about contract
-// registrations and every job state transition. The in-memory NopStore
-// preserves the pre-WAL behavior (nothing survives the process); WALStore
-// makes both durable so a restarted server can rebuild its registry and
-// job table.
-type Store interface {
-	// LogRegistered records a contract admitted to the registry. An error
-	// fails the registration: a job whose admission is not durable would be
-	// silently lost by a crash.
-	LogRegistered(c *service.Contract) error
-	// LogTransition records a job state transition; cause carries the
-	// failure reason for transitions into StateFailed.
-	LogTransition(contractID string, from, to State, cause string) error
-	// LogResultStored records a sealed result entering the durable result
-	// store with its accounted size — the store's manifest rides the same
-	// log as the job lifecycle, so one replay rebuilds both.
-	LogResultStored(contractID string, bytes int64) error
-	// LogResultEvicted records a stored result leaving the store, with its
-	// eviction cause ("ttl", "cap", "torn", "pre-store").
-	LogResultEvicted(contractID, cause string) error
-	// LogResubmitted records a re-execution of a registered contract under
-	// the freshly minted job ID. An error fails the resubmission, exactly
-	// as LogRegistered fails a registration.
-	LogResubmitted(contractID, jobID string) error
-	// LogCacheStored records a sorted-relation cache entry entering the
-	// durable sort cache under its cache key, with its accounted size.
-	LogCacheStored(key string, bytes int64) error
-	// LogCacheEvicted records a sort-cache entry leaving the cache with its
-	// eviction cause.
-	LogCacheEvicted(key, cause string) error
-	// LogScheduled records a contract's recurrence word: its fixed
-	// re-execution interval and next due instant. Appended at recurring
-	// registration and again on every fire (the advanced due-time); the
-	// last record per contract is authoritative at recovery.
-	LogScheduled(contractID string, every time.Duration, due time.Time) error
-	// Close releases the store.
-	Close() error
-}
-
-// NopStore is the in-memory default: nothing is persisted and every job
-// dies with the process.
-type NopStore struct{}
-
-// LogRegistered implements Store.
-func (NopStore) LogRegistered(*service.Contract) error { return nil }
-
-// LogTransition implements Store.
-func (NopStore) LogTransition(string, State, State, string) error { return nil }
-
-// LogResultStored implements Store.
-func (NopStore) LogResultStored(string, int64) error { return nil }
-
-// LogResultEvicted implements Store.
-func (NopStore) LogResultEvicted(string, string) error { return nil }
-
-// LogResubmitted implements Store.
-func (NopStore) LogResubmitted(string, string) error { return nil }
-
-// LogCacheStored implements Store.
-func (NopStore) LogCacheStored(string, int64) error { return nil }
-
-// LogCacheEvicted implements Store.
-func (NopStore) LogCacheEvicted(string, string) error { return nil }
-
-// LogScheduled implements Store.
-func (NopStore) LogScheduled(string, time.Duration, time.Time) error { return nil }
-
-// Close implements Store.
-func (NopStore) Close() error { return nil }
 
 // SiteRegister is the faultpoint fired before a registration record is
 // appended to the WAL.
@@ -124,22 +53,25 @@ func TransitionSite(from, to State) string {
 	return "state:" + from.String() + "->" + to.String()
 }
 
-// WALStore persists registrations and transitions to an append-only,
-// checksummed write-ahead log. It holds the data dir's advisory lock for
-// its whole lifetime: one store (one server process) per directory.
-type WALStore struct {
+// journal is the server's one durable log: every event that must survive
+// a crash — admissions, job state transitions, both stores' manifests,
+// schedules — is one wal.Record appended through it. With a log it holds
+// the data dir's advisory lock for its whole lifetime (one server process
+// per directory); the zero journal is the in-memory server's, which
+// persists nothing and fires no faultpoint.
+type journal struct {
 	log    *wal.Log
 	faults *wal.Faults
 	lock   *wal.DirLock
 }
 
-// OpenWALStore locks dir against other processes, recovers its log —
+// openJournal locks dir against other processes, recovers its log —
 // truncating any torn tail — and opens it for appending, returning the
-// store and the replayed records in write order. faults may be nil
+// journal and the replayed records in write order. faults may be nil
 // (production). A dir already locked by another server process is refused
 // before recovery runs, so two processes can never truncate or interleave
 // each other's live log.
-func OpenWALStore(dir string, faults *wal.Faults) (*WALStore, []wal.Record, error) {
+func openJournal(dir string, faults *wal.Faults) (*journal, []wal.Record, error) {
 	lock, err := wal.LockDir(dir)
 	if err != nil {
 		return nil, nil, err
@@ -154,111 +86,76 @@ func OpenWALStore(dir string, faults *wal.Faults) (*WALStore, []wal.Record, erro
 		lock.Release()
 		return nil, nil, err
 	}
-	return &WALStore{log: log, faults: faults, lock: lock}, recs, nil
+	return &journal{log: log, faults: faults, lock: lock}, recs, nil
 }
 
-// LogRegistered implements Store.
-func (s *WALStore) LogRegistered(c *service.Contract) error {
-	if err := s.fire(SiteRegister); err != nil {
+// append fires the event's faultpoint and makes rec durable. A
+// wal.ErrCrashed injection seals the log first, so nothing after the
+// simulated crash instant reaches disk.
+func (jn *journal) append(site string, rec wal.Record) error {
+	if jn.log == nil {
+		return nil
+	}
+	if err := jn.faults.Fire(site); err != nil {
+		if errors.Is(err, wal.ErrCrashed) {
+			jn.log.Crash()
+		}
 		return err
 	}
-	raw, err := encodeContract(c)
-	if err != nil {
-		return err
-	}
-	return s.log.Append(wal.Record{Type: wal.TypeRegistered, Contract: raw})
+	return jn.log.Append(rec)
 }
 
-// LogTransition implements Store.
-func (s *WALStore) LogTransition(id string, from, to State, cause string) error {
-	if err := s.fire(TransitionSite(from, to)); err != nil {
-		return err
+// Close releases the log, then the data-dir lock.
+func (jn *journal) Close() error {
+	if jn.log == nil {
+		return nil
 	}
-	return s.log.Append(wal.Record{
-		Type:       wal.TypeTransition,
-		ContractID: id,
-		From:       int32(from),
-		To:         int32(to),
-		Cause:      cause,
-	})
-}
-
-// LogResultStored implements Store.
-func (s *WALStore) LogResultStored(id string, bytes int64) error {
-	if err := s.fire(SiteResultStored); err != nil {
-		return err
-	}
-	return s.log.Append(wal.Record{Type: wal.TypeResultStored, ContractID: id, Bytes: bytes})
-}
-
-// LogResultEvicted implements Store.
-func (s *WALStore) LogResultEvicted(id, cause string) error {
-	if err := s.fire(SiteResultEvicted); err != nil {
-		return err
-	}
-	return s.log.Append(wal.Record{Type: wal.TypeResultEvicted, ContractID: id, Cause: cause})
-}
-
-// LogResubmitted implements Store.
-func (s *WALStore) LogResubmitted(contractID, jobID string) error {
-	if err := s.fire(SiteResubmit); err != nil {
-		return err
-	}
-	return s.log.Append(wal.Record{Type: wal.TypeResubmitted, ContractID: contractID, JobID: jobID})
-}
-
-// LogCacheStored implements Store.
-func (s *WALStore) LogCacheStored(key string, bytes int64) error {
-	if err := s.fire(SiteCacheStored); err != nil {
-		return err
-	}
-	return s.log.Append(wal.Record{Type: wal.TypeCacheStored, ContractID: key, Bytes: bytes})
-}
-
-// LogCacheEvicted implements Store.
-func (s *WALStore) LogCacheEvicted(key, cause string) error {
-	if err := s.fire(SiteCacheEvicted); err != nil {
-		return err
-	}
-	return s.log.Append(wal.Record{Type: wal.TypeCacheEvicted, ContractID: key, Cause: cause})
-}
-
-// LogScheduled implements Store.
-func (s *WALStore) LogScheduled(contractID string, every time.Duration, due time.Time) error {
-	if err := s.fire(SiteScheduled); err != nil {
-		return err
-	}
-	return s.log.Append(wal.Record{
-		Type:       wal.TypeScheduled,
-		ContractID: contractID,
-		Every:      every.Nanoseconds(),
-		Due:        due.UnixNano(),
-	})
-}
-
-// Close implements Store, releasing the data-dir lock after the log.
-func (s *WALStore) Close() error {
-	err := s.log.Close()
-	if lerr := s.lock.Release(); err == nil {
+	err := jn.log.Close()
+	if lerr := jn.lock.Release(); err == nil {
 		err = lerr
 	}
 	return err
 }
 
-// fire runs a server-level faultpoint; a wal.ErrCrashed injection seals
-// the log so nothing after the simulated crash instant reaches disk.
-func (s *WALStore) fire(site string) error {
-	err := s.faults.Fire(site)
-	if err != nil && errors.Is(err, wal.ErrCrashed) {
-		s.log.Crash()
+// record journals an event whose in-memory effect stands whether or not
+// the append succeeds (state transitions, store manifests). A refused
+// append is counted: the live tables keep going, and a non-zero counter
+// means a crash would recover something older than what is being served.
+func (s *Server) record(site string, rec wal.Record) error {
+	err := s.journal.append(site, rec)
+	if err != nil {
+		s.metrics.walAppendFailed()
+		s.logf("server: wal: %s %s: %v", site, rec.ContractID, err)
 	}
 	return err
 }
 
-// encodeContract serialises a contract for a registration record. Gob
+// manifest routes one result store's manifest events into the journal
+// under that store's pair of record types, so one log carries the job
+// lifecycle, the result manifest and the cache manifest, and one replay
+// rebuilds all three.
+type manifest struct {
+	s           *Server
+	stored      wal.Type
+	storedSite  string
+	evicted     wal.Type
+	evictedSite string
+}
+
+// ResultStored implements resultstore.Journal.
+func (m manifest) ResultStored(id string, size int64) error {
+	return m.s.record(m.storedSite, wal.Record{Type: m.stored, ContractID: id, Bytes: size})
+}
+
+// ResultEvicted implements resultstore.Journal.
+func (m manifest) ResultEvicted(id, cause string) error {
+	return m.s.record(m.evictedSite, wal.Record{Type: m.evicted, ContractID: id, Cause: cause})
+}
+
+// EncodeContract serialises a contract for a registration record. Gob
 // round-trips every exported field, signatures included, so recovery can
 // re-verify the contract exactly as Register did.
-func encodeContract(c *service.Contract) ([]byte, error) {
+func EncodeContract(c *service.Contract) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
 		return nil, fmt.Errorf("server: encoding contract %q: %w", c.ID, err)
@@ -266,7 +163,7 @@ func encodeContract(c *service.Contract) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeContract is encodeContract's inverse.
+// decodeContract is EncodeContract's inverse.
 func decodeContract(raw []byte) (*service.Contract, error) {
 	var c service.Contract
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&c); err != nil {

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 )
 
 // Type discriminates WAL records.
@@ -71,9 +72,8 @@ const MaxPayload = 1 << 20
 // headerSize is the frame prefix: u32 length + u32 crc.
 const headerSize = 8
 
-// Record is one durable event. Exactly one of the two shapes is populated,
-// selected by Type: a registration carries Contract; a transition carries
-// ContractID, From, To and (for failures) Cause.
+// Record is one durable event. Type selects which fields are populated
+// (the layouts table lists them per type); the rest stay zero.
 type Record struct {
 	Type Type
 	// Contract is the serialised contract (TypeRegistered only). The codec
@@ -102,93 +102,77 @@ type Record struct {
 	Every, Due int64
 }
 
+// field is one slot of a record body. The Go type at points to is its wire
+// encoding: *[]byte takes the rest of the payload and must not be empty,
+// *string is a u16 length and that many bytes, *int32 is one byte, *int64 is
+// a big-endian u64 inside [min, max].
+type field struct {
+	name     string
+	at       func(*Record) any
+	min, max int64 // *int64 fields
+	nonEmpty bool  // *string fields
+}
+
+var (
+	fContract   = field{name: "contract bytes", at: func(r *Record) any { return &r.Contract }}
+	fContractID = field{name: "contract id", at: func(r *Record) any { return &r.ContractID }}
+	fJobID      = field{name: "job id", at: func(r *Record) any { return &r.JobID }, nonEmpty: true}
+	fFrom       = field{name: "from state", at: func(r *Record) any { return &r.From }}
+	fTo         = field{name: "to state", at: func(r *Record) any { return &r.To }}
+	fCause      = field{name: "cause", at: func(r *Record) any { return &r.Cause }}
+	fBytes      = field{name: "stored size", at: func(r *Record) any { return &r.Bytes }, max: 1 << 62}
+	fEvery      = field{name: "schedule interval", at: func(r *Record) any { return &r.Every }, min: 1, max: math.MaxInt64}
+	fDue        = field{name: "schedule due time", at: func(r *Record) any { return &r.Due }, max: math.MaxInt64}
+)
+
+// layouts is the whole body format: each record type's fields in wire
+// order, after the type byte. Both directions of the codec walk it, so a
+// payload has exactly one encoding (decode rejects trailing bytes) and
+// decodePayload(encodePayload(r)) == r — what the fuzz harness relies on.
+var layouts = map[Type][]field{
+	TypeRegistered:    {fContract},
+	TypeTransition:    {fContractID, fFrom, fTo, fCause},
+	TypeResultStored:  {fContractID, fBytes},
+	TypeResultEvicted: {fContractID, fCause},
+	TypeResubmitted:   {fContractID, fJobID},
+	TypeCacheStored:   {fContractID, fBytes},
+	TypeCacheEvicted:  {fContractID, fCause},
+	TypeScheduled:     {fContractID, fEvery, fDue},
+}
+
 var errEncode = errors.New("wal: cannot encode record")
 
-// encodePayload renders the type byte and body. Encoding is canonical:
-// decodePayload(encodePayload(r)) == r and re-encoding reproduces the
-// identical bytes, which the fuzz harness relies on.
+// encodePayload renders the type byte and body.
 func (r Record) encodePayload() ([]byte, error) {
-	switch r.Type {
-	case TypeRegistered:
-		if len(r.Contract) == 0 {
-			return nil, fmt.Errorf("%w: registration without contract bytes", errEncode)
-		}
-		p := make([]byte, 1+len(r.Contract))
-		p[0] = byte(TypeRegistered)
-		copy(p[1:], r.Contract)
-		return p, nil
-	case TypeTransition:
-		if len(r.ContractID) > 0xffff || len(r.Cause) > 0xffff {
-			return nil, fmt.Errorf("%w: oversized transition fields", errEncode)
-		}
-		if r.From < 0 || r.From > 0xff || r.To < 0 || r.To > 0xff {
-			return nil, fmt.Errorf("%w: state out of byte range", errEncode)
-		}
-		p := make([]byte, 0, 1+2+len(r.ContractID)+2+2+len(r.Cause))
-		p = append(p, byte(TypeTransition))
-		p = binary.BigEndian.AppendUint16(p, uint16(len(r.ContractID)))
-		p = append(p, r.ContractID...)
-		p = append(p, byte(r.From), byte(r.To))
-		p = binary.BigEndian.AppendUint16(p, uint16(len(r.Cause)))
-		p = append(p, r.Cause...)
-		return p, nil
-	case TypeResultStored, TypeCacheStored:
-		if len(r.ContractID) > 0xffff {
-			return nil, fmt.Errorf("%w: oversized contract id", errEncode)
-		}
-		if r.Bytes < 0 {
-			return nil, fmt.Errorf("%w: negative stored size", errEncode)
-		}
-		p := make([]byte, 0, 1+2+len(r.ContractID)+8)
-		p = append(p, byte(r.Type))
-		p = binary.BigEndian.AppendUint16(p, uint16(len(r.ContractID)))
-		p = append(p, r.ContractID...)
-		p = binary.BigEndian.AppendUint64(p, uint64(r.Bytes))
-		return p, nil
-	case TypeResultEvicted, TypeCacheEvicted:
-		if len(r.ContractID) > 0xffff || len(r.Cause) > 0xffff {
-			return nil, fmt.Errorf("%w: oversized eviction fields", errEncode)
-		}
-		p := make([]byte, 0, 1+2+len(r.ContractID)+2+len(r.Cause))
-		p = append(p, byte(r.Type))
-		p = binary.BigEndian.AppendUint16(p, uint16(len(r.ContractID)))
-		p = append(p, r.ContractID...)
-		p = binary.BigEndian.AppendUint16(p, uint16(len(r.Cause)))
-		p = append(p, r.Cause...)
-		return p, nil
-	case TypeResubmitted:
-		if len(r.ContractID) > 0xffff || len(r.JobID) > 0xffff {
-			return nil, fmt.Errorf("%w: oversized resubmission fields", errEncode)
-		}
-		if len(r.JobID) == 0 {
-			return nil, fmt.Errorf("%w: resubmission without job id", errEncode)
-		}
-		p := make([]byte, 0, 1+2+len(r.ContractID)+2+len(r.JobID))
-		p = append(p, byte(TypeResubmitted))
-		p = binary.BigEndian.AppendUint16(p, uint16(len(r.ContractID)))
-		p = append(p, r.ContractID...)
-		p = binary.BigEndian.AppendUint16(p, uint16(len(r.JobID)))
-		p = append(p, r.JobID...)
-		return p, nil
-	case TypeScheduled:
-		if len(r.ContractID) > 0xffff {
-			return nil, fmt.Errorf("%w: oversized contract id", errEncode)
-		}
-		if r.Every <= 0 {
-			return nil, fmt.Errorf("%w: schedule without a positive interval", errEncode)
-		}
-		if r.Due < 0 {
-			return nil, fmt.Errorf("%w: negative schedule due time", errEncode)
-		}
-		p := make([]byte, 0, 1+2+len(r.ContractID)+8+8)
-		p = append(p, byte(TypeScheduled))
-		p = binary.BigEndian.AppendUint16(p, uint16(len(r.ContractID)))
-		p = append(p, r.ContractID...)
-		p = binary.BigEndian.AppendUint64(p, uint64(r.Every))
-		p = binary.BigEndian.AppendUint64(p, uint64(r.Due))
-		return p, nil
+	layout := layouts[r.Type]
+	if layout == nil {
+		return nil, fmt.Errorf("%w: unknown type %d", errEncode, r.Type)
 	}
-	return nil, fmt.Errorf("%w: unknown type %d", errEncode, r.Type)
+	// Every body but a registration's is a few short strings and numbers.
+	p := make([]byte, 1, 64+len(r.Contract))
+	p[0] = byte(r.Type)
+	for _, f := range layout {
+		ok := true
+		switch v := f.at(&r).(type) {
+		case *[]byte:
+			ok = len(*v) > 0
+			p = append(p, *v...)
+		case *string:
+			ok = len(*v) <= 0xffff && !(f.nonEmpty && *v == "")
+			p = binary.BigEndian.AppendUint16(p, uint16(len(*v)))
+			p = append(p, *v...)
+		case *int32:
+			ok = *v >= 0 && *v <= 0xff
+			p = append(p, byte(*v))
+		case *int64:
+			ok = *v >= f.min && *v <= f.max
+			p = binary.BigEndian.AppendUint64(p, uint64(*v))
+		}
+		if !ok {
+			return nil, fmt.Errorf("%w: type %d: %s missing or out of range", errEncode, r.Type, f.name)
+		}
+	}
+	return p, nil
 }
 
 // encodeFrame renders the full framed record: header + payload.
@@ -209,104 +193,52 @@ func (r Record) encodeFrame() ([]byte, error) {
 
 var errDecode = errors.New("wal: invalid record")
 
-// decodePayload parses one checksummed payload. It rejects trailing bytes
-// so every valid payload has exactly one encoding.
+// decodePayload parses one checksummed payload.
 func decodePayload(p []byte) (Record, error) {
 	if len(p) < 1 {
 		return Record{}, fmt.Errorf("%w: empty payload", errDecode)
 	}
-	switch Type(p[0]) {
-	case TypeRegistered:
-		if len(p) == 1 {
-			return Record{}, fmt.Errorf("%w: registration without contract bytes", errDecode)
-		}
-		return Record{Type: TypeRegistered, Contract: append([]byte(nil), p[1:]...)}, nil
-	case TypeTransition:
-		body := p[1:]
-		if len(body) < 2 {
-			return Record{}, fmt.Errorf("%w: short transition", errDecode)
-		}
-		idLen := int(binary.BigEndian.Uint16(body[0:2]))
-		body = body[2:]
-		if len(body) < idLen+2+2 {
-			return Record{}, fmt.Errorf("%w: short transition", errDecode)
-		}
-		id := string(body[:idLen])
-		from, to := int32(body[idLen]), int32(body[idLen+1])
-		body = body[idLen+2:]
-		causeLen := int(binary.BigEndian.Uint16(body[0:2]))
-		body = body[2:]
-		if len(body) != causeLen {
-			return Record{}, fmt.Errorf("%w: transition length mismatch", errDecode)
-		}
-		return Record{Type: TypeTransition, ContractID: id, From: from, To: to, Cause: string(body)}, nil
-	case TypeResultStored, TypeCacheStored:
-		body := p[1:]
-		if len(body) < 2 {
-			return Record{}, fmt.Errorf("%w: short stored record", errDecode)
-		}
-		idLen := int(binary.BigEndian.Uint16(body[0:2]))
-		body = body[2:]
-		if len(body) != idLen+8 {
-			return Record{}, fmt.Errorf("%w: stored record length mismatch", errDecode)
-		}
-		size := binary.BigEndian.Uint64(body[idLen:])
-		if size > 1<<62 {
-			return Record{}, fmt.Errorf("%w: stored size out of range", errDecode)
-		}
-		return Record{Type: Type(p[0]), ContractID: string(body[:idLen]), Bytes: int64(size)}, nil
-	case TypeResultEvicted, TypeCacheEvicted:
-		body := p[1:]
-		if len(body) < 2 {
-			return Record{}, fmt.Errorf("%w: short evicted record", errDecode)
-		}
-		idLen := int(binary.BigEndian.Uint16(body[0:2]))
-		body = body[2:]
-		if len(body) < idLen+2 {
-			return Record{}, fmt.Errorf("%w: short evicted record", errDecode)
-		}
-		id := string(body[:idLen])
-		causeLen := int(binary.BigEndian.Uint16(body[idLen : idLen+2]))
-		body = body[idLen+2:]
-		if len(body) != causeLen {
-			return Record{}, fmt.Errorf("%w: evicted record length mismatch", errDecode)
-		}
-		return Record{Type: Type(p[0]), ContractID: id, Cause: string(body)}, nil
-	case TypeResubmitted:
-		body := p[1:]
-		if len(body) < 2 {
-			return Record{}, fmt.Errorf("%w: short resubmission record", errDecode)
-		}
-		idLen := int(binary.BigEndian.Uint16(body[0:2]))
-		body = body[2:]
-		if len(body) < idLen+2 {
-			return Record{}, fmt.Errorf("%w: short resubmission record", errDecode)
-		}
-		id := string(body[:idLen])
-		jobLen := int(binary.BigEndian.Uint16(body[idLen : idLen+2]))
-		body = body[idLen+2:]
-		if len(body) != jobLen || jobLen == 0 {
-			return Record{}, fmt.Errorf("%w: resubmission length mismatch", errDecode)
-		}
-		return Record{Type: TypeResubmitted, ContractID: id, JobID: string(body)}, nil
-	case TypeScheduled:
-		body := p[1:]
-		if len(body) < 2 {
-			return Record{}, fmt.Errorf("%w: short schedule record", errDecode)
-		}
-		idLen := int(binary.BigEndian.Uint16(body[0:2]))
-		body = body[2:]
-		if len(body) != idLen+16 {
-			return Record{}, fmt.Errorf("%w: schedule record length mismatch", errDecode)
-		}
-		every := int64(binary.BigEndian.Uint64(body[idLen : idLen+8]))
-		due := int64(binary.BigEndian.Uint64(body[idLen+8:]))
-		if every <= 0 || due < 0 {
-			return Record{}, fmt.Errorf("%w: schedule interval/due out of range", errDecode)
-		}
-		return Record{Type: TypeScheduled, ContractID: string(body[:idLen]), Every: every, Due: due}, nil
+	r := Record{Type: Type(p[0])}
+	layout := layouts[r.Type]
+	if layout == nil {
+		return Record{}, fmt.Errorf("%w: unknown type %d", errDecode, p[0])
 	}
-	return Record{}, fmt.Errorf("%w: unknown type %d", errDecode, p[0])
+	body := p[1:]
+	for _, f := range layout {
+		ok := false
+		switch v := f.at(&r).(type) {
+		case *[]byte:
+			ok = len(body) > 0
+			*v, body = append([]byte(nil), body...), nil
+		case *string:
+			if len(body) < 2 {
+				break
+			}
+			n := int(binary.BigEndian.Uint16(body))
+			if ok = len(body) >= 2+n && !(f.nonEmpty && n == 0); ok {
+				*v, body = string(body[2:2+n]), body[2+n:]
+			}
+		case *int32:
+			if ok = len(body) >= 1; ok {
+				*v, body = int32(body[0]), body[1:]
+			}
+		case *int64:
+			if len(body) < 8 {
+				break
+			}
+			u := binary.BigEndian.Uint64(body)
+			if ok = u >= uint64(f.min) && u <= uint64(f.max); ok {
+				*v, body = int64(u), body[8:]
+			}
+		}
+		if !ok {
+			return Record{}, fmt.Errorf("%w: type %d: %s short or out of range", errDecode, p[0], f.name)
+		}
+	}
+	if len(body) != 0 {
+		return Record{}, fmt.Errorf("%w: type %d: %d trailing bytes", errDecode, p[0], len(body))
+	}
+	return r, nil
 }
 
 // readFrame reads one framed record. Any malformation — short header, a

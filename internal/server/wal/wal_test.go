@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -244,4 +245,60 @@ func TestFaultsRegistry(t *testing.T) {
 			t.Fatalf("FailNth call %d fired %v", i, err)
 		}
 	}
+}
+
+// TestWALBytesStable pins the on-disk format: walBytesGolden is a log
+// holding one record of each of the eight types, byte for byte as the
+// hand-written per-type codec (the one the field table replaced) wrote it.
+// It must replay to the expected records and re-encode to the same bytes,
+// so data directories written by any earlier build recover unchanged.
+func TestWALBytesStable(t *testing.T) {
+	want := []Record{
+		{Type: TypeRegistered, Contract: []byte("contract-bytes\x00\xff")},
+		{Type: TypeTransition, ContractID: "c1", From: 2, To: 4, Cause: "context deadline exceeded"},
+		{Type: TypeResultStored, ContractID: "c1", Bytes: 934},
+		{Type: TypeResultEvicted, ContractID: "c1", Cause: "ttl"},
+		{Type: TypeResubmitted, ContractID: "c1", JobID: "c1#2"},
+		{Type: TypeCacheStored, ContractID: "c1|A|8|ab12", Bytes: 1 << 40},
+		{Type: TypeCacheEvicted, ContractID: "c1|A|8|ab12", Cause: "cap"},
+		{Type: TypeScheduled, ContractID: "c1", Every: 60e9, Due: 1790899200e9},
+	}
+	recs, off := Replay(bytes.NewReader(walBytesGolden))
+	if off != int64(len(walBytesGolden)) {
+		t.Fatalf("replay consumed %d of %d golden bytes", off, len(walBytesGolden))
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(recs), len(want))
+	}
+	var reenc []byte
+	for i, r := range recs {
+		if !reflect.DeepEqual(r, want[i]) {
+			t.Errorf("record %d = %+v, want %+v", i, r, want[i])
+		}
+		frame, err := want[i].encodeFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reenc = append(reenc, frame...)
+	}
+	if !bytes.Equal(reenc, walBytesGolden) {
+		t.Fatalf("re-encoding differs from the golden bytes:\n got %x\nwant %x", reenc, walBytesGolden)
+	}
+}
+
+var walBytesGolden = []byte{
+	0x00, 0x00, 0x00, 0x11, 0x92, 0xa1, 0x3c, 0x8f, 0x01, 0x63, 0x6f, 0x6e, 0x74, 0x72, 0x61, 0x63,
+	0x74, 0x2d, 0x62, 0x79, 0x74, 0x65, 0x73, 0x00, 0xff, 0x00, 0x00, 0x00, 0x22, 0x44, 0x1c, 0x29,
+	0x89, 0x02, 0x00, 0x02, 0x63, 0x31, 0x02, 0x04, 0x00, 0x19, 0x63, 0x6f, 0x6e, 0x74, 0x65, 0x78,
+	0x74, 0x20, 0x64, 0x65, 0x61, 0x64, 0x6c, 0x69, 0x6e, 0x65, 0x20, 0x65, 0x78, 0x63, 0x65, 0x65,
+	0x64, 0x65, 0x64, 0x00, 0x00, 0x00, 0x0d, 0xfd, 0xd0, 0xad, 0x71, 0x03, 0x00, 0x02, 0x63, 0x31,
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0xa6, 0x00, 0x00, 0x00, 0x0a, 0x93, 0x26, 0xb3, 0xe2,
+	0x04, 0x00, 0x02, 0x63, 0x31, 0x00, 0x03, 0x74, 0x74, 0x6c, 0x00, 0x00, 0x00, 0x0b, 0xeb, 0x92,
+	0x6b, 0xfd, 0x05, 0x00, 0x02, 0x63, 0x31, 0x00, 0x04, 0x63, 0x31, 0x23, 0x32, 0x00, 0x00, 0x00,
+	0x16, 0xc1, 0xf0, 0xce, 0xd1, 0x06, 0x00, 0x0b, 0x63, 0x31, 0x7c, 0x41, 0x7c, 0x38, 0x7c, 0x61,
+	0x62, 0x31, 0x32, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x13, 0x55,
+	0xc3, 0xb7, 0x22, 0x07, 0x00, 0x0b, 0x63, 0x31, 0x7c, 0x41, 0x7c, 0x38, 0x7c, 0x61, 0x62, 0x31,
+	0x32, 0x00, 0x03, 0x63, 0x61, 0x70, 0x00, 0x00, 0x00, 0x15, 0x0a, 0x0d, 0xc1, 0x65, 0x08, 0x00,
+	0x02, 0x63, 0x31, 0x00, 0x00, 0x00, 0x0d, 0xf8, 0x47, 0x58, 0x00, 0x18, 0xda, 0x8d, 0x55, 0x74,
+	0x88, 0x00, 0x00,
 }
