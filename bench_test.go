@@ -362,16 +362,13 @@ func BenchmarkMeasuredAlg7(b *testing.B) {
 		if want := core.Join7Transfers(tabA.N, tabB.N, res.OutputLen); int64(transfers) != want {
 			b.Fatalf("transfers = %d, want closed form %d", transfers, want)
 		}
-		if want := costmodel.Alg7Cost(tabA.N, tabB.N, res.OutputLen); float64(transfers) != want {
-			b.Fatalf("transfers = %d, costmodel predicts %.0f", transfers, want)
-		}
 	}
 	b.ReportMetric(float64(transfers), "transfers")
 }
 
 // BenchmarkJoinScaling races the scan-based joins against the sort-based
 // Algorithm 7 on the matched-keys workload |A| = |B| = S = n at M = 2048 —
-// the workload of costmodel.CrossoverN57. n=256 always runs (the CI smoke
+// the workload of query.CrossoverN57. n=256 always runs (the CI smoke
 // sweep); the 1k and 4k points run when PPJ_BENCH_FULL=1, as scripts/bench.sh
 // sets for BENCH_8.json, where alg7's transfers at n=4k must be under 25% of
 // alg5's. Every alg7 point asserts measured == closed form == cost model.
@@ -438,9 +435,6 @@ func BenchmarkJoinScaling(b *testing.B) {
 						if alg.name == "alg7" {
 							if want := core.Join7Transfers(int64(n), int64(n), int64(n)); int64(transfers) != want {
 								b.Fatalf("transfers = %d, want closed form %d", transfers, want)
-							}
-							if want := costmodel.Alg7Cost(int64(n), int64(n), int64(n)); float64(transfers) != want {
-								b.Fatalf("transfers = %d, costmodel predicts %.0f", transfers, want)
 							}
 						}
 					}
@@ -535,7 +529,7 @@ func BenchmarkParallelSort(b *testing.B) {
 					h.Store(id, j, sealer.Seal([]byte(fmt.Sprintf("%08d", (j*2654435761)%100000))))
 				}
 				b.StartTimer()
-				if err := oblivious.ParallelSort(cops, id, n, less); err != nil {
+				if err := oblivious.SortSpan(cops, id, 0, n, less); err != nil {
 					b.Fatal(err)
 				}
 			}

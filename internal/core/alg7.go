@@ -53,51 +53,82 @@ import (
 // fill-forward hold slot), so unlike Algorithms 1-6 the memory parameter M
 // never appears in the cost.
 func Join7(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (Result, error) {
-	cops := []*sim.Coprocessor{t}
+	res, _, err := join7([]*sim.Coprocessor{t}, a, b, pred, nil, "", "")
+	return res, err
+}
+
+// join7 is Algorithm 7's one pipeline, over a device fleet and with an
+// optional sorted-relation cache (alg7cache.go). The sorts are what
+// parallelize — they run on the largest power-of-two prefix of the fleet,
+// the device group — and the two sides' expansions, which run concurrently
+// on the group's halves; the linear scans, cache restores and the stitch
+// stay on the group's first device, O(n + S) against the sorts' log²
+// factors. Every device's schedule is a pure function of (|A|, |B|, S, P)
+// and, with a cache, the hit bits; on one device it is the sequential
+// algorithm, trace for trace.
+//
+// The key-sorted union is produced one of two ways. Without a cache, A and
+// B are wrapped into one array and sorted by one network. With a cache,
+// each side is restored or sorted into its own half and the halves are
+// merged (buildSortedHalf): the split costs more padding when the sides are
+// unequal, which is why it is not the only front half — ROADMAP item 8.
+func join7(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache SortedCache, keyA, keyB string) (Result, CacheUse, error) {
+	var use CacheUse
 	outSchema, release, err := join7Begin(cops, a, b, pred)
 	if err != nil {
-		return Result{}, err
+		return Result{}, use, err
 	}
 	defer release()
 
-	host := t.Host()
-	codec := newA7Codec(pred, a.Schema, b.Schema)
 	n := a.N + b.N
 	if n == 0 {
-		return join7Empty(cops, outSchema), nil
+		return join7Empty(cops, outSchema), use, nil
 	}
+	group := cops[:pow2Prefix(len(cops))]
+	t, host := group[0], group[0].Host()
+	codec := newA7Codec(pred, a.Schema, b.Schema)
 
-	// Phase 1+2: union build and sort by (key, tag).
-	w := host.FreshRegion("alg7.w", int(oblivious.NextPow2(n)))
-	if err := t.TransformRange(w, 0, a.Region, 0, a.N, func(_ int64, pt []byte) ([]byte, error) {
-		return codec.wrap(a7TagA, pt), nil
-	}); err != nil {
-		return Result{}, err
-	}
-	if err := t.TransformRange(w, a.N, b.Region, 0, b.N, func(_ int64, pt []byte) ([]byte, error) {
-		return codec.wrap(a7TagB, pt), nil
-	}); err != nil {
-		return Result{}, err
-	}
-	if err := oblivious.Sort(t, w, n, codec.lessKeyTag); err != nil {
-		return Result{}, err
+	// Phase 1+2: the union of both sides, tagged, sorted by (key, tag).
+	var w sim.RegionID
+	if cache == nil {
+		w = host.FreshRegion("alg7.w", int(oblivious.NextPow2(n)))
+		if err := codec.wrapSide(t, w, 0, a, a7TagA); err != nil {
+			return Result{}, use, err
+		}
+		if err := codec.wrapSide(t, w, a.N, b, a7TagB); err != nil {
+			return Result{}, use, err
+		}
+		if err := oblivious.SortSpan(group, w, 0, n, codec.lessKeyTag); err != nil {
+			return Result{}, use, err
+		}
+	} else {
+		halfM := a7HalfM(a.N, b.N)
+		w = host.FreshRegion("alg7.w", int(2*halfM))
+		use.TriedA, use.HitA, err = codec.buildSortedHalf(group, w, 0, halfM, a, a7TagA, cache, keyA)
+		if err != nil {
+			return Result{}, use, err
+		}
+		use.TriedB, use.HitB, err = codec.buildSortedHalf(group, w, halfM, halfM, b, a7TagB, cache, keyB)
+		if err != nil {
+			return Result{}, use, err
+		}
+		if err := oblivious.MergeHalves(group, w, 2*halfM, codec.lessKeyTag); err != nil {
+			return Result{}, use, err
+		}
 	}
 
 	// Phases 3–5: index scans, per-side expansion, alignment, stitch.
-	sort := func(region sim.RegionID, n int64, less oblivious.LessFunc) error {
-		return oblivious.Sort(t, region, n, less)
-	}
-	out, s, err := join7Tail(t, codec, sort, w, n, outSchema, "alg7.out")
+	out, err := codec.tail(group, w, n, outSchema)
 	if err != nil {
-		return Result{}, err
+		return Result{}, use, err
 	}
-	return Result{Output: out, OutputLen: s, Stats: t.Stats()}, nil
+	return Result{Output: out, OutputLen: out.N, Stats: sumStats(cops)}, use, nil
 }
 
-// join7Begin is the prologue all four Algorithm 7 entry points share:
-// admissibility (device count, sizes, an orderable equality predicate), the
-// output schema, fresh counters on every device, and the one-cell Grant on
-// every device. The returned release undoes the grants.
+// join7Begin is Algorithm 7's prologue: admissibility (device count, sizes,
+// an orderable equality predicate), the output schema, fresh counters on
+// every device, and the one-cell Grant on every device. The returned
+// release undoes the grants.
 func join7Begin(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (*relation.Schema, func(), error) {
 	switch {
 	case len(cops) == 0:
@@ -149,60 +180,92 @@ func sumStats(cops []*sim.Coprocessor) sim.Stats {
 	return st
 }
 
-// join7Tail runs phases 3–5 of Algorithm 7 over a key-sorted union held in
-// the first n cells of w: the three index scans, both side expansions, the
-// B alignment sort, and the stitch. Shared by Join7 and Join7Cached — the
-// tail's schedule is identical however the sorted union was produced, a
-// pure function of (n, S).
-func join7Tail(t *sim.Coprocessor, codec *a7Codec, sort a7SortFunc, w sim.RegionID, n int64, outSchema *relation.Schema, outName string) (sim.Table, int64, error) {
-	s, err := codec.indexScans(t, w, n)
+// tail runs phases 3–5 of Algorithm 7 over a key-sorted union held in the
+// first n cells of w: the three index scans, both side expansions, the B
+// alignment sort, and the stitch. Its schedule is identical however the
+// sorted union was produced, a pure function of (n, S, P). Scans and stitch
+// run on the group's first device and the alignment sort on the whole
+// group; the two sides expand concurrently on the group's halves (halves of
+// a power of two are powers of two), or A then B on a one-device group.
+func (c *a7Codec) tail(group []*sim.Coprocessor, w sim.RegionID, n int64, outSchema *relation.Schema) (sim.Table, error) {
+	t, host := group[0], group[0].Host()
+	s, err := c.indexScans(t, w, n)
 	if err != nil {
-		return sim.Table{}, 0, err
+		return sim.Table{}, err
 	}
-	out := t.Host().FreshRegion(outName, int(s))
+	out := sim.Table{Region: host.FreshRegion("alg7.out", int(s)), N: s, Schema: outSchema}
 	if s == 0 {
-		return sim.Table{Region: out, N: 0, Schema: outSchema}, 0, nil
+		return out, nil
 	}
-	ea, err := codec.expandSide(t, sort, w, n, s, a7TagA)
+
+	// Both sides' scratch regions are allocated here, in fixed order, before
+	// the sides fork: region ids are part of every traced access and must
+	// not follow goroutine scheduling.
+	sides := [2]struct {
+		tag    byte
+		group  []*sim.Coprocessor
+		sx, ex sim.RegionID
+	}{{tag: a7TagA, group: group}, {tag: a7TagB, group: group}}
+	if half := len(group) / 2; half > 0 {
+		sides[0].group, sides[1].group = group[:half], group[half:]
+	}
+	for i, name := range [2]string{"alg7.ea", "alg7.eb"} {
+		sides[i].sx = host.FreshRegion(name+".c", int(oblivious.NextPow2(n)))
+		sides[i].ex = host.FreshRegion(name, int(oblivious.NextPow2(s)))
+	}
+	expand := func(i int64) error {
+		sd := sides[i]
+		return c.expandSide(sd.group, w, sd.sx, sd.ex, n, s, sd.tag)
+	}
+	if len(group) > 1 {
+		err = oblivious.ForEach(2, expand)
+	} else if err = expand(0); err == nil {
+		err = expand(1)
+	}
 	if err != nil {
-		return sim.Table{}, 0, err
+		return sim.Table{}, err
 	}
-	eb, err := codec.expandSide(t, sort, w, n, s, a7TagB)
-	if err != nil {
-		return sim.Table{}, 0, err
+	ea, eb := sides[0].ex, sides[1].ex
+	if err := oblivious.SortSpan(group, eb, 0, s, c.lessDest); err != nil {
+		return sim.Table{}, err
 	}
-	if err := sort(eb, s, codec.lessDest); err != nil {
-		return sim.Table{}, 0, err
-	}
-	if err := codec.stitch(t, out, ea, eb, s, outSchema); err != nil {
-		return sim.Table{}, 0, err
-	}
-	return sim.Table{Region: out, N: s, Schema: outSchema}, s, nil
+	return out, c.stitch(t, out.Region, ea, eb, s, outSchema)
 }
 
-// Join7Transfers is the exact transfer count of this implementation:
+// Join7Transfers is the exact transfer count of this implementation
+// without a cache, on one device:
 //
-//	2n + Sort(n) + 6n                          union build, key sort, scans
-//	+ 2·[2n + Sort(n) + 2t + (m−t) + Dist(m) + 2S]   per-side expansion
-//	+ Sort(S) + 3S                             B alignment and stitch
+//	2n + Sort(n)                               union build, key sort
+//	+ join7TailTransfers(n, S)                 scans, expansion, stitch
 //
-// with n = |A|+|B|, t = min(n, S), m = NextPow2(S), Sort the bitonic
-// network cost and Dist the distribution network cost. The n log²n and
+// with n = |A|+|B| and Sort the bitonic network cost. The n log²n and
 // S log²S sort terms dominate; compare Join5Transfers' ⌈S/M⌉·L.
 func Join7Transfers(aN, bN, s int64) int64 {
 	n := aN + bN
 	if n == 0 {
 		return 0
 	}
-	total := 2*n + oblivious.SortTransfers(n) + 6*n
+	return 2*n + oblivious.SortTransfers(n) + join7TailTransfers(n, s)
+}
+
+// join7TailTransfers is the exact transfer count of everything after the
+// key-sorted union exists, shared by both front halves:
+//
+//	6n                                         index scans
+//	+ 2·[2n + Sort(n) + 2t + (m−t) + Dist(m) + 2S]   per-side expansion
+//	+ Sort(S) + 3S                             B alignment and stitch
+//
+// with t = min(n, S), m = NextPow2(S) and Dist the distribution network
+// cost; with S = 0 only the scans run.
+func join7TailTransfers(n, s int64) int64 {
 	if s == 0 {
-		return total
+		return 6 * n
 	}
 	m := oblivious.NextPow2(s)
 	tx := min64(n, s)
 	side := 2*n + oblivious.SortTransfers(n) + 2*tx + (m - tx) +
 		oblivious.DistributeTransfers(m) + 2*s
-	return total + 2*side + oblivious.SortTransfers(s) + 3*s
+	return 6*n + 2*side + oblivious.SortTransfers(s) + 3*s
 }
 
 // --- Algorithm 7 working cells ---
@@ -240,7 +303,6 @@ type a7Codec struct {
 	sa, sb  *relation.Schema
 	payload int
 	cell    int
-	fillBuf []byte // reused scratch for fill-forward rewrites
 }
 
 func newA7Codec(pred *relation.Equi, sa, sb *relation.Schema) *a7Codec {
@@ -257,6 +319,13 @@ func (c *a7Codec) wrap(tag byte, enc []byte) []byte {
 	out[0] = tag
 	copy(out[a7Hdr:], enc)
 	return out
+}
+
+// wrapSide copies a side's rows into w from cell lo on as working cells.
+func (c *a7Codec) wrapSide(t *sim.Coprocessor, w sim.RegionID, lo int64, side sim.Table, tag byte) error {
+	return t.TransformRange(w, lo, side.Region, 0, side.N, func(_ int64, pt []byte) ([]byte, error) {
+		return c.wrap(tag, pt), nil
+	})
 }
 
 // empty builds a filler cell of the same size as a real one.
@@ -409,29 +478,20 @@ func (c *a7Codec) indexScans(t *sim.Coprocessor, w sim.RegionID, n int64) (int64
 	return base + groupCA*groupSize, nil
 }
 
-// a7SortFunc abstracts the oblivious sort a pipeline stage uses, so the
-// serial path plugs in oblivious.Sort on one device and the parallel path
-// plugs in oblivious.ParallelSort over a device group.
-type a7SortFunc func(region sim.RegionID, n int64, less oblivious.LessFunc) error
-
 // expandSide extracts one side of the indexed union and expands it to the
-// S output slots: rewrite into (destination, keep) form, compact the kept
-// rows by an oblivious sort on destination, route them with the
-// distribution network, and duplicate them with the fill-forward scan.
-// Returns the region whose first S cells hold the side's expanded rows.
-func (c *a7Codec) expandSide(t *sim.Coprocessor, sort a7SortFunc, w sim.RegionID, n, s int64, tag byte) (sim.RegionID, error) {
-	host := t.Host()
+// S output slots of ex, through the scratch array sx: rewrite into
+// (destination, keep) form, compact the kept rows by an oblivious sort on
+// destination over the side's device group, route them with the
+// distribution network, and duplicate them with the fill-forward scan, the
+// linear passes on the group's first device.
+func (c *a7Codec) expandSide(group []*sim.Coprocessor, w, sx, ex sim.RegionID, n, s int64, tag byte) error {
+	t := group[0]
 	m := oblivious.NextPow2(s)
-	name := "alg7.ea"
-	if tag == a7TagB {
-		name = "alg7.eb"
-	}
 
 	// Rewrite: keep exactly the rows of this side whose group joins at all;
 	// an A row with occurrence i goes to slot g + i·c_B, a B row with
 	// occurrence j to slot g + j·c_A (B-major, realigned after the fill).
 	// Dropped rows become fillers; the keep decision stays inside T.
-	sx := host.FreshRegion(name+".c", int(oblivious.NextPow2(n)))
 	if err := t.TransformRange(sx, 0, w, 0, n, func(_ int64, pt []byte) ([]byte, error) {
 		t.ChargeCompare()
 		keep, dest := false, int64(0)
@@ -450,24 +510,23 @@ func (c *a7Codec) expandSide(t *sim.Coprocessor, sort a7SortFunc, w sim.RegionID
 		a7SetF(pt, 0, dest)
 		return pt, nil
 	}); err != nil {
-		return 0, err
+		return err
 	}
 
 	// Compact: kept destinations strictly increase in union order, so an
 	// oblivious sort on (real, destination) moves the kept rows to a
 	// rank-preserving prefix — the distribution network's precondition.
-	if err := sort(sx, n, c.lessDest); err != nil {
-		return 0, err
+	if err := oblivious.SortSpan(group, sx, 0, n, c.lessDest); err != nil {
+		return err
 	}
 
 	// Expand into the output-sized array: copy the compacted prefix (at
 	// most min(n, S) kept rows), pad with fillers, route, duplicate.
-	ex := host.FreshRegion(name, int(m))
 	tx := min64(n, s)
 	if err := t.TransformRange(ex, 0, sx, 0, tx, func(_ int64, pt []byte) ([]byte, error) {
 		return pt, nil
 	}); err != nil {
-		return 0, err
+		return err
 	}
 	if tx < m {
 		pads := make([][]byte, m-tx)
@@ -476,13 +535,13 @@ func (c *a7Codec) expandSide(t *sim.Coprocessor, sort a7SortFunc, w sim.RegionID
 			pads[i] = filler
 		}
 		if err := t.PutRange(ex, tx, pads); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if err := oblivious.Distribute(t, ex, m, func(pt []byte) (bool, int64) {
 		return pt[0] != a7TagE, a7F(pt, 0)
 	}); err != nil {
-		return 0, err
+		return err
 	}
 
 	isReal := func(pt []byte) bool { return pt[0] != a7TagE }
@@ -494,19 +553,17 @@ func (c *a7Codec) expandSide(t *sim.Coprocessor, sort a7SortFunc, w sim.RegionID
 	} else {
 		// B fills in B-major order: the cell at slot k is copy number
 		// i = k − g − j·c_A of B row j, destined for final slot g + i·c_B + j.
+		var buf []byte // reused scratch for the rewritten copy
 		fill = func(k int64, _, held []byte) ([]byte, error) {
 			g, ca, cb := a7F(held, 3), a7F(held, 1), a7F(held, 2)
 			j := (a7F(held, 0) - g) / ca
 			i := k - g - j*ca
-			c.fillBuf = append(c.fillBuf[:0], held...)
-			a7SetF(c.fillBuf, 0, g+i*cb+j)
-			return c.fillBuf, nil
+			buf = append(buf[:0], held...)
+			a7SetF(buf, 0, g+i*cb+j)
+			return buf, nil
 		}
 	}
-	if err := oblivious.FillForward(t, ex, s, isReal, fill); err != nil {
-		return 0, err
-	}
-	return ex, nil
+	return oblivious.FillForward(t, ex, s, isReal, fill)
 }
 
 // stitch pairs the aligned expansions into oTuple join rows: slot k of the

@@ -93,8 +93,8 @@ func TestJoin7Validation(t *testing.T) {
 	if _, err := Join7(env.t, env.tabA, env.tabB, nil); err == nil {
 		t.Fatal("Join7 accepted a nil predicate")
 	}
-	if _, err := ParallelJoin7(nil, env.tabA, env.tabB, keyEqui(t, relA, relB)); err == nil {
-		t.Fatal("ParallelJoin7 accepted an empty fleet")
+	if _, _, err := join7(nil, env.tabA, env.tabB, keyEqui(t, relA, relB), nil, "", ""); err == nil {
+		t.Fatal("join7 accepted an empty fleet")
 	}
 }
 
@@ -169,7 +169,7 @@ func TestAlg7AccessPatternInvariance(t *testing.T) {
 				h := sim.NewHost(0)
 				cops := newFleet(t, h, p, 8)
 				tabs := loadTables(t, h, cops[0].Sealer(), relA, relB)
-				res, err := ParallelJoin7(cops, tabs[0], tabs[1], keyEqui(t, relA, relB))
+				res, _, err := join7(cops, tabs[0], tabs[1], keyEqui(t, relA, relB), nil, "", "")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,7 +203,7 @@ func TestParallelJoin7Correctness(t *testing.T) {
 			cops := newFleet(t, h, p, 8)
 			tabs := loadTables(t, h, cops[0].Sealer(), relA, relB)
 			pred := keyEqui(t, relA, relB)
-			res, err := ParallelJoin7(cops, tabs[0], tabs[1], pred)
+			res, _, err := join7(cops, tabs[0], tabs[1], pred, nil, "", "")
 			if err != nil {
 				t.Fatal(err)
 			}

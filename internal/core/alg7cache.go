@@ -2,7 +2,6 @@ package core
 
 import (
 	"ppj/internal/oblivious"
-	"ppj/internal/relation"
 	"ppj/internal/sim"
 )
 
@@ -17,9 +16,9 @@ import (
 // halfM = max(NextPow2(|A|), NextPow2(|B|)) cells: side A sorts (or is
 // restored) into [0, halfM), side B into [halfM, 2·halfM), each ascending
 // by (key, tag) with padding maximal at its top, and one odd-even merge of
-// the two halves yields the same key-sorted union Join7's monolithic sort
-// produces. The tail (index scans, expansion, alignment, stitch) is shared
-// verbatim with Join7.
+// the two halves yields the same key-sorted union the cache-less front half
+// of join7 produces with one monolithic sort. The tail (index scans,
+// expansion, alignment, stitch) is the same code either way.
 //
 // Leakage: whether a side hits is a host-visible bit — the host sees a
 // restore (halfM puts) instead of a sort. But the bit is a pure function
@@ -73,104 +72,6 @@ func (u CacheUse) Misses() int {
 	return n
 }
 
-// Join7Cached runs Algorithm 7 with the sorted-relation cache: each side's
-// sorted half is restored from the cache when its key hits, sorted in
-// place (and offered back to the cache) otherwise, and the halves are
-// merged with Batcher's odd-even merge before the shared Join7 tail. A nil
-// cache or empty key disables caching for that side, which then costs one
-// readback less than a miss.
-func Join7Cached(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache SortedCache, keyA, keyB string) (Result, CacheUse, error) {
-	var use CacheUse
-	cops := []*sim.Coprocessor{t}
-	outSchema, release, err := join7Begin(cops, a, b, pred)
-	if err != nil {
-		return Result{}, use, err
-	}
-	defer release()
-
-	host := t.Host()
-	codec := newA7Codec(pred, a.Schema, b.Schema)
-	n := a.N + b.N
-	if n == 0 {
-		return join7Empty(cops, outSchema), use, nil
-	}
-
-	halfM := a7HalfM(a.N, b.N)
-	w := host.FreshRegion("alg7.w", int(2*halfM))
-	spanSort := func(lo, q int64) error {
-		return oblivious.SortSpan(t, w, lo, q, codec.lessKeyTag)
-	}
-	use.TriedA, use.HitA, err = codec.buildSortedHalf(t, spanSort, w, 0, halfM, a, a7TagA, cache, keyA)
-	if err != nil {
-		return Result{}, use, err
-	}
-	use.TriedB, use.HitB, err = codec.buildSortedHalf(t, spanSort, w, halfM, halfM, b, a7TagB, cache, keyB)
-	if err != nil {
-		return Result{}, use, err
-	}
-	if err := oblivious.MergeHalves(t, w, 2*halfM, codec.lessKeyTag); err != nil {
-		return Result{}, use, err
-	}
-
-	sort := func(region sim.RegionID, n int64, less oblivious.LessFunc) error {
-		return oblivious.Sort(t, region, n, less)
-	}
-	out, s, err := join7Tail(t, codec, sort, w, n, outSchema, "alg7.out")
-	if err != nil {
-		return Result{}, use, err
-	}
-	return Result{Output: out, OutputLen: s, Stats: t.Stats()}, use, nil
-}
-
-// ParallelJoin7Cached is Join7Cached over P coprocessors: the cold side
-// sorts and the half merge run on the parallel networks over the largest
-// power-of-two device prefix; restores, scans, and the stitch stay on
-// device 0; the tail is shared with ParallelJoin7. Summed per-device stats
-// remain a pure function of (|A|, |B|, S, P) conditioned on the hit bits.
-func ParallelJoin7Cached(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache SortedCache, keyA, keyB string) (Result, CacheUse, error) {
-	var use CacheUse
-	if len(cops) == 1 {
-		return Join7Cached(cops[0], a, b, pred, cache, keyA, keyB)
-	}
-	outSchema, release, err := join7Begin(cops, a, b, pred)
-	if err != nil {
-		return Result{}, use, err
-	}
-	defer release()
-
-	host := cops[0].Host()
-	n := a.N + b.N
-	if n == 0 {
-		return join7Empty(cops, outSchema), use, nil
-	}
-
-	ps := pow2Prefix(len(cops))
-	codecA := newA7Codec(pred, a.Schema, b.Schema)
-	codecB := newA7Codec(pred, a.Schema, b.Schema)
-
-	halfM := a7HalfM(a.N, b.N)
-	w := host.FreshRegion("palg7.w", int(2*halfM))
-	spanSort := func(lo, q int64) error {
-		return oblivious.ParallelSortSpan(cops[:ps], w, lo, q, codecA.lessKeyTag)
-	}
-	use.TriedA, use.HitA, err = codecA.buildSortedHalf(cops[0], spanSort, w, 0, halfM, a, a7TagA, cache, keyA)
-	if err != nil {
-		return Result{}, use, err
-	}
-	use.TriedB, use.HitB, err = codecA.buildSortedHalf(cops[0], spanSort, w, halfM, halfM, b, a7TagB, cache, keyB)
-	if err != nil {
-		return Result{}, use, err
-	}
-	if err := oblivious.ParallelMergeHalves(cops[:ps], w, 2*halfM, codecA.lessKeyTag); err != nil {
-		return Result{}, use, err
-	}
-	out, s, err := parallelJoin7Tail(cops, ps, codecA, codecB, w, n, outSchema)
-	if err != nil {
-		return Result{}, use, err
-	}
-	return Result{Output: out, OutputLen: s, Stats: sumStats(cops)}, use, nil
-}
-
 // a7HalfM is the fixed size of each side's half of the cached working
 // array: both halves share the larger side's power-of-two envelope so the
 // merged array is a power of two.
@@ -182,21 +83,20 @@ func a7HalfM(aN, bN int64) int64 {
 	return h
 }
 
-// a7SpanSort sorts the q cells at lo of the cached working array.
-type a7SpanSort func(lo, q int64) error
-
 // buildSortedHalf establishes one side's half of the working array, cells
 // [lo, lo+halfM): the side's rows sorted ascending by (key, tag) followed
 // by maximal padding. On a cache hit the sorted cells are restored with
-// halfM puts; cold, the side is wrapped in (2q transfers), span-sorted,
-// padded, and — when a cache participates — read back (q gets) and offered
-// to it. An empty side is pure padding and never consults the cache.
-func (c *a7Codec) buildSortedHalf(t *sim.Coprocessor, spanSort a7SpanSort, w sim.RegionID, lo, halfM int64, side sim.Table, tag byte, cache SortedCache, key string) (tried, hit bool, err error) {
-	q := side.N
+// halfM puts; cold, the side is wrapped in (2q transfers), span-sorted over
+// the device group, padded, and — when its key is non-empty — read back (q
+// gets) and offered to the cache. Everything but the sort runs on the
+// group's first device. An empty side is pure padding and never consults
+// the cache.
+func (c *a7Codec) buildSortedHalf(group []*sim.Coprocessor, w sim.RegionID, lo, halfM int64, side sim.Table, tag byte, cache SortedCache, key string) (tried, hit bool, err error) {
+	t, q := group[0], side.N
 	if q == 0 {
 		return false, false, oblivious.PadRange(t, w, lo, lo+halfM)
 	}
-	tried = cache != nil && key != ""
+	tried = key != ""
 	if tried {
 		if cells, ok := cache.Lookup(key); ok && c.validSortedCells(cells, q) {
 			if err := c.restoreSorted(t, w, lo, cells); err != nil {
@@ -205,12 +105,10 @@ func (c *a7Codec) buildSortedHalf(t *sim.Coprocessor, spanSort a7SpanSort, w sim
 			return tried, true, oblivious.PadRange(t, w, lo+q, lo+halfM)
 		}
 	}
-	if err := t.TransformRange(w, lo, side.Region, 0, q, func(_ int64, pt []byte) ([]byte, error) {
-		return c.wrap(tag, pt), nil
-	}); err != nil {
+	if err := c.wrapSide(t, w, lo, side, tag); err != nil {
 		return tried, false, err
 	}
-	if err := spanSort(lo, q); err != nil {
+	if err := oblivious.SortSpan(group, w, lo, q, c.lessKeyTag); err != nil {
 		return tried, false, err
 	}
 	if err := oblivious.PadRange(t, w, lo+oblivious.NextPow2(q), lo+halfM); err != nil {
@@ -271,20 +169,19 @@ func (c *a7Codec) readSorted(t *sim.Coprocessor, w sim.RegionID, lo, q int64) ([
 	return cells, nil
 }
 
-// Join7CachedTransfers is the exact transfer count of Join7Cached with a
-// participating cache on both non-empty sides:
+// Join7CachedTransfers is the exact one-device transfer count of Algorithm 7
+// with a participating cache on both non-empty sides:
 //
 //	side(q, hit) = halfM                                     hit or empty
 //	             = 2q + halfM + 4·Comparators(NextPow2(q))   miss
-//	+ Merge(2·halfM) + 6n                                    half merge, scans
-//	+ 2·[2n + Sort(n) + 2t + (m−t) + Dist(m) + 2S]           per-side expansion
-//	+ Sort(S) + 3S                                           alignment, stitch
+//	+ Merge(2·halfM)                                         half merge
+//	+ join7TailTransfers(n, S)                               scans, expansion, stitch
 //
-// with halfM = max(NextPow2(|A|), NextPow2(|B|)), n = |A|+|B|, t = min(n,
-// S), m = NextPow2(S). The miss term is wrap (2q) + pads (halfM−q) + the
-// span sort's comparators + the cache readback (q); the hit term is the
-// bare halfM-cell restore. Everything from the merge on is independent of
-// the hit bits — the cache can only remove work, never reshape the tail.
+// with halfM = max(NextPow2(|A|), NextPow2(|B|)) and n = |A|+|B|. The miss
+// term is wrap (2q) + pads (halfM−q) + the span sort's comparators + the
+// cache readback (q); the hit term is the bare halfM-cell restore.
+// Everything from the merge on is independent of the hit bits — the cache
+// can only remove work, never reshape the tail.
 func Join7CachedTransfers(aN, bN, s int64, hitA, hitB bool) int64 {
 	n := aN + bN
 	if n == 0 {
@@ -297,14 +194,6 @@ func Join7CachedTransfers(aN, bN, s int64, hitA, hitB bool) int64 {
 		}
 		return 2*q + halfM + 4*oblivious.Comparators(oblivious.NextPow2(q))
 	}
-	total := side(aN, hitA) + side(bN, hitB) +
-		oblivious.MergeHalvesTransfers(2*halfM) + 6*n
-	if s == 0 {
-		return total
-	}
-	m := oblivious.NextPow2(s)
-	tx := min64(n, s)
-	exp := 2*n + oblivious.SortTransfers(n) + 2*tx + (m - tx) +
-		oblivious.DistributeTransfers(m) + 2*s
-	return total + 2*exp + oblivious.SortTransfers(s) + 3*s
+	return side(aN, hitA) + side(bN, hitB) +
+		oblivious.MergeHalvesTransfers(2*halfM) + join7TailTransfers(n, s)
 }

@@ -61,7 +61,7 @@ func TestJoin7CachedMatchesReference(t *testing.T) {
 			}{{"cold", false}, {"warm", true}} {
 				phase, wantHit := ph.phase, ph.wantHit
 				env := newEnv(t, 8, uint64(len(phase)), tc.relA, tc.relB)
-				res, use, err := Join7Cached(env.t, env.tabA, env.tabB, pred, cache, "k:A", "k:B")
+				res, use, err := join7([]*sim.Coprocessor{env.t}, env.tabA, env.tabB, pred, cache, "k:A", "k:B")
 				if err != nil {
 					t.Fatalf("%s: %v", phase, err)
 				}
@@ -96,7 +96,7 @@ func TestJoin7CachedWarmCheaper(t *testing.T) {
 	cache := newMemCache()
 	run := func(seed uint64) (int64, CacheUse) {
 		env := newEnv(t, 8, seed, relA, relB)
-		res, use, err := Join7Cached(env.t, env.tabA, env.tabB, pred, cache, "A", "B")
+		res, use, err := join7([]*sim.Coprocessor{env.t}, env.tabA, env.tabB, pred, cache, "A", "B")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestJoin7CachedAccessPatternInvariance(t *testing.T) {
 		h := sim.NewHost(0)
 		cop := newCop(t, h, 8, copSeed)
 		tabs := loadTables(t, h, cop.Sealer(), relA, relB)
-		res, _, err := Join7Cached(cop, tabs[0], tabs[1], keyEqui(t, relA, relB), cache, "A", "B")
+		res, _, err := join7([]*sim.Coprocessor{cop}, tabs[0], tabs[1], keyEqui(t, relA, relB), cache, "A", "B")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestParallelJoin7CachedCorrectness(t *testing.T) {
 				h := sim.NewHost(0)
 				cops := newFleet(t, h, p, 8)
 				tabs := loadTables(t, h, cops[0].Sealer(), relA, relB)
-				res, use, err := ParallelJoin7Cached(cops, tabs[0], tabs[1], pred, cache, "A", "B")
+				res, use, err := join7(cops, tabs[0], tabs[1], pred, cache, "A", "B")
 				if err != nil {
 					t.Fatalf("%s: %v", phase, err)
 				}
@@ -191,40 +191,68 @@ func TestParallelJoin7CachedCorrectness(t *testing.T) {
 	}
 }
 
-// TestParallelJoin7CachedPerDeviceInvariance checks the parallel cached
-// variant's per-device schedules are content-independent, cold and warm, at
-// P = 2 and 4.
+// TestParallelJoin7CachedPerDeviceInvariance checks that Algorithm 7's
+// per-device schedule at P = 2 and 4 — uncached, cached cold and cached
+// warm, through the table row — is a function of the run's public sizes and
+// of nothing else: fifty identical runs leave one per-device Trace.Digest
+// vector (region ids are part of every traced event, so two goroutines
+// racing for their scratch regions would show here and nowhere in Stats),
+// and a content-different, size-identical input leaves the same vector and
+// the same per-device Stats.
 func TestParallelJoin7CachedPerDeviceInvariance(t *testing.T) {
-	const s = 8
+	const s, runs = 8, 50
+	type perDevice struct {
+		digests [4]uint64
+		stats   [4]sim.Stats
+	}
 	for _, p := range []int{2, 4} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			run := func(variant int, dataSeed uint64, cache SortedCache) []sim.Stats {
+			run := func(variant int, dataSeed uint64, cache SortedCache) perDevice {
 				t.Helper()
 				relA, relB := alg7InvarianceInputs(variant, dataSeed)
 				h := sim.NewHost(0)
 				cops := newFleet(t, h, p, 8)
 				tabs := loadTables(t, h, cops[0].Sealer(), relA, relB)
-				res, _, err := ParallelJoin7Cached(cops, tabs[0], tabs[1], keyEqui(t, relA, relB), cache, "A", "B")
+				in := Inputs{Pred: keyEqui(t, relA, relB)}
+				if cache != nil {
+					in.Cache, in.KeyA, in.KeyB = cache, "A", "B"
+				}
+				res, _, err := Algorithms[6].Run(cops, tabs, in)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if res.OutputLen != s {
 					t.Fatalf("output length %d, want exact S=%d", res.OutputLen, s)
 				}
-				per := make([]sim.Stats, p)
+				var per perDevice
 				for i, c := range cops {
-					per[i] = c.Stats()
+					per.digests[i], per.stats[i] = c.Trace().Digest(), c.Stats()
 				}
 				return per
 			}
-			c1, c2 := newMemCache(), newMemCache()
-			for _, phase := range []string{"cold", "warm"} {
-				per1, per2 := run(0, 3003, c1), run(1, 4004, c2)
-				for d := range per1 {
-					if per1[d] != per2[d] {
-						t.Fatalf("%s device %d schedule depends on tuple contents:\n run1 %+v\n run2 %+v",
-							phase, d, per1[d], per2[d])
+			// warmed returns a cache filled by one cold run of the variant.
+			warmed := func(variant int, dataSeed uint64) SortedCache {
+				cache := newMemCache()
+				run(variant, dataSeed, cache)
+				return cache
+			}
+			w1, w2 := warmed(0, 3003), warmed(1, 4004)
+			phases := map[string][2]func() SortedCache{
+				"uncached": {func() SortedCache { return nil }, func() SortedCache { return nil }},
+				"cold":     {func() SortedCache { return newMemCache() }, func() SortedCache { return newMemCache() }},
+				"warm":     {func() SortedCache { return w1 }, func() SortedCache { return w2 }},
+			}
+			for phase, caches := range phases {
+				want := run(0, 3003, caches[0]())
+				for i := 1; i < runs; i++ {
+					if got := run(0, 3003, caches[0]()); got != want {
+						t.Fatalf("%s: run %d of the same input left per-device traces %#x, run 0 left %#x",
+							phase, i, got.digests[:p], want.digests[:p])
 					}
+				}
+				if other := run(1, 4004, caches[1]()); other != want {
+					t.Fatalf("%s: per-device schedule depends on tuple contents:\n run1 %#x %+v\n run2 %#x %+v",
+						phase, want.digests[:p], want.stats[:p], other.digests[:p], other.stats[:p])
 				}
 			}
 		})
@@ -248,7 +276,7 @@ func TestJoin7CachedWarmSkipsPreSortAt4096(t *testing.T) {
 	cache := newMemCache()
 	run := func(seed uint64) (Result, CacheUse) {
 		env := newEnv(t, 8, seed, relA, relB)
-		res, use, err := Join7Cached(env.t, env.tabA, env.tabB, pred, cache, "A", "B")
+		res, use, err := join7([]*sim.Coprocessor{env.t}, env.tabA, env.tabB, pred, cache, "A", "B")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -158,14 +158,13 @@ func Join6OnePass(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPre
 	if blemished {
 		// Salvage still needs the rescans; one-pass only holds on the
 		// 1−ε-probability clean path.
-		outPos, err := multiScan(t, cart, outSchema, pred, out, m)
-		if err != nil {
+		if err := flushRanks(t, cart, outSchema, pred, out, 0, knownS, nil); err != nil {
 			return Join6Report{}, err
 		}
 		return Join6Report{
 			Result: Result{
-				Output:    sim.Table{Region: out, N: outPos, Schema: outSchema},
-				OutputLen: outPos,
+				Output:    sim.Table{Region: out, N: knownS, Schema: outSchema},
+				OutputLen: knownS,
 				Stats:     t.Stats(),
 				Blemished: true,
 			},

@@ -12,7 +12,7 @@ import (
 
 // TestConcurrentFleetsOneHost is the -race stress test for the sharded host:
 // two independent fleets hammer one shared host at the same time — four
-// devices running a ParallelSort while four others run a ParallelJoin2.
+// devices running a group SortSpan while four others run a ParallelJoin2.
 // Results must be identical to the sequential runs, and every device's
 // sim.Stats must equal the closed forms, proving that batching and
 // concurrency changed wall-clock only, never the per-device access pattern.
@@ -61,7 +61,7 @@ func TestConcurrentFleetsOneHost(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		sortErr = oblivious.ParallelSort(sortCops, sortRegion, sortN, less)
+		sortErr = oblivious.SortSpan(sortCops, sortRegion, 0, sortN, less)
 	}()
 	go func() {
 		defer wg.Done()
@@ -145,7 +145,7 @@ func TestConcurrentFleetsOneHost(t *testing.T) {
 	}
 }
 
-// expectedParallelSortStats replays ParallelSort's comparator schedule for p
+// expectedParallelSortStats replays the group SortSpan comparator schedule for p
 // devices over m (power-of-two, no padding) cells: every comparator costs 2
 // gets, 2 puts and 1 comparison. Phase 1 gives each device one local bitonic
 // sort of a block; phase 2 is the binary odd-even merge tree, each merge's

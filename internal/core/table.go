@@ -73,11 +73,13 @@ type Algorithm struct {
 	run       func(cops []*sim.Coprocessor, t []sim.Table, in Inputs) (Result, CacheUse, error)
 }
 
-// Algorithms is the table, indexed by Number-1. Algorithms 2 and 3 have one
-// schedule (the sequential algorithm is the parallel one at P=1); Algorithms
-// 4, 5 and 7 have distinct sequential and parallel schedules — the parallel
-// forms pay a separate screening pass or a different sort network even on
-// one device — and Algorithm 7 a third, cached one.
+// Algorithms is the table, indexed by Number-1. Algorithms 2, 3, 5 and 7
+// have one schedule each: the sequential algorithm is the device-group form
+// at P=1, trace for trace. Algorithm 7 has two front halves (monolithic
+// union sort without a cache, split halves plus odd-even merge with one)
+// in front of one tail. Algorithm 4 alone keeps distinct sequential and
+// parallel schedules — its parallel form sorts the whole raw output where
+// the sequential one runs the §5.2.2 filter, 44 % dearer on one device.
 var Algorithms = []*Algorithm{
 	{Name: "alg1", Number: 1, TwoWay: true, Padded: true, Fleet: OneDevice,
 		transfers: func(z []int64, _, _ int64, in Inputs, _ CacheUse) int64 {
@@ -111,9 +113,6 @@ var Algorithms = []*Algorithm{
 	{Name: "alg5", Number: 5, Fleet: AnyDevices,
 		transfers: func(z []int64, s, m int64, _ Inputs, _ CacheUse) int64 { return Join5Transfers(z, s, m) },
 		run: func(c []*sim.Coprocessor, t []sim.Table, in Inputs) (Result, CacheUse, error) {
-			if len(c) == 1 {
-				return uncached(Join5(c[0], t, in.Multi))
-			}
 			return uncached(ParallelJoin5(c, t, in.Multi))
 		}},
 	{Name: "alg6", Number: 6, Fleet: OneDevice,
@@ -131,14 +130,8 @@ var Algorithms = []*Algorithm{
 			}
 			return Join7Transfers(z[0], z[1], s)
 		},
-		// Both parallel entry points fall back to their sequential schedule
-		// on a single device.
 		run: func(c []*sim.Coprocessor, t []sim.Table, in Inputs) (Result, CacheUse, error) {
-			eq := in.Pred.(*relation.Equi)
-			if in.Cache != nil {
-				return ParallelJoin7Cached(c, t[0], t[1], eq, in.Cache, in.KeyA, in.KeyB)
-			}
-			return uncached(ParallelJoin7(c, t[0], t[1], eq))
+			return join7(c, t[0], t[1], in.Pred.(*relation.Equi), in.Cache, in.KeyA, in.KeyB)
 		}},
 }
 
@@ -174,9 +167,9 @@ func (a *Algorithm) Devices(requested int) int {
 	return requested
 }
 
-// Run executes the algorithm on cops over tables: the sequential schedule
-// on one device, the parallel one on a fleet, and for algorithms that use
-// it the cached schedule when in carries a cache. Inadmissible calls — a
+// Run executes the algorithm on cops over tables: one schedule spread over
+// the fleet, which on one device is the sequential algorithm, and for
+// algorithms that use it the cached front half when in carries a cache. Inadmissible calls — a
 // device count the Fleet rule does not yield, the wrong arity or predicate
 // class — are refused before any transfer is charged.
 func (a *Algorithm) Run(cops []*sim.Coprocessor, tables []sim.Table, in Inputs) (Result, CacheUse, error) {
@@ -201,13 +194,18 @@ func (a *Algorithm) Run(cops []*sim.Coprocessor, tables []sim.Table, in Inputs) 
 	return a.run(cops, tables, in)
 }
 
-// Transfers is the closed-form transfer count of the algorithm's sequential
-// schedule — what Run charges on one device — as a function of public
-// quantities only: the input sizes, the join size s, the device memory m,
-// the public fields of in (N, δ, ε, pre-sortedness, whether a cache
-// participates) and, for the cached schedule, the hit bits. It equals the
-// measured count exactly, except that Algorithm 6's form is a worst-case
-// bound once s exceeds m (its random-order reads reuse coordinates).
+// Transfers is the closed-form transfer count of the algorithm as a function
+// of public quantities only: the input sizes, the join size s, the device
+// memory m, the public fields of in (N, δ, ε, pre-sortedness, whether a
+// cache participates) and, with a cache, the hit bits. It is what Run
+// charges, summed over the fleet: exactly, at every admissible P, for
+// Algorithms 1, 2 and 6 (one device by rule, or a partition of the same
+// work) and for Algorithm 3 when B arrives pre-sorted; exactly at P = 1 for
+// Algorithms 3, 4, 5 and 7, whose fleets run the odd-even merge tree's
+// fewer comparators (3, 7), a whole-output sort instead of the filter (4),
+// or Σᵢ ⌈blkᵢ/M⌉ scans instead of ⌈S/M⌉ (5). Algorithm 6's form is a
+// worst-case bound once s exceeds m (its random-order reads reuse
+// coordinates).
 func (a *Algorithm) Transfers(sizes []int64, s, m int64, in Inputs, use CacheUse) int64 {
 	return a.transfers(sizes, s, m, in, use)
 }

@@ -16,6 +16,7 @@ package oblivious
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"ppj/internal/sim"
 )
@@ -39,38 +40,130 @@ func NextPow2(n int64) int64 {
 }
 
 // Sort obliviously sorts cells [0, n) of a host region in ascending order of
-// less. If n is not a power of two the region is first extended with padding
-// cells (maximal elements) up to the next power of two; after sorting they
-// occupy positions [n, m) and the first n cells hold the sorted data. All
-// accesses — including the padding writes — depend only on n.
+// less on one device: SortSpan at offset 0 over a one-device group.
 func Sort(t *sim.Coprocessor, region sim.RegionID, n int64, less LessFunc) error {
-	if n < 0 {
+	return SortSpan([]*sim.Coprocessor{t}, region, 0, n, less)
+}
+
+// SortSpan obliviously sorts cells [lo, lo+n) of a host region ascending
+// over a power-of-two group of coprocessors attached to the same host and
+// sharing one sealer (they re-encrypt cells for each other). If n is not a
+// power of two the span is first extended with padding cells (maximal
+// elements) up to m = NextPow2(n), so the region must reach lo+m; after
+// sorting the pads occupy [lo+n, lo+m). Summed transfers: SortTransfers(n)
+// on one device.
+//
+// The schedule is §4.4.4 / §5.3.5's: "Each secure coprocessor has about N/P
+// items and first sorts them locally using sequential bitonic sort. Then
+// the P secure coprocessors sort the P sorted lists". The P sorted blocks
+// are combined by a binary tree of Batcher odd-even merges: each level
+// merges adjacent sorted runs pairwise until one run remains. The paper's
+// own phase 2 — a bitonic network over blocks with merge-split comparators
+// — has the same depth but performs redundant merge-split work: at P=4 its
+// total comparator count *exceeds* the single-device network (the BENCH_3
+// P=4 regression on few-core hosts, where wall time tracks total work, not
+// critical path). The merge tree does strictly fewer comparators than the
+// sequential sort at every P > 1 while keeping every stage's parallelism.
+//
+// On one device the tree is empty and the local sort is the whole network,
+// run on the caller's goroutine: the sequential sort is this schedule at
+// P = 1, not a second implementation. Every device's comparator schedule is
+// a pure function of (lo, n, P, its group position) — the pad writes
+// included, contents never influence which cells a device touches.
+func SortSpan(cops []*sim.Coprocessor, region sim.RegionID, lo, n int64, less LessFunc) error {
+	p, err := groupSize(cops)
+	switch {
+	case err != nil:
+		return err
+	case n < 0:
 		return fmt.Errorf("oblivious: negative element count %d", n)
-	}
-	if n <= 1 {
+	case lo < 0:
+		return fmt.Errorf("oblivious: negative span offset %d", lo)
+	case n <= 1:
 		return nil
 	}
 	m := NextPow2(n)
-	if err := padRange(t, region, n, m); err != nil {
+	if err := PadRange(cops[0], region, lo+n, lo+m); err != nil {
 		return err
 	}
-	wrapped := func(a, b []byte) bool {
-		switch {
-		case isPad(a):
-			return false
-		case isPad(b):
-			return true
-		default:
-			return less(a, b)
+	if p > m {
+		p = m // more devices than elements: use m of them
+	}
+	block := m / p
+	less = padLast(less)
+
+	// Per-device comparator scratch: within any phase or level the workers
+	// map to distinct devices, so xs[w] is never shared between live
+	// goroutines.
+	xs := make([]xchg, p)
+
+	// Phase 1: local sorts, one block per coprocessor.
+	if err := ForEach(p, func(w int64) error {
+		return bitonic(cops[w], &xs[w], region, lo+w*block, block, less)
+	}); err != nil {
+		return err
+	}
+
+	// Phase 2: level by level, adjacent sorted runs of `width` cells merge
+	// into runs of 2·width; the m/(2·width) merges of a level are disjoint
+	// and run concurrently, each on its own contiguous group of devices.
+	for width := block; width < m; width <<= 1 {
+		merges := m / (2 * width)
+		devs := p / merges
+		if err := ForEach(merges, func(w int64) error {
+			g := w * devs
+			return oddEvenMerge(cops[g:g+devs], xs[g:g+devs], region, lo+w*2*width, 2*width, 1, less)
+		}); err != nil {
+			return err
 		}
 	}
-	return sortPow2(t, new(xchg), region, m, wrapped)
+	return nil
 }
 
-// padRange writes padding cells into [from, to) through the batched
-// transfer path. Same traced puts as the old per-cell loop, one region-lock
-// acquisition per TransferBatch window.
-func padRange(t *sim.Coprocessor, region sim.RegionID, from, to int64) error {
+// groupSize validates a device group: at least one coprocessor, a power of
+// two of them.
+func groupSize(cops []*sim.Coprocessor) (int64, error) {
+	p := int64(len(cops))
+	if p == 0 {
+		return 0, fmt.Errorf("oblivious: no coprocessors")
+	}
+	if p&(p-1) != 0 {
+		return 0, fmt.Errorf("oblivious: coprocessor count %d must be a power of two", p)
+	}
+	return p, nil
+}
+
+// ForEach runs fn(0..n-1) concurrently, one goroutine each, and returns the
+// first error in index order. A single call runs on the caller's goroutine —
+// which is what makes a one-device group's trace the sequential one by
+// construction.
+func ForEach(n int64, fn func(w int64) error) error {
+	if n == 1 {
+		return fn(0)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for w := int64(0); w < n; w++ {
+		wg.Add(1)
+		go func(w int64) {
+			defer wg.Done()
+			errs[w] = fn(w)
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// PadRange writes padding cells (maximal elements under every sort and
+// merge of this package) into [from, to) of a region through the batched
+// transfer path. Exported so callers composing spans can pad the gap
+// between a span's power-of-two envelope and a larger fixed layout.
+func PadRange(t *sim.Coprocessor, region sim.RegionID, from, to int64) error {
 	n := to - from
 	if n <= 0 {
 		return nil
@@ -82,8 +175,23 @@ func padRange(t *sim.Coprocessor, region sim.RegionID, from, to int64) error {
 	return t.PutRange(region, from, pads)
 }
 
-// sortPow2 runs the classic iterative bitonic network over m = 2^k cells.
-func sortPow2(t *sim.Coprocessor, x *xchg, region sim.RegionID, m int64, less LessFunc) error {
+// padLast wraps a comparator so padding cells sort after every real cell.
+func padLast(less LessFunc) LessFunc {
+	return func(a, b []byte) bool {
+		switch {
+		case isPad(a):
+			return false
+		case isPad(b):
+			return true
+		default:
+			return less(a, b)
+		}
+	}
+}
+
+// bitonic runs the classic iterative bitonic network over the m = 2^k cells
+// at lo.
+func bitonic(t *sim.Coprocessor, x *xchg, region sim.RegionID, lo, m int64, less LessFunc) error {
 	for k := int64(2); k <= m; k <<= 1 {
 		for j := k >> 1; j > 0; j >>= 1 {
 			for i := int64(0); i < m; i++ {
@@ -92,7 +200,7 @@ func sortPow2(t *sim.Coprocessor, x *xchg, region sim.RegionID, m int64, less Le
 					continue
 				}
 				ascending := i&k == 0
-				if err := x.compareExchange(t, region, i, l, ascending, less); err != nil {
+				if err := x.compareExchange(t, region, lo+i, lo+l, ascending, less); err != nil {
 					return err
 				}
 			}
@@ -104,7 +212,7 @@ func sortPow2(t *sim.Coprocessor, x *xchg, region sim.RegionID, m int64, less Le
 // xchg is the reused scratch of the batched comparator: two index slots and
 // two plaintext buffers whose backing arrays survive across comparators, so
 // a full sorting network allocates nothing per compare-exchange. One xchg
-// belongs to one goroutine; parallel sorts carry one per device.
+// belongs to one goroutine; a device group carries one per device.
 type xchg struct {
 	idx [2]int64
 	pts [][]byte
@@ -139,8 +247,8 @@ func Comparators(m int64) int64 {
 	return (m / 2) * k * (k + 1) / 2
 }
 
-// SortTransfers returns the exact number of tuple transfers of Sort for n
-// elements: padding puts plus 4 per comparator.
+// SortTransfers returns the exact number of tuple transfers of SortSpan on
+// one device for n elements: padding puts plus 4 per comparator.
 func SortTransfers(n int64) int64 {
 	if n <= 1 {
 		return 0

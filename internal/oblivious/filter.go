@@ -32,10 +32,7 @@ func Filter(t *sim.Coprocessor, src sim.RegionID, omega, mu, delta int64,
 	if bufSize != NextPow2(bufSize) {
 		return 0, fmt.Errorf("oblivious: filter buffer μ+Δ = %d must be a power of two", bufSize)
 	}
-	buf, err := t.Host().CreateRegion(bufName, int(bufSize))
-	if err != nil {
-		return 0, err
-	}
+	buf := t.Host().FreshRegion(bufName, int(bufSize))
 	less := func(a, b []byte) bool {
 		// Targets first; Sort's internal wrapper already places padding
 		// cells last, so only real-vs-real ordering matters here.
@@ -51,7 +48,7 @@ func Filter(t *sim.Coprocessor, src sim.RegionID, omega, mu, delta int64,
 	if err := t.TransformRange(buf, 0, src, 0, head, copyCell); err != nil {
 		return 0, err
 	}
-	if err := padRange(t, buf, head, bufSize); err != nil {
+	if err := PadRange(t, buf, head, bufSize); err != nil {
 		return 0, err
 	}
 	if err := Sort(t, buf, bufSize, less); err != nil {
@@ -63,7 +60,7 @@ func Filter(t *sim.Coprocessor, src sim.RegionID, omega, mu, delta int64,
 		if err := t.TransformRange(buf, mu, src, pos, r, copyCell); err != nil {
 			return 0, err
 		}
-		if err := padRange(t, buf, mu+r, mu+delta); err != nil {
+		if err := PadRange(t, buf, mu+r, mu+delta); err != nil {
 			return 0, err
 		}
 		if err := Sort(t, buf, bufSize, less); err != nil {

@@ -387,7 +387,7 @@ func TestParallelSortMatchesSequential(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := ParallelSort(cops, id, n, intLess); err != nil {
+				if err := SortSpan(cops, id, 0, n, intLess); err != nil {
 					t.Fatal(err)
 				}
 				got := make([]uint64, n)
@@ -413,14 +413,14 @@ func TestParallelSortMatchesSequential(t *testing.T) {
 func TestParallelSortValidation(t *testing.T) {
 	h, _ := newPair(t, 1)
 	id := h.MustCreateRegion("x", 4)
-	if err := ParallelSort(nil, id, 4, intLess); err == nil {
+	if err := SortSpan(nil, id, 0, 4, intLess); err == nil {
 		t.Fatal("zero coprocessors accepted")
 	}
 	cops := make([]*sim.Coprocessor, 3)
 	for i := range cops {
 		cops[i], _ = sim.NewCoprocessor(h, sim.Config{Sealer: sim.PlainSealer{}, Seed: uint64(i) + 1})
 	}
-	if err := ParallelSort(cops, id, 4, intLess); err == nil {
+	if err := SortSpan(cops, id, 0, 4, intLess); err == nil {
 		t.Fatal("non-power-of-two coprocessor count accepted")
 	}
 }
@@ -440,7 +440,7 @@ func TestParallelSortPerDeviceTraceDataIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := ParallelSort(cops, id, int64(len(vals)), intLess); err != nil {
+		if err := SortSpan(cops, id, 0, int64(len(vals)), intLess); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]uint64, len(cops))

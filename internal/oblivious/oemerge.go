@@ -26,56 +26,88 @@ func SortOddEven(t *sim.Coprocessor, region sim.RegionID, n int64, less LessFunc
 		return nil
 	}
 	m := NextPow2(n)
-	if err := padRange(t, region, n, m); err != nil {
+	if err := PadRange(t, region, n, m); err != nil {
 		return err
 	}
-	wrapped := func(a, b []byte) bool {
-		switch {
-		case isPad(a):
-			return false
-		case isPad(b):
-			return true
-		default:
-			return less(a, b)
-		}
-	}
-	return oddEvenMergeSort(t, new(xchg), region, 0, m, wrapped)
+	return oddEvenMergeSort([]*sim.Coprocessor{t}, make([]xchg, 1), region, 0, m, padLast(less))
 }
 
 // oddEvenMergeSort sorts the m (power of two) cells starting at lo.
-func oddEvenMergeSort(t *sim.Coprocessor, x *xchg, region sim.RegionID, lo, m int64, less LessFunc) error {
+func oddEvenMergeSort(cops []*sim.Coprocessor, xs []xchg, region sim.RegionID, lo, m int64, less LessFunc) error {
 	if m <= 1 {
 		return nil
 	}
 	half := m / 2
-	if err := oddEvenMergeSort(t, x, region, lo, half, less); err != nil {
+	if err := oddEvenMergeSort(cops, xs, region, lo, half, less); err != nil {
 		return err
 	}
-	if err := oddEvenMergeSort(t, x, region, lo+half, half, less); err != nil {
+	if err := oddEvenMergeSort(cops, xs, region, lo+half, half, less); err != nil {
 		return err
 	}
-	return oddEvenMerge(t, x, region, lo, m, 1, less)
+	return oddEvenMerge(cops, xs, region, lo, m, 1, less)
+}
+
+// MergeHalves merges the two independently sorted halves of cells [0, m)
+// (m a power of two, each half ascending with any padding cells already
+// maximal at its top) into one ascending run using Batcher's odd-even
+// merge over a power-of-two device group. With SortSpan it lets a caller
+// build one sorted array out of independently sorted (and possibly cached)
+// halves. Summed transfers: MergeHalvesTransfers(m) at every group size.
+func MergeHalves(cops []*sim.Coprocessor, region sim.RegionID, m int64, less LessFunc) error {
+	p, err := groupSize(cops)
+	switch {
+	case err != nil:
+		return err
+	case m <= 1:
+		return nil
+	case m&(m-1) != 0:
+		return fmt.Errorf("oblivious: merge size %d must be a power of two", m)
+	}
+	if p > m {
+		p = m
+	}
+	return oddEvenMerge(cops[:p], make([]xchg, p), region, 0, m, 1, padLast(less))
+}
+
+// MergeHalvesTransfers returns the exact transfer count of MergeHalves,
+// summed over the group, for m cells.
+func MergeHalvesTransfers(m int64) int64 {
+	if m <= 1 {
+		return 0
+	}
+	return 4 * oddEvenMergeComparators(m, 1)
 }
 
 // oddEvenMerge merges the two sorted halves of the m cells at stride r
-// starting at lo (Batcher's recursive formulation).
-func oddEvenMerge(t *sim.Coprocessor, x *xchg, region sim.RegionID, lo, m, r int64, less LessFunc) error {
+// starting at lo (Batcher's recursive formulation) over a device group with
+// one comparator scratch per device. The two stride sub-recursions touch
+// disjoint cells (the even and odd multiples of r), so each takes half the
+// group concurrently; a one-device group runs them in order on the
+// caller's goroutine. The closing comparator chain of each level runs on
+// the group's first device after both sub-merges complete.
+func oddEvenMerge(cops []*sim.Coprocessor, xs []xchg, region sim.RegionID, lo, m, r int64, less LessFunc) error {
 	step := r * 2
-	if step < m {
-		if err := oddEvenMerge(t, x, region, lo, m, step, less); err != nil {
-			return err
-		}
-		if err := oddEvenMerge(t, x, region, lo+r, m, step, less); err != nil {
-			return err
-		}
-		for i := lo + r; i+r < lo+m; i += step {
-			if err := x.compareExchange(t, region, i, i+r, true, less); err != nil {
-				return err
-			}
-		}
-		return nil
+	if step >= m {
+		return xs[0].compareExchange(cops[0], region, lo, lo+r, true, less)
 	}
-	return x.compareExchange(t, region, lo, lo+r, true, less)
+	if half := int64(len(cops) / 2); half == 0 {
+		if err := oddEvenMerge(cops, xs, region, lo, m, step, less); err != nil {
+			return err
+		}
+		if err := oddEvenMerge(cops, xs, region, lo+r, m, step, less); err != nil {
+			return err
+		}
+	} else if err := ForEach(2, func(w int64) error {
+		return oddEvenMerge(cops[w*half:(w+1)*half], xs[w*half:(w+1)*half], region, lo+w*r, m, step, less)
+	}); err != nil {
+		return err
+	}
+	for i := lo + r; i+r < lo+m; i += step {
+		if err := xs[0].compareExchange(cops[0], region, i, i+r, true, less); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // OddEvenComparators returns the exact comparator count of the odd-even

@@ -23,6 +23,81 @@ func spanFleet(t *testing.T, h *sim.Host, p int) []*sim.Coprocessor {
 	return cops
 }
 
+// one is the one-device group.
+func one(t *sim.Coprocessor) []*sim.Coprocessor { return []*sim.Coprocessor{t} }
+
+// TestGroupFormsOnOneDeviceAreTheSequentialNetworks pins SortSpan and
+// MergeHalves on a one-device group to the Stats and host Trace.Digest the
+// separate sequential Sort, SortSpan and MergeHalves implementations left
+// immediately before they were folded into the group forms (Sort's literals
+// are SortSpan's at lo = 0: the two agreed). The digest covers loading
+// off+NextPow2(n) cells through the same device first.
+func TestGroupFormsOnOneDeviceAreTheSequentialNetworks(t *testing.T) {
+	vals := func(total int64) []uint64 {
+		v := make([]uint64, total)
+		for i := range v {
+			v[i] = uint64((int64(i)*7919 + 3) % 101)
+		}
+		return v
+	}
+	for _, g := range []struct {
+		lo, n  int64
+		stats  sim.Stats
+		digest uint64
+	}{
+		{0, 2, sim.Stats{Gets: 2, Puts: 2, Comparisons: 1}, 0xdeab2b787fbca2e6},
+		{16, 2, sim.Stats{Gets: 2, Puts: 2, Comparisons: 1}, 0x9b42006b25531826},
+		{0, 5, sim.Stats{Gets: 48, Puts: 51, Comparisons: 24}, 0x45a249d3ad1fb0e},
+		{16, 5, sim.Stats{Gets: 48, Puts: 51, Comparisons: 24}, 0x73c907febbfb559e},
+		{0, 8, sim.Stats{Gets: 48, Puts: 48, Comparisons: 24}, 0x3de1d420e33841bd},
+		{16, 8, sim.Stats{Gets: 48, Puts: 48, Comparisons: 24}, 0xb0957645593d3cdd},
+		{0, 13, sim.Stats{Gets: 160, Puts: 163, Comparisons: 80}, 0x6fc57ee814654e96},
+		{16, 13, sim.Stats{Gets: 160, Puts: 163, Comparisons: 80}, 0x6fbe9c1049e01786},
+		{0, 64, sim.Stats{Gets: 1344, Puts: 1344, Comparisons: 672}, 0xea5926574e2ae225},
+		{16, 64, sim.Stats{Gets: 1344, Puts: 1344, Comparisons: 672}, 0x7668e2d9407d8a65},
+		{0, 100, sim.Stats{Gets: 3584, Puts: 3612, Comparisons: 1792}, 0xd3c94c5a4a4a8985},
+		{16, 100, sim.Stats{Gets: 3584, Puts: 3612, Comparisons: 1792}, 0x50f72d38bea22165},
+	} {
+		sorts := map[string]func(*sim.Coprocessor, sim.RegionID) error{
+			"SortSpan": func(c *sim.Coprocessor, id sim.RegionID) error { return SortSpan(one(c), id, g.lo, g.n, intLess) },
+		}
+		if g.lo == 0 {
+			sorts["Sort"] = func(c *sim.Coprocessor, id sim.RegionID) error { return Sort(c, id, g.n, intLess) }
+		}
+		for name, sortFn := range sorts {
+			h, cop := newPair(t, 1)
+			id := loadInts(t, h, cop, "g", vals(g.lo+NextPow2(g.n)))
+			if err := sortFn(cop, id); err != nil {
+				t.Fatal(err)
+			}
+			if cop.Stats() != g.stats || h.Trace().Digest() != g.digest {
+				t.Errorf("%s lo=%d n=%d: stats %+v digest %#x, the sequential network's are %+v %#x",
+					name, g.lo, g.n, cop.Stats(), h.Trace().Digest(), g.stats, g.digest)
+			}
+		}
+	}
+	for _, g := range []struct {
+		m      int64
+		stats  sim.Stats
+		digest uint64
+	}{
+		{2, sim.Stats{Gets: 2, Puts: 2, Comparisons: 1}, 0xdeab2b787fbca2e6},
+		{8, sim.Stats{Gets: 18, Puts: 18, Comparisons: 9}, 0x1b3ccd2fdde749f3},
+		{64, sim.Stats{Gets: 322, Puts: 322, Comparisons: 161}, 0x1246fc682ea7474b},
+		{128, sim.Stats{Gets: 770, Puts: 770, Comparisons: 385}, 0x9939223ce826dfcb},
+	} {
+		h, cop := newPair(t, 1)
+		id := loadInts(t, h, cop, "g", vals(g.m))
+		if err := MergeHalves(one(cop), id, g.m, intLess); err != nil {
+			t.Fatal(err)
+		}
+		if cop.Stats() != g.stats || h.Trace().Digest() != g.digest {
+			t.Errorf("MergeHalves m=%d: stats %+v digest %#x, the sequential merge's are %+v %#x",
+				g.m, cop.Stats(), h.Trace().Digest(), g.stats, g.digest)
+		}
+	}
+}
+
 // TestSortSpanSortsAtOffset sorts sub-spans at non-zero offsets and checks
 // both the sorted span and that cells outside [lo, lo+NextPow2(n)) are
 // untouched, plus the exact SortTransfers count.
@@ -37,7 +112,7 @@ func TestSortSpanSortsAtOffset(t *testing.T) {
 				vals[i] = uint64((int64(i)*7919 + 3) % 101)
 			}
 			id := loadInts(t, h, cop, "span", vals)
-			if err := SortSpan(cop, id, tc.lo, tc.n, intLess); err != nil {
+			if err := SortSpan(one(cop), id, tc.lo, tc.n, intLess); err != nil {
 				t.Fatal(err)
 			}
 			got := readInts(t, cop, id, tc.lo+tc.n)
@@ -78,7 +153,7 @@ func TestSortSpanTransferCountExact(t *testing.T) {
 			vals[i] = uint64(total) - uint64(i)
 		}
 		id := loadInts(t, h, cop, "span", vals)
-		if err := SortSpan(cop, id, lo, n, intLess); err != nil {
+		if err := SortSpan(one(cop), id, lo, n, intLess); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := int64(cop.Stats().Transfers()), SortTransfers(n); got != want {
@@ -99,14 +174,14 @@ func TestMergeHalvesMergesSortedHalves(t *testing.T) {
 			}
 			id := loadInts(t, h, cop, "mh", vals)
 			half := m / 2
-			if err := SortSpan(cop, id, 0, half, intLess); err != nil {
+			if err := SortSpan(one(cop), id, 0, half, intLess); err != nil {
 				t.Fatal(err)
 			}
-			if err := SortSpan(cop, id, half, half, intLess); err != nil {
+			if err := SortSpan(one(cop), id, half, half, intLess); err != nil {
 				t.Fatal(err)
 			}
 			cop.ResetStats()
-			if err := MergeHalves(cop, id, m, intLess); err != nil {
+			if err := MergeHalves(one(cop), id, m, intLess); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := int64(cop.Stats().Transfers()), MergeHalvesTransfers(m); got != want {
@@ -149,7 +224,7 @@ func TestMergeHalvesKeepsPaddingMaximal(t *testing.T) {
 	if err := PadRange(cop, id, half+qB, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := MergeHalves(cop, id, m, intLess); err != nil {
+	if err := MergeHalves(one(cop), id, m, intLess); err != nil {
 		t.Fatal(err)
 	}
 	want := []uint64{1, 2, 4, 5, 6, 8, 9, 10}
@@ -173,9 +248,9 @@ func TestMergeHalvesKeepsPaddingMaximal(t *testing.T) {
 	}
 }
 
-// TestParallelSpanMatchesSequential checks ParallelSortSpan and
-// ParallelMergeHalves produce the sequential result with the same summed
-// transfer count as their sequential counterparts.
+// TestParallelSpanMatchesSequential checks SortSpan and MergeHalves over a
+// device group produce the sorted result, the merge with the same summed
+// transfer count at every group size.
 func TestParallelSpanMatchesSequential(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
@@ -194,7 +269,7 @@ func TestParallelSpanMatchesSequential(t *testing.T) {
 			for _, c := range cops {
 				c.ResetStats()
 			}
-			if err := ParallelSortSpan(cops, id, lo, n, intLess); err != nil {
+			if err := SortSpan(cops, id, lo, n, intLess); err != nil {
 				t.Fatal(err)
 			}
 			got := readInts(t, cops[0], id, lo+n)
@@ -222,16 +297,16 @@ func TestParallelSpanMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := SortSpan(cops2[0], id2, 0, m, intLess); err != nil {
+			if err := SortSpan(cops2[:1], id2, 0, m, intLess); err != nil {
 				t.Fatal(err)
 			}
-			if err := SortSpan(cops2[0], id2, m, m, intLess); err != nil {
+			if err := SortSpan(cops2[:1], id2, m, m, intLess); err != nil {
 				t.Fatal(err)
 			}
 			for _, c := range cops2 {
 				c.ResetStats()
 			}
-			if err := ParallelMergeHalves(cops2, id2, 2*m, intLess); err != nil {
+			if err := MergeHalves(cops2, id2, 2*m, intLess); err != nil {
 				t.Fatal(err)
 			}
 			var sum int64
@@ -257,19 +332,19 @@ func TestParallelSpanMatchesSequential(t *testing.T) {
 func TestSpanValidation(t *testing.T) {
 	h, cop := newPair(t, 1)
 	id := h.MustCreateRegion("v", 8)
-	if err := SortSpan(cop, id, -1, 4, intLess); err == nil {
+	if err := SortSpan(one(cop), id, -1, 4, intLess); err == nil {
 		t.Fatal("SortSpan accepted a negative offset")
 	}
-	if err := SortSpan(cop, id, 0, -1, intLess); err == nil {
+	if err := SortSpan(one(cop), id, 0, -1, intLess); err == nil {
 		t.Fatal("SortSpan accepted a negative count")
 	}
-	if err := MergeHalves(cop, id, 6, intLess); err == nil {
+	if err := MergeHalves(one(cop), id, 6, intLess); err == nil {
 		t.Fatal("MergeHalves accepted a non-power-of-two size")
 	}
-	if err := ParallelSortSpan(nil, id, 0, 4, intLess); err == nil {
-		t.Fatal("ParallelSortSpan accepted an empty group")
+	if err := SortSpan(nil, id, 0, 4, intLess); err == nil {
+		t.Fatal("SortSpan accepted an empty group")
 	}
-	if err := ParallelMergeHalves(nil, id, 4, intLess); err == nil {
-		t.Fatal("ParallelMergeHalves accepted an empty group")
+	if err := MergeHalves(nil, id, 4, intLess); err == nil {
+		t.Fatal("MergeHalves accepted an empty group")
 	}
 }

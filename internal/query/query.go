@@ -198,7 +198,10 @@ func (pl Planner) planCh5(q Query, rels []*relation.Relation) (Plan, error) {
 	// meets the same exact-output contract (S revealed, nothing else).
 	if len(rels) == 2 && q.Predicate != nil {
 		if eq, ok := q.Predicate.(*relation.Equi); ok && eq.Orderable() {
-			c7 := costmodel.Alg7Cost(int64(rels[0].Len()), int64(rels[1].Len()), s)
+			// Algorithm 7 is built from fixed networks, so its model is the
+			// implementation's exact closed form, not an approximation like
+			// Eqns 5.2-5.7; device memory never appears in it.
+			c7 := float64(core.Join7Transfers(int64(rels[0].Len()), int64(rels[1].Len()), s))
 			if c7 < best.PredictedCost {
 				best = Plan{Algorithm: 7, PredictedCost: c7,
 					Reason: "orderable equijoin past the crossover: sort-based O(n log n) pipeline beats the scans"}
@@ -206,6 +209,20 @@ func (pl Planner) planCh5(q Query, rels []*relation.Relation) (Plan, error) {
 		}
 	}
 	return best, nil
+}
+
+// CrossoverN57 returns the smallest n = |A| = |B| (doubling from 2) at
+// which Algorithm 7 becomes cheaper than Algorithm 5 with device memory m
+// on the matched-keys workload S = n (each row joins exactly once), or 0 if
+// it never does up to n = 2²⁰. Past this point planCh5 flips to the
+// sort-based join; below it the scan-based joins win on constants.
+func CrossoverN57(m int64) int64 {
+	for n := int64(2); n <= 1<<20; n <<= 1 {
+		if float64(core.Join7Transfers(n, n, n)) < costmodel.Alg5Cost(n*n, n, m) {
+			return n
+		}
+	}
+	return 0
 }
 
 // multiPred resolves the query's J-way predicate.

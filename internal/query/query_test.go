@@ -251,7 +251,7 @@ func matchedKeys(n int) []*relation.Relation {
 // exactly the closed-form cost comparison.
 func TestPlannerAutoFlipsToAlg7(t *testing.T) {
 	const mem = 64
-	cross := costmodel.CrossoverN57(mem)
+	cross := CrossoverN57(mem)
 	if cross == 0 || cross > 1<<12 {
 		t.Fatalf("implausible crossover %d for M=%d", cross, mem)
 	}
@@ -279,7 +279,7 @@ func TestPlannerAutoFlipsToAlg7(t *testing.T) {
 		if p.AlgorithmName() != "alg7" {
 			t.Fatalf("AlgorithmName() = %q", p.AlgorithmName())
 		}
-		if want := costmodel.Alg7Cost(n, n, n); p.PredictedCost != want {
+		if want := float64(core.Join7Transfers(n, n, n)); p.PredictedCost != want {
 			t.Fatalf("n=%d: predicted cost %g, want closed form %g", n, p.PredictedCost, want)
 		}
 	}
@@ -372,7 +372,7 @@ func TestPlannerNeverPicksAlg7WhenInadmissible(t *testing.T) {
 // planner resolves to Algorithm 7 and checks the decoded rows.
 func TestExecuteRunsAlg7PastCrossover(t *testing.T) {
 	const mem = 4
-	cross := costmodel.CrossoverN57(mem)
+	cross := CrossoverN57(mem)
 	if cross == 0 || cross > 256 {
 		t.Skipf("crossover %d too large to execute in a unit test", cross)
 	}
@@ -388,5 +388,66 @@ func TestExecuteRunsAlg7PastCrossover(t *testing.T) {
 	want := relation.ReferenceJoin(rels[0], rels[1], eq)
 	if !relation.SameMultiset(rows, want) {
 		t.Fatalf("execute mismatch: got %d rows, want %d", rows.Len(), want.Len())
+	}
+}
+
+// alg7Cost is Algorithm 7's model on the matched-keys workload: the exact
+// closed form the planner compares.
+func alg7Cost(n int64) float64 { return float64(core.Join7Transfers(n, n, n)) }
+
+// TestAlg7CrossoverAgainstCh5 places Algorithm 7 on the performance map:
+// on the matched-keys workload (|A| = |B| = n, S = n, L = n²) the
+// scan-based Algorithms 5 and 6 win at small n on constants, and the
+// sort-based Algorithm 7 wins past a crossover that must exist and be
+// moderate for realistic memories — the n² scans can't keep up with
+// n log²n forever.
+func TestAlg7CrossoverAgainstCh5(t *testing.T) {
+	const m = 2048
+	cross := CrossoverN57(m)
+	if cross == 0 {
+		t.Fatal("Algorithm 7 never overtakes Algorithm 5")
+	}
+	if cross > 1<<14 {
+		t.Fatalf("crossover n=%d implausibly large for M=%d", cross, m)
+	}
+	// Below the crossover alg5 wins, above it alg7 wins — and keeps winning.
+	small := cross / 4
+	if small >= 2 {
+		if alg7Cost(small) < costmodel.Alg5Cost(small*small, small, m) {
+			t.Fatalf("alg7 already cheaper at n=%d, below reported crossover %d", small, cross)
+		}
+	}
+	for n := cross; n <= cross*16; n <<= 1 {
+		a7 := alg7Cost(n)
+		if a5 := costmodel.Alg5Cost(n*n, n, m); a7 >= a5 {
+			t.Fatalf("n=%d: alg7 %v not cheaper than alg5 %v past crossover", n, a7, a5)
+		}
+		if a6 := costmodel.Alg6Cost(n*n, n, m, 1e-6).Total; n >= 4*cross && a7 >= a6 {
+			t.Fatalf("n=%d: alg7 %v not cheaper than alg6 %v well past crossover", n, a7, a6)
+		}
+	}
+	// At n = 4096 the separation is the headline: alg7 under a quarter of
+	// alg5's transfers (the BENCH_8 acceptance bar).
+	if a7, a5 := alg7Cost(4096), costmodel.Alg5Cost(4096*4096, 4096, m); a7 >= 0.25*a5 {
+		t.Fatalf("alg7 %v not under 25%% of alg5 %v at n=4k", a7, a5)
+	}
+}
+
+// TestAlg7CrossoverAgainstAlg3 pins the Chapter 4 comparison: Algorithm 3
+// is Θ(|A|·|B|) even at N=1, so Algorithm 7 overtakes it too.
+func TestAlg7CrossoverAgainstAlg3(t *testing.T) {
+	var crossed bool
+	for n := int64(2); n <= 1<<14; n <<= 1 {
+		a7 := alg7Cost(n)
+		a3 := costmodel.Alg3Cost(n, n, 1, false)
+		if crossed && a7 >= a3 {
+			t.Fatalf("n=%d: alg7 %v fell back behind alg3 %v", n, a7, a3)
+		}
+		if a7 < a3 {
+			crossed = true
+		}
+	}
+	if !crossed {
+		t.Fatal("Algorithm 7 never overtakes Algorithm 3 up to n=2^14")
 	}
 }

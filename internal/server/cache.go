@@ -1,7 +1,7 @@
 package server
 
 // sortedCache adapts the server's durable sort-cache store to the
-// core.SortedCache interface Join7Cached consumes. A cache entry's rows are
+// core.SortedCache interface Algorithm 7 consumes. A cache entry's rows are
 // the obliviously sorted, sealed cells of one upload half; its key is the
 // public tuple (contract, side, row count, upload digest) the service
 // computes inside the seal boundary. Every failure mode — missing entry,
