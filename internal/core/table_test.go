@@ -178,112 +178,35 @@ func TestConsecutiveRunsReportEqualStats(t *testing.T) {
 
 // TestSequentialIsParallelAtP1 pins what let Join2, Join3, Join5 and Join7
 // fold into their device-group forms: on one device the group schedule is
-// the sequential one. The goldens are the Stats and host Trace.Digest the
-// separate sequential implementations (Join2, Join3, Join5, Join7, and
-// Join7Cached cold and warm) produced at |A| = |B| = size immediately
-// before each fold — alg2/alg3 at N = 3, M = 2 (so Algorithm 2 runs γ = 2
-// passes) over unique keys, alg5/alg7 at M = 8 over 32 distinct keys (S =
-// 127, 131, 134 at the three large sizes, so Algorithm 5 rescans and
-// Algorithm 7 expands duplicates). A change that moves a P=1 schedule off
-// the sequential algorithm's fails here.
+// the sequential one. Each direct entry point runs its row's lockfile sizes
+// on one device and must charge the Stats and leave the trace digest of the
+// table's P=1 line, which TestScheduleLockfile pins. A change that moves a
+// P=1 schedule off the sequential algorithm's fails here.
 func TestSequentialIsParallelAtP1(t *testing.T) {
-	type golden struct {
-		stats  sim.Stats
-		digest uint64
+	want, err := readLockfile(scheduleLockfile)
+	if err != nil {
+		t.Fatal(err)
 	}
-	const emptyTrace = 0xcbf29ce484222325 // FNV offset: no access recorded
-	sizes := []int{0, 1, 63, 64, 65}
-	rows := []struct {
-		alg      string
-		mem      int
-		keySpace int64
-		cache    string // "", "cold" or "warm": how Inputs.Cache participates
-		goldens  [5]golden
-	}{
-		{"alg2", 2, 1 << 20, "", [5]golden{
-			{sim.Stats{}, emptyTrace},
-			{sim.Stats{Gets: 2, Puts: 1, PredEvals: 1, DiskRequests: 1}, 0x39631e0119c945c1},
-			{sim.Stats{Gets: 8001, Puts: 252, PredEvals: 7938, DiskRequests: 252}, 0xed2d04778c873304},
-			{sim.Stats{Gets: 8256, Puts: 256, PredEvals: 8192, DiskRequests: 256}, 0x6e5f68eec54cfc65},
-			{sim.Stats{Gets: 8515, Puts: 260, PredEvals: 8450, DiskRequests: 260}, 0xd8a4f5f4845c6ba9},
-		}},
-		{"alg3", 2, 1 << 20, "", [5]golden{
-			{sim.Stats{}, emptyTrace},
-			{sim.Stats{Gets: 3, Puts: 2, PredEvals: 1, DiskRequests: 1}, 0xa4ef115486d76387},
-			{sim.Stats{Gets: 9345, Puts: 5503, Comparisons: 672, PredEvals: 3969, DiskRequests: 189}, 0x87ec3bd156c083cb},
-			{sim.Stats{Gets: 9600, Puts: 5632, Comparisons: 672, PredEvals: 4096, DiskRequests: 192}, 0xe54303e420f16ea5},
-			{sim.Stats{Gets: 12099, Puts: 8067, Comparisons: 1792, PredEvals: 4225, DiskRequests: 195}, 0xa30a86f0a1f35c25},
-		}},
-		{"alg5", 8, 32, "", [5]golden{
-			{sim.Stats{}, emptyTrace},
-			{sim.Stats{Gets: 2, LogicalReads: 1, PredEvals: 1}, 0x848e87bf0e1e14ba},
-			{sim.Stats{Gets: 64512, Puts: 127, LogicalReads: 63504, PredEvals: 63504, DiskRequests: 127}, 0x5f54c410a6d76aae},
-			{sim.Stats{Gets: 70720, Puts: 131, LogicalReads: 69632, PredEvals: 69632, DiskRequests: 131}, 0x1b32d5638af4561e},
-			{sim.Stats{Gets: 72930, Puts: 134, LogicalReads: 71825, PredEvals: 71825, DiskRequests: 134}, 0x413b24765e37c6a4},
-		}},
-		{"alg7", 8, 32, "", [5]golden{
-			{sim.Stats{}, emptyTrace},
-			{sim.Stats{Gets: 10, Puts: 10, Comparisons: 7}, 0x8509f6a8befcc9ab},
-			{sim.Stats{Gets: 18928, Puts: 18812, Comparisons: 9336}, 0xe8fa312fd9eccbba},
-			{sim.Stats{Gets: 28688, Puts: 28938, Comparisons: 14210}, 0xf19228d8d1a7ccb},
-			{sim.Stats{Gets: 45612, Puts: 46230, Comparisons: 22668}, 0x2a8978a878038864},
-		}},
-		{"alg7", 8, 32, "cold", [5]golden{
-			{sim.Stats{}, emptyTrace},
-			{sim.Stats{Gets: 12, Puts: 10, Comparisons: 7}, 0x3d35a90a0d5f4b9a},
-			{sim.Stats{Gets: 18928, Puts: 18686, Comparisons: 9273}, 0x5cc4645a2ff79ef6},
-			{sim.Stats{Gets: 28690, Puts: 28812, Comparisons: 14147}, 0x41c9e282d149b745},
-			{sim.Stats{Gets: 45488, Puts: 45976, Comparisons: 22541}, 0x627db85c99852a58},
-		}},
-		{"alg7", 8, 32, "warm", [5]golden{
-			{sim.Stats{}, emptyTrace},
-			{sim.Stats{Gets: 8, Puts: 10, Comparisons: 7}, 0x9961d90c83ebbc54},
-			{sim.Stats{Gets: 15988, Puts: 15998, Comparisons: 7929}, 0xd1c6737fc831d2fb},
-			{sim.Stats{Gets: 25746, Puts: 26124, Comparisons: 12803}, 0xf779756bcac04a05},
-			{sim.Stats{Gets: 38060, Puts: 38808, Comparisons: 18957}, 0xbcf6b5ff78382f49},
-		}},
-	}
-	for _, row := range rows {
-		alg, err := AlgorithmByName(row.alg)
+	for _, name := range []string{"alg2", "alg3", "alg5", "alg7"} {
+		alg, err := AlgorithmByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, size := range sizes {
-			relA := relation.GenKeyed(relation.NewRand(7), size, row.keySpace)
-			relB := relation.GenKeyed(relation.NewRand(8), size, row.keySpace)
-			in := Inputs{Pred: keyEqui(t, relA, relB), N: int64(min(3, size))}
-			viaTable := func(in Inputs) func(env *testEnv) (Result, error) {
-				return func(env *testEnv) (Result, error) {
-					res, _, err := alg.Run([]*sim.Coprocessor{env.t}, []sim.Table{env.tabA, env.tabB}, in)
-					return res, err
-				}
+		for _, sz := range lockSizes {
+			line := fmt.Sprintf("%s/%dx%d/P1", name, sz[0], sz[1])
+			table, ok := want[line]
+			if !ok {
+				t.Fatalf("%s: not in the lockfile", line)
 			}
-			runs := map[string]func(env *testEnv) (Result, error){}
-			if row.cache == "" {
-				runs["sequential entry point"] = func(env *testEnv) (Result, error) {
-					return direct[row.alg](env.t, []sim.Table{env.tabA, env.tabB}, in)
-				}
-			} else {
-				in.Cache, in.KeyA, in.KeyB = newMemCache(), "A", "B"
+			relA, relB, in, _ := lockInputs(t, alg, sz[0], sz[1])
+			env := newEnv(t, lockRows[name].mem, 1, relA, relB)
+			res, err := direct[name](env.t, []sim.Table{env.tabA, env.tabB}, in)
+			if (err != nil) != table.refused {
+				t.Fatalf("%s via the sequential entry point: err = %v, lockfile %s", line, err, table)
 			}
-			if row.cache == "warm" {
-				if _, err := viaTable(in)(newEnv(t, row.mem, 1, relA, relB)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			runs["table at P=1 "+row.cache] = viaTable(in)
-			want := row.goldens[i]
-			for how, run := range runs {
-				env := newEnv(t, row.mem, 1, relA, relB)
-				res, err := run(env)
-				// Empty inputs are refused by every row but Algorithm 7's.
-				if (err != nil) != (size == 0 && row.alg != "alg7") {
-					t.Fatalf("%s size %d via %s: err = %v", row.alg, size, how, err)
-				}
-				if res.Stats != want.stats || env.h.Trace().Digest() != want.digest {
-					t.Errorf("%s size %d via %s: stats %+v digest %#x, the sequential algorithm's are %+v %#x",
-						row.alg, size, how, res.Stats, env.h.Trace().Digest(), want.stats, want.digest)
-				}
+			if !table.refused && (res.Stats != table.stats || env.h.Trace().Digest() != table.devices[0].digest) {
+				t.Errorf("%s via the sequential entry point: stats %+v digest %#x, the table's are %+v %#x",
+					line, res.Stats, env.h.Trace().Digest(), table.stats, table.devices[0].digest)
 			}
 		}
 	}
