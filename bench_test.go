@@ -508,11 +508,12 @@ func maxDeviceTransfers(cops []*sim.Coprocessor) uint64 {
 }
 
 // BenchmarkParallelSort measures the §4.4.4 parallel sort of 2048 host
-// cells with real authenticated encryption at fleet sizes 1, 2 and 4. Phase
-// 2 is the binary odd-even merge tree, whose total comparator count is
-// strictly below the single-device bitonic network at every P — so ns/op
-// must not regress with P even on a single-core host, and the per-device
-// critical path (the transfers metric) still shrinks roughly with 1/P.
+// cells with real authenticated encryption at fleet sizes 1, 2 and 4. The
+// group runs one odd-even mergesort network — each device sorts its block,
+// then a binary tree of merges — whose total comparator count is the same
+// at every P, so ns/op must not regress with P even on a single-core host,
+// and the per-device critical path (the transfers metric) still shrinks
+// roughly with 1/P.
 func BenchmarkParallelSort(b *testing.B) {
 	const n = 2048
 	less := func(x, y []byte) bool { return string(x) < string(y) }
@@ -574,7 +575,7 @@ func BenchmarkParallelJoin2(b *testing.B) {
 	}
 }
 
-// BenchmarkObliviousSort measures the bitonic sort of 1024 host cells.
+// BenchmarkObliviousSort measures the odd-even mergesort of 1024 host cells.
 func BenchmarkObliviousSort(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -690,32 +691,6 @@ func BenchmarkSMCGarbledPair(b *testing.B) {
 }
 
 // --- Ablations ---
-
-// BenchmarkAblationSortNetworks compares the two oblivious sorting networks
-// executing on the simulator at n=1024 (see `ppjbench ablation` for the
-// analytic sweep).
-func BenchmarkAblationOddEvenSort(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		h := sim.NewHost(0)
-		cop, err := sim.NewCoprocessor(h, sim.Config{Sealer: sim.PlainSealer{}, Seed: 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		id := h.MustCreateRegion("s", 1024)
-		for j := int64(0); j < 1024; j++ {
-			if err := cop.Put(id, j, []byte(fmt.Sprintf("%08d", (j*48271)%99991))); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StartTimer()
-		if err := oblivious.SortOddEven(cop, id, 1024, func(x, y []byte) bool { return string(x) < string(y) }); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(oblivious.SortOddEvenTransfers(1024)), "transfers")
-	b.ReportMetric(float64(oblivious.SortTransfers(1024)), "bitonic-transfers")
-}
 
 // BenchmarkAblationFilterDelta sweeps the filter swap size around the
 // chosen optimum, demonstrating unimodality on real executions.

@@ -14,7 +14,7 @@ import (
 // reduced scale and compares the measured transfer counters against (a) the
 // implementation's exact count functions and (b) the paper's closed forms.
 // The implementation counts are required to match exactly; the paper's
-// forms are approximations (power-of-two bitonic sizes, logical D reads),
+// forms are approximations (bitonic sorts of power-of-two sizes, logical D reads),
 // so only their ratio is reported.
 func runValidate(out *output) error {
 	out.csvRow("experiment", "measured", "exact_model", "paper_formula", "paper_ratio")

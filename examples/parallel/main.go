@@ -5,7 +5,8 @@
 // parallelize with a linear speed-up in the number of processors." This
 // example partitions the outer relation of Algorithm 2 over P devices and
 // the iTuple range of Algorithm 4 over P devices (whose oblivious decoy
-// filter becomes a parallel bitonic sort), reporting the per-device load.
+// filter becomes one odd-even mergesort over the device group), reporting
+// the per-device load.
 //
 // This example drives the internal parallel engines directly (they are not
 // yet part of the stable facade).
@@ -42,7 +43,7 @@ func main() {
 		fmt.Printf("%4d %16d %15.2fx\n", p, maxT, float64(base)/float64(maxT))
 	}
 
-	fmt.Println("\nAlgorithm 4 with a parallel bitonic decoy filter:")
+	fmt.Println("\nAlgorithm 4 with a parallel odd-even mergesort decoy filter:")
 	fmt.Printf("%4s %16s %16s\n", "P", "max transfers", "per-device share")
 	base = 0
 	for _, p := range []int{1, 2, 4} {

@@ -98,7 +98,8 @@ func Join1(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate, n int64)
 // Join1Transfers is the exact transfer count of this implementation of
 // Algorithm 1, the measured analogue of the paper's
 // |A| + 2N|A| + 2|A||B| + 2|A||B|(log₂ 2N)² (which assumes 2N is a power of
-// two and approximates the bitonic comparator count).
+// two and approximates the bitonic network's comparator count; this one
+// sorts with odd-even mergesort's fewer).
 func Join1Transfers(aN, bN, n int64) int64 {
 	sortsPerA := bN / n
 	if bN%n != 0 {

@@ -233,12 +233,12 @@ func (c *a7Codec) tail(group []*sim.Coprocessor, w sim.RegionID, n int64, outSch
 }
 
 // Join7Transfers is the exact transfer count of this implementation
-// without a cache, on one device:
+// without a cache, summed over the devices:
 //
 //	2n + Sort(n)                               union build, key sort
 //	+ join7TailTransfers(n, S)                 scans, expansion, stitch
 //
-// with n = |A|+|B| and Sort the bitonic network cost. The n log²n and
+// with n = |A|+|B| and Sort the odd-even mergesort cost. The n log²n and
 // S log²S sort terms dominate; compare Join5Transfers' ⌈S/M⌉·L.
 func Join7Transfers(aN, bN, s int64) int64 {
 	n := aN + bN

@@ -169,8 +169,8 @@ func (c *a7Codec) readSorted(t *sim.Coprocessor, w sim.RegionID, lo, q int64) ([
 	return cells, nil
 }
 
-// Join7CachedTransfers is the exact one-device transfer count of Algorithm 7
-// with a participating cache on both non-empty sides:
+// Join7CachedTransfers is the exact transfer count of Algorithm 7, summed
+// over the devices, with a participating cache on both non-empty sides:
 //
 //	side(q, hit) = halfM                                     hit or empty
 //	             = 2q + halfM + 4·Comparators(NextPow2(q))   miss

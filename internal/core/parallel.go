@@ -121,9 +121,9 @@ func join2Range(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate,
 }
 
 // ParallelJoin3 runs Algorithm 3 with P coprocessors: the oblivious sort of
-// B uses the parallel bitonic network over the largest power-of-two prefix
-// of the fleet, then the outer relation A is partitioned — device p handles
-// A rows [p·|A|/P, (p+1)·|A|/P) against its own private scratch ring,
+// B runs over the largest power-of-two prefix of the fleet, then the outer
+// relation A is partitioned — device p handles A rows
+// [p·|A|/P, (p+1)·|A|/P) against its own private scratch ring,
 // writing output rows at the global offsets its partition owns. Every
 // device's access pattern depends only on its partition bounds and
 // (|B|, N), so the per-device privacy guarantee is unchanged.
@@ -238,9 +238,10 @@ func join3Range(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 
 // ParallelJoin4 runs Algorithm 4 with P coprocessors (§5.3.5): the iTuple
 // range is partitioned across devices, each emitting one oTuple per iTuple
-// into its own slice of the raw output; the decoy filter then uses the
-// parallel bitonic sort over all P devices ("oblivious filtering out decoys
-// in parallel requires a parallel bitonic sort"). P must be a power of two.
+// into its own slice of the raw output; the decoy filter is then one group
+// sort over all P devices (the thesis: "oblivious filtering out decoys in
+// parallel requires a parallel bitonic sort"; the group runs odd-even
+// mergesort). P must be a power of two.
 func ParallelJoin4(cops []*sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate) (Result, error) {
 	if len(cops) == 0 {
 		return Result{}, fmt.Errorf("%w: no coprocessors", errInvalid)

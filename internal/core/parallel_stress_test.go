@@ -147,10 +147,11 @@ func TestConcurrentFleetsOneHost(t *testing.T) {
 
 // expectedParallelSortStats replays the group SortSpan comparator schedule for p
 // devices over m (power-of-two, no padding) cells: every comparator costs 2
-// gets, 2 puts and 1 comparison. Phase 1 gives each device one local bitonic
-// sort of a block; phase 2 is the binary odd-even merge tree, each merge's
-// stride sub-recursions splitting the device group in half and the closing
-// comparator chain landing on the group's first device.
+// gets, 2 puts and 1 comparison. The bottom of the odd-even mergesort
+// recursion gives each device the sort of its own block; the top log₂p
+// levels are the binary merge tree, each merge's stride sub-recursions
+// splitting the device group in half and the closing comparator chain
+// landing on the group's first device.
 func expectedParallelSortStats(p int, m int64) []sim.Stats {
 	block := m / int64(p)
 	comps := make([]uint64, p)

@@ -17,8 +17,8 @@ const (
 	// AnyDevices algorithms partition the outer relation (or the rank
 	// space) across any device count.
 	AnyDevices
-	// Pow2Devices algorithms parallelise through the bitonic networks,
-	// which need a power-of-two fleet.
+	// Pow2Devices algorithms parallelise through the odd-even mergesort
+	// network, which needs a power-of-two fleet.
 	Pow2Devices
 )
 
@@ -79,7 +79,7 @@ type Algorithm struct {
 // union sort without a cache, split halves plus odd-even merge with one)
 // in front of one tail. Algorithm 4 alone keeps distinct sequential and
 // parallel schedules — its parallel form sorts the whole raw output where
-// the sequential one runs the §5.2.2 filter, 44 % dearer on one device.
+// the sequential one runs the §5.2.2 filter, 47 % dearer on one device.
 var Algorithms = []*Algorithm{
 	{Name: "alg1", Number: 1, TwoWay: true, Padded: true, Fleet: OneDevice,
 		transfers: func(z []int64, _, _ int64, in Inputs, _ CacheUse) int64 {
@@ -198,14 +198,12 @@ func (a *Algorithm) Run(cops []*sim.Coprocessor, tables []sim.Table, in Inputs) 
 // of public quantities only: the input sizes, the join size s, the device
 // memory m, the public fields of in (N, δ, ε, pre-sortedness, whether a
 // cache participates) and, with a cache, the hit bits. It is what Run
-// charges, summed over the fleet: exactly, at every admissible P, for
-// Algorithms 1, 2 and 6 (one device by rule, or a partition of the same
-// work) and for Algorithm 3 when B arrives pre-sorted; exactly at P = 1 for
-// Algorithms 3, 4, 5 and 7, whose fleets run the odd-even merge tree's
-// fewer comparators (3, 7), a whole-output sort instead of the filter (4),
-// or Σᵢ ⌈blkᵢ/M⌉ scans instead of ⌈S/M⌉ (5). Algorithm 6's form is a
-// worst-case bound once s exceeds m (its random-order reads reuse
-// coordinates).
+// charges, summed over the fleet, exactly at every admissible P — a fleet
+// sorts with the same network one device runs — except for Algorithm 4 at
+// P > 1, whose fleet sorts the whole raw output instead of running the
+// filter, and Algorithm 5 at P > 1, whose fleet runs Σᵢ ⌈blkᵢ/M⌉ scans
+// instead of ⌈S/M⌉. Algorithm 6's form is a worst-case bound once s
+// exceeds m (its random-order reads reuse coordinates).
 func (a *Algorithm) Transfers(sizes []int64, s, m int64, in Inputs, use CacheUse) int64 {
 	return a.transfers(sizes, s, m, in, use)
 }

@@ -9,7 +9,10 @@
 // reduced scale.
 package costmodel
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // log2 is the binary logarithm used throughout the paper's formulas.
 func log2(x float64) float64 { return math.Log2(x) }
@@ -122,6 +125,19 @@ func SFECostBits(p SFEParams, b, n, w int64) float64 {
 // §4.6.5 comparison ("we multiply the cost formula for Algorithm 1 with w").
 func Alg1CostBits(a, b, n, w int64) float64 {
 	return Alg1Cost(a, b, n) * float64(w)
+}
+
+// BitonicComparators is the thesis's sorting network's exact comparator
+// count for m = 2^k cells, (m/2)·k(k+1)/2, which §4.4.1 approximates as
+// ¼·m·(log₂ m)². The paper's formulas assume this network; the
+// implementation sorts with Batcher's odd-even mergesort
+// (oblivious.Comparators), which needs fewer.
+func BitonicComparators(m int64) int64 {
+	if m <= 1 {
+		return 0
+	}
+	k := int64(bits.Len64(uint64(m))) - 1
+	return (m / 2) * k * (k + 1) / 2
 }
 
 func sq(x float64) float64 { return x * x }

@@ -152,3 +152,19 @@ func TestSFECostSpotValue(t *testing.T) {
 		t.Fatalf("SFECostBits = %g, want %g", got, want)
 	}
 }
+
+// TestBitonicComparators pins the thesis network's exact count at the sizes
+// DESIGN.md and EXPERIMENTS.md quote, and its ¼·m·(log₂ m)² approximation
+// from below.
+func TestBitonicComparators(t *testing.T) {
+	for m, want := range map[int64]int64{1: 0, 2: 1, 4: 6, 1024: 28160, 2048: 67584} {
+		if got := BitonicComparators(m); got != want {
+			t.Errorf("BitonicComparators(%d) = %d, want %d", m, got, want)
+		}
+	}
+	for m := int64(2); m <= 1<<20; m *= 2 {
+		if approx := float64(m) * sq(log2(float64(m))) / 4; float64(BitonicComparators(m)) < approx {
+			t.Errorf("m=%d: exact %d below the paper's approximation %.0f", m, BitonicComparators(m), approx)
+		}
+	}
+}

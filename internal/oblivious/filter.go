@@ -12,15 +12,16 @@ import (
 // μ cells contain every target, without revealing which source positions
 // held them.
 //
-// Instead of one bitonic sort of all ω cells, it repeatedly sorts a buffer
+// Instead of one oblivious sort of all ω cells, it repeatedly sorts a buffer
 // of μ+Δ cells: the buffer is filled from the source, sorted target-first,
 // and then its bottom Δ cells — guaranteed decoys, since at most μ targets
 // exist — are overwritten with the next Δ source cells. The paper shows the
 // total cost (ω−μ)/Δ · (μ+Δ)[log₂(μ+Δ)]² transfers and derives an optimal
-// swap size Δ*.
+// swap size Δ* (its formula counts bitonic sort; FilterTransfers counts the
+// odd-even network this package runs).
 //
 // This implementation requires μ+Δ to be a power of two so the repeated
-// bitonic sorts need no per-round padding; ChooseDelta picks the best such
+// sorts need no per-round padding; ChooseDelta picks the best such
 // Δ. Rounds with fewer than Δ remaining source cells are topped up with
 // padding cells, so the access pattern is a function of (ω, μ, Δ) only.
 func Filter(t *sim.Coprocessor, src sim.RegionID, omega, mu, delta int64,

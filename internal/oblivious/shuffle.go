@@ -9,8 +9,8 @@ import (
 
 // Shuffle obliviously permutes cells [0, n) of a region uniformly at random:
 // each element is re-encrypted with a fresh 64-bit key drawn from T's
-// internal randomness prepended, the list is bitonic-sorted by that key, and
-// the keys are stripped. The adversary observes only the fixed bitonic
+// internal randomness prepended, the list is obliviously sorted by that key,
+// and the keys are stripped. The adversary observes only the sort's fixed
 // schedule; the permutation is determined by randomness that never leaves T
 // (the "obliviously shuffle" primitive of §4.5.1, after Iliev & Smith [24]).
 func Shuffle(t *sim.Coprocessor, region sim.RegionID, n int64) error {

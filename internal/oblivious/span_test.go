@@ -26,74 +26,51 @@ func spanFleet(t *testing.T, h *sim.Host, p int) []*sim.Coprocessor {
 // one is the one-device group.
 func one(t *sim.Coprocessor) []*sim.Coprocessor { return []*sim.Coprocessor{t} }
 
-// TestGroupFormsOnOneDeviceAreTheSequentialNetworks pins SortSpan and
-// MergeHalves on a one-device group to the Stats and host Trace.Digest the
-// separate sequential Sort, SortSpan and MergeHalves implementations left
-// immediately before they were folded into the group forms (Sort's literals
-// are SortSpan's at lo = 0: the two agreed). The digest covers loading
-// off+NextPow2(n) cells through the same device first.
+// TestGroupFormsOnOneDeviceAreTheSequentialNetworks pins the group forms on
+// a one-device group to the sequential network, whose absolute Stats and
+// digests the schedule lockfile (internal/core/testdata) holds: SortSpan at
+// offset 0 is Sort, trace for trace, and at offset 16 charges Sort's Stats;
+// and sorting m = 2^k cells is sorting each half with SortSpan and then
+// MergeHalves — the odd-even mergesort recursion — trace for trace. Each
+// digest covers loading the cells through the same device first.
 func TestGroupFormsOnOneDeviceAreTheSequentialNetworks(t *testing.T) {
-	vals := func(total int64) []uint64 {
-		v := make([]uint64, total)
-		for i := range v {
-			v[i] = uint64((int64(i)*7919 + 3) % 101)
+	type op func(*sim.Coprocessor, sim.RegionID) error
+	run := func(total int64, ops ...op) (sim.Stats, uint64) {
+		h, cop := newPair(t, 1)
+		vals := make([]uint64, total)
+		for i := range vals {
+			vals[i] = uint64((int64(i)*7919 + 3) % 101)
 		}
-		return v
-	}
-	for _, g := range []struct {
-		lo, n  int64
-		stats  sim.Stats
-		digest uint64
-	}{
-		{0, 2, sim.Stats{Gets: 2, Puts: 2, Comparisons: 1}, 0xdeab2b787fbca2e6},
-		{16, 2, sim.Stats{Gets: 2, Puts: 2, Comparisons: 1}, 0x9b42006b25531826},
-		{0, 5, sim.Stats{Gets: 48, Puts: 51, Comparisons: 24}, 0x45a249d3ad1fb0e},
-		{16, 5, sim.Stats{Gets: 48, Puts: 51, Comparisons: 24}, 0x73c907febbfb559e},
-		{0, 8, sim.Stats{Gets: 48, Puts: 48, Comparisons: 24}, 0x3de1d420e33841bd},
-		{16, 8, sim.Stats{Gets: 48, Puts: 48, Comparisons: 24}, 0xb0957645593d3cdd},
-		{0, 13, sim.Stats{Gets: 160, Puts: 163, Comparisons: 80}, 0x6fc57ee814654e96},
-		{16, 13, sim.Stats{Gets: 160, Puts: 163, Comparisons: 80}, 0x6fbe9c1049e01786},
-		{0, 64, sim.Stats{Gets: 1344, Puts: 1344, Comparisons: 672}, 0xea5926574e2ae225},
-		{16, 64, sim.Stats{Gets: 1344, Puts: 1344, Comparisons: 672}, 0x7668e2d9407d8a65},
-		{0, 100, sim.Stats{Gets: 3584, Puts: 3612, Comparisons: 1792}, 0xd3c94c5a4a4a8985},
-		{16, 100, sim.Stats{Gets: 3584, Puts: 3612, Comparisons: 1792}, 0x50f72d38bea22165},
-	} {
-		sorts := map[string]func(*sim.Coprocessor, sim.RegionID) error{
-			"SortSpan": func(c *sim.Coprocessor, id sim.RegionID) error { return SortSpan(one(c), id, g.lo, g.n, intLess) },
-		}
-		if g.lo == 0 {
-			sorts["Sort"] = func(c *sim.Coprocessor, id sim.RegionID) error { return Sort(c, id, g.n, intLess) }
-		}
-		for name, sortFn := range sorts {
-			h, cop := newPair(t, 1)
-			id := loadInts(t, h, cop, "g", vals(g.lo+NextPow2(g.n)))
-			if err := sortFn(cop, id); err != nil {
+		id := loadInts(t, h, cop, "g", vals)
+		for _, o := range ops {
+			if err := o(cop, id); err != nil {
 				t.Fatal(err)
 			}
-			if cop.Stats() != g.stats || h.Trace().Digest() != g.digest {
-				t.Errorf("%s lo=%d n=%d: stats %+v digest %#x, the sequential network's are %+v %#x",
-					name, g.lo, g.n, cop.Stats(), h.Trace().Digest(), g.stats, g.digest)
-			}
+		}
+		return cop.Stats(), h.Trace().Digest()
+	}
+	span := func(lo, n int64) op {
+		return func(c *sim.Coprocessor, id sim.RegionID) error { return SortSpan(one(c), id, lo, n, intLess) }
+	}
+	sorted := func(n int64) op {
+		return func(c *sim.Coprocessor, id sim.RegionID) error { return Sort(c, id, n, intLess) }
+	}
+	for _, n := range []int64{2, 5, 8, 13, 64, 100} {
+		m := NextPow2(n)
+		want, wantDigest := run(m, sorted(n))
+		if got, digest := run(m, span(0, n)); got != want || digest != wantDigest {
+			t.Errorf("SortSpan lo=0 n=%d: stats %+v digest %#x, Sort's are %+v %#x", n, got, digest, want, wantDigest)
+		}
+		if got, _ := run(16+m, span(16, n)); got != want {
+			t.Errorf("SortSpan lo=16 n=%d: stats %+v, Sort's are %+v", n, got, want)
 		}
 	}
-	for _, g := range []struct {
-		m      int64
-		stats  sim.Stats
-		digest uint64
-	}{
-		{2, sim.Stats{Gets: 2, Puts: 2, Comparisons: 1}, 0xdeab2b787fbca2e6},
-		{8, sim.Stats{Gets: 18, Puts: 18, Comparisons: 9}, 0x1b3ccd2fdde749f3},
-		{64, sim.Stats{Gets: 322, Puts: 322, Comparisons: 161}, 0x1246fc682ea7474b},
-		{128, sim.Stats{Gets: 770, Puts: 770, Comparisons: 385}, 0x9939223ce826dfcb},
-	} {
-		h, cop := newPair(t, 1)
-		id := loadInts(t, h, cop, "g", vals(g.m))
-		if err := MergeHalves(one(cop), id, g.m, intLess); err != nil {
-			t.Fatal(err)
-		}
-		if cop.Stats() != g.stats || h.Trace().Digest() != g.digest {
-			t.Errorf("MergeHalves m=%d: stats %+v digest %#x, the sequential merge's are %+v %#x",
-				g.m, cop.Stats(), h.Trace().Digest(), g.stats, g.digest)
+	for _, m := range []int64{2, 8, 64, 128} {
+		merge := func(c *sim.Coprocessor, id sim.RegionID) error { return MergeHalves(one(c), id, m, intLess) }
+		want, wantDigest := run(m, sorted(m))
+		if got, digest := run(m, span(0, m/2), span(m/2, m/2), merge); got != want || digest != wantDigest {
+			t.Errorf("two half sorts + MergeHalves m=%d: stats %+v digest %#x, Sort's are %+v %#x",
+				m, got, digest, want, wantDigest)
 		}
 	}
 }
@@ -249,8 +226,8 @@ func TestMergeHalvesKeepsPaddingMaximal(t *testing.T) {
 }
 
 // TestParallelSpanMatchesSequential checks SortSpan and MergeHalves over a
-// device group produce the sorted result, the merge with the same summed
-// transfer count at every group size.
+// device group produce the sorted result with the same summed transfer
+// count at every group size.
 func TestParallelSpanMatchesSequential(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
@@ -271,6 +248,13 @@ func TestParallelSpanMatchesSequential(t *testing.T) {
 			}
 			if err := SortSpan(cops, id, lo, n, intLess); err != nil {
 				t.Fatal(err)
+			}
+			var sorted int64
+			for _, c := range cops {
+				sorted += int64(c.Stats().Transfers())
+			}
+			if want := SortTransfers(n); sorted != want {
+				t.Fatalf("p=%d: summed sort transfers = %d, want %d", p, sorted, want)
 			}
 			got := readInts(t, cops[0], id, lo+n)
 			want := append([]uint64(nil), vals[lo:lo+n]...)

@@ -22,7 +22,7 @@
 //
 // Subsystems: internal/relation (schemas, tuples, predicates),
 // internal/ocb (authenticated encryption), internal/sim (host/coprocessor
-// simulator), internal/oblivious (bitonic sort, shuffle, decoy filter),
+// simulator), internal/oblivious (odd-even mergesort, shuffle, decoy filter),
 // internal/mlfsr (random traversal), internal/costmodel (the paper's closed
 // forms), internal/core (the algorithms), internal/adversary (leak
 // demonstrations), internal/smc (garbled-circuit baseline), internal/secop
