@@ -17,10 +17,10 @@ import (
 // side to the exact output size S with the oblivious distribution network
 // and a fill-forward duplication scan. Everything is built from the batched
 // transfer primitives, so the whole join costs O((n log²n + S log²S))
-// transfers for n = |A| + |B| — the sorting networks dominate; the
-// expansion itself is O(S log S) — versus Algorithm 5's ⌈S/M⌉·L.
+// transfers for n = |A| + |B| — the union and alignment sorts dominate; the
+// expansion itself is O(n log n + S log S) — versus Algorithm 5's ⌈S/M⌉·L.
 //
-// The pipeline (all arrays hold uniform fixed-size cells: a tag byte, four
+// The pipeline (all arrays hold uniform fixed-size cells: a tag byte, five
 // u64 index fields, and the padded tuple encoding):
 //
 //  1. Union build: copy A and B into one working array W, tagged per side.
@@ -30,24 +30,25 @@ import (
 //     its in-group occurrence number, its group's multiplicities (c_A,
 //     c_B), and its group's first output slot g = Σ c_A·c_B over preceding
 //     groups; the third scan also yields S inside T.
-//  4. Per side: rewrite rows into (destination, keep) form — an A row with
-//     occurrence i takes destination g + i·c_B; a B row with occurrence j
-//     takes g + j·c_A — compact the kept rows by an oblivious sort on
-//     destination, route them with the distribution network, and duplicate
-//     them across their group's slots with the fill-forward scan. The B
-//     side fills in B-major order, so each filled copy computes its final
-//     slot g + i·c_B + j and one more oblivious sort aligns it with A.
+//  4. Per side: rewrite rows into (destination, rank, keep) form — an A row
+//     with occurrence i takes destination g + i·c_B; a B row with
+//     occurrence j takes g + j·c_A; the rank counts the kept rows before it
+//     — compact the kept rows to a rank-preserving prefix with the
+//     distribution network run backwards, route them forward with it, and
+//     duplicate them across their group's slots with the fill-forward scan.
+//     The B side fills in B-major order, so each filled copy computes its
+//     final slot g + i·c_B + j and one oblivious sort aligns it with A.
 //  5. Stitch: one paired scan emits oTuple join rows; the output is exactly
 //     S cells, the Chapter 5 output contract.
 //
 // Every phase's access schedule is a pure function of (|A|, |B|, S): the
-// sorts and the distribution network are fixed networks, the scans touch
-// every cell exactly once, and data-dependent decisions (swap or not, keep
-// or not) happen inside T behind outcome-independent transfer pairs. S is
-// public under the exact-output contract (Definition 3), exactly as in
-// Algorithm 5, so scheduling on it reveals nothing new. The duplicate
-// multiplicities — where a naive implementation leaks — only ever influence
-// cell contents, never which cell is touched.
+// sorts, the compaction and the distribution network are fixed networks,
+// the scans touch every cell exactly once, and data-dependent decisions
+// (swap or not, keep or not) happen inside T behind outcome-independent
+// transfer pairs. S is public under the exact-output contract
+// (Definition 3), exactly as in Algorithm 5, so scheduling on it reveals
+// nothing new. The duplicate multiplicities — where a naive implementation
+// leaks — only ever influence cell contents, never which cell is touched.
 //
 // T's resident state is a handful of cells (the scan accumulators and the
 // fill-forward hold slot), so unlike Algorithms 1-6 the memory parameter M
@@ -58,9 +59,9 @@ func Join7(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (Result, err
 }
 
 // join7 is Algorithm 7's one pipeline, over a device fleet and with an
-// optional sorted-relation cache (alg7cache.go). The sorts are what
-// parallelize — they run on the largest power-of-two prefix of the fleet,
-// the device group — and the two sides' expansions, which run concurrently
+// optional sorted-relation cache (alg7cache.go). The networks are what
+// parallelize — the sorts run on the largest power-of-two prefix of the
+// fleet, the device group, and the two sides' expansions run concurrently
 // on the group's halves; the linear scans, cache restores and the stitch
 // stay on the group's first device, O(n + S) against the sorts' log²
 // factors. Every device's schedule is a pure function of (|A|, |B|, S, P)
@@ -209,8 +210,10 @@ func (c *a7Codec) tail(group []*sim.Coprocessor, w sim.RegionID, n int64, outSch
 	if half := len(group) / 2; half > 0 {
 		sides[0].group, sides[1].group = group[:half], group[half:]
 	}
+	// The expansions use S cells of ex; B's alignment sort pads its side to
+	// the power-of-two envelope.
 	for i, name := range [2]string{"alg7.ea", "alg7.eb"} {
-		sides[i].sx = host.FreshRegion(name+".c", int(oblivious.NextPow2(n)))
+		sides[i].sx = host.FreshRegion(name+".c", int(n))
 		sides[i].ex = host.FreshRegion(name, int(oblivious.NextPow2(s)))
 	}
 	expand := func(i int64) error {
@@ -251,40 +254,44 @@ func Join7Transfers(aN, bN, s int64) int64 {
 // join7TailTransfers is the exact transfer count of everything after the
 // key-sorted union exists, shared by both front halves:
 //
-//	6n                                         index scans
-//	+ 2·[2n + Sort(n) + 2t + (m−t) + Dist(m) + 2S]   per-side expansion
-//	+ Sort(S) + 3S                             B alignment and stitch
+//	6n                                            index scans
+//	+ 2·[2n + Compact(n) + 2t + (S−t) + Dist(S) + 2S]   per-side expansion
+//	+ Sort(S) + 3S                                B alignment and stitch
 //
-// with t = min(n, S), m = NextPow2(S) and Dist the distribution network
-// cost; with S = 0 only the scans run.
+// with t = min(n, S), and Compact and Dist the compaction and distribution
+// network costs; with S = 0 only the scans run.
 func join7TailTransfers(n, s int64) int64 {
 	if s == 0 {
 		return 6 * n
 	}
-	m := oblivious.NextPow2(s)
 	tx := min64(n, s)
-	side := 2*n + oblivious.SortTransfers(n) + 2*tx + (m - tx) +
-		oblivious.DistributeTransfers(m) + 2*s
+	side := 2*n + oblivious.CompactTransfers(n) + 2*tx + (s - tx) +
+		oblivious.DistributeTransfers(s) + 2*s
 	return 6*n + 2*side + oblivious.SortTransfers(s) + 3*s
 }
 
 // --- Algorithm 7 working cells ---
 
-// A working cell is tag || f0 || f1 || f2 || f3 || payload with u64 fields
-// and the tuple encoding padded to the larger of the two schemas, so every
-// cell of every intermediate array has identical length (Fixed Size
+// A working cell is tag || f0 || f1 || f2 || f3 || f4 || payload with u64
+// fields and the tuple encoding padded to the larger of the two schemas, so
+// every cell of every intermediate array has identical length (Fixed Size
 // principle, §3.4.3). The fields are reused phase by phase:
 //
 //	after the index scans   f0 = in-group occurrence, f1 = c_A (B rows),
 //	                        f2 = c_B, f3 = group output base g
-//	after the side rewrite  f0 = destination slot, f1/f2/f3 = c_A/c_B/g
+//	after the side rewrite  f0 = destination slot, f1/f2/f3 = c_A/c_B/g,
+//	                        f4 = rank among the side's kept rows
 //	after the B fill        f0 = final aligned slot g + i·c_B + j
+//
+// The cell length is a function of the two schemas, and the sort cache
+// stores working cells: an entry of another length — one persisted by a
+// build with a different header — is a miss.
 const (
 	a7TagA byte = 0x00 // cell carries an A tuple
 	a7TagB byte = 0x01 // cell carries a B tuple
 	a7TagE byte = 0xFF // empty filler cell (discarded by keep logic)
 
-	a7Hdr = 1 + 4*8
+	a7Hdr = 1 + 5*8
 
 	// a7Memory is the resident state the algorithm Grants: the fill-forward
 	// hold slot. The scan accumulators (previous key, group counters) ride
@@ -479,19 +486,20 @@ func (c *a7Codec) indexScans(t *sim.Coprocessor, w sim.RegionID, n int64) (int64
 }
 
 // expandSide extracts one side of the indexed union and expands it to the
-// S output slots of ex, through the scratch array sx: rewrite into
-// (destination, keep) form, compact the kept rows by an oblivious sort on
-// destination over the side's device group, route them with the
-// distribution network, and duplicate them with the fill-forward scan, the
-// linear passes on the group's first device.
+// S output slots of ex, through the n-cell scratch array sx: rewrite into
+// (destination, rank, keep) form, compact the kept rows to a rank-preserving
+// prefix, route them to their destinations with the distribution network,
+// and duplicate them with the fill-forward scan. The two networks run over
+// the side's device group, the linear passes on its first device.
 func (c *a7Codec) expandSide(group []*sim.Coprocessor, w, sx, ex sim.RegionID, n, s int64, tag byte) error {
 	t := group[0]
-	m := oblivious.NextPow2(s)
 
 	// Rewrite: keep exactly the rows of this side whose group joins at all;
 	// an A row with occurrence i goes to slot g + i·c_B, a B row with
 	// occurrence j to slot g + j·c_A (B-major, realigned after the fill).
-	// Dropped rows become fillers; the keep decision stays inside T.
+	// Kept rows are stamped with their rank, dropped rows become fillers;
+	// the keep decision and the rank counter stay inside T.
+	var rank int64
 	if err := t.TransformRange(sx, 0, w, 0, n, func(_ int64, pt []byte) ([]byte, error) {
 		t.ChargeCompare()
 		keep, dest := false, int64(0)
@@ -508,28 +516,32 @@ func (c *a7Codec) expandSide(group []*sim.Coprocessor, w, sx, ex sim.RegionID, n
 			return c.empty(), nil
 		}
 		a7SetF(pt, 0, dest)
+		a7SetF(pt, 4, rank)
+		rank++
 		return pt, nil
 	}); err != nil {
 		return err
 	}
 
-	// Compact: kept destinations strictly increase in union order, so an
-	// oblivious sort on (real, destination) moves the kept rows to a
-	// rank-preserving prefix — the distribution network's precondition.
-	if err := oblivious.SortSpan(group, sx, 0, n, c.lessDest); err != nil {
+	// Compact: kept destinations strictly increase in union order, so moving
+	// the kept rows to a rank-preserving prefix leaves them in destination
+	// order — the distribution network's precondition.
+	if err := oblivious.Compact(group, sx, n, func(pt []byte) (bool, int64) {
+		return pt[0] != a7TagE, a7F(pt, 4)
+	}); err != nil {
 		return err
 	}
 
 	// Expand into the output-sized array: copy the compacted prefix (at
-	// most min(n, S) kept rows), pad with fillers, route, duplicate.
+	// most min(n, S) kept rows), fill up to S with fillers, route, duplicate.
 	tx := min64(n, s)
 	if err := t.TransformRange(ex, 0, sx, 0, tx, func(_ int64, pt []byte) ([]byte, error) {
 		return pt, nil
 	}); err != nil {
 		return err
 	}
-	if tx < m {
-		pads := make([][]byte, m-tx)
+	if tx < s {
+		pads := make([][]byte, s-tx)
 		filler := c.empty()
 		for i := range pads {
 			pads[i] = filler
@@ -538,7 +550,7 @@ func (c *a7Codec) expandSide(group []*sim.Coprocessor, w, sx, ex sim.RegionID, n
 			return err
 		}
 	}
-	if err := oblivious.Distribute(t, ex, m, func(pt []byte) (bool, int64) {
+	if err := oblivious.Distribute(group, ex, s, func(pt []byte) (bool, int64) {
 		return pt[0] != a7TagE, a7F(pt, 0)
 	}); err != nil {
 		return err

@@ -117,6 +117,47 @@ func TestJoin7CachedWarmCheaper(t *testing.T) {
 	}
 }
 
+// TestJoin7CachedOtherCellWidthIsMiss pins what a cached sorted half of
+// another working-cell width does — for instance one persisted by a build
+// whose cell header had four index fields instead of five: the lookup is a
+// miss, not an error. The join sorts cold, returns the reference result, is
+// charged exactly the cold closed form, and replaces the entry, so the next
+// run hits.
+func TestJoin7CachedOtherCellWidthIsMiss(t *testing.T) {
+	relA, relB := genJoinSized(91, 20, 17, 12)
+	pred := keyEqui(t, relA, relB)
+	cache := newMemCache()
+	run := func(seed uint64) (Result, CacheUse) {
+		t.Helper()
+		env := newEnv(t, 8, seed, relA, relB)
+		res, use, err := join7([]*sim.Coprocessor{env.t}, env.tabA, env.tabB, pred, cache, "A", "B")
+		if err != nil {
+			t.Fatalf("run %d: %v", seed, err)
+		}
+		checkJoin(t, env, res, pred)
+		return res, use
+	}
+	run(1)
+	for key, cells := range cache.m {
+		narrow := make([][]byte, len(cells))
+		for i, c := range cells {
+			narrow[i] = append(append([]byte(nil), c[:a7Hdr-8]...), c[a7Hdr:]...)
+		}
+		cache.m[key] = narrow
+	}
+
+	res, use := run(2)
+	if use.Misses() != 2 || use.Hits() != 0 {
+		t.Fatalf("cache entries of another cell width: use = %+v, want two misses", use)
+	}
+	if got, want := int64(res.Stats.Transfers()), Join7CachedTransfers(20, 17, res.OutputLen, false, false); got != want {
+		t.Fatalf("transfers = %d, want the cold closed form %d", got, want)
+	}
+	if _, use := run(3); use.Hits() != 2 {
+		t.Fatalf("the miss did not replace the entries: next run's use = %+v", use)
+	}
+}
+
 // TestJoin7CachedAccessPatternInvariance extends the alg7 invariance pin to
 // the cached variant: cold executions over inputs agreeing only on (|A|,
 // |B|, S) charge identical stats, and warm executions (each against its own

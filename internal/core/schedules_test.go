@@ -393,7 +393,7 @@ func rowSchedules(t *testing.T, alg *Algorithm) []schedule {
 // region holds the cells (i·7919+3) mod 101 as 8-byte big-endian integers,
 // loaded through device 0 (so the load is part of its trace) before the
 // counters are reset. The schedules ignore cell contents, so Distribute's
-// cells need not form a valid expansion input.
+// and Compact's cells need not form a valid expansion input.
 func primitiveSchedules(t *testing.T) []schedule {
 	less := func(a, b []byte) bool { return binary.BigEndian.Uint64(a) < binary.BigEndian.Uint64(b) }
 	val := func(pt []byte) int64 { return int64(binary.BigEndian.Uint64(pt)) }
@@ -421,10 +421,20 @@ func primitiveSchedules(t *testing.T) []schedule {
 			cases = append(cases, prim{fmt.Sprintf("oblivious/MergeHalves/m%d/P%d", m, p), p, m, oblivious.MergeHalvesTransfers(m),
 				func(cops []*sim.Coprocessor, id sim.RegionID) error { return oblivious.MergeHalves(cops, id, m, less) }})
 		}
-		cases = append(cases, prim{fmt.Sprintf("oblivious/Distribute/m%d/P1", m), 1, m, oblivious.DistributeTransfers(m),
-			func(cops []*sim.Coprocessor, id sim.RegionID) error {
-				return oblivious.Distribute(cops[0], id, m, func(pt []byte) (bool, int64) { return val(pt)%2 == 0, val(pt) })
-			}})
+		for _, p := range []int{1, 2, 4} {
+			cases = append(cases, prim{fmt.Sprintf("oblivious/Distribute/m%d/P%d", m, p), p, m, oblivious.DistributeTransfers(m),
+				func(cops []*sim.Coprocessor, id sim.RegionID) error {
+					return oblivious.Distribute(cops, id, m, func(pt []byte) (bool, int64) { return val(pt)%2 == 0, val(pt) })
+				}})
+		}
+	}
+	for _, n := range []int64{0, 1, 63, 64, 65} {
+		for _, p := range []int{1, 2, 4} {
+			cases = append(cases, prim{fmt.Sprintf("oblivious/Compact/n%d/P%d", n, p), p, n, oblivious.CompactTransfers(n),
+				func(cops []*sim.Coprocessor, id sim.RegionID) error {
+					return oblivious.Compact(cops, id, n, func(pt []byte) (bool, int64) { return val(pt)%2 == 0, val(pt) % 7 })
+				}})
+		}
 	}
 	for _, n := range []int64{5, 64, 100} {
 		cases = append(cases, prim{fmt.Sprintf("oblivious/FillForward/n%d/P1", n), 1, n, oblivious.FillForwardTransfers(n),

@@ -2,7 +2,9 @@ package oblivious
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"ppj/internal/sim"
@@ -44,20 +46,31 @@ func loadExpCells(t *testing.T, h *sim.Host, cop *sim.Coprocessor, m int64, dest
 	return id
 }
 
+// groupTransfers sums the transfer counters of a device group.
+func groupTransfers(cops []*sim.Coprocessor) int64 {
+	var sum int64
+	for _, c := range cops {
+		sum += int64(c.Stats().Transfers())
+	}
+	return sum
+}
+
 // TestDistributePlacesAllPatterns drives the routing network over every
 // subset-like destination pattern of small sizes and random sparse patterns
-// of larger ones: real cell k (holding id k) must land exactly at dests[k]
-// with every other slot empty.
+// of larger ones, on device groups of one, two and four: real cell k
+// (holding id k) must land exactly at dests[k] with every other slot empty.
 func TestDistributePlacesAllPatterns(t *testing.T) {
-	check := func(t *testing.T, m int64, dests []int64) {
+	check := func(t *testing.T, p int, m int64, dests []int64) {
 		t.Helper()
-		h, cop := newPair(t, 7)
+		h := sim.NewHost(0)
+		cops := spanFleet(t, h, p)
+		cop := cops[0]
 		id := loadExpCells(t, h, cop, m, dests)
-		if err := Distribute(cop, id, m, expRoute); err != nil {
+		if err := Distribute(cops, id, m, expRoute); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := int64(cop.Stats().Transfers()), DistributeTransfers(m); got != want {
-			t.Fatalf("m=%d dests=%v: %d transfers, want %d", m, dests, got, want)
+		if got, want := groupTransfers(cops), DistributeTransfers(m); got != want {
+			t.Fatalf("P=%d m=%d dests=%v: %d transfers, want %d", p, m, dests, got, want)
 		}
 		want := make(map[int64]int64, len(dests))
 		for k, d := range dests {
@@ -71,54 +84,43 @@ func TestDistributePlacesAllPatterns(t *testing.T) {
 			real, _ := expRoute(pt)
 			wantID, wantReal := want[i]
 			if real != wantReal {
-				t.Fatalf("m=%d dests=%v: slot %d real=%v, want %v", m, dests, i, real, wantReal)
+				t.Fatalf("P=%d m=%d dests=%v: slot %d real=%v, want %v", p, m, dests, i, real, wantReal)
 			}
 			if real && expID(pt) != wantID {
-				t.Fatalf("m=%d dests=%v: slot %d holds id %d, want %d", m, dests, i, expID(pt), wantID)
+				t.Fatalf("P=%d m=%d dests=%v: slot %d holds id %d, want %d", p, m, dests, i, expID(pt), wantID)
 			}
 		}
 	}
 
-	// Exhaustive over m=8: every strictly increasing destination sequence
-	// with dest_k >= k is a valid compacted input.
-	var rec func(dests []int64, next int64)
-	var all [][]int64
-	rec = func(dests []int64, next int64) {
-		cp := append([]int64(nil), dests...)
-		all = append(all, cp)
-		for d := next; d < 8; d++ {
-			if d >= int64(len(dests)) {
-				rec(append(dests, d), d+1)
-			}
-		}
-	}
-	rec(nil, 0)
-	for _, dests := range all {
-		check(t, 8, dests)
-	}
-
-	// Random sparse patterns at larger sizes.
-	rng := rand.New(rand.NewPCG(11, 13))
-	for _, m := range []int64{16, 64, 256} {
-		for trial := 0; trial < 8; trial++ {
-			var dests []int64
-			for d := int64(0); d < m; d++ {
-				if int64(len(dests)) <= d && rng.IntN(3) == 0 {
-					dests = append(dests, d)
+	// Exhaustive over m = 5…8: every strictly increasing destination
+	// sequence with dest_k >= k is a valid compacted input.
+	for _, p := range []int{1, 2, 4} {
+		for m := int64(5); m <= 8; m++ {
+			var rec func(dests []int64, next int64)
+			rec = func(dests []int64, next int64) {
+				check(t, p, m, dests)
+				for d := next; d < m; d++ {
+					if d >= int64(len(dests)) {
+						rec(append(dests, d), d+1)
+					}
 				}
 			}
-			check(t, m, dests)
+			rec(nil, 0)
 		}
-	}
-}
 
-// TestDistributeRejectsNonPow2 pins the power-of-two precondition.
-func TestDistributeRejectsNonPow2(t *testing.T) {
-	h, cop := newPair(t, 3)
-	id := h.MustCreateRegion("bad", 6)
-	_ = id
-	if err := Distribute(cop, id, 6, expRoute); err == nil {
-		t.Fatal("Distribute accepted a non-power-of-two length")
+		// Random sparse patterns at larger sizes.
+		rng := rand.New(rand.NewPCG(11, 13))
+		for _, m := range []int64{16, 64, 100, 256} {
+			for trial := 0; trial < 8; trial++ {
+				var dests []int64
+				for d := int64(0); d < m; d++ {
+					if int64(len(dests)) <= d && rng.IntN(3) == 0 {
+						dests = append(dests, d)
+					}
+				}
+				check(t, p, m, dests)
+			}
+		}
 	}
 }
 
@@ -130,7 +132,7 @@ func TestDistributeScheduleInvariance(t *testing.T) {
 		h, cop := newPair(t, 99)
 		id := loadExpCells(t, h, cop, 32, dests)
 		cop.ResetStats()
-		if err := Distribute(cop, id, 32, expRoute); err != nil {
+		if err := Distribute(one(cop), id, 32, expRoute); err != nil {
 			t.Fatal(err)
 		}
 		return cop.Stats(), cop.Trace().Digest()
@@ -142,6 +144,101 @@ func TestDistributeScheduleInvariance(t *testing.T) {
 	}
 	if d1 != d2 {
 		t.Fatalf("distribution trace depends on contents: %x vs %x", d1, d2)
+	}
+}
+
+// TestCompactIsStableFilter is Compact's property test. For random keep
+// masks — each with its complement, so two masks of one (n, P) always
+// differ where n > 0 — and n ∈ {0, 1, 2, 63, 64, 65, 1000} over groups of
+// one, two and four devices: the prefix holds exactly the kept cells in
+// their original order and the rest holds the dropped ones, the summed
+// transfers are CompactTransfers(n), and every mask leaves the same
+// per-device trace digest vector.
+func TestCompactIsStableFilter(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 19))
+	for _, n := range []int64{0, 1, 2, 63, 64, 65, 1000} {
+		for _, p := range []int{1, 2, 4} {
+			run := func(keep []bool) []uint64 {
+				h := sim.NewHost(0)
+				cops := spanFleet(t, h, p)
+				id := h.MustCreateRegion("compact", int(n))
+				var kept []int64
+				for i := range n {
+					if err := cops[0].Put(id, i, expCell(keep[i], int64(len(kept)), i)); err != nil {
+						t.Fatal(err)
+					}
+					if keep[i] {
+						kept = append(kept, i)
+					}
+				}
+				for _, c := range cops {
+					c.ResetStats()
+				}
+				if err := Compact(cops, id, n, expRoute); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := groupTransfers(cops), CompactTransfers(n); got != want {
+					t.Fatalf("n=%d P=%d: %d transfers, want %d", n, p, got, want)
+				}
+				for i := range n {
+					pt, err := cops[0].Get(id, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					real, _ := expRoute(pt)
+					if want := i < int64(len(kept)); real != want {
+						t.Fatalf("n=%d P=%d keep=%v: slot %d real=%v, want %v", n, p, keep, i, real, want)
+					}
+					if real && expID(pt) != kept[i] {
+						t.Fatalf("n=%d P=%d keep=%v: slot %d holds cell %d, want %d", n, p, keep, i, expID(pt), kept[i])
+					}
+				}
+				digests := make([]uint64, p)
+				for w, c := range cops {
+					digests[w] = c.Trace().Digest()
+				}
+				return digests
+			}
+			var want []uint64
+			for trial := 0; trial < 3; trial++ {
+				keep, flip := make([]bool, n), make([]bool, n)
+				density := rng.IntN(5)
+				for i := range keep {
+					keep[i] = rng.IntN(4) < density
+					flip[i] = !keep[i]
+				}
+				for _, mask := range [][]bool{keep, flip} {
+					got := run(mask)
+					if want == nil {
+						want = got
+					} else if !slices.Equal(got, want) {
+						t.Fatalf("n=%d P=%d: per-device digests %#x depend on the keep mask (first mask left %#x)", n, p, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExpansionValidation pins the refusals of Distribute and Compact: a
+// negative length and a device group that is empty or not a power of two.
+// Any length n ≥ 0 is accepted — neither network pads.
+func TestExpansionValidation(t *testing.T) {
+	h := sim.NewHost(0)
+	cops := spanFleet(t, h, 3)
+	id := h.MustCreateRegion("v", 8)
+	for name, net := range map[string]func([]*sim.Coprocessor, sim.RegionID, int64, RouteFunc) error{
+		"Distribute": Distribute, "Compact": Compact,
+	} {
+		if err := net(cops[:1], id, -1, expRoute); err == nil {
+			t.Errorf("%s accepted a negative length", name)
+		}
+		if err := net(nil, id, 8, expRoute); err == nil {
+			t.Errorf("%s accepted an empty group", name)
+		}
+		if err := net(cops, id, 8, expRoute); err == nil {
+			t.Errorf("%s accepted a group of three", name)
+		}
 	}
 }
 
@@ -201,7 +298,10 @@ func TestFillForwardNoSource(t *testing.T) {
 	}
 }
 
-// TestDistributePairsFormula cross-checks the closed form against the loop.
+// TestDistributePairsFormula cross-checks the closed form against the loop
+// and against m·log₂m − (m−1), and pins Compact's: at a power of two it runs
+// Distribute's pairs, and at n = 4096 it is the 180,228 transfers that
+// replace Sort(4096)'s 557,052 in each of Algorithm 7's side expansions.
 func TestDistributePairsFormula(t *testing.T) {
 	for _, m := range []int64{1, 2, 4, 8, 64, 1024} {
 		var want int64
@@ -210,6 +310,24 @@ func TestDistributePairsFormula(t *testing.T) {
 		}
 		if got := DistributePairs(m); got != want {
 			t.Errorf("DistributePairs(%d) = %d, want %d", m, got, want)
+		}
+		if lg := int64(bits.Len64(uint64(m)) - 1); want != m*lg-(m-1) {
+			t.Errorf("DistributePairs(%d) = %d, want m·log₂m − (m−1) = %d", m, want, m*lg-(m-1))
+		}
+		if got := CompactTransfers(m); got != DistributeTransfers(m) {
+			t.Errorf("CompactTransfers(%d) = %d, want DistributeTransfers = %d", m, got, DistributeTransfers(m))
+		}
+	}
+	if got, sort := CompactTransfers(4096), SortTransfers(4096); got != 180228 || sort != 557052 {
+		t.Errorf("CompactTransfers(4096) = %d, SortTransfers(4096) = %d; want 180228 and 557052", got, sort)
+	}
+	for _, n := range []int64{0, 1, 2, 3, 5, 65, 1000} {
+		var want int64
+		for j := int64(1); j < n; j *= 2 {
+			want += 4 * (n - j)
+		}
+		if got := CompactTransfers(n); got != want {
+			t.Errorf("CompactTransfers(%d) = %d, want %d", n, got, want)
 		}
 	}
 }

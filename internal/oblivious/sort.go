@@ -2,7 +2,9 @@
 // algorithms orchestrate through the secure coprocessor: Batcher's odd-even
 // mergesort network, an oblivious shuffle (random-key sort, used by the
 // unsafe-baseline discussions of §4.5.1), the optimised repeated decoy
-// filter of §5.2.2, and Algorithm 7's expansion primitives.
+// filter of §5.2.2, and Algorithm 7's expansion primitives: order-preserving
+// compaction (Compact), the distribution network it inverts (Distribute),
+// and the fill-forward scan.
 //
 // An oblivious sort "sorts a list of encrypted elements such that no
 // observer learns the relationship between the position of any element in

@@ -433,6 +433,18 @@ func TestAlg7CrossoverAgainstCh5(t *testing.T) {
 	}
 }
 
+// TestCrossoverN57Pinned pins where the planner flips from Algorithm 5 to
+// Algorithm 7 on the matched-keys workload at three device memories. The
+// crossover moves whenever core.Join7Transfers does, so a change to
+// Algorithm 7's schedule shows here as a changed planner decision.
+func TestCrossoverN57Pinned(t *testing.T) {
+	for _, c := range []struct{ mem, cross int64 }{{8, 64}, {64, 256}, {1024, 512}} {
+		if got := CrossoverN57(c.mem); got != c.cross {
+			t.Errorf("CrossoverN57(%d) = %d, want %d", c.mem, got, c.cross)
+		}
+	}
+}
+
 // TestAlg7CrossoverAgainstAlg3 pins the Chapter 4 comparison: Algorithm 3
 // is Θ(|A|·|B|) even at N=1, so Algorithm 7 overtakes it too.
 func TestAlg7CrossoverAgainstAlg3(t *testing.T) {
