@@ -2,233 +2,266 @@ package sim
 
 import "fmt"
 
-// This file holds the batched transfer APIs. Each batched call performs the
-// SAME per-cell accesses, in the SAME order, as the equivalent sequence of
-// Get/Put/RequestDisk calls — the per-device trace and Stats are identical,
-// which is what the access-pattern invariance tests pin. What changes is
-// only the synchronisation cost: the region lock and the host trace lock
-// are acquired once per batch instead of once per cell, and plaintext
-// staging buffers are pooled, so the hot loops of the sort networks and the
-// sequential scans stop serialising on the host.
+// This file holds the transfer core and the batched entry points. Every
+// transfer — Get, Put, RequestDisk and RequestCopyOut as much as the batched
+// calls below — takes one path: H serves the cells (host.go), T opens them
+// in one loop (open) or seals them in one loop (seal), and one recorder
+// (record) is the only code that writes the device trace, the host trace
+// and the transfer counters. A batched call is therefore, by construction,
+// the sequential loop of Get/Put/RequestDisk it replaces: the same Stats,
+// device trace, host trace, cells and error, on clean runs and on every
+// error path (TestBatchedEqualsSequential). What batching changes is only
+// the synchronisation cost: the region lock and the host trace lock are
+// taken once per window instead of once per cell, and ciphertext references
+// and plaintext staging buffers are reused from T's scratch.
 
-// TransferBatch is the staging window of the chunked batch operations: how
-// many cells transit T per lock acquisition. The window is DMA-style
-// staging and is not charged against the device's M-tuple memory, extending
-// the uncharged "+2" staging convention of §4.1 (algorithm-visible state is
+// TransferBatch is the staging window of the range operations: how many
+// cells transit T per lock acquisition. The window is DMA-style staging and
+// is not charged against the device's M-tuple memory, extending the
+// uncharged "+2" staging convention of §4.1 (algorithm-visible state is
 // still bounded by Grant).
 const TransferBatch = 64
 
+// access is one kind of transfer over a span of cells.
+type access struct {
+	op Op
+	id RegionID
+	span
+}
+
+// record is the only writer of the access sequence and of Stats.Gets, Puts
+// and DiskRequests. It appends, for k in [0, n), the k-th cell of each
+// access in xs in turn to T's trace and to H's — exactly with one device
+// attached, as a count past one — and charges the transfers.
+//
+// Every path charges by one rule. A get counts iff its ciphertext reached
+// T: a cell that fails to open (tampering) or that fn refuses counts, a
+// cell H cannot serve (out of range, never written) does not. A put counts
+// iff H stored it, so a negative index does not; a disk request counts iff
+// the cell exists. Nothing after the failing cell counts. So on a
+// one-device host the host trace is the device trace, on every path.
+func (t *Coprocessor) record(n int64, xs ...access) {
+	if n <= 0 {
+		return
+	}
+	h := t.host
+	exact := h.attached.Load() <= 1
+	if exact {
+		h.traceMu.Lock()
+	} else {
+		h.trace.SkipCount(uint64(n) * uint64(len(xs)))
+	}
+	for k := int64(0); k < n; k++ {
+		for i := range xs {
+			x := &xs[i]
+			e := Event{Op: x.op, Region: x.id, Index: x.at(k)}
+			t.trace.Append(e)
+			if exact {
+				h.trace.Append(e)
+			}
+		}
+	}
+	if exact {
+		h.traceMu.Unlock()
+	}
+	for i := range xs {
+		switch xs[i].op {
+		case OpGet:
+			t.stats.Gets += uint64(n)
+		case OpPut:
+			t.stats.Puts += uint64(n)
+		case OpDisk:
+			t.stats.DiskRequests += uint64(n)
+			h.diskWrites.Add(uint64(n))
+		}
+	}
+}
+
+// get is the get path of every entry point: H hands over the cells of s up
+// to the first it cannot serve, open opens them into pts (passing each to
+// fn), and record charges each get whose ciphertext reached T.
+func (t *Coprocessor) get(id RegionID, s span, pts [][]byte, fresh bool, fn func(k int64, pt []byte) ([]byte, error)) error {
+	cts, rerr := t.host.read(id, s, t.ctScratch[:0])
+	t.ctScratch = cts
+	done, err := t.open(id, s, cts, pts, fresh, fn)
+	t.record(reached(done, err), access{OpGet, id, s})
+	if err != nil {
+		return err
+	}
+	return rerr
+}
+
+// put is the put path of every entry point: seal seals pts, H stores them
+// up to the first cell it refuses, and record charges each stored put.
+func (t *Coprocessor) put(id RegionID, s span, pts [][]byte) error {
+	cts := t.seal(pts)
+	stored, err := t.host.write(id, s, cts)
+	t.record(stored, access{OpPut, id, s})
+	return err
+}
+
+// open is the one open loop. It opens cts[k], the ciphertext of the k-th
+// cell of s, into pts[k] — a fresh buffer when fresh, else appended to
+// pts[k][:0] — and, when fn is non-nil, passes the plaintext to fn and
+// keeps fn's result in pts[k] in its place (so fn may reuse the buffer it
+// returns). It stops at the first cell that fails to open or that fn
+// refuses, and returns how many cells it completed; the failing cell's get
+// has reached T all the same.
+func (t *Coprocessor) open(id RegionID, s span, cts, pts [][]byte, fresh bool, fn func(k int64, pt []byte) ([]byte, error)) (int64, error) {
+	for k, ct := range cts {
+		var pt []byte
+		var err error
+		if fresh {
+			pt, err = t.sealer.Open(ct)
+		} else {
+			pt, err = t.sealer.OpenTo(pts[k][:0], ct)
+		}
+		if err != nil {
+			// Tampering detected: the computation must terminate (§3.3.1).
+			return int64(k), fmt.Errorf("sim: get %s[%d]: %w", t.host.RegionName(id), s.at(int64(k)), err)
+		}
+		pts[k] = pt
+		if fn != nil {
+			out, err := fn(int64(k), pt)
+			if err != nil {
+				return int64(k), err
+			}
+			pts[k] = append(pt[:0], out...)
+		}
+	}
+	return int64(len(cts)), nil
+}
+
+// reached is how many gets reached T when open completed done cells and
+// then returned err.
+func reached(done int64, err error) int64 {
+	if err != nil {
+		return done + 1
+	}
+	return done
+}
+
+// seal is the one seal loop: it seals pts into T's ciphertext scratch, for
+// the caller to hand to H.
+func (t *Coprocessor) seal(pts [][]byte) [][]byte {
+	if cap(t.sealScratch) < len(pts) {
+		t.sealScratch = make([][]byte, len(pts))
+	}
+	cts := t.sealScratch[:len(pts)]
+	for k, pt := range pts {
+		cts[k] = t.sealer.Seal(pt)
+	}
+	return cts
+}
+
+// staging returns n of T's reusable plaintext buffers.
+func (t *Coprocessor) staging(n int64) [][]byte {
+	for int64(len(t.ptScratch)) < n {
+		t.ptScratch = append(t.ptScratch, nil)
+	}
+	return t.ptScratch[:n]
+}
+
 // GetRange transfers cells [from, from+n) from H into T and decrypts them,
-// exactly like n sequential Gets but under one region-lock acquisition.
+// exactly like n sequential Gets.
 func (t *Coprocessor) GetRange(id RegionID, from, n int64) ([][]byte, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	cts, err := t.host.readRange(id, from, n, make([][]byte, 0, n))
-	served := int64(len(cts))
-	for i := int64(0); i < served; i++ {
-		t.trace.Append(Event{Op: OpGet, Region: id, Index: from + i})
-	}
-	t.stats.Gets += uint64(served)
-	if err != nil {
-		return nil, err
-	}
 	pts := make([][]byte, n)
-	for k, ct := range cts {
-		pt, oerr := t.sealer.Open(ct)
-		if oerr != nil {
-			return nil, fmt.Errorf("sim: get %s[%d]: %w", t.host.RegionName(id), from+int64(k), oerr)
+	for off := int64(0); off < n; off += TransferBatch {
+		c := min(TransferBatch, n-off)
+		if err := t.get(id, span{from: from + off, n: c}, pts[off:off+c], true, nil); err != nil {
+			return nil, err
 		}
-		pts[k] = pt
 	}
 	return pts, nil
 }
 
-// ScanRange streams cells [from, from+n) through fn in TransferBatch-sized
-// windows: per window one region-lock acquisition, plaintexts opened into a
-// pooled buffer that fn must not retain. The traced access sequence and the
-// Stats counts equal n sequential Gets.
+// ScanRange streams cells [from, from+n) through fn, exactly like n
+// sequential Gets each followed by fn. Plaintexts are opened into T's
+// staging buffers, which fn must not retain; fn must not transfer.
 func (t *Coprocessor) ScanRange(id RegionID, from, n int64, fn func(k int64, pt []byte) error) error {
-	if n <= 0 {
-		return nil
-	}
-	buf := getBuf()
-	defer putBuf(buf)
-	cts := make([][]byte, 0, min64(n, TransferBatch))
 	for off := int64(0); off < n; off += TransferBatch {
-		c := min64(TransferBatch, n-off)
-		var err error
-		cts, err = t.host.readRange(id, from+off, c, cts[:0])
-		served := int64(len(cts))
-		for i := int64(0); i < served; i++ {
-			t.trace.Append(Event{Op: OpGet, Region: id, Index: from + off + i})
-		}
-		t.stats.Gets += uint64(served)
+		c := min(TransferBatch, n-off)
+		err := t.get(id, span{from: from + off, n: c}, t.staging(c), false, func(k int64, pt []byte) ([]byte, error) {
+			return nil, fn(off+k, pt)
+		})
 		if err != nil {
 			return err
-		}
-		for k, ct := range cts {
-			pt, oerr := t.sealer.OpenTo((*buf)[:0], ct)
-			if oerr != nil {
-				return fmt.Errorf("sim: get %s[%d]: %w", t.host.RegionName(id), from+off+int64(k), oerr)
-			}
-			*buf = pt[:0]
-			if ferr := fn(off+int64(k), pt); ferr != nil {
-				return ferr
-			}
 		}
 	}
 	return nil
 }
 
 // PutRange encrypts the plaintexts inside T and transfers them to cells
-// [from, from+len(plaintexts)), exactly like sequential Puts but with one
-// region-lock acquisition per TransferBatch window.
+// [from, from+len(plaintexts)), exactly like sequential Puts.
 func (t *Coprocessor) PutRange(id RegionID, from int64, plaintexts [][]byte) error {
 	n := int64(len(plaintexts))
 	for off := int64(0); off < n; off += TransferBatch {
-		c := min64(TransferBatch, n-off)
-		if cap(t.sealScratch) < int(c) {
-			t.sealScratch = make([][]byte, c)
-		}
-		cts := t.sealScratch[:c]
-		for k := int64(0); k < c; k++ {
-			cts[k] = t.sealer.Seal(plaintexts[off+k])
-		}
-		err := t.host.writeRange(id, from+off, cts)
-		for k := range cts {
-			cts[k] = nil // drop the references; the host retains the cells
-		}
-		if err != nil {
+		c := min(TransferBatch, n-off)
+		if err := t.put(id, span{from: from + off, n: c}, plaintexts[off:off+c]); err != nil {
 			return err
 		}
-		for i := int64(0); i < c; i++ {
-			t.trace.Append(Event{Op: OpPut, Region: id, Index: from + off + i})
-		}
-		t.stats.Puts += uint64(c)
 	}
 	return nil
 }
 
 // GetBatchInto transfers the cells at the given (not necessarily
-// contiguous) indices into T under one region-lock acquisition, opening
-// each into dst[k][:0] so a caller that reuses dst across calls performs no
-// steady-state allocations. It returns dst resized to len(indices). The
-// traced sequence equals sequential Gets in indices order.
+// contiguous) indices into T, opening each into dst[k][:0] so a caller that
+// reuses dst across calls performs no steady-state allocations. It returns
+// dst resized to len(indices), and equals sequential Gets in indices order.
 func (t *Coprocessor) GetBatchInto(dst [][]byte, id RegionID, indices []int64) ([][]byte, error) {
 	for len(dst) < len(indices) {
 		dst = append(dst, nil)
 	}
 	dst = dst[:len(indices)]
-	cts, err := t.host.readBatch(id, indices, t.ctScratch[:0])
-	t.ctScratch = cts
-	served := len(cts)
-	for i := 0; i < served; i++ {
-		t.trace.Append(Event{Op: OpGet, Region: id, Index: indices[i]})
-	}
-	t.stats.Gets += uint64(served)
-	if err != nil {
-		return dst, err
-	}
-	for k, ct := range cts {
-		pt, oerr := t.sealer.OpenTo(dst[k][:0], ct)
-		if oerr != nil {
-			return dst, fmt.Errorf("sim: get %s[%d]: %w", t.host.RegionName(id), indices[k], oerr)
-		}
-		dst[k] = pt
-		cts[k] = nil
-	}
-	return dst, nil
+	return dst, t.get(id, span{n: int64(len(indices)), idx: indices}, dst, false, nil)
 }
 
 // PutBatch encrypts the plaintexts inside T and writes them to the given
-// indices under one region-lock acquisition. The traced sequence equals
-// sequential Puts in indices order.
+// indices, exactly like sequential Puts in indices order.
 func (t *Coprocessor) PutBatch(id RegionID, indices []int64, plaintexts [][]byte) error {
 	if len(indices) != len(plaintexts) {
 		return fmt.Errorf("sim: put batch of %d cells with %d indices", len(plaintexts), len(indices))
 	}
-	n := len(indices)
-	if n == 0 {
-		return nil
-	}
-	if cap(t.sealScratch) < n {
-		t.sealScratch = make([][]byte, n)
-	}
-	cts := t.sealScratch[:n]
-	for k := range plaintexts {
-		cts[k] = t.sealer.Seal(plaintexts[k])
-	}
-	err := t.host.writeBatch(id, indices, cts)
-	for k := range cts {
-		cts[k] = nil
-	}
-	if err != nil {
-		return err
-	}
-	for _, idx := range indices {
-		t.trace.Append(Event{Op: OpPut, Region: id, Index: idx})
-	}
-	t.stats.Puts += uint64(n)
-	return nil
+	return t.put(id, span{n: int64(len(indices)), idx: indices}, plaintexts)
 }
 
 // TransformRange is a batched read-modify-write scan: for each k in [0, n)
 // it gets src[srcFrom+k], passes the plaintext through fn, and puts fn's
-// result at dst[dstFrom+k]. The traced sequence — get, put, get, put,
-// interleaved per cell — and the Stats counts are identical to the
-// sequential loop; the region locks are held once per TransferBatch window,
-// so fn runs under them and must not access the host (counter charges like
-// ChargePredicate are fine). fn may retain neither pt nor its return value
-// past the call; both are re-sealed or recycled immediately.
+// result at dst[dstFrom+k], exactly like that loop of Get, fn and Put. The
+// region locks are held once per TransferBatch window, so fn runs under
+// them and must not access the host (counter charges like ChargePredicate
+// are fine). fn may retain neither pt nor its return value past the call,
+// but may return the same buffer every time.
 //
 // dst and src may be the same region (in-place rewrite, e.g. the shuffle
 // tag/strip phases) or different ones (re-encrypting copy, e.g. filter
 // fills); distinct regions are locked in RegionID order.
 func (t *Coprocessor) TransformRange(dst RegionID, dstFrom int64, src RegionID, srcFrom, n int64,
 	fn func(k int64, pt []byte) ([]byte, error)) error {
-	if n <= 0 {
-		return nil
-	}
-	buf := getBuf()
-	defer putBuf(buf)
 	for off := int64(0); off < n; off += TransferBatch {
-		c := min64(TransferBatch, n-off)
-		done, openOrFnErr, err := t.host.transformRange(dst, dstFrom+off, src, srcFrom+off, c,
-			func(k int64, ct []byte) ([]byte, error) {
-				pt, oerr := t.sealer.OpenTo((*buf)[:0], ct)
-				if oerr != nil {
-					return nil, fmt.Errorf("sim: get %s[%d]: %w", t.host.RegionName(src), srcFrom+off+k, oerr)
-				}
-				*buf = pt[:0]
-				out, ferr := fn(off+k, pt)
-				if ferr != nil {
-					return nil, ferr
-				}
-				return t.sealer.Seal(out), nil
+		c := min(TransferBatch, n-off)
+		from, to := span{from: srcFrom + off, n: c}, span{from: dstFrom + off, n: c}
+		var done int64
+		var err error
+		stored, herr := t.host.transformRange(dst, to, src, from, t.ctScratch[:0], func(cts [][]byte) [][]byte {
+			t.ctScratch = cts
+			pts := t.staging(int64(len(cts)))
+			done, err = t.open(src, from, cts, pts, false, func(k int64, pt []byte) ([]byte, error) {
+				return fn(off+k, pt)
 			})
-		for k := int64(0); k < done; k++ {
-			t.trace.Append(Event{Op: OpGet, Region: src, Index: srcFrom + off + k})
-			t.trace.Append(Event{Op: OpPut, Region: dst, Index: dstFrom + off + k})
-		}
-		t.stats.Gets += uint64(done)
-		t.stats.Puts += uint64(done)
-		if openOrFnErr {
-			// The failing cell's get succeeded at the host before the open or
-			// fn failed, matching the sequential Get-then-fail accounting.
-			t.trace.Append(Event{Op: OpGet, Region: src, Index: srcFrom + off + done})
-			t.stats.Gets++
+			return t.seal(pts[:done])
+		})
+		t.record(stored, access{OpGet, src, from}, access{OpPut, dst, to})
+		t.record(reached(done, err)-stored, access{OpGet, src, span{from: from.from + stored, n: 1}})
+		if err == nil {
+			err = herr
 		}
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -112,12 +112,3 @@ func (c *Cartesian) Read(logical int64) ([]relation.Tuple, error) {
 	}
 	return c.cached, nil
 }
-
-// Schemas returns the component schemas in order.
-func (c *Cartesian) Schemas() []*relation.Schema {
-	out := make([]*relation.Schema, len(c.tables))
-	for i, tab := range c.tables {
-		out[i] = tab.Schema
-	}
-	return out
-}

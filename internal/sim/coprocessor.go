@@ -34,12 +34,12 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Coprocessor is the trusted device T. All interaction with the outside
-// world goes through Get/Put/RequestDisk, each of which is traced by the
-// host; internal state (decrypted tuples, counters, the RNG) is invisible
-// to the adversary. Its free memory holds at most Memory tuples of
-// algorithm-managed state (the paper's M; the implicit "+2" staging slots
-// for the tuples currently being compared are not charged, matching the
-// M+2 convention of §4.1).
+// world goes through Get/Put/RequestDisk and their batched forms, every one
+// of which is traced and charged by record (batch.go); internal state
+// (decrypted tuples, counters, the RNG) is invisible to the adversary. Its
+// free memory holds at most Memory tuples of algorithm-managed state (the
+// paper's M; the implicit "+2" staging slots for the tuples currently being
+// compared are not charged, matching the M+2 convention of §4.1).
 type Coprocessor struct {
 	host    *Host
 	sealer  Sealer
@@ -52,11 +52,14 @@ type Coprocessor struct {
 	// host view interleaves nondeterministically, so per-device privacy
 	// tests compare these local traces instead.
 	trace *Trace
-	// Reused slice headers for the batched transfer paths (batch.go). A
+	// Reused scratch of the transfer core (batch.go): references to the
+	// ciphertexts H hands over and to those T hands H (at most a window of
+	// each, kept past the call), and plaintext staging buffers. A
 	// Coprocessor is single-goroutine by contract — only the Host it talks
 	// to is shared — so unsynchronised scratch is safe.
 	ctScratch   [][]byte
 	sealScratch [][]byte
+	ptScratch   [][]byte
 }
 
 // Config parameterises a coprocessor.
@@ -147,40 +150,25 @@ func (t *Coprocessor) Grant(n int) (func(), error) {
 
 // Get transfers a cell from H into T and decrypts it. The access is traced.
 func (t *Coprocessor) Get(id RegionID, index int64) ([]byte, error) {
-	ct, err := t.host.read(id, index)
-	if err != nil {
+	var pt [1][]byte
+	if err := t.get(id, span{from: index, n: 1}, pt[:], true, nil); err != nil {
 		return nil, err
 	}
-	t.trace.Append(Event{Op: OpGet, Region: id, Index: index})
-	t.stats.Gets++
-	pt, err := t.sealer.Open(ct)
-	if err != nil {
-		// Tampering detected: the computation must terminate (§3.3.1).
-		return nil, fmt.Errorf("sim: get %s[%d]: %w", t.host.RegionName(id), index, err)
-	}
-	return pt, nil
+	return pt[0], nil
 }
 
 // Put encrypts a plaintext inside T and transfers it to H. Traced.
 func (t *Coprocessor) Put(id RegionID, index int64, plaintext []byte) error {
-	t.trace.Append(Event{Op: OpPut, Region: id, Index: index})
-	t.stats.Puts++
-	return t.host.write(id, index, t.sealer.Seal(plaintext))
+	return t.put(id, span{from: index, n: 1}, [][]byte{plaintext})
 }
 
-// RequestDisk asks H to persist cells [from, from+count) of a region. The
-// whole range is validated and traced under one lock acquisition per lock;
-// on an out-of-range cell the valid prefix is still traced and counted,
-// exactly as the old per-cell loop did.
+// RequestDisk asks H to persist cells [from, from+count) of a region. On an
+// out-of-range cell the valid prefix is still traced and counted, exactly as
+// count one-cell requests would be.
 func (t *Coprocessor) RequestDisk(id RegionID, from, count int64) error {
-	if count <= 0 {
-		return nil
-	}
-	valid, err := t.host.diskWriteRange(id, from, count)
-	for i := int64(0); i < valid; i++ {
-		t.trace.Append(Event{Op: OpDisk, Region: id, Index: from + i})
-	}
-	t.stats.DiskRequests += uint64(valid)
+	s := span{from: from, n: count}
+	valid, err := t.host.disk(id, s)
+	t.record(valid, access{OpDisk, id, s})
 	return err
 }
 
@@ -233,15 +221,6 @@ func (t *Coprocessor) GetTuple(tab Table, index int64) (relation.Tuple, error) {
 	return tup, nil
 }
 
-// PutTuple is schema encoding plus Put.
-func (t *Coprocessor) PutTuple(tab Table, index int64, tup relation.Tuple) error {
-	b, err := tab.Schema.Encode(tup)
-	if err != nil {
-		return err
-	}
-	return t.Put(tab.Region, index, b)
-}
-
 // RequestCopyOut asks H to copy n sealed cells from src to dst host-side
 // (the cells never transit T, so no transfers are charged; the request is
 // traced as disk writes).
@@ -249,9 +228,6 @@ func (t *Coprocessor) RequestCopyOut(dst RegionID, dstFrom int64, src RegionID, 
 	if err := t.host.copyOut(dst, dstFrom, src, srcFrom, n); err != nil {
 		return err
 	}
-	for i := int64(0); i < n; i++ {
-		t.trace.Append(Event{Op: OpDisk, Region: dst, Index: dstFrom + i})
-	}
-	t.stats.DiskRequests += uint64(n)
+	t.record(n, access{OpDisk, dst, span{from: dstFrom, n: n}})
 	return nil
 }

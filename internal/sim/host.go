@@ -9,31 +9,31 @@ import (
 // RegionID identifies a named array of ciphertext cells in H's memory.
 type RegionID int32
 
-// Host is the untrusted server. It stores only ciphertext, relays every
-// coprocessor access into the trace, and — in the malicious-adversary tests —
-// lets an attacker tamper with cells (which T must detect via authenticated
-// encryption, §3.3.1).
+// Host is the untrusted server. It stores only ciphertext and — in the
+// malicious-adversary tests — lets an attacker tamper with cells (which T
+// must detect via authenticated encryption, §3.3.1). It holds the
+// adversary's view of the access sequence, but never writes it: the
+// coprocessor's recorder (record, batch.go) does, for every transfer.
 //
-// Locking is sharded so P coprocessors scale: the region table (the regions
-// slice and the name index) is guarded by tableMu and is append-only, so
-// lookups take only a read lock; each region carries its own mutex guarding
-// its cells; the host trace has its own mutex and batched operations append
-// a whole batch of events under one acquisition. The host trace is the
-// adversary's view — with a single coprocessor attached it is the exact
-// ordered sequence (digest plus optional raw prefix); with several attached
-// the interleaving is nondeterministic, so the host degrades it to a
-// lock-free count-only sink and the per-device Coprocessor traces stay
-// authoritative for the privacy tests.
+// Locking is sharded so P coprocessors scale: the region table is
+// append-only and published through an atomic pointer, so lookups take no
+// lock (tableMu only serialises creation and guards the name index); each
+// region carries its own mutex guarding its cells; the host trace has its
+// own mutex, taken once per recorded batch. With a single coprocessor
+// attached the host trace is the exact ordered sequence (digest plus
+// optional raw prefix); with several attached the interleaving is
+// nondeterministic, so it degrades to a lock-free count-only sink and the
+// per-device Coprocessor traces stay authoritative for the privacy tests.
 type Host struct {
-	tableMu sync.RWMutex
-	regions []*region
-	byName  map[string]RegionID
+	tableMu sync.Mutex                // serialises region creation
+	regions atomic.Pointer[[]*region] // append-only; read without a lock
+	byName  map[string]RegionID       // guarded by tableMu
 
 	traceMu sync.Mutex
 	trace   *Trace
 
 	// attached counts coprocessors constructed against this host; past one,
-	// trace recording switches to the count-only fast path.
+	// the host trace is count-only.
 	attached atomic.Int32
 
 	// diskWrites counts cells H persisted at T's request.
@@ -49,50 +49,45 @@ type region struct {
 	cells [][]byte
 }
 
+// span addresses host cells: the n cells from `from`, or, when idx is
+// non-nil, the cells idx lists (and n is len(idx)).
+type span struct {
+	from, n int64
+	idx     []int64
+}
+
+// at returns the k-th cell of the span.
+func (s span) at(k int64) int64 {
+	if s.idx != nil {
+		return s.idx[k]
+	}
+	return s.from + k
+}
+
 // NewHost creates a host whose trace records up to recordLimit raw events.
 func NewHost(recordLimit int) *Host {
-	return &Host{byName: make(map[string]RegionID), trace: NewTrace(recordLimit)}
+	h := &Host{byName: make(map[string]RegionID), trace: NewTrace(recordLimit)}
+	h.regions.Store(new([]*region))
+	return h
 }
 
 // Trace exposes the access sequence observed so far. It must only be read
 // once the coprocessors are quiescent (tests do), as appends are concurrent.
 func (h *Host) Trace() *Trace { return h.trace }
 
-// regionFor resolves an id to its region under the table read lock.
-func (h *Host) regionFor(id RegionID) *region {
-	h.tableMu.RLock()
-	r := h.regions[id]
-	h.tableMu.RUnlock()
-	return r
-}
+// regionFor resolves an id to its region.
+func (h *Host) regionFor(id RegionID) *region { return (*h.regions.Load())[id] }
 
-// traceRange appends n contiguous events of one op under a single trace
-// lock acquisition (or folds them into the count-only sink when several
-// devices are attached).
-func (h *Host) traceRange(op Op, id RegionID, from, n int64) {
-	if n <= 0 {
-		return
-	}
-	if h.attached.Load() > 1 {
-		h.trace.SkipCount(uint64(n))
-		return
-	}
-	h.traceMu.Lock()
-	for i := int64(0); i < n; i++ {
-		h.trace.Append(Event{Op: op, Region: id, Index: from + i})
-	}
-	h.traceMu.Unlock()
-}
-
-// traceOne appends a single event.
-func (h *Host) traceOne(e Event) {
-	if h.attached.Load() > 1 {
-		h.trace.SkipCount(1)
-		return
-	}
-	h.traceMu.Lock()
-	h.trace.Append(e)
-	h.traceMu.Unlock()
+// addRegion appends a region to the table. A lookup holding an older
+// snapshot of the slice never indexes the cell append writes. Caller holds
+// tableMu.
+func (h *Host) addRegion(name string, n int) RegionID {
+	rs := *h.regions.Load()
+	id := RegionID(len(rs))
+	rs = append(rs, &region{name: name, cells: make([][]byte, n)})
+	h.regions.Store(&rs)
+	h.byName[name] = id
+	return id
 }
 
 // CreateRegion allocates a named region of n (initially nil) cells and
@@ -103,10 +98,7 @@ func (h *Host) CreateRegion(name string, n int) (RegionID, error) {
 	if _, dup := h.byName[name]; dup {
 		return 0, fmt.Errorf("sim: region %q already exists", name)
 	}
-	id := RegionID(len(h.regions))
-	h.regions = append(h.regions, &region{name: name, cells: make([][]byte, n)})
-	h.byName[name] = id
-	return id, nil
+	return h.addRegion(name, n), nil
 }
 
 // MustCreateRegion is CreateRegion that panics on error.
@@ -166,282 +158,152 @@ func (h *Host) DiskWrites() uint64 {
 	return h.diskWrites.Load()
 }
 
-// read serves a traced coprocessor get.
-func (h *Host) read(id RegionID, index int64) ([]byte, error) {
-	r := h.regionFor(id)
-	r.mu.Lock()
-	if index < 0 || index >= int64(len(r.cells)) {
-		n := len(r.cells)
-		r.mu.Unlock()
-		return nil, fmt.Errorf("sim: get %s[%d] out of range (len %d)", r.name, index, n)
-	}
-	c := r.cells[index]
-	r.mu.Unlock()
-	h.traceOne(Event{Op: OpGet, Region: id, Index: index})
-	if c == nil {
-		return nil, fmt.Errorf("sim: get %s[%d] of unwritten cell", r.name, index)
-	}
-	return c, nil
-}
-
-// readRange serves a traced get of cells [from, from+n), appending the
-// ciphertext references to dst. The region lock and the trace lock are each
-// taken once for the whole batch; the per-cell event sequence is identical
-// to n sequential reads. On error the events of the successfully served
-// prefix (and, for an unwritten cell, its own get) are still traced, exactly
-// as the sequential loop would have.
-func (h *Host) readRange(id RegionID, from, n int64, dst [][]byte) ([][]byte, error) {
-	r := h.regionFor(id)
-	r.mu.Lock()
-	var (
-		served int64
-		rerr   error
-		nilAt  = int64(-1)
-	)
-	for k := int64(0); k < n; k++ {
-		idx := from + k
-		if idx < 0 || idx >= int64(len(r.cells)) {
-			rerr = fmt.Errorf("sim: get %s[%d] out of range (len %d)", r.name, idx, len(r.cells))
+// FreshRegion creates a region with a unique name derived from prefix, for
+// algorithms that allocate scratch space without coordinating names.
+func (h *Host) FreshRegion(prefix string, n int) RegionID {
+	h.tableMu.Lock()
+	defer h.tableMu.Unlock()
+	name := prefix
+	for i := 2; ; i++ {
+		if _, dup := h.byName[name]; !dup {
 			break
 		}
-		c := r.cells[idx]
-		if c == nil {
-			nilAt = idx
-			rerr = fmt.Errorf("sim: get %s[%d] of unwritten cell", r.name, idx)
-			break
-		}
-		dst = append(dst, c)
-		served++
+		name = fmt.Sprintf("%s#%d", prefix, i)
 	}
-	r.mu.Unlock()
-	traced := served
-	if nilAt >= 0 {
-		traced++ // the sequential loop traces the get before seeing the nil
-	}
-	h.traceRange(OpGet, id, from, traced)
-	return dst, rerr
+	return h.addRegion(name, n)
 }
 
-// readBatch is readRange for arbitrary (not necessarily contiguous) indices.
-func (h *Host) readBatch(id RegionID, indices []int64, dst [][]byte) ([][]byte, error) {
+// read hands T the ciphertexts of the cells of s, appended to dst, up to
+// the first cell that is out of range or was never written; the error names
+// that cell.
+func (h *Host) read(id RegionID, s span, dst [][]byte) ([][]byte, error) {
 	r := h.regionFor(id)
 	r.mu.Lock()
-	var (
-		served int
-		rerr   error
-		nilHit bool
-	)
-	for _, idx := range indices {
-		if idx < 0 || idx >= int64(len(r.cells)) {
-			rerr = fmt.Errorf("sim: get %s[%d] out of range (len %d)", r.name, idx, len(r.cells))
-			break
-		}
-		c := r.cells[idx]
-		if c == nil {
-			nilHit = true
-			rerr = fmt.Errorf("sim: get %s[%d] of unwritten cell", r.name, idx)
-			break
-		}
-		dst = append(dst, c)
-		served++
-	}
+	dst, err := r.read(s, dst)
 	r.mu.Unlock()
-	traced := served
-	if nilHit {
-		traced++
-	}
-	if h.attached.Load() > 1 {
-		h.trace.SkipCount(uint64(traced))
-		return dst, rerr
-	}
-	h.traceMu.Lock()
-	for _, idx := range indices[:traced] {
-		h.trace.Append(Event{Op: OpGet, Region: id, Index: idx})
-	}
-	h.traceMu.Unlock()
-	return dst, rerr
+	return dst, err
 }
 
-// write serves a traced coprocessor put.
-func (h *Host) write(id RegionID, index int64, ciphertext []byte) error {
-	r := h.regionFor(id)
-	if index < 0 {
-		return fmt.Errorf("sim: put %s[%d] negative index", r.name, index)
-	}
-	r.mu.Lock()
-	r.grow(index)
-	r.cells[index] = ciphertext
-	r.mu.Unlock()
-	h.traceOne(Event{Op: OpPut, Region: id, Index: index})
-	return nil
-}
-
-// writeRange serves a traced put of cells [from, from+n) in one region-lock
-// and one trace-lock acquisition. The event sequence matches n sequential
-// writes.
-func (h *Host) writeRange(id RegionID, from int64, cts [][]byte) error {
-	n := int64(len(cts))
-	if n == 0 {
-		return nil
-	}
-	r := h.regionFor(id)
-	if from < 0 {
-		return fmt.Errorf("sim: put %s[%d] negative index", r.name, from)
-	}
-	r.mu.Lock()
-	r.grow(from + n - 1)
-	copy(r.cells[from:], cts)
-	r.mu.Unlock()
-	h.traceRange(OpPut, id, from, n)
-	return nil
-}
-
-// writeBatch is writeRange for arbitrary indices.
-func (h *Host) writeBatch(id RegionID, indices []int64, cts [][]byte) error {
-	r := h.regionFor(id)
-	for _, idx := range indices {
-		if idx < 0 {
-			return fmt.Errorf("sim: put %s[%d] negative index", r.name, idx)
-		}
-	}
-	r.mu.Lock()
-	for k, idx := range indices {
-		r.grow(idx)
-		r.cells[idx] = cts[k]
-	}
-	r.mu.Unlock()
-	if h.attached.Load() > 1 {
-		h.trace.SkipCount(uint64(len(indices)))
-		return nil
-	}
-	h.traceMu.Lock()
-	for _, idx := range indices {
-		h.trace.Append(Event{Op: OpPut, Region: id, Index: idx})
-	}
-	h.traceMu.Unlock()
-	return nil
-}
-
-// transformRange serves a batched read-modify-write: for each k in [0, n) it
-// reads src[srcFrom+k], passes the ciphertext through fn, and writes the
-// result to dst[dstFrom+k]. The per-cell event sequence (get src, put dst,
-// interleaved) is identical to the sequential loop, but the region locks are
-// held once for the whole batch — fn therefore runs under the region
-// lock(s) and must not touch the host. Both regions are locked in RegionID
-// order so concurrent cross-region transforms cannot deadlock.
-//
-// It returns the number of completed get/put pairs and whether the failing
-// cell's get itself succeeded (true when fn failed after a good read), so
-// the caller can mirror the exact sequential per-device accounting.
-func (h *Host) transformRange(dst RegionID, dstFrom int64, src RegionID, srcFrom, n int64,
-	fn func(k int64, ct []byte) ([]byte, error)) (int64, bool, error) {
-	if n <= 0 {
-		return 0, false, nil
-	}
-	if dstFrom < 0 {
-		return 0, false, fmt.Errorf("sim: put %s[%d] negative index", h.RegionName(dst), dstFrom)
-	}
-	rs := h.regionFor(src)
-	rd := h.regionFor(dst)
-	// Lock in RegionID order; a self-transform locks once.
-	switch {
-	case src == dst:
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
-	case src < dst:
-		rs.mu.Lock()
-		rd.mu.Lock()
-		defer rs.mu.Unlock()
-		defer rd.mu.Unlock()
-	default:
-		rd.mu.Lock()
-		rs.mu.Lock()
-		defer rd.mu.Unlock()
-		defer rs.mu.Unlock()
-	}
-	var (
-		done   int64 // completed get/put pairs
-		nilHit bool  // unwritten cell: host traces the get, the device must not
-		fnErr  bool  // fn (or open) failed after a good read: both trace the get
-		rerr   error
-	)
-	for k := int64(0); k < n; k++ {
-		si := srcFrom + k
-		if si < 0 || si >= int64(len(rs.cells)) {
-			rerr = fmt.Errorf("sim: get %s[%d] out of range (len %d)", rs.name, si, len(rs.cells))
-			break
-		}
-		c := rs.cells[si]
-		if c == nil {
-			nilHit = true
-			rerr = fmt.Errorf("sim: get %s[%d] of unwritten cell", rs.name, si)
-			break
-		}
-		out, err := fn(k, c)
-		if err != nil {
-			fnErr = true
-			rerr = err
-			break
-		}
-		rd.grow(dstFrom + k)
-		rd.cells[dstFrom+k] = out
-		done++
-	}
-	traced := uint64(2 * done)
-	if nilHit || fnErr {
-		traced++
-	}
-	if h.attached.Load() > 1 {
-		h.trace.SkipCount(traced)
-		return done, fnErr, rerr
-	}
-	h.traceMu.Lock()
-	for k := int64(0); k < done; k++ {
-		h.trace.Append(Event{Op: OpGet, Region: src, Index: srcFrom + k})
-		h.trace.Append(Event{Op: OpPut, Region: dst, Index: dstFrom + k})
-	}
-	if nilHit || fnErr {
-		h.trace.Append(Event{Op: OpGet, Region: src, Index: srcFrom + done})
-	}
-	h.traceMu.Unlock()
-	return done, fnErr, rerr
-}
-
-// diskWrite serves a traced request to persist a cell.
-func (h *Host) diskWrite(id RegionID, index int64) error {
+// write stores cts[k] at the k-th cell of s, up to the first negative index,
+// and returns how many cells it stored.
+func (h *Host) write(id RegionID, s span, cts [][]byte) (int64, error) {
 	r := h.regionFor(id)
 	r.mu.Lock()
-	if index < 0 || index >= int64(len(r.cells)) {
-		r.mu.Unlock()
-		return fmt.Errorf("sim: disk write %s[%d] out of range", r.name, index)
-	}
+	n, err := r.write(s, cts)
 	r.mu.Unlock()
-	h.traceOne(Event{Op: OpDisk, Region: id, Index: index})
-	h.diskWrites.Add(1)
-	return nil
+	return n, err
 }
 
-// diskWriteRange serves a traced request to persist cells [from, from+count)
-// in one lock acquisition per lock. It returns how many cells were valid
-// (the traced prefix) — on an out-of-range cell the prefix is still traced
-// and counted, exactly as the sequential loop would have.
-func (h *Host) diskWriteRange(id RegionID, from, count int64) (int64, error) {
+// transformRange is the host half of a read-modify-write. With both regions
+// locked it reads the cells of from up to the first it cannot serve, hands
+// their ciphertexts to fn — which therefore runs under the region locks and
+// must not touch the host — and stores the ciphertexts fn returns at the
+// cells of to. A negative destination refuses the first put, so then only
+// one cell is read. It returns how many cells were stored; of a refused put
+// and an unreadable cell, at most one can occur.
+func (h *Host) transformRange(dst RegionID, to span, src RegionID, from span, cts [][]byte,
+	fn func(cts [][]byte) [][]byte) (int64, error) {
+	p := h.lockPair(dst, src)
+	defer p.unlock()
+	if to.from < 0 {
+		from.n = min(from.n, 1)
+	}
+	cts, rerr := p.src.read(from, cts)
+	stored, werr := p.dst.write(to, fn(cts))
+	if werr != nil {
+		return stored, werr
+	}
+	return stored, rerr
+}
+
+// disk validates T's request that H persist the cells [s.from, s.from+s.n)
+// and returns how many of them exist before the first that does not.
+func (h *Host) disk(id RegionID, s span) (int64, error) {
 	r := h.regionFor(id)
 	r.mu.Lock()
 	length := int64(len(r.cells))
 	r.mu.Unlock()
-	valid := count
-	var rerr error
-	for k := int64(0); k < count; k++ {
-		if idx := from + k; idx < 0 || idx >= length {
-			valid = k
-			rerr = fmt.Errorf("sim: disk write %s[%d] out of range", r.name, idx)
-			break
+	for k := int64(0); k < s.n; k++ {
+		if i := s.at(k); i < 0 || i >= length {
+			return k, fmt.Errorf("sim: disk write %s[%d] out of range", r.name, i)
 		}
 	}
-	h.traceRange(OpDisk, id, from, valid)
-	h.diskWrites.Add(uint64(valid))
-	return valid, rerr
+	return s.n, nil
+}
+
+// copyOut serves T's request that H copy ciphertext cells from one region to
+// another (e.g. persisting the first N scratch cells as output). The copy is
+// host-local — the cells never transit T — and either happens whole or not
+// at all.
+func (h *Host) copyOut(dst RegionID, dstFrom int64, src RegionID, srcFrom, n int64) error {
+	p := h.lockPair(dst, src)
+	defer p.unlock()
+	if srcFrom < 0 || srcFrom+n > int64(len(p.src.cells)) {
+		return fmt.Errorf("sim: copy out of %s[%d..%d) out of range", p.src.name, srcFrom, srcFrom+n)
+	}
+	if n > 0 {
+		p.dst.grow(dstFrom + n - 1)
+		copy(p.dst.cells[dstFrom:], p.src.cells[srcFrom:srcFrom+n])
+	}
+	return nil
+}
+
+// regionPair is a destination and a source region locked together.
+type regionPair struct{ dst, src *region }
+
+// lockPair locks two regions in RegionID order, so concurrent cross-region
+// operations cannot deadlock; a region paired with itself is locked once.
+func (h *Host) lockPair(dst, src RegionID) regionPair {
+	p := regionPair{dst: h.regionFor(dst), src: h.regionFor(src)}
+	first, second := p.src, p.dst
+	if dst < src {
+		first, second = p.dst, p.src
+	}
+	first.mu.Lock()
+	if second != first {
+		second.mu.Lock()
+	}
+	return p
+}
+
+func (p regionPair) unlock() {
+	p.dst.mu.Unlock()
+	if p.src != p.dst {
+		p.src.mu.Unlock()
+	}
+}
+
+// read is Host.read with r.mu held.
+func (r *region) read(s span, dst [][]byte) ([][]byte, error) {
+	for k := int64(0); k < s.n; k++ {
+		i := s.at(k)
+		if i < 0 || i >= int64(len(r.cells)) || r.cells[i] == nil {
+			return dst, r.unreadable(i)
+		}
+		dst = append(dst, r.cells[i])
+	}
+	return dst, nil
+}
+
+// unreadable says why cell i cannot be read.
+func (r *region) unreadable(i int64) error {
+	if i < 0 || i >= int64(len(r.cells)) {
+		return fmt.Errorf("sim: get %s[%d] out of range (len %d)", r.name, i, len(r.cells))
+	}
+	return fmt.Errorf("sim: get %s[%d] of unwritten cell", r.name, i)
+}
+
+// write is Host.write with r.mu held.
+func (r *region) write(s span, cts [][]byte) (int64, error) {
+	for k, ct := range cts {
+		i := s.at(int64(k))
+		if i < 0 {
+			return int64(k), fmt.Errorf("sim: put %s[%d] negative index", r.name, i)
+		}
+		r.grow(i)
+		r.cells[i] = ct
+	}
+	return int64(len(cts)), nil
 }
 
 // grow extends the region to cover index with a single capacity-doubling
@@ -462,56 +324,4 @@ func (r *region) grow(index int64) {
 	grown := make([][]byte, need, newCap)
 	copy(grown, r.cells)
 	r.cells = grown
-}
-
-// FreshRegion creates a region with a unique name derived from prefix, for
-// algorithms that allocate scratch space without coordinating names.
-func (h *Host) FreshRegion(prefix string, n int) RegionID {
-	h.tableMu.Lock()
-	defer h.tableMu.Unlock()
-	name := prefix
-	for i := 2; ; i++ {
-		if _, dup := h.byName[name]; !dup {
-			break
-		}
-		name = fmt.Sprintf("%s#%d", prefix, i)
-	}
-	id := RegionID(len(h.regions))
-	h.regions = append(h.regions, &region{name: name, cells: make([][]byte, n)})
-	h.byName[name] = id
-	return id
-}
-
-// copyOut serves T's request that H copy ciphertext cells from one region to
-// another (e.g. persisting the first N scratch cells as output). The copy is
-// host-local — the cells never transit T — but it is part of the observable
-// pattern and is traced as disk writes of the destination cells.
-func (h *Host) copyOut(dst RegionID, dstFrom int64, src RegionID, srcFrom, n int64) error {
-	rs := h.regionFor(src)
-	rd := h.regionFor(dst)
-	switch {
-	case src == dst:
-		rs.mu.Lock()
-		defer rs.mu.Unlock()
-	case src < dst:
-		rs.mu.Lock()
-		rd.mu.Lock()
-		defer rs.mu.Unlock()
-		defer rd.mu.Unlock()
-	default:
-		rd.mu.Lock()
-		rs.mu.Lock()
-		defer rd.mu.Unlock()
-		defer rs.mu.Unlock()
-	}
-	if srcFrom < 0 || srcFrom+n > int64(len(rs.cells)) {
-		return fmt.Errorf("sim: copy out of %s[%d..%d) out of range", rs.name, srcFrom, srcFrom+n)
-	}
-	if n > 0 {
-		rd.grow(dstFrom + n - 1)
-		copy(rd.cells[dstFrom:], rs.cells[srcFrom:srcFrom+n])
-	}
-	h.traceRange(OpDisk, dst, dstFrom, n)
-	h.diskWrites.Add(uint64(n))
-	return nil
 }

@@ -224,27 +224,6 @@ func TestLoadTableAndGetTuple(t *testing.T) {
 	}
 }
 
-func TestPutTuple(t *testing.T) {
-	h, cop := newTestPair(t, 4)
-	s := relation.KeyedSchema()
-	tab := Table{Region: h.MustCreateRegion("w", 1), N: 1, Schema: s}
-	in := relation.Tuple{relation.IntValue(42), relation.IntValue(-1)}
-	if err := cop.PutTuple(tab, 0, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := cop.GetTuple(tab, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].I != 42 || out[1].I != -1 {
-		t.Fatalf("PutTuple round trip: %+v", out)
-	}
-	bad := relation.Tuple{relation.IntValue(1)}
-	if err := cop.PutTuple(tab, 0, bad); err == nil {
-		t.Fatal("arity mismatch accepted")
-	}
-}
-
 func TestCartesianSequentialScan(t *testing.T) {
 	h, cop := newTestPair(t, 4)
 	a := relation.GenKeyed(relation.NewRand(1), 4, 100)
