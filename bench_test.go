@@ -621,7 +621,7 @@ func BenchmarkObliviousFilter(b *testing.B) {
 			}
 		}
 		b.StartTimer()
-		if _, err := oblivious.Filter(cop, id, omega, mu, delta,
+		if _, err := oblivious.Filter([]*sim.Coprocessor{cop}, id, omega, mu, delta,
 			func(c []byte) bool { return len(c) > 0 && c[0] == 1 }, fmt.Sprintf("buf%d", i)); err != nil {
 			b.Fatal(err)
 		}
@@ -717,7 +717,7 @@ func BenchmarkAblationFilterDelta(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				if _, err := oblivious.Filter(cop, id, omega, mu, delta,
+				if _, err := oblivious.Filter([]*sim.Coprocessor{cop}, id, omega, mu, delta,
 					func(c []byte) bool { return len(c) > 0 && c[0] == 1 }, fmt.Sprintf("b%d", i)); err != nil {
 					b.Fatal(err)
 				}

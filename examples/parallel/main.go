@@ -3,13 +3,14 @@
 // "Consider a server which has more than one secure coprocessor attached.
 // It is readily apparent that both the above algorithms are easy to
 // parallelize with a linear speed-up in the number of processors." This
-// example partitions the outer relation of Algorithm 2 over P devices and
-// the iTuple range of Algorithm 4 over P devices (whose oblivious decoy
-// filter becomes one odd-even mergesort over the device group), reporting
-// the per-device load.
+// example partitions the outer relation of Algorithm 2 over P devices, and
+// runs Algorithm 4 through its row of the algorithm table, which partitions
+// the scan on outer-table rows and sorts every round of the §5.2.2 decoy
+// filter over the device group. It reports the per-device load. Algorithm
+// 4 has one schedule, so its P=1 baseline is the sequential algorithm.
 //
-// This example drives the internal parallel engines directly (they are not
-// yet part of the stable facade).
+// This example drives the internal engines directly (they are not yet part
+// of the stable facade).
 //
 //	go run ./examples/parallel
 package main
@@ -43,7 +44,7 @@ func main() {
 		fmt.Printf("%4d %16d %15.2fx\n", p, maxT, float64(base)/float64(maxT))
 	}
 
-	fmt.Println("\nAlgorithm 4 with a parallel odd-even mergesort decoy filter:")
+	fmt.Println("\nAlgorithm 4, scan and decoy filter over P devices:")
 	fmt.Printf("%4s %16s %16s\n", "P", "max transfers", "per-device share")
 	base = 0
 	for _, p := range []int{1, 2, 4} {
@@ -87,7 +88,7 @@ func runParallel4(relA, relB *relation.Relation, eq *relation.Equi, p int) uint6
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.ParallelJoin4(cops, []sim.Table{tabA, tabB}, relation.Pairwise(eq))
+	res, _, err := core.Algorithms[3].Run(cops, []sim.Table{tabA, tabB}, core.Inputs{Pred: eq})
 	if err != nil {
 		log.Fatal(err)
 	}

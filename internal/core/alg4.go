@@ -18,56 +18,89 @@ import (
 //
 // It needs only two tuples of device memory and does not benefit from more.
 func Join4(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate) (Result, error) {
-	outSchema, cart, err := prepCh5(t, tables)
+	return join4([]*sim.Coprocessor{t}, tables, pred)
+}
+
+// join4 is Algorithm 4 over a power-of-two device group (§5.3.5). The scan
+// is partitioned on outer-table rows: device w emits the oTuples of X₁ rows
+// [w·|X₁|/P, (w+1)·|X₁|/P) into their slots of the raw output, so each
+// device's first Cartesian read falls where the sequential scan also reads
+// every table. The decoy filter then runs over the whole group, each round's
+// buffer sort one SortSpan. Summed over the group the transfers are
+// Join4Transfers at every P, and on one device this is the sequential
+// algorithm. Every device's schedule is a function of (L, S, P) and its
+// group position.
+func join4(cops []*sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate) (Result, error) {
+	outSchema, cart, err := prepCh5(cops[0], tables)
 	if err != nil {
 		return Result{}, err
 	}
-	t.ResetStats()
+	for _, c := range cops {
+		c.ResetStats()
+	}
 
-	host := t.Host()
+	host := cops[0].Host()
 	l := cart.Size()
 	raw := host.FreshRegion("alg4.raw", int(l))
 	payloadSize := outSchema.TupleSize()
 
-	var s int64
-	for i := int64(0); i < l; i++ {
-		row, err := cart.Read(i)
+	p, rows := int64(len(cops)), tables[0].N
+	perRow := l / rows
+	counts := make([]int64, p)
+	if err := oblivious.ForEach(p, func(w int64) error {
+		t := cops[w]
+		scan, err := sim.NewCartesian(t, tables)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
-		t.ChargePredicate()
-		var cell []byte
-		if pred.Satisfy(row) {
-			payload, err := joinPayload(outSchema, row...)
+		for i := w * rows / p * perRow; i < (w+1)*rows/p*perRow; i++ {
+			row, err := scan.Read(i)
 			if err != nil {
-				return Result{}, err
+				return err
 			}
-			cell = wrapReal(payload)
-			s++
-		} else {
-			cell = wrapDecoy(payloadSize)
+			t.ChargePredicate()
+			var cell []byte
+			if pred.Satisfy(row) {
+				payload, err := joinPayload(outSchema, row...)
+				if err != nil {
+					return err
+				}
+				cell = wrapReal(payload)
+				counts[w]++
+			} else {
+				cell = wrapDecoy(payloadSize)
+			}
+			if err := t.Put(raw, i, cell); err != nil {
+				return err
+			}
 		}
-		if err := t.Put(raw, i, cell); err != nil {
-			return Result{}, err
-		}
+		return nil
+	}); err != nil {
+		return Result{}, err
+	}
+	var s int64
+	for _, c := range counts {
+		s += c
 	}
 
-	out, err := filterDecoys(t, raw, l, s, "alg4.out")
+	out, err := filterDecoys(cops, raw, l, s, "alg4.out")
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
 		Output:    sim.Table{Region: out, N: s, Schema: outSchema},
 		OutputLen: s,
-		Stats:     t.Stats(),
+		Stats:     sumStats(cops),
 	}, nil
 }
 
 // filterDecoys obliviously reduces omega oTuple cells to the s real results
 // using the §5.2.2 repeated-buffer filter with the implementation-optimal
-// swap size. With s = 0 it returns an empty region (the empty output is
-// public); with omega == s no filtering is needed.
-func filterDecoys(t *sim.Coprocessor, raw sim.RegionID, omega, s int64, name string) (sim.RegionID, error) {
+// swap size, its buffer sorts spread over the power-of-two device group cops.
+// With s = 0 it returns an empty region (the empty output is public); with
+// omega == s no filtering is needed.
+func filterDecoys(cops []*sim.Coprocessor, raw sim.RegionID, omega, s int64, name string) (sim.RegionID, error) {
+	t := cops[0]
 	host := t.Host()
 	if s == 0 {
 		return host.FreshRegion(name, 0), nil
@@ -80,7 +113,7 @@ func filterDecoys(t *sim.Coprocessor, raw sim.RegionID, omega, s int64, name str
 		return out, nil
 	}
 	delta := oblivious.ChooseDelta(omega, s)
-	buf, err := oblivious.Filter(t, raw, omega, s, delta, IsReal, name+".buf")
+	buf, err := oblivious.Filter(cops, raw, omega, s, delta, IsReal, name+".buf")
 	if err != nil {
 		return 0, err
 	}
@@ -91,9 +124,10 @@ func filterDecoys(t *sim.Coprocessor, raw sim.RegionID, omega, s int64, name str
 	return out, nil
 }
 
-// Join4Transfers is the exact transfer count of this implementation, the
-// measured analogue of Eqn 5.2 (which counts reads of D logically; the
-// underlying per-table gets add the lower-order cached-outer terms).
+// Join4Transfers is the exact transfer count of this implementation, summed
+// over the device group at every P, the measured analogue of Eqn 5.2 (which
+// counts reads of D logically; the underlying per-table gets add the
+// lower-order cached-outer terms).
 func Join4Transfers(sizes []int64, s int64) int64 {
 	l := int64(1)
 	gets := int64(0)

@@ -171,7 +171,7 @@ func Join6OnePass(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPre
 			S: knownS, NStar: nStar, Segments: segments,
 		}, nil
 	}
-	filtered, err := filterDecoys(t, raw, rawPos, knownS, "alg6op.kept")
+	filtered, err := filterDecoys([]*sim.Coprocessor{t}, raw, rawPos, knownS, "alg6op.kept")
 	if err != nil {
 		return Join6Report{}, err
 	}

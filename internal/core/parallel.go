@@ -10,8 +10,9 @@ import (
 
 // This file implements the parallel variants of §4.4.4 ("both the above
 // algorithms are easy to parallelize with a linear speed-up in the number
-// of processors") and §5.3.5. All coprocessors must share one sealer and be
-// attached to the same host.
+// of processors"). Chapter 5's device-group forms (§5.3.5) live beside
+// their sequential entry points in alg4.go and alg5.go. All coprocessors
+// must share one sealer and be attached to the same host.
 
 // ParallelJoin2 runs Algorithm 2 with P coprocessors, partitioning the
 // outer relation A: device p handles A rows [p·|A|/P, (p+1)·|A|/P) and
@@ -234,87 +235,6 @@ func join3Range(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 		}
 	}
 	return nil
-}
-
-// ParallelJoin4 runs Algorithm 4 with P coprocessors (§5.3.5): the iTuple
-// range is partitioned across devices, each emitting one oTuple per iTuple
-// into its own slice of the raw output; the decoy filter is then one group
-// sort over all P devices (the thesis: "oblivious filtering out decoys in
-// parallel requires a parallel bitonic sort"; the group runs odd-even
-// mergesort). P must be a power of two.
-func ParallelJoin4(cops []*sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate) (Result, error) {
-	if len(cops) == 0 {
-		return Result{}, fmt.Errorf("%w: no coprocessors", errInvalid)
-	}
-	outSchema, err := outputSchemaN(tables)
-	if err != nil {
-		return Result{}, err
-	}
-	probe, err := sim.NewCartesian(cops[0], tables)
-	if err != nil {
-		return Result{}, err
-	}
-	for _, c := range cops {
-		c.ResetStats()
-	}
-	l := probe.Size()
-	host := cops[0].Host()
-	raw := host.FreshRegion("palg4.raw", int(l))
-	payloadSize := outSchema.TupleSize()
-
-	p := int64(len(cops))
-	counts := make([]int64, p)
-	if err := oblivious.ForEach(p, func(w int64) error {
-		cart, err := sim.NewCartesian(cops[w], tables)
-		if err != nil {
-			return err
-		}
-		for i := w * l / p; i < (w+1)*l/p; i++ {
-			row, err := cart.Read(i)
-			if err != nil {
-				return err
-			}
-			cops[w].ChargePredicate()
-			var cell []byte
-			if pred.Satisfy(row) {
-				payload, err := joinPayload(outSchema, row...)
-				if err != nil {
-					return err
-				}
-				cell = wrapReal(payload)
-				counts[w]++
-			} else {
-				cell = wrapDecoy(payloadSize)
-			}
-			if err := cops[w].Put(raw, i, cell); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return Result{}, err
-	}
-	var s int64
-	for _, c := range counts {
-		s += c
-	}
-
-	// Parallel oblivious sort, real results first; then the first S cells
-	// are the exact output.
-	if err := oblivious.SortSpan(cops, raw, 0, l, oTupleFirst); err != nil {
-		return Result{}, err
-	}
-	out := host.FreshRegion("palg4.out", int(s))
-	if s > 0 {
-		if err := cops[0].RequestCopyOut(out, 0, raw, 0, s); err != nil {
-			return Result{}, err
-		}
-	}
-	return Result{
-		Output:    sim.Table{Region: out, N: s, Schema: outSchema},
-		OutputLen: s,
-		Stats:     sumStats(cops),
-	}, nil
 }
 
 // pow2Prefix returns the largest power of two <= n (n >= 1).

@@ -112,16 +112,8 @@ func TestParallelJoin4Correctness(t *testing.T) {
 			relA, relB := genJoinSized(uint64(p), 5, 8, 6)
 			h := sim.NewHost(0)
 			cops := newFleet(t, h, p, 4)
-			tabs := []sim.Table{}
-			for i, rel := range []*relation.Relation{relA, relB} {
-				tab, err := sim.LoadTable(h, cops[0].Sealer(), fmt.Sprintf("X%d", i), rel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tabs = append(tabs, tab)
-			}
-			pred := relation.Pairwise(keyEqui(t, relA, relB))
-			res, err := ParallelJoin4(cops, tabs, pred)
+			eq := keyEqui(t, relA, relB)
+			res, _, err := Algorithms[3].Run(cops, loadTables(t, h, cops[0].Sealer(), relA, relB), Inputs{Pred: eq})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +121,7 @@ func TestParallelJoin4Correctness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := relation.ReferenceMultiJoin([]*relation.Relation{relA, relB}, pred)
+			want := relation.ReferenceJoin(relA, relB, eq)
 			if !relation.SameMultiset(got, want) {
 				t.Fatalf("join mismatch: %d vs %d rows", got.Len(), want.Len())
 			}
@@ -137,34 +129,46 @@ func TestParallelJoin4Correctness(t *testing.T) {
 	}
 }
 
+// TestParallelJoin4PerDeviceTraceDataIndependent checks that Algorithm 4's
+// per-device schedule at P = 2 and 4, through the table row, is a function
+// of the run's public sizes alone: fifty identical runs leave one
+// per-device Trace.Digest vector (so region ids never follow goroutine
+// order), and a content-different input with the same sizes and join size
+// leaves the same vector and the same per-device Stats.
 func TestParallelJoin4PerDeviceTraceDataIndependent(t *testing.T) {
-	run := func(seed uint64) []uint64 {
-		relA, relB := genJoinSized(seed, 6, 8, 5)
-		h := sim.NewHost(0)
-		cops := newFleet(t, h, 4, 4)
-		tabs := []sim.Table{}
-		for i, rel := range []*relation.Relation{relA, relB} {
-			tab, err := sim.LoadTable(h, cops[0].Sealer(), fmt.Sprintf("X%d", i), rel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tabs = append(tabs, tab)
-		}
-		pred := relation.Pairwise(keyEqui(t, relA, relB))
-		if _, err := ParallelJoin4(cops, tabs, pred); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]uint64, len(cops))
-		for i, c := range cops {
-			out[i] = c.Trace().Digest()
-		}
-		return out
+	const runs = 50
+	type perDevice struct {
+		digests [4]uint64
+		stats   [4]sim.Stats
 	}
-	a, b := run(41), run(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("device %d access pattern depends on data", i)
-		}
+	for _, p := range []int{2, 4} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			run := func(seed uint64) perDevice {
+				relA, relB := genJoinSized(seed, 6, 8, 5)
+				h := sim.NewHost(0)
+				cops := newFleet(t, h, p, 4)
+				tabs := loadTables(t, h, cops[0].Sealer(), relA, relB)
+				if _, _, err := Algorithms[3].Run(cops, tabs, Inputs{Pred: keyEqui(t, relA, relB)}); err != nil {
+					t.Fatal(err)
+				}
+				var per perDevice
+				for i, c := range cops {
+					per.digests[i], per.stats[i] = c.Trace().Digest(), c.Stats()
+				}
+				return per
+			}
+			want := run(41)
+			for i := 1; i < runs; i++ {
+				if got := run(41); got != want {
+					t.Fatalf("run %d of the same input left per-device traces %#x, run 0 left %#x",
+						i, got.digests[:p], want.digests[:p])
+				}
+			}
+			if other := run(42); other != want {
+				t.Fatalf("per-device schedule depends on tuple contents:\n run1 %#x %+v\n run2 %#x %+v",
+					want.digests[:p], want.stats[:p], other.digests[:p], other.stats[:p])
+			}
+		})
 	}
 }
 
@@ -180,8 +184,8 @@ func TestParallelValidation(t *testing.T) {
 	if _, err := ParallelJoin5(nil, []sim.Table{tabA, tabB}, relation.Pairwise(pred)); err == nil {
 		t.Error("no coprocessors accepted by ParallelJoin5")
 	}
-	if _, err := ParallelJoin4(nil, []sim.Table{tabA, tabB}, relation.Pairwise(pred)); err == nil {
-		t.Error("no coprocessors accepted by ParallelJoin4")
+	if _, _, err := Algorithms[3].Run(nil, []sim.Table{tabA, tabB}, Inputs{Pred: pred}); err == nil {
+		t.Error("no coprocessors accepted by Algorithm 4")
 	}
 }
 

@@ -376,10 +376,9 @@ func rowSchedules(t *testing.T, alg *Algorithm) []schedule {
 					continue
 				}
 				model := alg.Transfers([]int64{int64(sz[0]), int64(sz[1])}, s, int64(lockRows[alg.Name].mem), in, use)
-				// The closed form is what a fleet charges, except Algorithm 4's
-				// (a whole-output sort for the filter) and Algorithm 5's
+				// The closed form is what a fleet charges, except Algorithm 5's
 				// (Σᵢ ⌈blkᵢ/M⌉ scans) at P > 1.
-				if exact := p == 1 || (alg.Name != "alg4" && alg.Name != "alg5"); exact && int64(res.Stats.Transfers()) != model {
+				if exact := p == 1 || alg.Name != "alg5"; exact && int64(res.Stats.Transfers()) != model {
 					t.Errorf("%s: measured %d transfers, closed form %d", name, res.Stats.Transfers(), model)
 				}
 				out = append(out, record(name, cops, res.Stats, model))
@@ -444,12 +443,14 @@ func primitiveSchedules(t *testing.T) []schedule {
 			}})
 	}
 	for _, f := range [][3]int64{{100, 8, 8}, {50, 10, 6}, {300, 16, 48}} {
-		cases = append(cases, prim{fmt.Sprintf("oblivious/Filter/w%d.mu%d.d%d/P1", f[0], f[1], f[2]), 1, f[0],
-			oblivious.FilterTransfers(f[0], f[1], f[2]),
-			func(cops []*sim.Coprocessor, id sim.RegionID) error {
-				_, err := oblivious.Filter(cops[0], id, f[0], f[1], f[2], func(pt []byte) bool { return val(pt)%2 == 1 }, "buf")
-				return err
-			}})
+		for _, p := range []int{1, 2, 4} {
+			cases = append(cases, prim{fmt.Sprintf("oblivious/Filter/w%d.mu%d.d%d/P%d", f[0], f[1], f[2], p), p, f[0],
+				oblivious.FilterTransfers(f[0], f[1], f[2]),
+				func(cops []*sim.Coprocessor, id sim.RegionID) error {
+					_, err := oblivious.Filter(cops, id, f[0], f[1], f[2], func(pt []byte) bool { return val(pt)%2 == 1 }, "buf")
+					return err
+				}})
+		}
 	}
 
 	out := make([]schedule, 0, len(cases))

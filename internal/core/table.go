@@ -73,13 +73,11 @@ type Algorithm struct {
 	run       func(cops []*sim.Coprocessor, t []sim.Table, in Inputs) (Result, CacheUse, error)
 }
 
-// Algorithms is the table, indexed by Number-1. Algorithms 2, 3, 5 and 7
+// Algorithms is the table, indexed by Number-1. Algorithms 2, 3, 4, 5 and 7
 // have one schedule each: the sequential algorithm is the device-group form
 // at P=1, trace for trace. Algorithm 7 has two front halves (monolithic
 // union sort without a cache, split halves plus odd-even merge with one)
-// in front of one tail. Algorithm 4 alone keeps distinct sequential and
-// parallel schedules — its parallel form sorts the whole raw output where
-// the sequential one runs the §5.2.2 filter, 47 % dearer on one device.
+// in front of one tail.
 var Algorithms = []*Algorithm{
 	{Name: "alg1", Number: 1, TwoWay: true, Padded: true, Fleet: OneDevice,
 		transfers: func(z []int64, _, _ int64, in Inputs, _ CacheUse) int64 {
@@ -105,10 +103,7 @@ var Algorithms = []*Algorithm{
 	{Name: "alg4", Number: 4, Fleet: Pow2Devices,
 		transfers: func(z []int64, s, _ int64, _ Inputs, _ CacheUse) int64 { return Join4Transfers(z, s) },
 		run: func(c []*sim.Coprocessor, t []sim.Table, in Inputs) (Result, CacheUse, error) {
-			if len(c) == 1 {
-				return uncached(Join4(c[0], t, in.Multi))
-			}
-			return uncached(ParallelJoin4(c, t, in.Multi))
+			return uncached(join4(c, t, in.Multi))
 		}},
 	{Name: "alg5", Number: 5, Fleet: AnyDevices,
 		transfers: func(z []int64, s, m int64, _ Inputs, _ CacheUse) int64 { return Join5Transfers(z, s, m) },
@@ -199,11 +194,10 @@ func (a *Algorithm) Run(cops []*sim.Coprocessor, tables []sim.Table, in Inputs) 
 // memory m, the public fields of in (N, δ, ε, pre-sortedness, whether a
 // cache participates) and, with a cache, the hit bits. It is what Run
 // charges, summed over the fleet, exactly at every admissible P — a fleet
-// sorts with the same network one device runs — except for Algorithm 4 at
-// P > 1, whose fleet sorts the whole raw output instead of running the
-// filter, and Algorithm 5 at P > 1, whose fleet runs Σᵢ ⌈blkᵢ/M⌉ scans
-// instead of ⌈S/M⌉. Algorithm 6's form is a worst-case bound once s
-// exceeds m (its random-order reads reuse coordinates).
+// sorts with the same network one device runs — except for Algorithm 5 at
+// P > 1, whose fleet runs Σᵢ ⌈blkᵢ/M⌉ scans instead of ⌈S/M⌉. Algorithm 6's
+// form is a worst-case bound once s exceeds m (its random-order reads reuse
+// coordinates).
 func (a *Algorithm) Transfers(sizes []int64, s, m int64, in Inputs, use CacheUse) int64 {
 	return a.transfers(sizes, s, m, in, use)
 }

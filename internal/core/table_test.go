@@ -176,38 +176,41 @@ func TestConsecutiveRunsReportEqualStats(t *testing.T) {
 	}
 }
 
-// TestSequentialIsParallelAtP1 pins what let Join2, Join3, Join5 and Join7
-// fold into their device-group forms: on one device the group schedule is
-// the sequential one. Each direct entry point runs its row's lockfile sizes
+// TestSequentialIsParallelAtP1 pins what let Join2, Join3, Join4, Join5 and
+// Join7 fold into their device-group forms: on one device the group schedule
+// is the sequential one. Each direct entry point runs its row's lockfile sizes
 // on one device and must charge the Stats and leave the trace digest of the
 // table's P=1 line, which TestScheduleLockfile pins. A change that moves a
-// P=1 schedule off the sequential algorithm's fails here.
+// P=1 schedule off the sequential algorithm's fails here. One subtest per
+// row, so CI can repeat the cheap rows more often than Algorithm 4's.
 func TestSequentialIsParallelAtP1(t *testing.T) {
 	want, err := readLockfile(scheduleLockfile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"alg2", "alg3", "alg5", "alg7"} {
-		alg, err := AlgorithmByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sz := range lockSizes {
-			line := fmt.Sprintf("%s/%dx%d/P1", name, sz[0], sz[1])
-			table, ok := want[line]
-			if !ok {
-				t.Fatalf("%s: not in the lockfile", line)
+	for _, name := range []string{"alg2", "alg3", "alg4", "alg5", "alg7"} {
+		t.Run(name, func(t *testing.T) {
+			alg, err := AlgorithmByName(name)
+			if err != nil {
+				t.Fatal(err)
 			}
-			relA, relB, in, _ := lockInputs(t, alg, sz[0], sz[1])
-			env := newEnv(t, lockRows[name].mem, 1, relA, relB)
-			res, err := direct[name](env.t, []sim.Table{env.tabA, env.tabB}, in)
-			if (err != nil) != table.refused {
-				t.Fatalf("%s via the sequential entry point: err = %v, lockfile %s", line, err, table)
+			for _, sz := range lockSizes {
+				line := fmt.Sprintf("%s/%dx%d/P1", name, sz[0], sz[1])
+				table, ok := want[line]
+				if !ok {
+					t.Fatalf("%s: not in the lockfile", line)
+				}
+				relA, relB, in, _ := lockInputs(t, alg, sz[0], sz[1])
+				env := newEnv(t, lockRows[name].mem, 1, relA, relB)
+				res, err := direct[name](env.t, []sim.Table{env.tabA, env.tabB}, in)
+				if (err != nil) != table.refused {
+					t.Fatalf("%s via the sequential entry point: err = %v, lockfile %s", line, err, table)
+				}
+				if !table.refused && (res.Stats != table.stats || env.h.Trace().Digest() != table.devices[0].digest) {
+					t.Errorf("%s via the sequential entry point: stats %+v digest %#x, the table's are %+v %#x",
+						line, res.Stats, env.h.Trace().Digest(), table.stats, table.devices[0].digest)
+				}
 			}
-			if !table.refused && (res.Stats != table.stats || env.h.Trace().Digest() != table.devices[0].digest) {
-				t.Errorf("%s via the sequential entry point: stats %+v digest %#x, the table's are %+v %#x",
-					line, res.Stats, env.h.Trace().Digest(), table.stats, table.devices[0].digest)
-			}
-		}
+		})
 	}
 }

@@ -20,12 +20,24 @@ import (
 // swap size Δ* (its formula counts bitonic sort; FilterTransfers counts the
 // odd-even network this package runs).
 //
+// The filter runs over a power-of-two device group attached to one host and
+// sharing one sealer: the copy and pad passes run on group[0], and each
+// round's buffer sort is one SortSpan over the whole group — the thesis's
+// "oblivious filtering out decoys in parallel requires a parallel … sort"
+// (§5.3.5). Summed over the group the transfers are FilterTransfers(ω, μ, Δ)
+// at every group size; a one-device group is the sequential filter. An empty
+// group or one whose size is not a power of two is refused before any
+// transfer.
+//
 // This implementation requires μ+Δ to be a power of two so the repeated
 // sorts need no per-round padding; ChooseDelta picks the best such
 // Δ. Rounds with fewer than Δ remaining source cells are topped up with
-// padding cells, so the access pattern is a function of (ω, μ, Δ) only.
-func Filter(t *sim.Coprocessor, src sim.RegionID, omega, mu, delta int64,
+// padding cells, so the access pattern is a function of (ω, μ, Δ, P) only.
+func Filter(group []*sim.Coprocessor, src sim.RegionID, omega, mu, delta int64,
 	isTarget func([]byte) bool, bufName string) (sim.RegionID, error) {
+	if _, err := groupSize(group); err != nil {
+		return 0, err
+	}
 	if mu < 0 || omega < 0 || delta <= 0 {
 		return 0, fmt.Errorf("oblivious: invalid filter shape ω=%d μ=%d Δ=%d", omega, mu, delta)
 	}
@@ -33,9 +45,10 @@ func Filter(t *sim.Coprocessor, src sim.RegionID, omega, mu, delta int64,
 	if bufSize != NextPow2(bufSize) {
 		return 0, fmt.Errorf("oblivious: filter buffer μ+Δ = %d must be a power of two", bufSize)
 	}
+	t := group[0]
 	buf := t.Host().FreshRegion(bufName, int(bufSize))
 	less := func(a, b []byte) bool {
-		// Targets first; Sort's internal wrapper already places padding
+		// Targets first; SortSpan's internal wrapper already places padding
 		// cells last, so only real-vs-real ordering matters here.
 		return isTarget(a) && !isTarget(b)
 	}
@@ -52,7 +65,7 @@ func Filter(t *sim.Coprocessor, src sim.RegionID, omega, mu, delta int64,
 	if err := PadRange(t, buf, head, bufSize); err != nil {
 		return 0, err
 	}
-	if err := Sort(t, buf, bufSize, less); err != nil {
+	if err := SortSpan(group, buf, 0, bufSize, less); err != nil {
 		return 0, err
 	}
 
@@ -64,14 +77,15 @@ func Filter(t *sim.Coprocessor, src sim.RegionID, omega, mu, delta int64,
 		if err := PadRange(t, buf, mu+r, mu+delta); err != nil {
 			return 0, err
 		}
-		if err := Sort(t, buf, bufSize, less); err != nil {
+		if err := SortSpan(group, buf, 0, bufSize, less); err != nil {
 			return 0, err
 		}
 	}
 	return buf, nil
 }
 
-// FilterTransfers returns the exact transfer count of Filter(ω, μ, Δ).
+// FilterTransfers returns the exact transfer count of Filter(ω, μ, Δ),
+// summed over the group, at every group size.
 func FilterTransfers(omega, mu, delta int64) int64 {
 	bufSize := mu + delta
 	head := min64(omega, bufSize)

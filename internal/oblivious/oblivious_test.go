@@ -260,7 +260,6 @@ func TestFilterKeepsAllTargets(t *testing.T) {
 	} {
 		name := fmt.Sprintf("w%d_m%d_d%d", tc.omega, tc.mu, tc.delta)
 		t.Run(name, func(t *testing.T) {
-			h, cop := newPair(t, 21)
 			// Exactly mu odd targets scattered through omega cells.
 			vals := make([]uint64, tc.omega)
 			for i := range vals {
@@ -270,22 +269,26 @@ func TestFilterKeepsAllTargets(t *testing.T) {
 			for k := int64(0); k < tc.mu; k++ {
 				vals[k*step] = uint64(2*k + 1) // odd = target
 			}
-			id := loadInts(t, h, cop, "src", vals)
-			buf, err := Filter(cop, id, tc.omega, tc.mu, tc.delta, isOdd, "buf")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := readInts(t, cop, buf, tc.mu)
-			found := map[uint64]bool{}
-			for _, v := range got {
-				if v%2 != 1 {
-					t.Fatalf("non-target %d in kept region %v", v, got)
+			for _, p := range []int{1, 2, 4} {
+				h := sim.NewHost(0)
+				cops := spanFleet(t, h, p)
+				id := loadInts(t, h, cops[0], "src", vals)
+				buf, err := Filter(cops, id, tc.omega, tc.mu, tc.delta, isOdd, "buf")
+				if err != nil {
+					t.Fatal(err)
 				}
-				found[v] = true
-			}
-			for k := int64(0); k < tc.mu; k++ {
-				if !found[uint64(2*k+1)] {
-					t.Fatalf("target %d lost (%v)", 2*k+1, got)
+				got := readInts(t, cops[0], buf, tc.mu)
+				found := map[uint64]bool{}
+				for _, v := range got {
+					if v%2 != 1 {
+						t.Fatalf("P=%d: non-target %d in kept region %v", p, v, got)
+					}
+					found[v] = true
+				}
+				for k := int64(0); k < tc.mu; k++ {
+					if !found[uint64(2*k+1)] {
+						t.Fatalf("P=%d: target %d lost (%v)", p, 2*k+1, got)
+					}
 				}
 			}
 		})
@@ -299,7 +302,7 @@ func TestFilterTransferCountExact(t *testing.T) {
 		h, cop := newPair(t, 23)
 		vals := make([]uint64, tc.omega)
 		id := loadInts(t, h, cop, "src", vals)
-		if _, err := Filter(cop, id, tc.omega, tc.mu, tc.delta, isOdd, "buf"); err != nil {
+		if _, err := Filter(one(cop), id, tc.omega, tc.mu, tc.delta, isOdd, "buf"); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := int64(cop.Stats().Transfers()), FilterTransfers(tc.omega, tc.mu, tc.delta); got != want {
@@ -308,14 +311,35 @@ func TestFilterTransferCountExact(t *testing.T) {
 	}
 }
 
+// TestFilterValidation pins Filter's refusals: a buffer μ+Δ that is not a
+// power of two, a zero swap size, and a device group that is empty or not a
+// power of two — each before any transfer is charged.
 func TestFilterValidation(t *testing.T) {
-	h, cop := newPair(t, 25)
-	id := h.MustCreateRegion("src", 4)
-	if _, err := Filter(cop, id, 4, 3, 2, isOdd, "b1"); err == nil {
-		t.Fatal("non-power-of-two buffer accepted")
+	h := sim.NewHost(0)
+	cops := spanFleet(t, h, 3)
+	id := loadInts(t, h, cops[0], "src", []uint64{1, 2, 3, 4})
+	before := h.Trace().Count()
+	for _, bad := range []struct {
+		what             string
+		group            []*sim.Coprocessor
+		omega, mu, delta int64
+	}{
+		{"a non-power-of-two buffer", cops[:1], 4, 3, 2},
+		{"a zero delta", cops[:1], 4, 3, 0},
+		{"an empty group", nil, 4, 2, 2},
+		{"a group of three", cops, 4, 2, 2},
+	} {
+		if _, err := Filter(bad.group, id, bad.omega, bad.mu, bad.delta, isOdd, "buf"); err == nil {
+			t.Errorf("%s accepted", bad.what)
+		}
 	}
-	if _, err := Filter(cop, id, 4, 3, 0, isOdd, "b2"); err == nil {
-		t.Fatal("zero delta accepted")
+	if after := h.Trace().Count(); after != before {
+		t.Errorf("refused filters charged %d host accesses", after-before)
+	}
+	for _, c := range cops {
+		if c.Stats().Transfers() != 0 {
+			t.Errorf("a refused filter charged device transfers: %+v", c.Stats())
+		}
 	}
 }
 
@@ -336,7 +360,7 @@ func TestFilterTraceIndependentOfTargetPositions(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := Filter(cop, id, omega, mu, delta, isOdd, "buf"); err != nil {
+		if _, err := Filter(one(cop), id, omega, mu, delta, isOdd, "buf"); err != nil {
 			t.Fatal(err)
 		}
 		return h.Trace().Digest()
