@@ -317,8 +317,8 @@ func BenchmarkMeasuredAlg5OCB(b *testing.B) {
 
 // BenchmarkMeasuredAlg7 executes Algorithm 7 over the same scaled setting
 // as the other Chapter 5 measured benchmarks (L=6400, S=64) and reports the
-// measured transfers, which must equal both core.Join7Transfers and the
-// costmodel prediction exactly.
+// measured transfers, which must equal the alg7 table row's closed form at
+// the device's M = 8 exactly (core.Join7Transfers is the M ≥ 64 form).
 func BenchmarkMeasuredAlg7(b *testing.B) {
 	relA := relation.NewRelation(relation.KeyedSchema())
 	relB := relation.NewRelation(relation.KeyedSchema())
@@ -359,7 +359,7 @@ func BenchmarkMeasuredAlg7(b *testing.B) {
 			b.Fatal(err)
 		}
 		transfers = res.Stats.Transfers()
-		if want := core.Join7Transfers(tabA.N, tabB.N, res.OutputLen); int64(transfers) != want {
+		if want := core.Algorithms[6].Transfers([]int64{tabA.N, tabB.N}, res.OutputLen, 8, core.Inputs{}, core.CacheUse{}); int64(transfers) != want {
 			b.Fatalf("transfers = %d, want closed form %d", transfers, want)
 		}
 	}
@@ -530,7 +530,7 @@ func BenchmarkParallelSort(b *testing.B) {
 					h.Store(id, j, sealer.Seal([]byte(fmt.Sprintf("%08d", (j*2654435761)%100000))))
 				}
 				b.StartTimer()
-				if err := oblivious.SortSpan(cops, id, 0, n, less); err != nil {
+				if err := oblivious.SortSpan(cops, id, 0, n, 1, less); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -595,7 +595,7 @@ func BenchmarkObliviousSort(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(oblivious.SortTransfers(1024)), "transfers")
+	b.ReportMetric(float64(oblivious.SortTransfers(1024, 1)), "transfers")
 }
 
 // BenchmarkObliviousFilter measures the §5.2.2 decoy filter keeping 64 of

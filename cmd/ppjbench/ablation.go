@@ -22,7 +22,7 @@ func runAblation(out *output) error {
 	out.csvRow("section", "x", "paper_bitonic", "implementation_oddeven")
 	for _, n := range []int64{1 << 10, 1 << 12, 1 << 14, 1 << 16} {
 		bi := 4 * costmodel.BitonicComparators(n) // n is a power of two: no padding
-		oe := oblivious.SortTransfers(n)
+		oe := oblivious.SortTransfers(n, 1)
 		out.printf("%-10d %18d %22d %9.1f%%\n", n, bi, oe, 100*(1-float64(oe)/float64(bi)))
 		out.csvRow("network", n, bi, oe)
 	}

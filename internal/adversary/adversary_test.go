@@ -138,7 +138,7 @@ func TestSortMergeLeaksMatchCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Discard the publicly-sized oblivious-sort prelude.
-	prefix := oblivious.SortTransfers(tabA.N) + oblivious.SortTransfers(tabB.N)
+	prefix := oblivious.SortTransfers(tabA.N, 1) + oblivious.SortTransfers(tabB.N, 1)
 	merge := SkipPrefix(h.Trace().Events(), prefix)
 	counts := InnerReadsPerOuter(merge, tabA.Region, tabB.Region, tabA.N)
 	// Sorted A = [1,2,3]; the middle tuple must stand out.

@@ -108,7 +108,7 @@ func Join1Transfers(aN, bN, n int64) int64 {
 	perA := 2*n + // initial decoys
 		1 + // get a  (amortised below by multiplying |A|)
 		2*bN + // get b + put scratch per B tuple
-		sortsPerA*oblivious.SortTransfers(2*n)
+		sortsPerA*oblivious.SortTransfers(2*n, 1)
 	return aN * perA
 }
 

@@ -28,7 +28,7 @@ func Join3(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi, n int64, pre
 func Join3Transfers(aN, bN, n int64, preSorted bool) int64 {
 	total := aN * (1 + n + 3*bN)
 	if !preSorted {
-		total += oblivious.SortTransfers(bN)
+		total += oblivious.SortTransfers(bN, 1)
 	}
 	return total
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"ppj/internal/oblivious"
 	"ppj/internal/relation"
@@ -50,9 +53,12 @@ import (
 // nothing new. The duplicate multiplicities — where a naive implementation
 // leaks — only ever influence cell contents, never which cell is touched.
 //
-// T's resident state is a handful of cells (the scan accumulators and the
-// fill-forward hold slot), so unlike Algorithms 1-6 the memory parameter M
-// never appears in the cost.
+// T's resident state outside the networks is one cell (the scan
+// accumulators and the fill-forward hold slot), so Algorithm 7 runs at every
+// device memory M ≥ 1. M sets only the networks' block size B =
+// oblivious.BlockFor(M): every sort, merge, compaction and routing moves B
+// cells per comparator and holds 2B inside T, so the cost falls as M grows
+// up to M = 64 (B = 32) and is flat past it.
 func Join7(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (Result, error) {
 	res, _, err := join7([]*sim.Coprocessor{t}, a, b, pred, nil, "", "")
 	return res, err
@@ -75,11 +81,10 @@ func Join7(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (Result, err
 // unequal, which is why it is not the only front half — ROADMAP item 8.
 func join7(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache SortedCache, keyA, keyB string) (Result, CacheUse, error) {
 	var use CacheUse
-	outSchema, release, err := join7Begin(cops, a, b, pred)
+	outSchema, err := join7Begin(cops, a, b, pred)
 	if err != nil {
 		return Result{}, use, err
 	}
-	defer release()
 
 	n := a.N + b.N
 	if n == 0 {
@@ -87,7 +92,7 @@ func join7(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache S
 	}
 	group := cops[:pow2Prefix(len(cops))]
 	t, host := group[0], group[0].Host()
-	codec := newA7Codec(pred, a.Schema, b.Schema)
+	codec := newA7Codec(pred, a.Schema, b.Schema, a7GroupBlock(group))
 
 	// Phase 1+2: the union of both sides, tagged, sorted by (key, tag).
 	var w sim.RegionID
@@ -99,7 +104,7 @@ func join7(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache S
 		if err := codec.wrapSide(t, w, a.N, b, a7TagB); err != nil {
 			return Result{}, use, err
 		}
-		if err := oblivious.SortSpan(group, w, 0, n, codec.lessKeyTag); err != nil {
+		if err := oblivious.SortSpan(group, w, 0, n, codec.b, codec.lessKeyTag); err != nil {
 			return Result{}, use, err
 		}
 	} else {
@@ -113,7 +118,7 @@ func join7(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache S
 		if err != nil {
 			return Result{}, use, err
 		}
-		if err := oblivious.MergeHalves(group, w, 2*halfM, codec.lessKeyTag); err != nil {
+		if err := oblivious.MergeHalves(group, w, 2*halfM, codec.b, codec.lessKeyTag); err != nil {
 			return Result{}, use, err
 		}
 	}
@@ -127,42 +132,61 @@ func join7(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi, cache S
 }
 
 // join7Begin is Algorithm 7's prologue: admissibility (device count, sizes,
-// an orderable equality predicate), the output schema, fresh counters on
-// every device, and the one-cell Grant on every device. The returned
-// release undoes the grants.
-func join7Begin(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (*relation.Schema, func(), error) {
+// an orderable equality predicate), the output schema, and fresh counters
+// on every device. Memory is granted phase by phase: the hold slot around
+// the passes that keep it (holding), 2B cells inside each network.
+func join7Begin(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi) (*relation.Schema, error) {
 	switch {
 	case len(cops) == 0:
-		return nil, nil, fmt.Errorf("%w: no coprocessors", errInvalid)
+		return nil, fmt.Errorf("%w: no coprocessors", errInvalid)
 	case a.N < 0 || b.N < 0:
-		return nil, nil, fmt.Errorf("%w: negative relation size", errInvalid)
+		return nil, fmt.Errorf("%w: negative relation size", errInvalid)
 	case pred == nil:
-		return nil, nil, fmt.Errorf("%w: alg7 needs an equality predicate", errInvalid)
+		return nil, fmt.Errorf("%w: alg7 needs an equality predicate", errInvalid)
 	case !pred.Orderable():
-		return nil, nil, fmt.Errorf("%w: alg7 needs an orderable join attribute", errInvalid)
+		return nil, fmt.Errorf("%w: alg7 needs an orderable join attribute", errInvalid)
 	}
 	outSchema, err := outputSchema2(a, b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, c := range cops {
 		c.ResetStats()
 	}
-	releases := make([]func(), 0, len(cops))
-	release := func() {
-		for _, r := range releases {
-			r()
-		}
+	return outSchema, nil
+}
+
+// holding runs a pass that keeps the hold slot inside T with the slot
+// granted on t, and releases it after.
+func holding(t *sim.Coprocessor, pass func() error) error {
+	release, err := t.Grant(a7Memory)
+	if err != nil {
+		return err
 	}
-	for _, c := range cops {
-		r, err := c.Grant(a7Memory)
-		if err != nil {
-			release()
-			return nil, nil, err
-		}
-		releases = append(releases, r)
+	defer release()
+	return pass()
+}
+
+// a7Block is the block size of Algorithm 7's networks at device memory m,
+// where m ≤ 0 is the unbounded default of sim.Config.
+func a7Block(m int64) int64 {
+	if m <= 0 {
+		return oblivious.MaxBlock
 	}
-	return outSchema, release, nil
+	return oblivious.BlockFor(m)
+}
+
+// a7GroupBlock is the block size a device group runs the networks at: the
+// one its smallest memory M allows, the same B the table row prices. It
+// reads the configured M, not the free memory, so B stays a function of the
+// public M; a device whose memory is already granted away is refused by the
+// networks' 2B Grant before the first transfer.
+func a7GroupBlock(group []*sim.Coprocessor) int64 {
+	m := group[0].Memory()
+	for _, c := range group[1:] {
+		m = min(m, c.Memory())
+	}
+	return a7Block(int64(m))
 }
 
 // join7Empty is the join of two empty relations: an empty output region and
@@ -190,7 +214,11 @@ func sumStats(cops []*sim.Coprocessor) sim.Stats {
 // a power of two are powers of two), or A then B on a one-device group.
 func (c *a7Codec) tail(group []*sim.Coprocessor, w sim.RegionID, n int64, outSchema *relation.Schema) (sim.Table, error) {
 	t, host := group[0], group[0].Host()
-	s, err := c.indexScans(t, w, n)
+	var s int64
+	err := holding(t, func() (err error) {
+		s, err = c.indexScans(t, w, n)
+		return err
+	})
 	if err != nil {
 		return sim.Table{}, err
 	}
@@ -229,45 +257,53 @@ func (c *a7Codec) tail(group []*sim.Coprocessor, w sim.RegionID, n int64, outSch
 		return sim.Table{}, err
 	}
 	ea, eb := sides[0].ex, sides[1].ex
-	if err := oblivious.SortSpan(group, eb, 0, s, c.lessDest); err != nil {
+	if err := oblivious.SortSpan(group, eb, 0, s, c.b, c.lessDest); err != nil {
 		return sim.Table{}, err
 	}
 	return out, c.stitch(t, out.Region, ea, eb, s, outSchema)
 }
 
 // Join7Transfers is the exact transfer count of this implementation
-// without a cache, summed over the devices:
-//
-//	2n + Sort(n)                               union build, key sort
-//	+ join7TailTransfers(n, S)                 scans, expansion, stitch
-//
-// with n = |A|+|B| and Sort the odd-even mergesort cost. The n log²n and
-// S log²S sort terms dominate; compare Join5Transfers' ⌈S/M⌉·L.
+// without a cache, summed over the devices, at block size B = MaxBlock —
+// that is, at every device memory M ≥ 64, the unbounded default included.
+// At a smaller M the algorithm table's row prices Algorithm 7 at M's own
+// block size (Algorithm.Transfers).
 func Join7Transfers(aN, bN, s int64) int64 {
+	return join7Transfers(aN, bN, s, oblivious.MaxBlock)
+}
+
+// join7Transfers is the uncached closed form at block size b:
+//
+//	2n + Sort(n, B)                             union build, key sort
+//	+ join7TailTransfers(n, S, B)               scans, expansion, stitch
+//
+// with n = |A|+|B| and Sort the block odd-even mergesort cost. The sort
+// terms dominate; compare Join5Transfers' ⌈S/M⌉·L.
+func join7Transfers(aN, bN, s, b int64) int64 {
 	n := aN + bN
 	if n == 0 {
 		return 0
 	}
-	return 2*n + oblivious.SortTransfers(n) + join7TailTransfers(n, s)
+	return 2*n + oblivious.SortTransfers(n, b) + join7TailTransfers(n, s, b)
 }
 
 // join7TailTransfers is the exact transfer count of everything after the
 // key-sorted union exists, shared by both front halves:
 //
-//	6n                                            index scans
-//	+ 2·[2n + Compact(n) + 2t + (S−t) + Dist(S) + 2S]   per-side expansion
-//	+ Sort(S) + 3S                                B alignment and stitch
+//	6n                                                  index scans
+//	+ 2·[2n + Compact(n, B) + 2t + (S−t) + Dist(S, B) + 2S]   per-side expansion
+//	+ Sort(S, B) + 3S                                   B alignment and stitch
 //
 // with t = min(n, S), and Compact and Dist the compaction and distribution
 // network costs; with S = 0 only the scans run.
-func join7TailTransfers(n, s int64) int64 {
+func join7TailTransfers(n, s, b int64) int64 {
 	if s == 0 {
 		return 6 * n
 	}
 	tx := min64(n, s)
-	side := 2*n + oblivious.CompactTransfers(n) + 2*tx + (s - tx) +
-		oblivious.DistributeTransfers(s) + 2*s
-	return 6*n + 2*side + oblivious.SortTransfers(s) + 3*s
+	side := 2*n + oblivious.CompactTransfers(n, b) + 2*tx + (s - tx) +
+		oblivious.DistributeTransfers(s, b) + 2*s
+	return 6*n + 2*side + oblivious.SortTransfers(s, b) + 3*s
 }
 
 // --- Algorithm 7 working cells ---
@@ -293,31 +329,37 @@ const (
 
 	a7Hdr = 1 + 5*8
 
-	// a7Memory is the resident state the algorithm Grants: the fill-forward
-	// hold slot. The scan accumulators (previous key, group counters) ride
-	// in the same slot's budget; like the sort networks' two-cell staging,
-	// nothing else outlives a batch. One cell, independent of every size —
-	// Algorithm 7 runs at any device memory M ≥ 1.
+	// a7Memory is the resident state the linear passes Grant: the
+	// fill-forward hold slot. The scan accumulators (previous key, group
+	// counters) ride in the same slot's budget; nothing else outlives a
+	// batch. One cell, independent of every size, held only by the index
+	// scans, the side rewrite and the fill — the networks grant their own 2B
+	// in its place, so Algorithm 7 runs at any device memory M ≥ 1.
 	a7Memory = 1
 )
 
 func a7F(c []byte, k int) int64       { return int64(binary.BigEndian.Uint64(c[1+8*k:])) }
 func a7SetF(c []byte, k int, v int64) { binary.BigEndian.PutUint64(c[1+8*k:], uint64(v)) }
 
-// a7Codec builds, parses and orders working cells for one join.
+// a7Codec builds, parses and orders working cells for one join, and carries
+// the block size b its networks run at.
 type a7Codec struct {
-	pred    *relation.Equi
-	sa, sb  *relation.Schema
-	payload int
-	cell    int
+	sa, sb     *relation.Schema
+	keyA, keyB [2]int // the join attribute's [from, to) within a cell, per side
+	keyType    relation.AttrType
+	cell       int
+	b          int64
 }
 
-func newA7Codec(pred *relation.Equi, sa, sb *relation.Schema) *a7Codec {
-	payload := sa.TupleSize()
-	if sb.TupleSize() > payload {
-		payload = sb.TupleSize()
+func newA7Codec(pred *relation.Equi, sa, sb *relation.Schema, b int64) *a7Codec {
+	keyAt := func(s *relation.Schema, i int) [2]int {
+		from, to := s.Span(i)
+		return [2]int{a7Hdr + from, a7Hdr + to}
 	}
-	return &a7Codec{pred: pred, sa: sa, sb: sb, payload: payload, cell: a7Hdr + payload}
+	return &a7Codec{sa: sa, sb: sb,
+		keyA: keyAt(sa, pred.KeyIndexA()), keyB: keyAt(sb, pred.KeyIndexB()),
+		keyType: sa.Attr(pred.KeyIndexA()).Type,
+		cell:    a7Hdr + max(sa.TupleSize(), sb.TupleSize()), b: b}
 }
 
 // wrap builds a working cell around a side's encoded tuple.
@@ -354,37 +396,54 @@ func (c *a7Codec) tuple(cell []byte) (relation.Tuple, error) {
 	}
 }
 
-// key extracts the join-attribute value of a real working cell.
-func (c *a7Codec) key(cell []byte) (relation.Value, error) {
-	tup, err := c.tuple(cell)
-	if err != nil {
-		return relation.Value{}, err
+// key returns the encoded join attribute of a real working cell in place,
+// or an error for a cell that carries no tuple.
+func (c *a7Codec) key(cell []byte) ([]byte, error) {
+	switch cell[0] {
+	case a7TagA:
+		return cell[c.keyA[0]:c.keyA[1]], nil
+	case a7TagB:
+		return cell[c.keyB[0]:c.keyB[1]], nil
+	default:
+		return nil, fmt.Errorf("core: alg7 cell has no tuple (tag %#x)", cell[0])
 	}
-	if cell[0] == a7TagA {
-		return c.pred.KeyA(tup), nil
-	}
-	return c.pred.KeyB(tup), nil
 }
 
-// cloneKey copies a key value out of a transient cell buffer so it can be
-// held across scan steps.
-func cloneKey(v relation.Value) relation.Value {
-	if v.B != nil {
-		v.B = append([]byte(nil), v.B...)
+// compareKeys three-way-compares two encoded join attributes without
+// decoding them — the order Equi.CompareKeys gives the decoded values:
+// int64 and float64 by value, strings on their bytes up to the zero
+// padding Decode trims, bytes on the full padded width.
+func (c *a7Codec) compareKeys(x, y []byte) int {
+	switch c.keyType {
+	case relation.Int64:
+		return cmp.Compare(int64(binary.BigEndian.Uint64(x)), int64(binary.BigEndian.Uint64(y)))
+	case relation.Float64:
+		fx, fy := math.Float64frombits(binary.BigEndian.Uint64(x)), math.Float64frombits(binary.BigEndian.Uint64(y))
+		switch {
+		case fx < fy:
+			return -1
+		case fx > fy:
+			return 1
+		}
+		return 0
+	case relation.String:
+		return bytes.Compare(bytes.TrimRight(x, "\x00"), bytes.TrimRight(y, "\x00"))
+	default:
+		return bytes.Compare(x, y)
 	}
-	return v
 }
 
 // lessKeyTag orders working cells by (join key, tag): equal keys group
-// together with the A rows first. Undecodable cells sort last, like decoys.
+// together with the A rows first. Cells without a tuple sort last, like
+// decoys.
 func (c *a7Codec) lessKeyTag(x, y []byte) bool {
 	kx, errX := c.key(x)
 	ky, errY := c.key(y)
 	if errX != nil || errY != nil {
 		return errX == nil
 	}
-	if cmp := c.pred.CompareKeys(kx, ky); cmp != 0 {
-		return cmp < 0
+	if r := c.compareKeys(kx, ky); r != 0 {
+		return r < 0
 	}
 	return x[0] < y[0]
 }
@@ -408,7 +467,7 @@ func (c *a7Codec) lessDest(x, y []byte) bool {
 func (c *a7Codec) indexScans(t *sim.Coprocessor, w sim.RegionID, n int64) (int64, error) {
 	var (
 		have bool
-		prev relation.Value
+		prev []byte // the previous cell's encoded key
 		cntA int64
 		cntB int64
 	)
@@ -418,8 +477,8 @@ func (c *a7Codec) indexScans(t *sim.Coprocessor, w sim.RegionID, n int64) (int64
 			return false, err
 		}
 		t.ChargeCompare()
-		newGroup = !have || c.pred.CompareKeys(prev, key) != 0
-		prev, have = cloneKey(key), true
+		newGroup = !have || c.compareKeys(prev, key) != 0
+		prev, have = append(prev[:0], key...), true
 		return newGroup, nil
 	}
 
@@ -500,25 +559,27 @@ func (c *a7Codec) expandSide(group []*sim.Coprocessor, w, sx, ex sim.RegionID, n
 	// Kept rows are stamped with their rank, dropped rows become fillers;
 	// the keep decision and the rank counter stay inside T.
 	var rank int64
-	if err := t.TransformRange(sx, 0, w, 0, n, func(_ int64, pt []byte) ([]byte, error) {
-		t.ChargeCompare()
-		keep, dest := false, int64(0)
-		if pt[0] == tag {
-			if tag == a7TagA {
-				cb := a7F(pt, 2)
-				keep, dest = cb > 0, a7F(pt, 3)+a7F(pt, 0)*cb
-			} else {
-				ca := a7F(pt, 1)
-				keep, dest = ca > 0, a7F(pt, 3)+a7F(pt, 0)*ca
+	if err := holding(t, func() error {
+		return t.TransformRange(sx, 0, w, 0, n, func(_ int64, pt []byte) ([]byte, error) {
+			t.ChargeCompare()
+			keep, dest := false, int64(0)
+			if pt[0] == tag {
+				if tag == a7TagA {
+					cb := a7F(pt, 2)
+					keep, dest = cb > 0, a7F(pt, 3)+a7F(pt, 0)*cb
+				} else {
+					ca := a7F(pt, 1)
+					keep, dest = ca > 0, a7F(pt, 3)+a7F(pt, 0)*ca
+				}
 			}
-		}
-		if !keep {
-			return c.empty(), nil
-		}
-		a7SetF(pt, 0, dest)
-		a7SetF(pt, 4, rank)
-		rank++
-		return pt, nil
+			if !keep {
+				return c.empty(), nil
+			}
+			a7SetF(pt, 0, dest)
+			a7SetF(pt, 4, rank)
+			rank++
+			return pt, nil
+		})
 	}); err != nil {
 		return err
 	}
@@ -526,7 +587,7 @@ func (c *a7Codec) expandSide(group []*sim.Coprocessor, w, sx, ex sim.RegionID, n
 	// Compact: kept destinations strictly increase in union order, so moving
 	// the kept rows to a rank-preserving prefix leaves them in destination
 	// order — the distribution network's precondition.
-	if err := oblivious.Compact(group, sx, n, func(pt []byte) (bool, int64) {
+	if err := oblivious.Compact(group, sx, n, c.b, func(pt []byte) (bool, int64) {
 		return pt[0] != a7TagE, a7F(pt, 4)
 	}); err != nil {
 		return err
@@ -550,7 +611,7 @@ func (c *a7Codec) expandSide(group []*sim.Coprocessor, w, sx, ex sim.RegionID, n
 			return err
 		}
 	}
-	if err := oblivious.Distribute(group, ex, s, func(pt []byte) (bool, int64) {
+	if err := oblivious.Distribute(group, ex, s, c.b, func(pt []byte) (bool, int64) {
 		return pt[0] != a7TagE, a7F(pt, 0)
 	}); err != nil {
 		return err
@@ -575,7 +636,7 @@ func (c *a7Codec) expandSide(group []*sim.Coprocessor, w, sx, ex sim.RegionID, n
 			return buf, nil
 		}
 	}
-	return oblivious.FillForward(t, ex, s, isReal, fill)
+	return holding(t, func() error { return oblivious.FillForward(t, ex, s, isReal, fill) })
 }
 
 // stitch pairs the aligned expansions into oTuple join rows: slot k of the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"ppj/internal/relation"
@@ -27,6 +28,17 @@ func genSkewed(seed uint64, nA, nB int) (*relation.Relation, *relation.Relation)
 		return r
 	}
 	return build(nA, 1000), build(nB, 2000)
+}
+
+// alg7Model is Algorithm 7's closed form for a run on devices of memory m,
+// through the algorithm table's row: uncached for a nil use, else cached
+// with use's hit bits.
+func alg7Model(aN, bN, s, m int64, use *CacheUse) int64 {
+	in, u := Inputs{}, CacheUse{}
+	if use != nil {
+		in.Cache, u = newMemCache(), *use
+	}
+	return Algorithms[6].Transfers([]int64{aN, bN}, s, m, in, u)
 }
 
 // TestJoin7MatchesReference checks Algorithm 7 against the reference join
@@ -78,7 +90,7 @@ func TestJoin7MatchesReference(t *testing.T) {
 				t.Fatalf("OutputLen = %d, want exact join size %d", res.OutputLen, want.Len())
 			}
 			checkJoin(t, env, res, pred)
-			wantTr := Join7Transfers(env.tabA.N, env.tabB.N, res.OutputLen)
+			wantTr := alg7Model(env.tabA.N, env.tabB.N, res.OutputLen, 8, nil)
 			if got := int64(res.Stats.Transfers()); got != wantTr {
 				t.Fatalf("transfers = %d, want closed form %d", got, wantTr)
 			}
@@ -156,7 +168,7 @@ func TestAlg7AccessPatternInvariance(t *testing.T) {
 		if s1 != s2 {
 			t.Fatalf("alg7 access pattern depends on tuple contents:\n run1 %+v\n run2 %+v", s1, s2)
 		}
-		if got, want := int64(s1.Transfers()), Join7Transfers(nA, nB, s); got != want {
+		if got, want := int64(s1.Transfers()), alg7Model(nA, nB, s, 8, nil); got != want {
 			t.Fatalf("transfers = %d, want closed form %d", got, want)
 		}
 	})
@@ -216,5 +228,162 @@ func TestParallelJoin7Correctness(t *testing.T) {
 				t.Fatalf("p=%d mismatch: got %d rows, want %d", p, got.Len(), want.Len())
 			}
 		})
+	}
+}
+
+// TestJoin7EveryMemory runs Algorithm 7 at device memories from M = 1 (one
+// cell per comparator) through M = 64 (B = MaxBlock) and the unbounded
+// default, uncached and cached cold, on one and two devices: the join is
+// the reference join, the transfers are the table row's closed form at M,
+// and from M = 64 on they are Join7Transfers and Join7CachedTransfers.
+func TestJoin7EveryMemory(t *testing.T) {
+	relA := relation.GenKeyed(relation.NewRand(61), 40, 9)
+	relB := relation.GenKeyed(relation.NewRand(62), 33, 9)
+	pred := keyEqui(t, relA, relB)
+	want := relation.ReferenceJoin(relA, relB, pred)
+	s := int64(want.Len())
+	for _, mem := range []int{1, 2, 3, 4, 7, 8, 16, 63, 64, 1000, 0} {
+		for _, p := range []int{1, 2} {
+			for _, cached := range []bool{false, true} {
+				name := fmt.Sprintf("M=%d P=%d cached=%v", mem, p, cached)
+				h := sim.NewHost(0)
+				cops := newFleet(t, h, p, mem)
+				tabs := loadTables(t, h, cops[0].Sealer(), relA, relB)
+				in := Inputs{Pred: pred}
+				var use *CacheUse
+				if cached {
+					in.Cache, in.KeyA, in.KeyB, use = newMemCache(), "A", "B", &CacheUse{}
+				}
+				res, _, err := Algorithms[6].Run(cops, tabs, in)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, err := DecodeOutput(cops[0], res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !relation.SameMultiset(got, want) {
+					t.Fatalf("%s: %d rows, want the reference join's %d", name, got.Len(), want.Len())
+				}
+				tr := int64(res.Stats.Transfers())
+				if model := alg7Model(40, 33, s, int64(mem), use); tr != model {
+					t.Fatalf("%s: %d transfers, closed form at M says %d", name, tr, model)
+				}
+				frozen := Join7Transfers(40, 33, s)
+				if cached {
+					frozen = Join7CachedTransfers(40, 33, s, false, false)
+				}
+				if (mem == 0 || mem >= 64) != (tr == frozen) {
+					t.Fatalf("%s: %d transfers against the M ≥ 64 form %d", name, tr, frozen)
+				}
+				for i, c := range cops {
+					if c.MemoryFree() != c.Memory() {
+						t.Fatalf("%s: device %d kept %d cells granted", name, i, c.Memory()-c.MemoryFree())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoin7GrantedMemoryIsRefused pins that B is a function of the
+// configured M, not of what is free when the join starts: with one cell of
+// M = 64 already granted, the join does not fall back to a smaller B (a
+// schedule the table row does not price) but is refused by the networks'
+// 2B grant.
+func TestJoin7GrantedMemoryIsRefused(t *testing.T) {
+	relA := relation.GenKeyed(relation.NewRand(63), 40, 9)
+	relB := relation.GenKeyed(relation.NewRand(64), 33, 9)
+	pred := keyEqui(t, relA, relB)
+	h := sim.NewHost(0)
+	cops := newFleet(t, h, 1, 64)
+	tabs := loadTables(t, h, cops[0].Sealer(), relA, relB)
+	release, err := cops[0].Grant(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if _, _, err := Algorithms[6].Run(cops, tabs, Inputs{Pred: pred}); err == nil {
+		t.Fatal("join ran with one cell of M granted away; want the 2B grant's refusal")
+	}
+}
+
+// TestA7CompareKeysMatchesEqui is the property test of the in-place key
+// order: for every orderable key type — strings and bytes at different
+// widths per side, the key at a different offset on each side — comparing
+// two working cells' encoded keys gives Equi.CompareKeys' sign on the
+// decoded values, and lessKeyTag is that order with A rows first on ties.
+func TestA7CompareKeysMatchesEqui(t *testing.T) {
+	rng := relation.NewRand(71)
+	for _, kt := range []struct {
+		typ    relation.AttrType
+		wA, wB int
+		value  func() relation.Value
+	}{
+		{relation.Int64, 0, 0, func() relation.Value {
+			vs := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64, rng.Int64N(7) - 3}
+			return relation.IntValue(vs[rng.IntN(len(vs))])
+		}},
+		{relation.Float64, 0, 0, func() relation.Value {
+			vs := []float64{math.Inf(-1), -2.5, math.Copysign(0, -1), 0, 1e-300, 3, math.Inf(1), math.NaN(), float64(rng.IntN(5))}
+			return relation.FloatValue(vs[rng.IntN(len(vs))])
+		}},
+		{relation.String, 6, 9, func() relation.Value {
+			vs := []string{"", "a", "a\x00b", "ab", "b", "\x00", "zzzzzz", "abc"}
+			return relation.StringValue(vs[rng.IntN(len(vs))])
+		}},
+		{relation.Bytes, 4, 4, func() relation.Value {
+			vs := [][]byte{{}, {0}, {1}, {0, 1}, {1, 0}, {255, 255, 255, 255}, {1, 2, 3}}
+			return relation.BytesValue(vs[rng.IntN(len(vs))])
+		}},
+	} {
+		sa := relation.MustSchema(relation.Attr{Name: "k", Type: kt.typ, Width: kt.wA}, relation.Attr{Name: "p", Type: relation.Int64})
+		sb := relation.MustSchema(relation.Attr{Name: "p", Type: relation.Int64}, relation.Attr{Name: "k", Type: kt.typ, Width: kt.wB})
+		pred, err := relation.NewEqui(sa, "k", sb, "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := newA7Codec(pred, sa, sb, 1)
+		type cell struct {
+			enc []byte
+			key relation.Value
+		}
+		var cells []cell
+		for i := range 60 {
+			v := kt.value()
+			if i%2 == 0 {
+				cells = append(cells, cell{c.wrap(a7TagA, sa.MustEncode(relation.Tuple{v, relation.IntValue(int64(i))})), v})
+			} else {
+				cells = append(cells, cell{c.wrap(a7TagB, sb.MustEncode(relation.Tuple{relation.IntValue(int64(i)), v})), v})
+			}
+		}
+		for _, x := range cells {
+			tx, err := c.tuple(x.enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, y := range cells {
+				ty, err := c.tuple(y.enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kx, ky := pred.KeyA(tx), pred.KeyA(ty)
+				if x.enc[0] == a7TagB {
+					kx = pred.KeyB(tx)
+				}
+				if y.enc[0] == a7TagB {
+					ky = pred.KeyB(ty)
+				}
+				bx, _ := c.key(x.enc)
+				by, _ := c.key(y.enc)
+				want := pred.CompareKeys(kx, ky)
+				if got := c.compareKeys(bx, by); got != want {
+					t.Fatalf("%s: compareKeys(%v, %v) = %d, Equi.CompareKeys = %d", kt.typ, x.key, y.key, got, want)
+				}
+				if got, want := c.lessKeyTag(x.enc, y.enc), want < 0 || want == 0 && x.enc[0] < y.enc[0]; got != want {
+					t.Fatalf("%s: lessKeyTag(%v, %v) = %v, want %v", kt.typ, x.key, y.key, got, want)
+				}
+			}
+		}
 	}
 }

@@ -108,7 +108,7 @@ func (c *a7Codec) buildSortedHalf(group []*sim.Coprocessor, w sim.RegionID, lo, 
 	if err := c.wrapSide(t, w, lo, side, tag); err != nil {
 		return tried, false, err
 	}
-	if err := oblivious.SortSpan(group, w, lo, q, c.lessKeyTag); err != nil {
+	if err := oblivious.SortSpan(group, w, lo, q, c.b, c.lessKeyTag); err != nil {
 		return tried, false, err
 	}
 	if err := oblivious.PadRange(t, w, lo+oblivious.NextPow2(q), lo+halfM); err != nil {
@@ -170,19 +170,27 @@ func (c *a7Codec) readSorted(t *sim.Coprocessor, w sim.RegionID, lo, q int64) ([
 }
 
 // Join7CachedTransfers is the exact transfer count of Algorithm 7, summed
-// over the devices, with a participating cache on both non-empty sides:
+// over the devices, with a participating cache on both non-empty sides, at
+// block size B = MaxBlock — that is, at every device memory M ≥ 64, the
+// unbounded default included. At a smaller M the algorithm table's row
+// prices Algorithm 7 at M's own block size (Algorithm.Transfers).
+func Join7CachedTransfers(aN, bN, s int64, hitA, hitB bool) int64 {
+	return join7CachedTransfers(aN, bN, s, hitA, hitB, oblivious.MaxBlock)
+}
+
+// join7CachedTransfers is the cached closed form at block size b:
 //
-//	side(q, hit) = halfM                                     hit or empty
-//	             = 2q + halfM + 4·Comparators(NextPow2(q))   miss
-//	+ Merge(2·halfM)                                         half merge
-//	+ join7TailTransfers(n, S)                               scans, expansion, stitch
+//	side(q, hit) = halfM                                  hit or empty
+//	             = halfM + 3q − NextPow2(q) + Sort(q, B)  miss
+//	+ Merge(2·halfM, B)                                   half merge
+//	+ join7TailTransfers(n, S, B)                         scans, expansion, stitch
 //
 // with halfM = max(NextPow2(|A|), NextPow2(|B|)) and n = |A|+|B|. The miss
-// term is wrap (2q) + pads (halfM−q) + the span sort's comparators + the
-// cache readback (q); the hit term is the bare halfM-cell restore.
-// Everything from the merge on is independent of the hit bits — the cache
-// can only remove work, never reshape the tail.
-func Join7CachedTransfers(aN, bN, s int64, hitA, hitB bool) int64 {
+// term is wrap (2q) + the span sort (its own pads to NextPow2(q) included)
+// + pads up to halfM + the cache readback (q); the hit term is the bare
+// halfM-cell restore. Everything from the merge on is independent of the
+// hit bits — the cache can only remove work, never reshape the tail.
+func join7CachedTransfers(aN, bN, s int64, hitA, hitB bool, b int64) int64 {
 	n := aN + bN
 	if n == 0 {
 		return 0
@@ -192,8 +200,15 @@ func Join7CachedTransfers(aN, bN, s int64, hitA, hitB bool) int64 {
 		if q == 0 || hit {
 			return halfM
 		}
-		return 2*q + halfM + 4*oblivious.Comparators(oblivious.NextPow2(q))
+		return halfM + a7SortSaving(q, b)
 	}
 	return side(aN, hitA) + side(bN, hitB) +
-		oblivious.MergeHalvesTransfers(2*halfM) + join7TailTransfers(n, s)
+		oblivious.MergeHalvesTransfers(2*halfM, b) + join7TailTransfers(n, s, b)
+}
+
+// a7SortSaving is what a cache hit saves on a side of q > 0 rows at block
+// size b: the wrap (2q), the span sort net of its pads (the restore writes
+// the pads too) and the readback (q).
+func a7SortSaving(q, b int64) int64 {
+	return 3*q - oblivious.NextPow2(q) + oblivious.SortTransfers(q, b)
 }

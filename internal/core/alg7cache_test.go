@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ppj/internal/oblivious"
 	"ppj/internal/relation"
 	"ppj/internal/sim"
 )
@@ -76,7 +75,7 @@ func TestJoin7CachedMatchesReference(t *testing.T) {
 				if !wantHit && (use.HitA || use.HitB) {
 					t.Fatalf("cold run hit: %+v", use)
 				}
-				wantTr := Join7CachedTransfers(env.tabA.N, env.tabB.N, res.OutputLen, use.HitA, use.HitB)
+				wantTr := alg7Model(env.tabA.N, env.tabB.N, res.OutputLen, 8, &use)
 				if got := int64(res.Stats.Transfers()); got != wantTr {
 					t.Fatalf("%s: transfers = %d, want closed form %d", phase, got, wantTr)
 				}
@@ -86,10 +85,9 @@ func TestJoin7CachedMatchesReference(t *testing.T) {
 }
 
 // TestJoin7CachedWarmCheaper pins the cache's whole point: the warm run
-// costs exactly 2q + 4·Comparators(NextPow2(q)) fewer transfers per hit
-// side than the cold run (the wrap, the span sort, and the readback are
-// gone; the restore costs the same halfM puts the pads-plus-sorted cells
-// cost cold).
+// costs exactly a7SortSaving(q, B) fewer transfers per hit side than the
+// cold run (the wrap, the span sort, and the readback are gone; the restore
+// costs the same halfM puts the pads-plus-sorted cells cost cold).
 func TestJoin7CachedWarmCheaper(t *testing.T) {
 	relA, relB := genJoinSized(42, 24, 24, 10)
 	pred := keyEqui(t, relA, relB)
@@ -110,10 +108,8 @@ func TestJoin7CachedWarmCheaper(t *testing.T) {
 	if useWarm.Hits() != 2 || useWarm.Misses() != 0 {
 		t.Fatalf("warm use = %+v", useWarm)
 	}
-	q := int64(24)
-	perSide := 2*q + 4*oblivious.Comparators(oblivious.NextPow2(q))
-	if cold-warm != 2*perSide {
-		t.Fatalf("cold-warm = %d transfers, want 2·(2q + 4·Comparators) = %d", cold-warm, 2*perSide)
+	if want := 2 * a7SortSaving(24, a7Block(8)); cold-warm != want {
+		t.Fatalf("cold-warm = %d transfers, want 2·a7SortSaving(q, B) = %d", cold-warm, want)
 	}
 }
 
@@ -150,7 +146,7 @@ func TestJoin7CachedOtherCellWidthIsMiss(t *testing.T) {
 	if use.Misses() != 2 || use.Hits() != 0 {
 		t.Fatalf("cache entries of another cell width: use = %+v, want two misses", use)
 	}
-	if got, want := int64(res.Stats.Transfers()), Join7CachedTransfers(20, 17, res.OutputLen, false, false); got != want {
+	if got, want := int64(res.Stats.Transfers()), alg7Model(20, 17, res.OutputLen, 8, &CacheUse{}); got != want {
 		t.Fatalf("transfers = %d, want the cold closed form %d", got, want)
 	}
 	if _, use := run(3); use.Hits() != 2 {
@@ -186,14 +182,14 @@ func TestJoin7CachedAccessPatternInvariance(t *testing.T) {
 	if cold1 != cold2 {
 		t.Fatalf("cold cached schedule depends on tuple contents:\n run1 %+v\n run2 %+v", cold1, cold2)
 	}
-	if got, want := int64(cold1.Transfers()), Join7CachedTransfers(nA, nB, s, false, false); got != want {
+	if got, want := int64(cold1.Transfers()), alg7Model(nA, nB, s, 8, &CacheUse{}); got != want {
 		t.Fatalf("cold transfers = %d, want closed form %d", got, want)
 	}
 	warm1, warm2 := run(0, 1001, 9, c1), run(1, 2002, 10, c2)
 	if warm1 != warm2 {
 		t.Fatalf("warm cached schedule depends on tuple contents:\n run1 %+v\n run2 %+v", warm1, warm2)
 	}
-	if got, want := int64(warm1.Transfers()), Join7CachedTransfers(nA, nB, s, true, true); got != want {
+	if got, want := int64(warm1.Transfers()), alg7Model(nA, nB, s, 8, &CacheUse{HitA: true, HitB: true}); got != want {
 		t.Fatalf("warm transfers = %d, want closed form %d", got, want)
 	}
 }
@@ -304,9 +300,8 @@ func TestParallelJoin7CachedPerDeviceInvariance(t *testing.T) {
 // scenario at scale: |A| = |B| = 2048 (union n = 4096). The warm
 // re-execution must skip both per-side pre-sorts, with the transfer delta
 // against the cold run asserted equal to the closed form — per side, the
-// wrap (2q), the span sort's 4·Comparators(2048), and the cache readback
-// (q) disappear; the halfM restore costs what the cold pads-plus-cells
-// cost.
+// wrap (2q), the span sort, and the cache readback (q) disappear; the
+// halfM restore costs what the cold pads-plus-cells cost.
 func TestJoin7CachedWarmSkipsPreSortAt4096(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=4096 oblivious join in -short mode")
@@ -333,15 +328,13 @@ func TestJoin7CachedWarmSkipsPreSortAt4096(t *testing.T) {
 		t.Fatalf("cache use: cold %+v, warm %+v", useCold, useWarm)
 	}
 	coldTr, warmTr := int64(cold.Stats.Transfers()), int64(warm.Stats.Transfers())
-	if want := Join7CachedTransfers(nSide, nSide, s, false, false); coldTr != want {
+	if want := alg7Model(nSide, nSide, s, 8, &CacheUse{}); coldTr != want {
 		t.Fatalf("cold transfers = %d, want %d", coldTr, want)
 	}
-	if want := Join7CachedTransfers(nSide, nSide, s, true, true); warmTr != want {
+	if want := alg7Model(nSide, nSide, s, 8, &CacheUse{HitA: true, HitB: true}); warmTr != want {
 		t.Fatalf("warm transfers = %d, want %d", warmTr, want)
 	}
-	perSide := 2*int64(nSide) + 4*oblivious.Comparators(int64(nSide))
-	if coldTr-warmTr != 2*perSide {
-		t.Fatalf("warm saved %d transfers, want exactly 2·(2q + 4·Comparators(q)) = %d",
-			coldTr-warmTr, 2*perSide)
+	if want := 2 * a7SortSaving(nSide, a7Block(8)); coldTr-warmTr != want {
+		t.Fatalf("warm saved %d transfers, want exactly 2·a7SortSaving(q, B) = %d", coldTr-warmTr, want)
 	}
 }

@@ -157,7 +157,7 @@ func ParallelJoin3(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 		}
 		// The sort needs a power-of-two device group: the largest
 		// power-of-two prefix of the fleet.
-		if err := oblivious.SortSpan(cops[:pow2Prefix(len(cops))], b.Region, 0, b.N, less); err != nil {
+		if err := oblivious.SortSpan(cops[:pow2Prefix(len(cops))], b.Region, 0, b.N, 1, less); err != nil {
 			return Result{}, err
 		}
 	}

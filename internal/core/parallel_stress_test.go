@@ -61,7 +61,7 @@ func TestConcurrentFleetsOneHost(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		sortErr = oblivious.SortSpan(sortCops, sortRegion, 0, sortN, less)
+		sortErr = oblivious.SortSpan(sortCops, sortRegion, 0, sortN, 1, less)
 	}()
 	go func() {
 		defer wg.Done()

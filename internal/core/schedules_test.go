@@ -404,37 +404,52 @@ func primitiveSchedules(t *testing.T) []schedule {
 		run   func(cops []*sim.Coprocessor, id sim.RegionID) error
 	}
 	var cases []prim
-	for _, n := range []int64{2, 5, 8, 13, 64, 100} {
-		m := oblivious.NextPow2(n)
-		cases = append(cases, prim{fmt.Sprintf("oblivious/Sort/n%d/P1", n), 1, m, oblivious.SortTransfers(n),
-			func(cops []*sim.Coprocessor, id sim.RegionID) error { return oblivious.Sort(cops[0], id, n, less) }})
-		for _, lo := range []int64{0, 16} {
+	// networks adds the block networks' cases at block size b: the cell
+	// networks' (b = 1) lines carry no suffix, the others end in /B<b>.
+	networks := func(b int64) {
+		sfx := ""
+		if b > 1 {
+			sfx = fmt.Sprintf("/B%d", b)
+		}
+		for _, n := range []int64{2, 5, 8, 13, 64, 100} {
+			m := oblivious.NextPow2(n)
+			if b == 1 {
+				cases = append(cases, prim{fmt.Sprintf("oblivious/Sort/n%d/P1", n), 1, m, oblivious.SortTransfers(n, 1),
+					func(cops []*sim.Coprocessor, id sim.RegionID) error { return oblivious.Sort(cops[0], id, n, less) }})
+			}
+			for _, lo := range []int64{0, 16} {
+				for _, p := range []int{1, 2, 4} {
+					cases = append(cases, prim{fmt.Sprintf("oblivious/SortSpan/lo%d/n%d/P%d%s", lo, n, p, sfx), p, lo + m, oblivious.SortTransfers(n, b),
+						func(cops []*sim.Coprocessor, id sim.RegionID) error {
+							return oblivious.SortSpan(cops, id, lo, n, b, less)
+						}})
+				}
+			}
+		}
+		for _, m := range []int64{2, 8, 64, 128} {
 			for _, p := range []int{1, 2, 4} {
-				cases = append(cases, prim{fmt.Sprintf("oblivious/SortSpan/lo%d/n%d/P%d", lo, n, p), p, lo + m, oblivious.SortTransfers(n),
-					func(cops []*sim.Coprocessor, id sim.RegionID) error { return oblivious.SortSpan(cops, id, lo, n, less) }})
+				cases = append(cases, prim{fmt.Sprintf("oblivious/MergeHalves/m%d/P%d%s", m, p, sfx), p, m, oblivious.MergeHalvesTransfers(m, b),
+					func(cops []*sim.Coprocessor, id sim.RegionID) error {
+						return oblivious.MergeHalves(cops, id, m, b, less)
+					}})
+			}
+			for _, p := range []int{1, 2, 4} {
+				cases = append(cases, prim{fmt.Sprintf("oblivious/Distribute/m%d/P%d%s", m, p, sfx), p, m, oblivious.DistributeTransfers(m, b),
+					func(cops []*sim.Coprocessor, id sim.RegionID) error {
+						return oblivious.Distribute(cops, id, m, b, func(pt []byte) (bool, int64) { return val(pt)%2 == 0, val(pt) })
+					}})
+			}
+		}
+		for _, n := range []int64{0, 1, 63, 64, 65} {
+			for _, p := range []int{1, 2, 4} {
+				cases = append(cases, prim{fmt.Sprintf("oblivious/Compact/n%d/P%d%s", n, p, sfx), p, n, oblivious.CompactTransfers(n, b),
+					func(cops []*sim.Coprocessor, id sim.RegionID) error {
+						return oblivious.Compact(cops, id, n, b, func(pt []byte) (bool, int64) { return val(pt)%2 == 0, val(pt) % 7 })
+					}})
 			}
 		}
 	}
-	for _, m := range []int64{2, 8, 64, 128} {
-		for _, p := range []int{1, 2, 4} {
-			cases = append(cases, prim{fmt.Sprintf("oblivious/MergeHalves/m%d/P%d", m, p), p, m, oblivious.MergeHalvesTransfers(m),
-				func(cops []*sim.Coprocessor, id sim.RegionID) error { return oblivious.MergeHalves(cops, id, m, less) }})
-		}
-		for _, p := range []int{1, 2, 4} {
-			cases = append(cases, prim{fmt.Sprintf("oblivious/Distribute/m%d/P%d", m, p), p, m, oblivious.DistributeTransfers(m),
-				func(cops []*sim.Coprocessor, id sim.RegionID) error {
-					return oblivious.Distribute(cops, id, m, func(pt []byte) (bool, int64) { return val(pt)%2 == 0, val(pt) })
-				}})
-		}
-	}
-	for _, n := range []int64{0, 1, 63, 64, 65} {
-		for _, p := range []int{1, 2, 4} {
-			cases = append(cases, prim{fmt.Sprintf("oblivious/Compact/n%d/P%d", n, p), p, n, oblivious.CompactTransfers(n),
-				func(cops []*sim.Coprocessor, id sim.RegionID) error {
-					return oblivious.Compact(cops, id, n, func(pt []byte) (bool, int64) { return val(pt)%2 == 0, val(pt) % 7 })
-				}})
-		}
-	}
+	networks(1)
 	for _, n := range []int64{5, 64, 100} {
 		cases = append(cases, prim{fmt.Sprintf("oblivious/FillForward/n%d/P1", n), 1, n, oblivious.FillForwardTransfers(n),
 			func(cops []*sim.Coprocessor, id sim.RegionID) error {
@@ -452,6 +467,9 @@ func primitiveSchedules(t *testing.T) []schedule {
 				}})
 		}
 	}
+
+	networks(4)
+	networks(oblivious.MaxBlock)
 
 	out := make([]schedule, 0, len(cases))
 	for _, c := range cases {

@@ -119,11 +119,11 @@ var Algorithms = []*Algorithm{
 			return rep.Result, CacheUse{}, err
 		}},
 	{Name: "alg7", Number: 7, TwoWay: true, Equi: true, Orderable: true, Fleet: Pow2Devices, UsesCache: true,
-		transfers: func(z []int64, s, _ int64, in Inputs, use CacheUse) int64 {
+		transfers: func(z []int64, s, m int64, in Inputs, use CacheUse) int64 {
 			if in.Cache != nil {
-				return Join7CachedTransfers(z[0], z[1], s, use.HitA, use.HitB)
+				return join7CachedTransfers(z[0], z[1], s, use.HitA, use.HitB, a7Block(m))
 			}
-			return Join7Transfers(z[0], z[1], s)
+			return join7Transfers(z[0], z[1], s, a7Block(m))
 		},
 		run: func(c []*sim.Coprocessor, t []sim.Table, in Inputs) (Result, CacheUse, error) {
 			return join7(c, t[0], t[1], in.Pred.(*relation.Equi), in.Cache, in.KeyA, in.KeyB)

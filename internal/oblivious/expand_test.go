@@ -66,10 +66,10 @@ func TestDistributePlacesAllPatterns(t *testing.T) {
 		cops := spanFleet(t, h, p)
 		cop := cops[0]
 		id := loadExpCells(t, h, cop, m, dests)
-		if err := Distribute(cops, id, m, expRoute); err != nil {
+		if err := Distribute(cops, id, m, 1, expRoute); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := groupTransfers(cops), DistributeTransfers(m); got != want {
+		if got, want := groupTransfers(cops), DistributeTransfers(m, 1); got != want {
 			t.Fatalf("P=%d m=%d dests=%v: %d transfers, want %d", p, m, dests, got, want)
 		}
 		want := make(map[int64]int64, len(dests))
@@ -132,7 +132,7 @@ func TestDistributeScheduleInvariance(t *testing.T) {
 		h, cop := newPair(t, 99)
 		id := loadExpCells(t, h, cop, 32, dests)
 		cop.ResetStats()
-		if err := Distribute(one(cop), id, 32, expRoute); err != nil {
+		if err := Distribute(one(cop), id, 32, 1, expRoute); err != nil {
 			t.Fatal(err)
 		}
 		return cop.Stats(), cop.Trace().Digest()
@@ -152,7 +152,7 @@ func TestDistributeScheduleInvariance(t *testing.T) {
 // differ where n > 0 — and n ∈ {0, 1, 2, 63, 64, 65, 1000} over groups of
 // one, two and four devices: the prefix holds exactly the kept cells in
 // their original order and the rest holds the dropped ones, the summed
-// transfers are CompactTransfers(n), and every mask leaves the same
+// transfers are CompactTransfers(n, 1), and every mask leaves the same
 // per-device trace digest vector.
 func TestCompactIsStableFilter(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 19))
@@ -174,10 +174,10 @@ func TestCompactIsStableFilter(t *testing.T) {
 				for _, c := range cops {
 					c.ResetStats()
 				}
-				if err := Compact(cops, id, n, expRoute); err != nil {
+				if err := Compact(cops, id, n, 1, expRoute); err != nil {
 					t.Fatal(err)
 				}
-				if got, want := groupTransfers(cops), CompactTransfers(n); got != want {
+				if got, want := groupTransfers(cops), CompactTransfers(n, 1); got != want {
 					t.Fatalf("n=%d P=%d: %d transfers, want %d", n, p, got, want)
 				}
 				for i := range n {
@@ -227,17 +227,22 @@ func TestExpansionValidation(t *testing.T) {
 	h := sim.NewHost(0)
 	cops := spanFleet(t, h, 3)
 	id := h.MustCreateRegion("v", 8)
-	for name, net := range map[string]func([]*sim.Coprocessor, sim.RegionID, int64, RouteFunc) error{
+	for name, net := range map[string]func([]*sim.Coprocessor, sim.RegionID, int64, int64, RouteFunc) error{
 		"Distribute": Distribute, "Compact": Compact,
 	} {
-		if err := net(cops[:1], id, -1, expRoute); err == nil {
+		if err := net(cops[:1], id, -1, 1, expRoute); err == nil {
 			t.Errorf("%s accepted a negative length", name)
 		}
-		if err := net(nil, id, 8, expRoute); err == nil {
+		if err := net(nil, id, 8, 1, expRoute); err == nil {
 			t.Errorf("%s accepted an empty group", name)
 		}
-		if err := net(cops, id, 8, expRoute); err == nil {
+		if err := net(cops, id, 8, 1, expRoute); err == nil {
 			t.Errorf("%s accepted a group of three", name)
+		}
+		for _, b := range []int64{0, 3, 2 * MaxBlock} {
+			if err := net(cops[:1], id, 8, b, expRoute); err == nil {
+				t.Errorf("%s accepted block size %d", name, b)
+			}
 		}
 	}
 }
@@ -299,35 +304,46 @@ func TestFillForwardNoSource(t *testing.T) {
 }
 
 // TestDistributePairsFormula cross-checks the closed form against the loop
-// and against m·log₂m − (m−1), and pins Compact's: at a power of two it runs
+// and against 4·(m·log₂m − (m−1)) at b = 1, and pins Compact's: it runs
 // Distribute's pairs, and at n = 4096 it is the 180,228 transfers that
-// replace Sort(4096)'s 557,052 in each of Algorithm 7's side expansions.
+// replace Sort(4096)'s 557,052 in each of Algorithm 7's side expansions at
+// b = 1, and 106,624 at b = 32.
 func TestDistributePairsFormula(t *testing.T) {
 	for _, m := range []int64{1, 2, 4, 8, 64, 1024} {
 		var want int64
 		for j := m / 2; j >= 1; j >>= 1 {
-			want += m - j
+			want += 4 * (m - j)
 		}
-		if got := DistributePairs(m); got != want {
-			t.Errorf("DistributePairs(%d) = %d, want %d", m, got, want)
+		if got := DistributeTransfers(m, 1); got != want {
+			t.Errorf("DistributeTransfers(%d, 1) = %d, want %d", m, got, want)
 		}
-		if lg := int64(bits.Len64(uint64(m)) - 1); want != m*lg-(m-1) {
-			t.Errorf("DistributePairs(%d) = %d, want m·log₂m − (m−1) = %d", m, want, m*lg-(m-1))
+		if lg := int64(bits.Len64(uint64(m)) - 1); want != 4*(m*lg-(m-1)) {
+			t.Errorf("DistributeTransfers(%d, 1) = %d, want 4·(m·log₂m − (m−1)) = %d", m, want, 4*(m*lg-(m-1)))
 		}
-		if got := CompactTransfers(m); got != DistributeTransfers(m) {
-			t.Errorf("CompactTransfers(%d) = %d, want DistributeTransfers = %d", m, got, DistributeTransfers(m))
+		if got := CompactTransfers(m, 1); got != DistributeTransfers(m, 1) {
+			t.Errorf("CompactTransfers(%d, 1) = %d, want DistributeTransfers = %d", m, got, DistributeTransfers(m, 1))
 		}
 	}
-	if got, sort := CompactTransfers(4096), SortTransfers(4096); got != 180228 || sort != 557052 {
-		t.Errorf("CompactTransfers(4096) = %d, SortTransfers(4096) = %d; want 180228 and 557052", got, sort)
+	if got, sort := CompactTransfers(4096, 1), SortTransfers(4096, 1); got != 180228 || sort != 557052 {
+		t.Errorf("CompactTransfers(4096, 1) = %d, SortTransfers(4096, 1) = %d; want 180228 and 557052", got, sort)
+	}
+	if got := CompactTransfers(4096, 32); got != 106624 {
+		t.Errorf("CompactTransfers(4096, 32) = %d, want 106624", got)
 	}
 	for _, n := range []int64{0, 1, 2, 3, 5, 65, 1000} {
-		var want int64
-		for j := int64(1); j < n; j *= 2 {
-			want += 4 * (n - j)
-		}
-		if got := CompactTransfers(n); got != want {
-			t.Errorf("CompactTransfers(%d) = %d, want %d", n, got, want)
+		for _, b := range []int64{1, 2, 4, 32} {
+			var want int64
+			for j := int64(1); j < n; j *= 2 {
+				if j >= b {
+					want += 4 * (n - j)
+				}
+			}
+			if b > 1 && n > 1 {
+				want += 2 * n // the window pass
+			}
+			if got := CompactTransfers(n, b); got != want {
+				t.Errorf("CompactTransfers(%d, %d) = %d, want %d", n, b, got, want)
+			}
 		}
 	}
 }

@@ -65,7 +65,7 @@ func Filter(group []*sim.Coprocessor, src sim.RegionID, omega, mu, delta int64,
 	if err := PadRange(t, buf, head, bufSize); err != nil {
 		return 0, err
 	}
-	if err := SortSpan(group, buf, 0, bufSize, less); err != nil {
+	if err := SortSpan(group, buf, 0, bufSize, 1, less); err != nil {
 		return 0, err
 	}
 
@@ -77,7 +77,7 @@ func Filter(group []*sim.Coprocessor, src sim.RegionID, omega, mu, delta int64,
 		if err := PadRange(t, buf, mu+r, mu+delta); err != nil {
 			return 0, err
 		}
-		if err := SortSpan(group, buf, 0, bufSize, less); err != nil {
+		if err := SortSpan(group, buf, 0, bufSize, 1, less); err != nil {
 			return 0, err
 		}
 	}

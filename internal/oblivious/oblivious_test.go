@@ -102,7 +102,7 @@ func TestSortTransferCountExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := cop.Stats()
-		if got, want := int64(st.Transfers()), SortTransfers(n); got != want {
+		if got, want := int64(st.Transfers()), SortTransfers(n, 1); got != want {
 			t.Errorf("n=%d: transfers %d, want %d", n, got, want)
 		}
 		if got, want := int64(st.Comparisons), Comparators(NextPow2(n)); got != want {
@@ -411,7 +411,7 @@ func TestParallelSortMatchesSequential(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := SortSpan(cops, id, 0, n, intLess); err != nil {
+				if err := SortSpan(cops, id, 0, n, 1, intLess); err != nil {
 					t.Fatal(err)
 				}
 				got := make([]uint64, n)
@@ -437,14 +437,14 @@ func TestParallelSortMatchesSequential(t *testing.T) {
 func TestParallelSortValidation(t *testing.T) {
 	h, _ := newPair(t, 1)
 	id := h.MustCreateRegion("x", 4)
-	if err := SortSpan(nil, id, 0, 4, intLess); err == nil {
+	if err := SortSpan(nil, id, 0, 4, 1, intLess); err == nil {
 		t.Fatal("zero coprocessors accepted")
 	}
 	cops := make([]*sim.Coprocessor, 3)
 	for i := range cops {
 		cops[i], _ = sim.NewCoprocessor(h, sim.Config{Sealer: sim.PlainSealer{}, Seed: uint64(i) + 1})
 	}
-	if err := SortSpan(cops, id, 0, 4, intLess); err == nil {
+	if err := SortSpan(cops, id, 0, 4, 1, intLess); err == nil {
 		t.Fatal("non-power-of-two coprocessor count accepted")
 	}
 }
@@ -464,7 +464,7 @@ func TestParallelSortPerDeviceTraceDataIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := SortSpan(cops, id, 0, int64(len(vals)), intLess); err != nil {
+		if err := SortSpan(cops, id, 0, int64(len(vals)), 1, intLess); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]uint64, len(cops))

@@ -52,5 +52,5 @@ func ShuffleTransfers(n int64) int64 {
 	if n <= 1 {
 		return 0
 	}
-	return 4*n + SortTransfers(n)
+	return 4*n + SortTransfers(n, 1)
 }

@@ -16,7 +16,10 @@
 // comparator schedule is a pure function of the element count: every
 // compare-exchange gets both cells, decrypts, compares inside T,
 // re-encrypts, and writes both cells back — 4 transfers per comparator,
-// always, regardless of the outcome.
+// always, regardless of the outcome. The sorts, the merge and the
+// expansion networks also run over blocks of b cells of T's memory
+// (BlockFor): a comparator then moves two blocks, 4b transfers, whatever
+// the outcome.
 package oblivious
 
 import (
@@ -45,10 +48,27 @@ func NextPow2(n int64) int64 {
 	return 1 << bits.Len64(uint64(n-1))
 }
 
+// MaxBlock is the largest block size of the block networks: one block
+// comparator holds 2·MaxBlock cells, exactly one sim.TransferBatch staging
+// window.
+const MaxBlock = sim.TransferBatch / 2
+
+// BlockFor returns the block size a device with m free tuple slots runs the
+// networks at: the largest power of two B ≤ MaxBlock whose 2B-cell grant
+// fits in m, and 1 — the uncharged two-cell staging — below m = 4.
+func BlockFor(m int64) int64 {
+	b := int64(1)
+	for b < MaxBlock && 4*b <= m {
+		b *= 2
+	}
+	return b
+}
+
 // Sort obliviously sorts cells [0, n) of a host region in ascending order of
-// less on one device: SortSpan at offset 0 over a one-device group.
+// less on one device: SortSpan at offset 0 over a one-device group, one cell
+// per block.
 func Sort(t *sim.Coprocessor, region sim.RegionID, n int64, less LessFunc) error {
-	return SortSpan([]*sim.Coprocessor{t}, region, 0, n, less)
+	return SortSpan([]*sim.Coprocessor{t}, region, 0, n, 1, less)
 }
 
 // SortOddEven is Sort under the name the benchmark module's probes call.
@@ -58,26 +78,43 @@ func SortOddEven(t *sim.Coprocessor, region sim.RegionID, n int64, less LessFunc
 
 // SortSpan obliviously sorts cells [lo, lo+n) of a host region ascending
 // over a power-of-two group of coprocessors attached to the same host and
-// sharing one sealer (they re-encrypt cells for each other). If n is not a
-// power of two the span is first extended with padding cells (maximal
-// elements) up to m = NextPow2(n), so the region must reach lo+m; after
-// sorting the pads occupy [lo+n, lo+m). Summed transfers: SortTransfers(n)
-// at every group size.
+// sharing one sealer (they re-encrypt cells for each other), in blocks of b
+// cells (a power of two up to MaxBlock). If n is not a power of two the span
+// is first extended with padding cells (maximal elements) up to
+// m = NextPow2(n), so the region must reach lo+m; after sorting the pads
+// occupy [lo+n, lo+m). Summed transfers: SortTransfers(n, b) at every group
+// size.
 //
 // The network is Batcher's odd-even mergesort, recursively: sort the two
-// halves, then odd-even merge the whole. Over P devices the halves go to the
-// group's halves, so the bottom levels are each device sorting its own block
-// of m/P cells and the top log₂P levels are a binary tree of merges, each
-// spread over the devices of its subtree. That is the schedule of §4.4.4 /
-// §5.3.5 — "each secure coprocessor has about N/P items and first sorts
-// them locally ... then the P secure coprocessors sort the P sorted lists" —
-// without a second network: the paper's phase 2, a bitonic network over
-// blocks with merge-split comparators, does more total work than one device
-// sorting alone at P=4. On one device the recursion runs on the caller's
-// goroutine. Every device's comparator schedule is a pure function of
-// (lo, n, P, its group position) — the pad writes included, contents never
-// influence which cells a device touches.
-func SortSpan(cops []*sim.Coprocessor, region sim.RegionID, lo, n int64, less LessFunc) error {
+// halves, then odd-even merge the whole. It runs over the m/b blocks of the
+// span (b is capped at m/2): a span of two blocks is read once, sorted
+// inside T by the same network over its cells, and written once, and above
+// that every comparator is a merge-split — one batched get of two sorted
+// blocks, a fixed odd-even merge of their 2b plaintexts inside T, one
+// batched put of the lower half to the first block and the upper half to
+// the second. Knuth's merge-split theorem (any sorting network sorts sorted
+// blocks when its comparators merge-split) makes the block network correct.
+// At b = 1 every comparator is a plain compare-exchange and the span of two
+// blocks is one, so the schedule is the cell network, trace for trace. Every
+// comparator inside T is charged to Stats.Comparisons.
+//
+// Over P devices the halves go to the group's halves, so the bottom levels
+// are each device sorting its own share of blocks and the top log₂P levels
+// are a binary tree of merges, each spread over the devices of its subtree.
+// That is the schedule of §4.4.4 / §5.3.5 — "each secure coprocessor has
+// about N/P items and first sorts them locally ... then the P secure
+// coprocessors sort the P sorted lists" — without a second network: the
+// paper's phase 2, a bitonic network over blocks with merge-split
+// comparators, does more total work than one device sorting alone at P=4.
+// The group is capped at m/b devices. On one device the recursion runs on
+// the caller's goroutine. Every device's comparator schedule is a pure
+// function of (lo, n, b, P, its group position) — the pad writes included,
+// contents never influence which cells a device touches.
+//
+// With b > 1 the network holds 2b cells inside T: it Grants them on every
+// device of the group and is refused before its first transfer if any
+// device lacks them. At b = 1 it runs in the uncharged two-cell staging.
+func SortSpan(cops []*sim.Coprocessor, region sim.RegionID, lo, n, b int64, less LessFunc) error {
 	p, err := groupSize(cops)
 	switch {
 	case err != nil:
@@ -86,87 +123,112 @@ func SortSpan(cops []*sim.Coprocessor, region sim.RegionID, lo, n int64, less Le
 		return fmt.Errorf("oblivious: negative element count %d", n)
 	case lo < 0:
 		return fmt.Errorf("oblivious: negative span offset %d", lo)
-	case n <= 1:
-		return nil
+	}
+	if err := checkBlock(b); err != nil || n <= 1 {
+		return err
 	}
 	m := NextPow2(n)
+	b = min(b, m/2)
+	p = min(p, m/b) // more devices than blocks: use m/b of them
+	release, err := grantBlocks(cops[:p], b)
+	if err != nil {
+		return err
+	}
+	defer release()
 	if err := PadRange(cops[0], region, lo+n, lo+m); err != nil {
 		return err
 	}
-	p = min(p, m) // more devices than elements: use m of them
-	return mergeSort(cops[:p], make([]xchg, p), region, lo, m, padLast(less))
-}
-
-// mergeSort sorts the m (a power of two) cells at lo over a device group
-// with one comparator scratch per device.
-func mergeSort(cops []*sim.Coprocessor, xs []xchg, region sim.RegionID, lo, m int64, less LessFunc) error {
-	if m <= 1 {
-		return nil
-	}
-	// The halves take the group's halves concurrently; a one-device group
-	// sorts them in order on the caller's goroutine.
-	half := m / 2
-	if g := int64(len(cops) / 2); g == 0 {
-		if err := mergeSort(cops, xs, region, lo, half, less); err != nil {
-			return err
-		}
-		if err := mergeSort(cops, xs, region, lo+half, half, less); err != nil {
-			return err
-		}
-	} else if err := ForEach(2, func(w int64) error {
-		return mergeSort(cops[w*g:(w+1)*g], xs[w*g:(w+1)*g], region, lo+w*half, half, less)
-	}); err != nil {
-		return err
-	}
-	return oddEvenMerge(cops, xs, region, lo, m, 1, less)
+	nw := &blockNet{region: region, b: b, less: padLast(less)}
+	return nw.mergeSort(cops[:p], make([]xchg, p), lo, m/b)
 }
 
 // MergeHalves merges the two independently sorted halves of cells [0, m)
 // (m a power of two, each half ascending with any padding cells already
 // maximal at its top) into one ascending run using Batcher's odd-even
-// merge over a power-of-two device group — the last step of SortSpan on its
-// own, so a caller can build one sorted array out of independently sorted
-// (and possibly cached) halves. Summed transfers: MergeHalvesTransfers(m) at
-// every group size.
-func MergeHalves(cops []*sim.Coprocessor, region sim.RegionID, m int64, less LessFunc) error {
+// merge over b-cell blocks and a power-of-two device group — the last step
+// of SortSpan on its own, so a caller can build one sorted array out of
+// independently sorted (and possibly cached) halves. Blocks, merge-split
+// comparators, the group and the grant are SortSpan's. Summed transfers:
+// MergeHalvesTransfers(m, b) at every group size.
+func MergeHalves(cops []*sim.Coprocessor, region sim.RegionID, m, b int64, less LessFunc) error {
 	p, err := groupSize(cops)
 	switch {
 	case err != nil:
 		return err
-	case m <= 1:
-		return nil
-	case m&(m-1) != 0:
+	case m > 1 && m&(m-1) != 0:
 		return fmt.Errorf("oblivious: merge size %d must be a power of two", m)
 	}
-	p = min(p, m)
-	return oddEvenMerge(cops[:p], make([]xchg, p), region, 0, m, 1, padLast(less))
+	if err := checkBlock(b); err != nil || m <= 1 {
+		return err
+	}
+	b = min(b, m/2)
+	p = min(p, m/b)
+	release, err := grantBlocks(cops[:p], b)
+	if err != nil {
+		return err
+	}
+	defer release()
+	nw := &blockNet{region: region, b: b, less: padLast(less)}
+	return nw.oddEvenMerge(cops[:p], make([]xchg, p), 0, m/b, 1)
 }
 
-// oddEvenMerge merges the two sorted halves of the m cells at stride r
-// starting at lo (Batcher's recursive formulation). The two stride
-// sub-recursions touch disjoint cells (the even and odd multiples of r), so
-// each takes half the group concurrently; a one-device group runs them in
-// order on the caller's goroutine. The closing comparator chain of each
-// level runs on the group's first device after both sub-merges complete.
-func oddEvenMerge(cops []*sim.Coprocessor, xs []xchg, region sim.RegionID, lo, m, r int64, less LessFunc) error {
-	step := r * 2
-	if step >= m {
-		return xs[0].compareExchange(cops[0], region, lo, lo+r, less)
+// blockNet is one run of a block network over a region: its block size and
+// the (padding-aware) order.
+type blockNet struct {
+	region sim.RegionID
+	b      int64
+	less   LessFunc
+}
+
+// mergeSort sorts the k (a power of two, at least two) blocks starting at
+// cell lo over a device group with one comparator scratch per device.
+func (nw *blockNet) mergeSort(cops []*sim.Coprocessor, xs []xchg, lo, k int64) error {
+	if k <= 2 {
+		return xs[0].sortSpan(cops[0], nw, lo, k*nw.b)
 	}
+	// The halves take the group's halves concurrently; a one-device group
+	// sorts them in order on the caller's goroutine.
+	half := k / 2
 	if g := int64(len(cops) / 2); g == 0 {
-		if err := oddEvenMerge(cops, xs, region, lo, m, step, less); err != nil {
+		if err := nw.mergeSort(cops, xs, lo, half); err != nil {
 			return err
 		}
-		if err := oddEvenMerge(cops, xs, region, lo+r, m, step, less); err != nil {
+		if err := nw.mergeSort(cops, xs, lo+half*nw.b, half); err != nil {
 			return err
 		}
 	} else if err := ForEach(2, func(w int64) error {
-		return oddEvenMerge(cops[w*g:(w+1)*g], xs[w*g:(w+1)*g], region, lo+w*r, m, step, less)
+		return nw.mergeSort(cops[w*g:(w+1)*g], xs[w*g:(w+1)*g], lo+w*half*nw.b, half)
 	}); err != nil {
 		return err
 	}
-	for i := lo + r; i+r < lo+m; i += step {
-		if err := xs[0].compareExchange(cops[0], region, i, i+r, less); err != nil {
+	return nw.oddEvenMerge(cops, xs, lo, k, 1)
+}
+
+// oddEvenMerge merges the two sorted halves of the k blocks at block stride
+// r starting at cell lo (Batcher's recursive formulation). The two stride
+// sub-recursions touch disjoint blocks (the even and odd multiples of r), so
+// each takes half the group concurrently; a one-device group runs them in
+// order on the caller's goroutine. The closing comparator chain of each
+// level runs on the group's first device after both sub-merges complete.
+func (nw *blockNet) oddEvenMerge(cops []*sim.Coprocessor, xs []xchg, lo, k, r int64) error {
+	step := r * 2
+	if step >= k {
+		return xs[0].mergeSplit(cops[0], nw, lo, lo+r*nw.b)
+	}
+	if g := int64(len(cops) / 2); g == 0 {
+		if err := nw.oddEvenMerge(cops, xs, lo, k, step); err != nil {
+			return err
+		}
+		if err := nw.oddEvenMerge(cops, xs, lo+r*nw.b, k, step); err != nil {
+			return err
+		}
+	} else if err := ForEach(2, func(w int64) error {
+		return nw.oddEvenMerge(cops[w*g:(w+1)*g], xs[w*g:(w+1)*g], lo+w*r*nw.b, k, step)
+	}); err != nil {
+		return err
+	}
+	for i := r; i+r < k; i += step {
+		if err := xs[0].mergeSplit(cops[0], nw, lo+i*nw.b, lo+(i+r)*nw.b); err != nil {
 			return err
 		}
 	}
@@ -242,32 +304,125 @@ func padLast(less LessFunc) LessFunc {
 	}
 }
 
-// xchg is the reused scratch of the batched comparator: two index slots and
-// two plaintext buffers whose backing arrays survive across comparators, so
-// a full sorting network allocates nothing per compare-exchange. One xchg
-// belongs to one goroutine; a device group carries one per device.
+// checkBlock validates a block size: a power of two from 1 to MaxBlock.
+func checkBlock(b int64) error {
+	if b < 1 || b > MaxBlock || b&(b-1) != 0 {
+		return fmt.Errorf("oblivious: block size %d must be a power of two in [1, %d]", b, MaxBlock)
+	}
+	return nil
+}
+
+// grantBlocks reserves the 2b cells a block network holds inside T on every
+// device of a group, all or none; b = 1 runs in the uncharged two-cell
+// staging and reserves nothing. The returned release undoes the grants.
+func grantBlocks(cops []*sim.Coprocessor, b int64) (func(), error) {
+	var releases []func()
+	release := func() {
+		for _, r := range releases {
+			r()
+		}
+	}
+	if b == 1 {
+		return release, nil
+	}
+	for _, c := range cops {
+		r, err := c.Grant(int(2 * b))
+		if err != nil {
+			release()
+			return nil, err
+		}
+		releases = append(releases, r)
+	}
+	return release, nil
+}
+
+// xchg is the reused scratch of the batched comparators: index slots and
+// plaintext buffers whose backing arrays survive across comparators, so a
+// full network allocates nothing per comparator. One xchg belongs to one
+// goroutine; a device group carries one per device.
 type xchg struct {
-	idx [2]int64
+	idx []int64
 	pts [][]byte
 }
 
-// compareExchange performs one ascending comparator: get both cells (one
-// batched transfer), compare inside T, put both cells back, swapped if cell
-// j orders before cell i. The traced sequence — get i, get j, put i, put j —
-// and the transfer count are identical to the per-cell version and
-// outcome-independent.
-func (x *xchg) compareExchange(t *sim.Coprocessor, region sim.RegionID, i, j int64, less LessFunc) error {
-	x.idx[0], x.idx[1] = i, j
+// cells sets the index slots to the runs [i, i+n) and [j, j+n).
+func (x *xchg) cells(i, j, n int64) {
+	x.idx = x.idx[:0]
+	for _, from := range [2]int64{i, j} {
+		for k := from; k < from+n; k++ {
+			x.idx = append(x.idx, k)
+		}
+	}
+}
+
+// exchange gets the cells of the index slots (one batched transfer), runs a
+// fixed network over their plaintexts inside T, and puts them back in
+// place: 2·len(idx) transfers whatever the network decides.
+func (x *xchg) exchange(t *sim.Coprocessor, region sim.RegionID, network func(pts [][]byte)) error {
 	var err error
-	x.pts, err = t.GetBatchInto(x.pts, region, x.idx[:])
+	x.pts, err = t.GetBatchInto(x.pts, region, x.idx)
 	if err != nil {
 		return err
 	}
-	t.ChargeCompare()
-	if less(x.pts[1], x.pts[0]) {
-		x.pts[0], x.pts[1] = x.pts[1], x.pts[0]
+	network(x.pts)
+	return t.PutBatch(region, x.idx, x.pts)
+}
+
+// sortSpan reads the span of n cells at lo, sorts it inside T with the
+// odd-even mergesort network, and writes it back.
+func (x *xchg) sortSpan(t *sim.Coprocessor, nw *blockNet, lo, n int64) error {
+	x.cells(lo, lo+n/2, n/2)
+	return x.exchange(t, nw.region, func(pts [][]byte) { cellNet{t, nw.less}.sort(pts, 0, len(pts)) })
+}
+
+// mergeSplit is one block comparator: get the sorted blocks at cells i and
+// j, merge their plaintexts inside T with the odd-even merge network, and
+// put the lower half back to block i and the upper half to block j. At one
+// cell per block it is a compare-exchange: get i, get j, put i, put j, with
+// the pair swapped if cell j orders before cell i.
+func (x *xchg) mergeSplit(t *sim.Coprocessor, nw *blockNet, i, j int64) error {
+	x.cells(i, j, nw.b)
+	return x.exchange(t, nw.region, func(pts [][]byte) { cellNet{t, nw.less}.merge(pts, 0, len(pts), 1) })
+}
+
+// cellNet runs the odd-even networks over plaintexts held inside T,
+// charging every comparator as one comparison: a fixed sequence of
+// compare-exchanges whatever the contents.
+type cellNet struct {
+	t    *sim.Coprocessor
+	less LessFunc
+}
+
+func (c cellNet) compareExchange(pts [][]byte, i, j int) {
+	c.t.ChargeCompare()
+	if c.less(pts[j], pts[i]) {
+		pts[i], pts[j] = pts[j], pts[i]
 	}
-	return t.PutBatch(region, x.idx[:], x.pts)
+}
+
+// sort is odd-even mergesort over the m (a power of two) plaintexts at lo.
+func (c cellNet) sort(pts [][]byte, lo, m int) {
+	if m <= 1 {
+		return
+	}
+	c.sort(pts, lo, m/2)
+	c.sort(pts, lo+m/2, m/2)
+	c.merge(pts, lo, m, 1)
+}
+
+// merge is the odd-even merge of the two sorted halves of the m plaintexts
+// at stride r starting at lo.
+func (c cellNet) merge(pts [][]byte, lo, m, r int) {
+	step := r * 2
+	if step >= m {
+		c.compareExchange(pts, lo, lo+r)
+		return
+	}
+	c.merge(pts, lo, m, step)
+	c.merge(pts, lo+r, m, step)
+	for i := lo + r; i+r < lo+m; i += step {
+		c.compareExchange(pts, i, i+r)
+	}
 }
 
 // Comparators returns the exact number of compare-exchanges the odd-even
@@ -290,20 +445,30 @@ func mergeComparators(m, r int64) int64 {
 }
 
 // SortTransfers returns the exact number of tuple transfers of SortSpan,
-// summed over the group, for n elements: padding puts plus 4 per comparator.
-func SortTransfers(n int64) int64 {
+// summed over the group, for n elements in blocks of b: the padding puts,
+// one read and one write of every cell for the two-block spans, and 4b per
+// merge-split comparator above them. With m = NextPow2(n) and b ≤ m/2,
+//
+//	(m − n) + 2m + 4b·(Comparators(m/b) − m/2b)
+//
+// which at b = 1 is (m − n) + 4·Comparators(m).
+func SortTransfers(n, b int64) int64 {
 	if n <= 1 {
 		return 0
 	}
 	m := NextPow2(n)
-	return (m - n) + 4*Comparators(m)
+	b = min(b, m/2)
+	k := m / b
+	return (m - n) + 2*m + 4*b*(Comparators(k)-k/2)
 }
 
 // MergeHalvesTransfers returns the exact transfer count of MergeHalves,
-// summed over the group, for m cells.
-func MergeHalvesTransfers(m int64) int64 {
+// summed over the group, for m cells in blocks of b ≤ m/2: 4b per
+// merge-split comparator of the odd-even merge over m/b blocks.
+func MergeHalvesTransfers(m, b int64) int64 {
 	if m <= 1 {
 		return 0
 	}
-	return 4 * mergeComparators(m, 1)
+	b = min(b, m/2)
+	return 4 * b * mergeComparators(m, b)
 }

@@ -43,7 +43,7 @@ func TestSortOddEvenTransferCountExact(t *testing.T) {
 		if err := SortOddEven(cop, id, n, intLess); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := int64(cop.Stats().Transfers()), SortTransfers(n); got != want {
+		if got, want := int64(cop.Stats().Transfers()), SortTransfers(n, 1); got != want {
 			t.Errorf("n=%d: transfers %d, want %d", n, got, want)
 		}
 	}

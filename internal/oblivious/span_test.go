@@ -50,7 +50,7 @@ func TestGroupFormsOnOneDeviceAreTheSequentialNetworks(t *testing.T) {
 		return cop.Stats(), h.Trace().Digest()
 	}
 	span := func(lo, n int64) op {
-		return func(c *sim.Coprocessor, id sim.RegionID) error { return SortSpan(one(c), id, lo, n, intLess) }
+		return func(c *sim.Coprocessor, id sim.RegionID) error { return SortSpan(one(c), id, lo, n, 1, intLess) }
 	}
 	sorted := func(n int64) op {
 		return func(c *sim.Coprocessor, id sim.RegionID) error { return Sort(c, id, n, intLess) }
@@ -66,7 +66,7 @@ func TestGroupFormsOnOneDeviceAreTheSequentialNetworks(t *testing.T) {
 		}
 	}
 	for _, m := range []int64{2, 8, 64, 128} {
-		merge := func(c *sim.Coprocessor, id sim.RegionID) error { return MergeHalves(one(c), id, m, intLess) }
+		merge := func(c *sim.Coprocessor, id sim.RegionID) error { return MergeHalves(one(c), id, m, 1, intLess) }
 		want, wantDigest := run(m, sorted(m))
 		if got, digest := run(m, span(0, m/2), span(m/2, m/2), merge); got != want || digest != wantDigest {
 			t.Errorf("two half sorts + MergeHalves m=%d: stats %+v digest %#x, Sort's are %+v %#x",
@@ -89,7 +89,7 @@ func TestSortSpanSortsAtOffset(t *testing.T) {
 				vals[i] = uint64((int64(i)*7919 + 3) % 101)
 			}
 			id := loadInts(t, h, cop, "span", vals)
-			if err := SortSpan(one(cop), id, tc.lo, tc.n, intLess); err != nil {
+			if err := SortSpan(one(cop), id, tc.lo, tc.n, 1, intLess); err != nil {
 				t.Fatal(err)
 			}
 			got := readInts(t, cop, id, tc.lo+tc.n)
@@ -118,7 +118,7 @@ func TestSortSpanSortsAtOffset(t *testing.T) {
 	}
 }
 
-// TestSortSpanTransferCountExact pins SortSpan's cost to SortTransfers(n),
+// TestSortSpanTransferCountExact pins SortSpan's cost to SortTransfers(n, 1),
 // measured with no other charged operations in the window.
 func TestSortSpanTransferCountExact(t *testing.T) {
 	for _, n := range []int64{2, 5, 16, 37} {
@@ -130,10 +130,10 @@ func TestSortSpanTransferCountExact(t *testing.T) {
 			vals[i] = uint64(total) - uint64(i)
 		}
 		id := loadInts(t, h, cop, "span", vals)
-		if err := SortSpan(one(cop), id, lo, n, intLess); err != nil {
+		if err := SortSpan(one(cop), id, lo, n, 1, intLess); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := int64(cop.Stats().Transfers()), SortTransfers(n); got != want {
+		if got, want := int64(cop.Stats().Transfers()), SortTransfers(n, 1); got != want {
 			t.Fatalf("n=%d: SortSpan transfers = %d, want SortTransfers = %d", n, got, want)
 		}
 	}
@@ -151,17 +151,17 @@ func TestMergeHalvesMergesSortedHalves(t *testing.T) {
 			}
 			id := loadInts(t, h, cop, "mh", vals)
 			half := m / 2
-			if err := SortSpan(one(cop), id, 0, half, intLess); err != nil {
+			if err := SortSpan(one(cop), id, 0, half, 1, intLess); err != nil {
 				t.Fatal(err)
 			}
-			if err := SortSpan(one(cop), id, half, half, intLess); err != nil {
+			if err := SortSpan(one(cop), id, half, half, 1, intLess); err != nil {
 				t.Fatal(err)
 			}
 			cop.ResetStats()
-			if err := MergeHalves(one(cop), id, m, intLess); err != nil {
+			if err := MergeHalves(one(cop), id, m, 1, intLess); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := int64(cop.Stats().Transfers()), MergeHalvesTransfers(m); got != want {
+			if got, want := int64(cop.Stats().Transfers()), MergeHalvesTransfers(m, 1); got != want {
 				t.Fatalf("m=%d: MergeHalves transfers = %d, want %d", m, got, want)
 			}
 			got := readInts(t, cop, id, m)
@@ -201,7 +201,7 @@ func TestMergeHalvesKeepsPaddingMaximal(t *testing.T) {
 	if err := PadRange(cop, id, half+qB, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := MergeHalves(one(cop), id, m, intLess); err != nil {
+	if err := MergeHalves(one(cop), id, m, 1, intLess); err != nil {
 		t.Fatal(err)
 	}
 	want := []uint64{1, 2, 4, 5, 6, 8, 9, 10}
@@ -246,14 +246,14 @@ func TestParallelSpanMatchesSequential(t *testing.T) {
 			for _, c := range cops {
 				c.ResetStats()
 			}
-			if err := SortSpan(cops, id, lo, n, intLess); err != nil {
+			if err := SortSpan(cops, id, lo, n, 1, intLess); err != nil {
 				t.Fatal(err)
 			}
 			var sorted int64
 			for _, c := range cops {
 				sorted += int64(c.Stats().Transfers())
 			}
-			if want := SortTransfers(n); sorted != want {
+			if want := SortTransfers(n, 1); sorted != want {
 				t.Fatalf("p=%d: summed sort transfers = %d, want %d", p, sorted, want)
 			}
 			got := readInts(t, cops[0], id, lo+n)
@@ -281,23 +281,23 @@ func TestParallelSpanMatchesSequential(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := SortSpan(cops2[:1], id2, 0, m, intLess); err != nil {
+			if err := SortSpan(cops2[:1], id2, 0, m, 1, intLess); err != nil {
 				t.Fatal(err)
 			}
-			if err := SortSpan(cops2[:1], id2, m, m, intLess); err != nil {
+			if err := SortSpan(cops2[:1], id2, m, m, 1, intLess); err != nil {
 				t.Fatal(err)
 			}
 			for _, c := range cops2 {
 				c.ResetStats()
 			}
-			if err := MergeHalves(cops2, id2, 2*m, intLess); err != nil {
+			if err := MergeHalves(cops2, id2, 2*m, 1, intLess); err != nil {
 				t.Fatal(err)
 			}
 			var sum int64
 			for _, c := range cops2 {
 				sum += int64(c.Stats().Transfers())
 			}
-			if want := MergeHalvesTransfers(2 * m); sum != want {
+			if want := MergeHalvesTransfers(2*m, 1); sum != want {
 				t.Fatalf("p=%d: summed merge transfers = %d, want %d", p, sum, want)
 			}
 			got2 := readInts(t, cops2[0], id2, 2*m)
@@ -316,19 +316,19 @@ func TestParallelSpanMatchesSequential(t *testing.T) {
 func TestSpanValidation(t *testing.T) {
 	h, cop := newPair(t, 1)
 	id := h.MustCreateRegion("v", 8)
-	if err := SortSpan(one(cop), id, -1, 4, intLess); err == nil {
+	if err := SortSpan(one(cop), id, -1, 4, 1, intLess); err == nil {
 		t.Fatal("SortSpan accepted a negative offset")
 	}
-	if err := SortSpan(one(cop), id, 0, -1, intLess); err == nil {
+	if err := SortSpan(one(cop), id, 0, -1, 1, intLess); err == nil {
 		t.Fatal("SortSpan accepted a negative count")
 	}
-	if err := MergeHalves(one(cop), id, 6, intLess); err == nil {
+	if err := MergeHalves(one(cop), id, 6, 1, intLess); err == nil {
 		t.Fatal("MergeHalves accepted a non-power-of-two size")
 	}
-	if err := SortSpan(nil, id, 0, 4, intLess); err == nil {
+	if err := SortSpan(nil, id, 0, 4, 1, intLess); err == nil {
 		t.Fatal("SortSpan accepted an empty group")
 	}
-	if err := MergeHalves(nil, id, 4, intLess); err == nil {
+	if err := MergeHalves(nil, id, 4, 1, intLess); err == nil {
 		t.Fatal("MergeHalves accepted an empty group")
 	}
 }

@@ -199,9 +199,9 @@ func (pl Planner) planCh5(q Query, rels []*relation.Relation) (Plan, error) {
 	if len(rels) == 2 && q.Predicate != nil {
 		if eq, ok := q.Predicate.(*relation.Equi); ok && eq.Orderable() {
 			// Algorithm 7 is built from fixed networks, so its model is the
-			// implementation's exact closed form, not an approximation like
-			// Eqns 5.2-5.7; device memory never appears in it.
-			c7 := float64(core.Join7Transfers(int64(rels[0].Len()), int64(rels[1].Len()), s))
+			// implementation's exact closed form at this device memory, not
+			// an approximation like Eqns 5.2-5.7.
+			c7 := alg7Cost(int64(rels[0].Len()), int64(rels[1].Len()), s, pl.Memory)
 			if c7 < best.PredictedCost {
 				best = Plan{Algorithm: 7, PredictedCost: c7,
 					Reason: "orderable equijoin past the crossover: sort-based O(n log n) pipeline beats the scans"}
@@ -218,11 +218,17 @@ func (pl Planner) planCh5(q Query, rels []*relation.Relation) (Plan, error) {
 // sort-based join; below it the scan-based joins win on constants.
 func CrossoverN57(m int64) int64 {
 	for n := int64(2); n <= 1<<20; n <<= 1 {
-		if float64(core.Join7Transfers(n, n, n)) < costmodel.Alg5Cost(n*n, n, m) {
+		if alg7Cost(n, n, n, m) < costmodel.Alg5Cost(n*n, n, m) {
 			return n
 		}
 	}
 	return 0
+}
+
+// alg7Cost is Algorithm 7's exact uncached transfer count at device memory
+// m, through the algorithm table's row: M sets its networks' block size.
+func alg7Cost(aN, bN, s, m int64) float64 {
+	return float64(core.Algorithms[6].Transfers([]int64{aN, bN}, s, m, core.Inputs{}, core.CacheUse{}))
 }
 
 // multiPred resolves the query's J-way predicate.

@@ -279,7 +279,7 @@ func TestPlannerAutoFlipsToAlg7(t *testing.T) {
 		if p.AlgorithmName() != "alg7" {
 			t.Fatalf("AlgorithmName() = %q", p.AlgorithmName())
 		}
-		if want := float64(core.Join7Transfers(n, n, n)); p.PredictedCost != want {
+		if want := alg7Cost(n, n, n, mem); p.PredictedCost != want {
 			t.Fatalf("n=%d: predicted cost %g, want closed form %g", n, p.PredictedCost, want)
 		}
 	}
@@ -391,10 +391,6 @@ func TestExecuteRunsAlg7PastCrossover(t *testing.T) {
 	}
 }
 
-// alg7Cost is Algorithm 7's model on the matched-keys workload: the exact
-// closed form the planner compares.
-func alg7Cost(n int64) float64 { return float64(core.Join7Transfers(n, n, n)) }
-
 // TestAlg7CrossoverAgainstCh5 places Algorithm 7 on the performance map:
 // on the matched-keys workload (|A| = |B| = n, S = n, L = n²) the
 // scan-based Algorithms 5 and 6 win at small n on constants, and the
@@ -413,12 +409,12 @@ func TestAlg7CrossoverAgainstCh5(t *testing.T) {
 	// Below the crossover alg5 wins, above it alg7 wins — and keeps winning.
 	small := cross / 4
 	if small >= 2 {
-		if alg7Cost(small) < costmodel.Alg5Cost(small*small, small, m) {
+		if alg7Cost(small, small, small, m) < costmodel.Alg5Cost(small*small, small, m) {
 			t.Fatalf("alg7 already cheaper at n=%d, below reported crossover %d", small, cross)
 		}
 	}
 	for n := cross; n <= cross*16; n <<= 1 {
-		a7 := alg7Cost(n)
+		a7 := alg7Cost(n, n, n, m)
 		if a5 := costmodel.Alg5Cost(n*n, n, m); a7 >= a5 {
 			t.Fatalf("n=%d: alg7 %v not cheaper than alg5 %v past crossover", n, a7, a5)
 		}
@@ -428,17 +424,17 @@ func TestAlg7CrossoverAgainstCh5(t *testing.T) {
 	}
 	// At n = 4096 the separation is the headline: alg7 under a quarter of
 	// alg5's transfers (the BENCH_8 acceptance bar).
-	if a7, a5 := alg7Cost(4096), costmodel.Alg5Cost(4096*4096, 4096, m); a7 >= 0.25*a5 {
+	if a7, a5 := alg7Cost(4096, 4096, 4096, m), costmodel.Alg5Cost(4096*4096, 4096, m); a7 >= 0.25*a5 {
 		t.Fatalf("alg7 %v not under 25%% of alg5 %v at n=4k", a7, a5)
 	}
 }
 
 // TestCrossoverN57Pinned pins where the planner flips from Algorithm 5 to
 // Algorithm 7 on the matched-keys workload at three device memories. The
-// crossover moves whenever core.Join7Transfers does, so a change to
+// crossover moves whenever Algorithm 7's closed form does, so a change to
 // Algorithm 7's schedule shows here as a changed planner decision.
 func TestCrossoverN57Pinned(t *testing.T) {
-	for _, c := range []struct{ mem, cross int64 }{{8, 64}, {64, 256}, {1024, 512}} {
+	for _, c := range []struct{ mem, cross int64 }{{8, 64}, {64, 128}, {1024, 128}} {
 		if got := CrossoverN57(c.mem); got != c.cross {
 			t.Errorf("CrossoverN57(%d) = %d, want %d", c.mem, got, c.cross)
 		}
@@ -446,11 +442,12 @@ func TestCrossoverN57Pinned(t *testing.T) {
 }
 
 // TestAlg7CrossoverAgainstAlg3 pins the Chapter 4 comparison: Algorithm 3
-// is Θ(|A|·|B|) even at N=1, so Algorithm 7 overtakes it too.
+// is Θ(|A|·|B|) even at N=1, so Algorithm 7 overtakes it too — even at
+// M = 1, where its networks move one cell per comparator.
 func TestAlg7CrossoverAgainstAlg3(t *testing.T) {
 	var crossed bool
 	for n := int64(2); n <= 1<<14; n <<= 1 {
-		a7 := alg7Cost(n)
+		a7 := alg7Cost(n, n, n, 1)
 		a3 := costmodel.Alg3Cost(n, n, 1, false)
 		if crossed && a7 >= a3 {
 			t.Fatalf("n=%d: alg7 %v fell back behind alg3 %v", n, a7, a3)

@@ -140,6 +140,15 @@ func (s *Schema) Index(name string) int {
 // TupleSize is the exact encoded size of every tuple of this schema.
 func (s *Schema) TupleSize() int { return s.size }
 
+// Span returns the byte range [from, to) attribute i occupies in every
+// encoded tuple of this schema.
+func (s *Schema) Span(i int) (from, to int) {
+	for _, a := range s.attrs[:i] {
+		from += a.size()
+	}
+	return from, from + s.attrs[i].size()
+}
+
 // Equal reports whether two schemas have identical attribute lists.
 func (s *Schema) Equal(o *Schema) bool {
 	if s == o {

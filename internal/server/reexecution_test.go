@@ -86,13 +86,23 @@ type reexecOutcome struct {
 	final Snapshot
 }
 
+// reexecMemory is the device memory M of the re-execution servers.
+const reexecMemory = 16
+
+// warmSaving is what a warm re-execution saves per side of q rows: the
+// wrap (2q), the readback (q) and the span sort at the servers' block size,
+// less the pads the warm restore writes too.
+func warmSaving(q int64) int64 {
+	return 3*q - oblivious.NextPow2(q) + oblivious.SortTransfers(q, oblivious.BlockFor(reexecMemory))
+}
+
 // runColdWarm registers an alg7 contract on a fresh server with P devices
 // per job, executes it, resubmits, and executes again with the identical
 // uploads, measuring each run through the metrics surface only — exactly
 // what an operator of the real service could observe.
 func runColdWarm(t *testing.T, p int, relA, relB *relation.Relation) reexecOutcome {
 	t.Helper()
-	srv, err := New(Config{Workers: 1, Memory: 16, DevicesPerJob: p})
+	srv, err := New(Config{Workers: 1, Memory: reexecMemory, DevicesPerJob: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +144,9 @@ func runColdWarm(t *testing.T, p int, relA, relB *relation.Relation) reexecOutco
 // must charge identical coprocessor stats, and the warm re-executions —
 // each served from its own server's sorted-relation cache — must also
 // charge identical stats, serially and at P in {2, 4}. Serially, the warm
-// saving additionally matches the closed form: per side the cache removes
-// the wrap (2q), the pre-sort's 4·Comparators(NextPow2(q)), and the
-// readback (q is folded into the restore). So the hit/miss bit itself
+// saving additionally matches the closed form warmSaving: per side the
+// cache removes the wrap, the pre-sort at the servers' block size, and the
+// readback (the pads are folded into the restore). So the hit/miss bit itself
 // reveals only what the sizes already reveal.
 func TestReexecutionAccessPatternInvariance(t *testing.T) {
 	const q = 12 // per-side row count; S = 8 — all public
@@ -171,11 +181,9 @@ func TestReexecutionAccessPatternInvariance(t *testing.T) {
 				t.Fatalf("metrics snapshot depends on tuple contents:\n server1 %+v\n server2 %+v", r1.final, r2.final)
 			}
 			if p == 1 {
-				perSide := 2*int64(q) + 4*oblivious.Comparators(oblivious.NextPow2(q))
 				saved := int64(r1.cold.Transfers()) - int64(r1.warm.Transfers())
-				if saved != 2*perSide {
-					t.Fatalf("warm re-execution saved %d transfers, want the closed form 2·(2q + 4·Comparators(NextPow2(q))) = %d",
-						saved, 2*perSide)
+				if want := 2 * warmSaving(q); saved != want {
+					t.Fatalf("warm re-execution saved %d transfers, want the closed form 2·warmSaving(q) = %d", saved, want)
 				}
 			}
 		})
@@ -197,10 +205,9 @@ func TestReexecutionWarmSkipsPreSortAt4096(t *testing.T) {
 	if r.warmHits != 2 || r.warmMisses != 0 {
 		t.Fatalf("warm cache use: %d hits / %d misses, want 2/0", r.warmHits, r.warmMisses)
 	}
-	perSide := 2*int64(nSide) + 4*oblivious.Comparators(int64(nSide))
 	saved := int64(r.cold.Transfers()) - int64(r.warm.Transfers())
-	if saved != 2*perSide {
-		t.Fatalf("warm re-execution saved %d transfers, want 2·(2q + 4·Comparators(q)) = %d", saved, 2*perSide)
+	if want := 2 * warmSaving(nSide); saved != want {
+		t.Fatalf("warm re-execution saved %d transfers, want 2·warmSaving(q) = %d", saved, want)
 	}
 }
 
