@@ -201,11 +201,3 @@ func (s *fairScheduler) Full() bool {
 	defer s.mu.Unlock()
 	return s.depth >= s.bound
 }
-
-// TenantsQueued reports how many tenants currently have queued jobs
-// (admin introspection; the fleet snapshot aggregates it).
-func (s *fairScheduler) TenantsQueued() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.active)
-}

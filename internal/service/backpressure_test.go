@@ -89,8 +89,8 @@ func wireFrameBytes(t *testing.T, rows, rowLen int) int {
 		fake[i] = bytes.Repeat([]byte{0xa5}, rowLen)
 	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(uploadFrameMsg{
-		Chunk: &uploadChunkMsg{Seq: 1 << 30, Rows: fake, CRC: 0xffffffff},
+	if err := gob.NewEncoder(&buf).Encode(frameMsg{
+		Chunk: &chunkMsg{Seq: 1 << 30, Rows: fake, CRC: 0xffffffff},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +101,7 @@ func wireFrameBytes(t *testing.T, rows, rowLen int) int {
 // producer streams into a deliberately slowed consumer over an unbounded
 // metered transport, and the peak of bytes the transport ever buffered must
 // stay within the credit window — W chunk frames — no matter how far ahead
-// the producer could run. Runs under -race in CI (the ingest-backpressure
-// step).
+// the producer could run. CI repeats it under -race on 1, 2 and 4 cores.
 func TestBackpressureBoundsIngestMemory(t *testing.T) {
 	const (
 		window    = 4

@@ -140,17 +140,10 @@ func (cs *ClientSession) SubmitRelation(contractID string, rel *relation.Relatio
 
 // SubmitRelationOpts is SubmitRelation with explicit streaming options. It
 // is the streaming producer: a begin frame declaring the row count, then
-// chunk frames under the server-granted credit window (at most W
-// unacknowledged chunks in flight), then the end frame with the totals.
-// Rows are sealed lazily per chunk, so producer memory is one chunk plus
-// the relation it already owns. It returns once the server confirms the
+// the rows as a chunk stream (stream.go) under the server-granted credit
+// window, sealed lazily per chunk, so producer memory is one chunk plus the
+// relation it already owns. It returns once the server confirms the
 // completed upload, or with the server's refusal verdict.
-//
-// The ack stream is drained by a dedicated reader that publishes cumulative
-// credit into an ackTracker: the reader must never stop consuming the wire,
-// or a synchronous transport deadlocks three ways at once (server blocked
-// writing an ack, reader blocked handing it over, producer blocked writing
-// a chunk the server will never read).
 func (cs *ClientSession) SubmitRelationOpts(contractID string, rel *relation.Relation, opt UploadOptions) error {
 	chunkRows := opt.ChunkRows
 	if chunkRows <= 0 {
@@ -163,45 +156,18 @@ func (cs *ClientSession) SubmitRelationOpts(contractID string, rel *relation.Rel
 	}); err != nil {
 		return fmt.Errorf("service: sending upload begin: %w", err)
 	}
-
-	st := newAckTracker()
-	go st.run(cs.sess.dec)
-
-	// The first ack is the credit grant (and the server's chance to refuse
-	// the upload before any row is sealed).
-	if err := st.waitGrant(); err != nil {
-		return err
-	}
-
 	prefix := []byte(contractID)
-	var ck chunker
-	for start := 0; start < rel.Len(); start += chunkRows {
-		// Block until the window admits this chunk; a refusal that already
-		// arrived fails fast instead of pushing more rows at a dead stream.
-		if err := st.waitCredit(ck.seq); err != nil {
-			return err
-		}
-		end := start + chunkRows
-		if end > rel.Len() {
-			end = rel.Len()
-		}
-		sealed := make([][]byte, 0, end-start)
-		for _, t := range rel.Rows[start:end] {
+	return uploadStream.send(cs.sess, rel.Len(), chunkRows, func(lo, hi int) ([][]byte, error) {
+		sealed := make([][]byte, 0, hi-lo)
+		for _, t := range rel.Rows[lo:hi] {
 			e, err := rel.Schema.Encode(t)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			pt := append(append([]byte(nil), prefix...), e...)
-			sealed = append(sealed, cs.sess.sealer.seal(pt))
+			sealed = append(sealed, cs.sess.sealer.seal(append(append([]byte(nil), prefix...), e...)))
 		}
-		if err := cs.sess.enc.Encode(uploadFrameMsg{Chunk: ck.frame(sealed)}); err != nil {
-			return fmt.Errorf("service: sending chunk %d: %w", ck.seq, err)
-		}
-	}
-	if err := cs.sess.enc.Encode(uploadFrameMsg{End: ck.endFrame(int64(rel.Len()))}); err != nil {
-		return fmt.Errorf("service: sending upload end: %w", err)
-	}
-	return st.waitDone()
+		return sealed, nil
+	})
 }
 
 // ReceiveResult waits for the recipient's result, decrypts it, drops decoy

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -9,12 +8,11 @@ import (
 	"ppj/internal/relation"
 )
 
-// Result delivery mirrors the chunked upload protocol on the way out: the
-// server streams resultBeginMsg, then fixed-size resultChunkMsg frames
-// chained by a running CRC-32C under a recipient-granted credit window,
-// then resultEndMsg with the totals, so the host never holds the whole
-// sealed result for the slowest reader. The hello carries a resume offset
-// in whole chunks, so a recipient can disconnect — or outlive a server
+// Result delivery is the chunk stream of stream.go run outward: the server
+// sends resultBeginMsg, then the result in fixed 64-row chunks under a
+// recipient-granted credit window, so the host never holds the whole sealed
+// result for the slowest reader. The hello carries a resume offset in
+// whole chunks, so a recipient can disconnect — or outlive a server
 // restart — and re-fetch only what it is missing; rows are re-sealed under
 // the new session key, and the byte identity the property tests pin is of
 // the reassembled plaintext.
@@ -33,7 +31,8 @@ const (
 	DefaultResultWindow = 8
 )
 
-// Typed delivery errors, the outbound mirror of the upload verdicts.
+// Typed delivery errors: the verdicts of the chunk stream's receiver when
+// the recipient is the one receiving.
 var (
 	// ErrResultFrame reports malformed result framing: out-of-order or
 	// replayed sequence numbers, a broken CRC chain, an envelope carrying
@@ -48,8 +47,6 @@ var (
 	// offset to continue.
 	ErrFetchPaused = errors.New("service: result fetch paused")
 )
-
-// --- Wire frames (gob-encoded over the session connection) ---
 
 // resultBeginMsg opens a streamed delivery: the contract binding, the
 // result schema, the aggregate or failure verdict when there are no rows
@@ -74,98 +71,6 @@ type resultBeginMsg struct {
 	// StreamRows is the row count this stream declares, i.e. the rows of
 	// chunks StartChunk..TotalChunks.
 	StreamRows int64
-}
-
-// resultChunkMsg carries one chunk of rows sealed under the recipient's
-// session key. Seq is 0-based relative to the begin frame's StartChunk;
-// CRC is the running Castagnoli CRC over every sealed row byte of this
-// stream so far — the same chaining as the upload path, restarted per
-// stream because rows are re-sealed per session.
-type resultChunkMsg struct {
-	Seq  uint32
-	Rows [][]byte
-	CRC  wireCRC
-}
-
-// resultEndMsg closes the stream with the totals the recipient must agree
-// with.
-type resultEndMsg struct {
-	Frames uint32
-	Rows   int64
-	CRC    wireCRC
-}
-
-// resultFrameMsg is the stream envelope: exactly one of Chunk or End set.
-type resultFrameMsg struct {
-	Chunk *resultChunkMsg
-	End   *resultEndMsg
-}
-
-// resultAckMsg flows recipient → server. The first ack after the begin
-// frame is the credit grant; later acks report the cumulative count of
-// consumed chunks. Done confirms the completed fetch; a non-empty Err
-// aborts the stream with the recipient's verdict.
-type resultAckMsg struct {
-	Seq    uint32
-	Window int
-	Done   bool
-	Err    string
-}
-
-// publish folds one decoded ack (or its decode error) into the tracker,
-// waking waiters; it returns true when the stream is terminal. Shared by
-// the upload ack reader and the result ack reader — the credit protocol is
-// identical in both directions.
-func (st *ackTracker) publish(a uploadAckMsg, err error, what string) bool {
-	st.mu.Lock()
-	switch {
-	case err != nil:
-		st.err = fmt.Errorf("service: reading %s ack: %w", what, err)
-	case a.Err != "":
-		st.err = fmt.Errorf("service: %s refused: %s", what, a.Err)
-	default:
-		if !st.granted {
-			st.granted = true
-			st.window = a.Window
-			if st.window < 1 {
-				st.window = 1
-			}
-		}
-		if a.Seq > st.seq {
-			st.seq = a.Seq
-		}
-		if a.Done {
-			st.done = true
-		}
-	}
-	terminal := st.err != nil || st.done
-	st.cond.Broadcast()
-	st.mu.Unlock()
-	return terminal
-}
-
-// runResult decodes result acks until the stream terminates, publishing
-// each — the server-side twin of the upload ack reader, and under the same
-// invariant: never stop consuming the wire, so the recipient's ack writes
-// always find a reader even on a fully synchronous transport.
-func (st *ackTracker) runResult(dec *gob.Decoder) {
-	for {
-		var a resultAckMsg
-		err := dec.Decode(&a)
-		if st.publish(uploadAckMsg{Seq: a.Seq, Window: a.Window, Done: a.Done, Err: a.Err}, err, "delivery") {
-			return
-		}
-	}
-}
-
-// mapResultDecodeErr classifies a wire decode failure on the result
-// stream: a vanished peer is a truncated (resumable) stream, anything else
-// is malformed framing.
-func mapResultDecodeErr(err error) error {
-	if errors.Is(mapDecodeErr(err), ErrUploadTruncated) {
-		return fmt.Errorf("%w: %v", ErrResultTruncated, err)
-	}
-	return fmt.Errorf("%w: %v", ErrResultFrame, err)
 }
 
 // DeliverStream seals an outcome under a recipient session and streams it
@@ -197,46 +102,21 @@ func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) e
 	// startChunk == total is a legal resume point (every chunk consumed,
 	// end frame lost); with a partial last chunk the row offset must clamp
 	// to the row count or the declared stream length goes negative.
-	startRow := int(startChunk) * ResultChunkRows
-	if startRow > len(out.Rows) {
-		startRow = len(out.Rows)
-	}
+	rows := out.Rows[min(int(startChunk)*ResultChunkRows, len(out.Rows)):]
 	begin.TotalChunks = total
 	begin.TotalRows = int64(len(out.Rows))
 	begin.StartChunk = startChunk
-	begin.StreamRows = int64(len(out.Rows) - startRow)
+	begin.StreamRows = int64(len(rows))
 	if err := sess.enc.Encode(begin); err != nil {
 		return fmt.Errorf("service: sending result begin: %w", err)
 	}
-
-	st := newAckTracker()
-	go st.runResult(sess.dec)
-	if err := st.waitGrant(); err != nil {
-		return err
-	}
-	var ck chunker
-	for off := startRow; off < len(out.Rows); off += ResultChunkRows {
-		if err := st.waitCredit(ck.seq); err != nil {
-			return err
-		}
-		hi := off + ResultChunkRows
-		if hi > len(out.Rows) {
-			hi = len(out.Rows)
-		}
-		sealed := make([][]byte, 0, hi-off)
-		for _, r := range out.Rows[off:hi] {
+	return deliveryStream.send(sess, len(rows), ResultChunkRows, func(lo, hi int) ([][]byte, error) {
+		sealed := make([][]byte, 0, hi-lo)
+		for _, r := range rows[lo:hi] {
 			sealed = append(sealed, sess.sealer.seal(r))
 		}
-		c := ck.frame(sealed)
-		if err := sess.enc.Encode(resultFrameMsg{Chunk: &resultChunkMsg{Seq: c.Seq, Rows: c.Rows, CRC: c.CRC}}); err != nil {
-			return fmt.Errorf("service: sending result chunk %d: %w", c.Seq, err)
-		}
-	}
-	e := ck.endFrame(begin.StreamRows)
-	if err := sess.enc.Encode(resultFrameMsg{End: &resultEndMsg{Frames: e.Frames, Rows: e.Rows, CRC: e.CRC}}); err != nil {
-		return fmt.Errorf("service: sending result end: %w", err)
-	}
-	return st.waitDone()
+		return sealed, nil
+	})
 }
 
 // ResultFetch accumulates one recipient's fetch of a result across any
@@ -269,7 +149,7 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 	sess := cs.sess
 	var begin resultBeginMsg
 	if err := sess.dec.Decode(&begin); err != nil {
-		return mapResultDecodeErr(err)
+		return deliveryStream.decodeErr(err)
 	}
 	if begin.Err != "" {
 		return fmt.Errorf("service: join failed: %s", begin.Err)
@@ -298,84 +178,39 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 			f.Rows = relation.NewRelation(schema)
 		}
 	}
-	asm, err := newChunkAssembler(begin.StreamRows, 0)
+	asm, err := newChunkAssembler(begin.StreamRows, 0, deliveryStream)
 	if err != nil {
 		return err
 	}
-	// nack tells the server why the fetch died (best effort) and returns
-	// the verdict.
-	nack := func(err error) error {
-		_ = sess.enc.Encode(resultAckMsg{Err: err.Error()})
-		return err
-	}
-	// The grant: the server streams nothing until the recipient commits to
-	// consuming.
-	if err := sess.enc.Encode(resultAckMsg{Window: DefaultResultWindow}); err != nil {
-		return fmt.Errorf("%w: sending credit grant: %v", ErrResultTruncated, err)
-	}
-	var fetched uint32
-	for {
-		// Fresh envelope per decode: gob omits zero fields, so a reused one
-		// would leak the previous frame's pointers into the next.
-		var frame resultFrameMsg
-		if err := sess.dec.Decode(&frame); err != nil {
-			return mapResultDecodeErr(err)
-		}
-		switch {
-		case frame.Chunk != nil && frame.End == nil:
+	r := receiver{sess: sess, dir: deliveryStream, decode: sess.dec.Decode, asm: asm,
+		window: DefaultResultWindow, pauseAfter: f.PauseAfter,
+		consume: func(c *chunkMsg) error {
 			if schema == nil {
-				return nack(fmt.Errorf("%w: chunk frame on an aggregate delivery", ErrResultFrame))
+				return fmt.Errorf("%w: chunk frame on an aggregate delivery", ErrResultFrame)
 			}
-			c := uploadChunkMsg{Seq: frame.Chunk.Seq, Rows: frame.Chunk.Rows, CRC: frame.Chunk.CRC}
-			if err := asm.chunk(&c); err != nil {
-				return nack(resultVerdict(err))
-			}
-			for i, ct := range frame.Chunk.Rows {
+			for i, ct := range c.Rows {
 				cell, err := sess.opener.open(ct)
 				if err != nil {
-					return nack(fmt.Errorf("service: result row %d: %w", i, err))
+					return fmt.Errorf("service: result row %d: %w", i, err)
 				}
 				if !core.IsReal(cell) {
 					continue // decoy: "decrypted and filtered out by the recipient" (§4.3)
 				}
 				row, err := schema.Decode(core.Payload(cell))
 				if err != nil {
-					return nack(fmt.Errorf("service: result row %d: %w", i, err))
+					return fmt.Errorf("service: result row %d: %w", i, err)
 				}
 				if err := f.Rows.Append(row); err != nil {
-					return nack(err)
+					return err
 				}
 			}
-			f.Chunks = begin.StartChunk + asm.next
-			fetched++
-			_ = sess.enc.Encode(resultAckMsg{Seq: asm.next, Window: DefaultResultWindow})
-			if f.PauseAfter > 0 && fetched >= f.PauseAfter && f.Chunks < begin.TotalChunks {
-				return ErrFetchPaused
-			}
-		case frame.End != nil && frame.Chunk == nil:
-			e := uploadEndMsg{Frames: frame.End.Frames, Rows: frame.End.Rows, CRC: frame.End.CRC}
-			if err := asm.end(&e); err != nil {
-				return nack(resultVerdict(err))
-			}
-			_ = sess.enc.Encode(resultAckMsg{Seq: asm.next, Done: true})
-			f.Chunks = begin.TotalChunks
-			f.Done = true
+			f.Chunks = begin.StartChunk + c.Seq + 1
 			return nil
-		default:
-			return nack(fmt.Errorf("%w: envelope must carry exactly one of chunk or end", ErrResultFrame))
-		}
+		}}
+	if err := r.run(); err != nil {
+		return err
 	}
-}
-
-// resultVerdict maps the shared assembler's upload-typed verdicts onto the
-// result-stream sentinels, so callers match on delivery errors without
-// knowing the state machine is shared.
-func resultVerdict(err error) error {
-	switch {
-	case errors.Is(err, ErrUploadFrame), errors.Is(err, ErrUploadTooLarge):
-		return fmt.Errorf("%w: %v", ErrResultFrame, err)
-	case errors.Is(err, ErrUploadTruncated):
-		return fmt.Errorf("%w: %v", ErrResultTruncated, err)
-	}
-	return err
+	f.Chunks = begin.TotalChunks
+	f.Done = true
+	return nil
 }

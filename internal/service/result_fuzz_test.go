@@ -41,14 +41,14 @@ func FuzzResultStream(f *testing.F) {
 	f.Add(uint32(0), fuzzResultWire(f, resultBeginMsg{ContractID: "fz", Err: "join blew up"}))
 	f.Add(uint32(0), fuzzResultWire(f,
 		resultBeginMsg{ContractID: "fz", Schema: toWire(schema)},
-		resultFrameMsg{End: &resultEndMsg{}}))
+		frameMsg{End: &endMsg{}}))
 	f.Add(uint32(3), fuzzResultWire(f, resultBeginMsg{ContractID: "fz", Schema: toWire(schema), StartChunk: 1, TotalChunks: 4}))
 	f.Add(uint32(0), fuzzResultWire(f,
 		resultBeginMsg{ContractID: "fz", Schema: toWire(schema), TotalChunks: 1, TotalRows: 1, StreamRows: 1},
-		resultFrameMsg{Chunk: &resultChunkMsg{Rows: [][]byte{{1, 2, 3}}}}))
+		frameMsg{Chunk: &chunkMsg{Rows: [][]byte{{1, 2, 3}}}}))
 	f.Add(uint32(0), fuzzResultWire(f,
 		resultBeginMsg{ContractID: "fz", Schema: toWire(schema), TotalChunks: 1, TotalRows: 1, StreamRows: 1},
-		resultFrameMsg{}))
+		frameMsg{}))
 	f.Add(uint32(0), fuzzResultWire(f, resultBeginMsg{ContractID: "fz", Agg: []byte{0xde, 0xad}}))
 	f.Add(uint32(1), []byte{0x42, 0x00, 0xff})
 	f.Add(uint32(0), []byte{})

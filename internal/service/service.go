@@ -92,8 +92,8 @@ type Service struct {
 	mu      sync.Mutex
 	uploads map[string]*upload
 
-	// chunkConsumeHook, when set (tests only), runs before each chunk is
-	// validated and opened — the backpressure suite uses it to slow the
+	// chunkConsumeHook, when set (tests only), runs before each verified
+	// upload chunk is opened — the backpressure suite uses it to slow the
 	// consumer and observe the credit window holding.
 	chunkConsumeHook func(seq int)
 }
@@ -385,21 +385,6 @@ func (s *Service) commitUpload(party string, rel *relation.Relation) {
 	s.uploads[party] = &upload{party: party, schema: rel.Schema, rel: rel}
 }
 
-// UploadsComplete reports whether every provider's relation has arrived
-// (reservations still streaming don't count).
-func (s *Service) UploadsComplete() bool {
-	providers, _ := s.Contract.CountRoles()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, up := range s.uploads {
-		if !up.pending {
-			n++
-		}
-	}
-	return n >= providers
-}
-
 // Outcome is the computed result of a contract execution, ready to be
 // sealed per recipient session by DeliverStream. Err carries a join failure that
 // is reported to recipients rather than silently dropped.
@@ -476,15 +461,34 @@ func (s *Service) gatherUploads() ([]*relation.Relation, []string, error) {
 }
 
 // predicates instantiates the contract predicate over the uploads: the
-// two-way form for two providers, the J-way lift (see multiPredicate) for
-// more.
+// two-way form for two providers; for more, its J-way lift, an all-equal
+// equijoin on AttrA across every table.
 func (s *Service) predicates(rels []*relation.Relation) (relation.Predicate, relation.MultiPredicate, error) {
 	if len(rels) == 2 {
 		pred, err := s.Contract.Predicate.Build(rels[0].Schema, rels[1].Schema)
 		return pred, nil, err
 	}
-	mp, err := s.multiPredicate(rels)
-	return nil, mp, err
+	if s.Contract.Predicate.Kind != "equi" {
+		return nil, nil, fmt.Errorf("service: %d-way joins support only equi predicates", len(rels))
+	}
+	idx := make([]int, len(rels))
+	for i, rel := range rels {
+		idx[i] = rel.Schema.Index(s.Contract.Predicate.AttrA)
+		if idx[i] < 0 {
+			return nil, nil, fmt.Errorf("service: relation %d lacks attribute %q", i, s.Contract.Predicate.AttrA)
+		}
+	}
+	return nil, relation.MultiPredicateFunc{
+		Fn: func(ts []relation.Tuple) bool {
+			for i := 1; i < len(ts); i++ {
+				if ts[i][idx[i]].I != ts[0][idx[0]].I {
+					return false
+				}
+			}
+			return true
+		},
+		Desc: fmt.Sprintf("all %s equal", s.Contract.Predicate.AttrA),
+	}, nil
 }
 
 // planAlgorithm resolves an "auto" contract: the query planner's §4.6/§5.3.4
@@ -545,38 +549,10 @@ func (s *Service) runJoin() (Outcome, error) {
 		}
 	}
 
-	seed, err := s.execSeed()
+	cops, tabs, err := s.load(rels, names, out.Devices)
 	if err != nil {
 		return out, err
 	}
-	host := sim.NewHost(0)
-	cop, err := sim.NewCoprocessor(host, sim.Config{Memory: s.Memory, Seed: seed})
-	if err != nil {
-		return out, err
-	}
-	// The fleet shares device 0's sealer (parallel variants re-encrypt cells
-	// for each other) while every device keeps its own derived seed, trace
-	// and stats.
-	cops := make([]*sim.Coprocessor, out.Devices)
-	cops[0] = cop
-	for i := 1; i < len(cops); i++ {
-		dseed := seed + uint64(i)*0x9e3779b97f4a7c15
-		if dseed == 0 {
-			dseed = 1
-		}
-		cops[i], err = sim.NewCoprocessor(host, sim.Config{Memory: s.Memory, Sealer: cop.Sealer(), Seed: dseed})
-		if err != nil {
-			return out, err
-		}
-	}
-	tabs := make([]sim.Table, len(rels))
-	for i, rel := range rels {
-		tabs[i], err = sim.LoadTable(host, cop.Sealer(), names[i], rel)
-		if err != nil {
-			return out, err
-		}
-	}
-
 	res, use, err := desc.Run(cops, tabs, in)
 	out.CacheHits, out.CacheMisses = use.Hits(), use.Misses()
 	if err != nil {
@@ -589,7 +565,7 @@ func (s *Service) runJoin() (Outcome, error) {
 	// Re-open the output cells inside T for recipient re-encryption.
 	rows := make([][]byte, 0, res.OutputLen)
 	for i := int64(0); i < res.OutputLen; i++ {
-		cell, err := cop.Sealer().Open(host.Inspect(res.Output.Region, i))
+		cell, err := cops[0].Sealer().Open(cops[0].Host().Inspect(res.Output.Region, i))
 		if err != nil {
 			return out, err
 		}
@@ -626,36 +602,62 @@ func (s *Service) runAggregate() ([]byte, sim.Stats, error) {
 	if err != nil {
 		return nil, sim.Stats{}, err
 	}
-
 	spec, err := s.aggSpec()
 	if err != nil {
 		return nil, sim.Stats{}, err
 	}
-	pred, err := s.multiPredicate(rels)
+	pred, mp, err := s.predicates(rels)
 	if err != nil {
 		return nil, sim.Stats{}, err
 	}
-	seed, err := s.execSeed()
+	if pred != nil {
+		mp = relation.Pairwise(pred)
+	}
+	cops, tabs, err := s.load(rels, names, 1)
 	if err != nil {
 		return nil, sim.Stats{}, err
+	}
+	res, err := core.Aggregate(cops[0], tabs, mp, spec)
+	if err != nil {
+		return nil, cops[0].Stats(), err
+	}
+	return encodeAggCell(res), cops[0].Stats(), nil
+}
+
+// load sets up one execution over the uploads: it draws the execution
+// seed, attaches `devices` coprocessors to a fresh host, and loads every
+// relation as a table sealed under device 0's key. The devices share that
+// sealer (parallel variants re-encrypt cells for each other) while each
+// keeps its own derived seed, trace and stats.
+func (s *Service) load(rels []*relation.Relation, names []string, devices int) ([]*sim.Coprocessor, []sim.Table, error) {
+	seed, err := s.execSeed()
+	if err != nil {
+		return nil, nil, err
 	}
 	host := sim.NewHost(0)
 	cop, err := sim.NewCoprocessor(host, sim.Config{Memory: s.Memory, Seed: seed})
 	if err != nil {
-		return nil, sim.Stats{}, err
+		return nil, nil, err
+	}
+	cops := make([]*sim.Coprocessor, devices)
+	cops[0] = cop
+	for i := 1; i < len(cops); i++ {
+		dseed := seed + uint64(i)*0x9e3779b97f4a7c15
+		if dseed == 0 {
+			dseed = 1
+		}
+		cops[i], err = sim.NewCoprocessor(host, sim.Config{Memory: s.Memory, Sealer: cop.Sealer(), Seed: dseed})
+		if err != nil {
+			return nil, nil, err
+		}
 	}
 	tabs := make([]sim.Table, len(rels))
 	for i, rel := range rels {
-		tabs[i], err = sim.LoadTable(host, cop.Sealer(), names[i], rel)
-		if err != nil {
-			return nil, cop.Stats(), err
+		if tabs[i], err = sim.LoadTable(host, cop.Sealer(), names[i], rel); err != nil {
+			return nil, nil, err
 		}
 	}
-	res, err := core.Aggregate(cop, tabs, pred, spec)
-	if err != nil {
-		return nil, cop.Stats(), err
-	}
-	return encodeAggCell(res), cop.Stats(), nil
+	return cops, tabs, nil
 }
 
 // aggSpec resolves the contract's aggregate description.
@@ -676,37 +678,4 @@ func (s *Service) aggSpec() (core.AggSpec, error) {
 		return core.AggSpec{}, fmt.Errorf("service: unknown aggregate kind %q", s.Contract.Aggregate.Kind)
 	}
 	return core.AggSpec{Kind: kind, Table: s.Contract.Aggregate.Table, Attr: s.Contract.Aggregate.Attr}, nil
-}
-
-// multiPredicate lifts the contract predicate to J tables: pairwise for two
-// providers; for more, an all-equal equijoin on AttrA across every table.
-func (s *Service) multiPredicate(rels []*relation.Relation) (relation.MultiPredicate, error) {
-	if len(rels) == 2 {
-		pred, err := s.Contract.Predicate.Build(rels[0].Schema, rels[1].Schema)
-		if err != nil {
-			return nil, err
-		}
-		return relation.Pairwise(pred), nil
-	}
-	if s.Contract.Predicate.Kind != "equi" {
-		return nil, fmt.Errorf("service: %d-way joins support only equi predicates", len(rels))
-	}
-	idx := make([]int, len(rels))
-	for i, rel := range rels {
-		idx[i] = rel.Schema.Index(s.Contract.Predicate.AttrA)
-		if idx[i] < 0 {
-			return nil, fmt.Errorf("service: relation %d lacks attribute %q", i, s.Contract.Predicate.AttrA)
-		}
-	}
-	return relation.MultiPredicateFunc{
-		Fn: func(ts []relation.Tuple) bool {
-			for i := 1; i < len(ts); i++ {
-				if ts[i][idx[i]].I != ts[0][idx[0]].I {
-					return false
-				}
-			}
-			return true
-		},
-		Desc: fmt.Sprintf("all %s equal", s.Contract.Predicate.AttrA),
-	}, nil
 }

@@ -1,0 +1,414 @@
+package service
+
+import (
+	"context"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"net"
+	"sync"
+)
+
+// One chunk stream carries relations both ways over a session: a provider's
+// upload into T and the result's delivery out to a recipient. After a
+// begin frame of its own, each direction runs the same protocol: the
+// receiver grants a credit window, the sender streams chunkMsg frames
+// chained by a running CRC-32C with at most W of them unacknowledged, then
+// an endMsg with the totals; the receiver acks every consumed chunk and
+// confirms the stream, or refuses it with a nack. Only the begin frames and
+// what each side does with a verified chunk differ per direction.
+
+// direction is one way a chunk stream runs: the name its sender reports
+// under, and the typed verdicts its receiver returns.
+type direction struct {
+	name string
+	// frame is malformed framing; tooLarge an overrun of the declared rows
+	// or the byte budget; truncated a stream that ended early; paused a
+	// deliberate stop after receiver.pauseAfter chunks.
+	frame, tooLarge, truncated, paused error
+}
+
+var (
+	uploadStream   = direction{"upload", ErrUploadFrame, ErrUploadTooLarge, ErrUploadTruncated, nil}
+	deliveryStream = direction{"delivery", ErrResultFrame, ErrResultFrame, ErrResultTruncated, ErrFetchPaused}
+)
+
+// crcTable is the Castagnoli table the running stream CRC chains over.
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// wireCRC is a running CRC as it travels in a frame: four bytes whatever
+// its value. gob's own unsigned encoding drops leading zero bytes, so one
+// CRC in 256 would shorten its frame by a byte — and the size of every
+// write on a session must be a function of public sizes only (the delivery
+// invariance tests compare write sizes across runs).
+type wireCRC uint32
+
+// GobEncode implements gob.GobEncoder.
+func (c wireCRC) GobEncode() ([]byte, error) {
+	return binary.BigEndian.AppendUint32(nil, uint32(c)), nil
+}
+
+// GobDecode implements gob.GobDecoder.
+func (c *wireCRC) GobDecode(b []byte) error {
+	if len(b) != 4 {
+		return fmt.Errorf("service: frame CRC is %d bytes, want 4", len(b))
+	}
+	*c = wireCRC(binary.BigEndian.Uint32(b))
+	return nil
+}
+
+// --- Wire frames (gob-encoded over the session connection) ---
+
+// chunkMsg carries one chunk of sealed rows. Seq is the 0-based chunk
+// sequence number within this stream; CRC is the running Castagnoli CRC
+// over every sealed row byte of the stream up to and including this chunk,
+// chaining the frames together so a dropped, duplicated or reordered chunk
+// is caught before any row is opened.
+type chunkMsg struct {
+	Seq  uint32
+	Rows [][]byte
+	CRC  wireCRC
+}
+
+// endMsg closes the stream with the totals the receiver must agree with:
+// frame count, row count, and the final running CRC.
+type endMsg struct {
+	Frames uint32
+	Rows   int64
+	CRC    wireCRC
+}
+
+// frameMsg is the stream envelope: exactly one of Chunk or End is set.
+// (gob needs a single concrete type per Decode; the envelope keeps the
+// frame stream self-describing.)
+type frameMsg struct {
+	Chunk *chunkMsg
+	End   *endMsg
+}
+
+// ackMsg flows receiver → sender. The first ack after the begin frame is
+// the credit grant (Window = W); each later ack reports the cumulative
+// count of consumed chunks, returning credit. Done confirms a completed
+// stream; a non-empty Err refuses it with the receiver's verdict so the
+// sender fails fast instead of pushing rows at a dead session.
+type ackMsg struct {
+	Seq    uint32
+	Window int
+	Done   bool
+	Err    string
+}
+
+// --- Framing state machine ---
+
+// chunkAssembler validates the chunk framing of one stream: strict sequence
+// numbers, the running CRC chain, the byte budget, and the
+// declared-vs-actual row accounting. It is deliberately crypto-free and
+// I/O-free so the fuzzer can drive it directly; the receiver feeds it
+// frames in arrival order and opens rows only after a chunk passes.
+type chunkAssembler struct {
+	dir      direction
+	declared int64 // rows the begin frame committed to
+	maxBytes int64 // sealed-byte budget; 0 = unbounded
+	next     uint32
+	rows     int64
+	bytes    int64
+	crc      uint32
+	done     bool
+}
+
+// newChunkAssembler starts the state machine for a validated begin frame.
+func newChunkAssembler(declaredRows, maxBytes int64, dir direction) (*chunkAssembler, error) {
+	if declaredRows < 0 {
+		return nil, fmt.Errorf("%w: negative declared row count %d", dir.frame, declaredRows)
+	}
+	if maxBytes > 0 && declaredRows > maxBytes/minSealedRowBytes {
+		return nil, fmt.Errorf("%w: %d declared rows cannot fit %d bytes", dir.tooLarge, declaredRows, maxBytes)
+	}
+	return &chunkAssembler{dir: dir, declared: declaredRows, maxBytes: maxBytes}, nil
+}
+
+// chunk admits one chunk frame. On nil error the caller may open and append
+// the chunk's rows; any error terminates the stream.
+func (a *chunkAssembler) chunk(c *chunkMsg) error {
+	if a.done {
+		return fmt.Errorf("%w: chunk %d after end frame", a.dir.frame, c.Seq)
+	}
+	if c.Seq != a.next {
+		return fmt.Errorf("%w: chunk seq %d, want %d (duplicated, dropped or reordered frame)", a.dir.frame, c.Seq, a.next)
+	}
+	if len(c.Rows) == 0 {
+		return fmt.Errorf("%w: chunk %d carries no rows", a.dir.frame, c.Seq)
+	}
+	for _, row := range c.Rows {
+		a.bytes += int64(len(row))
+		a.crc = crc32.Update(a.crc, crcTable, row)
+	}
+	a.rows += int64(len(c.Rows))
+	if a.rows > a.declared {
+		return fmt.Errorf("%w: %d rows exceed the %d declared", a.dir.tooLarge, a.rows, a.declared)
+	}
+	if a.maxBytes > 0 && a.bytes > a.maxBytes {
+		return fmt.Errorf("%w: %d sealed bytes exceed the %d-byte budget", a.dir.tooLarge, a.bytes, a.maxBytes)
+	}
+	if uint32(c.CRC) != a.crc {
+		return fmt.Errorf("%w: chunk %d running CRC %08x, want %08x", a.dir.frame, c.Seq, c.CRC, a.crc)
+	}
+	a.next++
+	return nil
+}
+
+// end closes the stream, checking the end frame's totals against what
+// actually arrived and the actual rows against the declaration.
+func (a *chunkAssembler) end(e *endMsg) error {
+	if a.done {
+		return fmt.Errorf("%w: second end frame", a.dir.frame)
+	}
+	if e.Frames != a.next {
+		return fmt.Errorf("%w: end frame counts %d chunks, received %d", a.dir.frame, e.Frames, a.next)
+	}
+	if e.Rows != a.rows {
+		return fmt.Errorf("%w: end frame counts %d rows, received %d", a.dir.frame, e.Rows, a.rows)
+	}
+	if uint32(e.CRC) != a.crc {
+		return fmt.Errorf("%w: final CRC %08x, want %08x", a.dir.frame, e.CRC, a.crc)
+	}
+	if a.rows < a.declared {
+		return fmt.Errorf("%w: stream ended after %d of %d declared rows", a.dir.truncated, a.rows, a.declared)
+	}
+	a.done = true
+	return nil
+}
+
+// decodeErr classifies a wire read failure: a vanished peer or an expired
+// context is a truncated stream, anything else is malformed framing.
+func (d direction) decodeErr(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		return fmt.Errorf("%w: %v", d.truncated, err)
+	}
+	return fmt.Errorf("%w: %v", d.frame, err)
+}
+
+// readFrame reads one envelope with decode and refuses one that carries
+// both frames or neither.
+func (d direction) readFrame(decode func(any) error) (*frameMsg, error) {
+	// A fresh envelope per decode: gob omits zero fields, so reusing one
+	// would leak the previous frame's pointers into the next.
+	var f frameMsg
+	if err := decode(&f); err != nil {
+		return nil, d.decodeErr(err)
+	}
+	if (f.Chunk == nil) == (f.End == nil) {
+		return nil, fmt.Errorf("%w: envelope must carry exactly one of chunk or end", d.frame)
+	}
+	return &f, nil
+}
+
+// nack tells the sender why the stream died (best effort — the peer may
+// already be gone) and returns the verdict.
+func (s *Session) nack(err error) error {
+	_ = s.enc.Encode(ackMsg{Err: err.Error()})
+	return err
+}
+
+// --- Sender ---
+
+// chunker emits the frames of one stream, maintaining the running CRC and
+// sequence numbering the assembler verifies.
+type chunker struct {
+	seq uint32
+	crc uint32
+}
+
+// frame wraps one chunk of sealed rows.
+func (c *chunker) frame(rows [][]byte) *chunkMsg {
+	for _, r := range rows {
+		c.crc = crc32.Update(c.crc, crcTable, r)
+	}
+	m := &chunkMsg{Seq: c.seq, Rows: rows, CRC: wireCRC(c.crc)}
+	c.seq++
+	return m
+}
+
+// endFrame closes the stream.
+func (c *chunker) endFrame(rows int64) *endMsg {
+	return &endMsg{Frames: c.seq, Rows: rows, CRC: wireCRC(c.crc)}
+}
+
+// send streams n rows after the caller's begin frame, in chunks of size
+// rows under the receiver's credit window. Rows are sealed lazily — seal
+// returns rows [lo, hi) sealed, called once the window admits their chunk —
+// so sender memory is one chunk beyond what it already holds. It returns
+// once the receiver confirms the completed stream, or with its refusal.
+//
+// The ack stream is drained by a dedicated reader that publishes cumulative
+// credit into an ackTracker: the reader must never stop consuming the wire,
+// or a synchronous transport deadlocks three ways at once (receiver blocked
+// writing an ack, reader blocked handing it over, sender blocked writing a
+// chunk the receiver will never read).
+func (d direction) send(sess *Session, n, size int, seal func(lo, hi int) ([][]byte, error)) error {
+	st := newAckTracker()
+	go st.run(sess.dec, d.name)
+	// The first ack is the credit grant (and the receiver's chance to refuse
+	// the stream before any row is sealed).
+	if err := st.waitGrant(); err != nil {
+		return err
+	}
+	var ck chunker
+	for lo := 0; lo < n; lo += size {
+		// Block until the window admits this chunk; a refusal that already
+		// arrived fails fast instead of pushing more rows at a dead stream.
+		if err := st.waitCredit(ck.seq); err != nil {
+			return err
+		}
+		rows, err := seal(lo, min(lo+size, n))
+		if err != nil {
+			return err
+		}
+		if err := sess.enc.Encode(frameMsg{Chunk: ck.frame(rows)}); err != nil {
+			return fmt.Errorf("service: sending %s chunk %d: %w", d.name, ck.seq-1, err)
+		}
+	}
+	if err := sess.enc.Encode(frameMsg{End: ck.endFrame(int64(n))}); err != nil {
+		return fmt.Errorf("service: sending %s end: %w", d.name, err)
+	}
+	return st.waitDone()
+}
+
+// ackTracker accumulates the sender's view of the ack stream. The reader
+// goroutine (run) decodes acks off the wire and publishes cumulative credit
+// under the lock; the sender waits on the condition variable for the grant,
+// for window credit, and for the final confirmation. The reader never
+// blocks on anything but the wire, so the receiver's ack writes always find
+// a consumer — the invariant that keeps a fully synchronous transport
+// (net.Pipe) deadlock-free.
+type ackTracker struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	seq     uint32 // cumulative chunks the receiver has consumed
+	window  int    // granted credit window (meaningful once granted)
+	granted bool
+	done    bool
+	err     error
+}
+
+func newAckTracker() *ackTracker {
+	st := &ackTracker{}
+	st.cond = sync.NewCond(&st.mu)
+	return st
+}
+
+// run decodes acks until the stream terminates (confirmation, refusal, or a
+// dead wire), publishing each under the lock and waking waiters. If the
+// sender abandons the stream first, the reader stays blocked on the decoder
+// until the caller closes the connection — the session is not reusable
+// after a failed stream.
+func (st *ackTracker) run(dec *gob.Decoder, what string) {
+	for terminal := false; !terminal; {
+		var a ackMsg
+		err := dec.Decode(&a)
+		st.mu.Lock()
+		switch {
+		case err != nil:
+			st.err = fmt.Errorf("service: reading %s ack: %w", what, err)
+		case a.Err != "":
+			st.err = fmt.Errorf("service: %s refused: %s", what, a.Err)
+		default:
+			if !st.granted {
+				st.granted = true
+				st.window = max(a.Window, 1)
+			}
+			st.seq = max(st.seq, a.Seq)
+			st.done = st.done || a.Done
+		}
+		terminal = st.err != nil || st.done
+		st.cond.Broadcast()
+		st.mu.Unlock()
+	}
+}
+
+// waitGrant blocks until the receiver grants credit or refuses the stream.
+func (st *ackTracker) waitGrant() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for !st.granted && st.err == nil {
+		st.cond.Wait()
+	}
+	return st.err
+}
+
+// waitCredit blocks until the window admits chunk seq (fewer than W chunks
+// unacknowledged), or the stream has died.
+func (st *ackTracker) waitCredit(seq uint32) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for st.err == nil && int(seq)-int(st.seq) >= st.window {
+		st.cond.Wait()
+	}
+	return st.err
+}
+
+// waitDone blocks until the receiver confirms the completed stream.
+func (st *ackTracker) waitDone() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for st.err == nil && !st.done {
+		st.cond.Wait()
+	}
+	return st.err
+}
+
+// --- Receiver ---
+
+// receiver is the receiving end of one stream whose begin frame has been
+// read and accepted.
+type receiver struct {
+	sess   *Session
+	dir    direction
+	decode func(any) error // reads one message off the wire
+	asm    *chunkAssembler
+	window int
+	// consume handles one verified chunk, its rows still sealed; an error
+	// refuses the stream.
+	consume func(*chunkMsg) error
+	// pauseAfter, when positive, stops the stream with dir.paused right
+	// after acknowledging that many chunks, if rows remain.
+	pauseAfter uint32
+}
+
+// run grants the credit window, then verifies, consumes and acknowledges
+// chunk after chunk — credit returns only after consume, so a slow
+// consumer throttles the sender — and confirms the end frame's totals.
+// Every refusal is nacked back to the sender.
+func (r *receiver) run() error {
+	if err := r.sess.enc.Encode(ackMsg{Window: r.window}); err != nil {
+		return fmt.Errorf("%w: sending credit grant: %v", r.dir.truncated, err)
+	}
+	for n := uint32(1); ; n++ {
+		f, err := r.dir.readFrame(r.decode)
+		if err != nil {
+			return r.sess.nack(err)
+		}
+		if f.End != nil {
+			if err := r.asm.end(f.End); err != nil {
+				return r.sess.nack(err)
+			}
+			_ = r.sess.enc.Encode(ackMsg{Seq: r.asm.next, Window: r.window, Done: true})
+			return nil
+		}
+		if err := r.asm.chunk(f.Chunk); err != nil {
+			return r.sess.nack(err)
+		}
+		if err := r.consume(f.Chunk); err != nil {
+			return r.sess.nack(err)
+		}
+		_ = r.sess.enc.Encode(ackMsg{Seq: r.asm.next, Window: r.window})
+		if r.pauseAfter > 0 && n >= r.pauseAfter && r.asm.rows < r.asm.declared {
+			return r.dir.paused
+		}
+	}
+}

@@ -1,0 +1,419 @@
+package service
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"net"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"ppj/internal/relation"
+)
+
+// streamScript plays the sending side of one chunk stream by hand against
+// a real receiver: ReceiveUpload with the script as the provider, or
+// FetchResult with the script as the server.
+type streamScript struct {
+	t      *testing.T
+	dir    direction
+	sess   *Session                 // the scripted sender's end
+	beginf func(declared int64) any // the direction's begin frame
+	cell   func(i int) []byte       // plaintext of stream row i
+	hangUp func()                   // closes the sender's end of the wire
+	recv   chan error               // the receiver's verdict
+}
+
+// framingRel is the relation the scripts stream rows of.
+var framingRel = relation.GenKeyed(relation.NewRand(5), 8, 5)
+
+// startUploadScript opens an upload stream into a fresh service's
+// ReceiveUpload.
+func startUploadScript(t *testing.T) *streamScript {
+	t.Helper()
+	svc, pA := newUploadFixture(t, 0, 0)
+	sess, cs, clientEnd := dialProvider(t, svc, pA)
+	prefix := []byte(svc.Contract.ID)
+	sc := &streamScript{t: t, dir: uploadStream, sess: cs.sess, hangUp: func() { clientEnd.Close() }, recv: make(chan error, 1),
+		beginf: func(declared int64) any {
+			return uploadBeginMsg{ContractID: svc.Contract.ID, Schema: toWire(framingRel.Schema), DeclaredRows: declared}
+		},
+		cell: func(i int) []byte {
+			e, err := framingRel.Schema.Encode(framingRel.Rows[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append(append([]byte(nil), prefix...), e...)
+		}}
+	go func() { sc.recv <- svc.ReceiveUpload(pA.name, sess) }()
+	return sc
+}
+
+// startDeliveryScript opens a delivery stream into a recipient's
+// FetchResult, the two session ends sharing a key without a handshake. The
+// rows are decoys, which the recipient opens and drops.
+func startDeliveryScript(t *testing.T) *streamScript {
+	t.Helper()
+	serverEnd, clientEnd := net.Pipe()
+	t.Cleanup(func() { serverEnd.Close(); clientEnd.Close() })
+	sealer := func() *sessionSealer {
+		s, err := newSessionSealer(make([]byte, 16), 's')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	srv, cli := newSession(serverEnd), newSession(clientEnd)
+	srv.sealer, cli.opener = sealer(), sealer()
+	sc := &streamScript{t: t, dir: deliveryStream, sess: srv, hangUp: func() { serverEnd.Close() }, recv: make(chan error, 1),
+		beginf: func(declared int64) any {
+			return resultBeginMsg{ContractID: "fz", Schema: toWire(framingRel.Schema),
+				TotalChunks: 2, TotalRows: declared, StreamRows: declared}
+		},
+		cell: func(int) []byte { return make([]byte, 1+framingRel.Schema.TupleSize()) }}
+	go func() { sc.recv <- (&ClientSession{sess: cli}).FetchResult(&ResultFetch{}) }()
+	return sc
+}
+
+func (sc *streamScript) send(v any) {
+	sc.t.Helper()
+	if err := sc.sess.enc.Encode(v); err != nil {
+		sc.t.Fatalf("sending %T: %v", v, err)
+	}
+}
+
+func (sc *streamScript) ack() ackMsg {
+	sc.t.Helper()
+	var a ackMsg
+	if err := sc.sess.dec.Decode(&a); err != nil {
+		sc.t.Fatalf("reading ack: %v", err)
+	}
+	return a
+}
+
+// begin opens the stream and consumes the credit grant.
+func (sc *streamScript) begin(declared int64) {
+	sc.t.Helper()
+	sc.send(sc.beginf(declared))
+	if a := sc.ack(); a.Err != "" {
+		sc.t.Fatalf("begin refused: %s", a.Err)
+	}
+}
+
+// seal seals rows [lo, hi) under the session key.
+func (sc *streamScript) seal(lo, hi int) [][]byte {
+	out := make([][]byte, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, sc.sess.sealer.seal(sc.cell(i)))
+	}
+	return out
+}
+
+// verdict waits for the receiver's return. The refusal nack travels over a
+// synchronous pipe, so a drainer keeps reading acks — the verdict must not
+// deadlock behind its own nack write. No script touches the sender's
+// decoder after calling verdict.
+func (sc *streamScript) verdict() error {
+	sc.t.Helper()
+	go func() {
+		for {
+			var a ackMsg
+			if sc.sess.dec.Decode(&a) != nil {
+				return
+			}
+		}
+	}()
+	select {
+	case err := <-sc.recv:
+		return err
+	case <-time.After(10 * time.Second):
+		sc.t.Fatal("receiver never returned a verdict")
+		return nil
+	}
+}
+
+// framingScripts walk every way a chunk stream can lie — broken CRC chain,
+// skewed or replayed sequence numbers, empty chunks and envelopes, totals
+// that disagree with the declaration — each pinning the receiving
+// direction's typed verdict.
+var framingScripts = []struct {
+	name string
+	run  func(t *testing.T, sc *streamScript)
+}{
+	{"crc corruption", func(t *testing.T, sc *streamScript) {
+		sc.begin(8)
+		var ck chunker
+		f := ck.frame(sc.seal(0, 4))
+		f.CRC ^= 1
+		sc.send(frameMsg{Chunk: f})
+		if a := sc.ack(); !strings.Contains(a.Err, "CRC") {
+			t.Fatalf("nack = %+v", a)
+		}
+		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"sequence skew", func(t *testing.T, sc *streamScript) {
+		sc.begin(8)
+		var ck chunker
+		f := ck.frame(sc.seal(0, 4))
+		f.Seq = 3
+		sc.send(frameMsg{Chunk: f})
+		err := sc.verdict()
+		if !errors.Is(err, sc.dir.frame) || !strings.Contains(err.Error(), "reordered") {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"replayed chunk", func(t *testing.T, sc *streamScript) {
+		sc.begin(8)
+		var ck chunker
+		f := ck.frame(sc.seal(0, 4))
+		sc.send(frameMsg{Chunk: f})
+		if a := sc.ack(); a.Err != "" {
+			t.Fatalf("first copy refused: %s", a.Err)
+		}
+		sc.send(frameMsg{Chunk: f})
+		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"rows exceed declaration", func(t *testing.T, sc *streamScript) {
+		sc.begin(2)
+		var ck chunker
+		sc.send(frameMsg{Chunk: ck.frame(sc.seal(0, 4))})
+		if err := sc.verdict(); !errors.Is(err, sc.dir.tooLarge) {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"end short of declaration", func(t *testing.T, sc *streamScript) {
+		sc.begin(8)
+		var ck chunker
+		sc.send(frameMsg{Chunk: ck.frame(sc.seal(0, 4))})
+		if a := sc.ack(); a.Err != "" {
+			t.Fatalf("chunk refused: %s", a.Err)
+		}
+		sc.send(frameMsg{End: ck.endFrame(4)})
+		err := sc.verdict()
+		if !errors.Is(err, sc.dir.truncated) || !strings.Contains(err.Error(), "4 of 8") {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"end frame totals lie", func(t *testing.T, sc *streamScript) {
+		sc.begin(4)
+		var ck chunker
+		sc.send(frameMsg{Chunk: ck.frame(sc.seal(0, 4))})
+		if a := sc.ack(); a.Err != "" {
+			t.Fatalf("chunk refused: %s", a.Err)
+		}
+		e := ck.endFrame(4)
+		e.Frames = 5
+		sc.send(frameMsg{End: e})
+		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"eof mid-stream", func(t *testing.T, sc *streamScript) {
+		sc.begin(8)
+		var ck chunker
+		sc.send(frameMsg{Chunk: ck.frame(sc.seal(0, 4))})
+		if a := sc.ack(); a.Err != "" {
+			t.Fatalf("chunk refused: %s", a.Err)
+		}
+		sc.hangUp()
+		if err := sc.verdict(); !errors.Is(err, sc.dir.truncated) {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"empty chunk", func(t *testing.T, sc *streamScript) {
+		sc.begin(8)
+		var ck chunker
+		sc.send(frameMsg{Chunk: ck.frame(nil)})
+		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"empty envelope", func(t *testing.T, sc *streamScript) {
+		sc.begin(8)
+		sc.send(frameMsg{})
+		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"envelope carrying both frames", func(t *testing.T, sc *streamScript) {
+		sc.begin(8)
+		var ck chunker
+		f := ck.frame(sc.seal(0, 4))
+		sc.send(frameMsg{Chunk: f, End: ck.endFrame(4)})
+		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"negative declaration", func(t *testing.T, sc *streamScript) {
+		sc.send(sc.beginf(-1))
+		// The upload receiver nacks a refused begin frame; a recipient
+		// refuses a delivery's by returning, as for every begin-frame
+		// verdict.
+		if sc.dir == uploadStream {
+			if a := sc.ack(); a.Err == "" {
+				t.Fatal("negative declaration granted credit")
+			}
+		}
+		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+}
+
+// TestChunkedFramingViolations runs the framing scripts against the upload
+// receiver, plus the refusal text reaching the producer.
+func TestChunkedFramingViolations(t *testing.T) {
+	for _, s := range framingScripts {
+		t.Run(s.name, func(t *testing.T) { s.run(t, startUploadScript(t)) })
+	}
+}
+
+// TestResultFramingViolations runs the same scripts against a recipient's
+// FetchResult, which must answer each with the delivery sentinel, and
+// pins that frames in the shapes of the separate result frame types a
+// ProtoVersion 2 server sent before upload and delivery shared one stream
+// still decode into a completed fetch.
+func TestResultFramingViolations(t *testing.T) {
+	for _, s := range framingScripts {
+		t.Run(s.name, func(t *testing.T) { s.run(t, startDeliveryScript(t)) })
+	}
+
+	t.Run("result frame shapes on the wire", func(t *testing.T) {
+		type resultChunkMsg struct {
+			Seq  uint32
+			Rows [][]byte
+			CRC  wireCRC
+		}
+		type resultEndMsg struct {
+			Frames uint32
+			Rows   int64
+			CRC    wireCRC
+		}
+		type resultFrameMsg struct {
+			Chunk *resultChunkMsg
+			End   *resultEndMsg
+		}
+		type resultAckMsg struct {
+			Seq    uint32
+			Window int
+			Done   bool
+			Err    string
+		}
+		sc := startDeliveryScript(t)
+		ack := func() resultAckMsg {
+			var a resultAckMsg
+			if err := sc.sess.dec.Decode(&a); err != nil {
+				t.Fatalf("reading ack: %v", err)
+			}
+			if a.Err != "" {
+				t.Fatalf("refused: %s", a.Err)
+			}
+			return a
+		}
+		sc.send(sc.beginf(8))
+		if a := ack(); a.Window != DefaultResultWindow {
+			t.Fatalf("grant = %+v", a)
+		}
+		var ck chunker
+		for lo := 0; lo < 8; lo += 4 {
+			c := ck.frame(sc.seal(lo, lo+4))
+			sc.send(resultFrameMsg{Chunk: &resultChunkMsg{Seq: c.Seq, Rows: c.Rows, CRC: c.CRC}})
+			if a := ack(); a.Seq != c.Seq+1 {
+				t.Fatalf("ack after chunk %d = %+v", c.Seq, a)
+			}
+		}
+		e := ck.endFrame(8)
+		sc.send(resultFrameMsg{End: &resultEndMsg{Frames: e.Frames, Rows: e.Rows, CRC: e.CRC}})
+		if a := ack(); !a.Done || a.Seq != 2 {
+			t.Fatalf("done ack = %+v", a)
+		}
+		if err := sc.verdict(); err != nil {
+			t.Fatalf("fetch of result-shaped frames: %v", err)
+		}
+
+		// And frame for frame: each shape decodes into the stream's type.
+		var buf bytes.Buffer
+		enc, dec := gob.NewEncoder(&buf), gob.NewDecoder(&buf)
+		for _, tc := range []struct{ old, want any }{
+			{resultFrameMsg{Chunk: &resultChunkMsg{Seq: 7, Rows: [][]byte{{1}, {2, 3}}, CRC: 0x00c0ffee}},
+				frameMsg{Chunk: &chunkMsg{Seq: 7, Rows: [][]byte{{1}, {2, 3}}, CRC: 0x00c0ffee}}},
+			{resultFrameMsg{End: &resultEndMsg{Frames: 3, Rows: 130, CRC: 0xffffffff}},
+				frameMsg{End: &endMsg{Frames: 3, Rows: 130, CRC: 0xffffffff}}},
+			{resultAckMsg{Seq: 4, Window: 8, Done: true}, ackMsg{Seq: 4, Window: 8, Done: true}},
+			{resultAckMsg{Err: "refused"}, ackMsg{Err: "refused"}},
+		} {
+			if err := enc.Encode(tc.old); err != nil {
+				t.Fatal(err)
+			}
+			got := reflect.New(reflect.TypeOf(tc.want))
+			if err := dec.Decode(got.Interface()); err != nil {
+				t.Fatalf("decoding %T into %T: %v", tc.old, tc.want, err)
+			}
+			if !reflect.DeepEqual(got.Elem().Interface(), tc.want) {
+				t.Fatalf("%+v decoded as %+v", tc.old, got.Elem().Interface())
+			}
+		}
+	})
+}
+
+func TestChunkAssemblerTerminalState(t *testing.T) {
+	asm, err := newChunkAssembler(2, 0, uploadStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ck chunker
+	f := ck.frame([][]byte{{1}, {2}})
+	if err := asm.chunk(f); err != nil {
+		t.Fatal(err)
+	}
+	e := ck.endFrame(2)
+	if err := asm.end(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := asm.chunk(f); !errors.Is(err, ErrUploadFrame) {
+		t.Fatalf("chunk after end = %v", err)
+	}
+	if err := asm.end(e); !errors.Is(err, ErrUploadFrame) {
+		t.Fatalf("second end = %v", err)
+	}
+}
+
+// TestFrameSizeIndependentOfCRC pins the fixed-width CRC encoding: a
+// chunk or end frame's wire size must not shrink when its running CRC
+// happens to start with zero bytes (gob's native uint encoding would drop
+// them), or the byte-size trace of a stream would vary from run to run
+// with the session key.
+func TestFrameSizeIndependentOfCRC(t *testing.T) {
+	frames := map[string]func(wireCRC) frameMsg{
+		"chunk": func(crc wireCRC) frameMsg {
+			return frameMsg{Chunk: &chunkMsg{Seq: 1, Rows: [][]byte{{1, 2, 3}}, CRC: crc}}
+		},
+		"end": func(crc wireCRC) frameMsg { return frameMsg{End: &endMsg{Frames: 1, Rows: 3, CRC: crc}} },
+	}
+	for kind, frame := range frames {
+		size := func(crc wireCRC) int {
+			var buf bytes.Buffer
+			enc := gob.NewEncoder(&buf)
+			// The first message carries gob's type descriptors; measure the second.
+			for i := 0; i < 2; i++ {
+				buf.Reset()
+				if err := enc.Encode(frame(crc)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return buf.Len()
+		}
+		want := size(0xffffffff)
+		for _, crc := range []wireCRC{1, 0x7f, 0x80, 0xffff, 0x00ffffff, 0x01000000} {
+			if got := size(crc); got != want {
+				t.Errorf("%s frame with CRC %#x is %d bytes, with CRC 0xffffffff %d", kind, uint32(crc), got, want)
+			}
+		}
+	}
+}

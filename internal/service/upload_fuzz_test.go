@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
-	"io"
 	"testing"
 )
 
@@ -47,16 +46,16 @@ func FuzzUploadStream(f *testing.F) {
 // fuzzAssembler drives the framing state machine with a scripted mix of
 // honest and corrupted frames.
 func fuzzAssembler(t *testing.T, declared, maxBytes int64, script []byte) {
-	asm, err := newChunkAssembler(declared, maxBytes)
+	asm, err := newChunkAssembler(declared, maxBytes, uploadStream)
 	if err != nil {
 		requireTypedUploadErr(t, err)
 		return
 	}
 	var (
 		ck       chunker
-		received [][]byte        // rows of every admitted chunk, in order
-		lastGood *uploadChunkMsg // most recent admitted frame, for replay
-		rowByte  byte            = 1
+		received [][]byte  // rows of every admitted chunk, in order
+		lastGood *chunkMsg // most recent admitted frame, for replay
+		rowByte  byte      = 1
 	)
 	mkRows := func(n, size int) [][]byte {
 		rows := make([][]byte, n)
@@ -150,7 +149,7 @@ func fuzzAssembler(t *testing.T, declared, maxBytes int64, script []byte) {
 				t.Fatalf("stream accepted with %d rows, %d declared", len(received), declared)
 			}
 			var ck2 chunker
-			asm2, err := newChunkAssembler(int64(len(received)), maxBytes)
+			asm2, err := newChunkAssembler(int64(len(received)), maxBytes, uploadStream)
 			if err != nil {
 				t.Fatalf("canonical re-encode refused at begin: %v", err)
 			}
@@ -187,21 +186,14 @@ func fuzzAssembler(t *testing.T, declared, maxBytes int64, script []byte) {
 // fuzzFrameReader aims the raw fuzz bytes at the wire-frame reader: a
 // hostile peer's gob stream must always terminate in a typed verdict.
 func fuzzFrameReader(t *testing.T, raw []byte) {
-	sess := &Session{
-		enc: gob.NewEncoder(io.Discard),
-		dec: gob.NewDecoder(bytes.NewReader(raw)),
-	}
-	quit := make(chan struct{})
-	defer close(quit)
-	frames := make(chan decodedFrame)
-	go readUploadFrames(sess, frames, quit)
+	dec := gob.NewDecoder(bytes.NewReader(raw))
 	for n := 0; ; n++ {
-		d := <-frames
-		if d.err != nil {
-			requireTypedUploadErr(t, d.err)
+		f, err := uploadStream.readFrame(dec.Decode)
+		if err != nil {
+			requireTypedUploadErr(t, err)
 			return
 		}
-		if d.end != nil {
+		if f.End != nil {
 			return
 		}
 		if n > 1<<16 {

@@ -1,14 +1,11 @@
 package service
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"net"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"ppj/internal/relation"
 )
@@ -76,266 +73,6 @@ func uploadOnce(t *testing.T, svc *Service, p testParty, contractID string, rel 
 		clientEnd.Close()
 	}
 	return srvErr, <-done
-}
-
-// uploadScript drives ReceiveUpload against handcrafted frames.
-type uploadScript struct {
-	t         *testing.T
-	svc       *Service
-	cs        *ClientSession
-	clientEnd net.Conn
-	srv       chan error
-}
-
-func startScript(t *testing.T, svc *Service, p testParty) *uploadScript {
-	t.Helper()
-	sess, cs, clientEnd := dialProvider(t, svc, p)
-	sc := &uploadScript{t: t, svc: svc, cs: cs, clientEnd: clientEnd, srv: make(chan error, 1)}
-	go func() { sc.srv <- svc.ReceiveUpload(p.name, sess) }()
-	return sc
-}
-
-func (sc *uploadScript) send(v any) {
-	sc.t.Helper()
-	if err := sc.cs.sess.enc.Encode(v); err != nil {
-		sc.t.Fatalf("sending %T: %v", v, err)
-	}
-}
-
-func (sc *uploadScript) ack() uploadAckMsg {
-	sc.t.Helper()
-	var a uploadAckMsg
-	if err := sc.cs.sess.dec.Decode(&a); err != nil {
-		sc.t.Fatalf("reading ack: %v", err)
-	}
-	return a
-}
-
-// begin opens the stream and consumes the credit grant.
-func (sc *uploadScript) begin(declared int64, schema *relation.Schema) {
-	sc.t.Helper()
-	sc.send(uploadBeginMsg{ContractID: sc.svc.Contract.ID, Schema: toWire(schema), DeclaredRows: declared})
-	if a := sc.ack(); a.Err != "" {
-		sc.t.Fatalf("begin refused: %s", a.Err)
-	}
-}
-
-// seal encodes and seals rows [start, end) of rel under the session key.
-func (sc *uploadScript) seal(rel *relation.Relation, start, end int) [][]byte {
-	sc.t.Helper()
-	prefix := []byte(sc.svc.Contract.ID)
-	out := make([][]byte, 0, end-start)
-	for _, row := range rel.Rows[start:end] {
-		e, err := rel.Schema.Encode(row)
-		if err != nil {
-			sc.t.Fatal(err)
-		}
-		out = append(out, sc.cs.sess.sealer.seal(append(append([]byte(nil), prefix...), e...)))
-	}
-	return out
-}
-
-// verdict waits for the server's ReceiveUpload return. The refusal nack
-// travels over a synchronous pipe, so a drainer keeps reading acks — the
-// verdict must not deadlock behind its own nack write. No script touches
-// the client decoder after calling verdict.
-func (sc *uploadScript) verdict() error {
-	sc.t.Helper()
-	go func() {
-		for {
-			var a uploadAckMsg
-			if sc.cs.sess.dec.Decode(&a) != nil {
-				return
-			}
-		}
-	}()
-	select {
-	case err := <-sc.srv:
-		return err
-	case <-time.After(10 * time.Second):
-		sc.t.Fatal("server never returned a verdict")
-		return nil
-	}
-}
-
-// TestChunkedFramingViolations walks every way a chunk stream can lie —
-// broken CRC chain, skewed or replayed sequence numbers, empty chunks and
-// envelopes, totals that disagree with the declaration — and pins the typed
-// verdict for each, plus the refusal text reaching the producer.
-func TestChunkedFramingViolations(t *testing.T) {
-	rel := relation.GenKeyed(relation.NewRand(5), 8, 5)
-
-	t.Run("crc corruption", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 0, 0)
-		sc := startScript(t, svc, pA)
-		sc.begin(8, rel.Schema)
-		var ck chunker
-		f := ck.frame(sc.seal(rel, 0, 4))
-		f.CRC ^= 1
-		sc.send(uploadFrameMsg{Chunk: f})
-		if a := sc.ack(); !strings.Contains(a.Err, "CRC") {
-			t.Fatalf("nack = %+v", a)
-		}
-		if err := sc.verdict(); !errors.Is(err, ErrUploadFrame) {
-			t.Fatalf("verdict = %v", err)
-		}
-	})
-
-	t.Run("sequence skew", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 0, 0)
-		sc := startScript(t, svc, pA)
-		sc.begin(8, rel.Schema)
-		var ck chunker
-		f := ck.frame(sc.seal(rel, 0, 4))
-		f.Seq = 3
-		sc.send(uploadFrameMsg{Chunk: f})
-		err := sc.verdict()
-		if !errors.Is(err, ErrUploadFrame) || !strings.Contains(err.Error(), "reordered") {
-			t.Fatalf("verdict = %v", err)
-		}
-	})
-
-	t.Run("replayed chunk", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 0, 0)
-		sc := startScript(t, svc, pA)
-		sc.begin(8, rel.Schema)
-		var ck chunker
-		f := ck.frame(sc.seal(rel, 0, 4))
-		sc.send(uploadFrameMsg{Chunk: f})
-		if a := sc.ack(); a.Err != "" {
-			t.Fatalf("first copy refused: %s", a.Err)
-		}
-		sc.send(uploadFrameMsg{Chunk: f})
-		if err := sc.verdict(); !errors.Is(err, ErrUploadFrame) {
-			t.Fatalf("verdict = %v", err)
-		}
-	})
-
-	t.Run("rows exceed declaration", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 0, 0)
-		sc := startScript(t, svc, pA)
-		sc.begin(2, rel.Schema)
-		var ck chunker
-		sc.send(uploadFrameMsg{Chunk: ck.frame(sc.seal(rel, 0, 4))})
-		if err := sc.verdict(); !errors.Is(err, ErrUploadTooLarge) {
-			t.Fatalf("verdict = %v", err)
-		}
-	})
-
-	t.Run("end short of declaration", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 0, 0)
-		sc := startScript(t, svc, pA)
-		sc.begin(8, rel.Schema)
-		var ck chunker
-		sc.send(uploadFrameMsg{Chunk: ck.frame(sc.seal(rel, 0, 4))})
-		if a := sc.ack(); a.Err != "" {
-			t.Fatalf("chunk refused: %s", a.Err)
-		}
-		sc.send(uploadFrameMsg{End: ck.endFrame(4)})
-		err := sc.verdict()
-		if !errors.Is(err, ErrUploadTruncated) || !strings.Contains(err.Error(), "4 of 8") {
-			t.Fatalf("verdict = %v", err)
-		}
-	})
-
-	t.Run("end frame totals lie", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 0, 0)
-		sc := startScript(t, svc, pA)
-		sc.begin(4, rel.Schema)
-		var ck chunker
-		sc.send(uploadFrameMsg{Chunk: ck.frame(sc.seal(rel, 0, 4))})
-		if a := sc.ack(); a.Err != "" {
-			t.Fatalf("chunk refused: %s", a.Err)
-		}
-		e := ck.endFrame(4)
-		e.Frames = 5
-		sc.send(uploadFrameMsg{End: e})
-		if err := sc.verdict(); !errors.Is(err, ErrUploadFrame) {
-			t.Fatalf("verdict = %v", err)
-		}
-	})
-
-	t.Run("eof mid-stream", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 0, 0)
-		sc := startScript(t, svc, pA)
-		sc.begin(8, rel.Schema)
-		var ck chunker
-		sc.send(uploadFrameMsg{Chunk: ck.frame(sc.seal(rel, 0, 4))})
-		if a := sc.ack(); a.Err != "" {
-			t.Fatalf("chunk refused: %s", a.Err)
-		}
-		sc.clientEnd.Close()
-		if err := sc.verdict(); !errors.Is(err, ErrUploadTruncated) {
-			t.Fatalf("verdict = %v", err)
-		}
-	})
-
-	t.Run("empty chunk", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 0, 0)
-		sc := startScript(t, svc, pA)
-		sc.begin(8, rel.Schema)
-		var ck chunker
-		sc.send(uploadFrameMsg{Chunk: ck.frame(nil)})
-		if err := sc.verdict(); !errors.Is(err, ErrUploadFrame) {
-			t.Fatalf("verdict = %v", err)
-		}
-	})
-
-	t.Run("empty envelope", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 0, 0)
-		sc := startScript(t, svc, pA)
-		sc.begin(8, rel.Schema)
-		sc.send(uploadFrameMsg{})
-		if err := sc.verdict(); !errors.Is(err, ErrUploadFrame) {
-			t.Fatalf("verdict = %v", err)
-		}
-	})
-
-	t.Run("envelope carrying both frames", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 0, 0)
-		sc := startScript(t, svc, pA)
-		sc.begin(8, rel.Schema)
-		var ck chunker
-		f := ck.frame(sc.seal(rel, 0, 4))
-		sc.send(uploadFrameMsg{Chunk: f, End: ck.endFrame(4)})
-		if err := sc.verdict(); !errors.Is(err, ErrUploadFrame) {
-			t.Fatalf("verdict = %v", err)
-		}
-	})
-
-	t.Run("negative declaration", func(t *testing.T) {
-		svc, pA := newUploadFixture(t, 0, 0)
-		sc := startScript(t, svc, pA)
-		sc.send(uploadBeginMsg{ContractID: svc.Contract.ID, Schema: toWire(rel.Schema), DeclaredRows: -1})
-		if a := sc.ack(); a.Err == "" {
-			t.Fatal("negative declaration granted credit")
-		}
-		if err := sc.verdict(); !errors.Is(err, ErrUploadFrame) {
-			t.Fatalf("verdict = %v", err)
-		}
-	})
-}
-
-func TestChunkAssemblerTerminalState(t *testing.T) {
-	asm, err := newChunkAssembler(2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ck chunker
-	f := ck.frame([][]byte{{1}, {2}})
-	if err := asm.chunk(f); err != nil {
-		t.Fatal(err)
-	}
-	e := ck.endFrame(2)
-	if err := asm.end(e); err != nil {
-		t.Fatal(err)
-	}
-	if err := asm.chunk(f); !errors.Is(err, ErrUploadFrame) {
-		t.Fatalf("chunk after end = %v", err)
-	}
-	if err := asm.end(e); !errors.Is(err, ErrUploadFrame) {
-		t.Fatalf("second end = %v", err)
-	}
 }
 
 // TestUploadLimitsRefuseBeforeRows pins both byte-budget enforcement points:
@@ -480,30 +217,4 @@ func uploadedRows(t *testing.T, svc *Service, party string) [][]byte {
 		t.Fatal(err)
 	}
 	return encs
-}
-
-// TestFrameSizeIndependentOfCRC pins the fixed-width CRC encoding: a
-// frame's wire size must not shrink when its running CRC happens to start
-// with zero bytes (gob's native uint encoding would drop them), or the
-// byte-size trace of a stream would vary from run to run with the session
-// key.
-func TestFrameSizeIndependentOfCRC(t *testing.T) {
-	size := func(crc wireCRC) int {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		// The first message carries gob's type descriptors; measure the second.
-		for i := 0; i < 2; i++ {
-			buf.Reset()
-			if err := enc.Encode(uploadFrameMsg{Chunk: &uploadChunkMsg{Seq: 1, Rows: [][]byte{{1, 2, 3}}, CRC: crc}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return buf.Len()
-	}
-	want := size(0xffffffff)
-	for _, crc := range []wireCRC{1, 0x7f, 0x80, 0xffff, 0x00ffffff, 0x01000000} {
-		if got := size(crc); got != want {
-			t.Errorf("frame with CRC %#x is %d bytes, with CRC 0xffffffff %d", uint32(crc), got, want)
-		}
-	}
 }
