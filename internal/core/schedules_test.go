@@ -294,14 +294,14 @@ type lockGroup struct {
 	run  func(t *testing.T) []schedule
 }
 
-// lockGroups lists the lockfile in file order: each algorithm row, then the
-// oblivious primitives.
+// lockGroups lists the lockfile in file order: each algorithm row,
+// Algorithm 6's segmented schedules, then the oblivious primitives.
 func lockGroups() []lockGroup {
 	var gs []lockGroup
 	for _, alg := range Algorithms {
 		gs = append(gs, lockGroup{alg.Name, func(t *testing.T) []schedule { return rowSchedules(t, alg) }})
 	}
-	return append(gs, lockGroup{"oblivious", primitiveSchedules})
+	return append(gs, lockGroup{"alg6seg", alg6Schedules}, lockGroup{"oblivious", primitiveSchedules})
 }
 
 // lockSizes is the |A|×|B| grid every row runs: empty, one row, both sides
@@ -383,6 +383,56 @@ func rowSchedules(t *testing.T, alg *Algorithm) []schedule {
 				}
 				out = append(out, record(name, cops, res.Stats, model))
 			}
+		}
+	}
+	return out
+}
+
+// alg6Schedules runs Join6 and Join6OnePass (declaring the true S) on
+// shapes the alg6 row's M = 256 never reaches: S = 0, S ≤ M, two with S > M
+// (the random-order pass and the decoy filter), and one whose single
+// segment blemishes (the salvage). Each line's name carries the report's S,
+// n* and segment count and whether it blemished. Join6Transfers bounds a
+// clean run's transfers once S > M, so the model is checked as a bound.
+func alg6Schedules(t *testing.T) []schedule {
+	shapes := []struct {
+		seed         uint64
+		nA, nB, s, m int
+		eps          float64
+	}{
+		{61, 5, 9, 0, 4, 1e-9},
+		{41, 6, 10, 4, 64, 1e-9},
+		{53, 8, 12, 9, 3, 1e-9},
+		{59, 6, 10, 7, 3, 0.5},
+		{67, 30, 30, 30, 1, 0.5},
+	}
+	var out []schedule
+	for _, sh := range shapes {
+		relA, relB := genJoinSized(sh.seed, sh.nA, sh.nB, sh.s)
+		pred := relation.Pairwise(keyEqui(t, relA, relB))
+		for _, entry := range []string{"Join6", "Join6OnePass"} {
+			h := sim.NewHost(0)
+			cop := newCop(t, h, sh.m, 7)
+			tabs := loadTables(t, h, cop.Sealer(), relA, relB)
+			var rep Join6Report
+			var err error
+			if entry == "Join6" {
+				rep, err = Join6(cop, tabs, pred, sh.eps)
+			} else {
+				rep, err = Join6OnePass(cop, tabs, pred, sh.eps, int64(sh.s))
+			}
+			name := fmt.Sprintf("alg6seg/%s/%dx%d.M%d.eps%g/S%d.nstar%d.segs%d", entry, sh.nA, sh.nB, sh.m, sh.eps, rep.S, rep.NStar, rep.Segments)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if rep.Blemished {
+				name += ".blemished"
+			}
+			model := Join6Transfers([]int64{int64(sh.nA), int64(sh.nB)}, int64(sh.s), int64(sh.m), sh.eps)
+			if got := int64(rep.Stats.Transfers()); !rep.Blemished && got > model {
+				t.Errorf("%s: measured %d transfers over the bound %d", name, got, model)
+			}
+			out = append(out, record(name, []*sim.Coprocessor{cop}, rep.Stats, model))
 		}
 	}
 	return out
