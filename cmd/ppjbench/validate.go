@@ -191,7 +191,9 @@ func mustEqui(a, b *relation.Relation) *relation.Equi {
 
 // runOnePass measures the one-pass Algorithm 6 extension (known S) against
 // the standard two-pass Algorithm 6 at the scaled setting, quantifying the
-// answer to the thesis's "does a one pass algorithm exist?" question.
+// answer to the thesis's "does a one pass algorithm exist?" question. It
+// fails unless both runs are clean and the one-pass run saves exactly the
+// L logical reads of the screening pass.
 func runOnePass(out *output) error {
 	const x, s = 80, 64
 	l := int64(x * x)
@@ -237,5 +239,12 @@ func runOnePass(out *output) error {
 	out.csvRow("one-pass", one.LogicalReads, one.Transfers())
 	out.printf("\nthe screening pass (exactly L = %d logical reads) disappears when S is\n", l)
 	out.printf("public a priori; the random-order processing pass and filter are unchanged.\n")
+	if b1 || b2 {
+		return fmt.Errorf("a blemished run (two-pass %v, one-pass %v) measures the salvage, not the passes", b2, b1)
+	}
+	if two.LogicalReads != one.LogicalReads+uint64(l) {
+		return fmt.Errorf("two-pass logical reads %d, one-pass %d: the difference should be exactly L = %d",
+			two.LogicalReads, one.LogicalReads, l)
+	}
 	return nil
 }

@@ -177,11 +177,6 @@ func Aggregate(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredic
 // AggregateTransfers is the exact transfer count: the sequential-scan gets
 // of D plus the single output put.
 func AggregateTransfers(sizes []int64) int64 {
-	l := int64(1)
-	gets := int64(0)
-	for _, n := range sizes {
-		gets += l * n
-		l *= n
-	}
+	gets, _ := scanGets(sizes)
 	return gets + 1
 }

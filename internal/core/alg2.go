@@ -23,26 +23,30 @@ func Join2(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate, n int64,
 
 // Join2Transfers is the exact transfer count of this implementation:
 // |A|·(1 + γ·|B| + γ·blk), the measured analogue of the paper's
-// |A| + N|A| + γ|A||B| (which writes γ·blk ≈ N).
+// |A| + N|A| + γ|A||B| (which writes γ·blk ≈ N). It is 0 when M ≤ δ, a run
+// Algorithm 2 refuses.
 func Join2Transfers(aN, bN, n, m, delta int64) int64 {
-	usable := m - delta
-	gamma := (n + usable - 1) / usable
-	if gamma < 1 {
-		gamma = 1
+	gamma, blk := passes2(n, m, delta)
+	if gamma == 0 {
+		return 0
 	}
-	blk := (n + gamma - 1) / gamma
 	return aN * (1 + gamma*bN + gamma*blk)
 }
 
 // Gamma2 exposes the pass count Algorithm 2 would use for a given N, M, δ.
 func Gamma2(n, m, delta int64) int64 {
+	gamma, _ := passes2(n, m, delta)
+	return gamma
+}
+
+// passes2 is Algorithm 2's schedule: γ = max(1, ⌈N/(M−δ)⌉) passes over B
+// per a ∈ A, each flushing blk = ⌈N/γ⌉ oTuples. Both are 0 when δ leaves no
+// result buffer (M ≤ δ).
+func passes2(n, m, delta int64) (gamma, blk int64) {
 	usable := m - delta
 	if usable < 1 {
-		return 0
+		return 0, 0
 	}
-	g := (n + usable - 1) / usable
-	if g < 1 {
-		g = 1
-	}
-	return g
+	gamma = max(1, (n+usable-1)/usable)
+	return gamma, (n + gamma - 1) / gamma
 }

@@ -129,12 +129,7 @@ func filterDecoys(cops []*sim.Coprocessor, raw sim.RegionID, omega, s int64, nam
 // counts reads of D logically; the underlying per-table gets add the
 // lower-order cached-outer terms).
 func Join4Transfers(sizes []int64, s int64) int64 {
-	l := int64(1)
-	gets := int64(0)
-	for _, n := range sizes {
-		gets += l * n // sequential scan with cached outer tuples
-		l *= n
-	}
+	gets, l := scanGets(sizes)
 	total := gets + l // reads + one put per iTuple
 	if s > 0 && l > s {
 		// The final copy of the kept cells is host-side and transfers nothing.

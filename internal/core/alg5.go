@@ -150,13 +150,20 @@ func flushRanks(t *sim.Coprocessor, cart *sim.Cartesian, outSchema *relation.Sch
 // terms per scan. A fleet of P devices runs Σᵢ ⌈blkᵢ/M⌉ scans (at least
 // one) instead of ⌈S/M⌉.
 func Join5Transfers(sizes []int64, s, m int64) int64 {
-	l := int64(1)
-	getsPerScan := int64(0)
-	for _, n := range sizes {
-		getsPerScan += l * n
-		l *= n
-	}
+	getsPerScan, _ := scanGets(sizes)
 	return Join5Scans(s, m)*getsPerScan + s
+}
+
+// scanGets is the gets of one fixed-order scan of D = X₁×…×X_J,
+// Σⱼ ∏ᵢ≤ⱼ |Xᵢ|: the Cartesian view keeps each table's current row, so
+// table j is fetched once per combination of tables 1..j. l is L = |D|.
+func scanGets(sizes []int64) (gets, l int64) {
+	l = 1
+	for _, n := range sizes {
+		l *= n
+		gets += l
+	}
+	return gets, l
 }
 
 // Join5Scans exposes the scan count ⌈S/M⌉ (minimum 1).

@@ -214,6 +214,22 @@ func TestJoin2TransfersExact(t *testing.T) {
 	}
 }
 
+func TestJoin2TransfersRefusedMemory(t *testing.T) {
+	// M ≤ δ leaves no result buffer: Run refuses, so the closed form
+	// charges what a refused run does, nothing.
+	relA, relB := relation.GenWithMatchBound(relation.NewRand(2), 4, 4, 3)
+	for _, m := range []int{2, 1} {
+		in := Inputs{Pred: keyEqui(t, relA, relB), N: 3, Delta: 2}
+		if got := Algorithms[1].Transfers([]int64{4, 4}, 0, int64(m), in, CacheUse{}); got != 0 {
+			t.Errorf("M=%d, δ=2: closed form %d, want 0", m, got)
+		}
+		env := newEnv(t, m, 5, relA, relB)
+		if _, _, err := Algorithms[1].Run([]*sim.Coprocessor{env.t}, []sim.Table{env.tabA, env.tabB}, in); !errors.Is(err, errInvalid) {
+			t.Errorf("M=%d, δ=2: Run err = %v", m, err)
+		}
+	}
+}
+
 func TestJoin3TransfersExact(t *testing.T) {
 	for _, preSorted := range []bool{false, true} {
 		relA, relB := relation.GenWithMatchBound(relation.NewRand(3), 5, 12, 4)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"ppj/internal/relation"
@@ -299,6 +300,9 @@ func TestJoin6Validation(t *testing.T) {
 	}
 	if _, err := Join6(cop, tabs, pred, 1.5); !errors.Is(err, errInvalid) {
 		t.Error("epsilon > 1 accepted")
+	}
+	if _, err := Join6(cop, tabs, pred, math.NaN()); !errors.Is(err, errInvalid) {
+		t.Error("NaN epsilon accepted")
 	}
 	if _, err := Join4(cop, nil, pred); !errors.Is(err, errInvalid) {
 		t.Error("no tables accepted")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -96,6 +97,9 @@ func TestJoin6OnePassValidation(t *testing.T) {
 	}
 	if _, err := Join6OnePass(cop, tabs, pred, 0.5, -1); err == nil {
 		t.Error("negative S accepted")
+	}
+	if _, err := Join6OnePass(cop, tabs, pred, math.NaN(), 2); err == nil {
+		t.Error("NaN epsilon accepted")
 	}
 }
 

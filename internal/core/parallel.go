@@ -38,15 +38,10 @@ func ParallelJoin2(cops []*sim.Coprocessor, a, b sim.Table, pred relation.Predic
 			minMem = c.Memory()
 		}
 	}
-	usable := int64(minMem) - delta
-	if usable < 1 {
+	gamma, blk := passes2(n, int64(minMem), delta)
+	if gamma == 0 {
 		return Result{}, fmt.Errorf("%w: no memory left after δ=%d", errInvalid, delta)
 	}
-	gamma := (n + usable - 1) / usable
-	if gamma < 1 {
-		gamma = 1
-	}
-	blk := (n + gamma - 1) / gamma
 
 	host := cops[0].Host()
 	out := host.FreshRegion("alg2.out", int(gamma*blk*a.N))
