@@ -162,28 +162,39 @@ func (a *Algorithm) Devices(requested int) int {
 	return requested
 }
 
+// Admits reports whether the algorithm accepts a join over the given number
+// of tables with in: the arity and the predicate class its row names. Run
+// refuses what it does not admit, and the planner ranges over what it does.
+func (a *Algorithm) Admits(tables int, in Inputs) error {
+	eq, isEqui := in.Pred.(*relation.Equi)
+	switch {
+	case a.TwoWay && tables != 2:
+		return fmt.Errorf("%w: %s needs exactly 2 tables, got %d", errInvalid, a.Name, tables)
+	case a.TwoWay && in.Pred == nil:
+		return fmt.Errorf("%w: %s needs a two-way predicate", errInvalid, a.Name)
+	case a.Equi && !isEqui:
+		return fmt.Errorf("%w: %s needs an equality predicate, got %s", errInvalid, a.Name, in.Pred)
+	case a.Orderable && !eq.Orderable():
+		return fmt.Errorf("%w: %s needs an orderable join attribute", errInvalid, a.Name)
+	case !a.TwoWay && in.Multi == nil && (in.Pred == nil || tables != 2):
+		return fmt.Errorf("%w: %s needs a predicate over its %d tables", errInvalid, a.Name, tables)
+	}
+	return nil
+}
+
 // Run executes the algorithm on cops over tables: one schedule spread over
 // the fleet, which on one device is the sequential algorithm, and for
-// algorithms that use it the cached front half when in carries a cache. Inadmissible calls — a
-// device count the Fleet rule does not yield, the wrong arity or predicate
-// class — are refused before any transfer is charged.
+// algorithms that use it the cached front half when in carries a cache.
+// Inadmissible calls — a device count the Fleet rule does not yield, or
+// what Admits refuses — are refused before any transfer is charged.
 func (a *Algorithm) Run(cops []*sim.Coprocessor, tables []sim.Table, in Inputs) (Result, CacheUse, error) {
 	if len(cops) < 1 || a.Devices(len(cops)) != len(cops) {
 		return Result{}, CacheUse{}, fmt.Errorf("%w: %s cannot use %d devices", errInvalid, a.Name, len(cops))
 	}
-	eq, isEqui := in.Pred.(*relation.Equi)
-	switch {
-	case a.TwoWay && len(tables) != 2:
-		return Result{}, CacheUse{}, fmt.Errorf("%w: %s needs exactly 2 tables, got %d", errInvalid, a.Name, len(tables))
-	case a.TwoWay && in.Pred == nil:
-		return Result{}, CacheUse{}, fmt.Errorf("%w: %s needs a two-way predicate", errInvalid, a.Name)
-	case a.Equi && !isEqui:
-		return Result{}, CacheUse{}, fmt.Errorf("%w: %s needs an equality predicate, got %s", errInvalid, a.Name, in.Pred)
-	case a.Orderable && !eq.Orderable():
-		return Result{}, CacheUse{}, fmt.Errorf("%w: %s needs an orderable join attribute", errInvalid, a.Name)
-	case !a.TwoWay && in.Multi == nil && (in.Pred == nil || len(tables) != 2):
-		return Result{}, CacheUse{}, fmt.Errorf("%w: %s needs a predicate over its %d tables", errInvalid, a.Name, len(tables))
-	case !a.TwoWay && in.Multi == nil:
+	if err := a.Admits(len(tables), in); err != nil {
+		return Result{}, CacheUse{}, err
+	}
+	if !a.TwoWay && in.Multi == nil {
 		in.Multi = relation.Pairwise(in.Pred)
 	}
 	return a.run(cops, tables, in)

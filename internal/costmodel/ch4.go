@@ -7,6 +7,13 @@
 // 5.8). Every table and figure of the evaluation sections is a rendering of
 // these functions; the simulator's measured counters validate them at
 // reduced scale.
+//
+// These are the thesis's formulas, not the implementation's counts: they
+// are read by ppjbench's figures, tables, ablation and validate and by the
+// root package's Cost* re-exports. Nothing on the serving path prices a
+// join with them — the query planner ranks core.Algorithms by each row's
+// exact Transfers — and the only serving-path caller is Algorithm 6, which
+// takes its segment size n* (Eqn 5.6) from OptimalSegment.
 package costmodel
 
 import (

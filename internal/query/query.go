@@ -1,25 +1,25 @@
 // Package query provides a small declarative layer over the join
 // algorithms: a Query names the relations, the join predicate, an optional
-// aggregate and an optional privacy budget; the Planner operationalises the
-// paper's §4.6/§5.3.4 performance analysis to pick the cheapest algorithm
-// whose guarantees satisfy the query; and Execute runs the plan on a
-// coprocessor engine.
+// aggregate and an optional privacy budget; the Planner picks the cheapest
+// algorithm whose guarantees satisfy the query; and Execute runs the plan
+// on a coprocessor engine.
 //
-// This is the decision procedure behind Figure 4.1 and Table 5.1 turned
-// into code: equijoins unlock Algorithm 3, γ = ⌈N/M⌉ arbitrates between
-// Algorithms 1 and 2, exact-output requirements route to Chapter 5, memory
-// and ε pick among Algorithms 4, 5 and 6, and aggregates skip
-// materialisation entirely. Orderable two-way equijoins under the exact
-// contract additionally admit Algorithm 7, the sort-based O(n log n)
-// oblivious equijoin, which overtakes the scan-based plans past the
-// cost-model crossover.
+// This is the decision procedure of the paper's §4.6/§5.3.4 analysis
+// (Figure 4.1, Table 5.1) as an argmin over the core.Algorithms table: each
+// row's Admits says whether it accepts the query (arity, predicate class —
+// an equijoin unlocks Algorithm 3, an orderable two-way equijoin Algorithm
+// 7), the output mode chooses the padded Chapter 4 rows or the exact
+// Chapter 5 ones, ε > 0 admits Algorithm 6, and each admissible row is
+// priced by its exact closed-form transfer count at the planner's memory.
+// Aggregates skip materialisation entirely.
 package query
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"ppj/internal/core"
-	"ppj/internal/costmodel"
 	"ppj/internal/relation"
 	"ppj/internal/sim"
 )
@@ -63,7 +63,9 @@ type Query struct {
 type Plan struct {
 	// Algorithm is 1..7, or 0 for the aggregation pass.
 	Algorithm int
-	// PredictedCost is the closed-form transfer estimate used to decide.
+	// PredictedCost is the chosen row's closed-form transfer count at the
+	// planner's memory: exact, except for Algorithm 6 once S > M, where it
+	// is a bound.
 	PredictedCost float64
 	// N is the Chapter 4 match bound (0 for Chapter 5 plans).
 	N int64
@@ -108,7 +110,11 @@ type Planner struct {
 }
 
 // Plan picks the cheapest admissible algorithm for the query over the given
-// relations. It inspects the plaintext relations to derive N and S — the
+// relations: the row of core.Algorithms with the fewest exact transfers at
+// the planner's memory among the rows that admit the query — padded rows
+// when the mode allows padding and one of them admits it, exact rows
+// otherwise, and Algorithm 6 only under a privacy budget. Ties go to the
+// lower number. It inspects the plaintext relations to derive N and S — the
 // same preprocessing the paper allows the coprocessor (§4.3 "Setting N";
 // Algorithm 6's screening pass).
 func (pl Planner) Plan(q Query, rels []*relation.Relation) (Plan, error) {
@@ -118,107 +124,61 @@ func (pl Planner) Plan(q Query, rels []*relation.Relation) (Plan, error) {
 	if len(rels) < 2 {
 		return Plan{}, fmt.Errorf("query: need at least two relations")
 	}
+	sizes := make([]int64, len(rels))
+	for i, r := range rels {
+		sizes[i] = int64(r.Len())
+	}
 	if q.Aggregate != nil {
+		if _, err := q.multiPred(rels); err != nil {
+			return Plan{}, err
+		}
+		return Plan{
+			Algorithm:     0,
+			PredictedCost: float64(core.AggregateTransfers(sizes)),
+			Reason:        "aggregates never materialise the join: one pass, accumulator inside T",
+		}, nil
+	}
+	in := core.Inputs{Pred: q.Predicate, Multi: q.Multi, Epsilon: q.Epsilon}
+	padded := q.Mode == PaddedN && slices.ContainsFunc(core.Algorithms, func(a *core.Algorithm) bool {
+		return a.Padded && a.Admits(len(rels), in) == nil
+	})
+	var s int64
+	if padded {
+		in.N = max(1, matchBound(q.Predicate, rels[0], rels[1]))
+	} else {
 		mp, err := q.multiPred(rels)
 		if err != nil {
 			return Plan{}, err
 		}
-		_ = mp
-		l := cartSize(rels)
-		return Plan{
-			Algorithm:     0,
-			PredictedCost: float64(l) + 1,
-			Reason:        "aggregates never materialise the join: one pass, accumulator inside T",
-		}, nil
+		s = joinSize(q, rels, mp)
 	}
-	if len(rels) > 2 || q.Multi != nil && q.Predicate == nil {
-		return pl.planCh5(q, rels)
-	}
-	if q.Mode == Exact {
-		return pl.planCh5(q, rels)
-	}
-	return pl.planCh4(q, rels)
-}
-
-// planCh4 runs the §4.6 comparison of Algorithms 1, 2 and 3.
-func (pl Planner) planCh4(q Query, rels []*relation.Relation) (Plan, error) {
-	if q.Predicate == nil {
-		return Plan{}, fmt.Errorf("query: Chapter 4 plans need a 2-way predicate")
-	}
-	a, b := rels[0], rels[1]
-	n := matchBound(q.Predicate, a, b)
-	if n == 0 {
-		n = 1
-	}
-	c1 := costmodel.Alg1Cost(int64(a.Len()), int64(b.Len()), n)
-	c2 := costmodel.Alg2Cost(int64(a.Len()), int64(b.Len()), n, pl.Memory)
-	best := Plan{Algorithm: 1, PredictedCost: c1, N: n,
-		Reason: "small-memory general join (scratch rounds + oblivious sorts)"}
-	if c2 < best.PredictedCost {
-		gamma := costmodel.Gamma(n, pl.Memory)
-		best = Plan{Algorithm: 2, PredictedCost: c2, N: n,
-			Reason: fmt.Sprintf("γ = ⌈N/M⌉ = %d passes beat the sort-based costs", gamma)}
-	}
-	if _, isEqui := q.Predicate.(*relation.Equi); isEqui {
-		c3 := costmodel.Alg3Cost(int64(a.Len()), int64(b.Len()), n, false)
-		if c3 < best.PredictedCost {
-			best = Plan{Algorithm: 3, PredictedCost: c3, N: n,
-				Reason: "equality predicate unlocks the sort-based equijoin"}
+	best := Plan{N: in.N}
+	var priced []string
+	for _, a := range core.Algorithms {
+		if a.Padded != padded || a.Number == 6 && q.Epsilon <= 0 || a.Admits(len(rels), in) != nil {
+			continue
+		}
+		cost := float64(a.Transfers(sizes, s, pl.Memory, in, core.CacheUse{}))
+		priced = append(priced, fmt.Sprintf("%s %.0f", a.Name, cost))
+		if best.Algorithm == 0 || cost < best.PredictedCost {
+			best.Algorithm, best.PredictedCost = a.Number, cost
 		}
 	}
-	return best, nil
-}
-
-// planCh5 runs the §5.3.4 comparison of Algorithms 4, 5 and 6.
-func (pl Planner) planCh5(q Query, rels []*relation.Relation) (Plan, error) {
-	mp, err := q.multiPred(rels)
-	if err != nil {
-		return Plan{}, err
+	if best.Algorithm == 0 {
+		return Plan{}, fmt.Errorf("query: no algorithm admits the query over %d relations", len(rels))
 	}
-	l := cartSize(rels)
-	s := joinSize(q, rels, mp)
-
-	c4 := costmodel.Alg4Cost(l, s)
-	c5 := costmodel.Alg5Cost(l, s, pl.Memory)
-	best := Plan{Algorithm: 4, PredictedCost: c4,
-		Reason: "two-tuple memory footprint with oblivious decoy filtering"}
-	if c5 < best.PredictedCost {
-		best = Plan{Algorithm: 5, PredictedCost: c5,
-			Reason: fmt.Sprintf("⌈S/M⌉ = %d scans, no oblivious sort", core.Join5Scans(s, pl.Memory))}
-	}
-	if q.Epsilon > 0 {
-		c6 := costmodel.Alg6Cost(l, s, pl.Memory, q.Epsilon)
-		if c6.Total < best.PredictedCost {
-			best = Plan{Algorithm: 6, PredictedCost: c6.Total,
-				Reason: fmt.Sprintf("privacy budget ε = %g permits n* = %d segments of random order", q.Epsilon, c6.NStar)}
-		}
-	}
-	// Algorithm 7 is admissible for two-way equijoins over an orderable
-	// attribute: the sort-based pipeline needs a total order on keys. It
-	// meets the same exact-output contract (S revealed, nothing else).
-	if len(rels) == 2 && q.Predicate != nil {
-		if eq, ok := q.Predicate.(*relation.Equi); ok && eq.Orderable() {
-			// Algorithm 7 is built from fixed networks, so its model is the
-			// implementation's exact closed form at this device memory, not
-			// an approximation like Eqns 5.2-5.7.
-			c7 := alg7Cost(int64(rels[0].Len()), int64(rels[1].Len()), s, pl.Memory)
-			if c7 < best.PredictedCost {
-				best = Plan{Algorithm: 7, PredictedCost: c7,
-					Reason: "orderable equijoin past the crossover: sort-based O(n log n) pipeline beats the scans"}
-			}
-		}
-	}
+	best.Reason = "fewest transfers of the admissible rows: " + strings.Join(priced, ", ")
 	return best, nil
 }
 
 // CrossoverN57 returns the smallest n = |A| = |B| (doubling from 2) at
 // which Algorithm 7 becomes cheaper than Algorithm 5 with device memory m
 // on the matched-keys workload S = n (each row joins exactly once), or 0 if
-// it never does up to n = 2²⁰. Past this point planCh5 flips to the
+// it never does up to n = 2²⁰. Past this point the planner flips to the
 // sort-based join; below it the scan-based joins win on constants.
 func CrossoverN57(m int64) int64 {
 	for n := int64(2); n <= 1<<20; n <<= 1 {
-		if alg7Cost(n, n, n, m) < costmodel.Alg5Cost(n*n, n, m) {
+		if alg7Cost(n, n, n, m) < float64(core.Join5Transfers([]int64{n, n}, n, m)) {
 			return n
 		}
 	}
@@ -267,14 +227,6 @@ func joinSize(q Query, rels []*relation.Relation, mp relation.MultiPredicate) in
 	return relation.CountMultiMatches(rels, mp)
 }
 
-func cartSize(rels []*relation.Relation) int64 {
-	l := int64(1)
-	for _, r := range rels {
-		l *= int64(r.Len())
-	}
-	return l
-}
-
 // Execute plans the query and runs the chosen algorithm on a fresh engine
 // (host + coprocessor with the planner's memory), returning the decoded
 // result rows (or the aggregate via ExecuteAggregate).
@@ -286,20 +238,11 @@ func (pl Planner) Execute(q Query, rels []*relation.Relation, seed uint64) (*rel
 	if q.Aggregate != nil {
 		return nil, plan, fmt.Errorf("query: use ExecuteAggregate for aggregate queries")
 	}
-	host := sim.NewHost(0)
-	cop, err := sim.NewCoprocessor(host, sim.Config{Memory: int(pl.Memory), Seed: seed})
+	alg, err := core.AlgorithmByNumber(plan.Algorithm)
 	if err != nil {
 		return nil, Plan{}, err
 	}
-	tabs := make([]sim.Table, len(rels))
-	for i, r := range rels {
-		tabs[i], err = sim.LoadTable(host, cop.Sealer(), fmt.Sprintf("X%d", i+1), r)
-		if err != nil {
-			return nil, Plan{}, err
-		}
-	}
-
-	alg, err := core.AlgorithmByNumber(plan.Algorithm)
+	cop, tabs, err := pl.load(rels, seed)
 	if err != nil {
 		return nil, Plan{}, err
 	}
@@ -329,21 +272,30 @@ func (pl Planner) ExecuteAggregate(q Query, rels []*relation.Relation, seed uint
 	if err != nil {
 		return core.AggResult{}, Plan{}, err
 	}
-	host := sim.NewHost(0)
-	cop, err := sim.NewCoprocessor(host, sim.Config{Memory: int(pl.Memory), Seed: seed})
+	cop, tabs, err := pl.load(rels, seed)
 	if err != nil {
 		return core.AggResult{}, Plan{}, err
-	}
-	tabs := make([]sim.Table, len(rels))
-	for i, r := range rels {
-		tabs[i], err = sim.LoadTable(host, cop.Sealer(), fmt.Sprintf("X%d", i+1), r)
-		if err != nil {
-			return core.AggResult{}, Plan{}, err
-		}
 	}
 	res, err := core.Aggregate(cop, tabs, mp, *q.Aggregate)
 	if err != nil {
 		return core.AggResult{}, Plan{}, err
 	}
 	return res, plan, nil
+}
+
+// load builds a fresh engine — a host and a coprocessor with the planner's
+// memory — and seals the relations into it as tables X1, X2, ….
+func (pl Planner) load(rels []*relation.Relation, seed uint64) (*sim.Coprocessor, []sim.Table, error) {
+	host := sim.NewHost(0)
+	cop, err := sim.NewCoprocessor(host, sim.Config{Memory: int(pl.Memory), Seed: seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	tabs := make([]sim.Table, len(rels))
+	for i, r := range rels {
+		if tabs[i], err = sim.LoadTable(host, cop.Sealer(), fmt.Sprintf("X%d", i+1), r); err != nil {
+			return nil, nil, err
+		}
+	}
+	return cop, tabs, nil
 }
