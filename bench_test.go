@@ -157,8 +157,15 @@ func BenchmarkTable5_3(b *testing.B) {
 
 // --- Measured executions (simulator, reduced scale) ---
 
-// measuredCh4 runs one Chapter 4 algorithm over a fixed workload.
-func measuredCh4(b *testing.B, run func(t *sim.Coprocessor, a, bb sim.Table, eq *relation.Equi) (core.Result, error)) {
+// runRow runs row n of the algorithm table on one device.
+func runRow(n int, t *sim.Coprocessor, tabs []sim.Table, in core.Inputs) (core.Result, error) {
+	res, _, err := core.Algorithms[n-1].Run([]*sim.Coprocessor{t}, tabs, in)
+	return res, err
+}
+
+// measuredCh4 runs row n of the algorithm table, a Chapter 4 algorithm,
+// over a fixed workload.
+func measuredCh4(b *testing.B, n int) {
 	relA, relB := relation.GenWithMatchBound(relation.NewRand(7), 32, 64, 4)
 	eq, err := relation.NewEqui(relA.Schema, "key", relB.Schema, "key")
 	if err != nil {
@@ -182,7 +189,7 @@ func measuredCh4(b *testing.B, run func(t *sim.Coprocessor, a, bb sim.Table, eq 
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		res, err := run(cop, tabA, tabB, eq)
+		res, err := runRow(n, cop, []sim.Table{tabA, tabB}, core.Inputs{Pred: eq, N: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -192,29 +199,17 @@ func measuredCh4(b *testing.B, run func(t *sim.Coprocessor, a, bb sim.Table, eq 
 }
 
 // BenchmarkMeasuredAlg1 executes Algorithm 1 (|A|=32, |B|=64, N=4).
-func BenchmarkMeasuredAlg1(b *testing.B) {
-	measuredCh4(b, func(t *sim.Coprocessor, a, bb sim.Table, eq *relation.Equi) (core.Result, error) {
-		return core.Join1(t, a, bb, eq, 4)
-	})
-}
+func BenchmarkMeasuredAlg1(b *testing.B) { measuredCh4(b, 1) }
 
 // BenchmarkMeasuredAlg2 executes Algorithm 2 (same workload, M=2, γ=2).
-func BenchmarkMeasuredAlg2(b *testing.B) {
-	measuredCh4(b, func(t *sim.Coprocessor, a, bb sim.Table, eq *relation.Equi) (core.Result, error) {
-		return core.Join2(t, a, bb, eq, 4, 0)
-	})
-}
+func BenchmarkMeasuredAlg2(b *testing.B) { measuredCh4(b, 2) }
 
 // BenchmarkMeasuredAlg3 executes Algorithm 3 (same workload).
-func BenchmarkMeasuredAlg3(b *testing.B) {
-	measuredCh4(b, func(t *sim.Coprocessor, a, bb sim.Table, eq *relation.Equi) (core.Result, error) {
-		return core.Join3(t, a, bb, eq, 4, false)
-	})
-}
+func BenchmarkMeasuredAlg3(b *testing.B) { measuredCh4(b, 3) }
 
-// measuredCh5 runs one Chapter 5 algorithm over the scaled setting
-// L=6400, S=64.
-func measuredCh5(b *testing.B, mem int, run func(t *sim.Coprocessor, tabs []sim.Table, pred relation.MultiPredicate) (core.Result, error)) {
+// measuredCh5 runs row n of the algorithm table, a Chapter 5 algorithm,
+// over the scaled setting L=6400, S=64 (Algorithm 6 at eps=1e-10).
+func measuredCh5(b *testing.B, mem, n int) {
 	relA := relation.NewRelation(relation.KeyedSchema())
 	relB := relation.NewRelation(relation.KeyedSchema())
 	rng := relation.NewRand(9)
@@ -250,7 +245,7 @@ func measuredCh5(b *testing.B, mem int, run func(t *sim.Coprocessor, tabs []sim.
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		res, err := run(cop, []sim.Table{tabA, tabB}, pred)
+		res, err := runRow(n, cop, []sim.Table{tabA, tabB}, core.Inputs{Multi: pred, Epsilon: 1e-10})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,23 +255,14 @@ func measuredCh5(b *testing.B, mem int, run func(t *sim.Coprocessor, tabs []sim.
 }
 
 // BenchmarkMeasuredAlg4 executes Algorithm 4 at L=6400, S=64.
-func BenchmarkMeasuredAlg4(b *testing.B) {
-	measuredCh5(b, 2, core.Join4)
-}
+func BenchmarkMeasuredAlg4(b *testing.B) { measuredCh5(b, 2, 4) }
 
 // BenchmarkMeasuredAlg5 executes Algorithm 5 at L=6400, S=64, M=8.
-func BenchmarkMeasuredAlg5(b *testing.B) {
-	measuredCh5(b, 8, core.Join5)
-}
+func BenchmarkMeasuredAlg5(b *testing.B) { measuredCh5(b, 8, 5) }
 
 // BenchmarkMeasuredAlg6 executes Algorithm 6 at L=6400, S=64, M=8,
 // eps=1e-10.
-func BenchmarkMeasuredAlg6(b *testing.B) {
-	measuredCh5(b, 8, func(t *sim.Coprocessor, tabs []sim.Table, pred relation.MultiPredicate) (core.Result, error) {
-		rep, err := core.Join6(t, tabs, pred, 1e-10)
-		return rep.Result, err
-	})
-}
+func BenchmarkMeasuredAlg6(b *testing.B) { measuredCh5(b, 8, 6) }
 
 // BenchmarkMeasuredAlg5OCB is Algorithm 5 with the real authenticated
 // encryption, measuring the cryptographic cost per join.
@@ -378,22 +364,9 @@ func BenchmarkJoinScaling(b *testing.B) {
 		sizes = append(sizes, 1024, 4096)
 	}
 	const mem = 2048
-	algs := []struct {
-		name string
-		run  func(t *sim.Coprocessor, a, bb sim.Table, eq *relation.Equi) (core.Result, error)
-	}{
-		{"alg3", func(t *sim.Coprocessor, a, bb sim.Table, eq *relation.Equi) (core.Result, error) {
-			return core.Join3(t, a, bb, eq, 1, false)
-		}},
-		{"alg5", func(t *sim.Coprocessor, a, bb sim.Table, eq *relation.Equi) (core.Result, error) {
-			return core.Join5(t, []sim.Table{a, bb}, relation.Pairwise(eq))
-		}},
-		{"alg7", func(t *sim.Coprocessor, a, bb sim.Table, eq *relation.Equi) (core.Result, error) {
-			return core.Join7(t, a, bb, eq)
-		}},
-	}
-	for _, alg := range algs {
-		b.Run(alg.name, func(b *testing.B) {
+	for _, num := range []int{3, 5, 7} {
+		name := core.Algorithms[num-1].Name
+		b.Run(name, func(b *testing.B) {
 			for _, n := range sizes {
 				b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 					relA := relation.NewRelation(relation.KeyedSchema())
@@ -424,7 +397,7 @@ func BenchmarkJoinScaling(b *testing.B) {
 							b.Fatal(err)
 						}
 						b.StartTimer()
-						res, err := alg.run(cop, tabA, tabB, eq)
+						res, err := runRow(num, cop, []sim.Table{tabA, tabB}, core.Inputs{Pred: eq, N: 1})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -432,7 +405,7 @@ func BenchmarkJoinScaling(b *testing.B) {
 							b.Fatalf("output length %d, want S=%d", res.OutputLen, n)
 						}
 						transfers = res.Stats.Transfers()
-						if alg.name == "alg7" {
+						if num == 7 {
 							if want := core.Join7Transfers(int64(n), int64(n), int64(n)); int64(transfers) != want {
 								b.Fatalf("transfers = %d, want closed form %d", transfers, want)
 							}

@@ -30,7 +30,7 @@ func TestAccessPatternInvarianceAlg3(t *testing.T) {
 		h := sim.NewHost(0)
 		cop := newCop(t, h, 64, copSeed)
 		tabs := loadTables(t, h, cop.Sealer(), relA, relB)
-		res, err := Join3(cop, tabs[0], tabs[1], keyEqui(t, relA, relB), n, false)
+		res, err := ParallelJoin3([]*sim.Coprocessor{cop}, tabs[0], tabs[1], keyEqui(t, relA, relB), n, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,21 +8,17 @@ import (
 	"ppj/internal/sim"
 )
 
-// Join4 runs Algorithm 4 (§5.3.1), the J-way general join for secure
+// join4 runs Algorithm 4 (§5.3.1), the J-way general join for secure
 // coprocessors with small memory. T reads the L iTuples of
 // D = X₁ × … × X_J in a fixed sequential order and writes exactly one
 // oTuple per iTuple — the join result when satisfy() holds, a decoy
 // otherwise. The L oTuples are then obliviously filtered (§5.2.2) so the
 // output holds exactly the S real results, S being public under
 // Definition 3. The communication pattern is a function of (L, S) alone.
-//
 // It needs only two tuples of device memory and does not benefit from more.
-func Join4(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate) (Result, error) {
-	return join4([]*sim.Coprocessor{t}, tables, pred)
-}
-
-// join4 is Algorithm 4 over a power-of-two device group (§5.3.5). The scan
-// is partitioned on outer-table rows: device w emits the oTuples of X₁ rows
+//
+// Over a power-of-two device group (§5.3.5) the scan is partitioned on
+// outer-table rows: device w emits the oTuples of X₁ rows
 // [w·|X₁|/P, (w+1)·|X₁|/P) into their slots of the raw output, so each
 // device's first Cartesian read falls where the sequential scan also reads
 // every table. The decoy filter then runs over the whole group, each round's

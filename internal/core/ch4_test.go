@@ -20,10 +20,10 @@ var ch4Algorithms = map[string]runCh4{
 		return Join1Variant(env.t, env.tabA, env.tabB, pred, n)
 	},
 	"alg2": func(env *testEnv, pred *relation.Equi, n int64) (Result, error) {
-		return Join2(env.t, env.tabA, env.tabB, pred, n, 0)
+		return ParallelJoin2([]*sim.Coprocessor{env.t}, env.tabA, env.tabB, pred, n, 0)
 	},
 	"alg3": func(env *testEnv, pred *relation.Equi, n int64) (Result, error) {
-		return Join3(env.t, env.tabA, env.tabB, pred, n, false)
+		return ParallelJoin3([]*sim.Coprocessor{env.t}, env.tabA, env.tabB, pred, n, false)
 	},
 }
 
@@ -70,7 +70,7 @@ func TestCh4CorrectnessArbitraryPredicate(t *testing.T) {
 			if name == "alg1" {
 				res, err = Join1(env.t, env.tabA, env.tabB, band, n)
 			} else {
-				res, err = Join2(env.t, env.tabA, env.tabB, band, n, 0)
+				res, err = ParallelJoin2([]*sim.Coprocessor{env.t}, env.tabA, env.tabB, band, n, 0)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -200,16 +200,16 @@ func TestJoin2TransfersExact(t *testing.T) {
 	} {
 		relA, relB := relation.GenWithMatchBound(relation.NewRand(2), int(sh.nA), int(sh.nB), int(sh.n))
 		env := newEnv(t, int(sh.m), 5, relA, relB)
-		res, err := Join2(env.t, env.tabA, env.tabB, keyEqui(t, relA, relB), sh.n, 0)
+		res, err := ParallelJoin2([]*sim.Coprocessor{env.t}, env.tabA, env.tabB, keyEqui(t, relA, relB), sh.n, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := int64(res.Stats.Transfers()), Join2Transfers(sh.nA, sh.nB, sh.n, sh.m, 0); got != want {
 			t.Errorf("%+v: transfers %d, want %d", sh, got, want)
 		}
-		// The γ exposed must match the cost model's.
-		if Gamma2(sh.n, sh.m, 0) != (sh.n+sh.m-1)/sh.m {
-			t.Errorf("Gamma2 mismatch for %+v", sh)
+		// The pass count must match the cost model's γ.
+		if gamma, _ := passes2(sh.n, sh.m, 0); gamma != (sh.n+sh.m-1)/sh.m {
+			t.Errorf("γ mismatch for %+v", sh)
 		}
 	}
 }
@@ -245,7 +245,7 @@ func TestJoin3TransfersExact(t *testing.T) {
 		}
 		env := newEnv(t, 64, 5, relA, relB)
 		pred := keyEqui(t, relA, relB)
-		res, err := Join3(env.t, env.tabA, env.tabB, pred, 4, preSorted)
+		res, err := ParallelJoin3([]*sim.Coprocessor{env.t}, env.tabA, env.tabB, pred, 4, preSorted)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,11 +260,11 @@ func TestJoin2MemoryEnforced(t *testing.T) {
 	// With M=4 and N=16, Algorithm 2 runs γ=4 passes holding blk=4 results;
 	// it must succeed within the granted memory, and the device must reject
 	// an attempt to grab more during the run (indirectly verified by the
-	// grant in Join2 itself succeeding exactly).
+	// grant in ParallelJoin2 itself succeeding exactly).
 	relA, relB := relation.GenWithMatchBound(relation.NewRand(4), 3, 16, 16)
 	env := newEnv(t, 4, 5, relA, relB)
 	pred := keyEqui(t, relA, relB)
-	res, err := Join2(env.t, env.tabA, env.tabB, pred, 16, 0)
+	res, err := ParallelJoin2([]*sim.Coprocessor{env.t}, env.tabA, env.tabB, pred, 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestCh4Validation(t *testing.T) {
 	if _, err := Join1(env.t, env.tabA, env.tabB, pred, 7); !errors.Is(err, errInvalid) {
 		t.Error("N>|B| accepted")
 	}
-	if _, err := Join2(env.t, env.tabA, env.tabB, pred, 2, 16); !errors.Is(err, errInvalid) {
+	if _, err := ParallelJoin2([]*sim.Coprocessor{env.t}, env.tabA, env.tabB, pred, 2, 16); !errors.Is(err, errInvalid) {
 		t.Error("delta consuming all memory accepted")
 	}
 	empty := sim.Table{Region: env.tabA.Region, N: 0, Schema: relA.Schema}

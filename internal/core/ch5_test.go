@@ -52,7 +52,9 @@ func checkMultiJoin(t *testing.T, cop *sim.Coprocessor, res Result, rels []*rela
 type runCh5 func(cop *sim.Coprocessor, tabs []sim.Table, pred relation.MultiPredicate) (Result, error)
 
 var ch5Algorithms = map[string]runCh5{
-	"alg4": Join4,
+	"alg4": func(cop *sim.Coprocessor, tabs []sim.Table, pred relation.MultiPredicate) (Result, error) {
+		return join4([]*sim.Coprocessor{cop}, tabs, pred)
+	},
 	"alg5": Join5,
 	"alg6": func(cop *sim.Coprocessor, tabs []sim.Table, pred relation.MultiPredicate) (Result, error) {
 		rep, err := Join6(cop, tabs, pred, 1e-9)
@@ -190,7 +192,7 @@ func TestJoin4TransfersExact(t *testing.T) {
 		cop := newCop(t, h, 2, 3)
 		tabs := loadTables(t, h, cop.Sealer(), relA, relB)
 		pred := relation.Pairwise(keyEqui(t, relA, relB))
-		res, err := Join4(cop, tabs, pred)
+		res, err := join4([]*sim.Coprocessor{cop}, tabs, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +306,7 @@ func TestJoin6Validation(t *testing.T) {
 	if _, err := Join6(cop, tabs, pred, math.NaN()); !errors.Is(err, errInvalid) {
 		t.Error("NaN epsilon accepted")
 	}
-	if _, err := Join4(cop, nil, pred); !errors.Is(err, errInvalid) {
+	if _, err := join4([]*sim.Coprocessor{cop}, nil, pred); !errors.Is(err, errInvalid) {
 		t.Error("no tables accepted")
 	}
 }

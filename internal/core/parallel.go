@@ -8,17 +8,29 @@ import (
 	"ppj/internal/sim"
 )
 
-// This file implements the parallel variants of §4.4.4 ("both the above
-// algorithms are easy to parallelize with a linear speed-up in the number
-// of processors"). Chapter 5's device-group forms (§5.3.5) live beside
-// their sequential entry points in alg4.go and alg5.go. All coprocessors
-// must share one sealer and be attached to the same host.
+// This file implements Algorithms 2 and 3 over P coprocessors, the
+// parallel variants of §4.4.4 ("both the above algorithms are easy to
+// parallelize with a linear speed-up in the number of processors"); on one
+// device each is the sequential algorithm (TestSequentialIsParallelAtP1
+// pins the trace). Chapter 5's device-group forms (§5.3.5) live in alg4.go
+// and alg5.go. All coprocessors must share one sealer and be attached to
+// the same host.
 
-// ParallelJoin2 runs Algorithm 2 with P coprocessors, partitioning the
-// outer relation A: device p handles A rows [p·|A|/P, (p+1)·|A|/P) and
-// writes its fixed-size flushes into a disjoint range of the shared output.
-// Every device's access pattern depends only on its partition bounds and
-// (|B|, N, M), so the per-device privacy guarantee is unchanged.
+// ParallelJoin2 runs Algorithm 2 (§4.4.3), the general join for secure
+// coprocessors with larger memories. For every a ∈ A it scans B a total of
+// γ = max(1, ⌈N/(M−δ)⌉) times; pass i collects the i-th group of ⌈N/γ⌉
+// matching tuples in T's memory and flushes exactly that many oTuples
+// (padded with decoys) at the end of the pass. Unlike a blocked nested loop,
+// the partitioning is over the matched tuples, not the input (§4.4.3).
+//
+// delta is the §4.4.3 bookkeeping allowance δ (memory reserved for counters
+// and the current input tuples); the usable result buffer is M−delta tuples.
+//
+// With P coprocessors the outer relation A is partitioned: device p handles
+// A rows [p·|A|/P, (p+1)·|A|/P) and writes its fixed-size flushes into a
+// disjoint range of the shared output. Every device's access pattern depends
+// only on its partition bounds and (|B|, N, M), so the per-device privacy
+// guarantee is unchanged.
 func ParallelJoin2(cops []*sim.Coprocessor, a, b sim.Table, pred relation.Predicate, n int64, delta int64) (Result, error) {
 	if len(cops) == 0 {
 		return Result{}, fmt.Errorf("%w: no coprocessors", errInvalid)
@@ -116,13 +128,24 @@ func join2Range(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate,
 	return nil
 }
 
-// ParallelJoin3 runs Algorithm 3 with P coprocessors: the oblivious sort of
-// B runs over the largest power-of-two prefix of the fleet, then the outer
-// relation A is partitioned — device p handles A rows
-// [p·|A|/P, (p+1)·|A|/P) against its own private scratch ring,
-// writing output rows at the global offsets its partition owns. Every
-// device's access pattern depends only on its partition bounds and
-// (|B|, N), so the per-device privacy guarantee is unchanged.
+// ParallelJoin3 runs Algorithm 3 (§4.5.2), the safe sort-based equijoin. B
+// is first obliviously sorted on the join attribute, after which all B
+// tuples joining a given a ∈ A occupy at most N consecutive positions. For
+// each a, a scratch array of N decoys is written; then for the i-th B tuple,
+// T reads scratch[i mod N] and writes back either the join result (on
+// match) or a re-encryption of the value just read. Real results are never
+// overwritten because they sit in at most N consecutive slots of the
+// circular buffer.
+//
+// preSorted records that the data provider supplied B already sorted on the
+// join attribute, skipping the oblivious sort (§4.5.2 cost discussion).
+//
+// With P coprocessors the sort runs over the largest power-of-two prefix of
+// the fleet, then A is partitioned — device p handles A rows
+// [p·|A|/P, (p+1)·|A|/P) against its own private scratch ring, writing
+// output rows at the global offsets its partition owns. Every device's
+// access pattern depends only on its partition bounds and (|B|, N), so the
+// per-device privacy guarantee is unchanged.
 func ParallelJoin3(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi, n int64, preSorted bool) (Result, error) {
 	if len(cops) == 0 {
 		return Result{}, fmt.Errorf("%w: no coprocessors", errInvalid)

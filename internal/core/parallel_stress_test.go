@@ -117,28 +117,10 @@ func TestConcurrentFleetsOneHost(t *testing.T) {
 		}
 	}
 
-	// The parallel join must decode to the same rows as the sequential run.
+	// The parallel join must decode to the reference join's rows.
 	got, err := DecodeOutput(joinCops[0], joinRes)
 	if err != nil {
 		t.Fatal(err)
-	}
-	seqHost := sim.NewHost(0)
-	seqCop, err := sim.NewCoprocessor(seqHost, sim.Config{Memory: mem, Sealer: sim.PlainSealer{}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqA, _ := sim.LoadTable(seqHost, seqCop.Sealer(), "A", relA)
-	seqB, _ := sim.LoadTable(seqHost, seqCop.Sealer(), "B", relB)
-	seqRes, err := Join2(seqCop, seqA, seqB, pred, matchBound, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := DecodeOutput(seqCop, seqRes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relation.SameMultiset(got, want) {
-		t.Fatalf("parallel join rows differ from sequential: %d vs %d", got.Len(), want.Len())
 	}
 	if ref := relation.ReferenceJoin(relA, relB, pred); !relation.SameMultiset(got, ref) {
 		t.Fatalf("parallel join rows differ from reference: %d vs %d", got.Len(), ref.Len())

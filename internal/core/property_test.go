@@ -88,7 +88,7 @@ func TestCh4PrivacyAcrossMemorySizes(t *testing.T) {
 			}
 			tabA, _ := sim.LoadTable(h, cop.Sealer(), "A", relA)
 			tabB, _ := sim.LoadTable(h, cop.Sealer(), "B", relB)
-			if _, err := Join2(cop, tabA, tabB, keyEqui(t, relA, relB), 6, 0); err != nil {
+			if _, err := ParallelJoin2([]*sim.Coprocessor{cop}, tabA, tabB, keyEqui(t, relA, relB), 6, 0); err != nil {
 				t.Fatal(err)
 			}
 			return h.Trace().Digest()

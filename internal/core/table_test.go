@@ -8,20 +8,20 @@ import (
 	"ppj/internal/sim"
 )
 
-// direct is each algorithm's sequential entry point, called by name: the
+// direct is each algorithm's entry point, called by name on one device: the
 // one place a test spells out what the table's rows must dispatch to.
 var direct = map[string]func(t *sim.Coprocessor, tabs []sim.Table, in Inputs) (Result, error){
 	"alg1": func(t *sim.Coprocessor, tabs []sim.Table, in Inputs) (Result, error) {
 		return Join1(t, tabs[0], tabs[1], in.Pred, in.N)
 	},
 	"alg2": func(t *sim.Coprocessor, tabs []sim.Table, in Inputs) (Result, error) {
-		return Join2(t, tabs[0], tabs[1], in.Pred, in.N, in.Delta)
+		return ParallelJoin2([]*sim.Coprocessor{t}, tabs[0], tabs[1], in.Pred, in.N, in.Delta)
 	},
 	"alg3": func(t *sim.Coprocessor, tabs []sim.Table, in Inputs) (Result, error) {
-		return Join3(t, tabs[0], tabs[1], in.Pred.(*relation.Equi), in.N, in.PreSorted)
+		return ParallelJoin3([]*sim.Coprocessor{t}, tabs[0], tabs[1], in.Pred.(*relation.Equi), in.N, in.PreSorted)
 	},
 	"alg4": func(t *sim.Coprocessor, tabs []sim.Table, in Inputs) (Result, error) {
-		return Join4(t, tabs, relation.Pairwise(in.Pred))
+		return join4([]*sim.Coprocessor{t}, tabs, relation.Pairwise(in.Pred))
 	},
 	"alg5": func(t *sim.Coprocessor, tabs []sim.Table, in Inputs) (Result, error) {
 		return Join5(t, tabs, relation.Pairwise(in.Pred))
@@ -176,13 +176,14 @@ func TestConsecutiveRunsReportEqualStats(t *testing.T) {
 	}
 }
 
-// TestSequentialIsParallelAtP1 pins what let Join2, Join3, Join4, Join5 and
-// Join7 fold into their device-group forms: on one device the group schedule
-// is the sequential one. Each direct entry point runs its row's lockfile sizes
-// on one device and must charge the Stats and leave the trace digest of the
-// table's P=1 line, which TestScheduleLockfile pins. A change that moves a
-// P=1 schedule off the sequential algorithm's fails here. One subtest per
-// row, so CI can repeat the cheap rows more often than Algorithm 4's.
+// TestSequentialIsParallelAtP1 pins that on one device each device-group
+// form is the sequential algorithm. Each direct entry point (ParallelJoin2,
+// ParallelJoin3 and join4 given one device; Join5 and Join7) runs its row's
+// lockfile sizes on one device and must charge the Stats and leave the trace
+// digest of the table's P=1 line, which TestScheduleLockfile pins. A change
+// that moves a P=1 schedule off the sequential algorithm's fails here. One
+// subtest per row, so CI can repeat the cheap rows more often than
+// Algorithm 4's.
 func TestSequentialIsParallelAtP1(t *testing.T) {
 	want, err := readLockfile(scheduleLockfile)
 	if err != nil {

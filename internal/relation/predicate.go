@@ -321,49 +321,3 @@ func JaccardCoefficient(x, y []uint32) float64 {
 	union := len(xs) + len(ys) - inter
 	return float64(inter) / float64(union)
 }
-
-// L1Norm is the predicate ||a − b||₁ < Threshold over all shared numeric
-// attributes, the fuzzy-profile match used in §4.6.5's gate-count argument.
-type L1Norm struct {
-	Threshold float64
-	idxA      []int
-	idxB      []int
-	types     []AttrType
-}
-
-// NewL1Norm pairs up the numeric attributes of the two schemas positionally.
-func NewL1Norm(sa, sb *Schema, threshold float64) (*L1Norm, error) {
-	p := &L1Norm{Threshold: threshold}
-	na, nb := sa.NumAttrs(), sb.NumAttrs()
-	n := na
-	if nb < n {
-		n = nb
-	}
-	for i := 0; i < n; i++ {
-		ta, tb := sa.Attr(i).Type, sb.Attr(i).Type
-		if ta == tb && (ta == Int64 || ta == Float64) {
-			p.idxA = append(p.idxA, i)
-			p.idxB = append(p.idxB, i)
-			p.types = append(p.types, ta)
-		}
-	}
-	if len(p.idxA) == 0 {
-		return nil, fmt.Errorf("relation: no positionally matching numeric attributes for L1 norm")
-	}
-	return p, nil
-}
-
-func (p *L1Norm) Match(a, b Tuple) bool {
-	var sum float64
-	for k := range p.idxA {
-		va, vb := a[p.idxA[k]], b[p.idxB[k]]
-		if p.types[k] == Int64 {
-			sum += math.Abs(float64(va.I) - float64(vb.I))
-		} else {
-			sum += math.Abs(va.F - vb.F)
-		}
-	}
-	return sum < p.Threshold
-}
-
-func (p *L1Norm) String() string { return fmt.Sprintf("L1(a,b) < %g", p.Threshold) }

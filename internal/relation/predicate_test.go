@@ -144,27 +144,6 @@ func TestJaccardPredicate(t *testing.T) {
 	}
 }
 
-func TestL1NormPredicate(t *testing.T) {
-	s := MustSchema(Attr{Name: "x", Type: Int64}, Attr{Name: "y", Type: Float64})
-	p, err := NewL1Norm(s, s, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := Tuple{IntValue(1), FloatValue(1)}
-	b := Tuple{IntValue(2), FloatValue(2.5)} // L1 = 1 + 1.5 = 2.5 < 3
-	c := Tuple{IntValue(4), FloatValue(1)}   // L1 = 3, not < 3
-	if !p.Match(a, b) {
-		t.Error("close profiles do not match")
-	}
-	if p.Match(a, c) {
-		t.Error("boundary profile matches")
-	}
-	strOnly := MustSchema(Attr{Name: "s", Type: String, Width: 4})
-	if _, err := NewL1Norm(strOnly, strOnly, 1); err == nil {
-		t.Error("no-numeric schema accepted")
-	}
-}
-
 func TestPairwise(t *testing.T) {
 	s := KeyedSchema()
 	eq, _ := NewEqui(s, "key", s, "key")

@@ -69,9 +69,6 @@ func NewCartesian(t *Coprocessor, tables []Table) (*Cartesian, error) {
 // Size returns L = |D|.
 func (c *Cartesian) Size() int64 { return c.size }
 
-// Tables returns the participating tables.
-func (c *Cartesian) Tables() []Table { return c.tables }
-
 // Coords decomposes a logical index into per-table row indices.
 func (c *Cartesian) Coords(logical int64) []int64 {
 	out := make([]int64, len(c.tables))

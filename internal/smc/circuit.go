@@ -163,42 +163,3 @@ func EqualityCircuit(w int) (*Circuit, error) {
 	}
 	return c, nil
 }
-
-// LessThanCircuit builds the w-bit unsigned comparator a < b (the
-// millionaire problem of Yao's 1982 paper, §2.1): scanning from the most
-// significant bit, lt = lt ∨ (eq ∧ ¬a_i ∧ b_i), eq = eq ∧ (a_i ≡ b_i).
-func LessThanCircuit(w int) (*Circuit, error) {
-	if w <= 0 {
-		return nil, errors.New("smc: width must be positive")
-	}
-	c := &Circuit{GarblerBits: w, EvaluatorBits: w}
-	next := 2 * w
-	add := func(op GateOp, in0, in1 int) int {
-		c.Gates = append(c.Gates, Gate{Op: op, In0: in0, In1: in1, Out: next})
-		next++
-		return next - 1
-	}
-	// Bits are little-endian; scan from MSB (index w-1) down.
-	lt := -1
-	eq := -1
-	for i := w - 1; i >= 0; i-- {
-		ai, bi := i, w+i
-		xnor := add(XNOR, ai, bi)
-		// notA&b = (a XOR b) AND b
-		axb := add(XOR, ai, bi)
-		nab := add(AND, axb, bi)
-		if lt < 0 {
-			lt = nab
-			eq = xnor
-			continue
-		}
-		step := add(AND, eq, nab)
-		lt = add(OR, lt, step)
-		eq = add(AND, eq, xnor)
-	}
-	c.Outputs = []int{lt}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}

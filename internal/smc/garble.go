@@ -3,9 +3,7 @@ package smc
 import (
 	"crypto/rand"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/binary"
-	"errors"
 	"fmt"
 )
 
@@ -149,13 +147,3 @@ func gateKDF(la, lb Label, gate int) [labelSize]byte {
 	copy(out[:], h.Sum(nil))
 	return out
 }
-
-// constantTimeLabelEqual is used by tests to compare labels without
-// branching on secret data.
-func constantTimeLabelEqual(a, b Label) bool {
-	return subtle.ConstantTimeCompare(a[:], b[:]) == 1
-}
-
-// ErrBadLabel is returned when an evaluation produces an undecodable
-// output (not used by the honest protocol; exported for robustness tests).
-var ErrBadLabel = errors.New("smc: output label does not decode")

@@ -116,54 +116,6 @@ func (p PrivateEqualityJoin) runPair(circ *Circuit, batch *OTBatch, aliceKey, bo
 	return out[0], st, nil
 }
 
-// Millionaire solves Yao's millionaire problem (§2.1): Alice and Bob learn
-// who is richer — whether alice < bob — and nothing else. It garbles one
-// LessThanCircuit and delivers Bob's labels by OT.
-func Millionaire(alice, bob uint64, width int) (aliceIsPoorer bool, stats JoinStats, err error) {
-	circ, err := LessThanCircuit(width)
-	if err != nil {
-		return false, JoinStats{}, err
-	}
-	g, err := Garble(circ)
-	if err != nil {
-		return false, JoinStats{}, err
-	}
-	stats.GarbledBytes = g.GC.Size()
-	inputs := make([]Label, circ.NumInputs())
-	for i := 0; i < width; i++ {
-		bit := alice>>i&1 == 1
-		l, err := g.InputLabel(i, bit)
-		if err != nil {
-			return false, stats, err
-		}
-		inputs[i] = l
-		stats.InputLabelSize += labelSize
-	}
-	batch, err := NewOTBatch()
-	if err != nil {
-		return false, JoinStats{}, err
-	}
-	for i := 0; i < width; i++ {
-		wire := width + i
-		l0, _ := g.InputLabel(wire, false)
-		l1, _ := g.InputLabel(wire, true)
-		got, bytes, err := batch.Transfer(l0, l1, int(bob>>i&1))
-		if err != nil {
-			return false, stats, err
-		}
-		stats.OTs++
-		stats.OTBytes += bytes
-		inputs[wire] = got
-	}
-	out, err := Evaluate(g.GC, inputs)
-	if err != nil {
-		return false, stats, err
-	}
-	stats.Pairs = 1
-	stats.TotalBytes = int64(stats.GarbledBytes + stats.OTBytes + stats.InputLabelSize)
-	return out[0], stats, nil
-}
-
 // PrivateBandJoin is PrivateEqualityJoin's analogue for the paper's band
 // predicate |a − b| ≤ band: one garbled BandCircuit per pair, labels via
 // amortised OT. It demonstrates that the SMC baseline, like the coprocessor

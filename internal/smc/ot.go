@@ -46,23 +46,6 @@ type OTResponse struct {
 // a deployment would use ≥3072.
 const otKeyBits = 1024
 
-// NewOTSender generates the transfer keys and random offers.
-func NewOTSender() (*OTSender, error) {
-	key, err := rsa.GenerateKey(rand.Reader, otKeyBits)
-	if err != nil {
-		return nil, fmt.Errorf("smc: OT keygen: %w", err)
-	}
-	x0, err := rand.Int(rand.Reader, key.N)
-	if err != nil {
-		return nil, err
-	}
-	x1, err := rand.Int(rand.Reader, key.N)
-	if err != nil {
-		return nil, err
-	}
-	return &OTSender{key: key, x0: x0, x1: x1}, nil
-}
-
 // Offer returns the sender's first message.
 func (s *OTSender) Offer() OTOffer {
 	return OTOffer{N: s.key.N, E: s.key.E, X0: s.x0, X1: s.x1}
@@ -121,38 +104,6 @@ func (r *OTReceiver) Recover(resp OTResponse) *big.Int {
 	return new(big.Int).Mod(new(big.Int).Sub(m, r.k), r.offer.N)
 }
 
-// TransferLabel runs a complete in-process OT delivering one of two wire
-// labels, returning the chosen label and the bytes exchanged (for the cost
-// accounting).
-func TransferLabel(l0, l1 Label, choice int) (Label, int, error) {
-	s, err := NewOTSender()
-	if err != nil {
-		return Label{}, 0, err
-	}
-	offer := s.Offer()
-	r, err := NewOTReceiver(offer, choice)
-	if err != nil {
-		return Label{}, 0, err
-	}
-	v := r.Query()
-	m0 := new(big.Int).SetBytes(l0[:])
-	m1 := new(big.Int).SetBytes(l1[:])
-	resp, err := s.Respond(v, m0, m1)
-	if err != nil {
-		return Label{}, 0, err
-	}
-	got := r.Recover(resp)
-	var out Label
-	gb := got.Bytes()
-	if len(gb) > labelSize {
-		return Label{}, 0, fmt.Errorf("smc: recovered label too long")
-	}
-	copy(out[labelSize-len(gb):], gb)
-	bytes := bigLen(offer.N) + bigLen(offer.X0) + bigLen(offer.X1) +
-		bigLen(v) + bigLen(resp.M0) + bigLen(resp.M1)
-	return out, bytes, nil
-}
-
 func bigLen(x *big.Int) int { return (x.BitLen() + 7) / 8 }
 
 // OTBatch amortises the RSA key generation over many transfers, the way
@@ -174,15 +125,10 @@ func NewOTBatch() (*OTBatch, error) {
 // Transfer runs one complete 1-out-of-2 OT under the shared key, returning
 // the chosen label and the bytes exchanged.
 func (b *OTBatch) Transfer(l0, l1 Label, choice int) (Label, int, error) {
-	x0, err := rand.Int(rand.Reader, b.key.N)
+	s, err := b.sender()
 	if err != nil {
 		return Label{}, 0, err
 	}
-	x1, err := rand.Int(rand.Reader, b.key.N)
-	if err != nil {
-		return Label{}, 0, err
-	}
-	s := &OTSender{key: b.key, x0: x0, x1: x1}
 	offer := s.Offer()
 	r, err := NewOTReceiver(offer, choice)
 	if err != nil {
@@ -204,4 +150,18 @@ func (b *OTBatch) Transfer(l0, l1 Label, choice int) (Label, int, error) {
 	// per-transfer traffic only.
 	bytes := bigLen(offer.X0) + bigLen(offer.X1) + bigLen(v) + bigLen(resp.M0) + bigLen(resp.M1)
 	return out, bytes, nil
+}
+
+// sender starts one transfer under the shared key: fresh random offers
+// (x₀, x₁), so individual choices remain unlinkable.
+func (b *OTBatch) sender() (*OTSender, error) {
+	x0, err := rand.Int(rand.Reader, b.key.N)
+	if err != nil {
+		return nil, err
+	}
+	x1, err := rand.Int(rand.Reader, b.key.N)
+	if err != nil {
+		return nil, err
+	}
+	return &OTSender{key: b.key, x0: x0, x1: x1}, nil
 }

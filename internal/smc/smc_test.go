@@ -1,6 +1,7 @@
 package smc
 
 import (
+	"crypto/subtle"
 	"math/big"
 	"reflect"
 	"testing"
@@ -18,23 +19,6 @@ func TestEqualityCircuitEval(t *testing.T) {
 			return false
 		}
 		return out[0] == (a == b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLessThanCircuitEval(t *testing.T) {
-	c, err := LessThanCircuit(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(a, b uint8) bool {
-		out, err := c.Eval(bits(uint64(a), 8), bits(uint64(b), 8))
-		if err != nil {
-			return false
-		}
-		return out[0] == (a < b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -64,8 +48,10 @@ func TestCircuitValidation(t *testing.T) {
 }
 
 func TestGarbledEvalMatchesPlain(t *testing.T) {
+	// BandCircuit adds OR and XOR gates to the equality circuit's XNOR/AND.
+	band := func(w int) (*Circuit, error) { return BandCircuit(w, 1) }
 	for _, w := range []int{1, 4, 8} {
-		for _, build := range []func(int) (*Circuit, error){EqualityCircuit, LessThanCircuit} {
+		for _, build := range []func(int) (*Circuit, error){EqualityCircuit, band} {
 			c, err := build(w)
 			if err != nil {
 				t.Fatal(err)
@@ -116,10 +102,7 @@ func TestInputLabelValidation(t *testing.T) {
 }
 
 func TestOTRoundTrip(t *testing.T) {
-	s, err := NewOTSender()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSender(t)
 	offer := s.Offer()
 	m0, m1 := big.NewInt(111111), big.NewInt(222222)
 	for _, b := range []int{0, 1} {
@@ -145,10 +128,7 @@ func TestOTRoundTrip(t *testing.T) {
 func TestOTHidesOtherMessage(t *testing.T) {
 	// The receiver's recovery of the non-chosen message must be garbage
 	// (not equal to it) except with negligible probability.
-	s, err := NewOTSender()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSender(t)
 	r, err := NewOTReceiver(s.Offer(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -166,39 +146,13 @@ func TestOTHidesOtherMessage(t *testing.T) {
 }
 
 func TestOTValidation(t *testing.T) {
-	s, err := NewOTSender()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSender(t)
 	if _, err := NewOTReceiver(s.Offer(), 2); err == nil {
 		t.Error("bad choice bit accepted")
 	}
 	big0 := new(big.Int).Add(s.Offer().N, big.NewInt(1))
 	if _, err := s.Respond(big.NewInt(1), big0, big.NewInt(1)); err == nil {
 		t.Error("oversized message accepted")
-	}
-}
-
-func TestTransferLabel(t *testing.T) {
-	var l0, l1 Label
-	for i := range l0 {
-		l0[i], l1[i] = byte(i), byte(255-i)
-	}
-	for _, choice := range []int{0, 1} {
-		got, bytes, err := TransferLabel(l0, l1, choice)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := l0
-		if choice == 1 {
-			want = l1
-		}
-		if !constantTimeLabelEqual(got, want) {
-			t.Fatalf("choice %d: wrong label", choice)
-		}
-		if bytes <= 0 {
-			t.Fatal("no bytes accounted")
-		}
 	}
 }
 
@@ -235,25 +189,23 @@ func TestPrivateEqualityJoinValidation(t *testing.T) {
 	}
 }
 
-func TestMillionaire(t *testing.T) {
-	cases := []struct {
-		alice, bob uint64
-		want       bool
-	}{
-		{5, 9, true}, {9, 5, false}, {7, 7, false}, {0, 1, true},
+// newSender starts one transfer under a fresh batch key.
+func newSender(t *testing.T) *OTSender {
+	t.Helper()
+	b, err := NewOTBatch()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		got, stats, err := Millionaire(tc.alice, tc.bob, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tc.want {
-			t.Fatalf("Millionaire(%d,%d) = %v, want %v", tc.alice, tc.bob, got, tc.want)
-		}
-		if stats.OTs != 8 {
-			t.Fatalf("stats = %+v", stats)
-		}
+	s, err := b.sender()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s
+}
+
+// constantTimeLabelEqual compares labels without branching on secret data.
+func constantTimeLabelEqual(a, b Label) bool {
+	return subtle.ConstantTimeCompare(a[:], b[:]) == 1
 }
 
 // bits converts v to a little-endian bit slice of width w.
