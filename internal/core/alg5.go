@@ -90,7 +90,8 @@ func ParallelJoin5(cops []*sim.Coprocessor, tables []sim.Table, pred relation.Mu
 func rankScan(t *sim.Coprocessor, cart *sim.Cartesian, outSchema *relation.Schema,
 	pred relation.MultiPredicate, from int64) (stored [][]byte, s int64, err error) {
 	m := t.Memory()
-	stored = make([][]byte, 0, m)
+	// At most L results exist: an unbounded device's M is 2⁴⁰.
+	stored = make([][]byte, 0, min(int64(m), cart.Size()))
 	for i, l := int64(0), cart.Size(); i < l; i++ {
 		row, err := cart.Read(i)
 		if err != nil {

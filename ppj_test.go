@@ -24,32 +24,35 @@ func TestEngineAllAlgorithms(t *testing.T) {
 	if n == 0 {
 		n = 1
 	}
-	for _, alg := range []Algorithm{Alg1, Alg2, Alg3, Alg4, Alg5, Alg6} {
+	for _, alg := range []Algorithm{Alg1, Alg2, Alg3, Alg4, Alg5, Alg6, Alg7} {
 		t.Run(alg.String(), func(t *testing.T) {
-			eng, err := NewEngine(EngineConfig{Memory: 8, Seed: 3, Plain: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ta, err := eng.Load("A", relA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb, err := eng.Load("B", relB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := eng.Join(alg, []TableRef{ta, tb}, Pairwise(pred), JoinOptions{
-				N: n, Pred2: pred, Epsilon: 1e-9,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.Decode(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !relation.SameMultiset(got, want) {
-				t.Fatalf("%s: join mismatch (%d vs %d rows)", alg, got.Len(), want.Len())
+			// Memory 0 is documented as effectively unbounded.
+			for _, mem := range []int{8, 0} {
+				eng, err := NewEngine(EngineConfig{Memory: mem, Seed: 3, Plain: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ta, err := eng.Load("A", relA)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tb, err := eng.Load("B", relB)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := eng.Join(alg, []TableRef{ta, tb}, Pairwise(pred), JoinOptions{
+					N: n, Pred2: pred, Epsilon: 1e-9,
+				})
+				if err != nil {
+					t.Fatalf("M=%d: %v", mem, err)
+				}
+				got, err := eng.Decode(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !relation.SameMultiset(got, want) {
+					t.Fatalf("%s at M=%d: join mismatch (%d vs %d rows)", alg, mem, got.Len(), want.Len())
+				}
 			}
 		})
 	}
