@@ -59,6 +59,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	want := ppj.ReferenceJoin(hospital, geneBank, pred).Len()
+	if rows.Len() != want || count.Count != int64(want) {
+		log.Fatalf("row query returned %d pairs and COUNT(*) %d, reference %d", rows.Len(), count.Count, want)
+	}
 	fmt.Printf("agg query  -> %s\n", planC)
 	fmt.Printf("              COUNT(*) = %d, AVG(severity) = %.2f\n\n", count.Count, avg.Value)
 

@@ -55,6 +55,9 @@ func main() {
 		log.Fatal(err)
 	}
 
+	if want := ppj.ReferenceJoin(geneBank, patients, pred); matches.Len() != want.Len() {
+		log.Fatalf("join returned %d pairs, reference %d", matches.Len(), want.Len())
+	}
 	l := int64(geneBank.Len() * patients.Len())
 	s := int64(matches.Len())
 	fmt.Printf("gene bank: %d sequences, patients: %d samples (L = %d candidate pairs)\n",

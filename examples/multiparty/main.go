@@ -31,6 +31,7 @@ func main() {
 		Desc: "x1.key = x2.key = x3.key",
 	}
 
+	want := ppj.CountMultiMatches(rels, pred)
 	l := int64(x1.Len() * x2.Len() * x3.Len())
 	fmt.Printf("three-way join over |D| = %d iTuples, coprocessor memory M = 4\n\n", l)
 	fmt.Printf("%-10s %8s %10s %12s %10s %9s\n", "epsilon", "n*", "segments", "transfers", "results", "blemish")
@@ -55,6 +56,9 @@ func main() {
 		rows, err := eng.Decode(rep.Result)
 		if err != nil {
 			log.Fatal(err)
+		}
+		if int64(rows.Len()) != want {
+			log.Fatalf("ε = %g: join returned %d rows, reference %d", eps, rows.Len(), want)
 		}
 		fmt.Printf("%-10.0e %8d %10d %12d %10d %9v\n",
 			eps, rep.NStar, rep.Segments, rep.Stats.Transfers(), rows.Len(), rep.Blemished)

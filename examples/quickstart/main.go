@@ -54,6 +54,9 @@ func main() {
 	}
 
 	want := ppj.ReferenceJoin(relA, relB, pred)
+	if rows.Len() != want.Len() {
+		log.Fatalf("join returned %d rows, reference %d", rows.Len(), want.Len())
+	}
 	fmt.Printf("join of %d x %d rows on key: %d results (reference: %d)\n",
 		relA.Len(), relB.Len(), rows.Len(), want.Len())
 	st := res.Stats
