@@ -1,12 +1,17 @@
 package ppj
 
 import (
+	"bufio"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -14,15 +19,24 @@ import (
 	"testing"
 )
 
-// The product is what runs: an exported function or method under internal/
-// or cmd/ that no non-test file names is code only tests keep alive.
-// testdata/exports.allow lists the deliberate ones (test seams, reference
-// oracles, thesis closed forms pinned by tests), one "package[.Type].Name
-// reason" a line, the package being the directory name. The root package is
-// the public API and is not scanned.
+// The product is what runs: a function or method under internal/ or cmd/
+// that no entry point reaches is code only tests keep alive. The scan
+// type-checks every non-test file of the tree (nested modules such as
+// benchmark/ included) and follows the functions each live body uses,
+// starting from the roots: every main and init, every package-level var
+// initialiser, the root package's exported functions and methods, and the
+// names testdata/exports.allow lists. The allowlist holds the deliberate
+// ones (test seams, reference oracles, thesis closed forms pinned by tests,
+// features with no product entry point yet), one "package[.Type].Name
+// reason" a line, the package being the directory name.
+//
+// A method counts as reached when an interface in the program declares its
+// name, or when stdlibMethods does, since a call through an interface
+// names the interface's method, not the concrete one.
 
 // stdlibMethods satisfy a standard-library interface (fmt.Stringer, error,
-// errors, gob, encoding, io, sort), so they are used without being named.
+// errors, gob, encoding, io, sort) that the program need not name for the
+// library to call them.
 var stdlibMethods = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
 	"GobEncode": true, "GobDecode": true, "MarshalBinary": true, "UnmarshalBinary": true,
@@ -30,86 +44,229 @@ var stdlibMethods = map[string]bool{
 	"Read": true, "Write": true, "Close": true, "Len": true, "Less": true, "Swap": true,
 }
 
-// scanExports parses every non-test .go file under root, skipping
-// directories named testdata or starting with "." or "_" as the go tool
-// does, and returns the sorted qualified names of the exported functions
-// and methods under root/internal and root/cmd whose name appears in no
-// non-test file other than at its own declaration. A method named in an
-// interface the repository declares is therefore used; one in
-// stdlibMethods always is.
-func scanExports(root string) ([]string, error) {
+// program is the type-checked tree: every declared function with its body
+// and qualified name, and the code that runs unconditionally.
+type program struct {
+	info     *types.Info
+	bodies   map[*types.Func]*ast.BlockStmt
+	quals    map[string][]*types.Func // package[.Type].Name → declarations
+	product  map[*types.Func]bool     // declared under internal/ or cmd/
+	roots    []ast.Node               // main, init and var initialisers
+	api      []*types.Func            // the root package's exported functions and methods
+	dispatch map[string]bool          // method names an interface declares
+}
+
+// loadProgram parses and type-checks every non-test .go file under root
+// that the build constraints select, skipping directories named testdata
+// or starting with "." or "_" as the go tool does. A directory's import
+// path is the module path of the nearest enclosing go.mod plus the
+// directory's path below it; other imports come from the standard library.
+func loadProgram(root string) (*program, error) {
 	fset := token.NewFileSet()
-	var files []*ast.File
-	decls := map[string]string{} // qualified name → name
-	declared := map[*ast.Ident]bool{}
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	type pkgSrc struct {
+		rel   string
+		files []*ast.File
+	}
+	srcs := map[string]*pkgSrc{} // import path → sources
+	var modDirs, modPaths []string
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); path != root && (name == "testdata" || name[0] == '.' || name[0] == '_') {
+			if name := d.Name(); p != root && (name == "testdata" || name[0] == '.' || name[0] == '_') {
 				return filepath.SkipDir
 			}
+			if mod, err := modulePath(filepath.Join(p, "go.mod")); err == nil {
+				modDirs, modPaths = append(modDirs, p), append(modPaths, mod)
+			} else if !os.IsNotExist(err) {
+				return err
+			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		dir := filepath.Dir(p)
+		if ok, err := build.Default.MatchFile(dir, d.Name()); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		files = append(files, f)
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
+		i := len(modDirs) - 1
+		below, _ := filepath.Rel(modDirs[i], dir)
+		for strings.HasPrefix(below, "..") {
+			i--
+			below, _ = filepath.Rel(modDirs[i], dir)
 		}
-		if rel = filepath.ToSlash(rel); !strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "cmd/") {
-			return nil
+		rel, _ := filepath.Rel(root, dir)
+		ipath := path.Join(modPaths[i], filepath.ToSlash(below))
+		if srcs[ipath] == nil {
+			srcs[ipath] = &pkgSrc{rel: filepath.ToSlash(rel)}
 		}
-		pkg := filepath.Base(filepath.Dir(path))
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() || fn.Recv != nil && stdlibMethods[fn.Name.Name] {
-				continue
-			}
-			declared[fn.Name] = true
-			qual := pkg + "." + fn.Name.Name
-			if fn.Recv != nil {
-				recv, _, _ := strings.Cut(strings.TrimPrefix(types.ExprString(fn.Recv.List[0].Type), "*"), "[")
-				qual = pkg + "." + recv + "." + fn.Name.Name
-			}
-			decls[qual] = fn.Name.Name
-		}
+		srcs[ipath].files = append(srcs[ipath].files, f)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	used := map[string]bool{}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+
+	prog := &program{
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+		bodies:   map[*types.Func]*ast.BlockStmt{},
+		quals:    map[string][]*types.Func{},
+		product:  map[*types.Func]bool{},
+		dispatch: map[string]bool{},
+	}
+	checked := map[string]*types.Package{}
+	std := importer.Default()
+	var imp importerFunc
+	imp = func(ipath string) (*types.Package, error) {
+		if pkg := checked[ipath]; pkg != nil {
+			return pkg, nil
+		}
+		src := srcs[ipath]
+		if src == nil {
+			return std.Import(ipath)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(ipath, fset, src.files, prog.info)
+		if err != nil {
+			return nil, fmt.Errorf("type-checking %s: %w", src.rel, err)
+		}
+		checked[ipath] = pkg
+		return pkg, nil
+	}
+	for ipath, src := range srcs {
+		if _, err := imp(ipath); err != nil {
+			return nil, err
+		}
+		inProduct := strings.HasPrefix(src.rel, "internal/") || strings.HasPrefix(src.rel, "cmd/")
+		for _, f := range src.files {
+			prog.declare(f, path.Base(src.rel), src.rel == ".", inProduct)
+		}
+	}
+	for _, tv := range prog.info.Types {
+		if iface, ok := tv.Type.Underlying().(*types.Interface); ok {
+			for i := range iface.NumMethods() {
+				prog.dispatch[iface.Method(i).Name()] = true
+			}
+		}
+	}
+	return prog, nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// modulePath reads the module line of a go.mod file.
+func modulePath(file string) (string, error) {
+	f, err := os.Open(file)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if fields := strings.Fields(sc.Text()); len(fields) == 2 && fields[0] == "module" {
+			return strings.Trim(fields[1], `"`), nil
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return "", err
+	}
+	return "", fmt.Errorf("%s: no module line", file)
+}
+
+// declare records one file's functions and roots; pkg names its package in
+// qualified names.
+func (prog *program) declare(f *ast.File, pkg string, isRoot, inProduct bool) {
+	for _, decl := range f.Decls {
+		switch decl := decl.(type) {
+		case *ast.GenDecl:
+			if decl.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range decl.Specs {
+				for _, v := range spec.(*ast.ValueSpec).Values {
+					prog.roots = append(prog.roots, v)
+				}
+			}
+		case *ast.FuncDecl:
+			name := decl.Name.Name
+			if decl.Recv == nil && (name == "init" || name == "main" && f.Name.Name == "main") {
+				prog.roots = append(prog.roots, decl.Body)
+				continue
+			}
+			fn := prog.info.Defs[decl.Name].(*types.Func)
+			prog.bodies[fn] = decl.Body
+			qual := pkg + "." + name
+			if decl.Recv != nil {
+				recv, _, _ := strings.Cut(strings.TrimPrefix(types.ExprString(decl.Recv.List[0].Type), "*"), "[")
+				qual = pkg + "." + recv + "." + name
+			}
+			prog.quals[qual] = append(prog.quals[qual], fn)
+			if inProduct {
+				prog.product[fn] = true
+			}
+			if isRoot && decl.Name.IsExported() {
+				prog.api = append(prog.api, fn)
+			}
+		}
+	}
+}
+
+// reach returns the functions that the roots, the API and extra reach
+// through the functions each reached body uses; a method whose name an
+// interface or stdlibMethods declares is reached unconditionally.
+func (prog *program) reach(extra []*types.Func) map[*types.Func]bool {
+	reached := map[*types.Func]bool{}
+	work := slices.Clone(prog.roots)
+	mark := func(fn *types.Func) {
+		if fn = fn.Origin(); !reached[fn] {
+			reached[fn] = true
+			if body := prog.bodies[fn]; body != nil {
+				work = append(work, body)
+			}
+		}
+	}
+	for fn := range prog.bodies {
+		if name := fn.Name(); fn.Signature().Recv() != nil && (prog.dispatch[name] || stdlibMethods[name]) {
+			mark(fn)
+		}
+	}
+	for _, fn := range slices.Concat(prog.api, extra) {
+		mark(fn)
+	}
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := prog.info.Uses[id].(*types.Func); ok {
+					mark(fn)
+				}
 			}
 			return true
 		})
 	}
-	var unused []string
-	for qual, name := range decls {
-		if !used[name] {
-			unused = append(unused, qual)
-		}
-	}
-	slices.Sort(unused)
-	return unused, nil
+	return reached
 }
 
 // checkExports scans root against the allowlist file allowPath. It returns
-// the unreferenced exports the allowlist does not name, the entries that
-// are stale (now referenced, or not declared) and those without a reason.
+// the unreached functions under internal/ and cmd/ the allowlist does not
+// name, the entries that are stale (reached without the allowlist, or not
+// declared) and those without a reason.
 func checkExports(root, allowPath string) (testOnly, stale, noReason []string, err error) {
-	unused, err := scanExports(root)
+	prog, err := loadProgram(root)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -117,25 +274,32 @@ func checkExports(root, allowPath string) (testOnly, stale, noReason []string, e
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	allowed := map[string]bool{}
+	var allowed []*types.Func
+	var names []string
 	for _, line := range strings.Split(string(text), "\n") {
 		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
 			continue
 		}
 		name, reason, _ := strings.Cut(line, " ")
-		allowed[name] = true
+		names = append(names, name)
+		allowed = append(allowed, prog.quals[name]...)
 		if strings.TrimSpace(reason) == "" {
 			noReason = append(noReason, name)
 		}
-		if !slices.Contains(unused, name) {
+	}
+	live := prog.reach(nil)
+	for _, name := range names {
+		if fns := prog.quals[name]; len(fns) == 0 || slices.ContainsFunc(fns, func(fn *types.Func) bool { return live[fn] }) {
 			stale = append(stale, name)
 		}
 	}
-	for _, q := range unused {
-		if !allowed[q] {
-			testOnly = append(testOnly, q)
+	live = prog.reach(allowed)
+	for qual, fns := range prog.quals {
+		if slices.ContainsFunc(fns, func(fn *types.Func) bool { return prog.product[fn] && !live[fn] }) {
+			testOnly = append(testOnly, qual)
 		}
 	}
+	slices.Sort(testOnly)
 	return testOnly, stale, noReason, nil
 }
 
@@ -145,10 +309,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range testOnly {
-		t.Errorf("%s is exported but only tests call it: delete it with its tests, move it into a _test.go file, or allowlist it in testdata/exports.allow with a reason", q)
+		t.Errorf("%s is reached from no command, example, benchmark or public API, only from tests: delete it with its tests, move it into a _test.go file, or allowlist it in testdata/exports.allow with a reason", q)
 	}
 	for _, q := range stale {
-		t.Errorf("testdata/exports.allow lists %s, which is no longer declared or now has a non-test caller: remove the entry", q)
+		t.Errorf("testdata/exports.allow lists %s, which is no longer declared or is now reached without the allowlist: remove the entry", q)
 	}
 	for _, q := range noReason {
 		t.Errorf("testdata/exports.allow lists %s without a reason", q)
@@ -156,17 +320,20 @@ func TestNoTestOnlyExports(t *testing.T) {
 }
 
 // TestExportScanFixture is the guard's negative control. The fixture holds
-// one used export, one test-only export, one method satisfying fmt.Stringer,
-// one allowlisted name and one stale allowlist entry; only the test-only
-// export and the stale entry may be reported.
+// used functions, a method satisfying fmt.Stringer, an allowlisted name and
+// the unexported helper only it calls, a stale allowlist entry, and three
+// test-only functions a name match misses or catches: Store.Purge, which
+// only a test calls; Cache.Put, which only a test calls but shares its name
+// with the used Store.Put; and Compact, whose only caller Reset is itself
+// test-only. The test-only ones and the stale entry must be reported.
 func TestExportScanFixture(t *testing.T) {
 	root := filepath.Join("testdata", "exportscan")
 	testOnly, stale, noReason, err := checkExports(root, filepath.Join(root, "exports.allow"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"store.Store.Purge"}; !reflect.DeepEqual(testOnly, want) {
-		t.Errorf("test-only exports = %v, want %v", testOnly, want)
+	if want := []string{"store.Cache.Put", "store.Compact", "store.Reset", "store.Store.Purge"}; !reflect.DeepEqual(testOnly, want) {
+		t.Errorf("test-only functions = %v, want %v", testOnly, want)
 	}
 	if want := []string{"store.Gone"}; !reflect.DeepEqual(stale, want) || noReason != nil {
 		t.Errorf("stale allowlist entries = %v, want %v; entries without a reason %v", stale, want, noReason)
