@@ -367,12 +367,12 @@ func TestA7CompareKeysMatchesEqui(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				kx, ky := pred.KeyA(tx), pred.KeyA(ty)
+				kx, ky := tx[pred.KeyIndexA()], ty[pred.KeyIndexA()]
 				if x.enc[0] == a7TagB {
-					kx = pred.KeyB(tx)
+					kx = tx[pred.KeyIndexB()]
 				}
 				if y.enc[0] == a7TagB {
-					ky = pred.KeyB(ty)
+					ky = ty[pred.KeyIndexB()]
 				}
 				bx, _ := c.key(x.enc)
 				by, _ := c.key(y.enc)

@@ -38,8 +38,8 @@ var direct = map[string]func(t *sim.Coprocessor, tabs []sim.Table, in Inputs) (R
 // TestAlgorithmTable checks every row of the table against what the
 // hand-written dispatch switches it replaced did: the row's Run on one
 // device is the direct sequential entry point (equal sim.Stats and equal
-// host Trace.Digest), its Devices rule gives the answers query.Plan.Devices
-// gave, its closed form equals the measured transfers, and inadmissible
+// host Trace.Digest), its Devices rule gives the answers the replaced device
+// switch gave, its closed form equals the measured transfers, and inadmissible
 // calls are refused before any transfer is charged.
 func TestAlgorithmTable(t *testing.T) {
 	// S = 12 fits the device memory, so Algorithm 6's closed form is exact.
@@ -51,7 +51,7 @@ func TestAlgorithmTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A hard-coded copy of the answers query.Plan.Devices gave for r=1..8.
+	// A hard-coded copy of the answers the replaced device switch gave for r=1..8.
 	anyR := [8]int{1, 2, 3, 4, 5, 6, 7, 8}
 	pow2 := [8]int{1, 2, 2, 4, 4, 4, 4, 8}
 	one := [8]int{1, 1, 1, 1, 1, 1, 1, 1}

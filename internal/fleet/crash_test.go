@@ -105,7 +105,7 @@ func TestPartialFleetCrash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		driveToDelivered(t, solo.HandleConn, solo.Device().DeviceKey(), g, j)
+		driveToDelivered(t, soloHandler(solo), solo.Device().DeviceKey(), g, j)
 		want := solo.MetricsSnapshot().Coprocessor
 		if got := snap1.PerShard[i].Coprocessor; got != want {
 			t.Errorf("shard %d coprocessor stats diverge from single-shard closed form:\n got %+v\nwant %+v", i, got, want)

@@ -16,9 +16,20 @@ import (
 
 // connHandler abstracts "the serving side of one connection" so the same
 // drivers exercise both the router (Router.HandleConn) and a standalone
-// single-shard server (Server.HandleConn) — the latter supplies the
-// closed-form baselines the sharded path is asserted against.
+// single-shard server (soloHandler) — the latter supplies the closed-form
+// baselines the sharded path is asserted against.
 type connHandler func(io.ReadWriter) error
+
+// soloHandler serves connections on srv alone: the hello, then the session.
+func soloHandler(srv *server.Server) connHandler {
+	return func(conn io.ReadWriter) error {
+		sess, hello, err := service.ReadHello(conn)
+		if err != nil {
+			return err
+		}
+		return srv.HandleSession(sess, hello)
+	}
+}
 
 type testParty struct {
 	name string

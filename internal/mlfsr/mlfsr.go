@@ -140,9 +140,6 @@ func NewPermutation(n uint64, seed uint64) (*Permutation, error) {
 	return &Permutation{lfsr: r, n: n, first: r.state}, nil
 }
 
-// N returns the size of the index set.
-func (p *Permutation) N() uint64 { return p.n }
-
 // Next returns the next index of the permutation and true, or 0 and false
 // once all n indices have been emitted. The register states s₀ (the seed),
 // s₁, s₂, … map to indices s−1; out-of-range states are skipped.

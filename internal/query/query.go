@@ -85,16 +85,6 @@ func (p Plan) AlgorithmName() string {
 	return "aggregate"
 }
 
-// Devices returns how many of the requested coprocessors the chosen
-// algorithm can exploit: its row's device rule in core.Algorithms, and one
-// for the aggregation pass.
-func (p Plan) Devices(requested int) int {
-	if alg, err := core.AlgorithmByNumber(p.Algorithm); err == nil {
-		return alg.Devices(requested)
-	}
-	return 1
-}
-
 // String renders the plan.
 func (p Plan) String() string {
 	if p.Algorithm == 0 {

@@ -289,8 +289,8 @@ func TestPlannerAutoFlipsToAlg7(t *testing.T) {
 		}
 	}
 	// The parallel variant sorts on a power-of-two fleet.
-	if got := plan(int(cross)).Devices(6); got != 4 {
-		t.Fatalf("Devices(6) = %d, want largest power of two 4", got)
+	if alg, _ := core.AlgorithmByNumber(plan(int(cross)).Algorithm); alg.Devices(6) != 4 {
+		t.Fatalf("Devices(6) = %d, want largest power of two 4", alg.Devices(6))
 	}
 }
 

@@ -150,12 +150,6 @@ func (e *Equi) Orderable() bool {
 	}
 }
 
-// KeyA and KeyB extract the join-attribute value from a decoded tuple of
-// the respective side; Algorithm 7 sorts the union of both relations and
-// needs the key of a tuple regardless of which side it came from.
-func (e *Equi) KeyA(t Tuple) Value { return t[e.ia] }
-func (e *Equi) KeyB(t Tuple) Value { return t[e.ib] }
-
 // CompareKeys three-way-compares two join-attribute values of the
 // predicate's key type. Only defined for orderable types; Set values
 // compare equal.
@@ -186,18 +180,6 @@ func (e *Equi) CompareKeys(a, b Value) int {
 		return bytes.Compare(a.B, b.B)
 	}
 	return 0
-}
-
-// Compare is the three-way version of Less for oblivious comparators.
-func (e *Equi) Compare(x, y Tuple) int {
-	switch {
-	case e.Less(x, y):
-		return -1
-	case e.Less(y, x):
-		return 1
-	default:
-		return 0
-	}
 }
 
 // Band is the band-join predicate |A.attrA − B.attrB| ≤ Width over numeric

@@ -27,9 +27,6 @@ func TestEquiPredicate(t *testing.T) {
 	if !eq.Less(a, c) || eq.Less(c, a) {
 		t.Error("Less ordering wrong")
 	}
-	if eq.Compare(a, b) != 0 || eq.Compare(a, c) != -1 || eq.Compare(c, a) != 1 {
-		t.Error("Compare wrong")
-	}
 }
 
 func TestEquiErrors(t *testing.T) {

@@ -35,7 +35,7 @@ func TestAmbiguousHelloRejected(t *testing.T) {
 	handler := make(chan error, 1)
 	go func() {
 		defer serverEnd.Close()
-		handler <- srv.HandleConn(serverEnd)
+		handler <- handleConn(srv, serverEnd)
 	}()
 	go func() {
 		// The client's handshake dies when the server drops the conn; the
@@ -76,7 +76,7 @@ func TestDuplicateUploadKeepsMetricsConsistent(t *testing.T) {
 	handler := make(chan error, 1)
 	go func() {
 		defer serverEnd.Close()
-		handler <- srv.HandleConn(serverEnd)
+		handler <- handleConn(srv, serverEnd)
 	}()
 	go func() {
 		cs, err := g.client(g.provA, srv).ConnectContract(clientEnd, service.RoleProvider, g.contract.ID)
@@ -212,7 +212,7 @@ func TestUnsupportedProtoRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []byte{0, 1, 3, 255} {
-		verdict, answered := helloAtVersion(t, srv.HandleConn, service.Hello{
+		verdict, answered := helloAtVersion(t, func(conn io.ReadWriter) error { return handleConn(srv, conn) }, service.Hello{
 			Party: g.provA.name, Role: service.RoleProvider, ContractID: g.contract.ID,
 			Challenge: make([]byte, 32), Proto: v,
 		})

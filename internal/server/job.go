@@ -205,10 +205,6 @@ func (j *Job) Contract() *service.Contract { return j.svc.Contract }
 // contract's first execution, "<contract>#<seq>" for resubmissions.
 func (j *Job) ID() string { return j.id }
 
-// Seq returns the job's 1-based position in its contract's execution
-// history.
-func (j *Job) Seq() int { return j.seq }
-
 // State returns the job's current lifecycle state.
 func (j *Job) State() State {
 	j.mu.Lock()

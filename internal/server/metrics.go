@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -242,9 +241,4 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	m.mu.Unlock()
 	return snap
-}
-
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

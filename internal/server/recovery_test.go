@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -88,7 +89,7 @@ func TestRecoverRebuildsJobTable(t *testing.T) {
 		t.Fatalf("recovered job table:\n%s\nwant:\n%s", got, wantTable)
 	}
 
-	js, err := srv2.MetricsSnapshot().JSON()
+	js, err := json.MarshalIndent(srv2.MetricsSnapshot(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -366,7 +366,7 @@ func TestConnectJobAfterResubmittedResultTTLEvicted(t *testing.T) {
 	serverEnd, clientEnd := net.Pipe()
 	go func() {
 		defer serverEnd.Close()
-		_ = srv.HandleConn(serverEnd)
+		_ = handleConn(srv, serverEnd)
 	}()
 	cs, err := g.client(g.recip, srv).ConnectJob(clientEnd, service.RoleRecipient, g.contract.ID, j2.ID())
 	if err != nil {

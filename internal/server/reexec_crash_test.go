@@ -17,7 +17,7 @@ func renderExecutions(s *Server) string {
 	var b strings.Builder
 	for _, id := range s.Registry().ContractIDs() {
 		for _, j := range s.Registry().Executions(id) {
-			fmt.Fprintf(&b, "%s seq=%d %s err=%v\n", j.ID(), j.Seq(), j.State(), j.Err())
+			fmt.Fprintf(&b, "%s seq=%d %s err=%v\n", j.ID(), j.seq, j.State(), j.Err())
 		}
 	}
 	return b.String()

@@ -132,8 +132,8 @@ func runColdWarm(t *testing.T, p int, relA, relB *relation.Relation) reexecOutco
 		warmHits:            end.SortCacheHits - mid.SortCacheHits,
 		warmMisses:          end.SortCacheMisses - mid.SortCacheMisses,
 		cacheBytesAfterCold: mid.SortCacheBytes,
-		firstJobSeq:         j.Seq(),
-		warmJobSeq:          j2.Seq(),
+		firstJobSeq:         j.seq,
+		warmJobSeq:          j2.seq,
 		final:               untimed(end),
 	}
 }
@@ -236,8 +236,8 @@ func TestReexecutionHistoryAndJobAddressing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.ID() != g.contract.ID+"#2" || j2.Seq() != 2 {
-		t.Fatalf("second execution is %q seq %d, want %q seq 2", j2.ID(), j2.Seq(), g.contract.ID+"#2")
+	if j2.ID() != g.contract.ID+"#2" || j2.seq != 2 {
+		t.Fatalf("second execution is %q seq %d, want %q seq 2", j2.ID(), j2.seq, g.contract.ID+"#2")
 	}
 	runExecution(t, srv, g, j2)
 
@@ -266,8 +266,8 @@ func TestReexecutionHistoryAndJobAddressing(t *testing.T) {
 		t.Fatalf("execution history has %d entries, want 3", len(execs))
 	}
 	for i, wantID := range []string{g.contract.ID, g.contract.ID + "#2", g.contract.ID + "#3"} {
-		if execs[i].ID() != wantID || execs[i].Seq() != i+1 {
-			t.Fatalf("history[%d] = %q seq %d, want %q seq %d", i, execs[i].ID(), execs[i].Seq(), wantID, i+1)
+		if execs[i].ID() != wantID || execs[i].seq != i+1 {
+			t.Fatalf("history[%d] = %q seq %d, want %q seq %d", i, execs[i].ID(), execs[i].seq, wantID, i+1)
 		}
 	}
 
@@ -287,7 +287,7 @@ func TestReexecutionHistoryAndJobAddressing(t *testing.T) {
 	serverEnd, clientEnd := net.Pipe()
 	go func() {
 		defer serverEnd.Close()
-		_ = srv.HandleConn(serverEnd)
+		_ = handleConn(srv, serverEnd)
 	}()
 	cs, err := g.client(g.recip, srv).ConnectJob(clientEnd, service.RoleRecipient, g.contract.ID, j1.ID())
 	if err != nil {

@@ -74,7 +74,7 @@ func (g *group) fetchLeg(srv *Server, f *service.ResultFetch, pause uint32) erro
 	defer clientEnd.Close()
 	go func() {
 		defer serverEnd.Close()
-		_ = srv.HandleConn(serverEnd)
+		_ = handleConn(srv, serverEnd)
 	}()
 	cs, err := g.client(g.recip, srv).ConnectContractResume(clientEnd, service.RoleRecipient, g.contract.ID, f.Chunks)
 	if err != nil {
@@ -472,7 +472,7 @@ func meteredFetch(t *testing.T, srv *Server, g *group, f *service.ResultFetch) [
 	go func() {
 		defer close(served)
 		defer serverEnd.Close()
-		_ = srv.HandleConn(meterConn{Conn: serverEnd, mu: &mu, writes: &writes})
+		_ = handleConn(srv, meterConn{Conn: serverEnd, mu: &mu, writes: &writes})
 	}()
 	cs, err := g.client(g.recip, srv).ConnectContractResume(clientEnd, service.RoleRecipient, g.contract.ID, f.Chunks)
 	if err != nil {
@@ -483,7 +483,7 @@ func meteredFetch(t *testing.T, srv *Server, g *group, f *service.ResultFetch) [
 		t.Fatal(err)
 	}
 	// A pipe write returns to the client before the server side has logged
-	// its size, so the trace is complete only once HandleConn has returned.
+	// its size, so the trace is complete only once handleConn has returned.
 	<-served
 	mu.Lock()
 	defer mu.Unlock()

@@ -7,15 +7,13 @@
 // the shape TEE-backed encrypted
 // databases take in production — a continuously available service
 // dispatching oblivious joins across limited secure-worker capacity —
-// rather than the one-shot Service.Execute flow.
+// rather than the thesis's one contract executed once (§3.2, §3.3.3).
 package server
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -139,7 +137,8 @@ type Config struct {
 	// tenant caps hold fleet-wide regardless of which shard a contract
 	// lands on.
 	Quotas *Quotas
-	// Logf, when set, receives connection-level errors from Serve.
+	// Logf, when set, receives the server's background errors: journal,
+	// result-store, sort-cache and recurrence failures.
 	Logf func(format string, args ...any)
 	// DataDir, when set, enables the write-ahead journal: contract
 	// registrations and job state transitions are fsynced to DataDir before
@@ -313,8 +312,9 @@ func (s *Server) MetricsSnapshot() Snapshot {
 	return snap
 }
 
-// Start launches the worker pool. Serve calls it implicitly; tests that
-// drive HandleConn directly may delay it to control scheduling.
+// Start launches the worker pool. fleet.Router.Start calls it for every shard;
+// tests that drive HandleSession directly may delay it to control
+// scheduling.
 func (s *Server) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -354,7 +354,7 @@ func (s *Server) admissible() error {
 // publish → count → watch. Callers hold regMu, which makes the duplicate
 // check, the append and the publication one critical section: a job is
 // never visible to connections before its admission is durable (a
-// concurrent HandleConn could otherwise start a handshake against an
+// concurrent HandleSession could otherwise start a handshake against an
 // admission that is then unwound), and two racing admissions can never
 // both append a record for one ID. The quota gate precedes the append — a
 // refusal leaves no record and no metric drift — and every later refusal
@@ -462,24 +462,12 @@ func (s *Server) Resubmit(contractID string) (*Job, error) {
 	return j, nil
 }
 
-// HandleConn serves one party's connection end to end: it reads the hello,
-// routes it to the registered contract, completes the attested handshake,
-// and then either ingests the provider's upload or parks the recipient
-// session until the job delivers (the call blocks until then, keeping the
-// connection alive).
-func (s *Server) HandleConn(conn io.ReadWriter) error {
-	sess, hello, err := service.ReadHello(conn)
-	if err != nil {
-		return err
-	}
-	return s.HandleSession(sess, hello)
-}
-
-// HandleSession serves a session whose hello has already been read — the
-// dispatch seam for multi-host routing: the fleet router reads the hello
-// once (service.ReadHello), picks the shard that owns hello.ContractID, and
-// hands the open session to that shard here. Semantics are exactly
-// HandleConn's from the hello onward.
+// HandleSession serves one party's session end to end once its hello has
+// been read: the fleet router reads the hello (service.ReadHello), picks the
+// shard that owns hello.ContractID, and hands the open session to that
+// shard here. It completes the attested handshake, then either ingests the
+// provider's upload or parks the recipient session until the job delivers
+// (the call blocks until then, keeping the connection alive).
 func (s *Server) HandleSession(sess *service.Session, hello service.Hello) error {
 	j, err := s.registry.Lookup(hello.ContractID, hello.JobID)
 	if err != nil {
@@ -524,34 +512,6 @@ func (s *Server) HandleSession(sess *service.Session, hello service.Hello) error
 		return s.serveRecipient(j, party.Name, sess, hello.ResumeChunks)
 	}
 	return fmt.Errorf("server: party %s has unknown role %q", party.Name, party.Role)
-}
-
-// Serve accepts connections from ln until it closes, handling each in its
-// own goroutine. Accept errors after Shutdown are reported as a clean exit.
-func (s *Server) Serve(ln net.Listener) error {
-	s.Start()
-	var conns sync.WaitGroup
-	defer conns.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			down := s.shuttingDown
-			s.mu.Unlock()
-			if down {
-				return nil
-			}
-			return err
-		}
-		conns.Add(1)
-		go func(conn net.Conn) {
-			defer conns.Done()
-			defer conn.Close()
-			if err := s.HandleConn(conn); err != nil {
-				s.logf("server: %v", err)
-			}
-		}(conn)
-	}
 }
 
 // enqueue hands a ready job to the scheduler, failing it with the

@@ -3,8 +3,10 @@ package server
 import (
 	"context"
 	"crypto/ed25519"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -148,7 +150,17 @@ func (g *group) runTCP(t *testing.T, srv *Server, addr string) (*relation.Relati
 	return result, agg, firstEr
 }
 
-// drivePipe runs one party over a net.Pipe against HandleConn directly.
+// handleConn serves one connection on srv alone, the way
+// fleet.Router.HandleConn does on the shard that owns the contract.
+func handleConn(srv *Server, conn io.ReadWriter) error {
+	sess, hello, err := service.ReadHello(conn)
+	if err != nil {
+		return err
+	}
+	return srv.HandleSession(sess, hello)
+}
+
+// drivePipe runs one party over a net.Pipe against handleConn directly.
 // The returned channels yield the handler's error and the client's outcome.
 type pipeOutcome struct {
 	result *relation.Relation
@@ -161,7 +173,7 @@ func (g *group) pipeProvider(t *testing.T, srv *Server, p testParty, rel *relati
 	handler := make(chan error, 1)
 	go func() {
 		defer serverEnd.Close()
-		handler <- srv.HandleConn(serverEnd)
+		handler <- handleConn(srv, serverEnd)
 	}()
 	cs, err := g.client(p, srv).ConnectContract(clientEnd, service.RoleProvider, g.contract.ID)
 	if err == nil {
@@ -179,7 +191,7 @@ func (g *group) pipeRecipient(t *testing.T, srv *Server) <-chan pipeOutcome {
 	serverEnd, clientEnd := net.Pipe()
 	go func() {
 		defer serverEnd.Close()
-		_ = srv.HandleConn(serverEnd)
+		_ = handleConn(srv, serverEnd)
 	}()
 	out := make(chan pipeOutcome, 1)
 	go func() {
@@ -234,8 +246,24 @@ func TestConcurrentContracts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
+	srv.Start()
+	var conns sync.WaitGroup
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			go func() {
+				defer conns.Done()
+				defer conn.Close()
+				_ = handleConn(srv, conn)
+			}()
+		}
+	}()
 
 	groups := []*group{
 		newGroup(t, "contract-alg3", "alg3", 1, 2, 8, 10),
@@ -313,7 +341,7 @@ func TestConcurrentContracts(t *testing.T) {
 	if completions != uint64(len(groups)) {
 		t.Fatalf("per-algorithm completions = %d, want %d: %+v", completions, len(groups), snap.Algorithms)
 	}
-	if _, err := snap.JSON(); err != nil {
+	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("snapshot JSON: %v", err)
 	}
 
@@ -321,9 +349,8 @@ func TestConcurrentContracts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Close()
-	if err := <-serveDone; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
+	<-accepting
+	conns.Wait()
 }
 
 // TestQueueBackpressure fills the bounded ready queue with the workers held
@@ -504,7 +531,7 @@ func TestUnknownContractRejected(t *testing.T) {
 	handler := make(chan error, 1)
 	go func() {
 		defer serverEnd.Close()
-		handler <- srv.HandleConn(serverEnd)
+		handler <- handleConn(srv, serverEnd)
 	}()
 	go func() {
 		// The handshake dies when the server drops the conn; the client

@@ -66,7 +66,7 @@ func TestUploadDeadlineFailsStalledJob(t *testing.T) {
 	t.Cleanup(func() { close(quit); clientEnd.Close(); serverEnd.Close() })
 
 	handler := make(chan error, 1)
-	go func() { handler <- srv.HandleConn(serverEnd) }()
+	go func() { handler <- handleConn(srv, serverEnd) }()
 
 	// ~8KB covers the handshake (~500B), the begin frame and the first
 	// handful of 4-row chunks of the 600-row relation; the stream then

@@ -130,7 +130,7 @@ func TestBackpressureBoundsIngestMemory(t *testing.T) {
 	}
 	hs := make(chan hsOut, 1)
 	go func() {
-		sess, _, err := svc.handshake(serverConn)
+		sess, _, err := accept(svc, serverConn)
 		hs <- hsOut{sess, err}
 	}()
 	c := &Client{Name: pA.name, Identity: pA.priv,
@@ -202,7 +202,7 @@ func TestBackpressureWindowOne(t *testing.T) {
 	}
 	hs := make(chan hsOut, 1)
 	go func() {
-		sess, _, err := svc.handshake(meterConn{r: up, w: down})
+		sess, _, err := accept(svc, meterConn{r: up, w: down})
 		hs <- hsOut{sess, err}
 	}()
 	c := &Client{Name: pA.name, Identity: pA.priv,

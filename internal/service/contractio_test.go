@@ -89,12 +89,10 @@ func TestThreeProviderService(t *testing.T) {
 	}
 	rels := []*relation.Relation{mk(1, 5), mk(2, 6), mk(3, 4)}
 
-	conns := make(map[string]io.ReadWriter)
+	conns := make([]io.ReadWriter, 4)
 	clientConns := make([]net.Conn, 4)
-	for i := 0; i < 4; i++ {
-		server, client := net.Pipe()
-		conns[c.Parties[i].Name] = server
-		clientConns[i] = client
+	for i := range conns {
+		conns[i], clientConns[i] = net.Pipe()
 	}
 	var (
 		wg     sync.WaitGroup
@@ -125,7 +123,7 @@ func TestThreeProviderService(t *testing.T) {
 		}
 		cliErr <- err
 	}()
-	if err := svc.Execute(conns); err != nil {
+	if err := serveExecution(svc, conns...); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"sync"
 
 	"ppj/internal/core"
@@ -158,97 +157,6 @@ func (c *Contract) CheckRoles() error {
 		return fmt.Errorf("service: contract %s names no recipient", c.ID)
 	}
 	return nil
-}
-
-// Execute serves one connection per contract party (in any order),
-// completes every handshake and upload, runs the contracted join, and
-// delivers the result to each recipient. It returns after all sessions
-// finish.
-func (s *Service) Execute(conns map[string]io.ReadWriter) error {
-	if err := s.Contract.CheckRoles(); err != nil {
-		return err
-	}
-	providers, recipients := s.Contract.CountRoles()
-
-	type recipientSession struct {
-		name string
-		sess *Session
-	}
-	var (
-		wg      sync.WaitGroup
-		errs    = make(chan error, len(conns))
-		recvs   = make(chan recipientSession, recipients)
-		uploads = make(chan struct{}, providers)
-	)
-	for name, conn := range conns {
-		wg.Add(1)
-		go func(name string, conn io.ReadWriter) {
-			defer wg.Done()
-			sess, party, err := s.handshake(conn)
-			if err != nil {
-				errs <- fmt.Errorf("service: session with %s: %w", name, err)
-				return
-			}
-			// The authenticated party identity (not the connection label)
-			// decides where the data belongs.
-			switch party.Role {
-			case RoleProvider:
-				if err := s.ReceiveUpload(party.Name, sess); err != nil {
-					errs <- fmt.Errorf("service: upload from %s: %w", party.Name, err)
-					return
-				}
-				uploads <- struct{}{}
-			case RoleRecipient:
-				recvs <- recipientSession{name: party.Name, sess: sess}
-			}
-		}(name, conn)
-	}
-
-	// Wait for every provider's data.
-	for i := 0; i < providers; i++ {
-		select {
-		case <-uploads:
-		case err := <-errs:
-			return err
-		}
-	}
-	out := s.RunContract()
-
-	// Deliver to recipients (or report the failure).
-	for i := 0; i < recipients; i++ {
-		var rs recipientSession
-		select {
-		case rs = <-recvs:
-		case err := <-errs:
-			return err
-		}
-		if err := s.DeliverStream(rs.sess, out, 0); err != nil {
-			return fmt.Errorf("service: delivering to %s: %w", rs.name, err)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return out.Err
-}
-
-// handshake reads the hello and completes the handshake against this
-// service's contract (single-contract listeners; the multi-tenant server
-// uses ReadHello + Handshake to route first).
-func (s *Service) handshake(conn io.ReadWriter) (*Session, Party, error) {
-	sess, hello, err := ReadHello(conn)
-	if err != nil {
-		return nil, Party{}, err
-	}
-	party, err := s.Handshake(sess, hello)
-	if err != nil {
-		return nil, Party{}, err
-	}
-	return sess, party, nil
 }
 
 // Handshake authenticates the device to the client and the client to the

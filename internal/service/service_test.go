@@ -47,6 +47,43 @@ func buildContract(t *testing.T, alg string, pA, pB, pC testParty, pred Predicat
 	return c
 }
 
+// accept reads the hello on conn and completes the handshake against svc's
+// contract.
+func accept(svc *Service, conn io.ReadWriter) (*Session, Party, error) {
+	sess, hello, err := ReadHello(conn)
+	if err != nil {
+		return nil, Party{}, err
+	}
+	party, err := svc.Handshake(sess, hello)
+	return sess, party, err
+}
+
+// serveExecution plays the server's side of one execution over conns, in
+// order, through the seams server.Server drives: each party's handshake,
+// each provider's upload, then one RunContract delivered to every
+// recipient.
+func serveExecution(svc *Service, conns ...io.ReadWriter) error {
+	var recipients []*Session
+	for _, conn := range conns {
+		sess, party, err := accept(svc, conn)
+		if err != nil {
+			return err
+		}
+		if party.Role == RoleRecipient {
+			recipients = append(recipients, sess)
+		} else if err := svc.ReceiveUpload(party.Name, sess); err != nil {
+			return err
+		}
+	}
+	out := svc.RunContract()
+	for _, sess := range recipients {
+		if err := svc.DeliverStream(sess, out, 0); err != nil {
+			return err
+		}
+	}
+	return out.Err
+}
+
 // runService executes the full three-party flow over net.Pipe connections
 // and returns the recipient's decoded result.
 func runService(t *testing.T, svc *Service, pA, pB, pC testParty, relA, relB *relation.Relation) (*relation.Relation, error) {
@@ -98,9 +135,7 @@ func runService(t *testing.T, svc *Service, pA, pB, pC testParty, relA, relB *re
 		clientErr <- err
 	}()
 
-	svcErr := svc.Execute(map[string]io.ReadWriter{
-		pA.name: serverA, pB.name: serverB, pC.name: serverC,
-	})
+	svcErr := serveExecution(svc, serverA, serverB, serverC)
 	wg.Wait()
 	close(clientErr)
 	for err := range clientErr {
@@ -204,7 +239,7 @@ func TestImpostorRejected(t *testing.T) {
 	server, clientConn := net.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := svc.handshake(server)
+		_, _, err := accept(svc, server)
 		done <- err
 	}()
 	impostor := &Client{
@@ -240,7 +275,7 @@ func TestWrongDeviceRejectedByClient(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		svc.handshake(server)
+		accept(svc, server)
 	}()
 	c := &Client{
 		Name:      pA.name,
@@ -269,7 +304,7 @@ func TestUnknownPartyRejected(t *testing.T) {
 	server, clientConn := net.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := svc.handshake(server)
+		_, _, err := accept(svc, server)
 		done <- err
 	}()
 	mallory := newParty(t, "mallory")
@@ -299,7 +334,7 @@ func TestZeroizedDeviceCannotServe(t *testing.T) {
 	server, clientConn := net.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := svc.handshake(server)
+		_, _, err := accept(svc, server)
 		done <- err
 	}()
 	c := &Client{Name: pA.name, Identity: pA.priv,
@@ -382,9 +417,7 @@ func TestEndToEndAggregateContract(t *testing.T) {
 		}
 		cliErr <- err
 	}()
-	if err := svc.Execute(map[string]io.ReadWriter{
-		pA.name: serverA, pB.name: serverB, pC.name: serverC,
-	}); err != nil {
+	if err := serveExecution(svc, serverA, serverB, serverC); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -435,7 +468,7 @@ func TestUploadBoundToContract(t *testing.T) {
 	}
 	done := make(chan hsOut, 1)
 	go func() {
-		sess, _, err := svc.handshake(server)
+		sess, _, err := accept(svc, server)
 		done <- hsOut{sess, err}
 	}()
 	c := &Client{Name: pA.name, Identity: pA.priv,
@@ -476,7 +509,7 @@ func TestDuplicateUploadRejected(t *testing.T) {
 	}
 	done := make(chan hsOut, 1)
 	go func() {
-		sess, _, err := svc.handshake(server)
+		sess, _, err := accept(svc, server)
 		done <- hsOut{sess, err}
 	}()
 	c := &Client{Name: pA.name, Identity: pA.priv,

@@ -40,7 +40,7 @@ func dialProvider(t *testing.T, svc *Service, p testParty) (*Session, *ClientSes
 	}
 	done := make(chan hsOut, 1)
 	go func() {
-		sess, _, err := svc.handshake(serverEnd)
+		sess, _, err := accept(svc, serverEnd)
 		done <- hsOut{sess, err}
 	}()
 	c := &Client{Name: p.name, Identity: p.priv,

@@ -69,24 +69,6 @@ func NewCartesian(t *Coprocessor, tables []Table) (*Cartesian, error) {
 // Size returns L = |D|.
 func (c *Cartesian) Size() int64 { return c.size }
 
-// Coords decomposes a logical index into per-table row indices.
-func (c *Cartesian) Coords(logical int64) []int64 {
-	out := make([]int64, len(c.tables))
-	for j := range c.tables {
-		out[j] = (logical / c.strides[j]) % c.tables[j].N
-	}
-	return out
-}
-
-// Logical recomposes per-table coordinates into the logical index.
-func (c *Cartesian) Logical(coords []int64) int64 {
-	var idx int64
-	for j := range c.tables {
-		idx += coords[j] * c.strides[j]
-	}
-	return idx
-}
-
 // Read materialises the iTuple at a logical index inside T, fetching only
 // the per-table tuples whose coordinate changed since the previous Read.
 // The returned slice is valid until the next Read.

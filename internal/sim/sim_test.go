@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -257,23 +259,33 @@ func TestCartesianSequentialScan(t *testing.T) {
 	}
 }
 
+// TestCartesianCoordsRoundTrip checks that a logical index of a three-way
+// product decomposes into mixed-radix coordinates, the last table fastest.
 func TestCartesianCoordsRoundTrip(t *testing.T) {
 	h, cop := newTestPair(t, 4)
-	mk := func(name string, n int) Table {
-		rel := relation.GenKeyed(relation.NewRand(uint64(n)), n, 10)
-		tab, err := LoadTable(h, cop.Sealer(), name, rel)
+	var rels []*relation.Relation
+	var tabs []Table
+	for j, n := range []int{3, 4, 5} {
+		rel := relation.GenKeyed(relation.NewRand(uint64(n)), n, 1000)
+		tab, err := LoadTable(h, cop.Sealer(), fmt.Sprint("X", j), rel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tab
+		rels, tabs = append(rels, rel), append(tabs, tab)
 	}
-	cart, err := NewCartesian(cop, []Table{mk("X1", 3), mk("X2", 4), mk("X3", 5)})
+	cart, err := NewCartesian(cop, tabs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < cart.Size(); i++ {
-		if got := cart.Logical(cart.Coords(i)); got != i {
-			t.Fatalf("Coords/Logical round trip: %d -> %v -> %d", i, cart.Coords(i), got)
+		row, err := cart.Read(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, c := range []int64{i / 20, i / 5 % 4, i % 5} {
+			if !reflect.DeepEqual(row[j], rels[j].Rows[c]) {
+				t.Fatalf("iTuple %d, table %d: %v, want row %d %v", i, j, row[j], c, rels[j].Rows[c])
+			}
 		}
 	}
 }
