@@ -21,8 +21,7 @@ import (
 // Config parameterises a Router. The embedded server.Config is the
 // per-shard template: Config.Shards picks the fleet width, DataDir names
 // the fleet root (shard i keeps its WAL under DataDir/shard-<i>/), and
-// every other field applies to each shard verbatim. AdmissionControl is
-// forced on per shard — it is the mechanism spillover rides on.
+// every other field applies to each shard verbatim.
 type Config struct {
 	server.Config
 	// Replicas is the number of virtual nodes per shard on the consistent-
@@ -87,7 +86,6 @@ func New(cfg Config) (*Router, error) {
 	for i := 0; i < n; i++ {
 		scfg := cfg.Config
 		scfg.Shards = 0 // each server is exactly one shard
-		scfg.AdmissionControl = true
 		scfg.Quotas = quotas
 		if cfg.DataDir != "" {
 			scfg.DataDir = filepath.Join(cfg.DataDir, "shard-"+strconv.Itoa(i))

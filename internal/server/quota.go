@@ -37,7 +37,7 @@ func (c QuotaConfig) unlimited() bool { return c.MaxInFlight <= 0 && c.Rate <= 0
 // the caps hold fleet-wide regardless of where a contract lands.
 //
 // Acquire is strictly check-then-commit: a refusal mutates nothing — no
-// token is consumed, no slot is held — mirroring the AdmissionControl
+// token is consumed, no slot is held — mirroring the admission check's
 // invariant that refused work leaves no trace.
 type Quotas struct {
 	cfg QuotaConfig

@@ -67,15 +67,6 @@ type Config struct {
 	// Server.New itself ignores values <= 1 and refuses larger ones so a
 	// sharding request cannot be silently served by a single host.
 	Shards int
-	// AdmissionControl makes Register refuse new contracts with
-	// ErrQueueFull while the ready-job queue is at capacity — registration-
-	// time backpressure, checked before any durable side effect. The fleet
-	// router enables it on every shard so a full shard's refusal can spill
-	// the contract to the least-loaded shard instead of failing the job
-	// minutes later when it becomes ready. Off by default: a single server
-	// keeps the historical semantics (admission always succeeds; the queue
-	// bound is enforced when the job becomes ready).
-	AdmissionControl bool
 	// Memory is the per-job coprocessor free memory M in tuples (0 =
 	// effectively unbounded).
 	Memory int
@@ -332,11 +323,13 @@ func (s *Server) Start() {
 	}
 }
 
-// admissible refuses new work while the server drains, and — under
-// AdmissionControl — while the ready queue is full. The check is
-// deliberately side-effect free (no metric, no WAL record), so a refused
-// admission leaves no gauge drift behind when the fleet router re-registers
-// the contract on another shard.
+// admissible refuses new work while the server drains, and while the
+// ready queue is full — registration-time backpressure, checked before any
+// durable side effect, so a full shard's refusal lets the fleet router
+// spill the contract to the least-loaded shard instead of failing the job
+// when it becomes ready. The check is deliberately side-effect free (no
+// metric, no WAL record), so a refused admission leaves no gauge drift
+// behind when the router re-registers the contract on another shard.
 func (s *Server) admissible() error {
 	s.mu.Lock()
 	down := s.shuttingDown
@@ -344,7 +337,7 @@ func (s *Server) admissible() error {
 	if down {
 		return ErrShuttingDown
 	}
-	if s.cfg.AdmissionControl && s.sched.Full() {
+	if s.sched.Full() {
 		return fmt.Errorf("%w (depth %d): admission refused", ErrQueueFull, s.sched.Cap())
 	}
 	return nil
@@ -624,7 +617,7 @@ type Load struct {
 	// QueueDepth is the number of ready jobs waiting for a worker.
 	QueueDepth int
 	// QueueCap is the configured queue bound; QueueDepth == QueueCap means
-	// the shard is refusing admissions under AdmissionControl.
+	// the shard is refusing admissions.
 	QueueCap int
 	// Active counts registered jobs that have not reached a terminal state
 	// (Pending + Uploading + Running).

@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"ppj/internal/relation"
+	"ppj/internal/server/wal"
 	"ppj/internal/service"
 )
 
@@ -353,6 +355,73 @@ func TestConcurrentContracts(t *testing.T) {
 	conns.Wait()
 }
 
+// waitQueued waits until one ready job sits in srv's queue.
+func waitQueued(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.MetricsSnapshot().QueueDepth != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("first job never reached the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRegisterRefusedWhenQueueFull: with the ready queue at capacity,
+// Register refuses a new contract with ErrQueueFull before any durable side
+// effect — no WAL record, no gauge move — which is what lets the fleet
+// router spill the contract to another shard.
+func TestRegisterRefusedWhenQueueFull(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{Workers: 1, QueueDepth: 1, Memory: 16, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	// Workers are not started: the ready job holds the queue at capacity.
+	g1 := newGroup(t, "full-1", "alg5", 31, 32, 5, 5)
+	j1, err := srv.Register(g1.contract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g1.pipeProvider(t, srv, g1.provA, g1.relA); err != nil {
+		t.Fatal(err)
+	}
+	if err := g1.pipeProvider(t, srv, g1.provB, g1.relB); err != nil {
+		t.Fatal(err)
+	}
+	out1 := g1.pipeRecipient(t, srv)
+	waitQueued(t, srv)
+
+	before := srv.MetricsSnapshot()
+	recsBefore, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := newGroup(t, "full-2", "alg5", 33, 34, 5, 5)
+	if _, err := srv.Register(g2.contract); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Register on a full queue = %v, want ErrQueueFull", err)
+	}
+	after := srv.MetricsSnapshot()
+	if after.Submitted != before.Submitted || !reflect.DeepEqual(after.Jobs, before.Jobs) || after.QueueDepth != before.QueueDepth {
+		t.Fatalf("refused registration moved the gauges: submitted %d -> %d, jobs %v -> %v, queue %d -> %d",
+			before.Submitted, after.Submitted, before.Jobs, after.Jobs, before.QueueDepth, after.QueueDepth)
+	}
+	recsAfter, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recsAfter) != len(recsBefore) {
+		t.Fatalf("refused registration journaled %d records", len(recsAfter)-len(recsBefore))
+	}
+
+	srv.Start()
+	waitDone(t, j1)
+	if o := <-out1; o.err != nil {
+		t.Fatal(o.err)
+	}
+}
+
 // TestQueueBackpressure fills the bounded ready queue with the workers held
 // back and checks the typed rejection.
 func TestQueueBackpressure(t *testing.T) {
@@ -384,13 +453,7 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	out1 := ready(g1)
 	// g1 is now queued (uploads done, recipient parked).
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.MetricsSnapshot().QueueDepth != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first job never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, srv)
 
 	out2 := ready(g2)
 	waitDone(t, j2)
