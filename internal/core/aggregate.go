@@ -177,6 +177,6 @@ func Aggregate(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredic
 // AggregateTransfers is the exact transfer count: the sequential-scan gets
 // of D plus the single output put.
 func AggregateTransfers(sizes []int64) int64 {
-	gets, _ := scanGets(sizes)
+	gets, _ := scanGets(sizes, 1)
 	return gets + 1
 }

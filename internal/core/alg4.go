@@ -125,7 +125,7 @@ func filterDecoys(cops []*sim.Coprocessor, raw sim.RegionID, omega, s int64, nam
 // counts reads of D logically; the underlying per-table gets add the
 // lower-order cached-outer terms).
 func Join4Transfers(sizes []int64, s int64) int64 {
-	gets, l := scanGets(sizes)
+	gets, l := scanGets(sizes, 1)
 	total := gets + l // reads + one put per iTuple
 	if s > 0 && l > s {
 		// The final copy of the kept cells is host-side and transfers nothing.

@@ -151,18 +151,25 @@ func flushRanks(t *sim.Coprocessor, cart *sim.Cartesian, outSchema *relation.Sch
 // terms per scan. A fleet of P devices runs Σᵢ ⌈blkᵢ/M⌉ scans (at least
 // one) instead of ⌈S/M⌉.
 func Join5Transfers(sizes []int64, s, m int64) int64 {
-	getsPerScan, _ := scanGets(sizes)
-	return Join5Scans(s, m)*getsPerScan + s
+	gets, _ := scanGets(sizes, Join5Scans(s, m))
+	return gets + s
 }
 
-// scanGets is the gets of one fixed-order scan of D = X₁×…×X_J,
-// Σⱼ ∏ᵢ≤ⱼ |Xᵢ|: the Cartesian view keeps each table's current row, so
-// table j is fetched once per combination of tables 1..j. l is L = |D|.
-func scanGets(sizes []int64) (gets, l int64) {
+// scanGets is the gets of the given number of fixed-order scans of
+// D = X₁×…×X_J on one device, scans·Σ_{j: |Xⱼ|>1} ∏ᵢ≤ⱼ |Xᵢ| + #{j: |Xⱼ| = 1}:
+// the Cartesian view keeps each table's current row and fetches table j
+// only when its coordinate changes, once per combination of tables 1..j in
+// every scan, except that a one-row table's coordinate never changes and
+// its row is fetched once. l is L = |D|.
+func scanGets(sizes []int64, scans int64) (gets, l int64) {
 	l = 1
 	for _, n := range sizes {
 		l *= n
-		gets += l
+		if n == 1 {
+			gets++
+		} else {
+			gets += scans * l
+		}
 	}
 	return gets, l
 }

@@ -195,7 +195,7 @@ func join6(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate,
 // this implementation when S ≤ M, and an upper bound once S > M:
 // random-order reads fetch up to every table per iTuple.
 func Join6Transfers(sizes []int64, s, m int64, eps float64) int64 {
-	seqGets, l := scanGets(sizes)
+	seqGets, l := scanGets(sizes, 1)
 	if s <= m {
 		return seqGets + s
 	}
