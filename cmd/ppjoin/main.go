@@ -9,7 +9,9 @@
 // CSV files need a header row; a column parseable as an integer throughout
 // becomes an int64 attribute, a column parseable as a float becomes
 // float64, anything else a string. With no -a/-b flags a small built-in
-// demo dataset is used.
+// demo dataset is used. ppjoin exits 1 when the number of joined rows (or
+// the count an aggregate reports) differs from the plaintext reference
+// join's.
 package main
 
 import (
@@ -102,6 +104,9 @@ func main() {
 			st.Transfers(), st.Gets, st.Puts, st.Comparisons, st.PredEvals,
 			eng.Host().Trace().Count())
 	}
+	if want := ppj.ReferenceJoin(relA, relB, pred).Len(); rows.Len() != want {
+		fatal(fmt.Errorf("join returned %d rows, reference join %d", rows.Len(), want))
+	}
 }
 
 // runAggregate computes a statistic over the join without materialising it.
@@ -128,9 +133,12 @@ func runAggregate(relA, relB *ppj.Relation, pred ppj.Predicate, spec string, mem
 	fmt.Printf("# %s\n", plan)
 	if !res.Valid {
 		fmt.Printf("%s = (empty join)\n", k)
-		return
+	} else {
+		fmt.Printf("%s = %g  (count %d)\n", k, res.Value, res.Count)
 	}
-	fmt.Printf("%s = %g  (count %d)\n", k, res.Value, res.Count)
+	if want := int64(ppj.ReferenceJoin(relA, relB, pred).Len()); res.Count != want {
+		fatal(fmt.Errorf("aggregate counted %d join rows, reference join %d", res.Count, want))
+	}
 }
 
 func fatal(err error) {
