@@ -1,8 +1,6 @@
 package ppj
 
 import (
-	"bufio"
-	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -10,6 +8,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
@@ -21,22 +20,20 @@ import (
 
 // The product is what runs: a function or method under internal/ or cmd/
 // that no entry point reaches is code only tests keep alive. The scan
-// type-checks every non-test file of the tree (nested modules such as
-// benchmark/ included) and follows the functions each live body uses,
-// starting from the roots: every main and init, every package-level var
-// initialiser, the root package's exported functions and methods, and the
-// names testdata/exports.allow lists. The allowlist holds the deliberate
-// ones (test seams, reference oracles, thesis closed forms pinned by tests,
+// type-checks every non-test file of the tree, nested modules such as
+// benchmark/ included, and follows the functions each reached body uses
+// from the roots: every main and init, every package-level var initialiser,
+// the root package's exported functions and methods, and the names
+// testdata/exports.allow lists. The allowlist holds the deliberate ones
+// (test seams, reference oracles, thesis closed forms pinned by tests,
 // features with no product entry point yet), one "package[.Type].Name
-// reason" a line, the package being the directory name.
-//
-// A method counts as reached when an interface in the program declares its
-// name, or when stdlibMethods does, since a call through an interface
-// names the interface's method, not the concrete one.
+// reason" a line, the package being the directory name. A call through an
+// interface names the interface's method, so a method counts as reached
+// when an interface in the program declares its name, or stdlibMethods does.
 
 // stdlibMethods satisfy a standard-library interface (fmt.Stringer, error,
-// errors, gob, encoding, io, sort) that the program need not name for the
-// library to call them.
+// errors, gob, encoding, io, sort) the library calls without the program
+// naming it.
 var stdlibMethods = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true, "Is": true, "As": true,
 	"GobEncode": true, "GobDecode": true, "MarshalBinary": true, "UnmarshalBinary": true,
@@ -44,30 +41,30 @@ var stdlibMethods = map[string]bool{
 	"Read": true, "Write": true, "Close": true, "Len": true, "Less": true, "Swap": true,
 }
 
-// program is the type-checked tree: every declared function with its body
-// and qualified name, and the code that runs unconditionally.
+// program is the type-checked tree.
 type program struct {
-	info     *types.Info
-	bodies   map[*types.Func]*ast.BlockStmt
-	quals    map[string][]*types.Func // package[.Type].Name → declarations
-	product  map[*types.Func]bool     // declared under internal/ or cmd/
-	roots    []ast.Node               // main, init and var initialisers
-	api      []*types.Func            // the root package's exported functions and methods
-	dispatch map[string]bool          // method names an interface declares
+	info    *types.Info
+	bodies  map[*types.Func]*ast.BlockStmt
+	quals   map[string][]*types.Func // package[.Type].Name → declarations
+	product map[*types.Func]bool     // declared under internal/ or cmd/
+	roots   []ast.Node               // main, init and var initialisers
+	seeds   []*types.Func            // the root package's API and interface-named methods
 }
 
-// loadProgram parses and type-checks every non-test .go file under root
-// that the build constraints select, skipping directories named testdata
-// or starting with "." or "_" as the go tool does. A directory's import
-// path is the module path of the nearest enclosing go.mod plus the
-// directory's path below it; other imports come from the standard library.
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// loadProgram type-checks every non-test .go file under root that the build
+// constraints select, skipping directories named testdata or starting with
+// "." or "_" as the go tool does. A directory's import path is the module
+// path of the nearest enclosing go.mod plus the directory's path below it;
+// every other import comes from the standard library.
 func loadProgram(root string) (*program, error) {
 	fset := token.NewFileSet()
-	type pkgSrc struct {
-		rel   string
-		files []*ast.File
-	}
-	srcs := map[string]*pkgSrc{} // import path → sources
+	files := map[string][]*ast.File{} // import path → files
+	rels := map[string]string{}       // import path → directory below root
 	var modDirs, modPaths []string
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -77,18 +74,17 @@ func loadProgram(root string) (*program, error) {
 			if name := d.Name(); p != root && (name == "testdata" || name[0] == '.' || name[0] == '_') {
 				return filepath.SkipDir
 			}
-			if mod, err := modulePath(filepath.Join(p, "go.mod")); err == nil {
-				modDirs, modPaths = append(modDirs, p), append(modPaths, mod)
-			} else if !os.IsNotExist(err) {
-				return err
+			if mod, err := os.ReadFile(filepath.Join(p, "go.mod")); err == nil {
+				_, decl, _ := strings.Cut(string(mod), "module ")
+				modDirs, modPaths = append(modDirs, p), append(modPaths, strings.Fields(decl)[0])
 			}
 			return nil
 		}
+		dir := filepath.Dir(p)
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
-		dir := filepath.Dir(p)
-		if ok, err := build.Default.MatchFile(dir, d.Name()); err != nil || !ok {
+		if ok, err := build.Default.MatchFile(dir, d.Name()); !ok {
 			return err
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
@@ -101,12 +97,9 @@ func loadProgram(root string) (*program, error) {
 			i--
 			below, _ = filepath.Rel(modDirs[i], dir)
 		}
-		rel, _ := filepath.Rel(root, dir)
 		ipath := path.Join(modPaths[i], filepath.ToSlash(below))
-		if srcs[ipath] == nil {
-			srcs[ipath] = &pkgSrc{rel: filepath.ToSlash(rel)}
-		}
-		srcs[ipath].files = append(srcs[ipath].files, f)
+		rel, _ := filepath.Rel(root, dir)
+		files[ipath], rels[ipath] = append(files[ipath], f), filepath.ToSlash(rel)
 		return nil
 	})
 	if err != nil {
@@ -119,85 +112,60 @@ func loadProgram(root string) (*program, error) {
 			Uses:  map[*ast.Ident]types.Object{},
 			Types: map[ast.Expr]types.TypeAndValue{},
 		},
-		bodies:   map[*types.Func]*ast.BlockStmt{},
-		quals:    map[string][]*types.Func{},
-		product:  map[*types.Func]bool{},
-		dispatch: map[string]bool{},
+		bodies:  map[*types.Func]*ast.BlockStmt{},
+		quals:   map[string][]*types.Func{},
+		product: map[*types.Func]bool{},
 	}
 	checked := map[string]*types.Package{}
 	std := importer.Default()
 	var imp importerFunc
 	imp = func(ipath string) (*types.Package, error) {
-		if pkg := checked[ipath]; pkg != nil {
-			return pkg, nil
-		}
-		src := srcs[ipath]
-		if src == nil {
+		if files[ipath] == nil {
 			return std.Import(ipath)
 		}
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(ipath, fset, src.files, prog.info)
-		if err != nil {
-			return nil, fmt.Errorf("type-checking %s: %w", src.rel, err)
+		if checked[ipath] == nil {
+			pkg, err := (&types.Config{Importer: imp}).Check(ipath, fset, files[ipath], prog.info)
+			if err != nil {
+				return nil, err
+			}
+			checked[ipath] = pkg
 		}
-		checked[ipath] = pkg
-		return pkg, nil
+		return checked[ipath], nil
 	}
-	for ipath, src := range srcs {
+	for ipath, rel := range rels {
 		if _, err := imp(ipath); err != nil {
 			return nil, err
 		}
-		inProduct := strings.HasPrefix(src.rel, "internal/") || strings.HasPrefix(src.rel, "cmd/")
-		for _, f := range src.files {
-			prog.declare(f, path.Base(src.rel), src.rel == ".", inProduct)
+		for _, f := range files[ipath] {
+			prog.declare(f, path.Base(rel), rel == ".", strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/"))
 		}
 	}
+	dispatch := maps.Clone(stdlibMethods)
 	for _, tv := range prog.info.Types {
 		if iface, ok := tv.Type.Underlying().(*types.Interface); ok {
 			for i := range iface.NumMethods() {
-				prog.dispatch[iface.Method(i).Name()] = true
+				dispatch[iface.Method(i).Name()] = true
 			}
+		}
+	}
+	for fn := range prog.bodies {
+		if fn.Signature().Recv() != nil && dispatch[fn.Name()] {
+			prog.seeds = append(prog.seeds, fn)
 		}
 	}
 	return prog, nil
 }
 
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// modulePath reads the module line of a go.mod file.
-func modulePath(file string) (string, error) {
-	f, err := os.Open(file)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if fields := strings.Fields(sc.Text()); len(fields) == 2 && fields[0] == "module" {
-			return strings.Trim(fields[1], `"`), nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("%s: no module line", file)
-}
-
-// declare records one file's functions and roots; pkg names its package in
-// qualified names.
-func (prog *program) declare(f *ast.File, pkg string, isRoot, inProduct bool) {
+// declare records one file's functions and roots under the package name pkg.
+func (prog *program) declare(f *ast.File, pkg string, isAPI, inProduct bool) {
 	for _, decl := range f.Decls {
 		switch decl := decl.(type) {
 		case *ast.GenDecl:
-			if decl.Tok != token.VAR {
-				continue
-			}
 			for _, spec := range decl.Specs {
-				for _, v := range spec.(*ast.ValueSpec).Values {
-					prog.roots = append(prog.roots, v)
+				if vs, ok := spec.(*ast.ValueSpec); ok && decl.Tok == token.VAR {
+					for _, v := range vs.Values {
+						prog.roots = append(prog.roots, v)
+					}
 				}
 			}
 		case *ast.FuncDecl:
@@ -207,26 +175,21 @@ func (prog *program) declare(f *ast.File, pkg string, isRoot, inProduct bool) {
 				continue
 			}
 			fn := prog.info.Defs[decl.Name].(*types.Func)
-			prog.bodies[fn] = decl.Body
 			qual := pkg + "." + name
 			if decl.Recv != nil {
 				recv, _, _ := strings.Cut(strings.TrimPrefix(types.ExprString(decl.Recv.List[0].Type), "*"), "[")
 				qual = pkg + "." + recv + "." + name
 			}
-			prog.quals[qual] = append(prog.quals[qual], fn)
-			if inProduct {
-				prog.product[fn] = true
-			}
-			if isRoot && decl.Name.IsExported() {
-				prog.api = append(prog.api, fn)
+			prog.bodies[fn], prog.quals[qual], prog.product[fn] = decl.Body, append(prog.quals[qual], fn), inProduct
+			if isAPI && decl.Name.IsExported() {
+				prog.seeds = append(prog.seeds, fn)
 			}
 		}
 	}
 }
 
-// reach returns the functions that the roots, the API and extra reach
-// through the functions each reached body uses; a method whose name an
-// interface or stdlibMethods declares is reached unconditionally.
+// reach returns the functions that the roots, the seeds and extra reach
+// through the functions each reached body uses.
 func (prog *program) reach(extra []*types.Func) map[*types.Func]bool {
 	reached := map[*types.Func]bool{}
 	work := slices.Clone(prog.roots)
@@ -238,12 +201,7 @@ func (prog *program) reach(extra []*types.Func) map[*types.Func]bool {
 			}
 		}
 	}
-	for fn := range prog.bodies {
-		if name := fn.Name(); fn.Signature().Recv() != nil && (prog.dispatch[name] || stdlibMethods[name]) {
-			mark(fn)
-		}
-	}
-	for _, fn := range slices.Concat(prog.api, extra) {
+	for _, fn := range slices.Concat(prog.seeds, extra) {
 		mark(fn)
 	}
 	for len(work) > 0 {
@@ -274,24 +232,21 @@ func checkExports(root, allowPath string) (testOnly, stale, noReason []string, e
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	live := prog.reach(nil)
 	var allowed []*types.Func
-	var names []string
 	for _, line := range strings.Split(string(text), "\n") {
 		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
 			continue
 		}
 		name, reason, _ := strings.Cut(line, " ")
-		names = append(names, name)
-		allowed = append(allowed, prog.quals[name]...)
+		fns := prog.quals[name]
+		if len(fns) == 0 || slices.ContainsFunc(fns, func(fn *types.Func) bool { return live[fn] }) {
+			stale = append(stale, name)
+		}
 		if strings.TrimSpace(reason) == "" {
 			noReason = append(noReason, name)
 		}
-	}
-	live := prog.reach(nil)
-	for _, name := range names {
-		if fns := prog.quals[name]; len(fns) == 0 || slices.ContainsFunc(fns, func(fn *types.Func) bool { return live[fn] }) {
-			stale = append(stale, name)
-		}
+		allowed = append(allowed, fns...)
 	}
 	live = prog.reach(allowed)
 	for qual, fns := range prog.quals {
@@ -309,7 +264,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range testOnly {
-		t.Errorf("%s is reached from no command, example, benchmark or public API, only from tests: delete it with its tests, move it into a _test.go file, or allowlist it in testdata/exports.allow with a reason", q)
+		t.Errorf("no command, example, benchmark or public API reaches %s, only tests: delete it with its tests, move it into a _test.go file, or allowlist it in testdata/exports.allow with a reason", q)
 	}
 	for _, q := range stale {
 		t.Errorf("testdata/exports.allow lists %s, which is no longer declared or is now reached without the allowlist: remove the entry", q)
@@ -320,12 +275,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 }
 
 // TestExportScanFixture is the guard's negative control. The fixture holds
-// used functions, a method satisfying fmt.Stringer, an allowlisted name and
-// the unexported helper only it calls, a stale allowlist entry, and three
-// test-only functions a name match misses or catches: Store.Purge, which
-// only a test calls; Cache.Put, which only a test calls but shares its name
-// with the used Store.Put; and Compact, whose only caller Reset is itself
-// test-only. The test-only ones and the stale entry must be reported.
+// used functions, a fmt.Stringer method, an allowlisted name with the
+// unexported helper only it calls, a stale entry, and functions only tests
+// reach: Store.Purge; Cache.Put, which shares its name with the used
+// Store.Put; and Compact, whose one caller Reset only a test calls. Those
+// four and the stale entry must be reported, and nothing else.
 func TestExportScanFixture(t *testing.T) {
 	root := filepath.Join("testdata", "exportscan")
 	testOnly, stale, noReason, err := checkExports(root, filepath.Join(root, "exports.allow"))

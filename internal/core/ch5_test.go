@@ -330,70 +330,50 @@ func TestCh5FixedTimePredicateCharges(t *testing.T) {
 }
 
 // TestScanFormOneRowTables holds the scan form of Algorithms 4–6 and the
-// aggregate pass to measurement at P = 1 on inputs with a one-row table:
-// the Cartesian view fetches that table's row once and keeps it across
-// scans, so it is not charged once per combination of the tables before it.
+// aggregate pass to measurement at P = 1 on inputs with a one-row table,
+// whose row the Cartesian view fetches once and keeps across scans.
 func TestScanFormOneRowTables(t *testing.T) {
-	keysEqual := relation.MultiPredicateFunc{
-		Fn: func(ts []relation.Tuple) bool {
-			for _, tu := range ts[1:] {
-				if tu[0].I != ts[0][0].I {
-					return false
-				}
-			}
-			return true
-		},
-		Desc: "all keys equal",
+	firstEqualsLast := relation.MultiPredicateFunc{
+		Fn:   func(ts []relation.Tuple) bool { return ts[0][0].I == ts[len(ts)-1][0].I },
+		Desc: "x1.key = xJ.key",
 	}
-	shapes := []struct {
-		sizes    []int64
-		keySpace int64
-		m        int
+	for _, sh := range []struct {
+		sizes       []int64
+		keySpace, m int64
 	}{
 		{[]int64{3, 1}, 2, 8},
 		{[]int64{5, 1}, 2, 8},
 		{[]int64{1, 3}, 1, 1},    // S = 3: three scans
-		{[]int64{2, 1, 3}, 1, 2}, // J = 3, S = 6: three scans
-	}
-	for _, sh := range shapes {
+		{[]int64{2, 1, 3}, 1, 2}, // S = 6: three scans
+	} {
 		rels := make([]*relation.Relation, len(sh.sizes))
 		for j, n := range sh.sizes {
 			rels[j] = relation.GenKeyed(relation.NewRand(uint64(j+1)), int(n), sh.keySpace)
 		}
-		s := int64(relation.ReferenceMultiJoin(rels, keysEqual).Len())
-		fresh := func() (*sim.Coprocessor, []sim.Table) {
-			h := sim.NewHost(0)
-			cop := newCop(t, h, sh.m, 7)
-			return cop, loadTables(t, h, cop.Sealer(), rels...)
-		}
+		s := int64(relation.ReferenceMultiJoin(rels, firstEqualsLast).Len())
 		for _, alg := range Algorithms[3:6] {
-			if alg.Number == 6 && s > int64(sh.m) {
+			if alg.Number == 6 && s > sh.m {
 				continue // Algorithm 6's form is a bound once S > M
 			}
-			t.Run(fmt.Sprintf("%s_%v_S%d_M%d", alg.Name, sh.sizes, s, sh.m), func(t *testing.T) {
-				cop, tabs := fresh()
-				in := Inputs{Multi: keysEqual, Epsilon: 1e-9}
-				res, use, err := alg.Run([]*sim.Coprocessor{cop}, tabs, in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if model := alg.Transfers(sh.sizes, s, int64(sh.m), in, use); int64(res.Stats.Transfers()) != model {
-					t.Errorf("measured %d transfers (%d gets), closed form %d", res.Stats.Transfers(), res.Stats.Gets, model)
-				}
-			})
-		}
-		t.Run(fmt.Sprintf("aggregate_%v", sh.sizes), func(t *testing.T) {
-			cop, tabs := fresh()
-			res, err := Aggregate(cop, tabs, keysEqual, AggSpec{Kind: AggCount})
+			h := sim.NewHost(0)
+			cop := newCop(t, h, int(sh.m), 7)
+			in := Inputs{Multi: firstEqualsLast, Epsilon: 1e-9}
+			res, use, err := alg.Run([]*sim.Coprocessor{cop}, loadTables(t, h, cop.Sealer(), rels...), in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Count != s {
-				t.Errorf("count %d, want %d", res.Count, s)
+			if model := alg.Transfers(sh.sizes, s, sh.m, in, use); int64(res.Stats.Transfers()) != model {
+				t.Errorf("%s %v, S = %d, M = %d: measured %d transfers, closed form %d", alg.Name, sh.sizes, s, sh.m, res.Stats.Transfers(), model)
 			}
-			if model := AggregateTransfers(sh.sizes); int64(res.Stats.Transfers()) != model {
-				t.Errorf("measured %d transfers, closed form %d", res.Stats.Transfers(), model)
-			}
-		})
+		}
+		h := sim.NewHost(0)
+		cop := newCop(t, h, int(sh.m), 7)
+		res, err := Aggregate(cop, loadTables(t, h, cop.Sealer(), rels...), firstEqualsLast, AggSpec{Kind: AggCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if model := AggregateTransfers(sh.sizes); res.Count != s || int64(res.Stats.Transfers()) != model {
+			t.Errorf("aggregate %v: count %d (S = %d), measured %d transfers, closed form %d", sh.sizes, res.Count, s, res.Stats.Transfers(), model)
+		}
 	}
 }

@@ -85,11 +85,19 @@ func (g *group) wantJoin() *relation.Relation {
 	return relation.ReferenceJoin(g.relA, g.relB, eq)
 }
 
-// runTCP drives the whole client group against a TCP address: two provider
-// uploads and one recipient receive, all concurrent.
-func (g *group) runTCP(t *testing.T, srv *Server, addr string) (*relation.Relation, service.AggOutcome, error) {
+// runConcurrent drives the whole client group against srv, each party over
+// its own net.Pipe: two provider uploads and one recipient receive, all
+// concurrent.
+func (g *group) runConcurrent(t *testing.T, srv *Server) (*relation.Relation, service.AggOutcome, error) {
 	t.Helper()
-	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
+	dial := func() (net.Conn, error) {
+		serverEnd, clientEnd := net.Pipe()
+		go func() {
+			defer serverEnd.Close()
+			_ = handleConn(srv, serverEnd)
+		}()
+		return clientEnd, nil
+	}
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
@@ -234,38 +242,16 @@ func assertSameRows(t *testing.T, got, want *relation.Relation, label string) {
 	}
 }
 
-// TestConcurrentContracts is the acceptance scenario: one listener, a
-// worker pool of P=2, four concurrently driven contracts with mixed
-// algorithms (including one "auto" planned and one aggregate), every
-// recipient receiving exactly the reference join, and a consistent metrics
-// snapshot at the end.
+// TestConcurrentContracts is the acceptance scenario: a worker pool of
+// P=2, four concurrently driven contracts with mixed algorithms (including
+// one "auto" planned and one aggregate), every recipient receiving exactly
+// the reference join, and a consistent metrics snapshot at the end.
 func TestConcurrentContracts(t *testing.T) {
 	srv, err := New(Config{Workers: 2, QueueDepth: 8, Memory: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv.Start()
-	var conns sync.WaitGroup
-	accepting := make(chan struct{})
-	go func() {
-		defer close(accepting)
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conns.Add(1)
-			go func() {
-				defer conns.Done()
-				defer conn.Close()
-				_ = handleConn(srv, conn)
-			}()
-		}
-	}()
 
 	groups := []*group{
 		newGroup(t, "contract-alg3", "alg3", 1, 2, 8, 10),
@@ -286,7 +272,7 @@ func TestConcurrentContracts(t *testing.T) {
 		wg.Add(1)
 		go func(g *group) {
 			defer wg.Done()
-			result, agg, err := g.runTCP(t, srv, ln.Addr().String())
+			result, agg, err := g.runConcurrent(t, srv)
 			if err != nil {
 				t.Errorf("%s: %v", g.contract.ID, err)
 				return
@@ -350,82 +336,16 @@ func TestConcurrentContracts(t *testing.T) {
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	ln.Close()
-	<-accepting
-	conns.Wait()
-}
-
-// waitQueued waits until one ready job sits in srv's queue.
-func waitQueued(t *testing.T, srv *Server) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.MetricsSnapshot().QueueDepth != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first job never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestRegisterRefusedWhenQueueFull: with the ready queue at capacity,
-// Register refuses a new contract with ErrQueueFull before any durable side
-// effect — no WAL record, no gauge move — which is what lets the fleet
-// router spill the contract to another shard.
-func TestRegisterRefusedWhenQueueFull(t *testing.T) {
-	dir := t.TempDir()
-	srv, err := New(Config{Workers: 1, QueueDepth: 1, Memory: 16, DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown(context.Background())
-	// Workers are not started: the ready job holds the queue at capacity.
-	g1 := newGroup(t, "full-1", "alg5", 31, 32, 5, 5)
-	j1, err := srv.Register(g1.contract)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g1.pipeProvider(t, srv, g1.provA, g1.relA); err != nil {
-		t.Fatal(err)
-	}
-	if err := g1.pipeProvider(t, srv, g1.provB, g1.relB); err != nil {
-		t.Fatal(err)
-	}
-	out1 := g1.pipeRecipient(t, srv)
-	waitQueued(t, srv)
-
-	before := srv.MetricsSnapshot()
-	recsBefore, err := wal.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := newGroup(t, "full-2", "alg5", 33, 34, 5, 5)
-	if _, err := srv.Register(g2.contract); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Register on a full queue = %v, want ErrQueueFull", err)
-	}
-	after := srv.MetricsSnapshot()
-	if after.Submitted != before.Submitted || !reflect.DeepEqual(after.Jobs, before.Jobs) || after.QueueDepth != before.QueueDepth {
-		t.Fatalf("refused registration moved the gauges: submitted %d -> %d, jobs %v -> %v, queue %d -> %d",
-			before.Submitted, after.Submitted, before.Jobs, after.Jobs, before.QueueDepth, after.QueueDepth)
-	}
-	recsAfter, err := wal.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recsAfter) != len(recsBefore) {
-		t.Fatalf("refused registration journaled %d records", len(recsAfter)-len(recsBefore))
-	}
-
-	srv.Start()
-	waitDone(t, j1)
-	if o := <-out1; o.err != nil {
-		t.Fatal(o.err)
-	}
 }
 
 // TestQueueBackpressure fills the bounded ready queue with the workers held
-// back and checks the typed rejection.
+// back and checks both typed rejections: Register against the full queue
+// refuses before any durable side effect — no WAL record, no gauge move,
+// which is what lets the fleet router spill the contract to another shard —
+// and a job admitted earlier fails when it becomes ready.
 func TestQueueBackpressure(t *testing.T) {
-	srv, err := New(Config{Workers: 1, QueueDepth: 1, Memory: 16})
+	dir := t.TempDir()
+	srv, err := New(Config{Workers: 1, QueueDepth: 1, Memory: 16, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +373,28 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	out1 := ready(g1)
 	// g1 is now queued (uploads done, recipient parked).
-	waitQueued(t, srv)
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.MetricsSnapshot().QueueDepth != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("first job never reached the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	before := srv.MetricsSnapshot()
+	recs, err := wal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Register(newGroup(t, "bp-3", "alg5", 15, 16, 5, 5).contract); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Register on a full queue = %v, want ErrQueueFull", err)
+	}
+	if after := srv.MetricsSnapshot(); after.Submitted != before.Submitted || !reflect.DeepEqual(after.Jobs, before.Jobs) {
+		t.Fatalf("refused registration moved the gauges: %d %v -> %d %v", before.Submitted, before.Jobs, after.Submitted, after.Jobs)
+	}
+	if after, err := wal.Recover(dir); err != nil || len(after) != len(recs) {
+		t.Fatalf("refused registration: %d WAL records -> %d (%v)", len(recs), len(after), err)
+	}
 
 	out2 := ready(g2)
 	waitDone(t, j2)

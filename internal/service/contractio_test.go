@@ -2,9 +2,6 @@ package service
 
 import (
 	"bytes"
-	"io"
-	"net"
-	"sync"
 	"testing"
 
 	"ppj/internal/relation"
@@ -89,49 +86,12 @@ func TestThreeProviderService(t *testing.T) {
 	}
 	rels := []*relation.Relation{mk(1, 5), mk(2, 6), mk(3, 4)}
 
-	conns := make([]io.ReadWriter, 4)
-	clientConns := make([]net.Conn, 4)
-	for i := range conns {
-		conns[i], clientConns[i] = net.Pipe()
-	}
-	var (
-		wg     sync.WaitGroup
-		result *relation.Relation
-		cliErr = make(chan error, 4)
-	)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cl := &Client{Name: c.Parties[i].Name, Identity: parties[i].priv,
-				DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}
-			cs, err := cl.Connect(clientConns[i], RoleProvider)
-			if err == nil {
-				err = cs.SubmitRelation(c.ID, rels[i])
-			}
-			cliErr <- err
-		}(i)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cl := &Client{Name: "res", Identity: parties[3].priv,
-			DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}
-		cs, err := cl.Connect(clientConns[3], RoleRecipient)
-		if err == nil {
-			result, err = cs.ReceiveResult()
-		}
-		cliErr <- err
-	}()
-	if err := serveExecution(svc, conns...); err != nil {
+	var result *relation.Relation
+	if err := execute(svc, parties[:3], rels, parties[3], func(cs *ClientSession) (err error) {
+		result, err = cs.ReceiveResult()
+		return err
+	}); err != nil {
 		t.Fatal(err)
-	}
-	wg.Wait()
-	close(cliErr)
-	for err := range cliErr {
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	pred := relation.MultiPredicateFunc{

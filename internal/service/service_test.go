@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 
 	"ppj/internal/core"
@@ -58,95 +57,73 @@ func accept(svc *Service, conn io.ReadWriter) (*Session, Party, error) {
 	return sess, party, err
 }
 
-// serveExecution plays the server's side of one execution over conns, in
-// order, through the seams server.Server drives: each party's handshake,
-// each provider's upload, then one RunContract delivered to every
-// recipient.
-func serveExecution(svc *Service, conns ...io.ReadWriter) error {
-	var recipients []*Session
-	for _, conn := range conns {
-		sess, party, err := accept(svc, conn)
+// execute runs one execution of svc over net.Pipe connections. The server
+// side goes through the seams server.Server drives — each party's handshake
+// and each provider's upload in turn, then one RunContract delivered to the
+// recipient — in the background while the parties take their turns:
+// provider i uploads rels[i], then the recipient connects and recv reads.
+func execute(svc *Service, providers []testParty, rels []*relation.Relation, recipient testParty, recv func(*ClientSession) error) error {
+	servers, clients := make([]io.ReadWriter, len(providers)+1), make([]net.Conn, len(providers)+1)
+	for i := range clients {
+		servers[i], clients[i] = net.Pipe()
+		defer clients[i].Close()
+	}
+	served := make(chan error, 1)
+	go func() {
+		var deliver []*Session
+		for _, conn := range servers {
+			sess, party, err := accept(svc, conn)
+			if err == nil && party.Role == RoleRecipient {
+				deliver = append(deliver, sess)
+			} else if err == nil {
+				err = svc.ReceiveUpload(party.Name, sess)
+			}
+			if err != nil {
+				served <- err
+				return
+			}
+		}
+		out := svc.RunContract()
+		for _, sess := range deliver {
+			if err := svc.DeliverStream(sess, out, 0); err != nil {
+				served <- err
+				return
+			}
+		}
+		served <- out.Err
+	}()
+	connect := func(p testParty, conn io.ReadWriter, role Role) (*ClientSession, error) {
+		return (&Client{Name: p.name, Identity: p.priv, DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}).Connect(conn, role)
+	}
+	for i, p := range providers {
+		cs, err := connect(p, clients[i], RoleProvider)
+		if err == nil {
+			err = cs.SubmitRelation(svc.Contract.ID, rels[i])
+		}
 		if err != nil {
 			return err
 		}
-		if party.Role == RoleRecipient {
-			recipients = append(recipients, sess)
-		} else if err := svc.ReceiveUpload(party.Name, sess); err != nil {
-			return err
-		}
 	}
-	out := svc.RunContract()
-	for _, sess := range recipients {
-		if err := svc.DeliverStream(sess, out, 0); err != nil {
-			return err
-		}
+	cs, err := connect(recipient, clients[len(providers)], RoleRecipient)
+	if err == nil {
+		err = recv(cs)
 	}
-	return out.Err
+	if err != nil {
+		return err
+	}
+	return <-served
 }
 
-// runService executes the full three-party flow over net.Pipe connections
-// and returns the recipient's decoded result.
+// runService executes the full three-party flow and returns the
+// recipient's decoded result.
 func runService(t *testing.T, svc *Service, pA, pB, pC testParty, relA, relB *relation.Relation) (*relation.Relation, error) {
 	t.Helper()
-	mk := func() (io.ReadWriter, io.ReadWriter) { return net.Pipe() }
-	serverA, clientA := mk()
-	serverB, clientB := mk()
-	serverC, clientC := mk()
-
-	client := func(p testParty) *Client {
-		return &Client{
-			Name:      p.name,
-			Identity:  p.priv,
-			DeviceKey: svc.Device.DeviceKey(),
-			Expected:  ExpectedStack(),
-		}
-	}
-
-	var (
-		wg        sync.WaitGroup
-		result    *relation.Relation
-		resultErr error
-		clientErr = make(chan error, 3)
-	)
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		cs, err := client(pA).Connect(clientA, RoleProvider)
-		if err == nil {
-			err = cs.SubmitRelation(svc.Contract.ID, relA)
-		}
-		clientErr <- err
-	}()
-	go func() {
-		defer wg.Done()
-		cs, err := client(pB).Connect(clientB, RoleProvider)
-		if err == nil {
-			err = cs.SubmitRelation(svc.Contract.ID, relB)
-		}
-		clientErr <- err
-	}()
-	go func() {
-		defer wg.Done()
-		cs, err := client(pC).Connect(clientC, RoleRecipient)
-		if err == nil {
-			result, err = cs.ReceiveResult()
-		}
-		resultErr = err
-		clientErr <- err
-	}()
-
-	svcErr := serveExecution(svc, serverA, serverB, serverC)
-	wg.Wait()
-	close(clientErr)
-	for err := range clientErr {
-		if err != nil && resultErr == nil {
-			resultErr = err
-		}
-	}
-	if svcErr != nil {
-		return nil, svcErr
-	}
-	return result, resultErr
+	var result *relation.Relation
+	err := execute(svc, []testParty{pA, pB}, []*relation.Relation{relA, relB}, pC, func(cs *ClientSession) (err error) {
+		result, err = cs.ReceiveResult()
+		return err
+	})
+	return result, err
 }
 
 func TestEndToEndAllAlgorithms(t *testing.T) {
@@ -380,52 +357,12 @@ func TestEndToEndAggregateContract(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serverA, clientA := net.Pipe()
-	serverB, clientB := net.Pipe()
-	serverC, clientC := net.Pipe()
-	client := func(p testParty) *Client {
-		return &Client{Name: p.name, Identity: p.priv,
-			DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}
-	}
-	var (
-		wg      sync.WaitGroup
-		outcome AggOutcome
-		cliErr  = make(chan error, 3)
-	)
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		cs, err := client(pA).Connect(clientA, RoleProvider)
-		if err == nil {
-			err = cs.SubmitRelation(c.ID, relA)
-		}
-		cliErr <- err
-	}()
-	go func() {
-		defer wg.Done()
-		cs, err := client(pB).Connect(clientB, RoleProvider)
-		if err == nil {
-			err = cs.SubmitRelation(c.ID, relB)
-		}
-		cliErr <- err
-	}()
-	go func() {
-		defer wg.Done()
-		cs, err := client(pC).Connect(clientC, RoleRecipient)
-		if err == nil {
-			outcome, err = cs.ReceiveAggregate()
-		}
-		cliErr <- err
-	}()
-	if err := serveExecution(svc, serverA, serverB, serverC); err != nil {
+	var outcome AggOutcome
+	if err := execute(svc, []testParty{pA, pB}, []*relation.Relation{relA, relB}, pC, func(cs *ClientSession) (err error) {
+		outcome, err = cs.ReceiveAggregate()
+		return err
+	}); err != nil {
 		t.Fatal(err)
-	}
-	wg.Wait()
-	close(cliErr)
-	for err := range cliErr {
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	eq, _ := relation.NewEqui(relA.Schema, "key", relB.Schema, "key")
 	want := relation.ReferenceJoin(relA, relB, eq).Len()
