@@ -23,9 +23,10 @@ import (
 // device's first Cartesian read falls where the sequential scan also reads
 // every table. The decoy filter then runs over the whole group, each round's
 // buffer sort one SortSpan. Summed over the group the transfers are
-// Join4Transfers at every P, and on one device this is the sequential
-// algorithm. Every device's schedule is a function of (L, S, P) and its
-// group position.
+// Join4Transfers at every P — except that every device fetches a one-row
+// table's row itself, P − 1 gets more — and on one device this is the
+// sequential algorithm. Every device's schedule is a function of (L, S, P)
+// and its group position.
 func join4(cops []*sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate) (Result, error) {
 	outSchema, cart, err := prepCh5(cops[0], tables)
 	if err != nil {
