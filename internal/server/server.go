@@ -303,8 +303,8 @@ func (s *Server) MetricsSnapshot() Snapshot {
 	return snap
 }
 
-// Start launches the worker pool. fleet.Router.Start calls it for every shard;
-// tests that drive HandleSession directly may delay it to control
+// Start launches the worker pool. fleet.Router.Start calls it for every
+// shard; tests that drive HandleSession directly may delay it to control
 // scheduling.
 func (s *Server) Start() {
 	s.mu.Lock()
