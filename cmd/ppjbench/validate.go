@@ -132,7 +132,7 @@ func runSMCDemo(out *output) error {
 		relB.MustAppend(relation.Tuple{relation.IntValue(int64(k)), relation.IntValue(int64(i))})
 	}
 	h := sim.NewHost(0)
-	sealer, err := sim.NewRandomOCBSealer()
+	sealer, err := sim.NewRandomGCMSealer()
 	if err != nil {
 		return err
 	}
@@ -156,7 +156,7 @@ func runSMCDemo(out *output) error {
 	copBytes := int64(res.Stats.Transfers()) * int64(tupleBytes)
 	out.printf("\nAlgorithm 5 on a secure coprocessor, same input:\n")
 	out.printf("  matches: %d\n", res.OutputLen)
-	out.printf("  tuple transfers: %d (~%d bytes incl. OCB overhead)\n", res.Stats.Transfers(), copBytes)
+	out.printf("  tuple transfers: %d (~%d bytes incl. sealing overhead)\n", res.Stats.Transfers(), copBytes)
 	out.printf("\nSMC / coprocessor byte ratio: %.0fx\n", float64(st.TotalBytes)/float64(copBytes))
 	out.csvRow("smc_bytes", st.TotalBytes)
 	out.csvRow("coprocessor_bytes", copBytes)

@@ -97,7 +97,7 @@ func runParallel4(relA, relB *relation.Relation, eq *relation.Equi, p int) uint6
 }
 
 func fleet(h *sim.Host, p, mem int) []*sim.Coprocessor {
-	sealer, err := sim.NewRandomOCBSealer()
+	sealer, err := sim.NewRandomGCMSealer()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestCh4CorrectnessWithOCB(t *testing.T) {
 	for name, run := range ch4Algorithms {
 		t.Run(name, func(t *testing.T) {
 			h := sim.NewHost(0)
-			sealer, err := sim.NewRandomOCBSealer()
+			sealer, err := sim.NewRandomGCMSealer()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,7 +296,7 @@ func TestCh4Validation(t *testing.T) {
 func TestCh4TamperAborts(t *testing.T) {
 	relA, relB := relation.GenWithMatchBound(relation.NewRand(7), 4, 8, 2)
 	h := sim.NewHost(0)
-	sealer, err := sim.NewRandomOCBSealer()
+	sealer, err := sim.NewRandomGCMSealer()
 	if err != nil {
 		t.Fatal(err)
 	}

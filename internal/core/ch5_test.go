@@ -118,7 +118,7 @@ func TestCh5CorrectnessWithOCB(t *testing.T) {
 	for name, run := range ch5Algorithms {
 		t.Run(name, func(t *testing.T) {
 			h := sim.NewHost(0)
-			sealer, err := sim.NewRandomOCBSealer()
+			sealer, err := sim.NewRandomGCMSealer()
 			if err != nil {
 				t.Fatal(err)
 			}

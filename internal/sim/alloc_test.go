@@ -7,13 +7,13 @@ package sim
 import "testing"
 
 // TestTransferAllocations pins the heap allocations of each transfer path
-// with the OCB sealer. A ciphertext handed to H is retained by it, so every
+// with the GCM sealer. A ciphertext handed to H is retained by it, so every
 // sealed cell costs one allocation, and so does a plaintext a get returns
 // in a fresh buffer; everything else (ciphertext references, staging
 // buffers, a reused GetBatchInto destination) must be reused.
 func TestTransferAllocations(t *testing.T) {
 	h := NewHost(0)
-	sealer, err := NewRandomOCBSealer()
+	sealer, err := NewRandomGCMSealer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,5 +60,28 @@ func TestTransferAllocations(t *testing.T) {
 			t.Errorf("%s allocates %.1f times per call, want at most %.0f", c.name, got, c.max)
 		}
 		t.Logf("%s: %.1f allocations per call", c.name, got)
+	}
+}
+
+// TestGCMSealerAllocations pins SealTo and OpenTo into reused buffers at
+// zero allocations: the nonce is framed inside dst, so nothing escapes
+// through the cipher.AEAD interface.
+func TestGCMSealerAllocations(t *testing.T) {
+	s, err := NewRandomGCMSealer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := make([]byte, 57)
+	ct := s.Seal(pt)
+	ctBuf, ptBuf := make([]byte, 0, len(ct)), make([]byte, 0, len(pt))
+	if got := testing.AllocsPerRun(100, func() { ctBuf = s.SealTo(ctBuf[:0], pt) }); got != 0 {
+		t.Errorf("SealTo allocates %.1f times per call, want 0", got)
+	}
+	var openErr error
+	if got := testing.AllocsPerRun(100, func() { ptBuf, openErr = s.OpenTo(ptBuf[:0], ct) }); got != 0 {
+		t.Errorf("OpenTo allocates %.1f times per call, want 0", got)
+	}
+	if openErr != nil {
+		t.Fatal(openErr)
 	}
 }

@@ -68,7 +68,7 @@ type Config struct {
 	// unbounded" (used by reference runs and the service defaults).
 	Memory int
 	// Sealer is the authenticated encryption; nil selects a fresh random
-	// OCBSealer.
+	// GCMSealer.
 	Sealer Sealer
 	// Seed makes T's internal randomness (oblivious shuffles, segment
 	// orders) deterministic; 0 draws a random seed.
@@ -80,7 +80,7 @@ func NewCoprocessor(h *Host, cfg Config) (*Coprocessor, error) {
 	s := cfg.Sealer
 	if s == nil {
 		var err error
-		s, err = NewRandomOCBSealer()
+		s, err = NewRandomGCMSealer()
 		if err != nil {
 			return nil, err
 		}

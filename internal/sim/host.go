@@ -110,14 +110,6 @@ func (h *Host) MustCreateRegion(name string, n int) RegionID {
 	return id
 }
 
-// RegionLen returns the current number of cells in a region.
-func (h *Host) RegionLen(id RegionID) int {
-	r := h.regionFor(id)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cells)
-}
-
 // RegionName returns the region's name.
 func (h *Host) RegionName(id RegionID) string {
 	return h.regionFor(id).name
@@ -151,11 +143,6 @@ func (h *Host) Inspect(id RegionID, index int64) []byte {
 // tracing. T's next authenticated read of the cell must fail (§3.3.1).
 func (h *Host) Tamper(id RegionID, index int64, ciphertext []byte) {
 	h.Store(id, index, ciphertext)
-}
-
-// DiskWrites reports how many cells H has persisted at T's request.
-func (h *Host) DiskWrites() uint64 {
-	return h.diskWrites.Load()
 }
 
 // FreshRegion creates a region with a unique name derived from prefix, for
