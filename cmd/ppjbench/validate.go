@@ -97,9 +97,10 @@ func runValidate(out *output) error {
 			}
 		}
 	}
-	out.printf("\nChapter 5 ratios > 1 reflect that the simulator counts the underlying\n")
-	out.printf("per-table gets of D (and, for Algorithm 6, random-order reads fetch every\n")
-	out.printf("table), while the paper counts one logical read per iTuple.\n")
+	out.printf("\nThe paper counts one logical read per iTuple; the simulator counts the\n")
+	out.printf("underlying per-table gets of D. Algorithm 6's ratios > 1: its random-order\n")
+	out.printf("reads fetch every table. Algorithm 5's < 1: T holds a block of K = M/2\n")
+	out.printf("rows of X1 and fetches X2 once per block, not once per X1 row.\n")
 	return nil
 }
 

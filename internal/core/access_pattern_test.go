@@ -46,35 +46,36 @@ func TestAccessPatternInvarianceAlg3(t *testing.T) {
 }
 
 // TestAccessPatternInvarianceAlg5 runs Algorithm 5 on two unrelated inputs
-// sharing (|R1|, |R2|, S, M) — S > M so the multi-scan flush discipline is
-// exercised — and asserts identical counters.
+// sharing (|R1|, |R2|, S, M) — S > M−K+1 so the multi-scan flush
+// discipline is exercised — and asserts identical counters, once with the
+// one-row view (K = 1) and once with blocks of K = 4 rows of X₁, the last
+// one short.
 func TestAccessPatternInvarianceAlg5(t *testing.T) {
-	const (
-		nA = 8
-		nB = 12
-		s  = 6
-		m  = 3
-	)
-	run := func(dataSeed, copSeed uint64) sim.Stats {
-		t.Helper()
-		relA, relB := genJoinSized(dataSeed, nA, nB, s)
-		h := sim.NewHost(0)
-		cop := newCop(t, h, m, copSeed)
-		tabs := loadTables(t, h, cop.Sealer(), relA, relB)
-		res, err := Join5(cop, tabs, relation.Pairwise(keyEqui(t, relA, relB)))
-		if err != nil {
-			t.Fatal(err)
+	for _, sh := range []struct{ nA, nB, s, m int }{
+		{8, 12, 6, 3},
+		{10, 7, 7, 8},
+	} {
+		run := func(dataSeed, copSeed uint64) sim.Stats {
+			t.Helper()
+			relA, relB := genJoinSized(dataSeed, sh.nA, sh.nB, sh.s)
+			h := sim.NewHost(0)
+			cop := newCop(t, h, sh.m, copSeed)
+			tabs := loadTables(t, h, cop.Sealer(), relA, relB)
+			res, err := Join5(cop, tabs, relation.Pairwise(keyEqui(t, relA, relB)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.OutputLen != int64(sh.s) {
+				t.Fatalf("output length %d, want exact S=%d (the public size the pattern may reveal)", res.OutputLen, sh.s)
+			}
+			return res.Stats
 		}
-		if res.OutputLen != s {
-			t.Fatalf("output length %d, want exact S=%d (the public size the pattern may reveal)", res.OutputLen, s)
+		s1, s2 := run(3003, 17), run(4004, 18)
+		if s1.LogicalReads == 0 || s1.PredEvals == 0 {
+			t.Fatalf("degenerate run: %+v", s1)
 		}
-		return res.Stats
-	}
-	s1, s2 := run(3003, 17), run(4004, 18)
-	if s1.LogicalReads == 0 || s1.PredEvals == 0 {
-		t.Fatalf("degenerate run: %+v", s1)
-	}
-	if s1 != s2 {
-		t.Fatalf("alg5 access pattern depends on tuple contents:\n run1 %+v\n run2 %+v", s1, s2)
+		if s1 != s2 {
+			t.Fatalf("alg5 %dx%d, M = %d: access pattern depends on tuple contents:\n run1 %+v\n run2 %+v", sh.nA, sh.nB, sh.m, s1, s2)
+		}
 	}
 }

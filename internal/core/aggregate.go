@@ -85,7 +85,7 @@ type AggResult struct {
 // one put — a pattern independent of every input value and even of the
 // join size.
 func Aggregate(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate, spec AggSpec) (AggResult, error) {
-	_, cart, err := prepCh5(t, tables)
+	_, cart, err := prepCh5(t, tables, 1)
 	if err != nil {
 		return AggResult{}, err
 	}
@@ -110,15 +110,10 @@ func Aggregate(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredic
 	res := AggResult{Kind: spec.Kind}
 	var sum float64
 	minV, maxV := math.Inf(1), math.Inf(-1)
-	l := cart.Size()
-	for i := int64(0); i < l; i++ {
-		row, err := cart.Read(i)
-		if err != nil {
-			return AggResult{}, err
-		}
+	if err := cart.Scan(func(row []relation.Tuple) error {
 		t.ChargePredicate()
 		if !pred.Satisfy(row) {
-			continue
+			return nil
 		}
 		res.Count++
 		if attrIdx >= 0 {
@@ -136,6 +131,9 @@ func Aggregate(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredic
 				maxV = v
 			}
 		}
+		return nil
+	}); err != nil {
+		return AggResult{}, err
 	}
 	switch spec.Kind {
 	case AggCount:

@@ -28,7 +28,7 @@ import (
 // sequential algorithm. Every device's schedule is a function of (L, S, P)
 // and its group position.
 func join4(cops []*sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate) (Result, error) {
-	outSchema, cart, err := prepCh5(cops[0], tables)
+	outSchema, cart, err := prepCh5(cops[0], tables, 1)
 	if err != nil {
 		return Result{}, err
 	}
@@ -46,7 +46,7 @@ func join4(cops []*sim.Coprocessor, tables []sim.Table, pred relation.MultiPredi
 	counts := make([]int64, p)
 	if err := oblivious.ForEach(p, func(w int64) error {
 		t := cops[w]
-		scan, err := sim.NewCartesian(t, tables)
+		scan, err := sim.NewCartesian(t, tables, 1)
 		if err != nil {
 			return err
 		}
@@ -136,8 +136,8 @@ func Join4Transfers(sizes []int64, s int64) int64 {
 }
 
 // prepCh5 validates a Chapter 5 input and builds the output schema and the
-// cartesian view.
-func prepCh5(t *sim.Coprocessor, tables []sim.Table) (*relation.Schema, *sim.Cartesian, error) {
+// cartesian view with Scan's block size k.
+func prepCh5(t *sim.Coprocessor, tables []sim.Table, k int64) (*relation.Schema, *sim.Cartesian, error) {
 	if len(tables) == 0 {
 		return nil, nil, fmt.Errorf("%w: no input tables", errInvalid)
 	}
@@ -145,7 +145,7 @@ func prepCh5(t *sim.Coprocessor, tables []sim.Table) (*relation.Schema, *sim.Car
 	if err != nil {
 		return nil, nil, err
 	}
-	cart, err := sim.NewCartesian(t, tables)
+	cart, err := sim.NewCartesian(t, tables, k)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -21,7 +21,8 @@ import (
 // and a fill-forward duplication scan. Everything is built from the batched
 // transfer primitives, so the whole join costs O((n log²n + S log²S))
 // transfers for n = |A| + |B| — the union and alignment sorts dominate; the
-// expansion itself is O(n log n + S log S) — versus Algorithm 5's ⌈S/M⌉·L.
+// expansion itself is O(n log n + S log S) — versus Algorithm 5's scans of
+// L = |A|·|B| iTuples.
 //
 // The pipeline (all arrays hold uniform fixed-size cells: a tag byte, five
 // u64 index fields, and the padded tuple encoding):
@@ -278,7 +279,7 @@ func Join7Transfers(aN, bN, s int64) int64 {
 //	+ join7TailTransfers(n, S, B)               scans, expansion, stitch
 //
 // with n = |A|+|B| and Sort the block odd-even mergesort cost. The sort
-// terms dominate; compare Join5Transfers' ⌈S/M⌉·L.
+// terms dominate; compare Join5Transfers, whose every scan reads all of L.
 func join7Transfers(aN, bN, s, b int64) int64 {
 	n := aN + bN
 	if n == 0 {

@@ -314,38 +314,54 @@ func TestJoin6Validation(t *testing.T) {
 func TestCh5FixedTimePredicateCharges(t *testing.T) {
 	// Fixed Time principle: the predicate is evaluated (and charged) exactly
 	// once per iTuple per pass, independent of match outcomes.
-	relA, relB := genJoinSized(29, 5, 8, 6)
-	h := sim.NewHost(0)
-	cop := newCop(t, h, 2, 5)
-	tabs := loadTables(t, h, cop.Sealer(), relA, relB)
-	pred := relation.Pairwise(keyEqui(t, relA, relB))
-	res, err := Join5(cop, tabs, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scans := Join5Scans(6, 2)
-	if got, want := res.Stats.PredEvals, uint64(scans*40); got != want {
-		t.Fatalf("predicate evaluations %d, want %d", got, want)
+	for _, sh := range []struct {
+		nA, nB, s, m, k, scans int
+	}{
+		{5, 8, 6, 2, 1, 3},
+		// K = 4: blocks of 4, 4 and 2 rows, 5 result slots, so S = 7 takes
+		// two scans where the one-row view would take one.
+		{10, 7, 7, 8, 4, 2},
+	} {
+		relA, relB := genJoinSized(29, sh.nA, sh.nB, sh.s)
+		h := sim.NewHost(0)
+		cop := newCop(t, h, sh.m, 5)
+		tabs := loadTables(t, h, cop.Sealer(), relA, relB)
+		if k := join5Block([]int64{int64(sh.nA), int64(sh.nB)}, int64(sh.m)); k != int64(sh.k) {
+			t.Fatalf("%dx%d, M = %d: block of %d rows, want %d", sh.nA, sh.nB, sh.m, k, sh.k)
+		}
+		res, err := Join5(cop, tabs, relation.Pairwise(keyEqui(t, relA, relB)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Stats.PredEvals, uint64(sh.scans*sh.nA*sh.nB); got != want || res.Stats.LogicalReads != want {
+			t.Fatalf("%dx%d, M = %d: %d predicate evaluations and %d logical reads, want %d", sh.nA, sh.nB, sh.m, got, res.Stats.LogicalReads, want)
+		}
 	}
 }
 
 // TestScanFormOneRowTables holds the scan form of Algorithms 4–6 and the
 // aggregate pass to measurement at P = 1 on inputs with a one-row table,
-// whose row the Cartesian view fetches once and keeps across scans.
+// whose row the Cartesian view fetches once and keeps across scans, with
+// Algorithm 5 at K = 1 and in blocks.
 func TestScanFormOneRowTables(t *testing.T) {
 	firstEqualsLast := relation.MultiPredicateFunc{
 		Fn:   func(ts []relation.Tuple) bool { return ts[0][0].I == ts[len(ts)-1][0].I },
 		Desc: "x1.key = xJ.key",
 	}
 	for _, sh := range []struct {
-		sizes       []int64
-		keySpace, m int64
+		sizes          []int64
+		keySpace, m, k int64 // k: Algorithm 5's block size
 	}{
-		{[]int64{3, 1}, 2, 8},
-		{[]int64{5, 1}, 2, 8},
-		{[]int64{1, 3}, 1, 1},    // S = 3: three scans
-		{[]int64{2, 1, 3}, 1, 2}, // S = 6: three scans
+		{[]int64{3, 1}, 2, 8, 1}, // a block of 3 saves no gets: 4 a scan either way
+		{[]int64{5, 1}, 2, 8, 1},
+		{[]int64{1, 3}, 1, 1, 1},    // S = 3: three scans
+		{[]int64{1, 3}, 1, 8, 1},    // |X₁| = 1
+		{[]int64{2, 1, 3}, 1, 2, 1}, // S = 6: three scans
+		{[]int64{4, 1, 3}, 1, 8, 4}, // S = 12: three scans of 5 slots, X₁ read once
 	} {
+		if k := join5Block(sh.sizes, sh.m); k != sh.k {
+			t.Errorf("%v, M = %d: Algorithm 5 blocks %d rows, want %d", sh.sizes, sh.m, k, sh.k)
+		}
 		rels := make([]*relation.Relation, len(sh.sizes))
 		for j, n := range sh.sizes {
 			rels[j] = relation.GenKeyed(relation.NewRand(uint64(j+1)), int(n), sh.keySpace)

@@ -214,26 +214,32 @@ func TestParallelJoin2PerDeviceTraceDataIndependent(t *testing.T) {
 }
 
 func TestParallelJoin5PerDeviceTraceDataIndependent(t *testing.T) {
-	run := func(seed uint64) []uint64 {
-		relA, relB := genJoinSized(seed, 6, 10, 7)
-		h := sim.NewHost(0)
-		cops := newFleet(t, h, 2, 2)
-		tabA, _ := sim.LoadTable(h, cops[0].Sealer(), "X1", relA)
-		tabB, _ := sim.LoadTable(h, cops[0].Sealer(), "X2", relB)
-		pred := relation.Pairwise(keyEqui(t, relA, relB))
-		if _, err := ParallelJoin5(cops, []sim.Table{tabA, tabB}, pred); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]uint64, len(cops))
-		for i, c := range cops {
-			out[i] = c.Trace().Digest()
-		}
-		return out
-	}
-	a, b := run(71), run(72)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("device %d access pattern depends on data", i)
+	// One-row view at M = 2, and blocks of K = 4 rows of X₁ (the last one
+	// short) with 5 result slots at M = 8.
+	for _, sh := range []struct{ nA, nB, s, m int }{{6, 10, 7, 2}, {10, 7, 7, 8}} {
+		for _, p := range []int{1, 2, 4} {
+			run := func(seed uint64) []uint64 {
+				relA, relB := genJoinSized(seed, sh.nA, sh.nB, sh.s)
+				h := sim.NewHost(0)
+				cops := newFleet(t, h, p, sh.m)
+				tabA, _ := sim.LoadTable(h, cops[0].Sealer(), "X1", relA)
+				tabB, _ := sim.LoadTable(h, cops[0].Sealer(), "X2", relB)
+				pred := relation.Pairwise(keyEqui(t, relA, relB))
+				if _, err := ParallelJoin5(cops, []sim.Table{tabA, tabB}, pred); err != nil {
+					t.Fatal(err)
+				}
+				out := make([]uint64, len(cops))
+				for i, c := range cops {
+					out[i] = c.Trace().Digest()
+				}
+				return out
+			}
+			a, b := run(71), run(72)
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("%dx%d, M = %d, P = %d: device %d access pattern depends on data", sh.nA, sh.nB, sh.m, p, i)
+				}
+			}
 		}
 	}
 }

@@ -206,10 +206,10 @@ func (a *Algorithm) Run(cops []*sim.Coprocessor, tables []sim.Table, in Inputs) 
 // cache participates) and, with a cache, the hit bits. It is what Run
 // charges, summed over the fleet, exactly at every admissible P — a fleet
 // sorts with the same network one device runs — except for Algorithm 5 at
-// P > 1, whose fleet runs Σᵢ ⌈blkᵢ/M⌉ scans instead of ⌈S/M⌉, and a
-// one-row table at P > 1, whose row every device fetches. Algorithm 6's
-// form is a worst-case bound once s exceeds m (its random-order reads reuse
-// coordinates).
+// P > 1, whose fleet runs Σᵢ ⌈blkᵢ/(M−K+1)⌉ scans instead of
+// ⌈S/(M−K+1)⌉, and a one-row table at P > 1, whose row every device
+// fetches. Algorithm 6's form is a worst-case bound once s exceeds m (its
+// random-order reads reuse coordinates).
 func (a *Algorithm) Transfers(sizes []int64, s, m int64, in Inputs, use CacheUse) int64 {
 	return a.transfers(sizes, s, m, in, use)
 }

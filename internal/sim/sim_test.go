@@ -221,7 +221,7 @@ func TestCartesianSequentialScan(t *testing.T) {
 	b := relation.GenKeyed(relation.NewRand(2), 6, 100)
 	tabA, _ := LoadTable(h, cop.Sealer(), "A", a)
 	tabB, _ := LoadTable(h, cop.Sealer(), "B", b)
-	cart, err := NewCartesian(cop, []Table{tabA, tabB})
+	cart, err := NewCartesian(cop, []Table{tabA, tabB}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCartesianCoordsRoundTrip(t *testing.T) {
 		}
 		rels, tabs = append(rels, rel), append(tabs, tab)
 	}
-	cart, err := NewCartesian(cop, tabs)
+	cart, err := NewCartesian(cop, tabs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,18 +279,127 @@ func TestCartesianCoordsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCartesianScan checks the blocked visitor on its own: for every
+// block size, two Scans visit every iTuple once each in the documented
+// order (per block of X₁, the rows of X₂ × … × X_J row-major, then the
+// block's X₁ rows) and cost the closed form's gets — X₁ once per scan, or
+// once when one block spans it, and the rest once per block per scan with
+// a one-row table fetched once. At K = 1 the Scans are Read(0), …, Read(L−1)
+// twice: the same Stats and trace digest.
+func TestCartesianScan(t *testing.T) {
+	for _, sizes := range [][]int{{7, 4}, {5, 1, 3}, {1, 3}, {3, 1}} {
+		var rels []*relation.Relation
+		for j, n := range sizes {
+			rels = append(rels, relation.GenKeyed(relation.NewRand(uint64(10*j+n)), n, 1000))
+		}
+		load := func() (*Coprocessor, []Table) {
+			h, cop := newTestPair(t, 4)
+			var tabs []Table
+			for j, rel := range rels {
+				tab, err := LoadTable(h, cop.Sealer(), fmt.Sprint("X", j), rel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tabs = append(tabs, tab)
+			}
+			return cop, tabs
+		}
+		tail := 1
+		for _, n := range sizes[1:] {
+			tail *= n
+		}
+		const scans = 2
+		for k := 1; k <= sizes[0]; k++ {
+			cop, tabs := load()
+			cart, err := NewCartesian(cop, tabs, int64(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var visits int
+			for range scans {
+				visit := 0
+				if err := cart.Scan(func(row []relation.Tuple) error {
+					// The visit's block, tail row and row within the block.
+					lo := visit / (tail * k) * k
+					rest := visit - lo*tail
+					kb := min(k, sizes[0]-lo)
+					want := make([]int, len(sizes))
+					want[0] = lo + rest%kb
+					for j, tr := len(sizes)-1, rest/kb; j >= 1; j-- {
+						want[j], tr = tr%sizes[j], tr/sizes[j]
+					}
+					for j, c := range want {
+						if !reflect.DeepEqual(row[j], rels[j].Rows[c]) {
+							return fmt.Errorf("visit %d, table %d: %v, want row %d %v", visit, j, row[j], c, rels[j].Rows[c])
+						}
+					}
+					visit++
+					return nil
+				}); err != nil {
+					t.Fatalf("%v, K = %d: %v", sizes, k, err)
+				}
+				if visit != int(cart.Size()) {
+					t.Fatalf("%v, K = %d: %d visits, want %d", sizes, k, visit, cart.Size())
+				}
+				visits += visit
+			}
+			blocks := (sizes[0] + k - 1) / k
+			gets := sizes[0]
+			if blocks > 1 {
+				gets *= scans
+			}
+			prefix := 1
+			for _, n := range sizes[1:] {
+				prefix *= n
+				if n == 1 {
+					gets++
+				} else {
+					gets += scans * blocks * prefix
+				}
+			}
+			st := cop.Stats()
+			if st.Gets != uint64(gets) || st.LogicalReads != uint64(visits) {
+				t.Errorf("%v, K = %d: %d gets and %d logical reads, want %d and %d", sizes, k, st.Gets, st.LogicalReads, gets, visits)
+			}
+			if k > 1 {
+				continue
+			}
+			ref, refTabs := load()
+			refCart, err := NewCartesian(ref, refTabs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range scans {
+				for i := int64(0); i < refCart.Size(); i++ {
+					if _, err := refCart.Read(i); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if ref.Stats() != st || ref.Trace().Digest() != cop.Trace().Digest() {
+				t.Errorf("%v: Scan at K = 1 charged %+v, trace %#x; the Read loop %+v, %#x", sizes, st, cop.Trace().Digest(), ref.Stats(), ref.Trace().Digest())
+			}
+		}
+	}
+}
+
 func TestCartesianValidation(t *testing.T) {
 	h, cop := newTestPair(t, 4)
-	if _, err := NewCartesian(cop, nil); err == nil {
+	if _, err := NewCartesian(cop, nil, 1); err == nil {
 		t.Fatal("empty table list accepted")
 	}
 	empty := Table{Region: h.MustCreateRegion("e", 0), N: 0, Schema: relation.KeyedSchema()}
-	if _, err := NewCartesian(cop, []Table{empty}); err == nil {
+	if _, err := NewCartesian(cop, []Table{empty}, 1); err == nil {
 		t.Fatal("empty table accepted")
 	}
 	rel := relation.GenKeyed(relation.NewRand(1), 2, 10)
 	tab, _ := LoadTable(h, cop.Sealer(), "X", rel)
-	cart, _ := NewCartesian(cop, []Table{tab})
+	for _, k := range []int64{0, 3} {
+		if _, err := NewCartesian(cop, []Table{tab}, k); err == nil {
+			t.Fatalf("block of %d rows of a 2-row table accepted", k)
+		}
+	}
+	cart, _ := NewCartesian(cop, []Table{tab}, 1)
 	if _, err := cart.Read(5); err == nil {
 		t.Fatal("out of range logical read accepted")
 	}
@@ -384,7 +493,7 @@ func TestCartesianRandomAccessCounting(t *testing.T) {
 	b := relation.GenKeyed(relation.NewRand(2), 3, 10)
 	tabA, _ := LoadTable(h, cop.Sealer(), "A", a)
 	tabB, _ := LoadTable(h, cop.Sealer(), "B", b)
-	cart, err := NewCartesian(cop, []Table{tabA, tabB})
+	cart, err := NewCartesian(cop, []Table{tabA, tabB}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
