@@ -119,7 +119,7 @@ func TestRecoverRebuildsJobTable(t *testing.T) {
     "attached": 0,
     "max": 0
   },
-  "result_store_bytes": 292,
+  "result_store_bytes": 304,
   "result_store_evictions": 0,
   "result_store_recovery_evictions": 0,
   "sort_cache_bytes": 0,
@@ -143,7 +143,7 @@ func TestRecoverRebuildsJobTable(t *testing.T) {
 		t.Fatalf("recovered-failed recipient outcome = %+v, want replayed cancellation", o)
 	}
 	// The recovered-Delivered job's result outlived the crash in the
-	// durable result store (the 292 bytes in the snapshot above): a
+	// durable result store (the 304 bytes in the snapshot above): a
 	// reconnecting recipient is served the exact join again, across the
 	// restart.
 	if o := <-gA.pipeRecipient(t, srv2); o.err != nil {

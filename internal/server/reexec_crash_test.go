@@ -1,8 +1,11 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -198,5 +201,73 @@ func TestTornCacheManifestEvictsOnlyCache(t *testing.T) {
 	}
 	if end.SortCacheBytes <= 0 {
 		t.Fatal("cold re-execution did not repopulate the cache")
+	}
+}
+
+// TestOldSegmentVersionReadsTorn restarts over segments of the previous
+// format (magic PPJRES1), which this version does not migrate: they take
+// the torn path. The delivered result is tombstoned and its recipient gets
+// the typed torn eviction; the sorted-relation cache misses and the
+// re-execution sorts cold.
+func TestOldSegmentVersionReadsTorn(t *testing.T) {
+	dir := t.TempDir()
+	srv1, err := New(Config{Workers: 1, Memory: 16, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1.Start()
+	relA, relB := genJoinSized(67, 12, 12, 5)
+	g := newGroupRels(t, "old-segments", "alg7", relA, relB)
+	j1, err := srv1.Register(g.contract)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runExecution(t, srv1, g, j1)
+	if err := srv1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*", "seg-*.res"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 3 {
+		t.Fatalf("%d segments on disk, want 3 (the result and two sorted halves)", len(segs))
+	}
+	for _, path := range segs {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(raw, "PPJRES1\n")
+		if err := os.WriteFile(path, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv2, err := New(Config{Workers: 1, Memory: 16, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev *ResultEvictedError
+	if _, err := srv2.loadResult(g.contract.ID); !errors.As(err, &ev) || ev.Cause != "torn" {
+		t.Fatalf("loadResult over a PPJRES1 segment: %v, want *ResultEvictedError (torn)", err)
+	}
+	if o := <-g.pipeRecipient(t, srv2); o.err == nil || !strings.Contains(o.err.Error(), "(torn)") {
+		t.Fatalf("recipient over a PPJRES1 segment got %+v, want the in-band torn verdict", o)
+	}
+	if bytes := srv2.MetricsSnapshot().SortCacheBytes; bytes != 0 {
+		t.Fatalf("PPJRES1 cache segments survived recovery: %d bytes", bytes)
+	}
+
+	srv2.Start()
+	j2, err := srv2.Resubmit(g.contract.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := srv2.MetricsSnapshot()
+	runExecution(t, srv2, g, j2)
+	end := srv2.MetricsSnapshot()
+	if hits, misses := end.SortCacheHits-base.SortCacheHits, end.SortCacheMisses-base.SortCacheMisses; hits != 0 || misses != 2 {
+		t.Fatalf("re-execution over PPJRES1 cache segments: %d hits / %d misses, want 0/2 (cold)", hits, misses)
 	}
 }

@@ -7,11 +7,15 @@
 //
 // A result is written once at job completion and read any number of times
 // by delivery. Small results stay cached in memory; every result also
-// spills to a per-job segment file of CRC-framed, OCB-sealed records (the
-// at-rest analogue of the session sealer — the host's disk never sees
-// plaintext). The store's manifest — which results exist and which were
-// evicted, and why — is journaled through the server's WAL seam, so one
-// log replay rebuilds the job table and the result index together.
+// spills to a per-job segment file of CRC-framed, AES-GCM-sealed records
+// (the at-rest analogue of the session sealer — the host's disk never sees
+// plaintext). Each segment seals under its own salted subkey of the store
+// key, and each record's associated data binds it to its segment's ID and
+// row count and to its place in the segment, so a segment copied, spliced
+// or edited on the host reads as torn (segment.go). The store's manifest —
+// which results exist and which were evicted, and why — is journaled
+// through the server's WAL seam, so one log replay rebuilds the job table
+// and the result index together.
 // Results are evicted lazily by TTL and LRU under a byte cap; an eviction
 // leaves a tombstone carrying its cause, so a recipient reconnecting to a
 // gone result learns "gone forever", not "retry later".
@@ -28,8 +32,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"ppj/internal/ocb"
 )
 
 // Cause classifies why a result left the store.
@@ -127,8 +129,8 @@ type entry struct {
 
 // Store is a disk-spilling, size-capped, TTL'd store of sealed results.
 type Store struct {
-	cfg  Config
-	mode *ocb.Mode // at-rest sealer (dir mode only)
+	cfg Config
+	key []byte // at-rest store key segment subkeys derive from (dir mode only)
 
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -165,10 +167,7 @@ func Open(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.mode, err = ocb.New(key)
-	if err != nil {
-		return nil, fmt.Errorf("resultstore: %w", err)
-	}
+	s.key = key
 	if err := s.scan(); err != nil {
 		return nil, err
 	}
@@ -212,7 +211,13 @@ func (s *Store) scan() error {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	for _, path := range glob {
-		id, meta, rows, size, err := readSegment(path, s.mode)
+		id, meta, rows, size, err := readSegment(path, s.key)
+		if SegmentPath(s.cfg.Dir, id) != path {
+			// The header names another result: its bytes were copied or
+			// edited in, so the loss is not that result's to tombstone.
+			// The manifest cross-reference tombstones this path's own.
+			id, err = "", fmt.Errorf("%w: header names another segment", errSegment)
+		}
 		if err != nil {
 			// A torn segment: the crash (or the fault hook) interrupted the
 			// write, or the host corrupted the bytes. The result is lost;
@@ -286,7 +291,7 @@ func (s *Store) Put(id string, meta []byte, rows [][]byte) error {
 	s.clock++
 	if s.cfg.Dir != "" {
 		e.path = SegmentPath(s.cfg.Dir, id)
-		if err := writeSegment(e.path, s.mode, id, meta, rows); err != nil {
+		if err := writeSegment(e.path, s.key, id, meta, rows); err != nil {
 			os.Remove(e.path)
 			return err
 		}
@@ -326,10 +331,11 @@ func (s *Store) Get(id string) (meta []byte, rows [][]byte, err error) {
 	if e.rows != nil {
 		return e.meta, e.rows, nil
 	}
-	_, _, segRows, _, rerr := readSegment(e.path, s.mode)
-	if rerr != nil {
-		// The segment rotted underneath us: treat it like a torn segment
-		// found at recovery — evict with a definite cause.
+	segID, _, segRows, _, rerr := readSegment(e.path, s.key)
+	if rerr != nil || segID != id {
+		// The segment rotted underneath us, or holds another result's
+		// authentic bytes: treat it like a torn segment found at recovery
+		// — evict with a definite cause, never serve the other rows.
 		s.dropLocked(e, CauseTorn, true)
 		s.evictions++
 		return nil, nil, &EvictedError{ID: id, Cause: CauseTorn}

@@ -3,14 +3,16 @@ package resultstore
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
-	"ppj/internal/ocb"
+	"ppj/internal/sim"
 )
 
 // Segment file layout — one file per stored result:
@@ -20,19 +22,26 @@ import (
 //
 // The header frame's payload is
 //
-//	idLen(u16 BE) || contractID || rowCount(u32 BE) || sealed(meta)
+//	header := idLen(u16 BE) || contractID || rowCount(u32 BE) || salt(16)
+//	payload := header || sealed(meta)
 //
-// and each row frame's payload is one sealed row. The contract ID and row
-// count are plaintext (both already appear in the WAL manifest); meta and
-// rows are sealed under the store's at-rest OCB key with a fresh random
-// nonce per record — the host's disk holds only ciphertext, exactly like
-// the host's RAM during a join. The CRC (Castagnoli, the same polynomial
-// as the wire protocol's chunk chain) covers the full payload, so a torn
-// write, a truncated tail, or flipped bits all fail validation before any
-// ciphertext is opened.
+// and each row frame's payload is one sealed row. The header is plaintext
+// (the contract ID and row count already appear in the WAL manifest). Meta
+// and rows are sealed with AES-GCM under the segment's own subkey,
+// SHA-256(label || store key || salt)[:16], so the host's disk holds only
+// ciphertext, exactly like the host's RAM during a join. The subkey is
+// fresh per segment because the store key outlives the process while a
+// sealer's nonce counter restarts at 1 in every process. The associated
+// data of record i (meta is 0, row r is r+1) is the header followed by i,
+// so a record opens only in its own segment, at its own place, under the
+// row count and ID the header states. The CRC (Castagnoli, the same
+// polynomial as the wire protocol's chunk chain) covers the full payload,
+// so a torn write, a truncated tail, or flipped bits all fail validation
+// before any ciphertext is opened.
 
-// segMagic identifies a result segment and pins its format version.
-var segMagic = []byte("PPJRES1\n")
+// segMagic identifies a result segment and pins its format version. A
+// segment of another version fails validation as torn.
+var segMagic = []byte("PPJRES2\n")
 
 // segCRCTable is the Castagnoli table segment frames are checksummed with.
 var segCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -40,11 +49,11 @@ var segCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // errSegment reports a torn, truncated, or corrupt segment.
 var errSegment = errors.New("resultstore: torn segment")
 
-// maxSegFrame bounds one frame's payload; larger lengths are corruption.
-const maxSegFrame = 1 << 28
+// saltSize is the length of a segment's subkey salt.
+const saltSize = 16
 
-// sealedLen is the sealed wire size of an n-byte plaintext record.
-func sealedLen(n int) int64 { return int64(ocb.NonceSize + n + ocb.TagSize) }
+// sealOverhead is the sealed size of a record beyond its plaintext.
+var sealOverhead = int64(new(sim.GCMSealer).Overhead())
 
 // segFrameOverhead is the per-frame framing cost (length + CRC).
 const segFrameOverhead = 8
@@ -53,37 +62,26 @@ const segFrameOverhead = 8
 // so cap admission and LRU eviction run against the true byte cost.
 func segmentSize(id string, meta []byte, rows [][]byte) int64 {
 	size := int64(len(segMagic))
-	size += segFrameOverhead + 2 + int64(len(id)) + 4 + sealedLen(len(meta))
+	size += segFrameOverhead + 2 + int64(len(id)) + 4 + saltSize + int64(len(meta)) + sealOverhead
 	for _, r := range rows {
-		size += segFrameOverhead + sealedLen(len(r))
+		size += segFrameOverhead + int64(len(r)) + sealOverhead
 	}
 	return size
 }
 
-// sealRecord seals one record under the store key with a fresh nonce,
-// producing nonce || ciphertext || tag.
-func sealRecord(mode *ocb.Mode, pt []byte) ([]byte, error) {
-	var nonce [ocb.NonceSize]byte
-	if _, err := rand.Read(nonce[:]); err != nil {
-		return nil, fmt.Errorf("resultstore: drawing nonce: %w", err)
-	}
-	out := make([]byte, ocb.NonceSize, ocb.NonceSize+len(pt)+ocb.TagSize)
-	copy(out, nonce[:])
-	return mode.Seal(out, nonce, pt), nil
+// segmentSealer is the record sealer of the segment with this salt.
+func segmentSealer(key, salt []byte) (*sim.GCMSealer, error) {
+	h := sha256.New()
+	h.Write([]byte("ppj-resultstore-segment-v2"))
+	h.Write(key)
+	h.Write(salt)
+	return sim.NewGCMSealer(h.Sum(nil)[:16])
 }
 
-// openRecord inverts sealRecord.
-func openRecord(mode *ocb.Mode, sealed []byte) ([]byte, error) {
-	if len(sealed) < ocb.NonceSize+ocb.TagSize {
-		return nil, fmt.Errorf("%w: short sealed record", errSegment)
-	}
-	var nonce [ocb.NonceSize]byte
-	copy(nonce[:], sealed[:ocb.NonceSize])
-	pt, err := mode.Open(nil, nonce, sealed[ocb.NonceSize:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errSegment, err)
-	}
-	return pt, nil
+// recordAD writes the associated data of record i, the header followed by
+// i, into ad's storage.
+func recordAD(ad, header []byte, i uint32) []byte {
+	return binary.BigEndian.AppendUint32(append(ad[:0], header...), i)
 }
 
 // writeFrame appends one CRC frame to w.
@@ -98,31 +96,41 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads and verifies one CRC frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [segFrameOverhead]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", errSegment, err)
+// readFrame splits one verified CRC frame off the front of b. A length
+// beyond the bytes left is refused before anything is allocated; the
+// payload aliases b.
+func readFrame(b []byte) (payload, rest []byte, err error) {
+	if len(b) < segFrameOverhead {
+		return nil, nil, fmt.Errorf("%w: %d-byte frame header", errSegment, len(b))
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	if n > maxSegFrame {
-		return nil, fmt.Errorf("%w: frame length %d", errSegment, n)
+	n, left := binary.BigEndian.Uint32(b[0:4]), b[segFrameOverhead:]
+	if uint64(n) > uint64(len(left)) {
+		return nil, nil, fmt.Errorf("%w: frame length %d beyond the %d bytes left", errSegment, n, len(left))
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: %v", errSegment, err)
+	if crc32.Checksum(left[:n], segCRCTable) != binary.BigEndian.Uint32(b[4:8]) {
+		return nil, nil, fmt.Errorf("%w: frame checksum mismatch", errSegment)
 	}
-	if crc32.Checksum(payload, segCRCTable) != binary.BigEndian.Uint32(hdr[4:8]) {
-		return nil, fmt.Errorf("%w: frame checksum mismatch", errSegment)
-	}
-	return payload, nil
+	return left[:n], left[n:], nil
 }
 
-// writeSegment writes one result's segment and fsyncs it: after return,
-// the bytes a recovery scan will validate are on disk.
-func writeSegment(path string, mode *ocb.Mode, id string, meta []byte, rows [][]byte) error {
+// writeSegment writes one result's segment under a fresh salt and fsyncs
+// it: after return, the bytes a recovery scan will validate are on disk.
+func writeSegment(path string, key []byte, id string, meta []byte, rows [][]byte) error {
 	if len(id) > 0xffff {
 		return fmt.Errorf("resultstore: contract id too long (%d bytes)", len(id))
+	}
+	hdr := make([]byte, 0, 2+len(id)+4+saltSize)
+	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(id)))
+	hdr = append(hdr, id...)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(rows)))
+	salt := make([]byte, saltSize)
+	if _, err := rand.Read(salt); err != nil {
+		return fmt.Errorf("resultstore: drawing salt: %w", err)
+	}
+	hdr = append(hdr, salt...)
+	sealer, err := segmentSealer(key, salt)
+	if err != nil {
+		return fmt.Errorf("resultstore: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
 	if err != nil {
@@ -131,24 +139,13 @@ func writeSegment(path string, mode *ocb.Mode, id string, meta []byte, rows [][]
 	defer f.Close()
 	w := bytes.NewBuffer(make([]byte, 0, segmentSize(id, meta, rows)))
 	w.Write(segMagic)
-
-	hdr := make([]byte, 0, 2+len(id)+4)
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(id)))
-	hdr = append(hdr, id...)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(rows)))
-	sealedMeta, err := sealRecord(mode, meta)
-	if err != nil {
-		return err
-	}
-	if err := writeFrame(w, append(hdr, sealedMeta...)); err != nil {
+	ad := recordAD(nil, hdr, 0)
+	if err := writeFrame(w, sealer.SealAD(slices.Clone(hdr), meta, ad)); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	for _, row := range rows {
-		sealed, err := sealRecord(mode, row)
-		if err != nil {
-			return err
-		}
-		if err := writeFrame(w, sealed); err != nil {
+	for i, row := range rows {
+		ad = recordAD(ad, hdr, uint32(i)+1)
+		if err := writeFrame(w, sealer.SealAD(nil, row, ad)); err != nil {
 			return fmt.Errorf("resultstore: %w", err)
 		}
 	}
@@ -164,52 +161,56 @@ func writeSegment(path string, mode *ocb.Mode, id string, meta []byte, rows [][]
 // readSegment validates a whole segment and returns its contents. The
 // contract ID is returned even when validation fails later in the file —
 // the header frame is self-checksummed — so a torn segment can still be
-// tombstoned under the right ID.
-func readSegment(path string, mode *ocb.Mode) (id string, meta []byte, rows [][]byte, size int64, err error) {
+// tombstoned under its ID; the ID is authentic only when err is nil.
+func readSegment(path string, key []byte) (id string, meta []byte, rows [][]byte, size int64, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return "", nil, nil, 0, fmt.Errorf("%w: %v", errSegment, err)
 	}
 	size = int64(len(raw))
-	r := bytes.NewReader(raw)
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || !bytes.Equal(magic, segMagic) {
+	if !bytes.HasPrefix(raw, segMagic) {
 		return "", nil, nil, size, fmt.Errorf("%w: bad magic", errSegment)
 	}
-	header, err := readFrame(r)
+	payload, rest, err := readFrame(raw[len(segMagic):])
 	if err != nil {
 		return "", nil, nil, size, err
 	}
-	if len(header) < 2 {
+	if len(payload) < 2 {
 		return "", nil, nil, size, fmt.Errorf("%w: short header", errSegment)
 	}
-	idLen := int(binary.BigEndian.Uint16(header[0:2]))
-	if len(header) < 2+idLen+4 {
+	idLen := int(binary.BigEndian.Uint16(payload[0:2]))
+	hdrLen := 2 + idLen + 4 + saltSize
+	if len(payload) < hdrLen {
 		return "", nil, nil, size, fmt.Errorf("%w: short header", errSegment)
 	}
-	id = string(header[2 : 2+idLen])
-	rowCount := binary.BigEndian.Uint32(header[2+idLen : 2+idLen+4])
-	if rowCount > maxSegFrame/segFrameOverhead {
-		return id, nil, nil, size, fmt.Errorf("%w: row count %d", errSegment, rowCount)
-	}
-	meta, err = openRecord(mode, header[2+idLen+4:])
+	hdr := payload[:hdrLen]
+	id = string(hdr[2 : 2+idLen])
+	rowCount := binary.BigEndian.Uint32(hdr[2+idLen:])
+	sealer, err := segmentSealer(key, hdr[hdrLen-saltSize:])
 	if err != nil {
-		return id, nil, nil, size, err
+		return id, nil, nil, size, fmt.Errorf("%w: %v", errSegment, err)
+	}
+	// The meta tag covers the header, so a forged row count fails here,
+	// before any row is allocated.
+	ad := recordAD(nil, hdr, 0)
+	if meta, err = sealer.OpenAD(nil, payload[hdrLen:], ad); err != nil {
+		return id, nil, nil, size, fmt.Errorf("%w: meta: %v", errSegment, err)
 	}
 	rows = make([][]byte, 0, rowCount)
-	for i := uint32(0); i < rowCount; i++ {
-		sealed, err := readFrame(r)
-		if err != nil {
+	for i := uint32(1); i <= rowCount; i++ {
+		var sealed []byte
+		if sealed, rest, err = readFrame(rest); err != nil {
 			return id, nil, nil, size, err
 		}
-		row, err := openRecord(mode, sealed)
+		ad = recordAD(ad, hdr, i)
+		row, err := sealer.OpenAD(nil, sealed, ad)
 		if err != nil {
-			return id, nil, nil, size, err
+			return id, nil, nil, size, fmt.Errorf("%w: row %d: %v", errSegment, i-1, err)
 		}
 		rows = append(rows, row)
 	}
-	if r.Len() != 0 {
-		return id, nil, nil, size, fmt.Errorf("%w: %d trailing bytes", errSegment, r.Len())
+	if len(rest) != 0 {
+		return id, nil, nil, size, fmt.Errorf("%w: %d trailing bytes", errSegment, len(rest))
 	}
 	return id, meta, rows, size, nil
 }

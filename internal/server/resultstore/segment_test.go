@@ -1,0 +1,209 @@
+package resultstore
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"testing"
+)
+
+// segmentFrames splits a segment file into copies of its frames, each with
+// its length and CRC header, after the magic.
+func segmentFrames(t *testing.T, raw []byte) [][]byte {
+	t.Helper()
+	rest := raw[len(segMagic):]
+	var frames [][]byte
+	for len(rest) > 0 {
+		payload, next, err := readFrame(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, slices.Clone(rest[:segFrameOverhead+len(payload)]))
+		rest = next
+	}
+	return frames
+}
+
+// joinFrames reassembles a segment from frames, recomputing each frame's
+// length and CRC as a host rewriting the file would.
+func joinFrames(frames [][]byte) []byte {
+	var b bytes.Buffer
+	b.Write(segMagic)
+	for _, f := range frames {
+		writeFrame(&b, f[segFrameOverhead:])
+	}
+	return b.Bytes()
+}
+
+// TestSegmentTamperReadsTorn edits a stored segment the ways a host can
+// without the key: it copies another result's segment over it, swaps two
+// row frames, drops a row and lowers the row count, or edits the header's
+// ID. Every frame stays CRC-valid, so only the records' associated data can
+// tell. Each read answers *EvictedError (torn) and never serves rows, and a
+// re-opened store serves none of them either.
+func TestSegmentTamperReadsTorn(t *testing.T) {
+	header := func(frames [][]byte) []byte { return frames[0][segFrameOverhead:] }
+	for _, c := range []struct {
+		name string
+		edit func(t *testing.T, dir string, frames [][]byte) [][]byte
+	}{
+		{"another job's segment copied over", func(t *testing.T, dir string, _ [][]byte) [][]byte {
+			raw, err := os.ReadFile(SegmentPath(dir, "job-a"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return segmentFrames(t, raw)
+		}},
+		{"two row frames swapped", func(t *testing.T, _ string, frames [][]byte) [][]byte {
+			frames[1], frames[2] = frames[2], frames[1]
+			return frames
+		}},
+		{"a row dropped and the count edited", func(t *testing.T, _ string, frames [][]byte) [][]byte {
+			h := header(frames)
+			binary.BigEndian.PutUint32(h[2+len("job-b"):], 2)
+			return append(frames[:2], frames[3:]...)
+		}},
+		{"header id edited", func(t *testing.T, _ string, frames [][]byte) [][]byte {
+			copy(header(frames)[2:], "job-c")
+			return frames
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(Config{Dir: dir, MemCacheBytes: 1}) // reads go to the segment
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put("job-a", []byte("meta"), mkRows(3, 24)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put("job-b", []byte("meta"), mkRows(3, 24)); err != nil {
+				t.Fatal(err)
+			}
+			path := SegmentPath(dir, "job-b")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, joinFrames(c.edit(t, dir, segmentFrames(t, raw))), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := Open(Config{Dir: dir, MemCacheBytes: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reopened.Has("job-b") {
+				t.Fatal("a re-opened store holds the tampered segment")
+			}
+			wantRows(t, reopened, "job-a", []byte("meta"), mkRows(3, 24))
+
+			if err := os.WriteFile(path, joinFrames(c.edit(t, dir, segmentFrames(t, raw))), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			var ev *EvictedError
+			if _, rows, err := s.Get("job-b"); !errors.As(err, &ev) || ev.Cause != CauseTorn || rows != nil {
+				t.Fatalf("Get(job-b) = %d rows, %v; want *EvictedError (torn)", len(rows), err)
+			}
+		})
+	}
+}
+
+// TestSegmentSaltPerWrite writes the same ID twice, across a close and
+// re-open of the store under one key file: the two segments carry
+// different salts, so their records seal under different subkeys although
+// each process's sealer counts nonces from 1.
+func TestSegmentSaltPerWrite(t *testing.T) {
+	dir := t.TempDir()
+	path := SegmentPath(dir, "job")
+	write := func() (salt, nonce []byte) {
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Remove("job")
+		if err := s.Put("job", []byte("meta"), mkRows(2, 16)); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := segmentFrames(t, raw)[0][segFrameOverhead:]
+		hdrLen := 2 + len("job") + 4 + saltSize
+		return slices.Clone(h[hdrLen-saltSize : hdrLen]), slices.Clone(h[hdrLen : hdrLen+12])
+	}
+	salt1, nonce1 := write()
+	salt2, nonce2 := write()
+	if !bytes.Equal(nonce1, nonce2) {
+		t.Fatalf("meta nonces %x and %x differ; the salt check below would be vacuous", nonce1, nonce2)
+	}
+	if bytes.Equal(salt1, salt2) {
+		t.Fatalf("both segments carry salt %x: the subkey and nonce repeat", salt1)
+	}
+}
+
+// TestSegmentOldVersionReadsTorn pins the format bump: a segment under the
+// previous magic fails validation and is dropped at scan like a torn one.
+func TestSegmentOldVersionReadsTorn(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("job", []byte("meta"), mkRows(2, 16)); err != nil {
+		t.Fatal(err)
+	}
+	path := SegmentPath(dir, "job")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(raw, "PPJRES1\n")
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Has("job") {
+		t.Fatal("a PPJRES1 segment survived the scan")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("PPJRES1 segment not deleted: %v", err)
+	}
+}
+
+// TestScanRefusesOversizedFrameBeforeAllocating opens a directory of
+// 16-byte segments whose header frames each declare a 256 MiB payload: the
+// scan refuses each length against the bytes left in its file before
+// allocating anything near it.
+func TestScanRefusesOversizedFrameBeforeAllocating(t *testing.T) {
+	dir := t.TempDir()
+	for i := range 4 {
+		raw := binary.BigEndian.AppendUint32(append([]byte(nil), segMagic...), 1<<28)
+		raw = binary.BigEndian.AppendUint32(raw, crc32.Checksum(nil, segCRCTable))
+		if err := os.WriteFile(filepath.Join(dir, "seg-"+string(rune('a'+i))+".res"), raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Open(Config{Dir: dir})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("Open over four 16-byte segments allocated %d bytes, want under 1 MiB", got)
+	}
+	if len(s.IDs()) != 0 {
+		t.Fatalf("scan admitted %v", s.IDs())
+	}
+}

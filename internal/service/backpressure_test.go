@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"ppj/internal/ocb"
 	"ppj/internal/relation"
 )
 
@@ -158,13 +157,13 @@ func TestBackpressureBoundsIngestMemory(t *testing.T) {
 		t.Fatalf("%d rows landed, want %d", len(got), totalRows)
 	}
 
-	// The sealed wire size of one row is deterministic: nonce + tag + the
-	// contract prefix + the fixed-size schema encoding.
+	// The sealed wire size of one row is deterministic: the sealer's
+	// overhead + the contract prefix + the fixed-size schema encoding.
 	enc, err := rel.Schema.Encode(rel.Rows[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealedRow := ocb.NonceSize + ocb.TagSize + len(svc.Contract.ID) + len(enc)
+	sealedRow := int(minSealedRowBytes) - 1 + len(svc.Contract.ID) + len(enc)
 	frameBytes := wireFrameBytes(t, chunkRows, sealedRow)
 
 	peak := up.Peak()
@@ -230,7 +229,7 @@ func TestBackpressureWindowOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealedRow := ocb.NonceSize + ocb.TagSize + len(svc.Contract.ID) + len(enc)
+	sealedRow := int(minSealedRowBytes) - 1 + len(svc.Contract.ID) + len(enc)
 	frameBytes := wireFrameBytes(t, 8, sealedRow)
 	if peak := up.Peak(); peak > frameBytes+256 {
 		t.Fatalf("window 1 let %d bytes pile up; one frame is %d", peak, frameBytes)

@@ -111,12 +111,7 @@ func (c *Client) ConnectJobResume(conn io.ReadWriter, role Role, contractID, job
 	if err != nil {
 		return nil, err
 	}
-	key := deriveSessionKey(shared, auth.ECDHPub, eph.PublicKey().Bytes())
-	sealDir, err := newSessionSealer(key, 'c')
-	if err != nil {
-		return nil, err
-	}
-	open, err := newSessionSealer(key, 's')
+	sealDir, open, err := sessionSealers(shared, auth.ECDHPub, eph.PublicKey().Bytes(), dirClient, dirServer)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +159,7 @@ func (cs *ClientSession) SubmitRelationOpts(contractID string, rel *relation.Rel
 			if err != nil {
 				return nil, err
 			}
-			sealed = append(sealed, cs.sess.sealer.seal(append(append([]byte(nil), prefix...), e...)))
+			sealed = append(sealed, cs.sess.sealer.seal(append(append([]byte(nil), prefix...), e...), int64(rel.Len())))
 		}
 		return sealed, nil
 	})

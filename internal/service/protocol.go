@@ -17,14 +17,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"ppj/internal/core"
-	"ppj/internal/ocb"
 	"ppj/internal/relation"
+	"ppj/internal/sim"
 )
 
 // Role distinguishes the two kinds of service requestors.
@@ -258,51 +257,57 @@ func ReadHello(conn io.ReadWriter) (*Session, Hello, error) {
 	return sess, hello, nil
 }
 
-// sessionSealer is OCB under the derived session key with a counter nonce
-// per direction.
+// sessionSealer is one direction of a session: AES-GCM under that
+// direction's own key. A message's associated data is its sequence number
+// in the direction and the row count its stream's begin frame declared, so
+// a duplicated, reordered, reflected or truncated message fails to open
+// with sim.ErrTamper. Each direction's messages are opened exactly once, in
+// send order; a resumed delivery is a new session with a new sequence.
 type sessionSealer struct {
-	mode *ocb.Mode
-	dir  byte
-	ctr  uint64
+	g   *sim.GCMSealer
+	seq uint64
+	buf [16]byte // the AD; one goroutine seals or opens a direction
 }
 
-func newSessionSealer(key []byte, dir byte) (*sessionSealer, error) {
-	m, err := ocb.New(key)
-	if err != nil {
-		return nil, err
+// ad returns the associated data of the direction's next message.
+func (s *sessionSealer) ad(declared int64) []byte {
+	s.seq++
+	binary.BigEndian.PutUint64(s.buf[:8], s.seq)
+	binary.BigEndian.PutUint64(s.buf[8:], uint64(declared))
+	return s.buf[:]
+}
+
+func (s *sessionSealer) seal(pt []byte, declared int64) []byte {
+	return s.g.SealAD(nil, pt, s.ad(declared))
+}
+
+func (s *sessionSealer) open(ct []byte, declared int64) ([]byte, error) {
+	return s.g.OpenAD(nil, ct, s.ad(declared))
+}
+
+// Session directions: the client seals with dirClient, the server with
+// dirServer.
+const dirClient, dirServer = 'c', 's'
+
+// sessionSealers derives one end's two directions from the ECDH shared
+// secret and the transcript: the sealer under sealDir's key and the opener
+// under openDir's. The direction byte is hashed into each key because each
+// direction's GCMSealer counts nonces from 1.
+func sessionSealers(shared, serverPub, clientPub []byte, sealDir, openDir byte) (seal, open *sessionSealer, err error) {
+	var dirs [2]*sessionSealer
+	for i, dir := range [2]byte{sealDir, openDir} {
+		h := sha256.New()
+		h.Write(append([]byte("ppj-session-v3"), dir))
+		h.Write(shared)
+		h.Write(serverPub)
+		h.Write(clientPub)
+		g, err := sim.NewGCMSealer(h.Sum(nil)[:16])
+		if err != nil {
+			return nil, nil, err
+		}
+		dirs[i] = &sessionSealer{g: g}
 	}
-	return &sessionSealer{mode: m, dir: dir}, nil
-}
-
-func (s *sessionSealer) seal(pt []byte) []byte {
-	s.ctr++
-	var nonce [ocb.NonceSize]byte
-	nonce[0] = s.dir
-	for i := 0; i < 8; i++ {
-		nonce[ocb.NonceSize-1-i] = byte(s.ctr >> (8 * i))
-	}
-	out := make([]byte, ocb.NonceSize, ocb.NonceSize+len(pt)+ocb.TagSize)
-	copy(out, nonce[:])
-	return s.mode.Seal(out, nonce, pt)
-}
-
-func (s *sessionSealer) open(ct []byte) ([]byte, error) {
-	if len(ct) < ocb.NonceSize+ocb.TagSize {
-		return nil, errors.New("service: short ciphertext")
-	}
-	var nonce [ocb.NonceSize]byte
-	copy(nonce[:], ct[:ocb.NonceSize])
-	return s.mode.Open(nil, nonce, ct[ocb.NonceSize:])
-}
-
-// deriveSessionKey hashes the ECDH shared secret with the transcript.
-func deriveSessionKey(shared, serverPub, clientPub []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte("ppj-session-v1"))
-	h.Write(shared)
-	h.Write(serverPub)
-	h.Write(clientPub)
-	return h.Sum(nil)[:16]
+	return dirs[0], dirs[1], nil
 }
 
 // newECDHKey draws an ephemeral X25519 key.

@@ -94,11 +94,6 @@ func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) e
 		_ = sess.enc.Encode(begin)
 		return fmt.Errorf("service: %s", begin.Err)
 	}
-	if out.Agg != nil {
-		begin.Agg = sess.sealer.seal(out.Agg)
-	} else {
-		begin.Schema = toWire(out.Schema)
-	}
 	// startChunk == total is a legal resume point (every chunk consumed,
 	// end frame lost); with a partial last chunk the row offset must clamp
 	// to the row count or the declared stream length goes negative.
@@ -107,13 +102,18 @@ func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) e
 	begin.TotalRows = int64(len(out.Rows))
 	begin.StartChunk = startChunk
 	begin.StreamRows = int64(len(rows))
+	if out.Agg != nil {
+		begin.Agg = sess.sealer.seal(out.Agg, begin.StreamRows)
+	} else {
+		begin.Schema = toWire(out.Schema)
+	}
 	if err := sess.enc.Encode(begin); err != nil {
 		return fmt.Errorf("service: sending result begin: %w", err)
 	}
 	return deliveryStream.send(sess, len(rows), ResultChunkRows, func(lo, hi int) ([][]byte, error) {
 		sealed := make([][]byte, 0, hi-lo)
 		for _, r := range rows[lo:hi] {
-			sealed = append(sealed, sess.sealer.seal(r))
+			sealed = append(sealed, sess.sealer.seal(r, begin.StreamRows))
 		}
 		return sealed, nil
 	})
@@ -159,7 +159,7 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 	}
 	var schema *relation.Schema
 	if begin.Agg != nil {
-		cell, err := sess.opener.open(begin.Agg)
+		cell, err := sess.opener.open(begin.Agg, begin.StreamRows)
 		if err != nil {
 			return fmt.Errorf("service: aggregate cell: %w", err)
 		}
@@ -189,7 +189,7 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 				return fmt.Errorf("%w: chunk frame on an aggregate delivery", ErrResultFrame)
 			}
 			for i, ct := range c.Rows {
-				cell, err := sess.opener.open(ct)
+				cell, err := sess.opener.open(ct, begin.StreamRows)
 				if err != nil {
 					return fmt.Errorf("service: result row %d: %w", i, err)
 				}

@@ -54,7 +54,7 @@ func FuzzResultStream(f *testing.F) {
 	f.Add(uint32(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, resume uint32, raw []byte) {
-		opener, err := newSessionSealer(make([]byte, 16), 's')
+		_, opener, err := sessionSealers(nil, nil, nil, dirClient, dirServer)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -160,11 +160,11 @@ func (c *Contract) CheckRoles() error {
 }
 
 // Handshake authenticates the device to the client and the client to the
-// contract, deriving the session sealer. It returns the authenticated
-// contract party. The hello must already have been read (ReadHello), so a
-// multi-contract listener can route on Hello.ContractID before committing
-// to a contract. A hello at any protocol version but ProtoVersion is refused
-// with ErrUnsupportedProto.
+// contract, deriving the session's two direction sealers. It returns the
+// authenticated contract party. The hello must already have been read
+// (ReadHello), so a multi-contract listener can route on Hello.ContractID
+// before committing to a contract. A hello at any protocol version but
+// ProtoVersion is refused with ErrUnsupportedProto.
 func (s *Service) Handshake(sess *Session, hello Hello) (Party, error) {
 	// Checked before any attestation signing or key agreement: the hello is
 	// bytes from an unauthenticated peer.
@@ -223,18 +223,9 @@ func (s *Service) Handshake(sess *Session, hello Hello) (Party, error) {
 	if err != nil {
 		return Party{}, err
 	}
-	key := deriveSessionKey(shared, eph.PublicKey().Bytes(), ck.ECDHPub)
-	// Directions: client seals with 'c', server with 's'.
-	open, err := newSessionSealer(key, 'c')
-	if err != nil {
+	if sess.sealer, sess.opener, err = sessionSealers(shared, eph.PublicKey().Bytes(), ck.ECDHPub, dirServer, dirClient); err != nil {
 		return Party{}, err
 	}
-	sealDir, err := newSessionSealer(key, 's')
-	if err != nil {
-		return Party{}, err
-	}
-	sess.sealer = sealDir
-	sess.opener = open
 	return party, nil
 }
 

@@ -17,13 +17,15 @@ import (
 // a real receiver: ReceiveUpload with the script as the provider, or
 // FetchResult with the script as the server.
 type streamScript struct {
-	t      *testing.T
-	dir    direction
-	sess   *Session                 // the scripted sender's end
-	beginf func(declared int64) any // the direction's begin frame
-	cell   func(i int) []byte       // plaintext of stream row i
-	hangUp func()                   // closes the sender's end of the wire
-	recv   chan error               // the receiver's verdict
+	t        *testing.T
+	dir      direction
+	sess     *Session                 // the scripted sender's end
+	peer     *Session                 // the receiver's end, for reflected ciphertexts
+	beginf   func(declared int64) any // the direction's begin frame
+	declared int64                    // the row count rows are sealed under
+	cell     func(i int) []byte       // plaintext of stream row i
+	hangUp   func()                   // closes the sender's end of the wire
+	recv     chan error               // the receiver's verdict
 }
 
 // framingRel is the relation the scripts stream rows of.
@@ -36,7 +38,7 @@ func startUploadScript(t *testing.T) *streamScript {
 	svc, pA := newUploadFixture(t, 0, 0)
 	sess, cs, clientEnd := dialProvider(t, svc, pA)
 	prefix := []byte(svc.Contract.ID)
-	sc := &streamScript{t: t, dir: uploadStream, sess: cs.sess, hangUp: func() { clientEnd.Close() }, recv: make(chan error, 1),
+	sc := &streamScript{t: t, dir: uploadStream, sess: cs.sess, peer: sess, hangUp: func() { clientEnd.Close() }, recv: make(chan error, 1),
 		beginf: func(declared int64) any {
 			return uploadBeginMsg{ContractID: svc.Contract.ID, Schema: toWire(framingRel.Schema), DeclaredRows: declared}
 		},
@@ -52,22 +54,22 @@ func startUploadScript(t *testing.T) *streamScript {
 }
 
 // startDeliveryScript opens a delivery stream into a recipient's
-// FetchResult, the two session ends sharing a key without a handshake. The
-// rows are decoys, which the recipient opens and drops.
+// FetchResult, the two session ends deriving their keys from one fixed
+// secret without a handshake. The rows are decoys, which the recipient
+// opens and drops.
 func startDeliveryScript(t *testing.T) *streamScript {
 	t.Helper()
 	serverEnd, clientEnd := net.Pipe()
 	t.Cleanup(func() { serverEnd.Close(); clientEnd.Close() })
-	sealer := func() *sessionSealer {
-		s, err := newSessionSealer(make([]byte, 16), 's')
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
 	srv, cli := newSession(serverEnd), newSession(clientEnd)
-	srv.sealer, cli.opener = sealer(), sealer()
-	sc := &streamScript{t: t, dir: deliveryStream, sess: srv, hangUp: func() { serverEnd.Close() }, recv: make(chan error, 1),
+	var err error
+	if srv.sealer, srv.opener, err = sessionSealers(make([]byte, 32), nil, nil, dirServer, dirClient); err != nil {
+		t.Fatal(err)
+	}
+	if cli.sealer, cli.opener, err = sessionSealers(make([]byte, 32), nil, nil, dirClient, dirServer); err != nil {
+		t.Fatal(err)
+	}
+	sc := &streamScript{t: t, dir: deliveryStream, sess: srv, peer: cli, hangUp: func() { serverEnd.Close() }, recv: make(chan error, 1),
 		beginf: func(declared int64) any {
 			return resultBeginMsg{ContractID: "fz", Schema: toWire(framingRel.Schema),
 				TotalChunks: 2, TotalRows: declared, StreamRows: declared}
@@ -93,20 +95,22 @@ func (sc *streamScript) ack() ackMsg {
 	return a
 }
 
-// begin opens the stream and consumes the credit grant.
+// begin opens the stream, declaring the row count rows are then sealed
+// under, and consumes the credit grant.
 func (sc *streamScript) begin(declared int64) {
 	sc.t.Helper()
+	sc.declared = declared
 	sc.send(sc.beginf(declared))
 	if a := sc.ack(); a.Err != "" {
 		sc.t.Fatalf("begin refused: %s", a.Err)
 	}
 }
 
-// seal seals rows [lo, hi) under the session key.
+// seal seals rows [lo, hi) under the session key and the declared count.
 func (sc *streamScript) seal(lo, hi int) [][]byte {
 	out := make([][]byte, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		out = append(out, sc.sess.sealer.seal(sc.cell(i)))
+		out = append(out, sc.sess.sealer.seal(sc.cell(i), sc.declared))
 	}
 	return out
 }
@@ -316,6 +320,7 @@ func TestResultFramingViolations(t *testing.T) {
 			}
 			return a
 		}
+		sc.declared = 8
 		sc.send(sc.beginf(8))
 		if a := ack(); a.Window != DefaultResultWindow {
 			t.Fatalf("grant = %+v", a)

@@ -6,18 +6,21 @@ import (
 	"errors"
 	"fmt"
 
-	"ppj/internal/ocb"
 	"ppj/internal/relation"
+	"ppj/internal/sim"
 )
 
 // ProtoVersion is the one wire protocol version served, carried in the
 // hello: a provider's relation travels in as the chunk stream of stream.go
 // after an uploadBeginMsg — so server memory per connection is bounded by
 // window × chunk bytes — and the result travels back out as the same
-// stream after a resultBeginMsg, resumable (result.go). (Versions 0 and 1,
-// the one-shot upload and the one-shot delivery, are no longer spoken;
-// Handshake refuses them.)
-const ProtoVersion byte = 2
+// stream after a resultBeginMsg, resumable (result.go); every sealed
+// message is AES-GCM under its direction's key, bound to its place in the
+// direction by associated data (protocol.go). (Versions 0 and 1, the
+// one-shot upload and the one-shot delivery, and version 2, sealed with
+// OCB and no associated data, are no longer spoken; Handshake refuses
+// them.)
+const ProtoVersion byte = 3
 
 // ErrUnsupportedProto refuses a hello whose version byte is not
 // ProtoVersion, before any attestation signing or key agreement.
@@ -49,11 +52,11 @@ var (
 	ErrUploadFrame = errors.New("service: malformed upload frame")
 )
 
-// minSealedRowBytes is the smallest wire size of one sealed row: nonce and
-// tag plus at least one plaintext byte (every row carries the contract-ID
-// prefix). Used to refuse impossible begin declarations before any chunk is
-// read.
-const minSealedRowBytes = int64(ocb.NonceSize + ocb.TagSize + 1)
+// minSealedRowBytes is the smallest wire size of one sealed row: the
+// sealer's overhead plus at least one plaintext byte (every row carries the
+// contract-ID prefix). Used to refuse impossible begin declarations before
+// any chunk is read.
+var minSealedRowBytes = int64(new(sim.GCMSealer).Overhead() + 1)
 
 // uploadBeginMsg opens a chunked upload: the contract binding and schema —
 // checked before the first chunk is read — and the declared row count the
@@ -112,7 +115,7 @@ func (s *Service) receiveChunked(ctx context.Context, sess *Session) (*relation.
 			if s.chunkConsumeHook != nil {
 				s.chunkConsumeHook(int(c.Seq))
 			}
-			return appendSealedRows(sess, s.Contract.ID, rel, c.Rows)
+			return appendSealedRows(sess, s.Contract.ID, begin.DeclaredRows, rel, c.Rows)
 		}}
 	if err := r.run(); err != nil {
 		return nil, err
@@ -125,11 +128,13 @@ func (s *Service) receiveChunked(ctx context.Context, sess *Session) (*relation.
 // ("Each party prepends its relation with the contract ID and encrypts the
 // two together as one message", §3.3.3 — here per row, binding every
 // ciphertext to the contract), decoded against the schema, and appended.
-func appendSealedRows(sess *Session, contractID string, rel *relation.Relation, rows [][]byte) error {
+// declared is the row count the stream's begin frame declared, part of
+// every row's associated data.
+func appendSealedRows(sess *Session, contractID string, declared int64, rel *relation.Relation, rows [][]byte) error {
 	prefix := []byte(contractID)
 	base := rel.Len()
 	for i, ct := range rows {
-		pt, err := sess.opener.open(ct)
+		pt, err := sess.opener.open(ct, declared)
 		if err != nil {
 			return fmt.Errorf("row %d: %w", base+i, err)
 		}

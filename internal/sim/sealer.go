@@ -37,9 +37,11 @@ type Sealer interface {
 // coprocessor terminates the computation on it (§3.3.1).
 var ErrTamper = errors.New("sim: ciphertext failed authentication, host tampering detected")
 
-// GCMSealer seals each cell as an independent AES-GCM message. Output
+// GCMSealer seals each message as an independent AES-GCM message. Output
 // layout: nonce(12) || ciphertext || tag(16); the nonce is four zero bytes
-// and the sealer's 64-bit counter.
+// and the sealer's 64-bit counter, so a key must back one GCMSealer only.
+// Cells are sealed with no associated data; session messages and result
+// records pass theirs through SealAD and OpenAD.
 //
 // The thesis instead chains all tuples of a sort round into one incremental
 // OCB message to shave block-cipher calls on its crypto hardware (§4.4.1);
@@ -85,13 +87,20 @@ func (s *GCMSealer) Seal(plaintext []byte) []byte {
 	return s.SealTo(nil, plaintext)
 }
 
-// SealTo implements Sealer. The nonce is written into dst itself and the
-// AEAD appends after it: a nonce array on the stack would escape through
-// the cipher.AEAD interface and cost an allocation per cell.
+// SealTo implements Sealer: SealAD with no associated data.
 func (s *GCMSealer) SealTo(dst, plaintext []byte) []byte {
+	return s.SealAD(dst, plaintext, nil)
+}
+
+// SealAD appends the sealed plaintext to dst, authenticating ad with it:
+// the ciphertext opens only under the same ad, which is not stored. The
+// nonce is written into dst itself and the AEAD appends after it: a nonce
+// array on the stack would escape through the cipher.AEAD interface and
+// cost an allocation per message.
+func (s *GCMSealer) SealAD(dst, plaintext, ad []byte) []byte {
 	dst = slices.Grow(dst, gcmNonceSize+len(plaintext)+gcmTagSize)
 	dst = binary.BigEndian.AppendUint64(append(dst, 0, 0, 0, 0), s.nonce.Add(1))
-	return s.aead.Seal(dst, dst[len(dst)-gcmNonceSize:], plaintext, nil)
+	return s.aead.Seal(dst, dst[len(dst)-gcmNonceSize:], plaintext, ad)
 }
 
 // Open implements Sealer.
@@ -99,12 +108,18 @@ func (s *GCMSealer) Open(ciphertext []byte) ([]byte, error) {
 	return s.OpenTo(nil, ciphertext)
 }
 
-// OpenTo implements Sealer.
+// OpenTo implements Sealer: OpenAD with no associated data.
 func (s *GCMSealer) OpenTo(dst, ciphertext []byte) ([]byte, error) {
+	return s.OpenAD(dst, ciphertext, nil)
+}
+
+// OpenAD appends the plaintext of a SealAD output to dst after verifying
+// it, and ad, against the tag; any mismatch is ErrTamper.
+func (s *GCMSealer) OpenAD(dst, ciphertext, ad []byte) ([]byte, error) {
 	if len(ciphertext) < gcmNonceSize+gcmTagSize {
 		return nil, fmt.Errorf("%w (short ciphertext)", ErrTamper)
 	}
-	pt, err := s.aead.Open(dst, ciphertext[:gcmNonceSize], ciphertext[gcmNonceSize:], nil)
+	pt, err := s.aead.Open(dst, ciphertext[:gcmNonceSize], ciphertext[gcmNonceSize:], ad)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTamper, err)
 	}

@@ -121,3 +121,28 @@ func TestGCMNonceUnique(t *testing.T) {
 		t.Fatal("two random sealers at counter 1 produced equal ciphertexts")
 	}
 }
+
+// TestGCMSealerAD pins the associated data's binding: a SealAD output opens
+// under its own ad only, and SealTo is the empty-ad case of the same seal.
+func TestGCMSealerAD(t *testing.T) {
+	s, err := NewRandomGCMSealer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, ad := []byte("row"), []byte("context 1")
+	ct := s.SealAD(nil, pt, ad)
+	if got, err := s.OpenAD(nil, ct, ad); err != nil || string(got) != string(pt) {
+		t.Fatalf("OpenAD under the sealing ad = %q, %v", got, err)
+	}
+	for _, wrong := range [][]byte{nil, []byte("context 2"), ad[:len(ad)-1]} {
+		if _, err := s.OpenAD(nil, ct, wrong); !errors.Is(err, ErrTamper) {
+			t.Errorf("OpenAD under ad %q = %v, want ErrTamper", wrong, err)
+		}
+	}
+	if _, err := s.OpenTo(nil, ct); !errors.Is(err, ErrTamper) {
+		t.Errorf("OpenTo of an ad-bound ciphertext = %v, want ErrTamper", err)
+	}
+	if got, err := s.OpenAD(nil, s.SealTo(nil, pt), nil); err != nil || string(got) != string(pt) {
+		t.Fatalf("OpenAD(nil) of a SealTo output = %q, %v", got, err)
+	}
+}

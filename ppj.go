@@ -20,13 +20,13 @@
 //	res, _ := eng.Join(ppj.Alg5, []ppj.TableRef{ta, tb}, ppj.Pairwise(pred), ppj.JoinOptions{})
 //	rows, _ := eng.Decode(res)
 //
-// Subsystems: internal/relation (schemas, tuples, predicates),
-// internal/ocb (authenticated encryption), internal/sim (host/coprocessor
-// simulator), internal/oblivious (odd-even mergesort, shuffle, decoy filter),
-// internal/mlfsr (random traversal), internal/costmodel (the paper's closed
-// forms), internal/core (the algorithms), internal/adversary (leak
-// demonstrations), internal/smc (garbled-circuit baseline), internal/secop
-// (device trust model) and internal/service (the network service).
+// Subsystems: internal/relation (schemas, tuples, predicates), internal/sim
+// (host/coprocessor simulator and its AES-GCM sealer), internal/oblivious
+// (odd-even mergesort, shuffle, decoy filter), internal/mlfsr (random
+// traversal), internal/costmodel (the paper's closed forms), internal/core
+// (the algorithms), internal/adversary (leak demonstrations), internal/smc
+// (garbled-circuit baseline), internal/secop (device trust model) and
+// internal/service (the network service).
 package ppj
 
 import (
