@@ -68,9 +68,13 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 // silently or fail on late: a fleet needs at least one shard, every job at
 // least one device, asking for durability without saying where the WAL
 // lives is a misconfiguration rather than an in-memory fallback, and the
-// ingest limits must not be negative (zero means "default"/"unbounded";
-// below that there is no meaning to ask for).
+// demo's row count and the ingest limits must not be negative (zero rows
+// asks for empty relations, zero limits for "default"/"unbounded"; below
+// that there is no meaning to ask for).
 func (o *options) validate() error {
+	if o.rows < 0 {
+		return fmt.Errorf("-rows must not be negative, got %d", o.rows)
+	}
 	if o.shards < 1 {
 		return fmt.Errorf("-shards must be at least 1, got %d", o.shards)
 	}

@@ -79,6 +79,11 @@ func TestParseFlagsValid(t *testing.T) {
 	if o.shards != 3 || o.devices != 2 || !o.wal || o.dataDir != "/tmp/x" {
 		t.Fatalf("parsed: %+v", o)
 	}
+	// -rows 0 asks for empty relations; whether a join over them is legal
+	// is the join's to decide, not the flag parser's.
+	if o, err := parse(t, "-rows", "0"); err != nil || o.rows != 0 {
+		t.Fatalf("-rows 0: %+v, %v", o, err)
+	}
 }
 
 func TestParseFlagsRejects(t *testing.T) {
@@ -87,6 +92,7 @@ func TestParseFlagsRejects(t *testing.T) {
 		args []string
 		want string
 	}{
+		{"negative rows", []string{"-rows", "-1"}, "-rows must not be negative"},
 		{"zero shards", []string{"-shards", "0"}, "-shards"},
 		{"negative shards", []string{"-shards", "-2"}, "-shards"},
 		{"zero devices", []string{"-devices-per-job", "0"}, "-devices-per-job"},

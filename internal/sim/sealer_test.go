@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"sync"
@@ -124,6 +125,9 @@ func TestGCMNonceUnique(t *testing.T) {
 
 // TestGCMSealerAD pins the associated data's binding: a SealAD output opens
 // under its own ad only, and SealTo is the empty-ad case of the same seal.
+// SealAD appends: a prefix already in dst is kept and the sealed message
+// opens from the prefix's end, as the result store's header frame relies
+// on. An empty plaintext seals to the overhead alone and opens empty.
 func TestGCMSealerAD(t *testing.T) {
 	s, err := NewRandomGCMSealer()
 	if err != nil {
@@ -145,4 +149,83 @@ func TestGCMSealerAD(t *testing.T) {
 	if got, err := s.OpenAD(nil, s.SealTo(nil, pt), nil); err != nil || string(got) != string(pt) {
 		t.Fatalf("OpenAD(nil) of a SealTo output = %q, %v", got, err)
 	}
+
+	prefix := []byte("header")
+	out := s.SealAD(bytes.Clone(prefix), pt, ad)
+	if !bytes.HasPrefix(out, prefix) || len(out) != len(prefix)+len(pt)+s.Overhead() {
+		t.Fatalf("SealAD into %q = %x, want the prefix then %d sealed bytes", prefix, out, len(pt)+s.Overhead())
+	}
+	if got, err := s.OpenAD(nil, out[len(prefix):], ad); err != nil || string(got) != string(pt) {
+		t.Fatalf("OpenAD after the prefix = %q, %v", got, err)
+	}
+
+	empty := s.SealAD(nil, nil, ad)
+	if len(empty) != s.Overhead() {
+		t.Fatalf("empty plaintext sealed to %d bytes, want %d", len(empty), s.Overhead())
+	}
+	if got, err := s.OpenAD(nil, empty, ad); err != nil || len(got) != 0 {
+		t.Fatalf("OpenAD of an empty plaintext = %q, %v", got, err)
+	}
+	if _, err := s.OpenAD(nil, empty, nil); !errors.Is(err, ErrTamper) {
+		t.Fatalf("OpenAD of an empty plaintext under another ad = %v, want ErrTamper", err)
+	}
+}
+
+// TestGCMSealerKeySizes pins the keys NewGCMSealer takes: the three AES
+// sizes, and an error, not a panic, for any other length.
+func TestGCMSealerKeySizes(t *testing.T) {
+	for _, n := range []int{16, 24, 32} {
+		s, err := NewGCMSealer(make([]byte, n))
+		if err != nil {
+			t.Fatalf("%d-byte key: %v", n, err)
+		}
+		if got, err := s.Open(s.Seal([]byte("cell"))); err != nil || string(got) != "cell" {
+			t.Fatalf("%d-byte key: round trip = %q, %v", n, got, err)
+		}
+	}
+	for _, n := range []int{0, 15, 17, 33} {
+		if s, err := NewGCMSealer(make([]byte, n)); err == nil {
+			t.Fatalf("%d-byte key accepted: %v", n, s)
+		}
+	}
+}
+
+// FuzzGCMOpenAD feeds the opener what a host can write: arbitrary bytes
+// under arbitrary associated data must fail with ErrTamper and never
+// panic. The same plaintext and ad, sealed, must round-trip, and flipping
+// any one byte of the ciphertext or the ad must fail again. One seed is a
+// well-formed message under another key.
+func FuzzGCMOpenAD(f *testing.F) {
+	s, err := NewGCMSealer(bytes.Repeat([]byte{0x42}, 16))
+	if err != nil {
+		f.Fatal(err)
+	}
+	other, err := NewGCMSealer(bytes.Repeat([]byte{0x43}, 16))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(nil), []byte(nil), uint(0), byte(1))
+	f.Add([]byte("secret tuple...."), []byte("context"), uint(5), byte(0x80))
+	f.Add(other.SealAD(nil, []byte("row"), []byte("ad")), []byte("ad"), uint(40), byte(0xff))
+	f.Fuzz(func(t *testing.T, data, ad []byte, at uint, flip byte) {
+		if pt, err := s.OpenAD(nil, data, ad); !errors.Is(err, ErrTamper) {
+			t.Fatalf("arbitrary %x under ad %x opened to %x, %v; want ErrTamper", data, ad, pt, err)
+		}
+		ct := s.SealAD(nil, data, ad)
+		if got, err := s.OpenAD(nil, ct, ad); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("round trip of %x = %x, %v", data, got, err)
+		}
+		if flip == 0 {
+			flip = 1
+		}
+		ct, ad = bytes.Clone(ct), bytes.Clone(ad)
+		if i := int(at % uint(len(ct)+len(ad))); i < len(ct) {
+			ct[i] ^= flip
+		} else {
+			ad[i-len(ct)] ^= flip
+		}
+		if _, err := s.OpenAD(nil, ct, ad); !errors.Is(err, ErrTamper) {
+			t.Fatalf("one byte flipped at %d: %v, want ErrTamper", at%uint(len(ct)+len(ad)), err)
+		}
+	})
 }
