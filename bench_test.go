@@ -501,7 +501,7 @@ func BenchmarkParallelSort(b *testing.B) {
 				cops, sealer = benchFleet(b, h, p, 0)
 				id := h.MustCreateRegion("s", n)
 				for j := int64(0); j < n; j++ {
-					h.Store(id, j, sealer.Seal([]byte(fmt.Sprintf("%08d", (j*2654435761)%100000))))
+					h.Store(id, j, sealer.SealTo(nil, []byte(fmt.Sprintf("%08d", (j*2654435761)%100000))))
 				}
 				b.StartTimer()
 				if err := oblivious.SortSpan(cops, id, 0, n, 1, less); err != nil {

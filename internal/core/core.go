@@ -80,7 +80,7 @@ func DecodeOutput(t *sim.Coprocessor, res Result) (*relation.Relation, error) {
 		if ct == nil {
 			return nil, fmt.Errorf("core: output cell %d missing", i)
 		}
-		cell, err := t.Sealer().Open(ct)
+		cell, err := t.Sealer().OpenTo(nil, ct)
 		if err != nil {
 			return nil, fmt.Errorf("core: output cell %d: %w", i, err)
 		}

@@ -34,7 +34,7 @@ func TestConcurrentFleetsOneHost(t *testing.T) {
 	for i := int64(0); i < sortN; i++ {
 		var cell [8]byte
 		binary.BigEndian.PutUint64(cell[:], uint64((i*37)%sortN))
-		h.Store(sortRegion, i, sealer.Seal(cell[:]))
+		h.Store(sortRegion, i, sealer.SealTo(nil, cell[:]))
 	}
 	less := func(a, b []byte) bool {
 		return binary.BigEndian.Uint64(a) < binary.BigEndian.Uint64(b)

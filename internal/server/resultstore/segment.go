@@ -158,59 +158,65 @@ func writeSegment(path string, key []byte, id string, meta []byte, rows [][]byte
 	return f.Close()
 }
 
-// readSegment validates a whole segment and returns its contents. The
-// contract ID is returned even when validation fails later in the file —
-// the header frame is self-checksummed — so a torn segment can still be
-// tombstoned under its ID; the ID is authentic only when err is nil.
+// readSegment reads a segment file and parses it (parseSegment); size is
+// the file's length, or 0 when it cannot be read.
 func readSegment(path string, key []byte) (id string, meta []byte, rows [][]byte, size int64, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return "", nil, nil, 0, fmt.Errorf("%w: %v", errSegment, err)
 	}
-	size = int64(len(raw))
+	id, meta, rows, err = parseSegment(raw, key)
+	return id, meta, rows, int64(len(raw)), err
+}
+
+// parseSegment validates a whole segment's bytes and returns its contents.
+// The contract ID is returned even when validation fails later in the
+// file — the header frame is self-checksummed — so a torn segment can still
+// be tombstoned under its ID; the ID is authentic only when err is nil.
+func parseSegment(raw, key []byte) (id string, meta []byte, rows [][]byte, err error) {
 	if !bytes.HasPrefix(raw, segMagic) {
-		return "", nil, nil, size, fmt.Errorf("%w: bad magic", errSegment)
+		return "", nil, nil, fmt.Errorf("%w: bad magic", errSegment)
 	}
 	payload, rest, err := readFrame(raw[len(segMagic):])
 	if err != nil {
-		return "", nil, nil, size, err
+		return "", nil, nil, err
 	}
 	if len(payload) < 2 {
-		return "", nil, nil, size, fmt.Errorf("%w: short header", errSegment)
+		return "", nil, nil, fmt.Errorf("%w: short header", errSegment)
 	}
 	idLen := int(binary.BigEndian.Uint16(payload[0:2]))
 	hdrLen := 2 + idLen + 4 + saltSize
 	if len(payload) < hdrLen {
-		return "", nil, nil, size, fmt.Errorf("%w: short header", errSegment)
+		return "", nil, nil, fmt.Errorf("%w: short header", errSegment)
 	}
 	hdr := payload[:hdrLen]
 	id = string(hdr[2 : 2+idLen])
 	rowCount := binary.BigEndian.Uint32(hdr[2+idLen:])
 	sealer, err := segmentSealer(key, hdr[hdrLen-saltSize:])
 	if err != nil {
-		return id, nil, nil, size, fmt.Errorf("%w: %v", errSegment, err)
+		return id, nil, nil, fmt.Errorf("%w: %v", errSegment, err)
 	}
 	// The meta tag covers the header, so a forged row count fails here,
 	// before any row is allocated.
 	ad := recordAD(nil, hdr, 0)
 	if meta, err = sealer.OpenAD(nil, payload[hdrLen:], ad); err != nil {
-		return id, nil, nil, size, fmt.Errorf("%w: meta: %v", errSegment, err)
+		return id, nil, nil, fmt.Errorf("%w: meta: %v", errSegment, err)
 	}
 	rows = make([][]byte, 0, rowCount)
 	for i := uint32(1); i <= rowCount; i++ {
 		var sealed []byte
 		if sealed, rest, err = readFrame(rest); err != nil {
-			return id, nil, nil, size, err
+			return id, nil, nil, err
 		}
 		ad = recordAD(ad, hdr, i)
 		row, err := sealer.OpenAD(nil, sealed, ad)
 		if err != nil {
-			return id, nil, nil, size, fmt.Errorf("%w: row %d: %v", errSegment, i-1, err)
+			return id, nil, nil, fmt.Errorf("%w: row %d: %v", errSegment, i-1, err)
 		}
 		rows = append(rows, row)
 	}
 	if len(rest) != 0 {
-		return id, nil, nil, size, fmt.Errorf("%w: %d trailing bytes", errSegment, len(rest))
+		return id, nil, nil, fmt.Errorf("%w: %d trailing bytes", errSegment, len(rest))
 	}
-	return id, meta, rows, size, nil
+	return id, meta, rows, nil
 }

@@ -464,7 +464,7 @@ func (s *Service) runJoin() (Outcome, error) {
 	// Re-open the output cells inside T for recipient re-encryption.
 	rows := make([][]byte, 0, res.OutputLen)
 	for i := int64(0); i < res.OutputLen; i++ {
-		cell, err := cops[0].Sealer().Open(cops[0].Host().Inspect(res.Output.Region, i))
+		cell, err := cops[0].Sealer().OpenTo(nil, cops[0].Host().Inspect(res.Output.Region, i))
 		if err != nil {
 			return out, err
 		}

@@ -12,8 +12,9 @@ import "fmt"
 // device trace, host trace, cells and error, on clean runs and on every
 // error path (TestBatchedEqualsSequential). What batching changes is only
 // the synchronisation cost: the region lock and the host trace lock are
-// taken once per window instead of once per cell, and ciphertext references
-// and plaintext staging buffers are reused from T's scratch.
+// taken once per window instead of once per cell. Ciphertext references,
+// sealed ciphertexts and plaintext staging buffers are reused from T's
+// scratch, and H copies each sealed ciphertext into the cell's own buffer.
 
 // TransferBatch is the staging window of the range operations: how many
 // cells transit T per lock acquisition. The window is DMA-style staging and
@@ -29,10 +30,20 @@ type access struct {
 	span
 }
 
+// event is the access to the k-th cell of x's span.
+func (x *access) event(k int64) Event {
+	return Event{Op: x.op, Region: x.id, Index: x.at(k)}
+}
+
 // record is the only writer of the access sequence and of Stats.Gets, Puts
 // and DiskRequests. It appends, for k in [0, n), the k-th cell of each
 // access in xs in turn to T's trace and to H's — exactly with one device
 // attached, as a count past one — and charges the transfers.
+//
+// Each event is hashed once, into T's trace. With one device attached H's
+// trace is T's, event for event, so it takes T's digest and keeps the
+// events in its own raw prefix up to its limit. Both counts grow by the
+// call's total at once.
 //
 // Every path charges by one rule. A get counts iff its ciphertext reached
 // T: a cell that fails to open (tampering) or that fn refuses counts, a
@@ -44,26 +55,26 @@ func (t *Coprocessor) record(n int64, xs ...access) {
 	if n <= 0 {
 		return
 	}
-	h := t.host
-	exact := h.attached.Load() <= 1
-	if exact {
-		h.traceMu.Lock()
-	} else {
-		h.trace.SkipCount(uint64(n) * uint64(len(xs)))
-	}
 	for k := int64(0); k < n; k++ {
 		for i := range xs {
-			x := &xs[i]
-			e := Event{Op: x.op, Region: x.id, Index: x.at(k)}
-			t.trace.Append(e)
-			if exact {
-				h.trace.Append(e)
-			}
+			t.trace.fold(xs[i].event(k))
 		}
 	}
-	if exact {
+	total := uint64(n) * uint64(len(xs))
+	t.trace.count.Add(total)
+	h := t.host
+	if h.attached.Load() <= 1 {
+		ht := h.trace
+		h.traceMu.Lock()
+		ht.hash = t.trace.hash
+		for k := int64(0); k < n && len(ht.events) < ht.recordLimit; k++ {
+			for i := range xs {
+				ht.keep(xs[i].event(k))
+			}
+		}
 		h.traceMu.Unlock()
 	}
+	h.trace.count.Add(total)
 	for i := range xs {
 		switch xs[i].op {
 		case OpGet:
@@ -80,10 +91,10 @@ func (t *Coprocessor) record(n int64, xs ...access) {
 // get is the get path of every entry point: H hands over the cells of s up
 // to the first it cannot serve, open opens them into pts (passing each to
 // fn), and record charges each get whose ciphertext reached T.
-func (t *Coprocessor) get(id RegionID, s span, pts [][]byte, fresh bool, fn func(k int64, pt []byte) ([]byte, error)) error {
+func (t *Coprocessor) get(id RegionID, s span, pts [][]byte, fn func(k int64, pt []byte) ([]byte, error)) error {
 	cts, rerr := t.host.read(id, s, t.ctScratch[:0])
 	t.ctScratch = cts
-	done, err := t.open(id, s, cts, pts, fresh, fn)
+	done, err := t.open(id, s, cts, pts, fn)
 	t.record(reached(done, err), access{OpGet, id, s})
 	if err != nil {
 		return err
@@ -101,21 +112,15 @@ func (t *Coprocessor) put(id RegionID, s span, pts [][]byte) error {
 }
 
 // open is the one open loop. It opens cts[k], the ciphertext of the k-th
-// cell of s, into pts[k] — a fresh buffer when fresh, else appended to
-// pts[k][:0] — and, when fn is non-nil, passes the plaintext to fn and
-// keeps fn's result in pts[k] in its place (so fn may reuse the buffer it
-// returns). It stops at the first cell that fails to open or that fn
-// refuses, and returns how many cells it completed; the failing cell's get
-// has reached T all the same.
-func (t *Coprocessor) open(id RegionID, s span, cts, pts [][]byte, fresh bool, fn func(k int64, pt []byte) ([]byte, error)) (int64, error) {
+// cell of s, into pts[k][:0] — a fresh buffer where pts[k] is nil — and,
+// when fn is non-nil, passes the plaintext to fn and keeps fn's result in
+// pts[k] in its place (so fn may reuse the buffer it returns). It stops at
+// the first cell that fails to open or that fn refuses, and returns how
+// many cells it completed; the failing cell's get has reached T all the
+// same.
+func (t *Coprocessor) open(id RegionID, s span, cts, pts [][]byte, fn func(k int64, pt []byte) ([]byte, error)) (int64, error) {
 	for k, ct := range cts {
-		var pt []byte
-		var err error
-		if fresh {
-			pt, err = t.sealer.Open(ct)
-		} else {
-			pt, err = t.sealer.OpenTo(pts[k][:0], ct)
-		}
+		pt, err := t.sealer.OpenTo(pts[k][:0], ct)
 		if err != nil {
 			// Tampering detected: the computation must terminate (§3.3.1).
 			return int64(k), fmt.Errorf("sim: get %s[%d]: %w", t.host.RegionName(id), s.at(int64(k)), err)
@@ -141,15 +146,15 @@ func reached(done int64, err error) int64 {
 	return done
 }
 
-// seal is the one seal loop: it seals pts into T's ciphertext scratch, for
-// the caller to hand to H.
+// seal is the one seal loop: it seals pts into T's reused ciphertext
+// buffers, for the caller to hand to H, which copies them into its cells.
 func (t *Coprocessor) seal(pts [][]byte) [][]byte {
-	if cap(t.sealScratch) < len(pts) {
-		t.sealScratch = make([][]byte, len(pts))
+	for len(t.sealScratch) < len(pts) {
+		t.sealScratch = append(t.sealScratch, nil)
 	}
 	cts := t.sealScratch[:len(pts)]
 	for k, pt := range pts {
-		cts[k] = t.sealer.Seal(pt)
+		cts[k] = t.sealer.SealTo(cts[k][:0], pt)
 	}
 	return cts
 }
@@ -171,7 +176,7 @@ func (t *Coprocessor) GetRange(id RegionID, from, n int64) ([][]byte, error) {
 	pts := make([][]byte, n)
 	for off := int64(0); off < n; off += TransferBatch {
 		c := min(TransferBatch, n-off)
-		if err := t.get(id, span{from: from + off, n: c}, pts[off:off+c], true, nil); err != nil {
+		if err := t.get(id, span{from: from + off, n: c}, pts[off:off+c], nil); err != nil {
 			return nil, err
 		}
 	}
@@ -184,7 +189,7 @@ func (t *Coprocessor) GetRange(id RegionID, from, n int64) ([][]byte, error) {
 func (t *Coprocessor) ScanRange(id RegionID, from, n int64, fn func(k int64, pt []byte) error) error {
 	for off := int64(0); off < n; off += TransferBatch {
 		c := min(TransferBatch, n-off)
-		err := t.get(id, span{from: from + off, n: c}, t.staging(c), false, func(k int64, pt []byte) ([]byte, error) {
+		err := t.get(id, span{from: from + off, n: c}, t.staging(c), func(k int64, pt []byte) ([]byte, error) {
 			return nil, fn(off+k, pt)
 		})
 		if err != nil {
@@ -216,7 +221,7 @@ func (t *Coprocessor) GetBatchInto(dst [][]byte, id RegionID, indices []int64) (
 		dst = append(dst, nil)
 	}
 	dst = dst[:len(indices)]
-	return dst, t.get(id, span{n: int64(len(indices)), idx: indices}, dst, false, nil)
+	return dst, t.get(id, span{n: int64(len(indices)), idx: indices}, dst, nil)
 }
 
 // PutBatch encrypts the plaintexts inside T and writes them to the given
@@ -249,7 +254,7 @@ func (t *Coprocessor) TransformRange(dst RegionID, dstFrom int64, src RegionID, 
 		stored, herr := t.host.transformRange(dst, to, src, from, t.ctScratch[:0], func(cts [][]byte) [][]byte {
 			t.ctScratch = cts
 			pts := t.staging(int64(len(cts)))
-			done, err = t.open(src, from, cts, pts, false, func(k int64, pt []byte) ([]byte, error) {
+			done, err = t.open(src, from, cts, pts, func(k int64, pt []byte) ([]byte, error) {
 				return fn(off+k, pt)
 			})
 			return t.seal(pts[:done])

@@ -49,7 +49,7 @@ func newBatchFixture(tb testing.TB, c batchCase) *batchFixture {
 	}
 	f := &batchFixture{h: h, t: cops[0], r: h.MustCreateRegion("r", batchCells), w: h.MustCreateRegion("w", 4)}
 	for i := int64(0); i < batchCells; i++ {
-		h.Store(f.r, i, PlainSealer{}.Seal(batchPlain(i)))
+		h.Store(f.r, i, PlainSealer{}.SealTo(nil, batchPlain(i)))
 	}
 	if len(cops) > 1 {
 		f.other, f.z = cops[1], h.MustCreateRegion("z", batchCells)

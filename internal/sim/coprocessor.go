@@ -53,10 +53,11 @@ type Coprocessor struct {
 	// tests compare these local traces instead.
 	trace *Trace
 	// Reused scratch of the transfer core (batch.go): references to the
-	// ciphertexts H hands over and to those T hands H (at most a window of
-	// each, kept past the call), and plaintext staging buffers. A
-	// Coprocessor is single-goroutine by contract — only the Host it talks
-	// to is shared — so unsynchronised scratch is safe.
+	// ciphertexts H hands over, the buffers T seals into (H copies them into
+	// its cells), and plaintext staging buffers, at most a window of each,
+	// kept past the call. A Coprocessor is single-goroutine by contract —
+	// only the Host it talks to is shared — so unsynchronised scratch is
+	// safe.
 	ctScratch   [][]byte
 	sealScratch [][]byte
 	ptScratch   [][]byte
@@ -151,7 +152,7 @@ func (t *Coprocessor) Grant(n int) (func(), error) {
 // Get transfers a cell from H into T and decrypts it. The access is traced.
 func (t *Coprocessor) Get(id RegionID, index int64) ([]byte, error) {
 	var pt [1][]byte
-	if err := t.get(id, span{from: index, n: 1}, pt[:], true, nil); err != nil {
+	if err := t.get(id, span{from: index, n: 1}, pt[:], nil); err != nil {
 		return nil, err
 	}
 	return pt[0], nil
@@ -202,8 +203,10 @@ func LoadTable(h *Host, sealer Sealer, name string, rel *relation.Relation) (Tab
 	if err != nil {
 		return Table{}, err
 	}
+	var ct []byte
 	for i, e := range encs {
-		h.Store(id, int64(i), sealer.Seal(e))
+		ct = sealer.SealTo(ct[:0], e)
+		h.Store(id, int64(i), ct)
 	}
 	return Table{Region: id, N: int64(len(encs)), Schema: rel.Schema}, nil
 }

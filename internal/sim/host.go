@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -15,15 +16,21 @@ type RegionID int32
 // adversary's view of the access sequence, but never writes it: the
 // coprocessor's recorder (record, batch.go) does, for every transfer.
 //
+// H owns the bytes of its cells. Every way in — Store, Tamper, a put,
+// copyOut — copies into the cell's own buffer, which is allocated on the
+// cell's first write and rewritten in place after that, and Inspect hands
+// out a copy. So no cell's bytes are shared with a caller or another cell.
+//
 // Locking is sharded so P coprocessors scale: the region table is
 // append-only and published through an atomic pointer, so lookups take no
 // lock (tableMu only serialises creation and guards the name index); each
 // region carries its own mutex guarding its cells; the host trace has its
 // own mutex, taken once per recorded batch. With a single coprocessor
 // attached the host trace is the exact ordered sequence (digest plus
-// optional raw prefix); with several attached the interleaving is
-// nondeterministic, so it degrades to a lock-free count-only sink and the
-// per-device Coprocessor traces stay authoritative for the privacy tests.
+// optional raw prefix), which it takes from the device's trace; with
+// several attached the interleaving is nondeterministic, so it degrades to
+// a lock-free count-only sink and the per-device Coprocessor traces stay
+// authoritative for the privacy tests.
 type Host struct {
 	tableMu sync.Mutex                // serialises region creation
 	regions atomic.Pointer[[]*region] // append-only; read without a lock
@@ -43,9 +50,11 @@ type Host struct {
 type region struct {
 	name string
 	mu   sync.Mutex
-	// cells only grows, under mu. Cell slices are replaced wholesale on
-	// write, never mutated in place, so a reference obtained under mu stays
-	// valid after release.
+	// cells only grows, under mu. A write copies into the cell's buffer in
+	// place, so a reference read hands to T is valid until that cell's next
+	// write. That suffices: a Coprocessor opens every cell of a window before
+	// it seals any, and no two devices of a group touch one cell in one
+	// stage.
 	cells [][]byte
 }
 
@@ -115,20 +124,21 @@ func (h *Host) RegionName(id RegionID) string {
 	return h.regionFor(id).name
 }
 
-// Store writes ciphertext into a cell without tracing. It models data
-// arriving from outside T's access pattern: providers uploading their
-// encrypted relations before the join starts.
+// Store copies ciphertext into a cell without tracing; a nil ciphertext
+// makes the cell unwritten. It models data arriving from outside T's access
+// pattern: providers uploading their encrypted relations before the join
+// starts.
 func (h *Host) Store(id RegionID, index int64, ciphertext []byte) {
 	r := h.regionFor(id)
 	r.mu.Lock()
 	r.grow(index)
-	r.cells[index] = ciphertext
+	r.set(index, ciphertext)
 	r.mu.Unlock()
 }
 
-// Inspect returns the raw ciphertext of a cell without tracing: the
-// honest-but-curious adversary reading H's memory (§3.3.2). It returns nil
-// for never-written cells.
+// Inspect returns a copy of the raw ciphertext of a cell without tracing:
+// the honest-but-curious adversary reading H's memory (§3.3.2). It returns
+// nil for never-written cells.
 func (h *Host) Inspect(id RegionID, index int64) []byte {
 	r := h.regionFor(id)
 	r.mu.Lock()
@@ -136,11 +146,12 @@ func (h *Host) Inspect(id RegionID, index int64) []byte {
 	if index < 0 || index >= int64(len(r.cells)) {
 		return nil
 	}
-	return r.cells[index]
+	return bytes.Clone(r.cells[index])
 }
 
-// Tamper lets a malicious adversary overwrite a cell's ciphertext without
-// tracing. T's next authenticated read of the cell must fail (§3.3.1).
+// Tamper lets a malicious adversary overwrite a cell's ciphertext with a
+// copy of ciphertext, without tracing. T's next authenticated read of the
+// cell must fail (§3.3.1).
 func (h *Host) Tamper(id RegionID, index int64, ciphertext []byte) {
 	h.Store(id, index, ciphertext)
 }
@@ -221,7 +232,7 @@ func (h *Host) disk(id RegionID, s span) (int64, error) {
 // copyOut serves T's request that H copy ciphertext cells from one region to
 // another (e.g. persisting the first N scratch cells as output). The copy is
 // host-local — the cells never transit T — and either happens whole or not
-// at all.
+// at all. It copies bytes, so the source cells may be rewritten afterwards.
 func (h *Host) copyOut(dst RegionID, dstFrom int64, src RegionID, srcFrom, n int64) error {
 	p := h.lockPair(dst, src)
 	defer p.unlock()
@@ -230,7 +241,15 @@ func (h *Host) copyOut(dst RegionID, dstFrom int64, src RegionID, srcFrom, n int
 	}
 	if n > 0 {
 		p.dst.grow(dstFrom + n - 1)
-		copy(p.dst.cells[dstFrom:], p.src.cells[srcFrom:srcFrom+n])
+	}
+	// Within one region, copy back to front onto a later range, like memmove.
+	backward := p.dst == p.src && dstFrom > srcFrom
+	for j := range n {
+		k := j
+		if backward {
+			k = n - 1 - j
+		}
+		p.dst.set(dstFrom+k, p.src.cells[srcFrom+k])
 	}
 	return nil
 }
@@ -288,9 +307,24 @@ func (r *region) write(s span, cts [][]byte) (int64, error) {
 			return int64(k), fmt.Errorf("sim: put %s[%d] negative index", r.name, i)
 		}
 		r.grow(i)
-		r.cells[i] = ct
+		r.set(i, ct)
 	}
 	return int64(len(cts)), nil
+}
+
+// set copies ct into cell i's buffer, allocating only on the cell's first
+// write or when ct outgrows it; a nil ct makes the cell unwritten, an empty
+// one leaves it written. Caller holds r.mu.
+func (r *region) set(i int64, ct []byte) {
+	if ct == nil {
+		r.cells[i] = nil
+		return
+	}
+	c := r.cells[i]
+	if c == nil || cap(c) < len(ct) {
+		c = make([]byte, 0, len(ct))
+	}
+	r.cells[i] = append(c[:0], ct...)
 }
 
 // grow extends the region to cover index with a single capacity-doubling

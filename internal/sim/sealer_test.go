@@ -179,7 +179,7 @@ func TestGCMSealerKeySizes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d-byte key: %v", n, err)
 		}
-		if got, err := s.Open(s.Seal([]byte("cell"))); err != nil || string(got) != "cell" {
+		if got, err := s.OpenTo(nil, s.Seal([]byte("cell"))); err != nil || string(got) != "cell" {
 			t.Fatalf("%d-byte key: round trip = %q, %v", n, got, err)
 		}
 	}

@@ -57,8 +57,11 @@ func (e Event) String() string {
 // Trace accumulates the access sequence. To keep multi-hundred-million-event
 // runs cheap it maintains an order-sensitive FNV-1a digest and a count, and
 // optionally records a bounded prefix of raw events for the adversary's
-// fine-grained distinguishers. The count is atomic so a multi-device host
-// can fold accesses in without serialising on the digest (SkipCount); the
+// fine-grained distinguishers. The recorder (record, batch.go) folds each
+// event of a transfer into the device trace alone and adds the count of the
+// whole transfer at once; a one-device host trace takes the device trace's
+// digest instead of hashing again. The count is atomic so several devices
+// can add theirs to a host trace without serialising on its digest; the
 // digest and raw events are only meaningful for single-writer traces.
 type Trace struct {
 	hash        uint64
@@ -78,8 +81,11 @@ func NewTrace(recordLimit int) *Trace {
 	return &Trace{hash: fnvOffset, recordLimit: recordLimit}
 }
 
-// Append records one access.
-func (t *Trace) Append(e Event) {
+// fold folds one access into the digest — FNV-1a over its 13-byte encoding
+// op ‖ region (big-endian uint32) ‖ index (big-endian uint64) — and keeps it
+// in the raw prefix. It does not count the access: its caller adds the
+// count of a whole transfer at once.
+func (t *Trace) fold(e Event) {
 	var buf [13]byte
 	buf[0] = byte(e.Op)
 	binary.BigEndian.PutUint32(buf[1:], uint32(e.Region))
@@ -90,17 +96,15 @@ func (t *Trace) Append(e Event) {
 		h *= fnvPrime
 	}
 	t.hash = h
-	t.count.Add(1)
+	t.keep(e)
+}
+
+// keep records e in the raw prefix while it is below the record limit.
+func (t *Trace) keep(e Event) {
 	if len(t.events) < t.recordLimit {
 		t.events = append(t.events, e)
 	}
 }
-
-// SkipCount counts n accesses without folding them into the digest. The
-// multi-device host uses it as a lock-free sink: with several coprocessors
-// attached the interleaved order is nondeterministic, so only the total is
-// meaningful (the per-device traces stay authoritative).
-func (t *Trace) SkipCount(n uint64) { t.count.Add(n) }
 
 // Count returns the number of recorded accesses.
 func (t *Trace) Count() uint64 { return t.count.Load() }
