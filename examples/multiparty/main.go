@@ -25,8 +25,8 @@ func main() {
 
 	// All three keys equal — a J-way equijoin as a MultiPredicate.
 	pred := ppj.MultiPredicateFunc{
-		Fn: func(ts []ppj.Tuple) bool {
-			return ts[0][0].I == ts[1][0].I && ts[1][0].I == ts[2][0].I
+		Fn: func(rs []ppj.Row) bool {
+			return rs[0].Int(0) == rs[1].Int(0) && rs[1].Int(0) == rs[2].Int(0)
 		},
 		Desc: "x1.key = x2.key = x3.key",
 	}

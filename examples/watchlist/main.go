@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"math"
@@ -23,12 +24,13 @@ import (
 // fuzzyMatch is the arbitrary profile predicate: exact passport match, or
 // same name with dates of birth in the same half-million-day band (the
 // synthetic dob field spans a million values; real deployments would use a
-// few days of data-entry noise).
-func fuzzyMatch(a, b ppj.Tuple) bool {
-	if a[3].S != "" && a[3].S == b[3].S {
+// few days of data-entry noise). It reads the encoded rows in place: name
+// and passport as bytes, dob as an integer.
+func fuzzyMatch(a, b ppj.Row) bool {
+	if pa := a.Bytes(3); len(pa) > 0 && bytes.Equal(pa, b.Bytes(3)) {
 		return true
 	}
-	return a[1].S == b[1].S && math.Abs(float64(a[2].I-b[2].I)) <= 500000
+	return bytes.Equal(a.Bytes(1), b.Bytes(1)) && math.Abs(float64(a.Int(2)-b.Int(2))) <= 500000
 }
 
 func run(seed uint64, n int, report bool) (traceDigest uint64) {

@@ -60,7 +60,7 @@ func TestNestedLoopFullMatrixRecovery(t *testing.T) {
 	var want [][2]int64
 	for i, ta := range relA.Rows {
 		for j, tb := range relB.Rows {
-			if pred.Match(ta, tb) {
+			if ta[0].I == tb[0].I { // pred's keys
 				want = append(want, [2]int64{int64(i), int64(j)})
 			}
 		}
@@ -246,7 +246,7 @@ func TestCommutativeJoinPairsCorrect(t *testing.T) {
 	var want [][2]int64
 	for i, ta := range relA.Rows {
 		for j, tb := range relB.Rows {
-			if pred.Match(ta, tb) {
+			if ta[0].I == tb[0].I { // pred's keys
 				want = append(want, [2]int64{int64(i), int64(j)})
 			}
 		}

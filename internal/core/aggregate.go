@@ -85,7 +85,7 @@ type AggResult struct {
 // one put — a pattern independent of every input value and even of the
 // join size.
 func Aggregate(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate, spec AggSpec) (AggResult, error) {
-	_, cart, err := prepCh5(t, tables, 1)
+	_, cart, err := prepCh5(t, tables, pred, 1)
 	if err != nil {
 		return AggResult{}, err
 	}
@@ -110,18 +110,14 @@ func Aggregate(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredic
 	res := AggResult{Kind: spec.Kind}
 	var sum float64
 	minV, maxV := math.Inf(1), math.Inf(-1)
-	if err := cart.Scan(func(row []relation.Tuple) error {
-		t.ChargePredicate()
-		if !pred.Satisfy(row) {
-			return nil
-		}
+	if err := cart.Scan(pred, func(row []relation.Row) {
 		res.Count++
 		if attrIdx >= 0 {
 			var v float64
 			if attrType == relation.Int64 {
-				v = float64(row[spec.Table][attrIdx].I)
+				v = float64(row[spec.Table].Int(attrIdx))
 			} else {
-				v = row[spec.Table][attrIdx].F
+				v = row[spec.Table].Float(attrIdx)
 			}
 			sum += v
 			if v < minV {
@@ -131,7 +127,6 @@ func Aggregate(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredic
 				maxV = v
 			}
 		}
-		return nil
 	}); err != nil {
 		return AggResult{}, err
 	}

@@ -52,7 +52,7 @@ func Join1(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate, n int64)
 		if err := t.PutRange(scratch, 0, decoyFill); err != nil {
 			return Result{}, err
 		}
-		aT, err := t.GetTuple(a, ai)
+		aR, err := getRow(t, a, ai)
 		if err != nil {
 			return Result{}, err
 		}
@@ -62,17 +62,13 @@ func Join1(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate, n int64)
 		for bi0 := int64(0); bi0 < b.N; bi0 += n {
 			cnt := min64(n, b.N-bi0)
 			err := t.TransformRange(scratch, n, b.Region, bi0, cnt, func(k int64, pt []byte) ([]byte, error) {
-				bT, err := b.Schema.Decode(pt)
+				bR, err := rowOf(b, bi0+k, pt)
 				if err != nil {
-					return nil, fmt.Errorf("core: decoding B[%d]: %w", bi0+k, err)
+					return nil, err
 				}
 				t.ChargePredicate()
-				if pred.Match(aT, bT) {
-					payload, err := joinPayload(outSchema, aT, bT)
-					if err != nil {
-						return nil, err
-					}
-					return wrapReal(payload), nil
+				if pred.Match(aR, bR) {
+					return realCell(aR, bR), nil
 				}
 				return decoy, nil
 			})
@@ -133,22 +129,18 @@ func Join1Variant(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate, n
 
 	decoy := wrapDecoy(payloadSize)
 	for ai := int64(0); ai < a.N; ai++ {
-		aT, err := t.GetTuple(a, ai)
+		aR, err := getRow(t, a, ai)
 		if err != nil {
 			return Result{}, err
 		}
 		err = t.TransformRange(scratch, 0, b.Region, 0, b.N, func(bi int64, pt []byte) ([]byte, error) {
-			bT, err := b.Schema.Decode(pt)
+			bR, err := rowOf(b, bi, pt)
 			if err != nil {
-				return nil, fmt.Errorf("core: decoding B[%d]: %w", bi, err)
+				return nil, err
 			}
 			t.ChargePredicate()
-			if pred.Match(aT, bT) {
-				payload, err := joinPayload(outSchema, aT, bT)
-				if err != nil {
-					return nil, err
-				}
-				return wrapReal(payload), nil
+			if pred.Match(aR, bR) {
+				return realCell(aR, bR), nil
 			}
 			return decoy, nil
 		})

@@ -28,7 +28,7 @@ import (
 // sequential algorithm. Every device's schedule is a function of (L, S, P)
 // and its group position.
 func join4(cops []*sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate) (Result, error) {
-	outSchema, cart, err := prepCh5(cops[0], tables, 1)
+	outSchema, cart, err := prepCh5(cops[0], tables, pred, 1)
 	if err != nil {
 		return Result{}, err
 	}
@@ -58,11 +58,7 @@ func join4(cops []*sim.Coprocessor, tables []sim.Table, pred relation.MultiPredi
 			t.ChargePredicate()
 			var cell []byte
 			if pred.Satisfy(row) {
-				payload, err := joinPayload(outSchema, row...)
-				if err != nil {
-					return err
-				}
-				cell = wrapReal(payload)
+				cell = realCell(row...)
 				counts[w]++
 			} else {
 				cell = wrapDecoy(payloadSize)
@@ -135,11 +131,15 @@ func Join4Transfers(sizes []int64, s int64) int64 {
 	return total
 }
 
-// prepCh5 validates a Chapter 5 input and builds the output schema and the
-// cartesian view with Scan's block size k.
-func prepCh5(t *sim.Coprocessor, tables []sim.Table, k int64) (*relation.Schema, *sim.Cartesian, error) {
+// prepCh5 validates a Chapter 5 input — tables, and a predicate over that
+// many of them — and builds the output schema and the cartesian view with
+// Scan's block size k.
+func prepCh5(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate, k int64) (*relation.Schema, *sim.Cartesian, error) {
 	if len(tables) == 0 {
 		return nil, nil, fmt.Errorf("%w: no input tables", errInvalid)
+	}
+	if err := relation.CheckArity(pred, len(tables)); err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", errInvalid, err)
 	}
 	outSchema, err := outputSchemaN(tables)
 	if err != nil {

@@ -52,7 +52,7 @@ func ParallelJoin5(cops []*sim.Coprocessor, tables []sim.Table, pred relation.Mu
 		m = min(m, c.Memory())
 	}
 	k := join5Block(sizes, int64(m))
-	outSchema, cart, err := prepCh5(cops[0], tables, k)
+	outSchema, cart, err := prepCh5(cops[0], tables, pred, k)
 	if err != nil {
 		return Result{}, err
 	}
@@ -65,7 +65,7 @@ func ParallelJoin5(cops []*sim.Coprocessor, tables []sim.Table, pred relation.Mu
 		c.ResetStats()
 	}
 
-	first, s, err := rankScan(cops[0], cart, outSchema, pred, 0)
+	first, s, err := rankScan(cops[0], cart, pred, 0)
 	if err != nil {
 		return Result{}, err
 	}
@@ -75,7 +75,7 @@ func ParallelJoin5(cops []*sim.Coprocessor, tables []sim.Table, pred relation.Mu
 	if err := oblivious.ForEach(p, func(w int64) error {
 		lo, hi := w*blk, min64((w+1)*blk, s)
 		if w == 0 {
-			return flushRanks(cops[0], cart, outSchema, pred, out, lo, hi, first)
+			return flushRanks(cops[0], cart, pred, out, lo, hi, first)
 		}
 		if lo >= hi {
 			return nil
@@ -89,7 +89,7 @@ func ParallelJoin5(cops []*sim.Coprocessor, tables []sim.Table, pred relation.Mu
 			return fmt.Errorf("core: algorithm 5: %w", err)
 		}
 		defer release()
-		return flushRanks(cops[w], cart, outSchema, pred, out, lo, hi, nil)
+		return flushRanks(cops[w], cart, pred, out, lo, hi, nil)
 	}); err != nil {
 		return Result{}, err
 	}
@@ -103,25 +103,16 @@ func ParallelJoin5(cops []*sim.Coprocessor, tables []sim.Table, pred relation.Mu
 // rankScan is Algorithm 5's scan: one Scan of D that stores the results
 // ranked [from, from+M−K+1) in T's memory (Granted by the caller, K−1 of it
 // holding the view's block) and counts all S of them.
-func rankScan(t *sim.Coprocessor, cart *sim.Cartesian, outSchema *relation.Schema,
-	pred relation.MultiPredicate, from int64) (stored [][]byte, s int64, err error) {
+func rankScan(t *sim.Coprocessor, cart *sim.Cartesian, pred relation.MultiPredicate,
+	from int64) (stored [][]byte, s int64, err error) {
 	slots := int64(t.Memory()) - (cart.Block() - 1)
 	// At most L results exist: an unbounded device's M is 2⁴⁰.
 	stored = make([][]byte, 0, min(slots, cart.Size()))
-	err = cart.Scan(func(row []relation.Tuple) error {
-		t.ChargePredicate()
-		if !pred.Satisfy(row) {
-			return nil
-		}
+	err = cart.Scan(pred, func(row []relation.Row) {
 		if s >= from && int64(len(stored)) < slots {
-			payload, err := joinPayload(outSchema, row...)
-			if err != nil {
-				return err
-			}
-			stored = append(stored, wrapReal(payload))
+			stored = append(stored, realCell(row...))
 		}
 		s++
-		return nil
 	})
 	if err != nil {
 		return nil, 0, err
@@ -134,12 +125,12 @@ func rankScan(t *sim.Coprocessor, cart *sim.Cartesian, outSchema *relation.Schem
 // window is done. stored is a scan already made from rank lo, nil to start
 // with one; hi must not exceed S. Algorithm 6's blemish salvage runs it over
 // [0, S).
-func flushRanks(t *sim.Coprocessor, cart *sim.Cartesian, outSchema *relation.Schema,
-	pred relation.MultiPredicate, out sim.RegionID, lo, hi int64, stored [][]byte) error {
+func flushRanks(t *sim.Coprocessor, cart *sim.Cartesian, pred relation.MultiPredicate,
+	out sim.RegionID, lo, hi int64, stored [][]byte) error {
 	for next := lo; ; stored = nil {
 		if stored == nil {
 			var err error
-			if stored, _, err = rankScan(t, cart, outSchema, pred, next); err != nil {
+			if stored, _, err = rankScan(t, cart, pred, next); err != nil {
 				return err
 			}
 		}

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"ppj/internal/oblivious"
 	"ppj/internal/relation"
@@ -261,7 +258,7 @@ func (c *a7Codec) tail(group []*sim.Coprocessor, w sim.RegionID, n int64, outSch
 	if err := oblivious.SortSpan(group, eb, 0, s, c.b, c.lessDest); err != nil {
 		return sim.Table{}, err
 	}
-	return out, c.stitch(t, out.Region, ea, eb, s, outSchema)
+	return out, c.stitch(t, out.Region, ea, eb, s)
 }
 
 // Join7Transfers is the exact transfer count of this implementation
@@ -347,7 +344,7 @@ func a7SetF(c []byte, k int, v int64) { binary.BigEndian.PutUint64(c[1+8*k:], ui
 type a7Codec struct {
 	sa, sb     *relation.Schema
 	keyA, keyB [2]int // the join attribute's [from, to) within a cell, per side
-	keyType    relation.AttrType
+	pred       *relation.Equi
 	cell       int
 	b          int64
 }
@@ -358,9 +355,8 @@ func newA7Codec(pred *relation.Equi, sa, sb *relation.Schema, b int64) *a7Codec 
 		return [2]int{a7Hdr + from, a7Hdr + to}
 	}
 	return &a7Codec{sa: sa, sb: sb,
-		keyA: keyAt(sa, pred.KeyIndexA()), keyB: keyAt(sb, pred.KeyIndexB()),
-		keyType: sa.Attr(pred.KeyIndexA()).Type,
-		cell:    a7Hdr + max(sa.TupleSize(), sb.TupleSize()), b: b}
+		keyA: keyAt(sa, pred.KeyIndexA()), keyB: keyAt(sb, pred.KeyIndexB()), pred: pred,
+		cell: a7Hdr + max(sa.TupleSize(), sb.TupleSize()), b: b}
 }
 
 // wrap builds a working cell around a side's encoded tuple.
@@ -385,15 +381,15 @@ func (c *a7Codec) empty() []byte {
 	return out
 }
 
-// tuple decodes the tuple a real working cell carries.
-func (c *a7Codec) tuple(cell []byte) (relation.Tuple, error) {
+// row views the row a real working cell carries.
+func (c *a7Codec) row(cell []byte) (relation.Row, error) {
 	switch cell[0] {
 	case a7TagA:
-		return c.sa.Decode(cell[a7Hdr : a7Hdr+c.sa.TupleSize()])
+		return c.sa.Row(cell[a7Hdr : a7Hdr+c.sa.TupleSize()])
 	case a7TagB:
-		return c.sb.Decode(cell[a7Hdr : a7Hdr+c.sb.TupleSize()])
+		return c.sb.Row(cell[a7Hdr : a7Hdr+c.sb.TupleSize()])
 	default:
-		return nil, fmt.Errorf("core: alg7 cell has no tuple (tag %#x)", cell[0])
+		return relation.Row{}, fmt.Errorf("core: alg7 cell has no tuple (tag %#x)", cell[0])
 	}
 }
 
@@ -410,30 +406,6 @@ func (c *a7Codec) key(cell []byte) ([]byte, error) {
 	}
 }
 
-// compareKeys three-way-compares two encoded join attributes without
-// decoding them — the order Equi.CompareKeys gives the decoded values:
-// int64 and float64 by value, strings on their bytes up to the zero
-// padding Decode trims, bytes on the full padded width.
-func (c *a7Codec) compareKeys(x, y []byte) int {
-	switch c.keyType {
-	case relation.Int64:
-		return cmp.Compare(int64(binary.BigEndian.Uint64(x)), int64(binary.BigEndian.Uint64(y)))
-	case relation.Float64:
-		fx, fy := math.Float64frombits(binary.BigEndian.Uint64(x)), math.Float64frombits(binary.BigEndian.Uint64(y))
-		switch {
-		case fx < fy:
-			return -1
-		case fx > fy:
-			return 1
-		}
-		return 0
-	case relation.String:
-		return bytes.Compare(bytes.TrimRight(x, "\x00"), bytes.TrimRight(y, "\x00"))
-	default:
-		return bytes.Compare(x, y)
-	}
-}
-
 // lessKeyTag orders working cells by (join key, tag): equal keys group
 // together with the A rows first. Cells without a tuple sort last, like
 // decoys.
@@ -443,7 +415,7 @@ func (c *a7Codec) lessKeyTag(x, y []byte) bool {
 	if errX != nil || errY != nil {
 		return errX == nil
 	}
-	if r := c.compareKeys(kx, ky); r != 0 {
+	if r := c.pred.CompareKeys(kx, ky); r != 0 {
 		return r < 0
 	}
 	return x[0] < y[0]
@@ -478,7 +450,7 @@ func (c *a7Codec) indexScans(t *sim.Coprocessor, w sim.RegionID, n int64) (int64
 			return false, err
 		}
 		t.ChargeCompare()
-		newGroup = !have || c.compareKeys(prev, key) != 0
+		newGroup = !have || c.pred.CompareKeys(prev, key) != 0
 		prev, have = append(prev[:0], key...), true
 		return newGroup, nil
 	}
@@ -643,7 +615,7 @@ func (c *a7Codec) expandSide(group []*sim.Coprocessor, w, sx, ex sim.RegionID, n
 // stitch pairs the aligned expansions into oTuple join rows: slot k of the
 // output is the real join row (A_k ⋈ B_k). All S cells are real — the exact
 // output contract of the Chapter 5 algorithms.
-func (c *a7Codec) stitch(t *sim.Coprocessor, out sim.RegionID, ea, eb sim.RegionID, s int64, outSchema *relation.Schema) error {
+func (c *a7Codec) stitch(t *sim.Coprocessor, out sim.RegionID, ea, eb sim.RegionID, s int64) error {
 	for off := int64(0); off < s; off += sim.TransferBatch {
 		chunk := min64(sim.TransferBatch, s-off)
 		ptsA, err := t.GetRange(ea, off, chunk)
@@ -656,19 +628,15 @@ func (c *a7Codec) stitch(t *sim.Coprocessor, out sim.RegionID, ea, eb sim.Region
 		}
 		rows := make([][]byte, chunk)
 		for k := int64(0); k < chunk; k++ {
-			ta, err := c.tuple(ptsA[k])
+			ra, err := c.row(ptsA[k])
 			if err != nil {
 				return fmt.Errorf("core: alg7 slot %d: %w", off+k, err)
 			}
-			tb, err := c.tuple(ptsB[k])
+			rb, err := c.row(ptsB[k])
 			if err != nil {
 				return fmt.Errorf("core: alg7 slot %d: %w", off+k, err)
 			}
-			payload, err := joinPayload(outSchema, ta, tb)
-			if err != nil {
-				return err
-			}
-			rows[k] = wrapReal(payload)
+			rows[k] = realCell(ra, rb)
 		}
 		if err := t.PutRange(out, off, rows); err != nil {
 			return err

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"ppj/internal/relation"
@@ -308,11 +311,32 @@ func TestJoin7GrantedMemoryIsRefused(t *testing.T) {
 	}
 }
 
+// compareDecoded three-way-compares two decoded key values of type typ.
+func compareDecoded(typ relation.AttrType, a, b relation.Value) int {
+	switch typ {
+	case relation.Int64:
+		return cmp.Compare(a.I, b.I)
+	case relation.Float64:
+		switch {
+		case a.F < b.F:
+			return -1
+		case a.F > b.F:
+			return 1
+		}
+		return 0
+	case relation.String:
+		return strings.Compare(a.S, b.S)
+	default:
+		return bytes.Compare(a.B, b.B)
+	}
+}
+
 // TestA7CompareKeysMatchesEqui is the property test of the in-place key
 // order: for every orderable key type — strings and bytes at different
-// widths per side, the key at a different offset on each side — comparing
-// two working cells' encoded keys gives Equi.CompareKeys' sign on the
-// decoded values, and lessKeyTag is that order with A rows first on ties.
+// widths per side, the key at a different offset on each side —
+// Equi.CompareKeys on two working cells' encoded keys gives the sign of
+// the decoded values' order, and lessKeyTag is that order with A rows
+// first on ties.
 func TestA7CompareKeysMatchesEqui(t *testing.T) {
 	rng := relation.NewRand(71)
 	for _, kt := range []struct {
@@ -357,28 +381,30 @@ func TestA7CompareKeysMatchesEqui(t *testing.T) {
 				cells = append(cells, cell{c.wrap(a7TagB, sb.MustEncode(relation.Tuple{relation.IntValue(int64(i)), v})), v})
 			}
 		}
-		for _, x := range cells {
-			tx, err := c.tuple(x.enc)
+		decodedKey := func(enc []byte) relation.Value {
+			r, err := c.row(enc)
 			if err != nil {
 				t.Fatal(err)
 			}
+			s, i := sa, pred.KeyIndexA()
+			if enc[0] == a7TagB {
+				s, i = sb, pred.KeyIndexB()
+			}
+			tup, err := s.Decode(r.Encoded())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tup[i]
+		}
+		for _, x := range cells {
+			kx := decodedKey(x.enc)
 			for _, y := range cells {
-				ty, err := c.tuple(y.enc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				kx, ky := tx[pred.KeyIndexA()], ty[pred.KeyIndexA()]
-				if x.enc[0] == a7TagB {
-					kx = tx[pred.KeyIndexB()]
-				}
-				if y.enc[0] == a7TagB {
-					ky = ty[pred.KeyIndexB()]
-				}
+				ky := decodedKey(y.enc)
 				bx, _ := c.key(x.enc)
 				by, _ := c.key(y.enc)
-				want := pred.CompareKeys(kx, ky)
-				if got := c.compareKeys(bx, by); got != want {
-					t.Fatalf("%s: compareKeys(%v, %v) = %d, Equi.CompareKeys = %d", kt.typ, x.key, y.key, got, want)
+				want := compareDecoded(kt.typ, kx, ky)
+				if got := pred.CompareKeys(bx, by); got != want {
+					t.Fatalf("%s: CompareKeys(%v, %v) = %d, decoded order %d", kt.typ, x.key, y.key, got, want)
 				}
 				if got, want := c.lessKeyTag(x.enc, y.enc), want < 0 || want == 0 && x.enc[0] < y.enc[0]; got != want {
 					t.Fatalf("%s: lessKeyTag(%v, %v) = %v, want %v", kt.typ, x.key, y.key, got, want)

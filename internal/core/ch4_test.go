@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ppj/internal/relation"
@@ -235,13 +237,7 @@ func TestJoin3TransfersExact(t *testing.T) {
 		relA, relB := relation.GenWithMatchBound(relation.NewRand(3), 5, 12, 4)
 		if preSorted {
 			// Provider-sorted B.
-			eq := keyEqui(t, relA, relB)
-			rows := relB.Rows
-			for i := 1; i < len(rows); i++ {
-				for j := i; j > 0 && eq.Less(rows[j], rows[j-1]); j-- {
-					rows[j], rows[j-1] = rows[j-1], rows[j]
-				}
-			}
+			slices.SortStableFunc(relB.Rows, func(x, y relation.Tuple) int { return cmp.Compare(x[0].I, y[0].I) })
 		}
 		env := newEnv(t, 64, 5, relA, relB)
 		pred := keyEqui(t, relA, relB)
@@ -357,13 +353,16 @@ func TestSortedMatchesConsecutiveInvariant(t *testing.T) {
 		if n == 0 {
 			continue
 		}
-		sorted := append([]relation.Tuple(nil), relB.Rows...)
-		for i := 1; i < len(sorted); i++ {
-			for j := i; j > 0 && eq.Less(sorted[j], sorted[j-1]); j-- {
-				sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-			}
+		var sorted []relation.Row
+		for _, b := range relB.Rows {
+			sorted = append(sorted, encodedRow(relB.Schema, b))
 		}
-		for _, a := range relA.Rows {
+		from, to := relB.Schema.Span(eq.KeyIndexB())
+		slices.SortStableFunc(sorted, func(x, y relation.Row) int {
+			return eq.CompareKeys(x.Encoded()[from:to], y.Encoded()[from:to])
+		})
+		for _, ta := range relA.Rows {
+			a := encodedRow(relA.Schema, ta)
 			first, last := -1, -1
 			for i, b := range sorted {
 				if eq.Match(a, b) {

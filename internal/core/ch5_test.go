@@ -94,8 +94,8 @@ func TestCh5CorrectnessThreeWay(t *testing.T) {
 	}
 	rels := []*relation.Relation{mk(1, 4), mk(2, 5), mk(3, 3)}
 	pred := relation.MultiPredicateFunc{
-		Fn: func(ts []relation.Tuple) bool {
-			return ts[0][0].I == ts[1][0].I && ts[1][0].I == ts[2][0].I
+		Fn: func(rs []relation.Row) bool {
+			return rs[0].Int(0) == rs[1].Int(0) && rs[1].Int(0) == rs[2].Int(0)
 		},
 		Desc: "x1.key = x2.key = x3.key",
 	}
@@ -345,7 +345,7 @@ func TestCh5FixedTimePredicateCharges(t *testing.T) {
 // Algorithm 5 at K = 1 and in blocks.
 func TestScanFormOneRowTables(t *testing.T) {
 	firstEqualsLast := relation.MultiPredicateFunc{
-		Fn:   func(ts []relation.Tuple) bool { return ts[0][0].I == ts[len(ts)-1][0].I },
+		Fn:   func(rs []relation.Row) bool { return rs[0].Int(0) == rs[len(rs)-1].Int(0) },
 		Desc: "x1.key = xJ.key",
 	}
 	for _, sh := range []struct {

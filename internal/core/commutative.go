@@ -95,11 +95,11 @@ func UnsafeCommutativeJoin(t *sim.Coprocessor, a, b sim.Table, pred *relation.Eq
 
 	emit := func(tab sim.Table, keyIdx int, dst sim.RegionID) error {
 		for i := int64(0); i < tab.N; i++ {
-			tup, err := t.GetTuple(tab, i)
+			row, err := getRow(t, tab, i)
 			if err != nil {
 				return err
 			}
-			tag := key.Encrypt(tup[keyIdx].I)
+			tag := key.Encrypt(row.Int(keyIdx))
 			// The tag is written in the clear for the host: determinism is
 			// the mechanism (and the leak), not a bug in the simulator.
 			host.Store(dst, i, tag.Bytes())

@@ -29,12 +29,37 @@ const (
 	flagReal  byte = 0x01
 )
 
-// wrapReal builds a real oTuple around an encoded join row.
-func wrapReal(payload []byte) []byte {
-	out := make([]byte, 1+len(payload))
-	out[0] = flagReal
-	copy(out[1:], payload)
+// realCell builds a real oTuple around the join of rows: the concatenation
+// of their encodings is the encoding of the joined row under the Concat
+// schema, so nothing is decoded or re-encoded.
+func realCell(rows ...relation.Row) []byte {
+	n := 1
+	for _, r := range rows {
+		n += len(r.Encoded())
+	}
+	out := append(make([]byte, 0, n), flagReal)
+	for _, r := range rows {
+		out = append(out, r.Encoded()...)
+	}
 	return out
+}
+
+// getRow gets row i of tab into T, as a row of its schema.
+func getRow(t *sim.Coprocessor, tab sim.Table, i int64) (relation.Row, error) {
+	pt, err := t.Get(tab.Region, i)
+	if err != nil {
+		return relation.Row{}, err
+	}
+	return rowOf(tab, i, pt)
+}
+
+// rowOf views pt, the plaintext of tab's row i, as a row of tab's schema.
+func rowOf(tab sim.Table, i int64, pt []byte) (relation.Row, error) {
+	r, err := tab.Schema.Row(pt)
+	if err != nil {
+		return r, fmt.Errorf("core: row %d: %w", i, err)
+	}
+	return r, nil
 }
 
 // wrapDecoy builds a decoy oTuple of the same size as a real one.
@@ -100,11 +125,6 @@ func DecodeOutput(t *sim.Coprocessor, res Result) (*relation.Relation, error) {
 
 // errInvalid tags argument validation failures.
 var errInvalid = errors.New("core: invalid argument")
-
-// joinPayload encodes join(a, b) under the output schema.
-func joinPayload(outSchema *relation.Schema, tuples ...relation.Tuple) ([]byte, error) {
-	return outSchema.Encode(relation.JoinTuples(tuples...))
-}
 
 // outputSchema2 builds the Concat schema for a 2-way join.
 func outputSchema2(a, b sim.Table) (*relation.Schema, error) {

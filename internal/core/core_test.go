@@ -103,8 +103,18 @@ func genJoinSized(seed uint64, nA, nB, s int) (*relation.Relation, *relation.Rel
 	return a, b
 }
 
+// encodedRow encodes tup under s as the Row a predicate reads.
+func encodedRow(s *relation.Schema, tup relation.Tuple) relation.Row {
+	r, err := s.Row(s.MustEncode(tup))
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 func TestOTupleEnvelope(t *testing.T) {
-	real := wrapReal([]byte{1, 2, 3})
+	s := relation.MustSchema(relation.Attr{Name: "b", Type: relation.Bytes, Width: 2}, relation.Attr{Name: "c", Type: relation.Bytes, Width: 1})
+	real := realCell(encodedRow(s, relation.Tuple{relation.BytesValue([]byte{1, 2}), relation.BytesValue([]byte{3})}))
 	decoy := wrapDecoy(3)
 	if len(real) != len(decoy) {
 		t.Fatal("real and decoy oTuples differ in size")
@@ -124,14 +134,14 @@ func TestDecodeOutputDropsDecoys(t *testing.T) {
 	env := newEnv(t, 8, 1, nil, nil)
 	schema := relation.KeyedSchema()
 	region := env.h.MustCreateRegion("mix", 3)
-	row := relation.Tuple{relation.IntValue(5), relation.IntValue(6)}
-	if err := env.t.Put(region, 0, wrapReal(schema.MustEncode(row))); err != nil {
+	row := encodedRow(schema, relation.Tuple{relation.IntValue(5), relation.IntValue(6)})
+	if err := env.t.Put(region, 0, realCell(row)); err != nil {
 		t.Fatal(err)
 	}
 	if err := env.t.Put(region, 1, wrapDecoy(schema.TupleSize())); err != nil {
 		t.Fatal(err)
 	}
-	if err := env.t.Put(region, 2, wrapReal(schema.MustEncode(row))); err != nil {
+	if err := env.t.Put(region, 2, realCell(row)); err != nil {
 		t.Fatal(err)
 	}
 	res := Result{Output: sim.Table{Region: region, N: 3, Schema: schema}, OutputLen: 3}

@@ -61,7 +61,7 @@ func ParallelJoin2(cops []*sim.Coprocessor, a, b sim.Table, pred relation.Predic
 
 	p := int64(len(cops))
 	if err := oblivious.ForEach(p, func(w int64) error {
-		return join2Range(cops[w], a, b, pred, outSchema, out, int64(payloadSize), w*a.N/p, (w+1)*a.N/p, gamma, blk)
+		return join2Range(cops[w], a, b, pred, out, int64(payloadSize), w*a.N/p, (w+1)*a.N/p, gamma, blk)
 	}); err != nil {
 		return Result{}, err
 	}
@@ -75,7 +75,7 @@ func ParallelJoin2(cops []*sim.Coprocessor, a, b sim.Table, pred relation.Predic
 // join2Range is Algorithm 2's inner discipline over A rows [lo, hi),
 // writing flushes at the global offsets those rows own.
 func join2Range(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate,
-	outSchema *relation.Schema, out sim.RegionID, payloadSize int64, lo, hi, gamma, blk int64) error {
+	out sim.RegionID, payloadSize int64, lo, hi, gamma, blk int64) error {
 	release, err := t.Grant(int(blk))
 	if err != nil {
 		return fmt.Errorf("core: algorithm 2: %w", err)
@@ -83,7 +83,7 @@ func join2Range(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate,
 	defer release()
 	t.ResetStats()
 	for ai := lo; ai < hi; ai++ {
-		aT, err := t.GetTuple(a, ai)
+		aR, err := getRow(t, a, ai)
 		if err != nil {
 			return err
 		}
@@ -91,20 +91,16 @@ func join2Range(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicate,
 		for pass := int64(0); pass < gamma; pass++ {
 			joined := make([][]byte, 0, blk) // lives in T's memory (Granted)
 			scanErr := t.ScanRange(b.Region, 0, b.N, func(bi int64, pt []byte) error {
-				bT, err := b.Schema.Decode(pt)
+				bR, err := rowOf(b, bi, pt)
 				if err != nil {
-					return fmt.Errorf("core: decoding B[%d]: %w", bi, err)
+					return err
 				}
 				// The predicate is evaluated for every tuple regardless of
 				// whether the result can still be stored (Fixed Time).
 				t.ChargePredicate()
-				matched := pred.Match(aT, bT)
+				matched := pred.Match(aR, bR)
 				if bi > last && int64(len(joined)) < blk && matched {
-					payload, err := joinPayload(outSchema, aT, bT)
-					if err != nil {
-						return err
-					}
-					joined = append(joined, wrapReal(payload))
+					joined = append(joined, realCell(aR, bR))
 					last = bi
 				}
 				return nil
@@ -162,17 +158,8 @@ func ParallelJoin3(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 	}
 
 	if !preSorted {
-		less := func(x, y []byte) bool {
-			tx, err := b.Schema.Decode(x)
-			if err != nil {
-				return false
-			}
-			ty, err := b.Schema.Decode(y)
-			if err != nil {
-				return false
-			}
-			return pred.Less(tx, ty)
-		}
+		from, to := b.Schema.Span(pred.KeyIndexB())
+		less := func(x, y []byte) bool { return pred.CompareKeys(x[from:to], y[from:to]) < 0 }
 		// The sort needs a power-of-two device group: the largest
 		// power-of-two prefix of the fleet.
 		if err := oblivious.SortSpan(cops[:pow2Prefix(len(cops))], b.Region, 0, b.N, 1, less); err != nil {
@@ -192,7 +179,7 @@ func ParallelJoin3(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 	payloadSize := outSchema.TupleSize()
 
 	if err := oblivious.ForEach(p, func(w int64) error {
-		return join3Range(cops[w], a, b, pred, outSchema, scratch[w], out, int64(payloadSize), n, w*a.N/p, (w+1)*a.N/p)
+		return join3Range(cops[w], a, b, pred, scratch[w], out, int64(payloadSize), n, w*a.N/p, (w+1)*a.N/p)
 	}); err != nil {
 		return Result{}, err
 	}
@@ -206,14 +193,14 @@ func ParallelJoin3(cops []*sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 // join3Range is Algorithm 3's inner discipline over A rows [lo, hi) with a
 // device-private scratch ring of N cells.
 func join3Range(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
-	outSchema *relation.Schema, scratch, out sim.RegionID, payloadSize, n, lo, hi int64) error {
+	scratch, out sim.RegionID, payloadSize, n, lo, hi int64) error {
 	decoy := wrapDecoy(int(payloadSize))
 	decoyFill := make([][]byte, n)
 	for j := range decoyFill {
 		decoyFill[j] = decoy
 	}
 	for ai := lo; ai < hi; ai++ {
-		aT, err := t.GetTuple(a, ai)
+		aR, err := getRow(t, a, ai)
 		if err != nil {
 			return err
 		}
@@ -222,7 +209,7 @@ func join3Range(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 		}
 		i := int64(0)
 		for bi := int64(0); bi < b.N; bi++ {
-			bT, err := t.GetTuple(b, bi)
+			bR, err := getRow(t, b, bi)
 			if err != nil {
 				return err
 			}
@@ -231,12 +218,8 @@ func join3Range(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi,
 				return err
 			}
 			t.ChargePredicate()
-			if pred.Match(aT, bT) {
-				payload, err := joinPayload(outSchema, aT, bT)
-				if err != nil {
-					return err
-				}
-				if err := t.Put(scratch, i%n, wrapReal(payload)); err != nil {
+			if pred.Match(aR, bR) {
+				if err := t.Put(scratch, i%n, realCell(aR, bR)); err != nil {
 					return err
 				}
 			} else {

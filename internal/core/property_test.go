@@ -110,7 +110,7 @@ func TestCh4PrivacyAcrossMemorySizes(t *testing.T) {
 // view's ⌈S/M⌉ scans.
 func TestJoin5BlockedProperty(t *testing.T) {
 	firstEqualsLast := relation.MultiPredicateFunc{
-		Fn:   func(ts []relation.Tuple) bool { return ts[0][0].I == ts[len(ts)-1][0].I },
+		Fn:   func(rs []relation.Row) bool { return rs[0].Int(0) == rs[len(rs)-1].Int(0) },
 		Desc: "x1.key = xJ.key",
 	}
 	rng := relation.NewRand(5)

@@ -27,24 +27,20 @@ func UnsafeNestedLoop(t *sim.Coprocessor, a, b sim.Table, pred relation.Predicat
 	out := t.Host().FreshRegion("unsafe.nl.out", 0)
 	outPos := int64(0)
 	for ai := int64(0); ai < a.N; ai++ {
-		aT, err := t.GetTuple(a, ai)
+		aR, err := getRow(t, a, ai)
 		if err != nil {
 			return Result{}, err
 		}
 		for bi := int64(0); bi < b.N; bi++ {
-			bT, err := t.GetTuple(b, bi)
+			bR, err := getRow(t, b, bi)
 			if err != nil {
 				return Result{}, err
 			}
 			t.ChargePredicate()
-			if pred.Match(aT, bT) {
-				payload, err := joinPayload(outSchema, aT, bT)
-				if err != nil {
-					return Result{}, err
-				}
+			if pred.Match(aR, bR) {
 				// The leak: an output put appears right here, between two B
 				// gets, iff the pair matched.
-				if err := t.Put(out, outPos, wrapReal(payload)); err != nil {
+				if err := t.Put(out, outPos, realCell(aR, bR)); err != nil {
 					return Result{}, err
 				}
 				outPos++
@@ -90,22 +86,18 @@ func UnsafeBlockedNestedLoop(t *sim.Coprocessor, a, b sim.Table, pred relation.P
 		return nil
 	}
 	for ai := int64(0); ai < a.N; ai++ {
-		aT, err := t.GetTuple(a, ai)
+		aR, err := getRow(t, a, ai)
 		if err != nil {
 			return Result{}, err
 		}
 		for bi := int64(0); bi < b.N; bi++ {
-			bT, err := t.GetTuple(b, bi)
+			bR, err := getRow(t, b, bi)
 			if err != nil {
 				return Result{}, err
 			}
 			t.ChargePredicate()
-			if pred.Match(aT, bT) {
-				payload, err := joinPayload(outSchema, aT, bT)
-				if err != nil {
-					return Result{}, err
-				}
-				block = append(block, wrapReal(payload))
+			if pred.Match(aR, bR) {
+				block = append(block, realCell(aR, bR))
 				if len(block) == blockSize {
 					if err := flush(); err != nil {
 						return Result{}, err
@@ -138,16 +130,10 @@ func UnsafeSortMergeJoin(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi
 	t.ResetStats()
 
 	// Oblivious sorts of both inputs (data-independent prelude).
-	lessA := func(x, y []byte) bool {
-		tx, _ := a.Schema.Decode(x)
-		ty, _ := a.Schema.Decode(y)
-		return keyLess(tx[pred.KeyIndexA()], ty[pred.KeyIndexA()])
-	}
-	lessB := func(x, y []byte) bool {
-		tx, _ := b.Schema.Decode(x)
-		ty, _ := b.Schema.Decode(y)
-		return keyLess(tx[pred.KeyIndexB()], ty[pred.KeyIndexB()])
-	}
+	fromA, toA := a.Schema.Span(pred.KeyIndexA())
+	fromB, toB := b.Schema.Span(pred.KeyIndexB())
+	lessA := func(x, y []byte) bool { return pred.CompareKeys(x[fromA:toA], y[fromA:toA]) < 0 }
+	lessB := func(x, y []byte) bool { return pred.CompareKeys(x[fromB:toB], y[fromB:toB]) < 0 }
 	if err := oblivious.Sort(t, a.Region, a.N, lessA); err != nil {
 		return Result{}, err
 	}
@@ -159,37 +145,33 @@ func UnsafeSortMergeJoin(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi
 	outPos := int64(0)
 	bi := int64(0)
 	for ai := int64(0); ai < a.N; ai++ {
-		aT, err := t.GetTuple(a, ai)
+		aR, err := getRow(t, a, ai)
 		if err != nil {
 			return Result{}, err
 		}
 		// Advance past smaller B tuples; the number of B gets per A tuple is
 		// data-dependent — the leak.
 		for bi < b.N {
-			bT, err := t.GetTuple(b, bi)
+			bR, err := getRow(t, b, bi)
 			if err != nil {
 				return Result{}, err
 			}
 			t.ChargePredicate()
-			if !keyLess(bT[pred.KeyIndexB()], aT[pred.KeyIndexA()]) {
+			if pred.CompareKeys(bR.Encoded()[fromB:toB], aR.Encoded()[fromA:toA]) >= 0 {
 				break
 			}
 			bi++
 		}
 		for bj := bi; bj < b.N; bj++ {
-			bT, err := t.GetTuple(b, bj)
+			bR, err := getRow(t, b, bj)
 			if err != nil {
 				return Result{}, err
 			}
 			t.ChargePredicate()
-			if !pred.Match(aT, bT) {
+			if !pred.Match(aR, bR) {
 				break
 			}
-			payload, err := joinPayload(outSchema, aT, bT)
-			if err != nil {
-				return Result{}, err
-			}
-			if err := t.Put(out, outPos, wrapReal(payload)); err != nil {
+			if err := t.Put(out, outPos, realCell(aR, bR)); err != nil {
 				return Result{}, err
 			}
 			outPos++
@@ -200,18 +182,6 @@ func UnsafeSortMergeJoin(t *sim.Coprocessor, a, b sim.Table, pred *relation.Equi
 		OutputLen: outPos,
 		Stats:     t.Stats(),
 	}, nil
-}
-
-// keyLess orders two join-attribute values of equal type.
-func keyLess(a, b relation.Value) bool {
-	switch {
-	case a.I != b.I:
-		return a.I < b.I
-	case a.F != b.F:
-		return a.F < b.F
-	default:
-		return a.S < b.S
-	}
 }
 
 // UnsafeGraceHashPartition performs the grace-hash partitioning attempt of
@@ -256,16 +226,12 @@ func UnsafeGraceHashPartition(t *sim.Coprocessor, a sim.Table, keyIdx int, numBu
 		return nil
 	}
 	for ai := int64(0); ai < a.N; ai++ {
-		enc, err := t.Get(a.Region, ai)
+		aR, err := getRow(t, a, ai)
 		if err != nil {
 			return sim.Table{}, err
 		}
-		aT, err := a.Schema.Decode(enc)
-		if err != nil {
-			return sim.Table{}, err
-		}
-		h := int(uint64(aT[keyIdx].I) % uint64(numBuckets))
-		buckets[h] = append(buckets[h], wrapReal(enc))
+		h := int(uint64(aR.Int(keyIdx)) % uint64(numBuckets))
+		buckets[h] = append(buckets[h], realCell(aR))
 		if len(buckets[h]) == bucketSize {
 			// The leak: this flush position depends on the key distribution.
 			if err := flushAll(); err != nil {

@@ -13,8 +13,9 @@ import "math"
 //
 // The probability that at least one of the L/n segments blemishes is union-
 // bounded by P_M(n) = (L/n)·P[x(n) > M] (the paper's Eqn 5.5 sums k from 1;
-// the tail is computed here directly and exactly over k = M+1 … min(n,S),
-// in log space to survive the 10⁻⁶⁰-scale values of Figure 5.4).
+// the tail is computed here directly over k = M+1 … min(n,S), stopping
+// where the remaining terms cannot change it, in log space to survive the
+// 10⁻⁶⁰-scale values of Figure 5.4).
 
 // logChoose returns ln C(a, b), or -Inf outside the support.
 func logChoose(a, b int64) float64 {
@@ -27,48 +28,39 @@ func logChoose(a, b int64) float64 {
 	return la - lb - lab
 }
 
-// LogHyperPMF returns ln P[x(n) = k] for the hypergeometric distribution
-// with population L, S successes, and n draws.
-func LogHyperPMF(l, s, n, k int64) float64 {
-	return logChoose(s, k) + logChoose(l-s, n-k) - logChoose(l, n)
-}
-
 // TailProbGreater returns P[x(n) > m] exactly (up to float rounding),
-// summing the log-space PMF with log-sum-exp.
+// summing the log-space PMF, ln C(S,k) + ln C(L−S, n−k) − ln C(L, n), with
+// one streaming log-sum-exp and the constant ln C(L, n) taken once. The
+// PMF is unimodal, so a term no larger than the largest before it lies
+// past the mode, and the sum stops at the first such term below 2⁻⁶⁰ of
+// the running sum: the terms after it only shrink, so together they add
+// at most their count times 2⁻⁶⁰ of the sum.
 func TailProbGreater(l, s, n, m int64) float64 {
-	hi := n
-	if s < hi {
-		hi = s
-	}
+	hi := min(n, s)
 	if m >= hi {
 		return 0
 	}
-	lo := m + 1
-	if lo < 0 {
-		lo = 0
-	}
-	// log-sum-exp over k = lo..hi.
-	maxLog := math.Inf(-1)
-	logs := make([]float64, 0, hi-lo+1)
-	for k := lo; k <= hi; k++ {
-		lp := LogHyperPMF(l, s, n, k)
-		logs = append(logs, lp)
-		if lp > maxLog {
+	lnTotal := logChoose(l, n)
+	maxLog, sum := math.Inf(-1), 0.0 // the tail is exp(maxLog)·sum
+	for k := max(m+1, 0); k <= hi; k++ {
+		lp := logChoose(s, k) + logChoose(l-s, n-k) - lnTotal
+		if lp > maxLog { // rising to the mode: lp is the largest term yet
+			sum = sum*math.Exp(maxLog-lp) + 1
 			maxLog = lp
+			continue
+		}
+		if math.IsInf(maxLog, -1) { // below the support
+			continue
+		}
+		term := math.Exp(lp - maxLog)
+		if sum += term; term < 0x1p-60*sum {
+			break
 		}
 	}
 	if math.IsInf(maxLog, -1) {
 		return 0
 	}
-	var sum float64
-	for _, lp := range logs {
-		sum += math.Exp(lp - maxLog)
-	}
-	p := math.Exp(maxLog) * sum
-	if p > 1 {
-		p = 1
-	}
-	return p
+	return min(math.Exp(maxLog)*sum, 1)
 }
 
 // BlemishBound returns P_M(n) = min(1, (L/n)·P[x(n) > M]), the union bound

@@ -33,13 +33,19 @@ func exactHyperTail(l, s, n, m int64) float64 {
 	return f
 }
 
+// logHyperPMF returns ln P[x(n) = k] for the hypergeometric distribution
+// with population L, S successes, and n draws.
+func logHyperPMF(l, s, n, k int64) float64 {
+	return logChoose(s, k) + logChoose(l-s, n-k) - logChoose(l, n)
+}
+
 func TestLogHyperPMFSumsToOne(t *testing.T) {
 	for _, tc := range []struct{ l, s, n int64 }{
 		{20, 5, 7}, {50, 10, 20}, {100, 3, 99}, {10, 10, 5},
 	} {
 		var sum float64
 		for k := int64(0); k <= tc.n; k++ {
-			sum += math.Exp(LogHyperPMF(tc.l, tc.s, tc.n, k))
+			sum += math.Exp(logHyperPMF(tc.l, tc.s, tc.n, k))
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			t.Errorf("L=%d S=%d n=%d: PMF sums to %g", tc.l, tc.s, tc.n, sum)
@@ -51,6 +57,9 @@ func TestTailProbMatchesExact(t *testing.T) {
 	for _, tc := range []struct{ l, s, n, m int64 }{
 		{100, 20, 30, 5}, {100, 20, 30, 0}, {100, 20, 30, 19},
 		{1000, 50, 100, 10}, {64, 8, 8, 2},
+		// Long tails the sum cuts short past the mode (about 100 here),
+		// from below the mode and from past it.
+		{5000, 500, 1000, 50}, {5000, 500, 1000, 150},
 	} {
 		got := TailProbGreater(tc.l, tc.s, tc.n, tc.m)
 		want := exactHyperTail(tc.l, tc.s, tc.n, tc.m)

@@ -16,10 +16,14 @@
 // comparator schedule is a pure function of the element count: every
 // compare-exchange gets both cells, decrypts, compares inside T,
 // re-encrypts, and writes both cells back — 4 transfers per comparator,
-// always, regardless of the outcome. The sorts, the merge and the
-// expansion networks also run over blocks of b cells of T's memory
-// (BlockFor): a comparator then moves two blocks, 4b transfers, whatever
-// the outcome.
+// always, regardless of the outcome. The sorts and the merge also run over
+// blocks of b cells of T's memory (BlockFor): a comparator then moves two
+// aligned blocks, 4b transfers, whatever the outcome. The expansion
+// networks (Compact, Distribute) use b only below stride b, where one
+// streaming window pass replaces those strides; every stride j ≥ b still
+// exchanges two cells at a time (movePair), 4 transfers per pair. Block
+// pairs at those strides would change the networks' schedule, and with it
+// their trace digests.
 package oblivious
 
 import (

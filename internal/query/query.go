@@ -184,7 +184,7 @@ func alg7Cost(aN, bN, s, m int64) float64 {
 // multiPred resolves the query's J-way predicate.
 func (q Query) multiPred(rels []*relation.Relation) (relation.MultiPredicate, error) {
 	if q.Multi != nil {
-		return q.Multi, nil
+		return q.Multi, relation.CheckArity(q.Multi, len(rels))
 	}
 	if q.Predicate != nil && len(rels) == 2 {
 		return relation.Pairwise(q.Predicate), nil

@@ -187,8 +187,8 @@ func TestExecuteThreeWay(t *testing.T) {
 	}
 	rels := []*relation.Relation{mk(1, 5), mk(2, 6), mk(3, 4)}
 	mp := relation.MultiPredicateFunc{
-		Fn: func(ts []relation.Tuple) bool {
-			return ts[0][0].I == ts[1][0].I && ts[1][0].I == ts[2][0].I
+		Fn: func(rs []relation.Row) bool {
+			return rs[0].Int(0) == rs[1].Int(0) && rs[1].Int(0) == rs[2].Int(0)
 		},
 		Desc: "keys all equal",
 	}
@@ -331,7 +331,7 @@ func TestPlannerNeverPicksAlg7WhenInadmissible(t *testing.T) {
 	}
 
 	// A non-equality 2-way predicate.
-	opaque := relation.PredicateFunc{Fn: func(a, b relation.Tuple) bool { return a[0].I == b[0].I }, Desc: "opaque"}
+	opaque := relation.PredicateFunc{Fn: func(a, b relation.Row) bool { return a.Int(0) == b.Int(0) }, Desc: "opaque"}
 	p, err = Planner{Memory: 64}.Plan(Query{Predicate: opaque, Mode: Exact}, rels)
 	if err != nil {
 		t.Fatal(err)
@@ -343,8 +343,8 @@ func TestPlannerNeverPicksAlg7WhenInadmissible(t *testing.T) {
 	// Three relations: alg7 is strictly binary.
 	threeRels := append(matchedKeys(64), matchedKeys(64)[0])
 	p, err = Planner{Memory: 64}.Plan(Query{
-		Multi: relation.MultiPredicateFunc{Fn: func(ts []relation.Tuple) bool {
-			return ts[0][0].I == ts[1][0].I && ts[1][0].I == ts[2][0].I
+		Multi: relation.MultiPredicateFunc{Fn: func(rs []relation.Row) bool {
+			return rs[0].Int(0) == rs[1].Int(0) && rs[1].Int(0) == rs[2].Int(0)
 		}, Desc: "3way"},
 		Mode: Exact,
 	}, threeRels)
@@ -505,8 +505,8 @@ func TestPlanIsMeasuredArgmin(t *testing.T) {
 		relation.GenKeyed(relation.NewRand(3), 4, 4),
 	}
 	allEqual := relation.MultiPredicateFunc{
-		Fn: func(ts []relation.Tuple) bool {
-			return ts[0][0].I == ts[1][0].I && ts[1][0].I == ts[2][0].I
+		Fn: func(rs []relation.Row) bool {
+			return rs[0].Int(0) == rs[1].Int(0) && rs[1].Int(0) == rs[2].Int(0)
 		},
 		Desc: "keys all equal",
 	}
@@ -599,4 +599,18 @@ func TestPlanIsMeasuredArgmin(t *testing.T) {
 			t.Fatalf("plan = %s, the pass measured %g transfers", plan, got)
 		}
 	})
+}
+
+// TestPlanRefusesPairwiseOverThree refuses a 2-way predicate lifted by
+// Pairwise as the J-way predicate of three relations, instead of pricing a
+// join size that ignores the third.
+func TestPlanRefusesPairwiseOverThree(t *testing.T) {
+	rels := append(matchedKeys(8), matchedKeys(8)[0])
+	eq, err := relation.NewEqui(rels[0].Schema, "key", rels[1].Schema, "key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (Planner{Memory: 8}).Plan(Query{Multi: relation.Pairwise(eq), Mode: Exact}, rels); err == nil {
+		t.Fatal("planned a pairwise predicate over three relations")
+	}
 }

@@ -2,94 +2,73 @@ package relation
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 )
 
-// Predicate is an arbitrary 2-way join predicate over decoded tuples, the
+// Predicate is an arbitrary 2-way join predicate over encoded rows, the
 // match() function of the paper's general join algorithms (§4.4). Inside the
 // simulated coprocessor every evaluation is charged a fixed cycle cost
 // regardless of outcome (Fixed Time principle, §3.4.3).
 type Predicate interface {
-	// Match reports whether tuples a (from the outer relation) and b (from
+	// Match reports whether rows a (from the outer relation) and b (from
 	// the inner relation) join.
-	Match(a, b Tuple) bool
+	Match(a, b Row) bool
 	// String describes the predicate for contracts and logs.
 	String() string
 }
 
-// MultiPredicate is a J-way join predicate over one tuple per participating
+// MultiPredicate is a J-way join predicate over one row per participating
 // database, the satisfy() function of Chapter 5's algorithms.
 type MultiPredicate interface {
-	Satisfy(tuples []Tuple) bool
+	Satisfy(rows []Row) bool
 	String() string
 }
 
 // PredicateFunc adapts a function to Predicate.
 type PredicateFunc struct {
-	Fn   func(a, b Tuple) bool
+	Fn   func(a, b Row) bool
 	Desc string
 }
 
-func (p PredicateFunc) Match(a, b Tuple) bool { return p.Fn(a, b) }
-func (p PredicateFunc) String() string        { return p.Desc }
+func (p PredicateFunc) Match(a, b Row) bool { return p.Fn(a, b) }
+func (p PredicateFunc) String() string      { return p.Desc }
 
 // MultiPredicateFunc adapts a function to MultiPredicate.
 type MultiPredicateFunc struct {
-	Fn   func(tuples []Tuple) bool
+	Fn   func(rows []Row) bool
 	Desc string
 }
 
-func (p MultiPredicateFunc) Satisfy(tuples []Tuple) bool { return p.Fn(tuples) }
-func (p MultiPredicateFunc) String() string              { return p.Desc }
+func (p MultiPredicateFunc) Satisfy(rows []Row) bool { return p.Fn(rows) }
+func (p MultiPredicateFunc) String() string          { return p.Desc }
 
 // Pairwise lifts a 2-way predicate to a MultiPredicate over exactly two
-// tables.
-func Pairwise(p Predicate) MultiPredicate {
-	return MultiPredicateFunc{
-		Fn: func(tuples []Tuple) bool {
-			if len(tuples) != 2 {
-				return false
-			}
-			return p.Match(tuples[0], tuples[1])
-		},
-		Desc: p.String(),
-	}
-}
+// tables; CheckArity refuses it over any other number.
+func Pairwise(p Predicate) MultiPredicate { return pairwise{p} }
 
-// valueEqual compares two values of the same declared type.
-func valueEqual(t AttrType, a, b Value) bool {
-	switch t {
-	case Int64:
-		return a.I == b.I
-	case Float64:
-		return a.F == b.F
-	case String:
-		return a.S == b.S
-	case Bytes:
-		return bytes.Equal(a.B, b.B)
-	case Set:
-		x, y := normalizeSet(a.SetElems), normalizeSet(b.SetElems)
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
+type pairwise struct{ p Predicate }
+
+func (w pairwise) Satisfy(rows []Row) bool { return w.p.Match(rows[0], rows[1]) }
+func (w pairwise) String() string          { return w.p.String() }
+func (pairwise) Arity() int                { return 2 }
+
+// CheckArity refuses a join of j tables under a predicate defined over a
+// different number of them, such as a Pairwise one over three.
+func CheckArity(p MultiPredicate, j int) error {
+	if a, ok := p.(interface{ Arity() int }); ok && a.Arity() != j {
+		return fmt.Errorf("relation: predicate %q is over %d tables, the join has %d", p, a.Arity(), j)
 	}
+	return nil
 }
 
 // Equi is the equality predicate A.attrA = B.attrB.
 type Equi struct {
-	SchemaA, SchemaB *Schema
-	AttrA, AttrB     string
-	ia, ib           int
-	typ              AttrType
+	AttrA, AttrB string
+	ia, ib       int
+	typ          AttrType
 }
 
 // NewEqui resolves attribute positions and checks type compatibility.
@@ -105,12 +84,25 @@ func NewEqui(sa *Schema, attrA string, sb *Schema, attrB string) (*Equi, error) 
 		return nil, fmt.Errorf("relation: equijoin attribute types differ: %s vs %s",
 			sa.Attr(ia).Type, sb.Attr(ib).Type)
 	}
-	return &Equi{SchemaA: sa, SchemaB: sb, AttrA: attrA, AttrB: attrB,
-		ia: ia, ib: ib, typ: sa.Attr(ia).Type}, nil
+	return &Equi{AttrA: attrA, AttrB: attrB, ia: ia, ib: ib, typ: sa.Attr(ia).Type}, nil
 }
 
-func (e *Equi) Match(a, b Tuple) bool {
-	return valueEqual(e.typ, a[e.ia], b[e.ib])
+// Match compares the join attributes in place, with the equality of the
+// decoded values: floats by value, strings without their padding, sets by
+// their elements.
+func (e *Equi) Match(a, b Row) bool {
+	x, y := a.field(e.ia), b.field(e.ib)
+	switch e.typ {
+	case Float64:
+		return a.Float(e.ia) == b.Float(e.ib)
+	case String:
+		return bytes.Equal(trimPadding(x), trimPadding(y))
+	case Set: // the cardinality and the elements, sorted by Encode
+		n := 2 + 4*a.SetLen(e.ia)
+		return n == 2+4*b.SetLen(e.ib) && bytes.Equal(x[:n], y[:n])
+	default:
+		return bytes.Equal(x, y)
+	}
 }
 
 func (e *Equi) String() string { return fmt.Sprintf("%s = %s", e.AttrA, e.AttrB) }
@@ -119,24 +111,6 @@ func (e *Equi) String() string { return fmt.Sprintf("%s = %s", e.AttrA, e.AttrB)
 // sort-based equijoin (Algorithm 3) sorts B on KeyIndexB.
 func (e *Equi) KeyIndexA() int { return e.ia }
 func (e *Equi) KeyIndexB() int { return e.ib }
-
-// Less orders inner-relation tuples by the join attribute; only defined for
-// orderable types (Int64, Float64, String, Bytes).
-func (e *Equi) Less(x, y Tuple) bool {
-	a, b := x[e.ib], y[e.ib]
-	switch e.typ {
-	case Int64:
-		return a.I < b.I
-	case Float64:
-		return a.F < b.F
-	case String:
-		return a.S < b.S
-	case Bytes:
-		return bytes.Compare(a.B, b.B) < 0
-	default:
-		return false
-	}
-}
 
 // Orderable reports whether the join-attribute type admits a total order
 // (everything but Set), the precondition of the sort-based equijoins
@@ -150,34 +124,27 @@ func (e *Equi) Orderable() bool {
 	}
 }
 
-// CompareKeys three-way-compares two join-attribute values of the
-// predicate's key type. Only defined for orderable types; Set values
-// compare equal.
-func (e *Equi) CompareKeys(a, b Value) int {
+// CompareKeys three-way-compares two encoded join attributes of the
+// predicate's key type in place, in the order of their decoded values:
+// int64 and float64 by value, strings on their bytes up to the zero padding
+// Decode trims, bytes on the full padded width. Only defined for orderable
+// types; Set values compare equal.
+func (e *Equi) CompareKeys(x, y []byte) int {
 	switch e.typ {
 	case Int64:
-		switch {
-		case a.I < b.I:
-			return -1
-		case a.I > b.I:
-			return 1
-		}
+		return cmp.Compare(int64(binary.BigEndian.Uint64(x)), int64(binary.BigEndian.Uint64(y)))
 	case Float64:
+		fx, fy := math.Float64frombits(binary.BigEndian.Uint64(x)), math.Float64frombits(binary.BigEndian.Uint64(y))
 		switch {
-		case a.F < b.F:
+		case fx < fy:
 			return -1
-		case a.F > b.F:
+		case fx > fy:
 			return 1
 		}
 	case String:
-		switch {
-		case a.S < b.S:
-			return -1
-		case a.S > b.S:
-			return 1
-		}
+		return bytes.Compare(trimPadding(x), trimPadding(y))
 	case Bytes:
-		return bytes.Compare(a.B, b.B)
+		return bytes.Compare(x, y)
 	}
 	return 0
 }
@@ -188,29 +155,40 @@ func (e *Equi) CompareKeys(a, b Value) int {
 type Band struct {
 	AttrA, AttrB string
 	Width        float64
-	ia, ib       int
+	oa, ob       int // the attributes' byte offsets
 	typ          AttrType
 }
 
 // NewBand resolves attribute positions for a band join.
 func NewBand(sa *Schema, attrA string, sb *Schema, attrB string, width float64) (*Band, error) {
+	oa, ob, typ, err := numericPair("band", sa, attrA, sb, attrB)
+	if err != nil {
+		return nil, err
+	}
+	return &Band{AttrA: attrA, AttrB: attrB, Width: width, oa: oa, ob: ob, typ: typ}, nil
+}
+
+// numericPair resolves the byte offsets of two numeric attributes of one
+// type, the operands of the kind of join named.
+func numericPair(kind string, sa *Schema, attrA string, sb *Schema, attrB string) (oa, ob int, typ AttrType, err error) {
 	ia, ib := sa.Index(attrA), sb.Index(attrB)
 	if ia < 0 || ib < 0 {
-		return nil, fmt.Errorf("relation: band attributes %q/%q not found", attrA, attrB)
+		return 0, 0, 0, fmt.Errorf("relation: %s attributes %q/%q not found", kind, attrA, attrB)
 	}
 	ta, tb := sa.Attr(ia).Type, sb.Attr(ib).Type
 	if ta != tb || (ta != Int64 && ta != Float64) {
-		return nil, fmt.Errorf("relation: band join needs matching numeric attributes, got %s/%s", ta, tb)
+		return 0, 0, 0, fmt.Errorf("relation: %s join needs matching numeric attributes, got %s/%s", kind, ta, tb)
 	}
-	return &Band{AttrA: attrA, AttrB: attrB, Width: width, ia: ia, ib: ib, typ: ta}, nil
+	return sa.offs[ia], sb.offs[ib], ta, nil
 }
 
-func (p *Band) Match(a, b Tuple) bool {
+func (p *Band) Match(a, b Row) bool {
+	x, y := a.word(p.oa), b.word(p.ob)
 	var d float64
 	if p.typ == Int64 {
-		d = float64(a[p.ia].I) - float64(b[p.ib].I)
+		d = float64(int64(x)) - float64(int64(y))
 	} else {
-		d = a[p.ia].F - b[p.ib].F
+		d = math.Float64frombits(x) - math.Float64frombits(y)
 	}
 	return math.Abs(d) <= p.Width
 }
@@ -222,28 +200,25 @@ func (p *Band) String() string {
 // LessThan is the inequality predicate A.attrA < B.attrB.
 type LessThan struct {
 	AttrA, AttrB string
-	ia, ib       int
+	oa, ob       int // the attributes' byte offsets
 	typ          AttrType
 }
 
 // NewLessThan resolves attribute positions for an inequality join.
 func NewLessThan(sa *Schema, attrA string, sb *Schema, attrB string) (*LessThan, error) {
-	ia, ib := sa.Index(attrA), sb.Index(attrB)
-	if ia < 0 || ib < 0 {
-		return nil, fmt.Errorf("relation: attributes %q/%q not found", attrA, attrB)
+	oa, ob, typ, err := numericPair("<", sa, attrA, sb, attrB)
+	if err != nil {
+		return nil, err
 	}
-	ta, tb := sa.Attr(ia).Type, sb.Attr(ib).Type
-	if ta != tb || (ta != Int64 && ta != Float64) {
-		return nil, fmt.Errorf("relation: < join needs matching numeric attributes, got %s/%s", ta, tb)
-	}
-	return &LessThan{AttrA: attrA, AttrB: attrB, ia: ia, ib: ib, typ: ta}, nil
+	return &LessThan{AttrA: attrA, AttrB: attrB, oa: oa, ob: ob, typ: typ}, nil
 }
 
-func (p *LessThan) Match(a, b Tuple) bool {
+func (p *LessThan) Match(a, b Row) bool {
+	x, y := a.word(p.oa), b.word(p.ob)
 	if p.typ == Int64 {
-		return a[p.ia].I < b[p.ib].I
+		return int64(x) < int64(y)
 	}
-	return a[p.ia].F < b[p.ib].F
+	return math.Float64frombits(x) < math.Float64frombits(y)
 }
 
 func (p *LessThan) String() string { return fmt.Sprintf("%s < %s", p.AttrA, p.AttrB) }
@@ -271,35 +246,30 @@ func NewJaccard(sa *Schema, attrA string, sb *Schema, attrB string, threshold fl
 	return &Jaccard{AttrA: attrA, AttrB: attrB, Threshold: threshold, ia: ia, ib: ib}, nil
 }
 
-func (p *Jaccard) Match(a, b Tuple) bool {
-	return JaccardCoefficient(a[p.ia].SetElems, b[p.ib].SetElems) > p.Threshold
-}
-
-func (p *Jaccard) String() string {
-	return fmt.Sprintf("jaccard(%s, %s) > %g", p.AttrA, p.AttrB, p.Threshold)
-}
-
-// JaccardCoefficient computes |x∩y|/|x∪y|; the coefficient of two empty sets
-// is defined as 0.
-func JaccardCoefficient(x, y []uint32) float64 {
-	xs, ys := normalizeSet(x), normalizeSet(y)
-	if len(xs) == 0 && len(ys) == 0 {
-		return 0
+// Match computes the coefficient over the encoded sets in place; the
+// coefficient of two empty sets is 0. Encode stores a set's elements sorted
+// and distinct, so one merge counts the intersection.
+func (p *Jaccard) Match(a, b Row) bool {
+	nx, ny := a.SetLen(p.ia), b.SetLen(p.ib)
+	if nx == 0 && ny == 0 {
+		return 0 > p.Threshold
 	}
 	inter := 0
-	i, j := 0, 0
-	for i < len(xs) && j < len(ys) {
-		switch {
-		case xs[i] == ys[j]:
+	for i, j := 0, 0; i < nx && j < ny; {
+		switch ex, ey := a.SetElem(p.ia, i), b.SetElem(p.ib, j); {
+		case ex == ey:
 			inter++
 			i++
 			j++
-		case xs[i] < ys[j]:
+		case ex < ey:
 			i++
 		default:
 			j++
 		}
 	}
-	union := len(xs) + len(ys) - inter
-	return float64(inter) / float64(union)
+	return float64(inter)/float64(nx+ny-inter) > p.Threshold
+}
+
+func (p *Jaccard) String() string {
+	return fmt.Sprintf("jaccard(%s, %s) > %g", p.AttrA, p.AttrB, p.Threshold)
 }

@@ -56,8 +56,8 @@ func TestReferenceMultiJoinThreeWay(t *testing.T) {
 	}
 	a, b, c := mk(1, 2), mk(1, 3), mk(1, 1)
 	pred := MultiPredicateFunc{
-		Fn: func(ts []Tuple) bool {
-			return ts[0][0].I == ts[1][0].I && ts[1][0].I == ts[2][0].I
+		Fn: func(rs []Row) bool {
+			return rs[0].Int(0) == rs[1].Int(0) && rs[1].Int(0) == rs[2].Int(0)
 		},
 		Desc: "all keys equal",
 	}

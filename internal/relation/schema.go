@@ -79,7 +79,10 @@ func (a Attr) size() int {
 // Schema is an ordered list of attributes. A Schema is immutable after
 // construction with NewSchema.
 type Schema struct {
-	attrs  []Attr
+	attrs []Attr
+	// offs[i] is attribute i's offset in every encoded tuple; offs[n] is
+	// the tuple size.
+	offs   []int
 	size   int
 	byName map[string]int
 }
@@ -89,7 +92,7 @@ func NewSchema(attrs ...Attr) (*Schema, error) {
 	if len(attrs) == 0 {
 		return nil, errors.New("relation: schema needs at least one attribute")
 	}
-	s := &Schema{byName: make(map[string]int, len(attrs))}
+	s := &Schema{byName: make(map[string]int, len(attrs)), offs: make([]int, 1, len(attrs)+1)}
 	for i, a := range attrs {
 		if a.Name == "" {
 			return nil, fmt.Errorf("relation: attribute %d has empty name", i)
@@ -109,6 +112,7 @@ func NewSchema(attrs ...Attr) (*Schema, error) {
 		}
 		s.byName[a.Name] = i
 		s.size += a.size()
+		s.offs = append(s.offs, s.size)
 	}
 	s.attrs = append([]Attr(nil), attrs...)
 	return s, nil
@@ -142,12 +146,7 @@ func (s *Schema) TupleSize() int { return s.size }
 
 // Span returns the byte range [from, to) attribute i occupies in every
 // encoded tuple of this schema.
-func (s *Schema) Span(i int) (from, to int) {
-	for _, a := range s.attrs[:i] {
-		from += a.size()
-	}
-	return from, from + s.attrs[i].size()
-}
+func (s *Schema) Span(i int) (from, to int) { return s.offs[i], s.offs[i+1] }
 
 // Equal reports whether two schemas have identical attribute lists.
 func (s *Schema) Equal(o *Schema) bool {

@@ -100,12 +100,7 @@ func (s *Schema) Decode(b []byte) (Tuple, error) {
 			t[i].F = math.Float64frombits(binary.BigEndian.Uint64(b[off:]))
 			off += 8
 		case String:
-			raw := b[off : off+a.Width]
-			end := len(raw)
-			for end > 0 && raw[end-1] == 0 {
-				end--
-			}
-			t[i].S = string(raw[:end])
+			t[i].S = string(trimPadding(b[off : off+a.Width]))
 			off += a.Width
 		case Bytes:
 			t[i].B = append([]byte(nil), b[off:off+a.Width]...)

@@ -95,8 +95,8 @@ func TestThreeProviderService(t *testing.T) {
 	}
 
 	pred := relation.MultiPredicateFunc{
-		Fn: func(ts []relation.Tuple) bool {
-			return ts[0][0].I == ts[1][0].I && ts[1][0].I == ts[2][0].I
+		Fn: func(rs []relation.Row) bool {
+			return rs[0].Int(0) == rs[1].Int(0) && rs[1].Int(0) == rs[2].Int(0)
 		},
 		Desc: "all keys equal",
 	}

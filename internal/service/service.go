@@ -361,7 +361,8 @@ func (s *Service) gatherUploads() ([]*relation.Relation, []string, error) {
 
 // predicates instantiates the contract predicate over the uploads: the
 // two-way form for two providers; for more, its J-way lift, an all-equal
-// equijoin on AttrA across every table.
+// equijoin on AttrA across every table (each table's key equal to the
+// first's, under the equijoin's equality).
 func (s *Service) predicates(rels []*relation.Relation) (relation.Predicate, relation.MultiPredicate, error) {
 	if len(rels) == 2 {
 		pred, err := s.Contract.Predicate.Build(rels[0].Schema, rels[1].Schema)
@@ -370,17 +371,19 @@ func (s *Service) predicates(rels []*relation.Relation) (relation.Predicate, rel
 	if s.Contract.Predicate.Kind != "equi" {
 		return nil, nil, fmt.Errorf("service: %d-way joins support only equi predicates", len(rels))
 	}
-	idx := make([]int, len(rels))
-	for i, rel := range rels {
-		idx[i] = rel.Schema.Index(s.Contract.Predicate.AttrA)
-		if idx[i] < 0 {
-			return nil, nil, fmt.Errorf("service: relation %d lacks attribute %q", i, s.Contract.Predicate.AttrA)
+	attr := s.Contract.Predicate.AttrA
+	eqs := make([]*relation.Equi, len(rels)-1)
+	for i, rel := range rels[1:] {
+		eq, err := relation.NewEqui(rels[0].Schema, attr, rel.Schema, attr)
+		if err != nil {
+			return nil, nil, fmt.Errorf("service: relations 0 and %d: %w", i+1, err)
 		}
+		eqs[i] = eq
 	}
 	return nil, relation.MultiPredicateFunc{
-		Fn: func(ts []relation.Tuple) bool {
-			for i := 1; i < len(ts); i++ {
-				if ts[i][idx[i]].I != ts[0][idx[0]].I {
+		Fn: func(rows []relation.Row) bool {
+			for i, eq := range eqs {
+				if !eq.Match(rows[0], rows[i+1]) {
 					return false
 				}
 			}

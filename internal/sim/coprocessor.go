@@ -211,19 +211,6 @@ func LoadTable(h *Host, sealer Sealer, name string, rel *relation.Relation) (Tab
 	return Table{Region: id, N: int64(len(encs)), Schema: rel.Schema}, nil
 }
 
-// GetTuple is Get plus schema decoding.
-func (t *Coprocessor) GetTuple(tab Table, index int64) (relation.Tuple, error) {
-	b, err := t.Get(tab.Region, index)
-	if err != nil {
-		return nil, err
-	}
-	tup, err := tab.Schema.Decode(b)
-	if err != nil {
-		return nil, fmt.Errorf("sim: decoding %s[%d]: %w", t.host.RegionName(tab.Region), index, err)
-	}
-	return tup, nil
-}
-
 // RequestCopyOut asks H to copy n sealed cells from src to dst host-side
 // (the cells never transit T, so no transfers are charged; the request is
 // traced as disk writes).

@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -190,7 +190,12 @@ func TestRequestDisk(t *testing.T) {
 	}
 }
 
-func TestLoadTableAndGetTuple(t *testing.T) {
+// sameRow reports whether r is the encoding of rel's row i.
+func sameRow(r relation.Row, rel *relation.Relation, i int64) bool {
+	return bytes.Equal(r.Encoded(), rel.Schema.MustEncode(rel.Rows[i]))
+}
+
+func TestLoadTableAndGet(t *testing.T) {
 	h, cop := newTestPair(t, 4)
 	rel := relation.GenKeyed(relation.NewRand(1), 10, 5)
 	tab, err := LoadTable(h, cop.Sealer(), "A", rel)
@@ -205,11 +210,15 @@ func TestLoadTableAndGetTuple(t *testing.T) {
 		t.Fatal("LoadTable polluted the trace")
 	}
 	for i := int64(0); i < tab.N; i++ {
-		tup, err := cop.GetTuple(tab, i)
+		pt, err := cop.Get(tab.Region, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tup[0].I != rel.Rows[i][0].I || tup[1].I != rel.Rows[i][1].I {
+		row, err := tab.Schema.Row(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Int(0) != rel.Rows[i][0].I || row.Int(1) != rel.Rows[i][1].I {
 			t.Fatalf("row %d mismatch", i)
 		}
 	}
@@ -233,8 +242,7 @@ func TestCartesianSequentialScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantA, wantB := a.Rows[i/6], b.Rows[i%6]
-		if row[0][0].I != wantA[0].I || row[1][0].I != wantB[0].I {
+		if !sameRow(row[0], a, i/6) || !sameRow(row[1], b, i%6) {
 			t.Fatalf("iTuple %d mismatch", i)
 		}
 	}
@@ -272,8 +280,8 @@ func TestCartesianCoordsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j, c := range []int64{i / 20, i / 5 % 4, i % 5} {
-			if !reflect.DeepEqual(row[j], rels[j].Rows[c]) {
-				t.Fatalf("iTuple %d, table %d: %v, want row %d %v", i, j, row[j], c, rels[j].Rows[c])
+			if !sameRow(row[j], rels[j], c) {
+				t.Fatalf("iTuple %d, table %d: %x, want row %d %v", i, j, row[j].Encoded(), c, rels[j].Rows[c])
 			}
 		}
 	}
@@ -285,7 +293,8 @@ func TestCartesianCoordsRoundTrip(t *testing.T) {
 // block's X₁ rows) and cost the closed form's gets — X₁ once per scan, or
 // once when one block spans it, and the rest once per block per scan with
 // a one-row table fetched once. At K = 1 the Scans are Read(0), …, Read(L−1)
-// twice: the same Stats and trace digest.
+// twice, each Read followed by one predicate evaluation: the same Stats and
+// trace digest.
 func TestCartesianScan(t *testing.T) {
 	for _, sizes := range [][]int{{7, 4}, {5, 1, 3}, {1, 3}, {3, 1}} {
 		var rels []*relation.Relation
@@ -318,7 +327,12 @@ func TestCartesianScan(t *testing.T) {
 			var visits int
 			for range scans {
 				visit := 0
-				if err := cart.Scan(func(row []relation.Tuple) error {
+				var visitErr error
+				all := relation.MultiPredicateFunc{Fn: func([]relation.Row) bool { return true }, Desc: "true"}
+				if err := cart.Scan(all, func(row []relation.Row) {
+					if visitErr != nil {
+						return
+					}
 					// The visit's block, tail row and row within the block.
 					lo := visit / (tail * k) * k
 					rest := visit - lo*tail
@@ -329,14 +343,13 @@ func TestCartesianScan(t *testing.T) {
 						want[j], tr = tr%sizes[j], tr/sizes[j]
 					}
 					for j, c := range want {
-						if !reflect.DeepEqual(row[j], rels[j].Rows[c]) {
-							return fmt.Errorf("visit %d, table %d: %v, want row %d %v", visit, j, row[j], c, rels[j].Rows[c])
+						if !sameRow(row[j], rels[j], int64(c)) {
+							visitErr = fmt.Errorf("visit %d, table %d: %x, want row %d %v", visit, j, row[j].Encoded(), c, rels[j].Rows[c])
 						}
 					}
 					visit++
-					return nil
-				}); err != nil {
-					t.Fatalf("%v, K = %d: %v", sizes, k, err)
+				}); err != nil || visitErr != nil {
+					t.Fatalf("%v, K = %d: %v, %v", sizes, k, err, visitErr)
 				}
 				if visit != int(cart.Size()) {
 					t.Fatalf("%v, K = %d: %d visits, want %d", sizes, k, visit, cart.Size())
@@ -374,6 +387,7 @@ func TestCartesianScan(t *testing.T) {
 					if _, err := refCart.Read(i); err != nil {
 						t.Fatal(err)
 					}
+					ref.ChargePredicate()
 				}
 			}
 			if ref.Stats() != st || ref.Trace().Digest() != cop.Trace().Digest() {
@@ -381,6 +395,56 @@ func TestCartesianScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCartesianScanAllocations pins Scan's steady state: rows are views of
+// the view's arena and X₂ streams through T's reused staging buffers, so a
+// Scan allocates a fixed number of times however many iTuples it visits —
+// the same at 128 and at 512 rows of X₂, 0 per iTuple.
+func TestCartesianScanAllocations(t *testing.T) {
+	const k = 32
+	allocs := func(n2 int) float64 {
+		h := NewHost(0)
+		cop, err := NewCoprocessor(h, Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := LoadTable(h, cop.Sealer(), "A", relation.GenKeyed(relation.NewRand(1), 2*k, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := LoadTable(h, cop.Sealer(), "B", relation.GenKeyed(relation.NewRand(2), n2, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cart, err := NewCartesian(cop, []Table{a, b}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		near := relation.MultiPredicateFunc{Fn: func(rows []relation.Row) bool {
+			return rows[0].Int(0)-rows[1].Int(0) < 3
+		}, Desc: "near"}
+		visit := func(rows []relation.Row) { sum += rows[0].Int(0) - rows[1].Int(0) }
+		if err := cart.Scan(near, visit); err != nil { // warm T's staging buffers
+			t.Fatal(err)
+		}
+		var scanErr error
+		got := testing.AllocsPerRun(5, func() {
+			if err := cart.Scan(near, visit); err != nil && scanErr == nil {
+				scanErr = err
+			}
+		})
+		if scanErr != nil {
+			t.Fatal(scanErr)
+		}
+		return got
+	}
+	small, large := allocs(128), allocs(512)
+	if small != large {
+		t.Errorf("a Scan allocates %.1f times at 128 rows of X2 and %.1f at 512: allocations grow with the iTuples", small, large)
+	}
+	t.Logf("%.1f allocations per Scan", small)
 }
 
 func TestCartesianValidation(t *testing.T) {

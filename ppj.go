@@ -47,6 +47,9 @@ type (
 	AttrType = relation.AttrType
 	// Tuple is a decoded row.
 	Tuple = relation.Tuple
+	// Row is an encoded row viewed through its schema, what predicates
+	// read.
+	Row = relation.Row
 	// Value is a dynamically typed attribute value.
 	Value = relation.Value
 	// Relation is an in-memory plaintext table.

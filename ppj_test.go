@@ -204,3 +204,51 @@ func TestEngineJoin6OnePass(t *testing.T) {
 		t.Fatalf("one-pass rows = %d, want %d", rows.Len(), s)
 	}
 }
+
+// TestEnginePairwiseArity refuses a 2-way predicate lifted by Pairwise over
+// three tables, whose keys do join, before the first transfer: every
+// Chapter 5 entry point errors and the host trace stays empty.
+func TestEnginePairwiseArity(t *testing.T) {
+	relA, relB := testRelations(t, 4)
+	relC := relation.GenKeyed(relation.NewRand(6), 6, 5)
+	pred, err := Equijoin(relA.Schema, "key", relB.Schema, "key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ReferenceJoin(relA, relB, pred).Len() == 0 {
+		t.Fatal("degenerate inputs: A and B do not join")
+	}
+	mp := Pairwise(pred)
+	for name, run := range map[string]func(*Engine, []TableRef) error{
+		"alg4": func(e *Engine, tabs []TableRef) error { _, err := e.Join(Alg4, tabs, mp, JoinOptions{}); return err },
+		"alg5": func(e *Engine, tabs []TableRef) error { _, err := e.Join(Alg5, tabs, mp, JoinOptions{}); return err },
+		"alg6": func(e *Engine, tabs []TableRef) error {
+			_, err := e.Join(Alg6, tabs, mp, JoinOptions{Epsilon: 1e-9})
+			return err
+		},
+		"Join6OnePass": func(e *Engine, tabs []TableRef) error { _, err := e.Join6OnePass(tabs, mp, 1e-9, 1); return err },
+		"Aggregate": func(e *Engine, tabs []TableRef) error {
+			_, err := e.Aggregate(tabs, mp, AggSpec{Kind: AggCount})
+			return err
+		},
+	} {
+		eng, err := NewEngine(EngineConfig{Memory: 8, Plain: true, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tabs []TableRef
+		for i, rel := range []*Relation{relA, relB, relC} {
+			tab, err := eng.Load(string(rune('A'+i)), rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tabs = append(tabs, tab)
+		}
+		if err := run(eng, tabs); err == nil {
+			t.Errorf("%s: a pairwise predicate over three tables ran", name)
+		}
+		if n := eng.Host().Trace().Count(); n != 0 {
+			t.Errorf("%s: refused after %d host accesses, want none", name, n)
+		}
+	}
+}
