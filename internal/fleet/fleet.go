@@ -24,9 +24,6 @@ import (
 // every other field applies to each shard verbatim.
 type Config struct {
 	server.Config
-	// Replicas is the number of virtual nodes per shard on the consistent-
-	// hash ring. Defaults to DefaultReplicas.
-	Replicas int
 	// ShardFaults, when set, gives shard i its own fault registry (tests
 	// only): the partial-fleet crash suite seals one shard's WAL while the
 	// others run clean. Nil shards fall back to Config.Faults.
@@ -64,7 +61,7 @@ func New(cfg Config) (*Router, error) {
 	if n <= 0 {
 		n = 1
 	}
-	r := &Router{cfg: cfg, ring: NewRing(n, cfg.Replicas), dir: make(map[string]int), live: make([]bool, n)}
+	r := &Router{cfg: cfg, ring: NewRing(n), dir: make(map[string]int), live: make([]bool, n)}
 	for i := range r.live {
 		r.live[i] = true
 	}
@@ -165,7 +162,7 @@ func (r *Router) SetShardLive(i int, live bool) error {
 		return fmt.Errorf("fleet: refusing to drain shard %d: it is the last live shard", i)
 	}
 	r.live[i] = live
-	r.ring = newRingIDs(ids, r.cfg.Replicas)
+	r.ring = newRingIDs(ids)
 	return nil
 }
 

@@ -230,7 +230,7 @@ func renderFleetJobTable(rt *Router) string {
 // idOwnedBy derives a contract ID with the given prefix that the ring maps
 // to the wanted shard — the crash and invariance suites pin workloads to
 // specific shards with it. Deterministic: the ring is a pure function of
-// (shard count, replicas), so the same prefix always resolves to the same
+// the shard count, so the same prefix always resolves to the same
 // ID across runs and restarts.
 func idOwnedBy(t *testing.T, ring *Ring, shard int, prefix string) string {
 	t.Helper()

@@ -53,7 +53,7 @@ func seedShardWAL(t *testing.T, dir string, jobs map[*group][]walTransition, ord
 // breaks the golden.
 func TestFleetMetricsGoldenSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	ring := NewRing(2, 0)
+	ring := NewRing(2)
 	gA := newGroup(t, idOwnedBy(t, ring, 0, "gm-a"), "alg5", 51, 52, 4, 4)
 	gB := newGroup(t, idOwnedBy(t, ring, 0, "gm-b"), "alg5", 53, 54, 4, 4)
 	gC := newGroup(t, idOwnedBy(t, ring, 1, "gm-c"), "alg5", 55, 56, 4, 4)

@@ -119,7 +119,7 @@ func TestShardDrainSessionsAndSpillExclusion(t *testing.T) {
 
 	// A key shard 1 used to own now places on shard 0 — a ring decision,
 	// not a spill.
-	g2 := newGroupRels(t, idOwnedBy(t, NewRing(2, rt.cfg.Replicas), 1, "remap"), "alg3",
+	g2 := newGroupRels(t, idOwnedBy(t, NewRing(2), 1, "remap"), "alg3",
 		relation.GenKeyed(relation.NewRand(43), 5, 5), relation.GenKeyed(relation.NewRand(44), 6, 5))
 	j2, err := rt.Register(g2.contract)
 	if err != nil {

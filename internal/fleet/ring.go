@@ -30,34 +30,29 @@ type ringPoint struct {
 }
 
 // Ring is a consistent-hash ring over shard indices. Construction is
-// deterministic: the same shard set and replica count always yield the same
-// key->shard mapping, so a restarted router routes recovered contracts
-// exactly as the dead one did, and removing a shard remaps only the keys
-// that shard owned (its virtual nodes vanish; every other point is
-// unmoved).
+// deterministic: the same shard set always yields the same key->shard
+// mapping, so a restarted router routes recovered contracts exactly as the
+// dead one did, and removing a shard remaps only the keys that shard owned
+// (its virtual nodes vanish; every other point is unmoved).
 type Ring struct {
-	points   []ringPoint
-	replicas int
+	points []ringPoint
 }
 
 // NewRing builds a ring over shards 0..n-1.
-func NewRing(n, replicas int) *Ring {
+func NewRing(n int) *Ring {
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
 	}
-	return newRingIDs(ids, replicas)
+	return newRingIDs(ids)
 }
 
 // newRingIDs builds a ring over an explicit shard set. The property tests
 // use it to compare the full ring against the ring with one shard removed.
-func newRingIDs(ids []int, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	r := &Ring{points: make([]ringPoint, 0, len(ids)*replicas), replicas: replicas}
+func newRingIDs(ids []int) *Ring {
+	r := &Ring{points: make([]ringPoint, 0, len(ids)*DefaultReplicas)}
 	for _, id := range ids {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < DefaultReplicas; v++ {
 			r.points = append(r.points, ringPoint{pos: ringHash(fmt.Sprintf("shard-%d/%d", id, v)), shard: id})
 		}
 	}

@@ -25,7 +25,7 @@ func TestRingBalance(t *testing.T) {
 	const keys = 20000
 	for _, n := range []int{2, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			ring := NewRing(n, 0)
+			ring := NewRing(n)
 			rng := rand.New(rand.NewSource(int64(1000 + n)))
 			counts := make([]int, n)
 			for _, id := range randomIDs(rng, keys) {
@@ -53,7 +53,7 @@ func TestRingRemovalRemap(t *testing.T) {
 	const keys = 20000
 	for _, n := range []int{2, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			full := NewRing(n, 0)
+			full := NewRing(n)
 			rng := rand.New(rand.NewSource(int64(2000 + n)))
 			ids := randomIDs(rng, keys)
 			removed := n / 2
@@ -63,7 +63,7 @@ func TestRingRemovalRemap(t *testing.T) {
 					remaining = append(remaining, i)
 				}
 			}
-			partial := newRingIDs(remaining, 0)
+			partial := newRingIDs(remaining)
 
 			moved := 0
 			for _, id := range ids {
@@ -89,10 +89,10 @@ func TestRingRemovalRemap(t *testing.T) {
 }
 
 // TestRingDeterminism pins that ring construction is a pure function of
-// (shard set, replicas): a restarted router must route recovered contracts
+// the shard set: a restarted router must route recovered contracts
 // exactly as its predecessor did.
 func TestRingDeterminism(t *testing.T) {
-	a, b := NewRing(5, 0), NewRing(5, 0)
+	a, b := NewRing(5), NewRing(5)
 	rng := rand.New(rand.NewSource(3000))
 	for _, id := range randomIDs(rng, 2000) {
 		if a.Owner(id) != b.Owner(id) {

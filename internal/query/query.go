@@ -134,7 +134,7 @@ func (pl Planner) Plan(q Query, rels []*relation.Relation) (Plan, error) {
 	})
 	var s int64
 	if padded {
-		in.N = max(1, matchBound(q.Predicate, rels[0], rels[1]))
+		in.N = MatchBound(q.Predicate, rels[0], rels[1])
 	} else {
 		mp, err := q.multiPred(rels)
 		if err != nil {
@@ -192,16 +192,17 @@ func (q Query) multiPred(rels []*relation.Relation) (relation.MultiPredicate, er
 	return nil, fmt.Errorf("query: no predicate covering %d relations", len(rels))
 }
 
-// matchBound computes the Chapter 4 N, using the O(|A|+|B|) histogram
-// shortcut for Int64 equijoins and the paper's nested-loop preprocessing
-// otherwise.
-func matchBound(pred relation.Predicate, a, b *relation.Relation) int64 {
+// MatchBound computes the Chapter 4 N a padded row runs with, using the
+// O(|A|+|B|) histogram shortcut for Int64 equijoins and the paper's
+// nested-loop preprocessing otherwise. It is floored at 1: the padded rows
+// refuse N = 0, and a join with no matches still pads one oTuple per A row.
+func MatchBound(pred relation.Predicate, a, b *relation.Relation) int64 {
 	if eq, ok := pred.(*relation.Equi); ok {
 		if n, err := relation.EquijoinMatchBound(a, eq.AttrA, b, eq.AttrB); err == nil {
-			return n
+			return max(1, n)
 		}
 	}
-	return int64(relation.MaxMatches(a, b, pred))
+	return max(1, int64(relation.MaxMatches(a, b, pred)))
 }
 
 // joinSize computes the Chapter 5 S, with the same histogram shortcut for

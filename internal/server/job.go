@@ -165,9 +165,6 @@ type Job struct {
 	// slot this job must release when it settles.
 	tenant    string
 	quotaHeld bool
-	// priority is the contract's scheduling class, copied at admission so
-	// the scheduler never reaches back into the contract.
-	priority int
 
 	providers      int
 	wantRecipients int
@@ -239,15 +236,14 @@ func (s *Server) newJob(c *service.Contract, id string, seq int, state State) (*
 		return nil, err
 	}
 	j := &Job{
-		svc:      svc,
-		srv:      s,
-		id:       id,
-		seq:      seq,
-		tenant:   c.Tenant,
-		priority: c.Priority,
-		state:    state,
-		settled:  make(chan struct{}),
-		done:     make(chan struct{}),
+		svc:     svc,
+		srv:     s,
+		id:      id,
+		seq:     seq,
+		tenant:  c.Tenant,
+		state:   state,
+		settled: make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	j.providers, j.wantRecipients = c.CountRoles()
 	if s.cfg.JobTimeout > 0 && !state.Settled() {

@@ -5,91 +5,38 @@ import (
 	"sync"
 )
 
-// numClasses is the per-tenant priority ladder: high, normal, low. A
-// contract's Priority field maps onto it by sign, so any int collapses to
-// three classes and the starvation analysis stays three-deep.
-const numClasses = 3
-
-// classOf maps a contract priority to its class index (0 runs first).
-func classOf(priority int) int {
-	switch {
-	case priority > 0:
-		return 0
-	case priority < 0:
-		return 2
-	}
-	return 1
-}
-
-// tenantQueue is one tenant's ready jobs and deficit-round-robin state.
+// tenantQueue is one tenant's ready jobs in arrival order.
 type tenantQueue struct {
-	tenant  string
-	classes [numClasses][]*Job
-	queued  int
-	weight  int
-	// deficit is the tenant's banked service credit in job units. It is
-	// topped up by weight when the round-robin cursor selects the tenant
-	// with an empty bank, spent one unit per dequeue, and reset to zero
-	// when the tenant's queue empties — an idle tenant banks nothing, so
-	// no deficit ever exceeds the tenant's weight (the fairness property
-	// test pins exactly this bound).
-	deficit int
-}
-
-// pop removes the tenant's next job: the head of its highest non-empty
-// priority class, FIFO within a class.
-func (t *tenantQueue) pop() *Job {
-	for c := range t.classes {
-		if len(t.classes[c]) > 0 {
-			j := t.classes[c][0]
-			t.classes[c] = t.classes[c][1:]
-			t.queued--
-			return j
-		}
-	}
-	return nil
+	tenant string
+	jobs   []*Job
 }
 
 // fairScheduler is the ready queue between job readiness and the worker
-// pool: weighted deficit round-robin across per-tenant queues. It owns the
+// pool: round-robin across per-tenant FIFOs, one job per turn. It owns the
 // queueing discipline; the server owns everything around it (metrics,
-// failing refused jobs, shutdown order). For a single tenant at priority 0
-// it is a bounded FIFO (TestFairSchedulerSingleTenantIsFIFO). Each tenant
-// owns a bounded queue (the QueueDepth bound applies per tenant) split
-// into priority classes; the dispatcher cycles the active
-// tenants, topping up each tenant's deficit by its weight and dequeueing
-// one job per unit. With unit job cost this degenerates to weighted
-// round-robin, which gives the starvation bound the tests pin: between
-// two consecutive dequeues for a tenant of weight w, at most
-// ceil(W/w) - 1 rounds of other tenants' jobs run, where W is the sum of
-// active weights — a trickling tenant's wait is a constant factor of its
-// fair share no matter how hard the others flood.
+// failing refused jobs, shutdown order). For a single tenant it is a
+// bounded FIFO (TestFairSchedulerSingleTenantIsFIFO).
+//
+// round holds the tenants with queued work in dispatch order, the next
+// tenant first. A tenant served with work left goes to the back, and so
+// does a tenant that starts queueing, including one that has just drained:
+// it joins the round last, just behind the cursor. So with T tenants
+// holding work, a tenant waits at most T slots between its jobs no matter
+// how hard the others flood. A tenant with nothing queued holds no state.
 type fairScheduler struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	bound   int // per-tenant queue bound
-	weights map[string]int
-
-	tenants map[string]*tenantQueue
-	active  []*tenantQueue // tenants with queued jobs, round-robin order
-	cursor  int
-	depth   int
-	closed  bool
+	mu     sync.Mutex
+	cond   *sync.Cond
+	bound  int                     // per-tenant queue bound
+	queues map[string]*tenantQueue // tenants with queued jobs
+	round  []*tenantQueue          // the same tenants, next to serve first
+	depth  int
+	closed bool
 }
 
-func newFairScheduler(bound int, weights map[string]int) *fairScheduler {
-	s := &fairScheduler{bound: bound, weights: weights, tenants: make(map[string]*tenantQueue)}
+func newFairScheduler(bound int) *fairScheduler {
+	s := &fairScheduler{bound: bound, queues: make(map[string]*tenantQueue)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
-}
-
-// weight resolves a tenant's fair-share weight, floored at 1 so every
-// tenant always makes progress.
-func (s *fairScheduler) weight(tenant string) int {
-	if w := s.weights[tenant]; w > 1 {
-		return w
-	}
-	return 1
 }
 
 // Enqueue admits a ready job, or refuses it with a typed error the caller
@@ -103,20 +50,19 @@ func (s *fairScheduler) Enqueue(j *Job) error {
 	if s.closed {
 		return ErrShuttingDown
 	}
-	tq, ok := s.tenants[j.tenant]
-	if !ok {
-		tq = &tenantQueue{tenant: j.tenant, weight: s.weight(j.tenant)}
-		s.tenants[j.tenant] = tq
+	tq := s.queues[j.tenant]
+	if tq == nil {
+		tq = &tenantQueue{tenant: j.tenant}
 	}
-	if tq.queued >= s.bound {
+	if len(tq.jobs) >= s.bound {
 		return fmt.Errorf("%w (tenant %q, depth %d)", ErrQueueFull, j.tenant, s.bound)
 	}
-	c := classOf(j.priority)
-	tq.classes[c] = append(tq.classes[c], j)
-	tq.queued++
-	if tq.queued == 1 {
-		s.active = append(s.active, tq)
+	if len(tq.jobs) == 0 {
+		// The tenant starts queueing: it joins the round last.
+		s.queues[j.tenant] = tq
+		s.round = append(s.round, tq)
 	}
+	tq.jobs = append(tq.jobs, j)
 	s.depth++
 	s.cond.Signal()
 	return nil
@@ -136,31 +82,18 @@ func (s *fairScheduler) Next() (*Job, bool) {
 	return s.pickLocked(), true
 }
 
-// pickLocked runs one DRR dispatch step. Callers hold mu and guarantee
-// depth > 0, so active is non-empty and the selected tenant has a job.
+// pickLocked takes one job from the tenant at the front of the round.
+// Callers hold mu and guarantee depth > 0, so the round is non-empty.
 func (s *fairScheduler) pickLocked() *Job {
-	if s.cursor >= len(s.active) {
-		s.cursor = 0
-	}
-	tq := s.active[s.cursor]
-	if tq.deficit < 1 {
-		tq.deficit += tq.weight
-	}
-	j := tq.pop()
-	tq.deficit--
+	tq := s.round[0]
+	s.round = s.round[1:]
+	j := tq.jobs[0]
+	tq.jobs = tq.jobs[1:]
 	s.depth--
-	switch {
-	case tq.queued == 0:
-		// The tenant's queue drained: it leaves the round and forfeits any
-		// banked credit, so an idle tenant cannot hoard deficit.
-		tq.deficit = 0
-		s.active = append(s.active[:s.cursor], s.active[s.cursor+1:]...)
-		if s.cursor >= len(s.active) {
-			s.cursor = 0
-		}
-	case tq.deficit < 1:
-		// Credit spent: the round moves on.
-		s.cursor = (s.cursor + 1) % len(s.active)
+	if len(tq.jobs) > 0 {
+		s.round = append(s.round, tq)
+	} else {
+		delete(s.queues, tq.tenant)
 	}
 	return j
 }

@@ -3,7 +3,7 @@
 // many registered contracts; a single listener accepts sessions for any of
 // them (the hello's ContractID routes each connection); and a bounded
 // worker pool of simulated coprocessors executes ready jobs from a
-// weighted fair-share scheduler with explicit backpressure. This is
+// per-tenant round-robin scheduler with explicit backpressure. This is
 // the shape TEE-backed encrypted
 // databases take in production — a continuously available service
 // dispatching oblivious joins across limited secure-worker capacity —
@@ -44,13 +44,6 @@ type Config struct {
 	// tenant (one tenant flooding refuses only its own jobs). Defaults
 	// to 16.
 	QueueDepth int
-	// TenantWeights sets per-tenant fair-share weights for the scheduler
-	// (weighted deficit round-robin across per-tenant queues with
-	// per-contract priority classes); unlisted tenants (and values < 1)
-	// weigh 1. A tenant of
-	// weight w receives w job slots per round-robin cycle while it has
-	// queued work.
-	TenantWeights map[string]int
 	// Clock overrides the server's time source (tests use clock.NewFake to
 	// drive recurring contracts deterministically). Nil uses the system
 	// clock. It governs recurrence due-times, the quota limiter, and the
@@ -209,7 +202,7 @@ func New(cfg Config) (*Server, error) {
 		registry: newRegistry(),
 		metrics:  newMetrics(),
 		journal:  &journal{},
-		sched:    newFairScheduler(cfg.QueueDepth, cfg.TenantWeights),
+		sched:    newFairScheduler(cfg.QueueDepth),
 		clk:      clk,
 		recur:    make(map[string]*recurrence),
 		tickStop: make(chan struct{}),

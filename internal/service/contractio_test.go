@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"crypto/ed25519"
+	"encoding/hex"
 	"testing"
 
 	"ppj/internal/relation"
@@ -103,5 +105,34 @@ func TestThreeProviderService(t *testing.T) {
 	want := relation.ReferenceMultiJoin(rels, pred)
 	if !relation.SameMultiset(result, want) {
 		t.Fatalf("3-way service join: got %d rows, want %d", result.Len(), want.Len())
+	}
+}
+
+// TestContractSigningPayloadKnownAnswer pins the bytes every owner signs.
+// Recovery re-verifies each journaled contract against SigningPayload, so
+// any change to what it hashes, or in which order, would orphan every
+// signed contract already on disk. The payload is itself a SHA-256 digest
+// of the signed fields; the test pins it as hex for one fixed contract
+// that sets every hashed field.
+func TestContractSigningPayloadKnownAnswer(t *testing.T) {
+	identity := func(seed byte) ed25519.PublicKey {
+		return ed25519.NewKeyFromSeed(bytes.Repeat([]byte{seed}, ed25519.SeedSize)).Public().(ed25519.PublicKey)
+	}
+	c := &Contract{
+		ID: "contract-kat",
+		Parties: []Party{
+			{Name: "hospital", Identity: identity(1), Role: RoleProvider},
+			{Name: "insurer", Identity: identity(2), Role: RoleProvider},
+			{Name: "auditor", Identity: identity(3), Role: RoleRecipient},
+		},
+		Predicate: PredicateSpec{Kind: "equi", AttrA: "patient", AttrB: "patient"},
+		Algorithm: "aggregate",
+		Epsilon:   1e-6,
+		Aggregate: AggregateSpec{Kind: "SUM", Table: 1, Attr: "claim"},
+		Tenant:    "clinic-7",
+	}
+	const want = "9eaf9ec850ec140a6fcaf05a179b38c80bef7292c7dab1548b1209b51ed3a8ad"
+	if got := hex.EncodeToString(c.SigningPayload()); got != want {
+		t.Fatalf("SigningPayload = %s, want %s", got, want)
 	}
 }

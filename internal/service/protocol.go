@@ -101,12 +101,6 @@ type Contract struct {
 	// value old encoders produce — selects the anonymous tenant and leaves
 	// SigningPayload unchanged, so existing signed contracts stay valid.
 	Tenant string
-	// Priority is the contract's scheduling class under the server's
-	// fair-share scheduler: positive runs before the tenant's normal work,
-	// negative after it. Zero — the value old encoders produce — is the
-	// normal class and leaves SigningPayload unchanged, so existing signed
-	// contracts stay valid.
-	Priority int
 	// Signatures[i] is party i's signature over SigningPayload (data owners
 	// must sign; the recipient's signature is optional).
 	Signatures [][]byte
@@ -131,12 +125,8 @@ func (c *Contract) SigningPayload() []byte {
 	fmt.Fprintf(h, "%d", c.Aggregate.Table)
 	io.WriteString(h, c.Aggregate.Attr)
 	// Appended last so contracts with no tenant hash exactly as they did
-	// before the field existed; likewise priority is only hashed when
-	// non-zero, keeping default-class contracts byte-compatible.
+	// before the field existed.
 	io.WriteString(h, c.Tenant)
-	if c.Priority != 0 {
-		fmt.Fprintf(h, "priority:%d", c.Priority)
-	}
 	return h.Sum(nil)
 }
 

@@ -419,9 +419,9 @@ func (s *Service) runJoin() (Outcome, error) {
 		return out, err
 	}
 	alg := s.Contract.Algorithm
+	var plan query.Plan
 	if alg == "auto" {
-		plan, err := s.planAlgorithm(rels)
-		if err != nil {
+		if plan, err = s.planAlgorithm(rels); err != nil {
 			return out, err
 		}
 		alg = plan.AlgorithmName()
@@ -439,7 +439,10 @@ func (s *Service) runJoin() (Outcome, error) {
 		return out, err
 	}
 	if desc.Padded && in.Pred != nil {
-		in.N = max(1, int64(relation.MaxMatches(rels[0], rels[1], in.Pred)))
+		// An "auto" contract that planned a padded row already has N.
+		if in.N = plan.N; in.N == 0 {
+			in.N = query.MatchBound(in.Pred, rels[0], rels[1])
+		}
 	}
 	if desc.UsesCache && s.SortCache != nil && len(rels) == 2 {
 		in.Cache = s.SortCache
