@@ -151,6 +151,10 @@ func main() {
 			Algorithm: spec.algorithm,
 			Epsilon:   1e-10,
 			Aggregate: spec.aggregate,
+			// One tenant per contract: each has its own ready queue, so a
+			// job that becomes ready while another waits is held, not
+			// refused, even at -queue 1.
+			Tenant: spec.id,
 		}
 		tn.contract.Sign(0, tn.keys[0].priv)
 		tn.contract.Sign(1, tn.keys[1].priv)
@@ -175,6 +179,7 @@ func main() {
 	// Drive every client group concurrently against the one listener.
 	var wg sync.WaitGroup
 	var outMu sync.Mutex
+	var wrong []string // contracts whose recipient got a wrong answer
 	for _, tn := range tenants {
 		wg.Add(1)
 		go func(tn *tenant) {
@@ -212,25 +217,31 @@ func main() {
 
 			eq, _ := relation.NewEqui(tn.relA.Schema, "key", tn.relB.Schema, "key")
 			want := relation.ReferenceJoin(tn.relA, tn.relB, eq)
+			var got string
+			var ok bool
 			if tn.spec.algorithm == "aggregate" {
 				agg, err := cs.ReceiveAggregate()
 				check(err)
-				outMu.Lock()
-				fmt.Printf("%-22s %-9s shard %d -> %s received COUNT = %d (reference %d)\n",
-					tn.spec.id, tn.spec.algorithm, tn.shard, tn.spec.parties[2], agg.Count, want.Len())
-				outMu.Unlock()
+				got, ok = fmt.Sprintf("COUNT = %d", agg.Count), agg.Count == int64(want.Len())
 			} else {
 				result, err := cs.ReceiveResult()
 				check(err)
-				outMu.Lock()
-				fmt.Printf("%-22s %-9s shard %d -> %s received %d join rows (reference %d)\n",
-					tn.spec.id, tn.spec.algorithm, tn.shard, tn.spec.parties[2], result.Len(), want.Len())
-				outMu.Unlock()
+				got, ok = fmt.Sprintf("%d join rows", result.Len()), relation.SameMultiset(result, want)
 			}
+			outMu.Lock()
+			fmt.Printf("%-22s %-9s shard %d -> %s received %s (reference %d)\n",
+				tn.spec.id, tn.spec.algorithm, tn.shard, tn.spec.parties[2], got, want.Len())
+			if !ok {
+				wrong = append(wrong, tn.spec.id)
+			}
+			outMu.Unlock()
 			inner.Wait()
 		}(tn)
 	}
 	wg.Wait()
+	if len(wrong) > 0 {
+		log.Fatalf("results differ from the reference join: %v", wrong)
+	}
 	for _, tn := range tenants {
 		<-tn.job.Done()
 		if tn.job.State() != server.StateDelivered {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -67,6 +66,15 @@ type AggSpec struct {
 	Attr  string
 }
 
+// AggSchema is the schema of an aggregate's one output row: the join count,
+// the statistic as a float, and 1 when the statistic is defined (0 for
+// MIN/MAX/AVG over an empty join).
+var AggSchema = relation.MustSchema(
+	relation.Attr{Name: "count", Type: relation.Int64},
+	relation.Attr{Name: "value", Type: relation.Float64},
+	relation.Attr{Name: "valid", Type: relation.Int64},
+)
+
 // AggResult is the single statistic an aggregation query outputs.
 type AggResult struct {
 	Kind  AggKind
@@ -76,14 +84,16 @@ type AggResult struct {
 	Value float64
 	// Valid is false for MIN/MAX/AVG over an empty join.
 	Valid bool
-	Stats sim.Stats
+	// Result is the output region — one real oTuple of AggSchema carrying
+	// the statistic, read like any join's output — and T's counters.
+	Result
 }
 
 // Aggregate computes a privacy preserving aggregation over the join of the
 // tables: a single fixed-order scan of D with the accumulator inside T,
-// followed by one encrypted output cell. The host sees L logical reads and
-// one put — a pattern independent of every input value and even of the
-// join size.
+// followed by one encrypted output cell, a real oTuple of AggSchema. The
+// host sees L logical reads and one put — a pattern independent of every
+// input value and even of the join size.
 func Aggregate(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredicate, spec AggSpec) (AggResult, error) {
 	_, cart, err := prepCh5(t, tables, pred, 1)
 	if err != nil {
@@ -150,19 +160,24 @@ func Aggregate(t *sim.Coprocessor, tables []sim.Table, pred relation.MultiPredic
 	}
 
 	// The single output cell: fixed size regardless of the statistic.
-	out := t.Host().FreshRegion("agg.out", 1)
-	cell := make([]byte, 17)
-	binary.BigEndian.PutUint64(cell[0:], uint64(res.Count))
-	binary.BigEndian.PutUint64(cell[8:], math.Float64bits(res.Value))
+	var valid int64
 	if res.Valid {
-		cell[16] = 1
+		valid = 1
 	}
-	if err := t.Put(out, 0, cell); err != nil {
+	enc, err := AggSchema.Encode(relation.Tuple{
+		relation.IntValue(res.Count), relation.FloatValue(res.Value), relation.IntValue(valid)})
+	if err != nil {
+		return AggResult{}, err
+	}
+	out := t.Host().FreshRegion("agg.out", 1)
+	if err := t.Put(out, 0, append([]byte{flagReal}, enc...)); err != nil {
 		return AggResult{}, err
 	}
 	if err := t.RequestDisk(out, 0, 1); err != nil {
 		return AggResult{}, err
 	}
+	res.Output = sim.Table{Region: out, N: 1, Schema: AggSchema}
+	res.OutputLen = 1
 	res.Stats = t.Stats()
 	return res, nil
 }

@@ -87,6 +87,14 @@ func TestAggregateAllKinds(t *testing.T) {
 			if wantValid && math.Abs(got.Value-wantVal) > 1e-9 {
 				t.Fatalf("value = %g, want %g", got.Value, wantVal)
 			}
+			// The output region holds the statistic as one AggSchema row.
+			out, err := DecodeOutput(cop, got.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row := out.Rows; len(row) != 1 || row[0][0].I != got.Count || row[0][1].F != got.Value || (row[0][2].I == 1) != got.Valid {
+				t.Fatalf("output rows %+v, want the statistic %+v", row, got)
+			}
 		})
 	}
 }

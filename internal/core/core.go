@@ -112,12 +112,8 @@ func DecodeOutput(t *sim.Coprocessor, res Result) (*relation.Relation, error) {
 		if !IsReal(cell) {
 			continue
 		}
-		row, err := res.Output.Schema.Decode(Payload(cell))
-		if err != nil {
+		if err := out.AppendEncoded(Payload(cell)); err != nil {
 			return nil, fmt.Errorf("core: output cell %d: %w", i, err)
-		}
-		if err := out.Append(row); err != nil {
-			return nil, err
 		}
 	}
 	return out, nil

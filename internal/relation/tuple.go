@@ -170,6 +170,18 @@ func (r *Relation) Append(t Tuple) error {
 	return nil
 }
 
+// AppendEncoded decodes b under the relation's schema and adds the row. It
+// refuses exactly what Decode refuses: a decoded tuple always encodes, so
+// Append's validating Encode would be thrown away.
+func (r *Relation) AppendEncoded(b []byte) error {
+	t, err := r.Schema.Decode(b)
+	if err != nil {
+		return err
+	}
+	r.Rows = append(r.Rows, t)
+	return nil
+}
+
 // MustAppend is Append that panics on error.
 func (r *Relation) MustAppend(t Tuple) {
 	if err := r.Append(t); err != nil {

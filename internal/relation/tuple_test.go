@@ -165,3 +165,40 @@ func TestRelationAppend(t *testing.T) {
 		t.Fatalf("EncodeAll wrong shape")
 	}
 }
+
+// TestRelationAppendEncoded: AppendEncoded refuses exactly the byte strings
+// Decode refuses, and what it admits is the decoded tuple, which Append's
+// validating Encode also accepts.
+func TestRelationAppendEncoded(t *testing.T) {
+	s := allTypesSchema()
+	valid := s.MustEncode(Tuple{IntValue(-3), FloatValue(2.5), StringValue("ab"), BytesValue([]byte{9}), SetValue(4, 1, 4)})
+	setAt, _ := s.Span(4)
+	inputs := [][]byte{valid, valid[:len(valid)-1], append(valid[:len(valid):len(valid)], 0), nil}
+	rng := rand.New(rand.NewPCG(7, 8))
+	for i := 0; i < 256; i++ {
+		b := make([]byte, s.TupleSize())
+		for j := range b {
+			b[j] = byte(rng.UintN(256))
+		}
+		b[setAt], b[setAt+1] = 0, byte(rng.UintN(12)) // set cardinality 0..11 against capacity 8
+		inputs = append(inputs, b)
+	}
+	var refused int
+	for i, b := range inputs {
+		r := NewRelation(s)
+		want, derr := s.Decode(b)
+		if err := r.AppendEncoded(b); (err == nil) != (derr == nil) {
+			t.Fatalf("input %d: AppendEncoded err %v, Decode err %v", i, err, derr)
+		} else if err != nil {
+			refused++
+			if r.Len() != 0 {
+				t.Fatalf("input %d: refused row was appended", i)
+			}
+		} else if r.Len() != 1 || !reflect.DeepEqual(r.Rows[0], want) || NewRelation(s).Append(want) != nil {
+			t.Fatalf("input %d: appended %+v, decoded %+v (must re-encode)", i, r.Rows, want)
+		}
+	}
+	if refused == 0 || refused == len(inputs) {
+		t.Fatalf("inputs exercised one side only: %d of %d refused", refused, len(inputs))
+	}
+}

@@ -195,7 +195,7 @@ func helloAtVersion(t *testing.T, handle func(io.ReadWriter) error, hello servic
 
 // TestUnsupportedProtoRefused: the hello's version byte comes from an
 // unauthenticated peer, and exactly one version is served. Every other
-// value — the two retired versions, a future one, garbage — is refused
+// value — the retired versions, a future one, garbage — is refused
 // with the typed error before the device signs an attestation or agrees a
 // key (nothing is written back), without touching the job, and the
 // listener keeps serving the current version afterwards.
@@ -211,7 +211,7 @@ func TestUnsupportedProtoRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0, 1, 2, 255} {
+	for _, v := range []byte{0, 1, 2, 3, 255} {
 		verdict, answered := helloAtVersion(t, func(conn io.ReadWriter) error { return handleConn(srv, conn) }, service.Hello{
 			Party: g.provA.name, Role: service.RoleProvider, ContractID: g.contract.ID,
 			Challenge: make([]byte, 32), Proto: v,

@@ -13,26 +13,22 @@ import (
 
 // resultMeta is the stored half of an Outcome that is not rows: everything
 // delivery needs to rebuild the begin frame after a restart. It is sealed
-// inside the segment's header record (the aggregate cell in particular
-// must never sit on the host's disk in plaintext).
+// inside the segment's header record. Every stored result is rows of a
+// schema (an aggregate's is one row of core.AggSchema), so a meta without
+// attributes is refused.
 type resultMeta struct {
 	Attrs     []relation.Attr
-	HasSchema bool
 	Padded    bool
-	Agg       []byte
 	Algorithm string
 	Devices   int
 }
 
 // encodeResultMeta serialises an outcome's non-row fields.
 func encodeResultMeta(out *service.Outcome) ([]byte, error) {
-	m := resultMeta{Padded: out.Padded, Agg: out.Agg, Algorithm: out.Algorithm, Devices: out.Devices}
-	if out.Schema != nil {
-		m.HasSchema = true
-		m.Attrs = make([]relation.Attr, out.Schema.NumAttrs())
-		for i := range m.Attrs {
-			m.Attrs[i] = out.Schema.Attr(i)
-		}
+	m := resultMeta{Attrs: make([]relation.Attr, out.Schema.NumAttrs()),
+		Padded: out.Padded, Algorithm: out.Algorithm, Devices: out.Devices}
+	for i := range m.Attrs {
+		m.Attrs[i] = out.Schema.Attr(i)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
@@ -48,15 +44,11 @@ func decodeResultMeta(raw []byte) (service.Outcome, error) {
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
 		return service.Outcome{}, fmt.Errorf("server: decoding result meta: %w", err)
 	}
-	out := service.Outcome{Padded: m.Padded, Agg: m.Agg, Algorithm: m.Algorithm, Devices: m.Devices}
-	if m.HasSchema {
-		schema, err := relation.NewSchema(m.Attrs...)
-		if err != nil {
-			return service.Outcome{}, err
-		}
-		out.Schema = schema
+	schema, err := relation.NewSchema(m.Attrs...)
+	if err != nil {
+		return service.Outcome{}, fmt.Errorf("server: result meta: %w", err)
 	}
-	return out, nil
+	return service.Outcome{Schema: schema, Padded: m.Padded, Algorithm: m.Algorithm, Devices: m.Devices}, nil
 }
 
 // storeResult persists a successful outcome to the result store (segment

@@ -495,9 +495,11 @@ func meteredFetch(t *testing.T, srv *Server, g *group, f *service.ResultFetch) [
 // the byte size of every server write, handshake included — must be a
 // function of public parameters only. Two runs of the same contract ID
 // agree on the public sizes ((|A|, |B|, N) for alg3; (|A|, |B|, S) for
-// alg5) and on nothing else: different tuple contents, data seeds, and
-// coprocessor seeds. The full-delivery trace and a resumed re-fetch trace
-// (offset 1, served back off the durable store) must both match exactly.
+// alg5; (|A|, |B|) for the COUNT aggregate, whose one row carries a
+// different count each run) and on nothing else: different tuple contents,
+// data seeds, and coprocessor seeds. The full-delivery trace and a resumed
+// re-fetch trace (served back off the durable store from offset 1, or for
+// the aggregate from its total chunk count) must both match exactly.
 func TestDeliveryAccessPatternInvariance(t *testing.T) {
 	type trace struct {
 		full, resumed []int
@@ -517,9 +519,11 @@ func TestDeliveryAccessPatternInvariance(t *testing.T) {
 		// alg5: S=70 exact join rows (2 chunks).
 		relA5, relB5 := genJoinSized(dataSeed+1, 8, 80, 70)
 		g5 := newGroupRels(t, "inv-del-alg5", "alg5", relA5, relB5)
+		// aggregate: one AggSchema row (1 chunk).
+		gAgg := newGroup(t, "inv-del-agg", "aggregate", dataSeed+2, dataSeed+3, 8, 12)
 
 		out := make(map[string]trace)
-		for _, g := range []*group{g3, g5} {
+		for _, g := range []*group{g3, g5, gAgg} {
 			j, err := srv.Register(g.contract)
 			if err != nil {
 				t.Fatal(err)
@@ -533,13 +537,21 @@ func TestDeliveryAccessPatternInvariance(t *testing.T) {
 			f := &service.ResultFetch{}
 			full := meteredFetch(t, srv, g, f)
 			waitDone(t, j)
-			// Re-fetch from the store at resume offset 1: the resumed
-			// stream's framing must be as content-blind as the first.
-			fr := &service.ResultFetch{Chunks: 1}
-			resumed := meteredFetch(t, srv, g, fr)
-			if f.Chunks < 2 {
+			// Re-fetch from the store: a join at resume offset 1, the
+			// aggregate at its total chunk count (only the end frame is
+			// left). The resumed stream's framing must be as content-blind
+			// as the first.
+			resume := uint32(1)
+			if g.contract.Algorithm == "aggregate" {
+				if f.Chunks != 1 || f.Rows.Len() != 1 {
+					t.Fatalf("%s: %d chunks, %d rows, want one aggregate row", g.contract.ID, f.Chunks, f.Rows.Len())
+				}
+				resume = f.Chunks
+			} else if f.Chunks < 2 {
 				t.Fatalf("%s: %d chunks, geometry too small to exercise resume", g.contract.ID, f.Chunks)
 			}
+			fr := &service.ResultFetch{Chunks: resume}
+			resumed := meteredFetch(t, srv, g, fr)
 			out[g.contract.Algorithm] = trace{full: full, resumed: resumed, chunks: f.Chunks}
 		}
 		return out, untimed(srv.MetricsSnapshot())
@@ -550,7 +562,7 @@ func TestDeliveryAccessPatternInvariance(t *testing.T) {
 	if !reflect.DeepEqual(snap1, snap2) {
 		t.Errorf("metrics snapshot depends on tuple contents:\n run1 %+v\n run2 %+v", snap1, snap2)
 	}
-	for _, alg := range []string{"alg3", "alg5"} {
+	for _, alg := range []string{"alg3", "alg5", "aggregate"} {
 		t1, t2 := run1[alg], run2[alg]
 		if t1.chunks != t2.chunks {
 			t.Errorf("%s: chunk counts diverge: %d vs %d", alg, t1.chunks, t2.chunks)

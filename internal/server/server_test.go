@@ -88,7 +88,7 @@ func (g *group) wantJoin() *relation.Relation {
 // runConcurrent drives the whole client group against srv, each party over
 // its own net.Pipe: two provider uploads and one recipient receive, all
 // concurrent.
-func (g *group) runConcurrent(t *testing.T, srv *Server) (*relation.Relation, service.AggOutcome, error) {
+func (g *group) runConcurrent(t *testing.T, srv *Server) (*relation.Relation, error) {
 	t.Helper()
 	dial := func() (net.Conn, error) {
 		serverEnd, clientEnd := net.Pipe()
@@ -102,7 +102,6 @@ func (g *group) runConcurrent(t *testing.T, srv *Server) (*relation.Relation, se
 		wg      sync.WaitGroup
 		mu      sync.Mutex
 		result  *relation.Relation
-		agg     service.AggOutcome
 		firstEr error
 	)
 	record := func(err error) {
@@ -142,14 +141,6 @@ func (g *group) runConcurrent(t *testing.T, srv *Server) (*relation.Relation, se
 			record(err)
 			return
 		}
-		if g.contract.Algorithm == "aggregate" {
-			out, err := cs.ReceiveAggregate()
-			mu.Lock()
-			agg = out
-			mu.Unlock()
-			record(err)
-			return
-		}
 		res, err := cs.ReceiveResult()
 		mu.Lock()
 		result = res
@@ -157,7 +148,7 @@ func (g *group) runConcurrent(t *testing.T, srv *Server) (*relation.Relation, se
 		record(err)
 	}()
 	wg.Wait()
-	return result, agg, firstEr
+	return result, firstEr
 }
 
 // handleConn serves one connection on srv alone, the way
@@ -272,15 +263,17 @@ func TestConcurrentContracts(t *testing.T) {
 		wg.Add(1)
 		go func(g *group) {
 			defer wg.Done()
-			result, agg, err := g.runConcurrent(t, srv)
+			result, err := g.runConcurrent(t, srv)
 			if err != nil {
 				t.Errorf("%s: %v", g.contract.ID, err)
 				return
 			}
 			want := g.wantJoin()
 			if g.contract.Algorithm == "aggregate" {
-				if agg.Count != int64(want.Len()) || !agg.Valid {
-					t.Errorf("%s: aggregate %+v, want count %d", g.contract.ID, agg, want.Len())
+				// The COUNT arrives as one core.AggSchema row: count,
+				// value, valid.
+				if result.Len() != 1 || result.Rows[0][0].I != int64(want.Len()) || result.Rows[0][2].I != 1 {
+					t.Errorf("%s: aggregate rows %+v, want count %d", g.contract.ID, result.Rows, want.Len())
 				}
 				return
 			}

@@ -1,15 +1,14 @@
 package service
 
 import (
-	"bytes"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 
+	"ppj/internal/core"
 	"ppj/internal/relation"
 	"ppj/internal/secop"
 )
@@ -80,14 +79,10 @@ func (c *Client) ConnectJobResume(conn io.ReadWriter, role Role, contractID, job
 	if err := sess.dec.Decode(&auth); err != nil {
 		return nil, fmt.Errorf("service: reading attestation: %w", err)
 	}
-	var att secop.Attestation
-	if err := gob.NewDecoder(bytes.NewReader(auth.AttChainGob)).Decode(&att); err != nil {
-		return nil, fmt.Errorf("service: decoding attestation: %w", err)
-	}
-	if err := secop.Verify(c.DeviceKey, c.Expected, att, challenge); err != nil {
+	if err := secop.Verify(c.DeviceKey, c.Expected, auth.Att, challenge); err != nil {
 		return nil, fmt.Errorf("service: attestation rejected: %w", err)
 	}
-	appKey := att.Chain[secop.App].SubjectKey
+	appKey := auth.Att.Chain[secop.App].SubjectKey
 	if !ed25519.Verify(appKey, append(append([]byte(nil), challenge...), auth.ECDHPub...), auth.Sig) {
 		return nil, errors.New("service: key agreement not bound to attested code")
 	}
@@ -166,16 +161,13 @@ func (cs *ClientSession) SubmitRelationOpts(contractID string, rel *relation.Rel
 }
 
 // ReceiveResult waits for the recipient's result, decrypts it, drops decoy
-// oTuples (for the padded Chapter 4 algorithms), and returns the exact join
-// rows: a complete single-shot fetch of the chunk stream; use FetchResult
-// directly for pause/resume control.
+// oTuples (for the padded Chapter 4 algorithms), and returns the exact
+// result rows: a complete single-shot fetch of the chunk stream; use
+// FetchResult directly for pause/resume control.
 func (cs *ClientSession) ReceiveResult() (*relation.Relation, error) {
 	f := &ResultFetch{}
 	if err := cs.FetchResult(f); err != nil {
 		return nil, err
-	}
-	if f.Rows == nil {
-		return nil, errors.New("service: result carries an aggregate, not rows")
 	}
 	return f.Rows, nil
 }
@@ -187,17 +179,18 @@ type AggOutcome struct {
 	Valid bool
 }
 
-// ReceiveAggregate waits for an "aggregate" contract's result: a single
-// statistic, decrypted under the session key.
+// ReceiveAggregate waits for an "aggregate" contract's result, its one
+// core.AggSchema row, and reads the statistic out of it.
 func (cs *ClientSession) ReceiveAggregate() (AggOutcome, error) {
-	f := &ResultFetch{}
-	if err := cs.FetchResult(f); err != nil {
+	rel, err := cs.ReceiveResult()
+	if err != nil {
 		return AggOutcome{}, err
 	}
-	if f.Agg == nil {
-		return AggOutcome{}, errors.New("service: result carries rows, not an aggregate")
+	if !rel.Schema.Equal(core.AggSchema) || rel.Len() != 1 {
+		return AggOutcome{}, fmt.Errorf("service: result is %d rows of %s, not one aggregate row", rel.Len(), rel.Schema)
 	}
-	return *f.Agg, nil
+	row := rel.Rows[0]
+	return AggOutcome{Count: row[0].I, Value: row[1].F, Valid: row[2].I == 1}, nil
 }
 
 // NewIdentity draws an ed25519 identity key pair for a party.

@@ -19,10 +19,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"math"
 
-	"ppj/internal/core"
 	"ppj/internal/relation"
+	"ppj/internal/secop"
 	"ppj/internal/sim"
 )
 
@@ -194,9 +193,9 @@ type Hello struct {
 // key-agreement public key, signed by the attested application layer so the
 // session binds to the attested code.
 type serverAuthMsg struct {
-	AttChainGob []byte // gob-encoded secop.Attestation
-	ECDHPub     []byte
-	Sig         []byte // app-layer signature over Challenge || ECDHPub
+	Att     secop.Attestation
+	ECDHPub []byte
+	Sig     []byte // app-layer signature over Challenge || ECDHPub
 }
 
 // clientKeyMsg completes key agreement and authenticates the client.
@@ -303,28 +302,4 @@ func sessionSealers(shared, serverPub, clientPub []byte, sealDir, openDir byte) 
 // newECDHKey draws an ephemeral X25519 key.
 func newECDHKey() (*ecdh.PrivateKey, error) {
 	return ecdh.X25519().GenerateKey(rand.Reader)
-}
-
-// encodeAggCell serialises an aggregate result as count:8 | value:8 |
-// valid:1.
-func encodeAggCell(res core.AggResult) []byte {
-	cell := make([]byte, 17)
-	binary.BigEndian.PutUint64(cell[0:], uint64(res.Count))
-	binary.BigEndian.PutUint64(cell[8:], math.Float64bits(res.Value))
-	if res.Valid {
-		cell[16] = 1
-	}
-	return cell
-}
-
-// decodeAggCell parses an aggregate cell.
-func decodeAggCell(cell []byte) (AggOutcome, error) {
-	if len(cell) != 17 {
-		return AggOutcome{}, fmt.Errorf("service: aggregate cell is %d bytes, want 17", len(cell))
-	}
-	return AggOutcome{
-		Count: int64(binary.BigEndian.Uint64(cell[0:])),
-		Value: math.Float64frombits(binary.BigEndian.Uint64(cell[8:])),
-		Valid: cell[16] == 1,
-	}, nil
 }

@@ -49,17 +49,15 @@ var (
 )
 
 // resultBeginMsg opens a streamed delivery: the contract binding, the
-// result schema, the aggregate or failure verdict when there are no rows
-// to stream, and the stream geometry — total chunks and rows of the whole
-// result, the resume offset the server honoured, and the rows this stream
-// will actually carry (the assembler's declaration).
+// result schema, the failure verdict when there are no rows to stream, and
+// the stream geometry — total chunks and rows of the whole result, the
+// resume offset the server honoured, and the rows this stream will
+// actually carry (the assembler's declaration). An aggregate's result is
+// one row of core.AggSchema, delivered like any other.
 type resultBeginMsg struct {
 	ContractID string
 	Schema     schemaWire
 	Padded     bool
-	// Agg is the sealed aggregate cell for "aggregate" contracts; such a
-	// delivery streams zero chunks.
-	Agg []byte
 	// Err is the join failure verdict; nothing follows a non-empty Err.
 	Err string
 	// TotalChunks and TotalRows describe the complete result.
@@ -75,10 +73,9 @@ type resultBeginMsg struct {
 
 // DeliverStream seals an outcome under a recipient session and streams it
 // from startChunk: begin frame, credit grant, chunk frames under the
-// window, end frame, done ack. Failure verdicts and aggregate results
-// travel in the begin frame (zero chunks follow an aggregate; nothing
-// follows a failure). Rows are re-sealed per session, so a resumed stream
-// is fresh ciphertext over the same plaintext suffix.
+// window, end frame, done ack. A failure verdict travels in the begin
+// frame and nothing follows it. Rows are re-sealed per session, so a
+// resumed stream is fresh ciphertext over the same plaintext suffix.
 func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) error {
 	begin := resultBeginMsg{ContractID: s.Contract.ID, Padded: out.Padded}
 	if out.Err != nil {
@@ -102,11 +99,7 @@ func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) e
 	begin.TotalRows = int64(len(out.Rows))
 	begin.StartChunk = startChunk
 	begin.StreamRows = int64(len(rows))
-	if out.Agg != nil {
-		begin.Agg = sess.sealer.seal(out.Agg, begin.StreamRows)
-	} else {
-		begin.Schema = toWire(out.Schema)
-	}
+	begin.Schema = toWire(out.Schema)
 	if err := sess.enc.Encode(begin); err != nil {
 		return fmt.Errorf("service: sending result begin: %w", err)
 	}
@@ -127,11 +120,8 @@ type ResultFetch struct {
 	// Chunks counts whole result chunks consumed so far — the resume
 	// offset to put in the next hello.
 	Chunks uint32
-	// Rows accumulates the decrypted, decoy-filtered join rows.
+	// Rows accumulates the decrypted, decoy-filtered result rows.
 	Rows *relation.Relation
-	// Agg holds the aggregate outcome once an "aggregate" contract's
-	// delivery completes.
-	Agg *AggOutcome
 	// Done reports that the end frame was verified and acknowledged.
 	Done bool
 	// PauseAfter, when positive, stops the fetch with ErrFetchPaused after
@@ -157,26 +147,14 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 	if begin.StartChunk != f.Chunks {
 		return fmt.Errorf("%w: server resumed at chunk %d, want %d", ErrResultFrame, begin.StartChunk, f.Chunks)
 	}
-	var schema *relation.Schema
-	if begin.Agg != nil {
-		cell, err := sess.opener.open(begin.Agg, begin.StreamRows)
-		if err != nil {
-			return fmt.Errorf("service: aggregate cell: %w", err)
-		}
-		agg, err := decodeAggCell(cell)
-		if err != nil {
-			return err
-		}
-		f.Agg = &agg
-	} else {
-		var err error
-		schema, err = begin.Schema.schema()
-		if err != nil {
-			return err
-		}
-		if f.Rows == nil {
-			f.Rows = relation.NewRelation(schema)
-		}
+	schema, err := begin.Schema.schema()
+	if err != nil {
+		return err
+	}
+	if f.Rows == nil {
+		f.Rows = relation.NewRelation(schema)
+	} else if !f.Rows.Schema.Equal(schema) {
+		return fmt.Errorf("%w: resumed stream changed the result schema", ErrResultFrame)
 	}
 	asm, err := newChunkAssembler(begin.StreamRows, 0, deliveryStream)
 	if err != nil {
@@ -185,9 +163,6 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 	r := receiver{sess: sess, dir: deliveryStream, decode: sess.dec.Decode, asm: asm,
 		window: DefaultResultWindow, pauseAfter: f.PauseAfter,
 		consume: func(c *chunkMsg) error {
-			if schema == nil {
-				return fmt.Errorf("%w: chunk frame on an aggregate delivery", ErrResultFrame)
-			}
 			for i, ct := range c.Rows {
 				cell, err := sess.opener.open(ct, begin.StreamRows)
 				if err != nil {
@@ -196,12 +171,8 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 				if !core.IsReal(cell) {
 					continue // decoy: "decrypted and filtered out by the recipient" (§4.3)
 				}
-				row, err := schema.Decode(core.Payload(cell))
-				if err != nil {
+				if err := f.Rows.AppendEncoded(core.Payload(cell)); err != nil {
 					return fmt.Errorf("service: result row %d: %w", i, err)
-				}
-				if err := f.Rows.Append(row); err != nil {
-					return err
 				}
 			}
 			f.Chunks = begin.StartChunk + c.Seq + 1

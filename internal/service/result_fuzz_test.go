@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"io"
 	"testing"
 
@@ -23,6 +24,34 @@ func fuzzResultWire(t testing.TB, frames ...interface{}) []byte {
 	return buf.Bytes()
 }
 
+// wireRecipient is a recipient session that reads raw and discards what it
+// writes.
+func wireRecipient(t testing.TB, raw []byte) *ClientSession {
+	t.Helper()
+	_, opener, err := sessionSealers(nil, nil, nil, dirClient, dirServer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ClientSession{sess: &Session{
+		enc:    gob.NewEncoder(io.Discard),
+		dec:    gob.NewDecoder(bytes.NewReader(raw)),
+		opener: opener,
+	}}
+}
+
+// TestResumeRefusesChangedSchema: a resumed stream appends to the rows the
+// fetch already holds, so a begin frame naming another schema — even one of
+// the same row size — is malformed framing, refused before any chunk.
+func TestResumeRefusesChangedSchema(t *testing.T) {
+	held := relation.MustSchema(relation.Attr{Name: "key", Type: relation.Int64})
+	other := relation.MustSchema(relation.Attr{Name: "key", Type: relation.Float64})
+	raw := fuzzResultWire(t, resultBeginMsg{ContractID: "fz", Schema: toWire(other), StartChunk: 1, TotalChunks: 2, TotalRows: 65, StreamRows: 1})
+	f := &ResultFetch{Chunks: 1, Rows: relation.NewRelation(held)}
+	if err := wireRecipient(t, raw).FetchResult(f); !errors.Is(err, ErrResultFrame) {
+		t.Fatalf("resume under a changed schema: %v, want ErrResultFrame", err)
+	}
+}
+
 // FuzzResultStream aims hostile bytes at the recipient side of streamed
 // delivery: FetchResult decodes a begin frame and then chunk/end envelopes
 // from an attacker-controlled gob stream. Whatever arrives — truncated
@@ -37,7 +66,8 @@ func FuzzResultStream(f *testing.F) {
 	}
 	// Seeds straddle the interesting frontiers: an in-band failure verdict,
 	// a valid empty stream, a resume-offset mismatch, a chunk of garbage
-	// ciphertext, a malformed envelope, and plain gob rubble.
+	// ciphertext, a malformed envelope, a begin frame without a schema, and
+	// plain gob rubble.
 	f.Add(uint32(0), fuzzResultWire(f, resultBeginMsg{ContractID: "fz", Err: "join blew up"}))
 	f.Add(uint32(0), fuzzResultWire(f,
 		resultBeginMsg{ContractID: "fz", Schema: toWire(schema)},
@@ -49,30 +79,20 @@ func FuzzResultStream(f *testing.F) {
 	f.Add(uint32(0), fuzzResultWire(f,
 		resultBeginMsg{ContractID: "fz", Schema: toWire(schema), TotalChunks: 1, TotalRows: 1, StreamRows: 1},
 		frameMsg{}))
-	f.Add(uint32(0), fuzzResultWire(f, resultBeginMsg{ContractID: "fz", Agg: []byte{0xde, 0xad}}))
+	f.Add(uint32(0), fuzzResultWire(f, resultBeginMsg{ContractID: "fz"}))
 	f.Add(uint32(1), []byte{0x42, 0x00, 0xff})
 	f.Add(uint32(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, resume uint32, raw []byte) {
-		_, opener, err := sessionSealers(nil, nil, nil, dirClient, dirServer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := &Session{
-			enc:    gob.NewEncoder(io.Discard),
-			dec:    gob.NewDecoder(bytes.NewReader(raw)),
-			opener: opener,
-		}
-		cs := &ClientSession{sess: sess}
 		fetch := &ResultFetch{Chunks: resume % 8}
-		if err := cs.FetchResult(fetch); err == nil {
+		if err := wireRecipient(t, raw).FetchResult(fetch); err == nil {
 			// The stream was admitted: that is only legitimate for a
 			// completed, totals-verified fetch.
 			if !fetch.Done {
 				t.Fatal("fetch returned nil without completing")
 			}
-			if fetch.Agg == nil && fetch.Rows == nil {
-				t.Fatal("completed fetch carries neither rows nor aggregate")
+			if fetch.Rows == nil || fetch.Rows.Schema == nil {
+				t.Fatal("completed fetch carries no rows of a schema")
 			}
 		}
 	})

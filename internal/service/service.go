@@ -1,14 +1,12 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	cryptorand "crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sync"
 
@@ -187,10 +185,6 @@ func (s *Service) Handshake(sess *Session, hello Hello) (Party, error) {
 	if err != nil {
 		return Party{}, err
 	}
-	var attBuf bytes.Buffer
-	if err := gob.NewEncoder(&attBuf).Encode(att); err != nil {
-		return Party{}, err
-	}
 	eph, err := newECDHKey()
 	if err != nil {
 		return Party{}, err
@@ -200,9 +194,9 @@ func (s *Service) Handshake(sess *Session, hello Hello) (Party, error) {
 		return Party{}, err
 	}
 	if err := sess.enc.Encode(serverAuthMsg{
-		AttChainGob: attBuf.Bytes(),
-		ECDHPub:     eph.PublicKey().Bytes(),
-		Sig:         sig,
+		Att:     att,
+		ECDHPub: eph.PublicKey().Bytes(),
+		Sig:     sig,
 	}); err != nil {
 		return Party{}, err
 	}
@@ -285,13 +279,14 @@ func (s *Service) commitUpload(party string, rel *relation.Relation) {
 }
 
 // Outcome is the computed result of a contract execution, ready to be
-// sealed per recipient session by DeliverStream. Err carries a join failure that
-// is reported to recipients rather than silently dropped.
+// sealed per recipient session by DeliverStream: the output cells, re-opened
+// inside T, and the schema of the rows in them (core.AggSchema's one row for
+// an "aggregate" contract). Err carries a failure that is reported to
+// recipients rather than silently dropped.
 type Outcome struct {
 	Rows   [][]byte
 	Schema *relation.Schema
 	Padded bool
-	Agg    []byte
 	// Algorithm is the algorithm actually run ("alg1".."alg7" or
 	// "aggregate") — for "auto" contracts, the planner's choice.
 	Algorithm string
@@ -312,11 +307,7 @@ type Outcome struct {
 // uploads. Failures are recorded in Outcome.Err (delivery still happens so
 // recipients learn of the failure).
 func (s *Service) RunContract() Outcome {
-	if s.Contract.Algorithm == "aggregate" {
-		agg, stats, err := s.runAggregate()
-		return Outcome{Agg: agg, Algorithm: "aggregate", Devices: 1, Stats: stats, Err: err}
-	}
-	out, err := s.runJoin()
+	out, err := s.run()
 	out.Err = err
 	return out
 }
@@ -409,48 +400,69 @@ func (s *Service) planAlgorithm(rels []*relation.Relation) (query.Plan, error) {
 	return query.Planner{Memory: mem}.Plan(q, rels)
 }
 
-// runJoin executes the contracted algorithm's row of core.Algorithms over
-// the uploaded relations. On failure the returned Outcome still names the
-// algorithm, the device count and T's counters up to the failure.
-func (s *Service) runJoin() (Outcome, error) {
-	out := Outcome{Devices: 1}
+// run executes the contract over the uploaded relations: the contracted
+// algorithm's row of core.Algorithms, or for an "aggregate" contract
+// core.Aggregate on one device. On failure the returned Outcome still names
+// the algorithm, the device count and T's counters up to the failure.
+func (s *Service) run() (Outcome, error) {
+	out := Outcome{Algorithm: s.Contract.Algorithm, Devices: 1}
 	rels, names, err := s.gatherUploads()
 	if err != nil {
 		return out, err
 	}
-	alg := s.Contract.Algorithm
 	var plan query.Plan
-	if alg == "auto" {
+	if out.Algorithm == "auto" {
 		if plan, err = s.planAlgorithm(rels); err != nil {
 			return out, err
 		}
-		alg = plan.AlgorithmName()
+		out.Algorithm = plan.AlgorithmName()
 	}
-	out.Algorithm = alg
-	desc, err := core.AlgorithmByName(alg)
-	if err != nil {
-		return out, fmt.Errorf("service: %w", err)
-	}
-	// How many of the configured devices the algorithm can exploit.
-	out.Devices = desc.Devices(s.Devices)
-
 	in := core.Inputs{Epsilon: s.Contract.Epsilon}
 	if in.Pred, in.Multi, err = s.predicates(rels); err != nil {
 		return out, err
 	}
-	if desc.Padded && in.Pred != nil {
-		// An "auto" contract that planned a padded row already has N.
-		if in.N = plan.N; in.N == 0 {
-			in.N = query.MatchBound(in.Pred, rels[0], rels[1])
-		}
-	}
-	if desc.UsesCache && s.SortCache != nil && len(rels) == 2 {
-		in.Cache = s.SortCache
-		if in.KeyA, err = sortCacheKey(s.Contract.ID, "A", rels[0]); err != nil {
+	var exec func(cops []*sim.Coprocessor, tabs []sim.Table) (core.Result, error)
+	if out.Algorithm == "aggregate" {
+		spec, err := s.aggSpec()
+		if err != nil {
 			return out, err
 		}
-		if in.KeyB, err = sortCacheKey(s.Contract.ID, "B", rels[1]); err != nil {
-			return out, err
+		if in.Pred != nil {
+			in.Multi = relation.Pairwise(in.Pred)
+		}
+		exec = func(cops []*sim.Coprocessor, tabs []sim.Table) (core.Result, error) {
+			agg, err := core.Aggregate(cops[0], tabs, in.Multi, spec)
+			return agg.Result, err
+		}
+	} else {
+		desc, err := core.AlgorithmByName(out.Algorithm)
+		if err != nil {
+			return out, fmt.Errorf("service: %w", err)
+		}
+		// How many of the configured devices the algorithm can exploit.
+		out.Devices = desc.Devices(s.Devices)
+		if desc.Padded && in.Pred != nil {
+			// An "auto" contract that planned a padded row already has N.
+			if in.N = plan.N; in.N == 0 {
+				in.N = query.MatchBound(in.Pred, rels[0], rels[1])
+			}
+		}
+		if desc.UsesCache && s.SortCache != nil && len(rels) == 2 {
+			in.Cache = s.SortCache
+			if in.KeyA, err = sortCacheKey(s.Contract.ID, "A", rels[0]); err != nil {
+				return out, err
+			}
+			if in.KeyB, err = sortCacheKey(s.Contract.ID, "B", rels[1]); err != nil {
+				return out, err
+			}
+		}
+		exec = func(cops []*sim.Coprocessor, tabs []sim.Table) (core.Result, error) {
+			res, use, err := desc.Run(cops, tabs, in)
+			out.CacheHits, out.CacheMisses = use.Hits(), use.Misses()
+			if err == nil {
+				out.Padded = desc.Padded
+			}
+			return res, err
 		}
 	}
 
@@ -458,8 +470,7 @@ func (s *Service) runJoin() (Outcome, error) {
 	if err != nil {
 		return out, err
 	}
-	res, use, err := desc.Run(cops, tabs, in)
-	out.CacheHits, out.CacheMisses = use.Hits(), use.Misses()
+	res, err := exec(cops, tabs)
 	if err != nil {
 		for _, c := range cops {
 			out.Stats.Add(c.Stats())
@@ -476,7 +487,7 @@ func (s *Service) runJoin() (Outcome, error) {
 		}
 		rows = append(rows, cell)
 	}
-	out.Rows, out.Schema, out.Padded = rows, res.Output.Schema, desc.Padded
+	out.Rows, out.Schema = rows, res.Output.Schema
 	return out, nil
 }
 
@@ -498,35 +509,6 @@ func sortCacheKey(contractID, side string, rel *relation.Relation) (string, erro
 		h.Write(row)
 	}
 	return fmt.Sprintf("%s|%s|%d|%x", contractID, side, rel.Len(), h.Sum(nil)), nil
-}
-
-// runAggregate executes an "aggregate" contract: the statistic is computed
-// in one pass inside T and only the 17-byte result cell leaves it.
-func (s *Service) runAggregate() ([]byte, sim.Stats, error) {
-	rels, names, err := s.gatherUploads()
-	if err != nil {
-		return nil, sim.Stats{}, err
-	}
-	spec, err := s.aggSpec()
-	if err != nil {
-		return nil, sim.Stats{}, err
-	}
-	pred, mp, err := s.predicates(rels)
-	if err != nil {
-		return nil, sim.Stats{}, err
-	}
-	if pred != nil {
-		mp = relation.Pairwise(pred)
-	}
-	cops, tabs, err := s.load(rels, names, 1)
-	if err != nil {
-		return nil, sim.Stats{}, err
-	}
-	res, err := core.Aggregate(cops[0], tabs, mp, spec)
-	if err != nil {
-		return nil, cops[0].Stats(), err
-	}
-	return encodeAggCell(res), cops[0].Stats(), nil
 }
 
 // load sets up one execution over the uploads: it draws the execution

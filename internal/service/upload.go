@@ -13,14 +13,15 @@ import (
 // ProtoVersion is the one wire protocol version served, carried in the
 // hello: a provider's relation travels in as the chunk stream of stream.go
 // after an uploadBeginMsg — so server memory per connection is bounded by
-// window × chunk bytes — and the result travels back out as the same
-// stream after a resultBeginMsg, resumable (result.go); every sealed
-// message is AES-GCM under its direction's key, bound to its place in the
-// direction by associated data (protocol.go). (Versions 0 and 1, the
-// one-shot upload and the one-shot delivery, and version 2, sealed with
-// OCB and no associated data, are no longer spoken; Handshake refuses
-// them.)
-const ProtoVersion byte = 3
+// window × chunk bytes — and the result, an aggregate's one row included,
+// travels back out as the same stream after a resultBeginMsg, resumable
+// (result.go); every sealed message is AES-GCM under its direction's key,
+// bound to its place in the direction by associated data (protocol.go).
+// (Versions 0 and 1, the one-shot upload and the one-shot delivery;
+// version 2, sealed with OCB and no associated data; and version 3, whose
+// aggregate cell rode in the result begin frame and whose attestation was
+// gob nested in gob, are no longer spoken; Handshake refuses them.)
+const ProtoVersion byte = 4
 
 // ErrUnsupportedProto refuses a hello whose version byte is not
 // ProtoVersion, before any attestation signing or key agreement.
@@ -141,12 +142,8 @@ func appendSealedRows(sess *Session, contractID string, declared int64, rel *rel
 		if !bytes.HasPrefix(pt, prefix) {
 			return fmt.Errorf("row %d not bound to contract", base+i)
 		}
-		row, err := rel.Schema.Decode(pt[len(prefix):])
-		if err != nil {
+		if err := rel.AppendEncoded(pt[len(prefix):]); err != nil {
 			return fmt.Errorf("row %d: %w", base+i, err)
-		}
-		if err := rel.Append(row); err != nil {
-			return err
 		}
 	}
 	return nil
