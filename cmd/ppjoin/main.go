@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"ppj"
+	"ppj/internal/core"
 )
 
 func main() {
@@ -115,13 +116,9 @@ func runAggregate(relA, relB *ppj.Relation, pred ppj.Predicate, spec string, mem
 	if i := strings.IndexByte(spec, ':'); i >= 0 {
 		kind, attr = spec[:i], spec[i+1:]
 	}
-	kinds := map[string]ppj.AggKind{
-		"count": ppj.AggCount, "sum": ppj.AggSum, "min": ppj.AggMin,
-		"max": ppj.AggMax, "avg": ppj.AggAvg,
-	}
-	k, ok := kinds[kind]
-	if !ok {
-		fatal(fmt.Errorf("unknown aggregate %q", kind))
+	k, err := core.AggKindByName(kind)
+	if err != nil {
+		fatal(err)
 	}
 	res, plan, err := ppj.RunAggregateQuery(ppj.Query{
 		Predicate: pred,

@@ -57,6 +57,19 @@ func (k AggKind) String() string {
 	}
 }
 
+// aggKinds names each aggregate kind as contracts and the CLI spell it.
+var aggKinds = map[string]AggKind{"count": AggCount, "sum": AggSum, "min": AggMin, "max": AggMax, "avg": AggAvg}
+
+// AggKindByName resolves an aggregate kind's name: "count", "sum", "min",
+// "max" or "avg".
+func AggKindByName(name string) (AggKind, error) {
+	k, ok := aggKinds[name]
+	if !ok {
+		return 0, fmt.Errorf("%w: unknown aggregate kind %q", errInvalid, name)
+	}
+	return k, nil
+}
+
 // AggSpec selects an aggregate over the join of the input tables. For
 // everything but AggCount, Table/Attr locate the aggregated numeric
 // attribute (Int64 or Float64) in one of the input tables.

@@ -166,7 +166,7 @@ func driveJobPinned(rt *Router, g *group, j *server.Job) error {
 			defer serverEnd.Close()
 			handler <- rt.HandleConn(serverEnd)
 		}()
-		cs, err := g.client(p, key).ConnectJob(clientEnd, service.RoleProvider, id, j.ID())
+		cs, err := g.client(p, key).ConnectJobResume(clientEnd, service.RoleProvider, id, j.ID(), 0)
 		if err == nil {
 			err = cs.SubmitRelation(id, rel)
 		}
@@ -191,7 +191,7 @@ func driveJobPinned(rt *Router, g *group, j *server.Job) error {
 	out := make(chan pipeOutcome, 1)
 	go func() {
 		defer clientEnd.Close()
-		cs, err := g.client(g.recip, key).ConnectJob(clientEnd, service.RoleRecipient, id, j.ID())
+		cs, err := g.client(g.recip, key).ConnectJobResume(clientEnd, service.RoleRecipient, id, j.ID(), 0)
 		if err != nil {
 			out <- pipeOutcome{err: err}
 			return

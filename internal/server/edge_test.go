@@ -211,7 +211,7 @@ func TestUnsupportedProtoRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0, 1, 2, 3, 255} {
+	for _, v := range []byte{0, 1, 2, 3, 4, 255} {
 		verdict, answered := helloAtVersion(t, func(conn io.ReadWriter) error { return handleConn(srv, conn) }, service.Hello{
 			Party: g.provA.name, Role: service.RoleProvider, ContractID: g.contract.ID,
 			Challenge: make([]byte, 32), Proto: v,

@@ -119,7 +119,7 @@ func TestRecoverRebuildsJobTable(t *testing.T) {
     "attached": 0,
     "max": 0
   },
-  "result_store_bytes": 280,
+  "result_store_bytes": 269,
   "result_store_evictions": 0,
   "result_store_recovery_evictions": 0,
   "sort_cache_bytes": 0,

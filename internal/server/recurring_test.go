@@ -368,13 +368,13 @@ func TestConnectJobAfterResubmittedResultTTLEvicted(t *testing.T) {
 		defer serverEnd.Close()
 		_ = handleConn(srv, serverEnd)
 	}()
-	cs, err := g.client(g.recip, srv).ConnectJob(clientEnd, service.RoleRecipient, g.contract.ID, j2.ID())
+	cs, err := g.client(g.recip, srv).ConnectJobResume(clientEnd, service.RoleRecipient, g.contract.ID, j2.ID(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = cs.ReceiveResult()
 	clientEnd.Close()
 	if err == nil || !strings.Contains(err.Error(), "evicted") || !strings.Contains(err.Error(), "(ttl)") {
-		t.Fatalf("ConnectJob(%s) after expiry = %v, want the in-band ttl eviction verdict", j2.ID(), err)
+		t.Fatalf("ConnectJobResume(%s) after expiry = %v, want the in-band ttl eviction verdict", j2.ID(), err)
 	}
 }

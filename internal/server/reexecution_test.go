@@ -289,7 +289,7 @@ func TestReexecutionHistoryAndJobAddressing(t *testing.T) {
 		defer serverEnd.Close()
 		_ = handleConn(srv, serverEnd)
 	}()
-	cs, err := g.client(g.recip, srv).ConnectJob(clientEnd, service.RoleRecipient, g.contract.ID, j1.ID())
+	cs, err := g.client(g.recip, srv).ConnectJobResume(clientEnd, service.RoleRecipient, g.contract.ID, j1.ID(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 // attributes is refused.
 type resultMeta struct {
 	Attrs     []relation.Attr
-	Padded    bool
 	Algorithm string
 	Devices   int
 }
@@ -26,7 +25,7 @@ type resultMeta struct {
 // encodeResultMeta serialises an outcome's non-row fields.
 func encodeResultMeta(out *service.Outcome) ([]byte, error) {
 	m := resultMeta{Attrs: make([]relation.Attr, out.Schema.NumAttrs()),
-		Padded: out.Padded, Algorithm: out.Algorithm, Devices: out.Devices}
+		Algorithm: out.Algorithm, Devices: out.Devices}
 	for i := range m.Attrs {
 		m.Attrs[i] = out.Schema.Attr(i)
 	}
@@ -48,7 +47,7 @@ func decodeResultMeta(raw []byte) (service.Outcome, error) {
 	if err != nil {
 		return service.Outcome{}, fmt.Errorf("server: result meta: %w", err)
 	}
-	return service.Outcome{Schema: schema, Padded: m.Padded, Algorithm: m.Algorithm, Devices: m.Devices}, nil
+	return service.Outcome{Schema: schema, Algorithm: m.Algorithm, Devices: m.Devices}, nil
 }
 
 // storeResult persists a successful outcome to the result store (segment

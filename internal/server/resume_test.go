@@ -76,7 +76,7 @@ func (g *group) fetchLeg(srv *Server, f *service.ResultFetch, pause uint32) erro
 		defer serverEnd.Close()
 		_ = handleConn(srv, serverEnd)
 	}()
-	cs, err := g.client(g.recip, srv).ConnectContractResume(clientEnd, service.RoleRecipient, g.contract.ID, f.Chunks)
+	cs, err := g.client(g.recip, srv).ConnectJobResume(clientEnd, service.RoleRecipient, g.contract.ID, "", f.Chunks)
 	if err != nil {
 		return err
 	}
@@ -474,7 +474,7 @@ func meteredFetch(t *testing.T, srv *Server, g *group, f *service.ResultFetch) [
 		defer serverEnd.Close()
 		_ = handleConn(srv, meterConn{Conn: serverEnd, mu: &mu, writes: &writes})
 	}()
-	cs, err := g.client(g.recip, srv).ConnectContractResume(clientEnd, service.RoleRecipient, g.contract.ID, f.Chunks)
+	cs, err := g.client(g.recip, srv).ConnectJobResume(clientEnd, service.RoleRecipient, g.contract.ID, "", f.Chunks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func wireFrameBytes(t *testing.T, rows, rowLen int) int {
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(frameMsg{
-		Chunk: &chunkMsg{Seq: 1 << 30, Rows: fake, CRC: 0xffffffff},
+		Chunk: &chunkMsg{Seq: 1 << 30, Rows: fake},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestBackpressureBoundsIngestMemory(t *testing.T) {
 	}()
 	c := &Client{Name: pA.name, Identity: pA.priv,
 		DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}
-	cs, err := c.Connect(clientConn, RoleProvider)
+	cs, err := c.ConnectContract(clientConn, RoleProvider, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +158,12 @@ func TestBackpressureBoundsIngestMemory(t *testing.T) {
 	}
 
 	// The sealed wire size of one row is deterministic: the sealer's
-	// overhead + the contract prefix + the fixed-size schema encoding.
+	// overhead + the fixed-size schema encoding.
 	enc, err := rel.Schema.Encode(rel.Rows[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealedRow := int(minSealedRowBytes) - 1 + len(svc.Contract.ID) + len(enc)
+	sealedRow := int(minSealedRowBytes) - 1 + len(enc)
 	frameBytes := wireFrameBytes(t, chunkRows, sealedRow)
 
 	peak := up.Peak()
@@ -206,7 +206,7 @@ func TestBackpressureWindowOne(t *testing.T) {
 	}()
 	c := &Client{Name: pA.name, Identity: pA.priv,
 		DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}
-	cs, err := c.Connect(meterConn{r: down, w: up}, RoleProvider)
+	cs, err := c.ConnectContract(meterConn{r: down, w: up}, RoleProvider, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestBackpressureWindowOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealedRow := int(minSealedRowBytes) - 1 + len(svc.Contract.ID) + len(enc)
+	sealedRow := int(minSealedRowBytes) - 1 + len(enc)
 	frameBytes := wireFrameBytes(t, 8, sealedRow)
 	if peak := up.Peak(); peak > frameBytes+256 {
 		t.Fatalf("window 1 let %d bytes pile up; one frame is %d", peak, frameBytes)

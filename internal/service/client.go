@@ -30,42 +30,24 @@ type ClientSession struct {
 	sess   *Session
 }
 
-// Connect performs the handshake of §3.3.3: the client challenges the
-// device, verifies its outbound authentication chain against the pinned
-// measurements, and establishes an X25519 session key whose server share is
-// signed by the attested application layer. The host relaying the traffic
-// learns nothing but ciphertext. The hello names no contract, which
-// single-contract services accept; use ConnectContract against a
-// multi-tenant server.
-func (c *Client) Connect(conn io.ReadWriter, role Role) (*ClientSession, error) {
-	return c.ConnectContract(conn, role, "")
-}
-
-// ConnectContract is Connect with an explicit contract ID in the hello, so
-// a multi-tenant listener (internal/server) can route the session to the
-// right registered contract before attestation completes.
+// ConnectContract performs the handshake of §3.3.3: the client challenges
+// the device, verifies its outbound authentication chain against the
+// pinned measurements, and establishes an X25519 session key whose server
+// share is signed by the attested application layer. The host relaying the
+// traffic learns nothing but ciphertext. The hello names the contract, so a
+// multi-tenant listener (internal/server) can route the session to it
+// before attestation completes; a single-contract service also accepts an
+// empty ID.
 func (c *Client) ConnectContract(conn io.ReadWriter, role Role, contractID string) (*ClientSession, error) {
-	return c.ConnectContractResume(conn, role, contractID, 0)
+	return c.ConnectJobResume(conn, role, contractID, "", 0)
 }
 
-// ConnectContractResume is ConnectContract with a resume offset in the
-// hello: a recipient that already consumed `resume` whole chunks of the
-// result (ResultFetch.Chunks) reconnects with it and the server streams
-// only the remainder.
-func (c *Client) ConnectContractResume(conn io.ReadWriter, role Role, contractID string, resume uint32) (*ClientSession, error) {
-	return c.ConnectJobResume(conn, role, contractID, "", resume)
-}
-
-// ConnectJob is ConnectContract addressed to one execution of a
-// resubmitted contract: the hello carries the job ID server.Resubmit
-// minted, so the session binds to that run instead of the contract's
-// latest. An empty jobID is the latest-execution default every other
-// connect path uses.
-func (c *Client) ConnectJob(conn io.ReadWriter, role Role, contractID, jobID string) (*ClientSession, error) {
-	return c.ConnectJobResume(conn, role, contractID, jobID, 0)
-}
-
-// ConnectJobResume is ConnectJob with a recipient resume offset.
+// ConnectJobResume is ConnectContract addressed to one execution of a
+// resubmitted contract, from a resume offset. The hello carries the job ID
+// server.Resubmit minted, so the session binds to that run instead of the
+// contract's latest (an empty jobID), and a recipient that already consumed
+// `resume` whole chunks of the result (ResultFetch.Chunks) reconnects with
+// it and the server streams only the remainder.
 func (c *Client) ConnectJobResume(conn io.ReadWriter, role Role, contractID, jobID string, resume uint32) (*ClientSession, error) {
 	sess := newSession(conn)
 	challenge := make([]byte, 32)
@@ -122,8 +104,8 @@ type UploadOptions struct {
 }
 
 // SubmitRelation uploads a provider's relation under the session key, each
-// row bound to the contract ID, streamed in acknowledged chunks of the
-// default chunk size.
+// row bound to the contract ID through its begin frame, streamed in
+// acknowledged chunks of the default chunk size.
 func (cs *ClientSession) SubmitRelation(contractID string, rel *relation.Relation) error {
 	return cs.SubmitRelationOpts(contractID, rel, UploadOptions{})
 }
@@ -139,14 +121,15 @@ func (cs *ClientSession) SubmitRelationOpts(contractID string, rel *relation.Rel
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
 	}
-	if err := cs.sess.enc.Encode(uploadBeginMsg{
+	begin := uploadBeginMsg{
 		ContractID:   contractID,
 		Schema:       toWire(rel.Schema),
 		DeclaredRows: int64(rel.Len()),
-	}); err != nil {
+	}
+	if err := cs.sess.enc.Encode(begin); err != nil {
 		return fmt.Errorf("service: sending upload begin: %w", err)
 	}
-	prefix := []byte(contractID)
+	bind := begin.digest()
 	return uploadStream.send(cs.sess, rel.Len(), chunkRows, func(lo, hi int) ([][]byte, error) {
 		sealed := make([][]byte, 0, hi-lo)
 		for _, t := range rel.Rows[lo:hi] {
@@ -154,7 +137,7 @@ func (cs *ClientSession) SubmitRelationOpts(contractID string, rel *relation.Rel
 			if err != nil {
 				return nil, err
 			}
-			sealed = append(sealed, cs.sess.sealer.seal(append(append([]byte(nil), prefix...), e...), int64(rel.Len())))
+			sealed = append(sealed, cs.sess.sealer.seal(e, bind))
 		}
 		return sealed, nil
 	})

@@ -112,8 +112,8 @@ func TestThreeProviderService(t *testing.T) {
 // Recovery re-verifies each journaled contract against SigningPayload, so
 // any change to what it hashes, or in which order, would orphan every
 // signed contract already on disk. The payload is itself a SHA-256 digest
-// of the signed fields; the test pins it as hex for one fixed contract
-// that sets every hashed field.
+// of the length-prefixed signed fields; the test pins it as hex for one
+// fixed contract that sets every hashed field.
 func TestContractSigningPayloadKnownAnswer(t *testing.T) {
 	identity := func(seed byte) ed25519.PublicKey {
 		return ed25519.NewKeyFromSeed(bytes.Repeat([]byte{seed}, ed25519.SeedSize)).Public().(ed25519.PublicKey)
@@ -131,8 +131,35 @@ func TestContractSigningPayloadKnownAnswer(t *testing.T) {
 		Aggregate: AggregateSpec{Kind: "SUM", Table: 1, Attr: "claim"},
 		Tenant:    "clinic-7",
 	}
-	const want = "9eaf9ec850ec140a6fcaf05a179b38c80bef7292c7dab1548b1209b51ed3a8ad"
+	const want = "0cc514ac645fc92aafbbc6cd982b626f63a85aa46bb1e29181ebef84060812d3"
 	if got := hex.EncodeToString(c.SigningPayload()); got != want {
 		t.Fatalf("SigningPayload = %s, want %s", got, want)
+	}
+}
+
+// TestContractSigningPayloadUnambiguous: moving bytes across the boundary
+// of two adjacent string fields changes the payload, so one owner
+// signature never covers a join on another attribute pair, another
+// aggregated attribute or another tenant.
+func TestContractSigningPayloadUnambiguous(t *testing.T) {
+	base := func() *Contract {
+		return &Contract{ID: "c", Predicate: PredicateSpec{Kind: "equi"}, Algorithm: "aggregate"}
+	}
+	for name, pair := range map[string][2]func(*Contract){
+		"join attributes": {
+			func(c *Contract) { c.Predicate.AttrA, c.Predicate.AttrB = "ab", "c" },
+			func(c *Contract) { c.Predicate.AttrA, c.Predicate.AttrB = "a", "bc" },
+		},
+		"aggregate attribute and tenant": {
+			func(c *Contract) { c.Aggregate.Attr, c.Tenant = "ab", "c" },
+			func(c *Contract) { c.Aggregate.Attr, c.Tenant = "a", "bc" },
+		},
+	} {
+		a, b := base(), base()
+		pair[0](a)
+		pair[1](b)
+		if bytes.Equal(a.SigningPayload(), b.SigningPayload()) {
+			t.Errorf("%s: two contracts share a signing payload", name)
+		}
 	}
 }

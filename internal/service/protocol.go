@@ -18,7 +18,9 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash"
 	"io"
+	"math"
 
 	"ppj/internal/relation"
 	"ppj/internal/secop"
@@ -47,20 +49,30 @@ type PredicateSpec struct {
 	Param float64
 }
 
+// predicateKinds instantiates each contract predicate kind for two
+// schemas; admission refuses a kind that is not a key.
+var predicateKinds = map[string]func(p PredicateSpec, sa, sb *relation.Schema) (relation.Predicate, error){
+	"equi": func(p PredicateSpec, sa, sb *relation.Schema) (relation.Predicate, error) {
+		return relation.NewEqui(sa, p.AttrA, sb, p.AttrB)
+	},
+	"band": func(p PredicateSpec, sa, sb *relation.Schema) (relation.Predicate, error) {
+		return relation.NewBand(sa, p.AttrA, sb, p.AttrB, p.Param)
+	},
+	"lessthan": func(p PredicateSpec, sa, sb *relation.Schema) (relation.Predicate, error) {
+		return relation.NewLessThan(sa, p.AttrA, sb, p.AttrB)
+	},
+	"jaccard": func(p PredicateSpec, sa, sb *relation.Schema) (relation.Predicate, error) {
+		return relation.NewJaccard(sa, p.AttrA, sb, p.AttrB, p.Param)
+	},
+}
+
 // Build instantiates the predicate for two schemas.
 func (p PredicateSpec) Build(sa, sb *relation.Schema) (relation.Predicate, error) {
-	switch p.Kind {
-	case "equi":
-		return relation.NewEqui(sa, p.AttrA, sb, p.AttrB)
-	case "band":
-		return relation.NewBand(sa, p.AttrA, sb, p.AttrB, p.Param)
-	case "lessthan":
-		return relation.NewLessThan(sa, p.AttrA, sb, p.AttrB)
-	case "jaccard":
-		return relation.NewJaccard(sa, p.AttrA, sb, p.AttrB, p.Param)
-	default:
+	build, ok := predicateKinds[p.Kind]
+	if !ok {
 		return nil, fmt.Errorf("service: unknown predicate kind %q", p.Kind)
 	}
+	return build(p, sa, sb)
 }
 
 // Party identifies a contract participant by name and ed25519 identity.
@@ -97,36 +109,37 @@ type Contract struct {
 	Aggregate AggregateSpec
 	// Tenant names the account the contract runs under, for per-tenant
 	// admission quotas (max in-flight jobs, submission rate). Empty — the
-	// value old encoders produce — selects the anonymous tenant and leaves
-	// SigningPayload unchanged, so existing signed contracts stay valid.
+	// value old encoders produce — selects the anonymous tenant.
 	Tenant string
 	// Signatures[i] is party i's signature over SigningPayload (data owners
 	// must sign; the recipient's signature is optional).
 	Signatures [][]byte
 }
 
-// SigningPayload serialises the signed portion of the contract.
+// SigningPayload serialises the signed portion of the contract: a digest
+// of every field, each length-prefixed (fieldHash), so no two contracts
+// that differ in any field — "ab"/"c" versus "a"/"bc" as the join
+// attributes included — share a payload.
 func (c *Contract) SigningPayload() []byte {
-	h := sha256.New()
-	io.WriteString(h, c.ID)
+	f := newFieldHash("ppj-contract")
+	f.str(c.ID)
+	f.u64(uint64(len(c.Parties)))
 	for _, p := range c.Parties {
-		io.WriteString(h, p.Name)
-		io.WriteString(h, string(p.Role))
-		h.Write(p.Identity)
+		f.str(p.Name)
+		f.str(string(p.Role))
+		f.bytes(p.Identity)
 	}
-	io.WriteString(h, c.Predicate.Kind)
-	io.WriteString(h, c.Predicate.AttrA)
-	io.WriteString(h, c.Predicate.AttrB)
-	fmt.Fprintf(h, "%g", c.Predicate.Param)
-	io.WriteString(h, c.Algorithm)
-	fmt.Fprintf(h, "%g", c.Epsilon)
-	io.WriteString(h, c.Aggregate.Kind)
-	fmt.Fprintf(h, "%d", c.Aggregate.Table)
-	io.WriteString(h, c.Aggregate.Attr)
-	// Appended last so contracts with no tenant hash exactly as they did
-	// before the field existed.
-	io.WriteString(h, c.Tenant)
-	return h.Sum(nil)
+	f.str(c.Predicate.Kind)
+	f.str(c.Predicate.AttrA)
+	f.str(c.Predicate.AttrB)
+	f.u64(math.Float64bits(c.Predicate.Param))
+	f.str(c.Algorithm)
+	f.u64(math.Float64bits(c.Epsilon))
+	f.str(c.Aggregate.Kind)
+	f.u64(uint64(c.Aggregate.Table))
+	f.str(c.Aggregate.Attr)
+	f.str(c.Tenant)
+	return f.Sum(nil)
 }
 
 // Sign appends party i's signature.
@@ -221,6 +234,46 @@ func (w schemaWire) schema() (*relation.Schema, error) {
 	return relation.NewSchema(w.Attrs...)
 }
 
+// fieldHash is SHA-256 over a labelled sequence of fields, each written as
+// its 8-byte big-endian length and then its bytes, so two different field
+// sequences never feed the hash the same input. It computes both the
+// contract's signing payload and the begin-frame digests session rows are
+// bound to.
+type fieldHash struct{ hash.Hash }
+
+func newFieldHash(label string) fieldHash {
+	f := fieldHash{sha256.New()}
+	f.str(label)
+	return f
+}
+
+func (f fieldHash) bytes(b []byte) {
+	f.Write(binary.BigEndian.AppendUint64(nil, uint64(len(b))))
+	f.Write(b)
+}
+
+func (f fieldHash) str(s string) { f.bytes([]byte(s)) }
+func (f fieldHash) u64(v uint64) { f.bytes(binary.BigEndian.AppendUint64(nil, v)) }
+
+// beginDigest is what a stream's rows are bound to: a digest of every
+// field of its begin frame that rows follow — the direction, the contract
+// ID, each schema attribute's name, type and width, and the frame's counts
+// (declared rows; for a delivery, its resume geometry).
+func beginDigest(dir, contractID string, schema schemaWire, counts ...uint64) []byte {
+	f := newFieldHash("ppj-" + dir + "-begin")
+	f.str(contractID)
+	f.u64(uint64(len(schema.Attrs)))
+	for _, a := range schema.Attrs {
+		f.str(a.Name)
+		f.u64(uint64(a.Type))
+		f.u64(uint64(a.Width))
+	}
+	for _, n := range counts {
+		f.u64(n)
+	}
+	return f.Sum(nil)
+}
+
 // Session wraps a connection with gob codecs and the directional session
 // sealers (sealer encrypts outgoing payloads, opener decrypts incoming).
 type Session struct {
@@ -248,30 +301,32 @@ func ReadHello(conn io.ReadWriter) (*Session, Hello, error) {
 
 // sessionSealer is one direction of a session: AES-GCM under that
 // direction's own key. A message's associated data is its sequence number
-// in the direction and the row count its stream's begin frame declared, so
-// a duplicated, reordered, reflected or truncated message fails to open
-// with sim.ErrTamper. Each direction's messages are opened exactly once, in
-// send order; a resumed delivery is a new session with a new sequence.
+// in the direction and the digest of its stream's begin frame, so a
+// duplicated, reordered or reflected message, or one relayed under a begin
+// frame other than the one it was sealed under (another contract, schema,
+// declaration or resume geometry), fails to open with sim.ErrTamper. Each
+// direction's messages are opened exactly once, in send order; a resumed
+// delivery is a new session with a new sequence.
 type sessionSealer struct {
 	g   *sim.GCMSealer
 	seq uint64
-	buf [16]byte // the AD; one goroutine seals or opens a direction
+	buf [8 + sha256.Size]byte // the AD; one goroutine seals or opens a direction
 }
 
-// ad returns the associated data of the direction's next message.
-func (s *sessionSealer) ad(declared int64) []byte {
+// ad returns the associated data of the direction's next message in the
+// stream whose begin frame digests to begin.
+func (s *sessionSealer) ad(begin []byte) []byte {
 	s.seq++
 	binary.BigEndian.PutUint64(s.buf[:8], s.seq)
-	binary.BigEndian.PutUint64(s.buf[8:], uint64(declared))
-	return s.buf[:]
+	return append(s.buf[:8], begin...)
 }
 
-func (s *sessionSealer) seal(pt []byte, declared int64) []byte {
-	return s.g.SealAD(nil, pt, s.ad(declared))
+func (s *sessionSealer) seal(pt, begin []byte) []byte {
+	return s.g.SealAD(nil, pt, s.ad(begin))
 }
 
-func (s *sessionSealer) open(ct []byte, declared int64) ([]byte, error) {
-	return s.g.OpenAD(nil, ct, s.ad(declared))
+func (s *sessionSealer) open(ct, begin []byte) ([]byte, error) {
+	return s.g.OpenAD(nil, ct, s.ad(begin))
 }
 
 // Session directions: the client seals with dirClient, the server with

@@ -35,8 +35,9 @@ const (
 // the recipient is the one receiving.
 var (
 	// ErrResultFrame reports malformed result framing: out-of-order or
-	// replayed sequence numbers, a broken CRC chain, an envelope carrying
-	// neither chunk nor end.
+	// replayed sequence numbers, an envelope carrying neither chunk nor
+	// end; or a sealed row that fails to open, which also matches
+	// sim.ErrTamper.
 	ErrResultFrame = errors.New("service: malformed result frame")
 	// ErrResultTruncated reports a result stream that died before the end
 	// frame — the peer vanished or the connection broke. The fetch is
@@ -50,19 +51,18 @@ var (
 
 // resultBeginMsg opens a streamed delivery: the contract binding, the
 // result schema, the failure verdict when there are no rows to stream, and
-// the stream geometry — total chunks and rows of the whole result, the
-// resume offset the server honoured, and the rows this stream will
-// actually carry (the assembler's declaration). An aggregate's result is
-// one row of core.AggSchema, delivered like any other.
+// the stream geometry — total chunks of the whole result, the resume
+// offset the server honoured, and the rows this stream will actually carry
+// (the assembler's declaration). An aggregate's result is one row of
+// core.AggSchema, delivered like any other. The host relays the frame
+// unsealed; every row's associated data carries its digest.
 type resultBeginMsg struct {
 	ContractID string
 	Schema     schemaWire
-	Padded     bool
 	// Err is the join failure verdict; nothing follows a non-empty Err.
 	Err string
-	// TotalChunks and TotalRows describe the complete result.
+	// TotalChunks counts the chunks of the complete result.
 	TotalChunks uint32
-	TotalRows   int64
 	// StartChunk is the resume offset this stream starts at (0 on a fresh
 	// fetch); chunk sequence numbers on the wire are relative to it.
 	StartChunk uint32
@@ -71,13 +71,17 @@ type resultBeginMsg struct {
 	StreamRows int64
 }
 
+func (b *resultBeginMsg) digest() []byte {
+	return beginDigest("result", b.ContractID, b.Schema, uint64(b.TotalChunks), uint64(b.StartChunk), uint64(b.StreamRows))
+}
+
 // DeliverStream seals an outcome under a recipient session and streams it
 // from startChunk: begin frame, credit grant, chunk frames under the
 // window, end frame, done ack. A failure verdict travels in the begin
 // frame and nothing follows it. Rows are re-sealed per session, so a
 // resumed stream is fresh ciphertext over the same plaintext suffix.
 func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) error {
-	begin := resultBeginMsg{ContractID: s.Contract.ID, Padded: out.Padded}
+	begin := resultBeginMsg{ContractID: s.Contract.ID}
 	if out.Err != nil {
 		begin.Err = out.Err.Error()
 		if err := sess.enc.Encode(begin); err != nil {
@@ -96,17 +100,17 @@ func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) e
 	// to the row count or the declared stream length goes negative.
 	rows := out.Rows[min(int(startChunk)*ResultChunkRows, len(out.Rows)):]
 	begin.TotalChunks = total
-	begin.TotalRows = int64(len(out.Rows))
 	begin.StartChunk = startChunk
 	begin.StreamRows = int64(len(rows))
 	begin.Schema = toWire(out.Schema)
 	if err := sess.enc.Encode(begin); err != nil {
 		return fmt.Errorf("service: sending result begin: %w", err)
 	}
+	bind := begin.digest()
 	return deliveryStream.send(sess, len(rows), ResultChunkRows, func(lo, hi int) ([][]byte, error) {
 		sealed := make([][]byte, 0, hi-lo)
 		for _, r := range rows[lo:hi] {
-			sealed = append(sealed, sess.sealer.seal(r, begin.StreamRows))
+			sealed = append(sealed, sess.sealer.seal(r, bind))
 		}
 		return sealed, nil
 	})
@@ -114,7 +118,7 @@ func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) e
 
 // ResultFetch accumulates one recipient's fetch of a result across any
 // number of connections. Zero value starts a fresh fetch; after a broken
-// or paused stream, reconnect with ConnectContractResume(..., f.Chunks)
+// or paused stream, reconnect with ConnectJobResume(..., f.Chunks)
 // and call FetchResult with the same value to fetch only the remainder.
 type ResultFetch struct {
 	// Chunks counts whole result chunks consumed so far — the resume
@@ -132,9 +136,11 @@ type ResultFetch struct {
 }
 
 // FetchResult runs the recipient side of one streamed delivery: read the
-// begin frame, grant credit, verify and decrypt each chunk against the
-// running CRC chain, acknowledge it, and verify the end totals. The fetch
-// state lands in f.
+// begin frame, grant credit, open each chunk's rows under the begin frame's
+// digest, acknowledge it, and verify the end totals. No row of a chunk is
+// appended unless every row of it opens, so a fetch that fails on a
+// tampered row resumes from f without repeating rows. The fetch state
+// lands in f.
 func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 	sess := cs.sess
 	var begin resultBeginMsg
@@ -160,14 +166,19 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 	if err != nil {
 		return err
 	}
+	bind := begin.digest()
 	r := receiver{sess: sess, dir: deliveryStream, decode: sess.dec.Decode, asm: asm,
 		window: DefaultResultWindow, pauseAfter: f.PauseAfter,
 		consume: func(c *chunkMsg) error {
+			cells := make([][]byte, len(c.Rows))
 			for i, ct := range c.Rows {
-				cell, err := sess.opener.open(ct, begin.StreamRows)
+				cell, err := sess.opener.open(ct, bind)
 				if err != nil {
-					return fmt.Errorf("service: result row %d: %w", i, err)
+					return fmt.Errorf("%w: result row %d: %w", ErrResultFrame, i, err)
 				}
+				cells[i] = cell
+			}
+			for i, cell := range cells {
 				if !core.IsReal(cell) {
 					continue // decoy: "decrypted and filtered out by the recipient" (§4.3)
 				}

@@ -45,7 +45,7 @@ func wireRecipient(t testing.TB, raw []byte) *ClientSession {
 func TestResumeRefusesChangedSchema(t *testing.T) {
 	held := relation.MustSchema(relation.Attr{Name: "key", Type: relation.Int64})
 	other := relation.MustSchema(relation.Attr{Name: "key", Type: relation.Float64})
-	raw := fuzzResultWire(t, resultBeginMsg{ContractID: "fz", Schema: toWire(other), StartChunk: 1, TotalChunks: 2, TotalRows: 65, StreamRows: 1})
+	raw := fuzzResultWire(t, resultBeginMsg{ContractID: "fz", Schema: toWire(other), StartChunk: 1, TotalChunks: 2, StreamRows: 1})
 	f := &ResultFetch{Chunks: 1, Rows: relation.NewRelation(held)}
 	if err := wireRecipient(t, raw).FetchResult(f); !errors.Is(err, ErrResultFrame) {
 		t.Fatalf("resume under a changed schema: %v, want ErrResultFrame", err)
@@ -74,10 +74,10 @@ func FuzzResultStream(f *testing.F) {
 		frameMsg{End: &endMsg{}}))
 	f.Add(uint32(3), fuzzResultWire(f, resultBeginMsg{ContractID: "fz", Schema: toWire(schema), StartChunk: 1, TotalChunks: 4}))
 	f.Add(uint32(0), fuzzResultWire(f,
-		resultBeginMsg{ContractID: "fz", Schema: toWire(schema), TotalChunks: 1, TotalRows: 1, StreamRows: 1},
+		resultBeginMsg{ContractID: "fz", Schema: toWire(schema), TotalChunks: 1, StreamRows: 1},
 		frameMsg{Chunk: &chunkMsg{Rows: [][]byte{{1, 2, 3}}}}))
 	f.Add(uint32(0), fuzzResultWire(f,
-		resultBeginMsg{ContractID: "fz", Schema: toWire(schema), TotalChunks: 1, TotalRows: 1, StreamRows: 1},
+		resultBeginMsg{ContractID: "fz", Schema: toWire(schema), TotalChunks: 1, StreamRows: 1},
 		frameMsg{}))
 	f.Add(uint32(0), fuzzResultWire(f, resultBeginMsg{ContractID: "fz"}))
 	f.Add(uint32(1), []byte{0x42, 0x00, 0xff})

@@ -5,7 +5,6 @@ import (
 	"crypto/ecdh"
 	"crypto/ed25519"
 	cryptorand "crypto/rand"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -100,9 +99,7 @@ type Service struct {
 // for the same party can never both run a decrypt pass; it is released on
 // error and committed with the relation on success.
 type upload struct {
-	party   string
 	pending bool
-	schema  *relation.Schema
 	rel     *relation.Relation
 }
 
@@ -118,9 +115,14 @@ func NewService(contract *Contract, memory int, seed uint64) (*Service, error) {
 
 // NewServiceWithDevice binds a verified contract to an already-booted
 // device. Used by the multi-tenant server, whose single attested device
-// arbitrates every registered contract.
+// arbitrates every registered contract. A contract naming an algorithm,
+// predicate kind or aggregate kind the service cannot run is refused here,
+// before any upload.
 func NewServiceWithDevice(dev *secop.Device, contract *Contract, memory int, seed uint64) (*Service, error) {
 	if err := contract.Verify(); err != nil {
+		return nil, err
+	}
+	if err := contract.checkNames(); err != nil {
 		return nil, err
 	}
 	return &Service{
@@ -130,6 +132,26 @@ func NewServiceWithDevice(dev *secop.Device, contract *Contract, memory int, see
 		Seed:     seed,
 		uploads:  make(map[string]*upload),
 	}, nil
+}
+
+// checkNames resolves every name the contract runs by: its algorithm
+// ("auto", "aggregate" or a row of core.Algorithms), its predicate kind,
+// and for an aggregate contract its aggregate kind.
+func (c *Contract) checkNames() error {
+	if _, ok := predicateKinds[c.Predicate.Kind]; !ok {
+		return fmt.Errorf("service: contract %s: unknown predicate kind %q", c.ID, c.Predicate.Kind)
+	}
+	switch c.Algorithm {
+	case "auto":
+		return nil
+	case "aggregate":
+		_, err := c.aggSpec()
+		return err
+	}
+	if _, err := core.AlgorithmByName(c.Algorithm); err != nil {
+		return fmt.Errorf("service: contract %s: %w", c.ID, err)
+	}
+	return nil
 }
 
 // CountRoles tallies the contract's providers and recipients.
@@ -257,7 +279,7 @@ func (s *Service) reserveUpload(party string) error {
 	if _, dup := s.uploads[party]; dup {
 		return fmt.Errorf("party %q uploaded twice", party)
 	}
-	s.uploads[party] = &upload{party: party, pending: true}
+	s.uploads[party] = &upload{pending: true}
 	return nil
 }
 
@@ -275,7 +297,7 @@ func (s *Service) releaseUpload(party string) {
 func (s *Service) commitUpload(party string, rel *relation.Relation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.uploads[party] = &upload{party: party, schema: rel.Schema, rel: rel}
+	s.uploads[party] = &upload{rel: rel}
 }
 
 // Outcome is the computed result of a contract execution, ready to be
@@ -286,7 +308,6 @@ func (s *Service) commitUpload(party string, rel *relation.Relation) {
 type Outcome struct {
 	Rows   [][]byte
 	Schema *relation.Schema
-	Padded bool
 	// Algorithm is the algorithm actually run ("alg1".."alg7" or
 	// "aggregate") — for "auto" contracts, the planner's choice.
 	Algorithm string
@@ -423,7 +444,7 @@ func (s *Service) run() (Outcome, error) {
 	}
 	var exec func(cops []*sim.Coprocessor, tabs []sim.Table) (core.Result, error)
 	if out.Algorithm == "aggregate" {
-		spec, err := s.aggSpec()
+		spec, err := s.Contract.aggSpec()
 		if err != nil {
 			return out, err
 		}
@@ -459,9 +480,6 @@ func (s *Service) run() (Outcome, error) {
 		exec = func(cops []*sim.Coprocessor, tabs []sim.Table) (core.Result, error) {
 			res, use, err := desc.Run(cops, tabs, in)
 			out.CacheHits, out.CacheMisses = use.Hits(), use.Misses()
-			if err == nil {
-				out.Padded = desc.Padded
-			}
 			return res, err
 		}
 	}
@@ -501,14 +519,11 @@ func sortCacheKey(contractID, side string, rel *relation.Relation) (string, erro
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
+	f := newFieldHash("ppj-sort-cache")
 	for _, row := range rows {
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(row)))
-		h.Write(n[:])
-		h.Write(row)
+		f.bytes(row)
 	}
-	return fmt.Sprintf("%s|%s|%d|%x", contractID, side, rel.Len(), h.Sum(nil)), nil
+	return fmt.Sprintf("%s|%s|%d|%x", contractID, side, rel.Len(), f.Sum(nil)), nil
 }
 
 // load sets up one execution over the uploads: it draws the execution
@@ -548,21 +563,10 @@ func (s *Service) load(rels []*relation.Relation, names []string, devices int) (
 }
 
 // aggSpec resolves the contract's aggregate description.
-func (s *Service) aggSpec() (core.AggSpec, error) {
-	var kind core.AggKind
-	switch s.Contract.Aggregate.Kind {
-	case "count":
-		kind = core.AggCount
-	case "sum":
-		kind = core.AggSum
-	case "min":
-		kind = core.AggMin
-	case "max":
-		kind = core.AggMax
-	case "avg":
-		kind = core.AggAvg
-	default:
-		return core.AggSpec{}, fmt.Errorf("service: unknown aggregate kind %q", s.Contract.Aggregate.Kind)
+func (c *Contract) aggSpec() (core.AggSpec, error) {
+	kind, err := core.AggKindByName(c.Aggregate.Kind)
+	if err != nil {
+		return core.AggSpec{}, fmt.Errorf("service: %w", err)
 	}
-	return core.AggSpec{Kind: kind, Table: s.Contract.Aggregate.Table, Attr: s.Contract.Aggregate.Attr}, nil
+	return core.AggSpec{Kind: kind, Table: c.Aggregate.Table, Attr: c.Aggregate.Attr}, nil
 }

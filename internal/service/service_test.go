@@ -93,7 +93,7 @@ func execute(svc *Service, providers []testParty, rels []*relation.Relation, rec
 		served <- out.Err
 	}()
 	connect := func(p testParty, conn io.ReadWriter, role Role) (*ClientSession, error) {
-		return (&Client{Name: p.name, Identity: p.priv, DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}).Connect(conn, role)
+		return (&Client{Name: p.name, Identity: p.priv, DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}).ConnectContract(conn, role, "")
 	}
 	for i, p := range providers {
 		cs, err := connect(p, clients[i], RoleProvider)
@@ -225,7 +225,7 @@ func TestImpostorRejected(t *testing.T) {
 		DeviceKey: svc.Device.DeviceKey(),
 		Expected:  ExpectedStack(),
 	}
-	_, clientErr := impostor.Connect(clientConn, RoleProvider)
+	_, clientErr := impostor.ConnectContract(clientConn, RoleProvider, "")
 	serverErr := <-done
 	if serverErr == nil && clientErr == nil {
 		t.Fatal("impostor session accepted")
@@ -260,7 +260,7 @@ func TestWrongDeviceRejectedByClient(t *testing.T) {
 		DeviceKey: otherSvc.Device.DeviceKey(),
 		Expected:  ExpectedStack(),
 	}
-	if _, err := c.Connect(clientConn, RoleProvider); err == nil {
+	if _, err := c.ConnectContract(clientConn, RoleProvider, ""); err == nil {
 		t.Fatal("client accepted the wrong device")
 	}
 	// Unblock the server side, which is waiting for the key message the
@@ -290,7 +290,7 @@ func TestUnknownPartyRejected(t *testing.T) {
 	// The server rejects after the hello and never answers; run the client
 	// in the background and unblock it by closing the pipe once the server
 	// verdict is in.
-	go c.Connect(clientConn, RoleProvider)
+	go c.ConnectContract(clientConn, RoleProvider, "")
 	err = <-done
 	clientConn.Close()
 	server.Close()
@@ -316,7 +316,7 @@ func TestZeroizedDeviceCannotServe(t *testing.T) {
 	}()
 	c := &Client{Name: pA.name, Identity: pA.priv,
 		DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}
-	go c.Connect(clientConn, RoleProvider)
+	go c.ConnectContract(clientConn, RoleProvider, "")
 	err = <-done
 	clientConn.Close()
 	server.Close()
@@ -379,12 +379,26 @@ func TestAggregateSpecValidation(t *testing.T) {
 	c.Signatures = nil
 	c.Sign(0, pA.priv)
 	c.Sign(1, pB.priv)
-	svc, err := NewService(c, 8, 5)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewService(c, 8, 5); err == nil || !strings.Contains(err.Error(), "unknown aggregate kind") {
+		t.Fatalf("unknown aggregate kind admitted: %v", err)
 	}
-	if _, err := svc.aggSpec(); err == nil {
-		t.Fatal("unknown aggregate kind accepted")
+}
+
+// TestAdmissionRefusesUnknownNames: a contract naming an algorithm or a
+// predicate kind the service cannot run is refused when the service is
+// built, before any upload, not when a worker picks the job up.
+func TestAdmissionRefusesUnknownNames(t *testing.T) {
+	pA, pB, pC := newParty(t, "p1"), newParty(t, "p2"), newParty(t, "r")
+	for _, tc := range []struct {
+		alg, kind, want string
+	}{
+		{"alg8", "equi", "unknown algorithm"},
+		{"alg5", "nope", "unknown predicate kind"},
+	} {
+		c := buildContract(t, tc.alg, pA, pB, pC, PredicateSpec{Kind: tc.kind, AttrA: "key", AttrB: "key"}, 0)
+		if _, err := NewService(c, 8, 5); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s/%s admitted: %v", tc.alg, tc.kind, err)
+		}
 	}
 }
 
@@ -410,7 +424,7 @@ func TestUploadBoundToContract(t *testing.T) {
 	}()
 	c := &Client{Name: pA.name, Identity: pA.priv,
 		DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}
-	cs, err := c.Connect(clientConn, RoleProvider)
+	cs, err := c.ConnectContract(clientConn, RoleProvider, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,8 +449,7 @@ func TestDuplicateUploadRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := relation.GenKeyed(relation.NewRand(1), 3, 3)
-	schema := rel.Schema
-	svc.uploads[pA.name] = &upload{party: pA.name, schema: schema, rel: rel}
+	svc.uploads[pA.name] = &upload{rel: rel}
 	// Simulate the second upload arriving: receiveUpload's final map insert
 	// must refuse. Drive it through a real session pair.
 	server, clientConn := net.Pipe()
@@ -451,7 +464,7 @@ func TestDuplicateUploadRejected(t *testing.T) {
 	}()
 	c := &Client{Name: pA.name, Identity: pA.priv,
 		DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}
-	cs, err := c.Connect(clientConn, RoleProvider)
+	cs, err := c.ConnectContract(clientConn, RoleProvider, "")
 	if err != nil {
 		t.Fatal(err)
 	}

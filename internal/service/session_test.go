@@ -5,39 +5,82 @@ import (
 	"errors"
 	"testing"
 
+	"ppj/internal/relation"
 	"ppj/internal/sim"
 )
 
 // relayScripts play a relay between the two ends of a session. The relay
-// forwards honestly sealed rows and keeps the framing valid (it recomputes
-// the unkeyed CRC chain), but it duplicates, reorders or reflects a row, or
-// lowers the begin frame's declaration and drops the tail. Only the rows'
-// associated data can tell, so each lie must fail to open with
+// forwards a begin frame declaring four rows and one chunk of four
+// honestly sealed rows, and keeps the framing valid, but it duplicates,
+// reorders or reflects a row, or the sender sealed its rows under a begin
+// frame that differs from the forwarded one in one field: a lowered
+// declaration (the tail dropped), a relabelled or retyped schema attribute,
+// another contract, or — for a delivery — another resume geometry. Only
+// the rows' associated data can tell, so each lie must fail to open with
 // sim.ErrTamper; the honest relay completes.
 var relayScripts = []struct {
 	name string
-	// rows relays the one chunk of four rows that follows a begin frame
-	// declaring four.
-	rows   func(sc *streamScript) [][]byte
-	honest bool
+	// rows relays the one chunk of four rows.
+	rows func(sc *streamScript) [][]byte
+	// sealed rewrites the begin frame the rows are sealed under; nil seals
+	// them under the forwarded one.
+	sealed       func(b beginFrame)
+	honest       bool
+	deliveryOnly bool
 }{
-	{"honest", func(sc *streamScript) [][]byte { return sc.seal(0, 4) }, true},
-	{"duplicate", func(sc *streamScript) [][]byte {
+	{name: "honest", rows: sealFour, honest: true},
+	{name: "duplicate", rows: func(sc *streamScript) [][]byte {
 		r := sc.seal(0, 3)
 		return [][]byte{r[0], r[1], r[1], r[2]}
-	}, false},
-	{"reorder", func(sc *streamScript) [][]byte {
+	}},
+	{name: "reorder", rows: func(sc *streamScript) [][]byte {
 		r := sc.seal(0, 4)
 		return [][]byte{r[1], r[0], r[2], r[3]}
-	}, false},
-	{"reflect", func(sc *streamScript) [][]byte {
+	}},
+	{name: "reflect", rows: func(sc *streamScript) [][]byte {
 		r := sc.seal(1, 4)
-		return append([][]byte{sc.peer.sealer.seal(sc.cell(0), sc.declared)}, r...)
-	}, false},
-	{"truncate under a lowered declaration", func(sc *streamScript) [][]byte {
-		sc.declared = 8 // the sender sealed its eight rows under 8
-		return sc.seal(0, 4)
-	}, false},
+		return append([][]byte{sc.peer.sealer.seal(sc.cell(0), sc.bind)}, r...)
+	}},
+	{name: "truncate under a lowered declaration", rows: sealFour, sealed: func(b beginFrame) {
+		switch b := b.(type) {
+		case *uploadBeginMsg:
+			b.DeclaredRows = 8
+		case *resultBeginMsg:
+			b.StreamRows = 8
+		}
+	}},
+	{name: "relabel the schema", rows: sealFour, sealed: func(b beginFrame) {
+		a := beginSchema(b).Attrs
+		a[0].Name, a[1].Name = a[1].Name, a[0].Name
+	}},
+	{name: "retype the schema", rows: sealFour, sealed: func(b beginFrame) {
+		beginSchema(b).Attrs[1].Type = relation.Float64
+	}},
+	{name: "change the contract ID", rows: sealFour, sealed: func(b beginFrame) {
+		switch b := b.(type) {
+		case *uploadBeginMsg:
+			b.ContractID = "some-other-contract"
+		case *resultBeginMsg:
+			b.ContractID = "some-other-contract"
+		}
+	}},
+	{name: "change the resume geometry", rows: sealFour, deliveryOnly: true, sealed: func(b beginFrame) {
+		r := b.(*resultBeginMsg)
+		r.StartChunk, r.TotalChunks = 1, 3
+	}},
+}
+
+func sealFour(sc *streamScript) [][]byte { return sc.seal(0, 4) }
+
+// beginSchema is the schema a begin frame carries, a fresh copy per frame.
+func beginSchema(b beginFrame) *schemaWire {
+	switch b := b.(type) {
+	case *uploadBeginMsg:
+		return &b.Schema
+	case *resultBeginMsg:
+		return &b.Schema
+	}
+	panic("unknown begin frame")
 }
 
 // TestSessionRelayTampering runs the relay scripts against both directions
@@ -48,9 +91,16 @@ func TestSessionRelayTampering(t *testing.T) {
 		start func(*testing.T) *streamScript
 	}{{"upload", startUploadScript}, {"delivery", startDeliveryScript}} {
 		for _, s := range relayScripts {
+			if s.deliveryOnly && d.name != "delivery" {
+				continue
+			}
 			t.Run(d.name+"/"+s.name, func(t *testing.T) {
 				sc := d.start(t)
-				sc.begin(4)
+				sealed := sc.beginf(4)
+				if s.sealed != nil {
+					s.sealed(sealed)
+				}
+				sc.relayBegin(sc.beginf(4), sealed)
 				var ck chunker
 				sc.send(frameMsg{Chunk: ck.frame(s.rows(sc))})
 				if s.honest {
@@ -71,6 +121,27 @@ func TestSessionRelayTampering(t *testing.T) {
 	}
 }
 
+// TestFetchResultConsumesChunkWhole: a chunk whose third row fails to open
+// adds none of its rows to the fetch, so a resume with the same fetch
+// cannot deliver the first two twice.
+func TestFetchResultConsumesChunkWhole(t *testing.T) {
+	sc := startDeliveryScript(t)
+	sc.cell = func(i int) []byte {
+		return append([]byte{1}, framingRel.Schema.MustEncode(framingRel.Rows[i])...) // a real oTuple
+	}
+	sc.begin(4)
+	rows := sc.seal(0, 4)
+	rows[2][len(rows[2])/2] ^= 1
+	var ck chunker
+	sc.send(frameMsg{Chunk: ck.frame(rows)})
+	if err := sc.verdict(); !errors.Is(err, ErrResultFrame) || !errors.Is(err, sim.ErrTamper) {
+		t.Fatalf("verdict = %v, want ErrResultFrame wrapping sim.ErrTamper", err)
+	}
+	if n := sc.fetch.Rows.Len(); n != 0 || sc.fetch.Chunks != 0 {
+		t.Fatalf("failed chunk left %d rows in the fetch at chunk offset %d", n, sc.fetch.Chunks)
+	}
+}
+
 // TestSessionDirectionKeys pins one key per session direction. Both
 // directions' first messages carry nonce counter 1, so only distinct keys
 // keep a (key, nonce) pair from being sealed twice: one plaintext under one
@@ -86,7 +157,8 @@ func TestSessionDirectionKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt := []byte("row")
-	up, down := cliSeal.seal(pt, 1), srvSeal.seal(pt, 1)
+	bind := []byte("begin")
+	up, down := cliSeal.seal(pt, bind), srvSeal.seal(pt, bind)
 	const nonceSize = 12
 	if !bytes.Equal(up[:nonceSize], down[:nonceSize]) {
 		t.Fatalf("first nonces %x and %x differ; the check below would be vacuous", up[:nonceSize], down[:nonceSize])
@@ -94,10 +166,10 @@ func TestSessionDirectionKeys(t *testing.T) {
 	if bytes.Equal(up, down) {
 		t.Fatal("both directions sealed one plaintext to one ciphertext under one nonce")
 	}
-	if got, err := srvOpen.open(up, 1); err != nil || !bytes.Equal(got, pt) {
+	if got, err := srvOpen.open(up, bind); err != nil || !bytes.Equal(got, pt) {
 		t.Fatalf("server opening the client's message = %q, %v", got, err)
 	}
-	if got, err := cliOpen.open(down, 1); err != nil || !bytes.Equal(got, pt) {
+	if got, err := cliOpen.open(down, bind); err != nil || !bytes.Equal(got, pt) {
 		t.Fatalf("client opening the server's message = %q, %v", got, err)
 	}
 }

@@ -2,11 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -15,18 +13,21 @@ import (
 // One chunk stream carries relations both ways over a session: a provider's
 // upload into T and the result's delivery out to a recipient. After a
 // begin frame of its own, each direction runs the same protocol: the
-// receiver grants a credit window, the sender streams chunkMsg frames
-// chained by a running CRC-32C with at most W of them unacknowledged, then
-// an endMsg with the totals; the receiver acks every consumed chunk and
-// confirms the stream, or refuses it with a nack. Only the begin frames and
-// what each side does with a verified chunk differ per direction.
+// receiver grants a credit window, the sender streams sequence-numbered
+// chunkMsg frames with at most W of them unacknowledged, then an endMsg
+// with the totals; the receiver acks every consumed chunk and confirms the
+// stream, or refuses it with a nack. Every sealed row is bound to its place
+// in the direction and to the stream's begin frame by its associated data
+// (protocol.go), so the session tag is the stream's one integrity check.
+// Only the begin frames and what each side does with an admitted chunk
+// differ per direction.
 
 // direction is one way a chunk stream runs: the name its sender reports
 // under, and the typed verdicts its receiver returns.
 type direction struct {
 	name string
-	// frame is malformed framing; tooLarge an overrun of the declared rows
-	// or the byte budget; truncated a stream that ended early; paused a
+	// frame is malformed framing or a row that fails to open; tooLarge an
+	// overrun of the declared rows or the byte budget; truncated a stream that ended early; paused a
 	// deliberate stop after receiver.pauseAfter chunks.
 	frame, tooLarge, truncated, paused error
 }
@@ -36,49 +37,21 @@ var (
 	deliveryStream = direction{"delivery", ErrResultFrame, ErrResultFrame, ErrResultTruncated, ErrFetchPaused}
 )
 
-// crcTable is the Castagnoli table the running stream CRC chains over.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// wireCRC is a running CRC as it travels in a frame: four bytes whatever
-// its value. gob's own unsigned encoding drops leading zero bytes, so one
-// CRC in 256 would shorten its frame by a byte — and the size of every
-// write on a session must be a function of public sizes only (the delivery
-// invariance tests compare write sizes across runs).
-type wireCRC uint32
-
-// GobEncode implements gob.GobEncoder.
-func (c wireCRC) GobEncode() ([]byte, error) {
-	return binary.BigEndian.AppendUint32(nil, uint32(c)), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (c *wireCRC) GobDecode(b []byte) error {
-	if len(b) != 4 {
-		return fmt.Errorf("service: frame CRC is %d bytes, want 4", len(b))
-	}
-	*c = wireCRC(binary.BigEndian.Uint32(b))
-	return nil
-}
-
 // --- Wire frames (gob-encoded over the session connection) ---
 
 // chunkMsg carries one chunk of sealed rows. Seq is the 0-based chunk
-// sequence number within this stream; CRC is the running Castagnoli CRC
-// over every sealed row byte of the stream up to and including this chunk,
-// chaining the frames together so a dropped, duplicated or reordered chunk
-// is caught before any row is opened.
+// sequence number within this stream, so a dropped, duplicated or
+// reordered chunk is caught before any of its rows is opened.
 type chunkMsg struct {
 	Seq  uint32
 	Rows [][]byte
-	CRC  wireCRC
 }
 
 // endMsg closes the stream with the totals the receiver must agree with:
-// frame count, row count, and the final running CRC.
+// frame count and row count.
 type endMsg struct {
 	Frames uint32
 	Rows   int64
-	CRC    wireCRC
 }
 
 // frameMsg is the stream envelope: exactly one of Chunk or End is set.
@@ -104,8 +77,7 @@ type ackMsg struct {
 // --- Framing state machine ---
 
 // chunkAssembler validates the chunk framing of one stream: strict sequence
-// numbers, the running CRC chain, the byte budget, and the
-// declared-vs-actual row accounting. It is deliberately crypto-free and
+// numbers, the byte budget, and the declared-vs-actual row accounting. It is deliberately crypto-free and
 // I/O-free so the fuzzer can drive it directly; the receiver feeds it
 // frames in arrival order and opens rows only after a chunk passes.
 type chunkAssembler struct {
@@ -115,7 +87,6 @@ type chunkAssembler struct {
 	next     uint32
 	rows     int64
 	bytes    int64
-	crc      uint32
 	done     bool
 }
 
@@ -144,7 +115,6 @@ func (a *chunkAssembler) chunk(c *chunkMsg) error {
 	}
 	for _, row := range c.Rows {
 		a.bytes += int64(len(row))
-		a.crc = crc32.Update(a.crc, crcTable, row)
 	}
 	a.rows += int64(len(c.Rows))
 	if a.rows > a.declared {
@@ -152,9 +122,6 @@ func (a *chunkAssembler) chunk(c *chunkMsg) error {
 	}
 	if a.maxBytes > 0 && a.bytes > a.maxBytes {
 		return fmt.Errorf("%w: %d sealed bytes exceed the %d-byte budget", a.dir.tooLarge, a.bytes, a.maxBytes)
-	}
-	if uint32(c.CRC) != a.crc {
-		return fmt.Errorf("%w: chunk %d running CRC %08x, want %08x", a.dir.frame, c.Seq, c.CRC, a.crc)
 	}
 	a.next++
 	return nil
@@ -171,9 +138,6 @@ func (a *chunkAssembler) end(e *endMsg) error {
 	}
 	if e.Rows != a.rows {
 		return fmt.Errorf("%w: end frame counts %d rows, received %d", a.dir.frame, e.Rows, a.rows)
-	}
-	if uint32(e.CRC) != a.crc {
-		return fmt.Errorf("%w: final CRC %08x, want %08x", a.dir.frame, e.CRC, a.crc)
 	}
 	if a.rows < a.declared {
 		return fmt.Errorf("%w: stream ended after %d of %d declared rows", a.dir.truncated, a.rows, a.declared)
@@ -217,26 +181,20 @@ func (s *Session) nack(err error) error {
 
 // --- Sender ---
 
-// chunker emits the frames of one stream, maintaining the running CRC and
-// sequence numbering the assembler verifies.
-type chunker struct {
-	seq uint32
-	crc uint32
-}
+// chunker emits the frames of one stream, numbering them as the assembler
+// verifies.
+type chunker struct{ seq uint32 }
 
 // frame wraps one chunk of sealed rows.
 func (c *chunker) frame(rows [][]byte) *chunkMsg {
-	for _, r := range rows {
-		c.crc = crc32.Update(c.crc, crcTable, r)
-	}
-	m := &chunkMsg{Seq: c.seq, Rows: rows, CRC: wireCRC(c.crc)}
+	m := &chunkMsg{Seq: c.seq, Rows: rows}
 	c.seq++
 	return m
 }
 
 // endFrame closes the stream.
 func (c *chunker) endFrame(rows int64) *endMsg {
-	return &endMsg{Frames: c.seq, Rows: rows, CRC: wireCRC(c.crc)}
+	return &endMsg{Frames: c.seq, Rows: rows}
 }
 
 // send streams n rows after the caller's begin frame, in chunks of size
@@ -255,14 +213,14 @@ func (d direction) send(sess *Session, n, size int, seal func(lo, hi int) ([][]b
 	go st.run(sess.dec, d.name)
 	// The first ack is the credit grant (and the receiver's chance to refuse
 	// the stream before any row is sealed).
-	if err := st.waitGrant(); err != nil {
+	if err := st.wait(func() bool { return st.granted }); err != nil {
 		return err
 	}
 	var ck chunker
 	for lo := 0; lo < n; lo += size {
 		// Block until the window admits this chunk; a refusal that already
 		// arrived fails fast instead of pushing more rows at a dead stream.
-		if err := st.waitCredit(ck.seq); err != nil {
+		if err := st.wait(func() bool { return int(ck.seq)-int(st.seq) < st.window }); err != nil {
 			return err
 		}
 		rows, err := seal(lo, min(lo+size, n))
@@ -276,7 +234,7 @@ func (d direction) send(sess *Session, n, size int, seal func(lo, hi int) ([][]b
 	if err := sess.enc.Encode(frameMsg{End: ck.endFrame(int64(n))}); err != nil {
 		return fmt.Errorf("service: sending %s end: %w", d.name, err)
 	}
-	return st.waitDone()
+	return st.wait(func() bool { return st.done })
 }
 
 // ackTracker accumulates the sender's view of the ack stream. The reader
@@ -331,32 +289,12 @@ func (st *ackTracker) run(dec *gob.Decoder, what string) {
 	}
 }
 
-// waitGrant blocks until the receiver grants credit or refuses the stream.
-func (st *ackTracker) waitGrant() error {
+// wait blocks until ready holds, checked under the lock, or the stream has
+// died.
+func (st *ackTracker) wait(ready func() bool) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for !st.granted && st.err == nil {
-		st.cond.Wait()
-	}
-	return st.err
-}
-
-// waitCredit blocks until the window admits chunk seq (fewer than W chunks
-// unacknowledged), or the stream has died.
-func (st *ackTracker) waitCredit(seq uint32) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for st.err == nil && int(seq)-int(st.seq) >= st.window {
-		st.cond.Wait()
-	}
-	return st.err
-}
-
-// waitDone blocks until the receiver confirms the completed stream.
-func (st *ackTracker) waitDone() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for st.err == nil && !st.done {
+	for st.err == nil && !ready() {
 		st.cond.Wait()
 	}
 	return st.err

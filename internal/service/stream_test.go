@@ -11,21 +11,26 @@ import (
 	"time"
 
 	"ppj/internal/relation"
+	"ppj/internal/sim"
 )
+
+// beginFrame is either direction's begin frame.
+type beginFrame interface{ digest() []byte }
 
 // streamScript plays the sending side of one chunk stream by hand against
 // a real receiver: ReceiveUpload with the script as the provider, or
 // FetchResult with the script as the server.
 type streamScript struct {
-	t        *testing.T
-	dir      direction
-	sess     *Session                 // the scripted sender's end
-	peer     *Session                 // the receiver's end, for reflected ciphertexts
-	beginf   func(declared int64) any // the direction's begin frame
-	declared int64                    // the row count rows are sealed under
-	cell     func(i int) []byte       // plaintext of stream row i
-	hangUp   func()                   // closes the sender's end of the wire
-	recv     chan error               // the receiver's verdict
+	t      *testing.T
+	dir    direction
+	sess   *Session                        // the scripted sender's end
+	peer   *Session                        // the receiver's end, for reflected ciphertexts
+	beginf func(declared int64) beginFrame // the direction's begin frame
+	bind   []byte                          // digest of the begin frame rows are sealed under
+	cell   func(i int) []byte              // plaintext of stream row i
+	hangUp func()                          // closes the sender's end of the wire
+	recv   chan error                      // the receiver's verdict
+	fetch  *ResultFetch                    // a delivery's fetch, read after the verdict
 }
 
 // framingRel is the relation the scripts stream rows of.
@@ -37,18 +42,11 @@ func startUploadScript(t *testing.T) *streamScript {
 	t.Helper()
 	svc, pA := newUploadFixture(t, 0, 0)
 	sess, cs, clientEnd := dialProvider(t, svc, pA)
-	prefix := []byte(svc.Contract.ID)
 	sc := &streamScript{t: t, dir: uploadStream, sess: cs.sess, peer: sess, hangUp: func() { clientEnd.Close() }, recv: make(chan error, 1),
-		beginf: func(declared int64) any {
-			return uploadBeginMsg{ContractID: svc.Contract.ID, Schema: toWire(framingRel.Schema), DeclaredRows: declared}
+		beginf: func(declared int64) beginFrame {
+			return &uploadBeginMsg{ContractID: svc.Contract.ID, Schema: toWire(framingRel.Schema), DeclaredRows: declared}
 		},
-		cell: func(i int) []byte {
-			e, err := framingRel.Schema.Encode(framingRel.Rows[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			return append(append([]byte(nil), prefix...), e...)
-		}}
+		cell: func(i int) []byte { return framingRel.Schema.MustEncode(framingRel.Rows[i]) }}
 	go func() { sc.recv <- svc.ReceiveUpload(pA.name, sess) }()
 	return sc
 }
@@ -56,7 +54,7 @@ func startUploadScript(t *testing.T) *streamScript {
 // startDeliveryScript opens a delivery stream into a recipient's
 // FetchResult, the two session ends deriving their keys from one fixed
 // secret without a handshake. The rows are decoys, which the recipient
-// opens and drops.
+// opens and drops, unless the script replaces cell.
 func startDeliveryScript(t *testing.T) *streamScript {
 	t.Helper()
 	serverEnd, clientEnd := net.Pipe()
@@ -70,12 +68,13 @@ func startDeliveryScript(t *testing.T) *streamScript {
 		t.Fatal(err)
 	}
 	sc := &streamScript{t: t, dir: deliveryStream, sess: srv, peer: cli, hangUp: func() { serverEnd.Close() }, recv: make(chan error, 1),
-		beginf: func(declared int64) any {
-			return resultBeginMsg{ContractID: "fz", Schema: toWire(framingRel.Schema),
-				TotalChunks: 2, TotalRows: declared, StreamRows: declared}
+		beginf: func(declared int64) beginFrame {
+			return &resultBeginMsg{ContractID: "fz", Schema: toWire(framingRel.Schema),
+				TotalChunks: 2, StreamRows: declared}
 		},
-		cell: func(int) []byte { return make([]byte, 1+framingRel.Schema.TupleSize()) }}
-	go func() { sc.recv <- (&ClientSession{sess: cli}).FetchResult(&ResultFetch{}) }()
+		cell:  func(int) []byte { return make([]byte, 1+framingRel.Schema.TupleSize()) },
+		fetch: &ResultFetch{}}
+	go func() { sc.recv <- (&ClientSession{sess: cli}).FetchResult(sc.fetch) }()
 	return sc
 }
 
@@ -95,22 +94,29 @@ func (sc *streamScript) ack() ackMsg {
 	return a
 }
 
-// begin opens the stream, declaring the row count rows are then sealed
-// under, and consumes the credit grant.
+// begin opens the stream with a begin frame declaring the given rows,
+// seals the rows under the same frame, and consumes the credit grant.
 func (sc *streamScript) begin(declared int64) {
 	sc.t.Helper()
-	sc.declared = declared
-	sc.send(sc.beginf(declared))
+	sc.relayBegin(sc.beginf(declared), sc.beginf(declared))
+}
+
+// relayBegin forwards sent as the begin frame while the rows are sealed
+// under sealed, and consumes the credit grant.
+func (sc *streamScript) relayBegin(sent, sealed beginFrame) {
+	sc.t.Helper()
+	sc.bind = sealed.digest()
+	sc.send(sent)
 	if a := sc.ack(); a.Err != "" {
 		sc.t.Fatalf("begin refused: %s", a.Err)
 	}
 }
 
-// seal seals rows [lo, hi) under the session key and the declared count.
+// seal seals rows [lo, hi) under the session key and the bound begin frame.
 func (sc *streamScript) seal(lo, hi int) [][]byte {
 	out := make([][]byte, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		out = append(out, sc.sess.sealer.seal(sc.cell(i), sc.declared))
+		out = append(out, sc.sess.sealer.seal(sc.cell(i), sc.bind))
 	}
 	return out
 }
@@ -138,10 +144,10 @@ func (sc *streamScript) verdict() error {
 	}
 }
 
-// framingScripts walk every way a chunk stream can lie — broken CRC chain,
-// skewed or replayed sequence numbers, empty chunks and envelopes, totals
-// that disagree with the declaration — each pinning the receiving
-// direction's typed verdict.
+// framingScripts walk every way a chunk stream can lie — a corrupted
+// ciphertext, skewed or replayed sequence numbers, empty chunks and
+// envelopes, totals that disagree with the declaration — each pinning the
+// receiving direction's typed verdict.
 var framingScripts = []struct {
 	name string
 	run  func(t *testing.T, sc *streamScript)
@@ -149,14 +155,11 @@ var framingScripts = []struct {
 	{"crc corruption", func(t *testing.T, sc *streamScript) {
 		sc.begin(8)
 		var ck chunker
-		f := ck.frame(sc.seal(0, 4))
-		f.CRC ^= 1
-		sc.send(frameMsg{Chunk: f})
-		if a := sc.ack(); !strings.Contains(a.Err, "CRC") {
-			t.Fatalf("nack = %+v", a)
-		}
-		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
-			t.Fatalf("verdict = %v", err)
+		rows := sc.seal(0, 4)
+		rows[1][len(rows[1])/2] ^= 1
+		sc.send(frameMsg{Chunk: ck.frame(rows)})
+		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) || !errors.Is(err, sim.ErrTamper) {
+			t.Fatalf("verdict = %v, want %v wrapping sim.ErrTamper", err, sc.dir.frame)
 		}
 	}},
 	{"sequence skew", func(t *testing.T, sc *streamScript) {
@@ -292,12 +295,10 @@ func TestResultFramingViolations(t *testing.T) {
 		type resultChunkMsg struct {
 			Seq  uint32
 			Rows [][]byte
-			CRC  wireCRC
 		}
 		type resultEndMsg struct {
 			Frames uint32
 			Rows   int64
-			CRC    wireCRC
 		}
 		type resultFrameMsg struct {
 			Chunk *resultChunkMsg
@@ -320,21 +321,22 @@ func TestResultFramingViolations(t *testing.T) {
 			}
 			return a
 		}
-		sc.declared = 8
-		sc.send(sc.beginf(8))
+		b := sc.beginf(8)
+		sc.bind = b.digest()
+		sc.send(b)
 		if a := ack(); a.Window != DefaultResultWindow {
 			t.Fatalf("grant = %+v", a)
 		}
 		var ck chunker
 		for lo := 0; lo < 8; lo += 4 {
 			c := ck.frame(sc.seal(lo, lo+4))
-			sc.send(resultFrameMsg{Chunk: &resultChunkMsg{Seq: c.Seq, Rows: c.Rows, CRC: c.CRC}})
+			sc.send(resultFrameMsg{Chunk: &resultChunkMsg{Seq: c.Seq, Rows: c.Rows}})
 			if a := ack(); a.Seq != c.Seq+1 {
 				t.Fatalf("ack after chunk %d = %+v", c.Seq, a)
 			}
 		}
 		e := ck.endFrame(8)
-		sc.send(resultFrameMsg{End: &resultEndMsg{Frames: e.Frames, Rows: e.Rows, CRC: e.CRC}})
+		sc.send(resultFrameMsg{End: &resultEndMsg{Frames: e.Frames, Rows: e.Rows}})
 		if a := ack(); !a.Done || a.Seq != 2 {
 			t.Fatalf("done ack = %+v", a)
 		}
@@ -346,10 +348,10 @@ func TestResultFramingViolations(t *testing.T) {
 		var buf bytes.Buffer
 		enc, dec := gob.NewEncoder(&buf), gob.NewDecoder(&buf)
 		for _, tc := range []struct{ old, want any }{
-			{resultFrameMsg{Chunk: &resultChunkMsg{Seq: 7, Rows: [][]byte{{1}, {2, 3}}, CRC: 0x00c0ffee}},
-				frameMsg{Chunk: &chunkMsg{Seq: 7, Rows: [][]byte{{1}, {2, 3}}, CRC: 0x00c0ffee}}},
-			{resultFrameMsg{End: &resultEndMsg{Frames: 3, Rows: 130, CRC: 0xffffffff}},
-				frameMsg{End: &endMsg{Frames: 3, Rows: 130, CRC: 0xffffffff}}},
+			{resultFrameMsg{Chunk: &resultChunkMsg{Seq: 7, Rows: [][]byte{{1}, {2, 3}}}},
+				frameMsg{Chunk: &chunkMsg{Seq: 7, Rows: [][]byte{{1}, {2, 3}}}}},
+			{resultFrameMsg{End: &resultEndMsg{Frames: 3, Rows: 130}},
+				frameMsg{End: &endMsg{Frames: 3, Rows: 130}}},
 			{resultAckMsg{Seq: 4, Window: 8, Done: true}, ackMsg{Seq: 4, Window: 8, Done: true}},
 			{resultAckMsg{Err: "refused"}, ackMsg{Err: "refused"}},
 		} {
@@ -389,36 +391,38 @@ func TestChunkAssemblerTerminalState(t *testing.T) {
 	}
 }
 
-// TestFrameSizeIndependentOfCRC pins the fixed-width CRC encoding: a
-// chunk or end frame's wire size must not shrink when its running CRC
-// happens to start with zero bytes (gob's native uint encoding would drop
-// them), or the byte-size trace of a stream would vary from run to run
-// with the session key.
+// TestFrameSizeIndependentOfCRC pins that a frame's wire size is a
+// function of its public fields only — a chunk's sequence number and row
+// lengths (an end frame carries nothing but its totals) — and never of the
+// sealed bytes it carries, or the byte-size trace of a stream would vary from run to run
+// with the session key. (Frames once carried a running CRC, which gob's
+// native unsigned encoding shortened by a byte whenever it began with a
+// zero byte.)
 func TestFrameSizeIndependentOfCRC(t *testing.T) {
-	frames := map[string]func(wireCRC) frameMsg{
-		"chunk": func(crc wireCRC) frameMsg {
-			return frameMsg{Chunk: &chunkMsg{Seq: 1, Rows: [][]byte{{1, 2, 3}}, CRC: crc}}
-		},
-		"end": func(crc wireCRC) frameMsg { return frameMsg{End: &endMsg{Frames: 1, Rows: 3, CRC: crc}} },
-	}
-	for kind, frame := range frames {
-		size := func(crc wireCRC) int {
-			var buf bytes.Buffer
-			enc := gob.NewEncoder(&buf)
-			// The first message carries gob's type descriptors; measure the second.
-			for i := 0; i < 2; i++ {
-				buf.Reset()
-				if err := enc.Encode(frame(crc)); err != nil {
-					t.Fatal(err)
-				}
+	size := func(f frameMsg) int {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		// The first message carries gob's type descriptors; measure the second.
+		for i := 0; i < 2; i++ {
+			buf.Reset()
+			if err := enc.Encode(f); err != nil {
+				t.Fatal(err)
 			}
-			return buf.Len()
 		}
-		want := size(0xffffffff)
-		for _, crc := range []wireCRC{1, 0x7f, 0x80, 0xffff, 0x00ffffff, 0x01000000} {
-			if got := size(crc); got != want {
-				t.Errorf("%s frame with CRC %#x is %d bytes, with CRC 0xffffffff %d", kind, uint32(crc), got, want)
-			}
+		return buf.Len()
+	}
+	chunk := func(fill byte) frameMsg {
+		rows := make([][]byte, 3)
+		for i := range rows {
+			rows[i] = bytes.Repeat([]byte{fill}, 40)
+			rows[i][i] = ^fill
+		}
+		return frameMsg{Chunk: &chunkMsg{Seq: 1, Rows: rows}}
+	}
+	want := size(chunk(0xff))
+	for _, fill := range []byte{0x00, 0x01, 0x7f, 0x80} {
+		if got := size(chunk(fill)); got != want {
+			t.Errorf("chunk frame of %#x-filled rows is %d bytes, of 0xff-filled rows %d", fill, got, want)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,13 +14,16 @@ import (
 // after an uploadBeginMsg — so server memory per connection is bounded by
 // window × chunk bytes — and the result, an aggregate's one row included,
 // travels back out as the same stream after a resultBeginMsg, resumable
-// (result.go); every sealed message is AES-GCM under its direction's key,
-// bound to its place in the direction by associated data (protocol.go).
-// (Versions 0 and 1, the one-shot upload and the one-shot delivery;
-// version 2, sealed with OCB and no associated data; and version 3, whose
-// aggregate cell rode in the result begin frame and whose attestation was
-// gob nested in gob, are no longer spoken; Handshake refuses them.)
-const ProtoVersion byte = 4
+// (result.go); every sealed row is AES-GCM under its direction's key,
+// bound by associated data to its place in the direction and to a digest
+// of its stream's begin frame (protocol.go). (Versions 0 and 1, the
+// one-shot upload and the one-shot delivery; version 2, sealed with OCB
+// and no associated data; version 3, whose aggregate cell rode in the
+// result begin frame and whose attestation was gob nested in gob; and
+// version 4, whose frames carried a running CRC, whose rows carried the
+// contract ID and whose begin frames no tag covered, are no longer
+// spoken; Handshake refuses them.)
+const ProtoVersion byte = 5
 
 // ErrUnsupportedProto refuses a hello whose version byte is not
 // ProtoVersion, before any attestation signing or key agreement.
@@ -48,39 +50,37 @@ var (
 	// end frame closing short of the begin frame's declaration.
 	ErrUploadTruncated = errors.New("service: upload truncated")
 	// ErrUploadFrame reports malformed chunk framing: out-of-order,
-	// duplicated or replayed sequence numbers, a broken running CRC, or a
-	// frame that is neither chunk nor end.
+	// duplicated or replayed sequence numbers, or a frame that is neither
+	// chunk nor end; or a sealed row that fails to open, which also
+	// matches sim.ErrTamper.
 	ErrUploadFrame = errors.New("service: malformed upload frame")
 )
 
 // minSealedRowBytes is the smallest wire size of one sealed row: the
-// sealer's overhead plus at least one plaintext byte (every row carries the
-// contract-ID prefix). Used to refuse impossible begin declarations before
-// any chunk is read.
+// sealer's overhead plus at least one plaintext byte (every schema has an
+// attribute, and every attribute encodes to at least one byte). Used to
+// refuse impossible begin declarations before any chunk is read.
 var minSealedRowBytes = int64(new(sim.GCMSealer).Overhead() + 1)
 
 // uploadBeginMsg opens a chunked upload: the contract binding and schema —
 // checked before the first chunk is read — and the declared row count the
-// stream commits to.
+// stream commits to. The host relays it unsealed; every row's associated
+// data carries its digest.
 type uploadBeginMsg struct {
 	ContractID   string
 	Schema       schemaWire
 	DeclaredRows int64
 }
 
-// uploadWindow resolves the credit window this service grants.
-func (s *Service) uploadWindow() int {
-	if s.UploadWindow > 0 {
-		return s.UploadWindow
-	}
-	return DefaultUploadWindow
+func (b *uploadBeginMsg) digest() []byte {
+	return beginDigest("upload", b.ContractID, b.Schema, uint64(b.DeclaredRows))
 }
 
 // receiveChunked ingests one upload stream: contract and schema are
-// checked at the begin frame before any chunk is read, then rows are opened,
-// contract-bound and appended chunk by chunk. The server holds at most one
-// chunk of sealed rows at a time; the credit window bounds what the
-// transport can pile up behind it. Every read, the begin frame's included,
+// checked at the begin frame before any chunk is read, then rows are
+// opened under the begin frame's digest and appended chunk by chunk. The
+// server holds at most one chunk of sealed rows at a time; the credit
+// window bounds what the transport can pile up behind it. Every read, the begin frame's included,
 // runs in its own goroutine, so a ctx that expires mid-stream abandons the
 // upload as truncated (the abandoned read unblocks when the caller closes
 // the connection).
@@ -110,13 +110,16 @@ func (s *Service) receiveChunked(ctx context.Context, sess *Session) (*relation.
 	if err != nil {
 		return nil, sess.nack(err)
 	}
-	rel := relation.NewRelation(schema)
-	r := receiver{sess: sess, dir: uploadStream, decode: decode, asm: asm, window: s.uploadWindow(),
+	rel, bind, window := relation.NewRelation(schema), begin.digest(), s.UploadWindow
+	if window <= 0 {
+		window = DefaultUploadWindow
+	}
+	r := receiver{sess: sess, dir: uploadStream, decode: decode, asm: asm, window: window,
 		consume: func(c *chunkMsg) error {
 			if s.chunkConsumeHook != nil {
 				s.chunkConsumeHook(int(c.Seq))
 			}
-			return appendSealedRows(sess, s.Contract.ID, begin.DeclaredRows, rel, c.Rows)
+			return appendSealedRows(sess.opener, bind, rel, c.Rows)
 		}}
 	if err := r.run(); err != nil {
 		return nil, err
@@ -125,24 +128,19 @@ func (s *Service) receiveChunked(ctx context.Context, sess *Session) (*relation.
 }
 
 // appendSealedRows is the row-validation core of ingest: every sealed row
-// is opened with the session key inside T, checked for the contract binding
-// ("Each party prepends its relation with the contract ID and encrypts the
-// two together as one message", §3.3.3 — here per row, binding every
-// ciphertext to the contract), decoded against the schema, and appended.
-// declared is the row count the stream's begin frame declared, part of
-// every row's associated data.
-func appendSealedRows(sess *Session, contractID string, declared int64, rel *relation.Relation, rows [][]byte) error {
-	prefix := []byte(contractID)
+// is opened with the session key inside T, under associated data that
+// binds it to its place in the stream and to the begin frame that digests
+// to bind — and through it to the contract ID ("Each party prepends its
+// relation with the contract ID and encrypts the two together as one
+// message", §3.3.3) — then decoded against the schema and appended.
+func appendSealedRows(opener *sessionSealer, bind []byte, rel *relation.Relation, rows [][]byte) error {
 	base := rel.Len()
 	for i, ct := range rows {
-		pt, err := sess.opener.open(ct, declared)
+		pt, err := opener.open(ct, bind)
 		if err != nil {
-			return fmt.Errorf("row %d: %w", base+i, err)
+			return fmt.Errorf("%w: row %d: %w", ErrUploadFrame, base+i, err)
 		}
-		if !bytes.HasPrefix(pt, prefix) {
-			return fmt.Errorf("row %d not bound to contract", base+i)
-		}
-		if err := rel.AppendEncoded(pt[len(prefix):]); err != nil {
+		if err := rel.AppendEncoded(pt); err != nil {
 			return fmt.Errorf("row %d: %w", base+i, err)
 		}
 	}

@@ -45,7 +45,7 @@ func dialProvider(t *testing.T, svc *Service, p testParty) (*Session, *ClientSes
 	}()
 	c := &Client{Name: p.name, Identity: p.priv,
 		DeviceKey: svc.Device.DeviceKey(), Expected: ExpectedStack()}
-	cs, err := c.Connect(clientEnd, RoleProvider)
+	cs, err := c.ConnectContract(clientEnd, RoleProvider, "")
 	if err != nil {
 		t.Fatal(err)
 	}
