@@ -142,7 +142,7 @@ func TestUnsupportedProtoRefusedThroughRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0, 1, 2, 3, 4, 255} {
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, 255} {
 		serverEnd, clientEnd := net.Pipe()
 		handler := make(chan error, 1)
 		go func() {

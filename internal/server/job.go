@@ -133,18 +133,27 @@ type transition struct {
 	settles bool
 	// done: the state is terminal; Done() closes.
 	done bool
+	// synced: the arrival's record is fsynced before its effects are
+	// published. Otherwise it is written unsynced and made durable by the
+	// job's next synced record: a crash may lose it, and recovery then
+	// finds the job one state earlier.
+	synced bool
 }
 
 // transitions is the whole lifecycle, indexed by target state. Pending has
 // no predecessors: jobs are constructed in it (or, at recovery, in
-// whatever state the log last recorded).
+// whatever state the log last recorded), and their registration record is
+// synced. Uploading and Running are the two unsynced arrivals: recovery
+// fails a job found in either with ErrInterrupted, and a job whose lost
+// Uploading record leaves it Pending resumes live, since its uploads
+// lived only in memory either way.
 var transitions = [numStates]transition{
-	StatePending:   {},
+	StatePending:   {synced: true},
 	StateUploading: {from: setOf(StatePending)},
 	StateRunning:   {from: setOf(StateUploading)},
-	StateStored:    {from: setOf(StateRunning), counts: true, serves: true, settles: true},
-	StateDelivered: {from: setOf(StateStored), settles: true, done: true},
-	StateFailed:    {from: setOf(StatePending, StateUploading, StateRunning), counts: true, settles: true, done: true},
+	StateStored:    {from: setOf(StateRunning), counts: true, serves: true, settles: true, synced: true},
+	StateDelivered: {from: setOf(StateStored), settles: true, done: true, synced: true},
+	StateFailed:    {from: setOf(StatePending, StateUploading, StateRunning), counts: true, settles: true, done: true, synced: true},
 }
 
 // Job is one execution of a registered contract: it gathers the parties'
@@ -301,7 +310,7 @@ func (j *Job) transition(m move) bool {
 	if m.err != nil {
 		rec.Cause = m.err.Error()
 	}
-	j.srv.record(TransitionSite(from, m.to), rec)
+	j.srv.record(TransitionSite(from, m.to), rec, row.synced)
 	if row.counts && m.out != nil {
 		j.srv.metrics.recordExecution(m.out, m.ran)
 	} else if row.counts {

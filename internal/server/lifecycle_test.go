@@ -40,12 +40,26 @@ func isClosed(ch <-chan struct{}) bool {
 // TestTransitionTable drives Job.transition over every (from, to) pair on a
 // journaled server. A pair absent from the table is refused and leaves the
 // gauges, the WAL and both channels untouched; a pair present fires exactly
-// its own TransitionSite once, appends exactly that record, moves one gauge
-// unit, and closes settled/done exactly as the target row says — terminal
-// rows close done once, and arriving again is harmless.
+// its own TransitionSite once, appends exactly that record, fsyncs it
+// exactly when the target row is synced, moves one gauge unit, and closes
+// settled/done exactly as the target row says — terminal rows close done
+// once, and arriving again is harmless.
 func TestTransitionTable(t *testing.T) {
+	// Only Uploading and Running are written without a sync of their own:
+	// recovery fails a job found in either, and a lost Uploading record
+	// leaves a job Pending, which resumes.
+	wantSynced := [numStates]bool{
+		StatePending: true, StateUploading: false, StateRunning: false,
+		StateStored: true, StateDelivered: true, StateFailed: true,
+	}
+	for s := StatePending; s < numStates; s++ {
+		if transitions[s].synced != wantSynced[s] {
+			t.Errorf("%s: synced = %v, want %v", s, transitions[s].synced, wantSynced[s])
+		}
+	}
 	dir := t.TempDir()
 	fired := make(map[string]int) // transition runs on this goroutine only
+	syncs := 0
 	faults := wal.NewFaults()
 	for from := StatePending; from < numStates; from++ {
 		for to := StatePending; to < numStates; to++ {
@@ -53,6 +67,7 @@ func TestTransitionTable(t *testing.T) {
 			faults.Set(site, func() error { fired[site]++; return nil })
 		}
 	}
+	faults.Set(wal.SiteSync, func() error { syncs++; return nil })
 	srv, err := New(Config{DataDir: dir, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
@@ -94,13 +109,14 @@ func TestTransitionTable(t *testing.T) {
 			for site := range fired {
 				delete(fired, site)
 			}
+			syncs = 0
 
 			if got := j.transition(m); got != legal {
 				t.Fatalf("%s -> %s: transition = %v, table says %v", from, to, got, legal)
 			}
 			after := srv.MetricsSnapshot()
 			if !legal {
-				if len(fired) != 0 || walSize() != size || !reflect.DeepEqual(before, after) ||
+				if len(fired) != 0 || syncs != 0 || walSize() != size || !reflect.DeepEqual(before, after) ||
 					j.State() != from || isClosed(j.Settled()) != settled || isClosed(j.Done()) != done {
 					t.Fatalf("%s -> %s: refused move left a trace (fired %v, wal %d -> %d)", from, to, fired, size, walSize())
 				}
@@ -131,6 +147,9 @@ func TestTransitionTable(t *testing.T) {
 				t.Fatalf("%s -> %s: journaled %+v, want %+v", from, to, last, want)
 			}
 			row := transitions[to]
+			if want := map[bool]int{true: 1}[row.synced]; syncs != want {
+				t.Fatalf("%s -> %s: %d fsyncs, want %d (synced = %v)", from, to, syncs, want, row.synced)
+			}
 			if isClosed(j.Settled()) != row.settles || isClosed(j.Done()) != row.done {
 				t.Fatalf("%s -> %s: settled/done closed = %v/%v, row says %v/%v",
 					from, to, isClosed(j.Settled()), isClosed(j.Done()), row.settles, row.done)

@@ -296,20 +296,23 @@ func TestRecoveryAfterWriteFaults(t *testing.T) {
 	cases := []struct {
 		name string
 		set  func(f *wal.Faults)
-		// Appends in a full run: 1=registration, 2=pending->uploading,
-		// 3=uploading->running, 4=result-stored manifest, 5=running->stored,
-		// 6=stored->delivered.
+		// Appends in a full run (SiteAppend): 1=registration,
+		// 2=pending->uploading, 3=uploading->running, 4=result-stored
+		// manifest, 5=running->stored, 6=stored->delivered. Syncs
+		// (SiteSync): 1 after the registration, 2 after running->stored
+		// (making 2-5 durable), 3 after stored->delivered.
 		wantState State
 		wantErr   error
 	}{
 		// Registration durable, first transition torn off: durable state
 		// Pending, job resumes.
 		{"short-write", func(f *wal.Faults) { f.Set(wal.SiteAppend, wal.FailNth(2, wal.ErrShortWrite)) }, StatePending, nil},
-		// Uploading durable, running record torn mid-header.
+		// Uploading on disk, running record torn mid-header.
 		{"torn-tail", func(f *wal.Faults) { f.Set(wal.SiteAppend, wal.FailNth(3, wal.ErrTornWrite)) }, StateFailed, ErrInterrupted},
-		// Record written, fsync fails: the record is on disk and recovery
-		// observes Uploading.
-		{"fsync-fail", func(f *wal.Faults) { f.Set(wal.SiteSync, wal.FailNth(2, errors.New("fsync: input/output error"))) }, StateFailed, ErrInterrupted},
+		// The first transition that syncs, running->stored, is written and
+		// its fsync fails: the record is on disk and recovery observes
+		// Stored.
+		{"fsync-fail", func(f *wal.Faults) { f.Set(wal.SiteSync, wal.FailNth(2, errors.New("fsync: input/output error"))) }, StateStored, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -339,11 +342,19 @@ func TestRecoveryAfterWriteFaults(t *testing.T) {
 			if j2.State() != tc.wantState {
 				t.Fatalf("recovered state = %s (err %v), want %s", j2.State(), j2.Err(), tc.wantState)
 			}
-			if tc.wantErr != nil {
+			switch {
+			case tc.wantErr != nil:
 				if !errors.Is(j2.Err(), tc.wantErr) {
 					t.Fatalf("recovered err = %v, want %v", j2.Err(), tc.wantErr)
 				}
-			} else {
+			case tc.wantState == StateStored:
+				if o := <-g.pipeRecipient(t, srv2); o.err != nil {
+					t.Fatalf("stored-job re-fetch refused: %v", o.err)
+				} else {
+					assertSameRows(t, o.result, g.wantJoin(), tc.name)
+				}
+				waitDone(t, j2)
+			default:
 				srv2.Start()
 				driveToDelivered(t, srv2, g, j2)
 			}
@@ -466,7 +477,7 @@ func seedRegistered(tb testing.TB, jn *journal, c *service.Contract) {
 	tb.Helper()
 	raw, err := EncodeContract(c)
 	if err == nil {
-		err = jn.append(SiteRegister, wal.Record{Type: wal.TypeRegistered, Contract: raw})
+		err = jn.append(SiteRegister, wal.Record{Type: wal.TypeRegistered, Contract: raw}, true)
 	}
 	if err != nil {
 		tb.Fatal(err)
@@ -476,7 +487,7 @@ func seedRegistered(tb testing.TB, jn *journal, c *service.Contract) {
 func seedTransition(tb testing.TB, jn *journal, jobID string, from, to State, cause string) {
 	tb.Helper()
 	rec := wal.Record{Type: wal.TypeTransition, ContractID: jobID, From: int32(from), To: int32(to), Cause: cause}
-	if err := jn.append(TransitionSite(from, to), rec); err != nil {
+	if err := jn.append(TransitionSite(from, to), rec, transitions[to].synced); err != nil {
 		tb.Fatal(err)
 	}
 }

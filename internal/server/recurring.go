@@ -64,7 +64,7 @@ func (s *Server) reschedule(id string, r *recurrence, next time.Time) error {
 		ContractID: id,
 		Every:      r.every.Nanoseconds(),
 		Due:        next.UnixNano(),
-	})
+	}, true)
 	if err == nil {
 		r.next = next
 	}

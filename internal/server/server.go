@@ -223,7 +223,7 @@ func New(cfg Config) (*Server, error) {
 		Dir:      resultDir,
 		MaxBytes: cfg.MaxResultBytes,
 		TTL:      cfg.ResultTTL,
-		Journal:  manifest{s, wal.TypeResultStored, SiteResultStored, wal.TypeResultEvicted, SiteResultEvicted},
+		Journal:  manifest{s, wal.TypeResultStored, SiteResultStored, wal.TypeResultEvicted, SiteResultEvicted, false},
 		Now:      clk.Now,
 	})
 	if err == nil {
@@ -234,7 +234,7 @@ func New(cfg Config) (*Server, error) {
 		s.sortcache, err = resultstore.Open(resultstore.Config{
 			Dir:      cacheDir,
 			MaxBytes: cfg.MaxCacheBytes,
-			Journal:  manifest{s, wal.TypeCacheStored, SiteCacheStored, wal.TypeCacheEvicted, SiteCacheEvicted},
+			Journal:  manifest{s, wal.TypeCacheStored, SiteCacheStored, wal.TypeCacheEvicted, SiteCacheEvicted, true},
 		})
 	}
 	if err != nil {
@@ -371,7 +371,7 @@ func (s *Server) admit(j *Job, site string, rec *wal.Record) error {
 			return refuse(err)
 		}
 		j.quotaHeld = true
-		if err := s.journal.append(site, *rec); err != nil {
+		if err := s.journal.append(site, *rec, true); err != nil {
 			return refuse(fmt.Errorf("server: journaling %s of %q: %w", site, j.id, err))
 		}
 	}

@@ -89,10 +89,11 @@ func openJournal(dir string, faults *wal.Faults) (*journal, []wal.Record, error)
 	return &journal{log: log, faults: faults, lock: lock}, recs, nil
 }
 
-// append fires the event's faultpoint and makes rec durable. A
-// wal.ErrCrashed injection seals the log first, so nothing after the
-// simulated crash instant reaches disk.
-func (jn *journal) append(site string, rec wal.Record) error {
+// append fires the event's faultpoint and writes rec: fsynced, with
+// everything written before it, when sync is set, else left for the next
+// synced record to make durable. A wal.ErrCrashed injection seals the log
+// first, so nothing after the simulated crash instant reaches disk.
+func (jn *journal) append(site string, rec wal.Record, sync bool) error {
 	if jn.log == nil {
 		return nil
 	}
@@ -101,6 +102,9 @@ func (jn *journal) append(site string, rec wal.Record) error {
 			jn.log.Crash()
 		}
 		return err
+	}
+	if !sync {
+		return jn.log.Write(rec)
 	}
 	return jn.log.Append(rec)
 }
@@ -121,8 +125,8 @@ func (jn *journal) Close() error {
 // the append succeeds (state transitions, store manifests). A refused
 // append is counted: the live tables keep going, and a non-zero counter
 // means a crash would recover something older than what is being served.
-func (s *Server) record(site string, rec wal.Record) error {
-	err := s.journal.append(site, rec)
+func (s *Server) record(site string, rec wal.Record, sync bool) error {
+	err := s.journal.append(site, rec, sync)
 	if err != nil {
 		s.metrics.walAppendFailed()
 		s.logf("server: wal: %s %s: %v", site, rec.ContractID, err)
@@ -140,16 +144,21 @@ type manifest struct {
 	storedSite  string
 	evicted     wal.Type
 	evictedSite string
+	// storedSynced: a stored record is fsynced on its own. The result
+	// store's is not: the job's synced Running → Stored record follows it
+	// at once, and a segment whose stored record a crash lost recovers as
+	// an orphan and is discarded. No record follows a cache entry's.
+	storedSynced bool
 }
 
 // ResultStored implements resultstore.Journal.
 func (m manifest) ResultStored(id string, size int64) error {
-	return m.s.record(m.storedSite, wal.Record{Type: m.stored, ContractID: id, Bytes: size})
+	return m.s.record(m.storedSite, wal.Record{Type: m.stored, ContractID: id, Bytes: size}, m.storedSynced)
 }
 
 // ResultEvicted implements resultstore.Journal.
 func (m manifest) ResultEvicted(id, cause string) error {
-	return m.s.record(m.evictedSite, wal.Record{Type: m.evicted, ContractID: id, Cause: cause})
+	return m.s.record(m.evictedSite, wal.Record{Type: m.evicted, ContractID: id, Cause: cause}, true)
 }
 
 // EncodeContract serialises a contract for a registration record. Gob

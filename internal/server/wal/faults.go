@@ -11,19 +11,20 @@ import (
 // fires additional sites ("register", "state:<from>-><to>") through the
 // same registry, so one Faults value scripts a whole crash schedule.
 const (
-	// SiteAppend fires before a record frame is written. A hook returning
-	// ErrShortWrite or ErrTornWrite leaves a partial frame on disk; any
-	// other non-nil error (including ErrCrashed) writes nothing. All seal
-	// the log.
+	// SiteAppend fires before a record frame is written, by Append and
+	// Write alike. A hook returning ErrShortWrite or ErrTornWrite leaves a
+	// partial frame on disk; any other non-nil error (including ErrCrashed)
+	// writes nothing. All seal the log.
 	SiteAppend = "append"
-	// SiteSync fires after the frame is written, before fsync. A non-nil
-	// error fails the append with the record already on disk — the
+	// SiteSync fires before each fsync: in Append after its frame is
+	// written, and in Close when Write left an unsynced tail. A non-nil
+	// error fails the call with the records already on disk — the
 	// fsync-failure case, after which the log refuses further writes.
 	SiteSync = "sync"
 )
 
-// Injectable failures understood by Log.Append. ErrCrashed doubles as the
-// error every append returns once the log is sealed.
+// Injectable failures understood by Log.Append and Log.Write. ErrCrashed
+// doubles as the error every write returns once the log is sealed.
 var (
 	// ErrShortWrite makes the append persist only the first half of the
 	// frame before failing, as a kernel short write would.

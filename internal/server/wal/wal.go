@@ -13,9 +13,11 @@ import (
 // FileName is the log's file name inside its data directory.
 const FileName = "wal.log"
 
-// Log is an append-only record writer. Every Append is fsynced before it
-// returns, so an acknowledged record survives a host crash. Once any write
-// or injected fault fails, the log seals itself: later appends return
+// Log is an append-only record writer. Append fsyncs before it returns,
+// so an appended record survives a host crash, and so does every record
+// written before it: Write writes a record without the fsync, leaving it
+// to the next Append (or Close) to make durable. Once any write or
+// injected fault fails, the log seals itself: later writes return
 // ErrCrashed rather than writing after an unknown on-disk state (the same
 // stance production WALs take after an fsync error).
 type Log struct {
@@ -24,6 +26,8 @@ type Log struct {
 	faults  *Faults
 	crashed bool
 	closed  bool
+	// unsynced: a record Write wrote has not been fsynced yet.
+	unsynced bool
 }
 
 // Open opens (creating as needed) dir's log for appending. Callers
@@ -41,8 +45,17 @@ func Open(dir string, faults *Faults) (*Log, error) {
 }
 
 // Append encodes, writes, and fsyncs one record, firing the SiteAppend and
-// SiteSync faultpoints around the write.
-func (l *Log) Append(rec Record) error {
+// SiteSync faultpoints around the write. The fsync also makes durable every
+// record Write wrote before it.
+func (l *Log) Append(rec Record) error { return l.write(rec, true) }
+
+// Write encodes and writes one record without an fsync, firing SiteAppend
+// only: the record is durable once the next Append or Close returns. A
+// crash before then may lose it, and with it only records written after
+// it, since the log is one append-only file.
+func (l *Log) Write(rec Record) error { return l.write(rec, false) }
+
+func (l *Log) write(rec Record, sync bool) error {
 	frame, err := rec.encodeFrame()
 	if err != nil {
 		return err
@@ -72,6 +85,15 @@ func (l *Log) Append(rec Record) error {
 		l.crashed = true
 		return fmt.Errorf("wal: %w", err)
 	}
+	l.unsynced = true
+	if !sync {
+		return nil
+	}
+	return l.syncLocked()
+}
+
+// syncLocked fsyncs everything written so far, firing SiteSync first.
+func (l *Log) syncLocked() error {
 	if err := l.faults.Fire(SiteSync); err != nil {
 		l.crashed = true
 		return err
@@ -80,6 +102,7 @@ func (l *Log) Append(rec Record) error {
 		l.crashed = true
 		return fmt.Errorf("wal: %w", err)
 	}
+	l.unsynced = false
 	return nil
 }
 
@@ -93,17 +116,24 @@ func (l *Log) Crash() {
 	l.crashed = true
 }
 
-// Close releases the file; further appends return ErrCrashed. It does not
-// sync (Append already did) and is idempotent.
+// Close fsyncs a tail that Write left unsynced, unless the log is sealed,
+// then releases the file; further writes return ErrCrashed. It is
+// idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.crashed = true
 	if l.closed {
 		return nil
 	}
-	l.closed = true
-	return l.f.Close()
+	var err error
+	if !l.crashed && l.unsynced {
+		err = l.syncLocked()
+	}
+	l.crashed, l.closed = true, true
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Recover replays dir's log, returning every durable record and truncating

@@ -182,6 +182,96 @@ func TestAppendFaultSyncFailure(t *testing.T) {
 	}
 }
 
+// TestWriteSyncedByNextAppendAndClose: Write writes a record without an
+// fsync, and the next fsync covers it: the next Append's, or Close's when
+// the tail is still unsynced. Each flush fires SiteSync once; an Append
+// with nothing written before it fires it once for itself, and a Close
+// with nothing pending, or on a sealed log, fires nothing.
+func TestWriteSyncedByNextAppendAndClose(t *testing.T) {
+	recs := sampleRecords()
+	var appends, syncs int
+	faults := NewFaults()
+	faults.Set(SiteAppend, func() error { appends++; return nil })
+	faults.Set(SiteSync, func() error { syncs++; return nil })
+	count := func(label string, wantAppends, wantSyncs int) {
+		t.Helper()
+		if appends != wantAppends || syncs != wantSyncs {
+			t.Fatalf("%s: %d appends, %d syncs; want %d, %d", label, appends, syncs, wantAppends, wantSyncs)
+		}
+	}
+
+	dir := t.TempDir()
+	l, err := Open(dir, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs[:2] {
+		if err := l.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count("two writes", 2, 0)
+	if err := l.Append(recs[2]); err != nil {
+		t.Fatal(err)
+	}
+	count("an append after them", 3, 1)
+	if err := l.Append(recs[3]); err != nil {
+		t.Fatal(err)
+	}
+	count("an append with nothing pending", 4, 2)
+	if err := l.Write(recs[4]); err != nil {
+		t.Fatal(err)
+	}
+	count("a write", 5, 2)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	count("close over an unsynced tail", 5, 3)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	count("a second close", 5, 3)
+	got, err := Recover(dir)
+	if err != nil || len(got) != 5 {
+		t.Fatalf("recovered %d records (%v), want 5", len(got), err)
+	}
+	for i := range got {
+		if !recordsEqual(got[i], recs[i]) {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
+		}
+	}
+
+	appends, syncs = 0, 0
+	l, err = Open(t.TempDir(), faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	count("close with nothing pending", 1, 1)
+
+	appends, syncs = 0, 0
+	l, err = Open(t.TempDir(), faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Write(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	l.Crash()
+	if err := l.Write(recs[1]); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("write after Crash = %v, want ErrCrashed", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	count("close of a sealed log", 1, 0)
+}
+
 func TestCrashSealsLog(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, nil)

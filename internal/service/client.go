@@ -130,7 +130,7 @@ func (cs *ClientSession) SubmitRelationOpts(contractID string, rel *relation.Rel
 		return fmt.Errorf("service: sending upload begin: %w", err)
 	}
 	bind := begin.digest()
-	return uploadStream.send(cs.sess, rel.Len(), chunkRows, func(lo, hi int) ([][]byte, error) {
+	return uploadStream.send(cs.sess, bind, rel.Len(), chunkRows, func(lo, hi int) ([][]byte, error) {
 		sealed := make([][]byte, 0, hi-lo)
 		for _, t := range rel.Rows[lo:hi] {
 			e, err := rel.Schema.Encode(t)

@@ -255,11 +255,11 @@ func (f fieldHash) bytes(b []byte) {
 func (f fieldHash) str(s string) { f.bytes([]byte(s)) }
 func (f fieldHash) u64(v uint64) { f.bytes(binary.BigEndian.AppendUint64(nil, v)) }
 
-// beginDigest is what a stream's rows are bound to: a digest of every
-// field of its begin frame that rows follow — the direction, the contract
-// ID, each schema attribute's name, type and width, and the frame's counts
-// (declared rows; for a delivery, its resume geometry).
-func beginDigest(dir, contractID string, schema schemaWire, counts ...uint64) []byte {
+// beginDigest starts the digest a stream's rows and end tag are bound to:
+// the direction, the contract ID, and each schema attribute's name, type
+// and width. Each begin frame writes the rest of its fields (its counts;
+// for a delivery, the failure verdict and the resume geometry) and sums.
+func beginDigest(dir, contractID string, schema schemaWire) fieldHash {
 	f := newFieldHash("ppj-" + dir + "-begin")
 	f.str(contractID)
 	f.u64(uint64(len(schema.Attrs)))
@@ -268,10 +268,7 @@ func beginDigest(dir, contractID string, schema schemaWire, counts ...uint64) []
 		f.u64(uint64(a.Type))
 		f.u64(uint64(a.Width))
 	}
-	for _, n := range counts {
-		f.u64(n)
-	}
-	return f.Sum(nil)
+	return f
 }
 
 // Session wraps a connection with gob codecs and the directional session

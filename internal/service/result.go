@@ -55,11 +55,14 @@ var (
 // offset the server honoured, and the rows this stream will actually carry
 // (the assembler's declaration). An aggregate's result is one row of
 // core.AggSchema, delivered like any other. The host relays the frame
-// unsealed; every row's associated data carries its digest.
+// unsealed; every row's associated data and the end frame's tag carry its
+// digest.
 type resultBeginMsg struct {
 	ContractID string
 	Schema     schemaWire
-	// Err is the join failure verdict; nothing follows a non-empty Err.
+	// Err is the join failure verdict. A stream under a non-empty Err
+	// carries no rows: only its end frame, whose tag vouches for the
+	// verdict.
 	Err string
 	// TotalChunks counts the chunks of the complete result.
 	TotalChunks uint32
@@ -72,48 +75,58 @@ type resultBeginMsg struct {
 }
 
 func (b *resultBeginMsg) digest() []byte {
-	return beginDigest("result", b.ContractID, b.Schema, uint64(b.TotalChunks), uint64(b.StartChunk), uint64(b.StreamRows))
+	f := beginDigest("result", b.ContractID, b.Schema)
+	f.str(b.Err)
+	f.u64(uint64(b.TotalChunks))
+	f.u64(uint64(b.StartChunk))
+	f.u64(uint64(b.StreamRows))
+	return f.Sum(nil)
 }
 
 // DeliverStream seals an outcome under a recipient session and streams it
 // from startChunk: begin frame, credit grant, chunk frames under the
 // window, end frame, done ack. A failure verdict travels in the begin
-// frame and nothing follows it. Rows are re-sealed per session, so a
+// frame of a stream without rows. Rows are re-sealed per session, so a
 // resumed stream is fresh ciphertext over the same plaintext suffix.
 func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) error {
 	begin := resultBeginMsg{ContractID: s.Contract.ID}
-	if out.Err != nil {
-		begin.Err = out.Err.Error()
-		if err := sess.enc.Encode(begin); err != nil {
-			return fmt.Errorf("service: sending result begin: %w", err)
-		}
-		return nil // the verdict is the delivery
-	}
+	var (
+		rows    [][]byte
+		refused error // a resume this outcome cannot honour, answered in-band
+	)
 	total := uint32((len(out.Rows) + ResultChunkRows - 1) / ResultChunkRows)
-	if startChunk > total {
-		begin.Err = fmt.Sprintf("resume offset %d beyond the result's %d chunks", startChunk, total)
-		_ = sess.enc.Encode(begin)
-		return fmt.Errorf("service: %s", begin.Err)
+	switch {
+	case out.Err != nil:
+		begin.Err = out.Err.Error()
+	case startChunk > total:
+		refused = fmt.Errorf("resume offset %d beyond the result's %d chunks", startChunk, total)
+		begin.Err = refused.Error()
+	default:
+		// startChunk == total is a legal resume point (every chunk
+		// consumed, end frame lost); with a partial last chunk the row
+		// offset must clamp to the row count or the declared stream length
+		// goes negative.
+		rows = out.Rows[min(int(startChunk)*ResultChunkRows, len(out.Rows)):]
+		begin.TotalChunks = total
+		begin.StartChunk = startChunk
+		begin.StreamRows = int64(len(rows))
+		begin.Schema = toWire(out.Schema)
 	}
-	// startChunk == total is a legal resume point (every chunk consumed,
-	// end frame lost); with a partial last chunk the row offset must clamp
-	// to the row count or the declared stream length goes negative.
-	rows := out.Rows[min(int(startChunk)*ResultChunkRows, len(out.Rows)):]
-	begin.TotalChunks = total
-	begin.StartChunk = startChunk
-	begin.StreamRows = int64(len(rows))
-	begin.Schema = toWire(out.Schema)
 	if err := sess.enc.Encode(begin); err != nil {
 		return fmt.Errorf("service: sending result begin: %w", err)
 	}
 	bind := begin.digest()
-	return deliveryStream.send(sess, len(rows), ResultChunkRows, func(lo, hi int) ([][]byte, error) {
+	err := deliveryStream.send(sess, bind, len(rows), ResultChunkRows, func(lo, hi int) ([][]byte, error) {
 		sealed := make([][]byte, 0, hi-lo)
 		for _, r := range rows[lo:hi] {
 			sealed = append(sealed, sess.sealer.seal(r, bind))
 		}
 		return sealed, nil
 	})
+	if err == nil && refused != nil {
+		err = fmt.Errorf("service: %w", refused)
+	}
+	return err
 }
 
 // ResultFetch accumulates one recipient's fetch of a result across any
@@ -137,10 +150,11 @@ type ResultFetch struct {
 
 // FetchResult runs the recipient side of one streamed delivery: read the
 // begin frame, grant credit, open each chunk's rows under the begin frame's
-// digest, acknowledge it, and verify the end totals. No row of a chunk is
-// appended unless every row of it opens, so a fetch that fails on a
-// tampered row resumes from f without repeating rows. The fetch state
-// lands in f.
+// digest, acknowledge it, and verify the end totals and their tag. No row
+// of a chunk is appended unless every row of it opens, so a fetch that
+// fails on a tampered row resumes from f without repeating rows. A failure
+// verdict is returned once its stream's tag opens under it. The fetch
+// state lands in f.
 func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 	sess := cs.sess
 	var begin resultBeginMsg
@@ -148,26 +162,29 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 		return deliveryStream.decodeErr(err)
 	}
 	if begin.Err != "" {
-		return fmt.Errorf("service: join failed: %s", begin.Err)
-	}
-	if begin.StartChunk != f.Chunks {
-		return fmt.Errorf("%w: server resumed at chunk %d, want %d", ErrResultFrame, begin.StartChunk, f.Chunks)
-	}
-	schema, err := begin.Schema.schema()
-	if err != nil {
-		return err
-	}
-	if f.Rows == nil {
-		f.Rows = relation.NewRelation(schema)
-	} else if !f.Rows.Schema.Equal(schema) {
-		return fmt.Errorf("%w: resumed stream changed the result schema", ErrResultFrame)
+		if begin.StreamRows != 0 {
+			return fmt.Errorf("%w: a failure verdict declaring %d rows", ErrResultFrame, begin.StreamRows)
+		}
+	} else {
+		if begin.StartChunk != f.Chunks {
+			return fmt.Errorf("%w: server resumed at chunk %d, want %d", ErrResultFrame, begin.StartChunk, f.Chunks)
+		}
+		schema, err := begin.Schema.schema()
+		if err != nil {
+			return err
+		}
+		if f.Rows == nil {
+			f.Rows = relation.NewRelation(schema)
+		} else if !f.Rows.Schema.Equal(schema) {
+			return fmt.Errorf("%w: resumed stream changed the result schema", ErrResultFrame)
+		}
 	}
 	asm, err := newChunkAssembler(begin.StreamRows, 0, deliveryStream)
 	if err != nil {
 		return err
 	}
 	bind := begin.digest()
-	r := receiver{sess: sess, dir: deliveryStream, decode: sess.dec.Decode, asm: asm,
+	r := receiver{sess: sess, dir: deliveryStream, decode: sess.dec.Decode, asm: asm, bind: bind,
 		window: DefaultResultWindow, pauseAfter: f.PauseAfter,
 		consume: func(c *chunkMsg) error {
 			cells := make([][]byte, len(c.Rows))
@@ -191,6 +208,9 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 		}}
 	if err := r.run(); err != nil {
 		return err
+	}
+	if begin.Err != "" {
+		return fmt.Errorf("service: join failed: %s", begin.Err)
 	}
 	f.Chunks = begin.TotalChunks
 	f.Done = true

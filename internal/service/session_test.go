@@ -11,24 +11,28 @@ import (
 
 // relayScripts play a relay between the two ends of a session. The relay
 // forwards a begin frame declaring four rows and one chunk of four
-// honestly sealed rows, and keeps the framing valid, but it duplicates,
-// reorders or reflects a row, or the sender sealed its rows under a begin
-// frame that differs from the forwarded one in one field: a lowered
-// declaration (the tail dropped), a relabelled or retyped schema attribute,
-// another contract, or — for a delivery — another resume geometry. Only
-// the rows' associated data can tell, so each lie must fail to open with
-// sim.ErrTamper; the honest relay completes.
+// honestly sealed rows, or a begin frame declaring none, then the end
+// frame, and keeps the framing valid, but it duplicates, reorders or
+// reflects a row, or the sender sealed its stream under a begin frame that
+// differs from the forwarded one: a lowered declaration (the tail
+// dropped), a relabelled or retyped schema attribute, another contract, or
+// — for a delivery — another resume geometry or a forged failure verdict.
+// Only the associated data of the rows and of the end frame's tag can
+// tell, so each lie must fail to open with sim.ErrTamper; the honest
+// relays complete.
 var relayScripts = []struct {
 	name string
-	// rows relays the one chunk of four rows.
+	// rows relays the one chunk of four rows; nil relays a stream
+	// declaring none.
 	rows func(sc *streamScript) [][]byte
-	// sealed rewrites the begin frame the rows are sealed under; nil seals
-	// them under the forwarded one.
-	sealed       func(b beginFrame)
-	honest       bool
-	deliveryOnly bool
+	// sealed rewrites the begin frame the stream is sealed under; forward
+	// rewrites the one forwarded. Nil leaves either as the sender wrote it.
+	sealed, forward func(b beginFrame)
+	honest          bool
+	deliveryOnly    bool
 }{
 	{name: "honest", rows: sealFour, honest: true},
+	{name: "honest without rows", honest: true},
 	{name: "duplicate", rows: func(sc *streamScript) [][]byte {
 		r := sc.seal(0, 3)
 		return [][]byte{r[0], r[1], r[1], r[2]}
@@ -68,6 +72,17 @@ var relayScripts = []struct {
 		r := b.(*resultBeginMsg)
 		r.StartChunk, r.TotalChunks = 1, 3
 	}},
+	{name: "relabel a stream without rows", forward: func(b beginFrame) {
+		a := beginSchema(b).Attrs
+		a[0].Name, a[1].Name = a[1].Name, a[0].Name
+		if r, ok := b.(*resultBeginMsg); ok {
+			r.TotalChunks = 7
+		}
+	}},
+	{name: "forge the failure verdict", deliveryOnly: true, forward: func(b beginFrame) {
+		r := b.(*resultBeginMsg)
+		*r = resultBeginMsg{ContractID: r.ContractID, Err: "forged: the join failed"}
+	}},
 }
 
 func sealFour(sc *streamScript) [][]byte { return sc.seal(0, 4) }
@@ -96,24 +111,37 @@ func TestSessionRelayTampering(t *testing.T) {
 			}
 			t.Run(d.name+"/"+s.name, func(t *testing.T) {
 				sc := d.start(t)
-				sealed := sc.beginf(4)
+				declared := int64(4)
+				if s.rows == nil {
+					declared = 0
+				}
+				sent, sealed := sc.beginf(declared), sc.beginf(declared)
 				if s.sealed != nil {
 					s.sealed(sealed)
 				}
-				sc.relayBegin(sc.beginf(4), sealed)
+				if s.forward != nil {
+					s.forward(sent)
+				}
+				sc.relayBegin(sent, sealed)
 				var ck chunker
-				sc.send(frameMsg{Chunk: ck.frame(s.rows(sc))})
-				if s.honest {
+				if s.rows != nil {
+					sc.send(frameMsg{Chunk: ck.frame(s.rows(sc))})
+					if !s.honest {
+						if err := sc.verdict(); !errors.Is(err, sim.ErrTamper) {
+							t.Fatalf("verdict = %v, want sim.ErrTamper", err)
+						}
+						return
+					}
 					if a := sc.ack(); a.Err != "" {
 						t.Fatalf("honest chunk refused: %s", a.Err)
 					}
-					sc.send(frameMsg{End: ck.endFrame(4)})
-					if err := sc.verdict(); err != nil {
-						t.Fatalf("honest relay refused: %v", err)
-					}
-					return
 				}
-				if err := sc.verdict(); !errors.Is(err, sim.ErrTamper) {
+				sc.send(frameMsg{End: sc.end(&ck, declared)})
+				err := sc.verdict()
+				switch {
+				case s.honest && err != nil:
+					t.Fatalf("honest relay refused: %v", err)
+				case !s.honest && !errors.Is(err, sim.ErrTamper):
 					t.Fatalf("verdict = %v, want sim.ErrTamper", err)
 				}
 			})

@@ -1,13 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+
+	"ppj/internal/sim"
 )
 
 // One chunk stream carries relations both ways over a session: a provider's
@@ -16,11 +20,12 @@ import (
 // receiver grants a credit window, the sender streams sequence-numbered
 // chunkMsg frames with at most W of them unacknowledged, then an endMsg
 // with the totals; the receiver acks every consumed chunk and confirms the
-// stream, or refuses it with a nack. Every sealed row is bound to its place
-// in the direction and to the stream's begin frame by its associated data
-// (protocol.go), so the session tag is the stream's one integrity check.
-// Only the begin frames and what each side does with an admitted chunk
-// differ per direction.
+// stream, or refuses it with a nack. Every sealed row, and the end frame's
+// sealed totals after them, is bound to its place in the direction and to
+// the stream's begin frame by its associated data (protocol.go), so the
+// session tag is the stream's one integrity check, and a stream without
+// rows carries one tag too. Only the begin frames and what each side does
+// with an admitted chunk differ per direction.
 
 // direction is one way a chunk stream runs: the name its sender reports
 // under, and the typed verdicts its receiver returns.
@@ -48,10 +53,19 @@ type chunkMsg struct {
 }
 
 // endMsg closes the stream with the totals the receiver must agree with:
-// frame count and row count.
+// frame count and row count. Tag is the totals sealed under the begin
+// frame's digest at the direction's next sequence number: the last
+// message of every stream, so a stream that carries no rows still proves
+// its begin frame.
 type endMsg struct {
 	Frames uint32
 	Rows   int64
+	Tag    []byte
+}
+
+// totals is the plaintext Tag seals.
+func (e *endMsg) totals() []byte {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, e.Frames), uint64(e.Rows))
 }
 
 // frameMsg is the stream envelope: exactly one of Chunk or End is set.
@@ -198,17 +212,19 @@ func (c *chunker) endFrame(rows int64) *endMsg {
 }
 
 // send streams n rows after the caller's begin frame, in chunks of size
-// rows under the receiver's credit window. Rows are sealed lazily — seal
-// returns rows [lo, hi) sealed, called once the window admits their chunk —
-// so sender memory is one chunk beyond what it already holds. It returns
-// once the receiver confirms the completed stream, or with its refusal.
+// rows under the receiver's credit window, then the end frame with its
+// totals sealed under bind, the begin frame's digest. Rows are sealed
+// lazily — seal returns rows [lo, hi) sealed, called once the window
+// admits their chunk — so sender memory is one chunk beyond what it
+// already holds. It returns once the receiver confirms the completed
+// stream, or with its refusal.
 //
 // The ack stream is drained by a dedicated reader that publishes cumulative
 // credit into an ackTracker: the reader must never stop consuming the wire,
 // or a synchronous transport deadlocks three ways at once (receiver blocked
 // writing an ack, reader blocked handing it over, sender blocked writing a
 // chunk the receiver will never read).
-func (d direction) send(sess *Session, n, size int, seal func(lo, hi int) ([][]byte, error)) error {
+func (d direction) send(sess *Session, bind []byte, n, size int, seal func(lo, hi int) ([][]byte, error)) error {
 	st := newAckTracker()
 	go st.run(sess.dec, d.name)
 	// The first ack is the credit grant (and the receiver's chance to refuse
@@ -231,7 +247,9 @@ func (d direction) send(sess *Session, n, size int, seal func(lo, hi int) ([][]b
 			return fmt.Errorf("service: sending %s chunk %d: %w", d.name, ck.seq-1, err)
 		}
 	}
-	if err := sess.enc.Encode(frameMsg{End: ck.endFrame(int64(n))}); err != nil {
+	end := ck.endFrame(int64(n))
+	end.Tag = sess.sealer.seal(end.totals(), bind)
+	if err := sess.enc.Encode(frameMsg{End: end}); err != nil {
 		return fmt.Errorf("service: sending %s end: %w", d.name, err)
 	}
 	return st.wait(func() bool { return st.done })
@@ -309,6 +327,7 @@ type receiver struct {
 	dir    direction
 	decode func(any) error // reads one message off the wire
 	asm    *chunkAssembler
+	bind   []byte // the begin frame's digest, which the end frame's tag is sealed under
 	window int
 	// consume handles one verified chunk, its rows still sealed; an error
 	// refuses the stream.
@@ -320,8 +339,9 @@ type receiver struct {
 
 // run grants the credit window, then verifies, consumes and acknowledges
 // chunk after chunk — credit returns only after consume, so a slow
-// consumer throttles the sender — and confirms the end frame's totals.
-// Every refusal is nacked back to the sender.
+// consumer throttles the sender — and confirms the end frame's totals
+// once its tag opens over them. Every refusal is nacked back to the
+// sender.
 func (r *receiver) run() error {
 	if err := r.sess.enc.Encode(ackMsg{Window: r.window}); err != nil {
 		return fmt.Errorf("%w: sending credit grant: %v", r.dir.truncated, err)
@@ -333,6 +353,9 @@ func (r *receiver) run() error {
 		}
 		if f.End != nil {
 			if err := r.asm.end(f.End); err != nil {
+				return r.sess.nack(err)
+			}
+			if err := r.openTag(f.End); err != nil {
 				return r.sess.nack(err)
 			}
 			_ = r.sess.enc.Encode(ackMsg{Seq: r.asm.next, Window: r.window, Done: true})
@@ -349,4 +372,17 @@ func (r *receiver) run() error {
 			return r.dir.paused
 		}
 	}
+}
+
+// openTag opens the end frame's tag under the begin frame's digest and
+// checks that it seals the totals the assembler accepted.
+func (r *receiver) openTag(e *endMsg) error {
+	pt, err := r.sess.opener.open(e.Tag, r.bind)
+	if err == nil && !bytes.Equal(pt, e.totals()) {
+		err = sim.ErrTamper
+	}
+	if err != nil {
+		return fmt.Errorf("%w: end frame: %w", r.dir.frame, err)
+	}
+	return nil
 }

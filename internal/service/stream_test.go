@@ -112,6 +112,14 @@ func (sc *streamScript) relayBegin(sent, sealed beginFrame) {
 	}
 }
 
+// end closes the stream ck numbered with its totals, sealed under the
+// session key and the bound begin frame.
+func (sc *streamScript) end(ck *chunker, rows int64) *endMsg {
+	e := ck.endFrame(rows)
+	e.Tag = sc.sess.sealer.seal(e.totals(), sc.bind)
+	return e
+}
+
 // seal seals rows [lo, hi) under the session key and the bound begin frame.
 func (sc *streamScript) seal(lo, hi int) [][]byte {
 	out := make([][]byte, 0, hi-lo)
@@ -201,7 +209,7 @@ var framingScripts = []struct {
 		if a := sc.ack(); a.Err != "" {
 			t.Fatalf("chunk refused: %s", a.Err)
 		}
-		sc.send(frameMsg{End: ck.endFrame(4)})
+		sc.send(frameMsg{End: sc.end(&ck, 4)})
 		err := sc.verdict()
 		if !errors.Is(err, sc.dir.truncated) || !strings.Contains(err.Error(), "4 of 8") {
 			t.Fatalf("verdict = %v", err)
@@ -214,7 +222,7 @@ var framingScripts = []struct {
 		if a := sc.ack(); a.Err != "" {
 			t.Fatalf("chunk refused: %s", a.Err)
 		}
-		e := ck.endFrame(4)
+		e := sc.end(&ck, 4)
 		e.Frames = 5
 		sc.send(frameMsg{End: e})
 		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
@@ -285,7 +293,8 @@ func TestChunkedFramingViolations(t *testing.T) {
 // FetchResult, which must answer each with the delivery sentinel, and
 // pins that frames in the shapes of the separate result frame types a
 // ProtoVersion 2 server sent before upload and delivery shared one stream
-// still decode into a completed fetch.
+// still decode into a completed fetch, the end frame with the tag every
+// stream has ended with since version 6.
 func TestResultFramingViolations(t *testing.T) {
 	for _, s := range framingScripts {
 		t.Run(s.name, func(t *testing.T) { s.run(t, startDeliveryScript(t)) })
@@ -299,6 +308,7 @@ func TestResultFramingViolations(t *testing.T) {
 		type resultEndMsg struct {
 			Frames uint32
 			Rows   int64
+			Tag    []byte
 		}
 		type resultFrameMsg struct {
 			Chunk *resultChunkMsg
@@ -335,8 +345,8 @@ func TestResultFramingViolations(t *testing.T) {
 				t.Fatalf("ack after chunk %d = %+v", c.Seq, a)
 			}
 		}
-		e := ck.endFrame(8)
-		sc.send(resultFrameMsg{End: &resultEndMsg{Frames: e.Frames, Rows: e.Rows}})
+		e := sc.end(&ck, 8)
+		sc.send(resultFrameMsg{End: &resultEndMsg{Frames: e.Frames, Rows: e.Rows, Tag: e.Tag}})
 		if a := ack(); !a.Done || a.Seq != 2 {
 			t.Fatalf("done ack = %+v", a)
 		}

@@ -16,14 +16,16 @@ import (
 // travels back out as the same stream after a resultBeginMsg, resumable
 // (result.go); every sealed row is AES-GCM under its direction's key,
 // bound by associated data to its place in the direction and to a digest
-// of its stream's begin frame (protocol.go). (Versions 0 and 1, the
+// of its stream's begin frame (protocol.go), and every stream ends with
+// its totals sealed the same way (stream.go). (Versions 0 and 1, the
 // one-shot upload and the one-shot delivery; version 2, sealed with OCB
 // and no associated data; version 3, whose aggregate cell rode in the
-// result begin frame and whose attestation was gob nested in gob; and
-// version 4, whose frames carried a running CRC, whose rows carried the
-// contract ID and whose begin frames no tag covered, are no longer
+// result begin frame and whose attestation was gob nested in gob; version
+// 4, whose frames carried a running CRC, whose rows carried the contract
+// ID and whose begin frames no tag covered; and version 5, whose streams
+// without rows, failure verdicts included, carried no tag, are no longer
 // spoken; Handshake refuses them.)
-const ProtoVersion byte = 5
+const ProtoVersion byte = 6
 
 // ErrUnsupportedProto refuses a hello whose version byte is not
 // ProtoVersion, before any attestation signing or key agreement.
@@ -73,7 +75,9 @@ type uploadBeginMsg struct {
 }
 
 func (b *uploadBeginMsg) digest() []byte {
-	return beginDigest("upload", b.ContractID, b.Schema, uint64(b.DeclaredRows))
+	f := beginDigest("upload", b.ContractID, b.Schema)
+	f.u64(uint64(b.DeclaredRows))
+	return f.Sum(nil)
 }
 
 // receiveChunked ingests one upload stream: contract and schema are
@@ -114,7 +118,7 @@ func (s *Service) receiveChunked(ctx context.Context, sess *Session) (*relation.
 	if window <= 0 {
 		window = DefaultUploadWindow
 	}
-	r := receiver{sess: sess, dir: uploadStream, decode: decode, asm: asm, window: window,
+	r := receiver{sess: sess, dir: uploadStream, decode: decode, asm: asm, bind: bind, window: window,
 		consume: func(c *chunkMsg) error {
 			if s.chunkConsumeHook != nil {
 				s.chunkConsumeHook(int(c.Seq))
