@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"crypto/ed25519"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -142,14 +141,14 @@ func TestUnsupportedProtoRefusedThroughRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0, 1, 2, 3, 4, 5, 255} {
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, 6, 255} {
 		serverEnd, clientEnd := net.Pipe()
 		handler := make(chan error, 1)
 		go func() {
 			defer serverEnd.Close()
 			handler <- rt.HandleConn(serverEnd)
 		}()
-		if err := gob.NewEncoder(clientEnd).Encode(service.Hello{
+		if err := service.WriteHello(clientEnd, service.Hello{
 			Party: g.provA.name, Role: service.RoleProvider, ContractID: g.contract.ID,
 			Challenge: make([]byte, 32), Proto: v,
 		}); err != nil {

@@ -15,8 +15,10 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // ErrZeroized is returned by every operation after tamper response fired.
@@ -248,10 +250,19 @@ type ExpectedStack map[Layer][32]byte
 // given chains of signed certificates, a relying party will be able to
 // authenticate a particular software entity within a particular untampered
 // platform".
+//
+// A chain's link signatures are checked once per process: ed25519.Verify
+// is a pure function of key, message and signature, so a chain whose
+// three links verified under this pinned key (verifiedChains) skips those
+// three verifications when it comes again byte for byte. The layer order,
+// the signer-key chaining, the expected measurements, the challenge and
+// its signature are checked on every call.
 func Verify(deviceKey ed25519.PublicKey, expected ExpectedStack, att Attestation, challenge []byte) error {
 	if len(att.Chain) != int(numLayers) {
 		return fmt.Errorf("secop: chain has %d links, want %d", len(att.Chain), numLayers)
 	}
+	digest := chainDigest(deviceKey, att.Chain)
+	known := verifiedChains.has(digest)
 	signer := deviceKey
 	for l := Layer(0); l < numLayers; l++ {
 		cert := att.Chain[l]
@@ -261,13 +272,16 @@ func Verify(deviceKey ed25519.PublicKey, expected ExpectedStack, att Attestation
 		if !cert.SignerKey.Equal(signer) {
 			return fmt.Errorf("secop: layer %s signed by unexpected key", l)
 		}
-		if !ed25519.Verify(signer, cert.payload(), cert.Signature) {
+		if !known && !ed25519.Verify(signer, cert.payload(), cert.Signature) {
 			return fmt.Errorf("secop: layer %s certificate signature invalid", l)
 		}
 		if want, ok := expected[l]; ok && want != cert.SubjectDigest {
 			return fmt.Errorf("secop: layer %s runs unexpected code %q", l, cert.SubjectName)
 		}
 		signer = cert.SubjectKey
+	}
+	if !known {
+		verifiedChains.add(digest)
 	}
 	if string(att.Challenge) != string(challenge) {
 		return errors.New("secop: challenge mismatch (replay?)")
@@ -277,4 +291,56 @@ func Verify(deviceKey ed25519.PublicKey, expected ExpectedStack, att Attestation
 		return errors.New("secop: challenge signature invalid")
 	}
 	return nil
+}
+
+// chainDigest is SHA-256 over the pinned device key and, for every link,
+// the three inputs of its signature check — signer key, signed payload,
+// signature — each length-prefixed.
+func chainDigest(deviceKey ed25519.PublicKey, chain []Certificate) [sha256.Size]byte {
+	h := sha256.New()
+	field := func(b []byte) {
+		h.Write(binary.BigEndian.AppendUint64(nil, uint64(len(b))))
+		h.Write(b)
+	}
+	field(deviceKey)
+	for _, c := range chain {
+		field(c.SignerKey)
+		field(c.payload())
+		field(c.Signature)
+	}
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
+}
+
+// chainMemoCap bounds verifiedChains. A process relies on a handful of
+// devices, each with one chain per boot; a set that fills is emptied and
+// refills from the chains still in use.
+const chainMemoCap = 256
+
+// verifiedChains is the process-wide set of chain digests whose link
+// signatures verified under the pinned key the digest names. Only Verify
+// adds to it, once a chain's links have verified, so a relay cannot fill
+// it with chains that do not.
+var verifiedChains = chainSet{m: make(map[[sha256.Size]byte]struct{}, chainMemoCap)}
+
+type chainSet struct {
+	mu sync.RWMutex
+	m  map[[sha256.Size]byte]struct{}
+}
+
+func (s *chainSet) has(d [sha256.Size]byte) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	_, ok := s.m[d]
+	return ok
+}
+
+func (s *chainSet) add(d [sha256.Size]byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.m) >= chainMemoCap {
+		clear(s.m)
+	}
+	s.m[d] = struct{}{}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -188,7 +187,7 @@ func helloAtVersion(t *testing.T, handle func(io.ReadWriter) error, hello servic
 		defer serverEnd.Close()
 		handler <- handle(serverEnd)
 	}()
-	if err := gob.NewEncoder(clientEnd).Encode(hello); err != nil {
+	if err := service.WriteHello(clientEnd, hello); err != nil {
 		t.Fatalf("sending hello: %v", err)
 	}
 	back, _ := io.ReadAll(clientEnd)
@@ -213,7 +212,7 @@ func TestUnsupportedProtoRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0, 1, 2, 3, 4, 5, 255} {
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, 6, 255} {
 		verdict, answered := helloAtVersion(t, func(conn io.ReadWriter) error { return handleConn(srv, conn) }, service.Hello{
 			Party: g.provA.name, Role: service.RoleProvider, ContractID: g.contract.ID,
 			Challenge: make([]byte, 32), Proto: v,

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"sync"
 	"testing"
@@ -78,22 +77,10 @@ type meterConn struct {
 func (c meterConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
 func (c meterConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 
-// wireFrameBytes measures the gob wire size of one maximal chunk frame
-// (including the one-off type registration of a fresh stream, so it bounds
-// the first and largest frame).
-func wireFrameBytes(t *testing.T, rows, rowLen int) int {
-	t.Helper()
-	fake := make([][]byte, rows)
-	for i := range fake {
-		fake[i] = bytes.Repeat([]byte{0xa5}, rowLen)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(frameMsg{
-		Chunk: &chunkMsg{Seq: 1 << 30, Rows: fake},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Len()
+// wireFrameBytes is the wire size of one chunk frame of rows sealed rows
+// of rowLen bytes: fixed-width fields, so any such frame.
+func wireFrameBytes(rows, rowLen int) int {
+	return len(appendFrame(nil, &chunkMsg{Rows: make([][]byte, rows)})) + rows*rowLen
 }
 
 // TestBackpressureBoundsIngestMemory is the backpressure end-to-end: a fast
@@ -164,10 +151,10 @@ func TestBackpressureBoundsIngestMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	sealedRow := int(minSealedRowBytes) - 1 + len(enc)
-	frameBytes := wireFrameBytes(t, chunkRows, sealedRow)
+	frameBytes := wireFrameBytes(chunkRows, sealedRow)
 
 	peak := up.Peak()
-	bound := window*frameBytes + 256 // gob stream preamble slack
+	bound := window*frameBytes + 256 // the end frame, which no credit gates
 	if peak > bound {
 		t.Fatalf("transport buffered %d bytes at peak; window of %d chunks bounds it by %d",
 			peak, window, bound)
@@ -230,7 +217,7 @@ func TestBackpressureWindowOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	sealedRow := int(minSealedRowBytes) - 1 + len(enc)
-	frameBytes := wireFrameBytes(t, 8, sealedRow)
+	frameBytes := wireFrameBytes(8, sealedRow)
 	if peak := up.Peak(); peak > frameBytes+256 {
 		t.Fatalf("window 1 let %d bytes pile up; one frame is %d", peak, frameBytes)
 	}

@@ -54,11 +54,11 @@ func (c *Client) ConnectJobResume(conn io.ReadWriter, role Role, contractID, job
 	if _, err := rand.Read(challenge); err != nil {
 		return nil, err
 	}
-	if err := sess.enc.Encode(Hello{Party: c.Name, Role: role, Challenge: challenge, ContractID: contractID, JobID: jobID, Proto: ProtoVersion, ResumeChunks: resume}); err != nil {
+	if err := WriteHello(conn, Hello{Party: c.Name, Role: role, Challenge: challenge, ContractID: contractID, JobID: jobID, Proto: ProtoVersion, ResumeChunks: resume}); err != nil {
 		return nil, err
 	}
 	var auth serverAuthMsg
-	if err := sess.dec.Decode(&auth); err != nil {
+	if err := sess.read(&auth); err != nil {
 		return nil, fmt.Errorf("service: reading attestation: %w", err)
 	}
 	if err := secop.Verify(c.DeviceKey, c.Expected, auth.Att, challenge); err != nil {
@@ -74,7 +74,7 @@ func (c *Client) ConnectJobResume(conn io.ReadWriter, role Role, contractID, job
 		return nil, err
 	}
 	transcript := append(append([]byte(nil), auth.ECDHPub...), eph.PublicKey().Bytes()...)
-	if err := sess.enc.Encode(clientKeyMsg{
+	if err := sess.send(&clientKeyMsg{
 		ECDHPub: eph.PublicKey().Bytes(),
 		Sig:     ed25519.Sign(c.Identity, transcript),
 	}); err != nil {
@@ -88,18 +88,18 @@ func (c *Client) ConnectJobResume(conn io.ReadWriter, role Role, contractID, job
 	if err != nil {
 		return nil, err
 	}
-	sealDir, open, err := sessionSealers(shared, auth.ECDHPub, eph.PublicKey().Bytes(), dirClient, dirServer)
-	if err != nil {
+	if sess.sealer, sess.opener, err = sessionSealers(shared, auth.ECDHPub, eph.PublicKey().Bytes(), dirClient, dirServer); err != nil {
 		return nil, err
 	}
-	return &ClientSession{client: c, sess: &Session{enc: sess.enc, dec: sess.dec, sealer: sealDir, opener: open}}, nil
+	return &ClientSession{client: c, sess: sess}, nil
 }
 
 // UploadOptions configures the streaming producer.
 type UploadOptions struct {
 	// ChunkRows is the number of sealed rows per chunk frame. Zero selects
-	// DefaultChunkRows. The server's per-connection ingest memory is bounded
-	// by its credit window times this chunk's wire size.
+	// DefaultChunkRows; more rows than one chunk frame's cap holds are cut
+	// to those it holds. The server's per-connection ingest memory is
+	// bounded by its credit window times this chunk's wire size.
 	ChunkRows int
 }
 
@@ -121,12 +121,13 @@ func (cs *ClientSession) SubmitRelationOpts(contractID string, rel *relation.Rel
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows
 	}
+	chunkRows = min(chunkRows, chunkRowsCap(rel.Schema.TupleSize()))
 	begin := uploadBeginMsg{
 		ContractID:   contractID,
 		Schema:       toWire(rel.Schema),
 		DeclaredRows: int64(rel.Len()),
 	}
-	if err := cs.sess.enc.Encode(begin); err != nil {
+	if err := cs.sess.send(&begin); err != nil {
 		return fmt.Errorf("service: sending upload begin: %w", err)
 	}
 	bind := begin.digest()
@@ -141,6 +142,13 @@ func (cs *ClientSession) SubmitRelationOpts(contractID string, rel *relation.Rel
 		}
 		return sealed, nil
 	})
+}
+
+// chunkRowsCap is the most rows of tupleSize-byte tuples, sealed, that one
+// chunk frame's cap holds, and at least one.
+func chunkRowsCap(tupleSize int) int {
+	sealedRow := 4 + int(minSealedRowBytes) - 1 + tupleSize
+	return max(1, int(frameCaps[frameChunk]-8)/sealedRow)
 }
 
 // ReceiveResult waits for the recipient's result, decrypts it, drops decoy

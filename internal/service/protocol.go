@@ -16,10 +16,8 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash"
-	"io"
 	"math"
 
 	"ppj/internal/relation"
@@ -174,7 +172,7 @@ func (c *Contract) PartyIndex(name string) int {
 	return -1
 }
 
-// --- Wire messages (gob-encoded over the connection) ---
+// --- Handshake messages (frame.go carries them) ---
 
 // Hello opens a session. ContractID names the contract the requestor wants
 // to act under, so one listener can serve many contracts (the multi-tenant
@@ -269,31 +267,6 @@ func beginDigest(dir, contractID string, schema schemaWire) fieldHash {
 		f.u64(uint64(a.Width))
 	}
 	return f
-}
-
-// Session wraps a connection with gob codecs and the directional session
-// sealers (sealer encrypts outgoing payloads, opener decrypts incoming).
-type Session struct {
-	enc    *gob.Encoder
-	dec    *gob.Decoder
-	sealer *sessionSealer
-	opener *sessionSealer
-}
-
-func newSession(rw io.ReadWriter) *Session {
-	return &Session{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw)}
-}
-
-// ReadHello reads the opening message of a session without answering it.
-// The caller routes on Hello.ContractID (and may then complete the
-// handshake with the matching service's Handshake).
-func ReadHello(conn io.ReadWriter) (*Session, Hello, error) {
-	sess := newSession(conn)
-	var hello Hello
-	if err := sess.dec.Decode(&hello); err != nil {
-		return nil, Hello{}, fmt.Errorf("service: reading hello: %w", err)
-	}
-	return sess, hello, nil
 }
 
 // sessionSealer is one direction of a session: AES-GCM under that

@@ -35,8 +35,8 @@ const (
 // the recipient is the one receiving.
 var (
 	// ErrResultFrame reports malformed result framing: out-of-order or
-	// replayed sequence numbers, an envelope carrying neither chunk nor
-	// end; or a sealed row that fails to open, which also matches
+	// replayed sequence numbers, a frame that is neither chunk nor end;
+	// or a sealed row that fails to open, which also matches
 	// sim.ErrTamper.
 	ErrResultFrame = errors.New("service: malformed result frame")
 	// ErrResultTruncated reports a result stream that died before the end
@@ -97,10 +97,10 @@ func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) e
 	total := uint32((len(out.Rows) + ResultChunkRows - 1) / ResultChunkRows)
 	switch {
 	case out.Err != nil:
-		begin.Err = out.Err.Error()
+		begin.Err = truncateVerdict(out.Err.Error())
 	case startChunk > total:
 		refused = fmt.Errorf("resume offset %d beyond the result's %d chunks", startChunk, total)
-		begin.Err = refused.Error()
+		begin.Err = truncateVerdict(refused.Error())
 	default:
 		// startChunk == total is a legal resume point (every chunk
 		// consumed, end frame lost); with a partial last chunk the row
@@ -112,7 +112,7 @@ func (s *Service) DeliverStream(sess *Session, out Outcome, startChunk uint32) e
 		begin.StreamRows = int64(len(rows))
 		begin.Schema = toWire(out.Schema)
 	}
-	if err := sess.enc.Encode(begin); err != nil {
+	if err := sess.send(&begin); err != nil {
 		return fmt.Errorf("service: sending result begin: %w", err)
 	}
 	bind := begin.digest()
@@ -158,7 +158,7 @@ type ResultFetch struct {
 func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 	sess := cs.sess
 	var begin resultBeginMsg
-	if err := sess.dec.Decode(&begin); err != nil {
+	if err := sess.read(&begin); err != nil {
 		return deliveryStream.decodeErr(err)
 	}
 	if begin.Err != "" {
@@ -184,7 +184,7 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 		return err
 	}
 	bind := begin.digest()
-	r := receiver{sess: sess, dir: deliveryStream, decode: sess.dec.Decode, asm: asm, bind: bind,
+	r := receiver{sess: sess, dir: deliveryStream, read: sess.readFrame, asm: asm, bind: bind,
 		window: DefaultResultWindow, pauseAfter: f.PauseAfter,
 		consume: func(c *chunkMsg) error {
 			cells := make([][]byte, len(c.Rows))

@@ -2,7 +2,7 @@ package service
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -10,19 +10,20 @@ import (
 	"ppj/internal/relation"
 )
 
-// fuzzResultWire gob-encodes a sequence of server-side delivery frames into
+// fuzzResultWire frames a sequence of server-side delivery messages into
 // one raw byte stream — the shape FetchResult reads off the session.
-func fuzzResultWire(t testing.TB, frames ...interface{}) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
+func fuzzResultWire(frames ...wireMsg) []byte {
+	var raw []byte
 	for _, fr := range frames {
-		if err := enc.Encode(fr); err != nil {
-			t.Fatal(err)
-		}
+		raw = appendFrame(raw, fr)
 	}
-	return buf.Bytes()
+	return raw
 }
+
+// rawConn reads r and discards what is written to it.
+type rawConn struct{ io.Reader }
+
+func (rawConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // wireRecipient is a recipient session that reads raw and discards what it
 // writes.
@@ -32,11 +33,9 @@ func wireRecipient(t testing.TB, raw []byte) *ClientSession {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &ClientSession{sess: &Session{
-		enc:    gob.NewEncoder(io.Discard),
-		dec:    gob.NewDecoder(bytes.NewReader(raw)),
-		opener: opener,
-	}}
+	sess := newSession(rawConn{bytes.NewReader(raw)})
+	sess.opener = opener
+	return &ClientSession{sess: sess}
 }
 
 // TestResumeRefusesChangedSchema: a resumed stream appends to the rows the
@@ -45,7 +44,7 @@ func wireRecipient(t testing.TB, raw []byte) *ClientSession {
 func TestResumeRefusesChangedSchema(t *testing.T) {
 	held := relation.MustSchema(relation.Attr{Name: "key", Type: relation.Int64})
 	other := relation.MustSchema(relation.Attr{Name: "key", Type: relation.Float64})
-	raw := fuzzResultWire(t, resultBeginMsg{ContractID: "fz", Schema: toWire(other), StartChunk: 1, TotalChunks: 2, StreamRows: 1})
+	raw := fuzzResultWire(&resultBeginMsg{ContractID: "fz", Schema: toWire(other), StartChunk: 1, TotalChunks: 2, StreamRows: 1})
 	f := &ResultFetch{Chunks: 1, Rows: relation.NewRelation(held)}
 	if err := wireRecipient(t, raw).FetchResult(f); !errors.Is(err, ErrResultFrame) {
 		t.Fatalf("resume under a changed schema: %v, want ErrResultFrame", err)
@@ -53,33 +52,35 @@ func TestResumeRefusesChangedSchema(t *testing.T) {
 }
 
 // FuzzResultStream aims hostile bytes at the recipient side of streamed
-// delivery: FetchResult decodes a begin frame and then chunk/end envelopes
-// from an attacker-controlled gob stream. Whatever arrives — truncated
-// gobs, skewed resume offsets, chunk frames full of garbage ciphertext,
-// envelopes carrying both or neither of chunk and end — the fetch must
-// terminate in an error without panicking, and the only way it may report
-// success is a verified, completed stream (Done set, totals checked).
+// delivery: FetchResult reads a begin frame and then chunk and end frames
+// from an attacker-controlled byte stream. Whatever arrives — truncated
+// frames, lying body lengths, skewed resume offsets, chunk frames full of
+// garbage ciphertext, frames that are neither chunk nor end — the fetch
+// must terminate in an error without panicking, and the only way it may
+// report success is a verified, completed stream (Done set, totals
+// checked).
 func FuzzResultStream(f *testing.F) {
 	schema, err := relation.NewSchema(relation.Attr{Name: "key", Type: relation.Int64})
 	if err != nil {
 		f.Fatal(err)
 	}
+	begin := func(m resultBeginMsg) *resultBeginMsg { m.ContractID = "fz"; return &m }
 	// Seeds straddle the interesting frontiers: an in-band failure verdict,
 	// a valid empty stream, a resume-offset mismatch, a chunk of garbage
-	// ciphertext, a malformed envelope, a begin frame without a schema, and
-	// plain gob rubble.
-	f.Add(uint32(0), fuzzResultWire(f, resultBeginMsg{ContractID: "fz", Err: "join blew up"}))
-	f.Add(uint32(0), fuzzResultWire(f,
-		resultBeginMsg{ContractID: "fz", Schema: toWire(schema)},
-		frameMsg{End: &endMsg{}}))
-	f.Add(uint32(3), fuzzResultWire(f, resultBeginMsg{ContractID: "fz", Schema: toWire(schema), StartChunk: 1, TotalChunks: 4}))
-	f.Add(uint32(0), fuzzResultWire(f,
-		resultBeginMsg{ContractID: "fz", Schema: toWire(schema), TotalChunks: 1, StreamRows: 1},
-		frameMsg{Chunk: &chunkMsg{Rows: [][]byte{{1, 2, 3}}}}))
-	f.Add(uint32(0), fuzzResultWire(f,
-		resultBeginMsg{ContractID: "fz", Schema: toWire(schema), TotalChunks: 1, StreamRows: 1},
-		frameMsg{}))
-	f.Add(uint32(0), fuzzResultWire(f, resultBeginMsg{ContractID: "fz"}))
+	// ciphertext, a frame that is neither chunk nor end, a begin frame
+	// without a schema, a chunk whose header declares more body than
+	// follows, one over the chunk cap, and plain rubble.
+	f.Add(uint32(0), fuzzResultWire(begin(resultBeginMsg{Err: "join blew up"})))
+	f.Add(uint32(0), fuzzResultWire(begin(resultBeginMsg{Schema: toWire(schema)}), &endMsg{}))
+	f.Add(uint32(3), fuzzResultWire(begin(resultBeginMsg{Schema: toWire(schema), StartChunk: 1, TotalChunks: 4})))
+	oneRow := begin(resultBeginMsg{Schema: toWire(schema), TotalChunks: 1, StreamRows: 1})
+	f.Add(uint32(0), fuzzResultWire(oneRow, &chunkMsg{Rows: [][]byte{bytes.Repeat([]byte{3}, 40)}}))
+	f.Add(uint32(0), fuzzResultWire(oneRow, &ackMsg{}))
+	f.Add(uint32(0), fuzzResultWire(begin(resultBeginMsg{})))
+	lying := fuzzResultWire(oneRow, &chunkMsg{Rows: [][]byte{bytes.Repeat([]byte{3}, 40)}})
+	binary.BigEndian.PutUint32(lying[len(lying)-4-40-4-4-4:], 1000)
+	f.Add(uint32(0), lying)
+	f.Add(uint32(0), append(fuzzResultWire(oneRow), frameChunk, 0xff, 0xff, 0xff, 0xff))
 	f.Add(uint32(1), []byte{0x42, 0x00, 0xff})
 	f.Add(uint32(0), []byte{})
 

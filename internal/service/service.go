@@ -215,7 +215,7 @@ func (s *Service) Handshake(sess *Session, hello Hello) (Party, error) {
 	if err != nil {
 		return Party{}, err
 	}
-	if err := sess.enc.Encode(serverAuthMsg{
+	if err := sess.send(&serverAuthMsg{
 		Att:     att,
 		ECDHPub: eph.PublicKey().Bytes(),
 		Sig:     sig,
@@ -224,7 +224,7 @@ func (s *Service) Handshake(sess *Session, hello Hello) (Party, error) {
 	}
 
 	var ck clientKeyMsg
-	if err := sess.dec.Decode(&ck); err != nil {
+	if err := sess.read(&ck); err != nil {
 		return Party{}, fmt.Errorf("reading client key: %w", err)
 	}
 	transcript := append(append([]byte(nil), eph.PublicKey().Bytes()...), ck.ECDHPub...)

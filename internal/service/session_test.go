@@ -125,7 +125,7 @@ func TestSessionRelayTampering(t *testing.T) {
 				sc.relayBegin(sent, sealed)
 				var ck chunker
 				if s.rows != nil {
-					sc.send(frameMsg{Chunk: ck.frame(s.rows(sc))})
+					sc.send(ck.frame(s.rows(sc)))
 					if !s.honest {
 						if err := sc.verdict(); !errors.Is(err, sim.ErrTamper) {
 							t.Fatalf("verdict = %v, want sim.ErrTamper", err)
@@ -136,7 +136,7 @@ func TestSessionRelayTampering(t *testing.T) {
 						t.Fatalf("honest chunk refused: %s", a.Err)
 					}
 				}
-				sc.send(frameMsg{End: sc.end(&ck, declared)})
+				sc.send(sc.end(&ck, declared))
 				err := sc.verdict()
 				switch {
 				case s.honest && err != nil:
@@ -161,7 +161,7 @@ func TestFetchResultConsumesChunkWhole(t *testing.T) {
 	rows := sc.seal(0, 4)
 	rows[2][len(rows[2])/2] ^= 1
 	var ck chunker
-	sc.send(frameMsg{Chunk: ck.frame(rows)})
+	sc.send(ck.frame(rows))
 	if err := sc.verdict(); !errors.Is(err, ErrResultFrame) || !errors.Is(err, sim.ErrTamper) {
 		t.Fatalf("verdict = %v, want ErrResultFrame wrapping sim.ErrTamper", err)
 	}

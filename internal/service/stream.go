@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -42,7 +41,7 @@ var (
 	deliveryStream = direction{"delivery", ErrResultFrame, ErrResultFrame, ErrResultTruncated, ErrFetchPaused}
 )
 
-// --- Wire frames (gob-encoded over the session connection) ---
+// --- Stream frames (frame.go carries them) ---
 
 // chunkMsg carries one chunk of sealed rows. Seq is the 0-based chunk
 // sequence number within this stream, so a dropped, duplicated or
@@ -68,14 +67,6 @@ func (e *endMsg) totals() []byte {
 	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, e.Frames), uint64(e.Rows))
 }
 
-// frameMsg is the stream envelope: exactly one of Chunk or End is set.
-// (gob needs a single concrete type per Decode; the envelope keeps the
-// frame stream self-describing.)
-type frameMsg struct {
-	Chunk *chunkMsg
-	End   *endMsg
-}
-
 // ackMsg flows receiver → sender. The first ack after the begin frame is
 // the credit grant (Window = W); each later ack reports the cumulative
 // count of consumed chunks, returning credit. Done confirms a completed
@@ -83,7 +74,7 @@ type frameMsg struct {
 // sender fails fast instead of pushing rows at a dead session.
 type ackMsg struct {
 	Seq    uint32
-	Window int
+	Window uint32
 	Done   bool
 	Err    string
 }
@@ -171,25 +162,32 @@ func (d direction) decodeErr(err error) error {
 	return fmt.Errorf("%w: %v", d.frame, err)
 }
 
-// readFrame reads one envelope with decode and refuses one that carries
-// both frames or neither.
-func (d direction) readFrame(decode func(any) error) (*frameMsg, error) {
-	// A fresh envelope per decode: gob omits zero fields, so reusing one
-	// would leak the previous frame's pointers into the next.
-	var f frameMsg
-	if err := decode(&f); err != nil {
-		return nil, d.decodeErr(err)
+// readFrame reads one stream frame with read: a chunk into c, or the end
+// frame into e, reporting which. A frame of any other type is malformed
+// framing.
+func (d direction) readFrame(read func() (byte, []byte, error), c *chunkMsg, e *endMsg) (end bool, err error) {
+	typ, body, err := read()
+	if err != nil {
+		return false, d.decodeErr(err)
 	}
-	if (f.Chunk == nil) == (f.End == nil) {
-		return nil, fmt.Errorf("%w: envelope must carry exactly one of chunk or end", d.frame)
+	switch typ {
+	case frameChunk:
+		err = c.decode(body)
+	case frameEnd:
+		end, err = true, e.decode(body)
+	default:
+		err = fmt.Errorf("%w: %d is neither chunk nor end", errFrameType, typ)
 	}
-	return &f, nil
+	if err != nil {
+		return false, fmt.Errorf("%w: %w", d.frame, err)
+	}
+	return end, nil
 }
 
 // nack tells the sender why the stream died (best effort — the peer may
 // already be gone) and returns the verdict.
 func (s *Session) nack(err error) error {
-	_ = s.enc.Encode(ackMsg{Err: err.Error()})
+	_ = s.send(&ackMsg{Err: err.Error()})
 	return err
 }
 
@@ -226,7 +224,7 @@ func (c *chunker) endFrame(rows int64) *endMsg {
 // chunk the receiver will never read).
 func (d direction) send(sess *Session, bind []byte, n, size int, seal func(lo, hi int) ([][]byte, error)) error {
 	st := newAckTracker()
-	go st.run(sess.dec, d.name)
+	go st.run(sess, d.name)
 	// The first ack is the credit grant (and the receiver's chance to refuse
 	// the stream before any row is sealed).
 	if err := st.wait(func() bool { return st.granted }); err != nil {
@@ -243,13 +241,13 @@ func (d direction) send(sess *Session, bind []byte, n, size int, seal func(lo, h
 		if err != nil {
 			return err
 		}
-		if err := sess.enc.Encode(frameMsg{Chunk: ck.frame(rows)}); err != nil {
+		if err := sess.send(ck.frame(rows)); err != nil {
 			return fmt.Errorf("service: sending %s chunk %d: %w", d.name, ck.seq-1, err)
 		}
 	}
 	end := ck.endFrame(int64(n))
 	end.Tag = sess.sealer.seal(end.totals(), bind)
-	if err := sess.enc.Encode(frameMsg{End: end}); err != nil {
+	if err := sess.send(end); err != nil {
 		return fmt.Errorf("service: sending %s end: %w", d.name, err)
 	}
 	return st.wait(func() bool { return st.done })
@@ -280,13 +278,13 @@ func newAckTracker() *ackTracker {
 
 // run decodes acks until the stream terminates (confirmation, refusal, or a
 // dead wire), publishing each under the lock and waking waiters. If the
-// sender abandons the stream first, the reader stays blocked on the decoder
+// sender abandons the stream first, the reader stays blocked on the wire
 // until the caller closes the connection — the session is not reusable
 // after a failed stream.
-func (st *ackTracker) run(dec *gob.Decoder, what string) {
+func (st *ackTracker) run(sess *Session, what string) {
+	var a ackMsg
 	for terminal := false; !terminal; {
-		var a ackMsg
-		err := dec.Decode(&a)
+		err := sess.read(&a)
 		st.mu.Lock()
 		switch {
 		case err != nil:
@@ -296,7 +294,7 @@ func (st *ackTracker) run(dec *gob.Decoder, what string) {
 		default:
 			if !st.granted {
 				st.granted = true
-				st.window = max(a.Window, 1)
+				st.window = max(int(a.Window), 1)
 			}
 			st.seq = max(st.seq, a.Seq)
 			st.done = st.done || a.Done
@@ -325,10 +323,10 @@ func (st *ackTracker) wait(ready func() bool) error {
 type receiver struct {
 	sess   *Session
 	dir    direction
-	decode func(any) error // reads one message off the wire
+	read   func() (byte, []byte, error) // reads one frame off the wire
 	asm    *chunkAssembler
 	bind   []byte // the begin frame's digest, which the end frame's tag is sealed under
-	window int
+	window uint32
 	// consume handles one verified chunk, its rows still sealed; an error
 	// refuses the stream.
 	consume func(*chunkMsg) error
@@ -343,31 +341,35 @@ type receiver struct {
 // once its tag opens over them. Every refusal is nacked back to the
 // sender.
 func (r *receiver) run() error {
-	if err := r.sess.enc.Encode(ackMsg{Window: r.window}); err != nil {
+	if err := r.sess.send(&ackMsg{Window: r.window}); err != nil {
 		return fmt.Errorf("%w: sending credit grant: %v", r.dir.truncated, err)
 	}
+	var (
+		c chunkMsg
+		e endMsg
+	)
 	for n := uint32(1); ; n++ {
-		f, err := r.dir.readFrame(r.decode)
+		end, err := r.dir.readFrame(r.read, &c, &e)
 		if err != nil {
 			return r.sess.nack(err)
 		}
-		if f.End != nil {
-			if err := r.asm.end(f.End); err != nil {
+		if end {
+			if err := r.asm.end(&e); err != nil {
 				return r.sess.nack(err)
 			}
-			if err := r.openTag(f.End); err != nil {
+			if err := r.openTag(&e); err != nil {
 				return r.sess.nack(err)
 			}
-			_ = r.sess.enc.Encode(ackMsg{Seq: r.asm.next, Window: r.window, Done: true})
+			_ = r.sess.send(&ackMsg{Seq: r.asm.next, Window: r.window, Done: true})
 			return nil
 		}
-		if err := r.asm.chunk(f.Chunk); err != nil {
+		if err := r.asm.chunk(&c); err != nil {
 			return r.sess.nack(err)
 		}
-		if err := r.consume(f.Chunk); err != nil {
+		if err := r.consume(&c); err != nil {
 			return r.sess.nack(err)
 		}
-		_ = r.sess.enc.Encode(ackMsg{Seq: r.asm.next, Window: r.window})
+		_ = r.sess.send(&ackMsg{Seq: r.asm.next, Window: r.window})
 		if r.pauseAfter > 0 && n >= r.pauseAfter && r.asm.rows < r.asm.declared {
 			return r.dir.paused
 		}

@@ -2,20 +2,36 @@ package service
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"io"
+	"math"
 	"net"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"ppj/internal/relation"
+	"ppj/internal/secop"
 	"ppj/internal/sim"
 )
 
 // beginFrame is either direction's begin frame.
-type beginFrame interface{ digest() []byte }
+type beginFrame interface {
+	wireMsg
+	digest() []byte
+}
+
+// rawFrame is a frame of any type and body, for the scripts that break the
+// framing itself.
+type rawFrame struct {
+	typ  byte
+	body []byte
+}
+
+func (f rawFrame) frameType() byte            { return f.typ }
+func (f rawFrame) appendBody(b []byte) []byte { return append(b, f.body...) }
+func (f rawFrame) decode([]byte) error        { return errors.New("rawFrame is write-only") }
 
 // streamScript plays the sending side of one chunk stream by hand against
 // a real receiver: ReceiveUpload with the script as the provider, or
@@ -78,17 +94,17 @@ func startDeliveryScript(t *testing.T) *streamScript {
 	return sc
 }
 
-func (sc *streamScript) send(v any) {
+func (sc *streamScript) send(m wireMsg) {
 	sc.t.Helper()
-	if err := sc.sess.enc.Encode(v); err != nil {
-		sc.t.Fatalf("sending %T: %v", v, err)
+	if err := sc.sess.send(m); err != nil {
+		sc.t.Fatalf("sending %T: %v", m, err)
 	}
 }
 
 func (sc *streamScript) ack() ackMsg {
 	sc.t.Helper()
 	var a ackMsg
-	if err := sc.sess.dec.Decode(&a); err != nil {
+	if err := sc.sess.read(&a); err != nil {
 		sc.t.Fatalf("reading ack: %v", err)
 	}
 	return a
@@ -138,7 +154,7 @@ func (sc *streamScript) verdict() error {
 	go func() {
 		for {
 			var a ackMsg
-			if sc.sess.dec.Decode(&a) != nil {
+			if sc.sess.read(&a) != nil {
 				return
 			}
 		}
@@ -153,9 +169,11 @@ func (sc *streamScript) verdict() error {
 }
 
 // framingScripts walk every way a chunk stream can lie — a corrupted
-// ciphertext, skewed or replayed sequence numbers, empty chunks and
-// envelopes, totals that disagree with the declaration — each pinning the
-// receiving direction's typed verdict.
+// ciphertext, skewed or replayed sequence numbers, empty chunks, frames
+// that are neither chunk nor end or carry more than one, totals that
+// disagree with the declaration — each pinning the receiving direction's
+// typed verdict. The two "envelope" scripts keep the names they had when
+// chunk and end rode in one envelope type.
 var framingScripts = []struct {
 	name string
 	run  func(t *testing.T, sc *streamScript)
@@ -165,7 +183,7 @@ var framingScripts = []struct {
 		var ck chunker
 		rows := sc.seal(0, 4)
 		rows[1][len(rows[1])/2] ^= 1
-		sc.send(frameMsg{Chunk: ck.frame(rows)})
+		sc.send(ck.frame(rows))
 		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) || !errors.Is(err, sim.ErrTamper) {
 			t.Fatalf("verdict = %v, want %v wrapping sim.ErrTamper", err, sc.dir.frame)
 		}
@@ -175,7 +193,7 @@ var framingScripts = []struct {
 		var ck chunker
 		f := ck.frame(sc.seal(0, 4))
 		f.Seq = 3
-		sc.send(frameMsg{Chunk: f})
+		sc.send(f)
 		err := sc.verdict()
 		if !errors.Is(err, sc.dir.frame) || !strings.Contains(err.Error(), "reordered") {
 			t.Fatalf("verdict = %v", err)
@@ -185,11 +203,11 @@ var framingScripts = []struct {
 		sc.begin(8)
 		var ck chunker
 		f := ck.frame(sc.seal(0, 4))
-		sc.send(frameMsg{Chunk: f})
+		sc.send(f)
 		if a := sc.ack(); a.Err != "" {
 			t.Fatalf("first copy refused: %s", a.Err)
 		}
-		sc.send(frameMsg{Chunk: f})
+		sc.send(f)
 		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
 			t.Fatalf("verdict = %v", err)
 		}
@@ -197,7 +215,7 @@ var framingScripts = []struct {
 	{"rows exceed declaration", func(t *testing.T, sc *streamScript) {
 		sc.begin(2)
 		var ck chunker
-		sc.send(frameMsg{Chunk: ck.frame(sc.seal(0, 4))})
+		sc.send(ck.frame(sc.seal(0, 4)))
 		if err := sc.verdict(); !errors.Is(err, sc.dir.tooLarge) {
 			t.Fatalf("verdict = %v", err)
 		}
@@ -205,11 +223,11 @@ var framingScripts = []struct {
 	{"end short of declaration", func(t *testing.T, sc *streamScript) {
 		sc.begin(8)
 		var ck chunker
-		sc.send(frameMsg{Chunk: ck.frame(sc.seal(0, 4))})
+		sc.send(ck.frame(sc.seal(0, 4)))
 		if a := sc.ack(); a.Err != "" {
 			t.Fatalf("chunk refused: %s", a.Err)
 		}
-		sc.send(frameMsg{End: sc.end(&ck, 4)})
+		sc.send(sc.end(&ck, 4))
 		err := sc.verdict()
 		if !errors.Is(err, sc.dir.truncated) || !strings.Contains(err.Error(), "4 of 8") {
 			t.Fatalf("verdict = %v", err)
@@ -218,13 +236,13 @@ var framingScripts = []struct {
 	{"end frame totals lie", func(t *testing.T, sc *streamScript) {
 		sc.begin(4)
 		var ck chunker
-		sc.send(frameMsg{Chunk: ck.frame(sc.seal(0, 4))})
+		sc.send(ck.frame(sc.seal(0, 4)))
 		if a := sc.ack(); a.Err != "" {
 			t.Fatalf("chunk refused: %s", a.Err)
 		}
 		e := sc.end(&ck, 4)
 		e.Frames = 5
-		sc.send(frameMsg{End: e})
+		sc.send(e)
 		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
 			t.Fatalf("verdict = %v", err)
 		}
@@ -232,7 +250,7 @@ var framingScripts = []struct {
 	{"eof mid-stream", func(t *testing.T, sc *streamScript) {
 		sc.begin(8)
 		var ck chunker
-		sc.send(frameMsg{Chunk: ck.frame(sc.seal(0, 4))})
+		sc.send(ck.frame(sc.seal(0, 4)))
 		if a := sc.ack(); a.Err != "" {
 			t.Fatalf("chunk refused: %s", a.Err)
 		}
@@ -244,24 +262,53 @@ var framingScripts = []struct {
 	{"empty chunk", func(t *testing.T, sc *streamScript) {
 		sc.begin(8)
 		var ck chunker
-		sc.send(frameMsg{Chunk: ck.frame(nil)})
+		sc.send(ck.frame(nil))
 		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
 			t.Fatalf("verdict = %v", err)
 		}
 	}},
 	{"empty envelope", func(t *testing.T, sc *streamScript) {
+		// An ack frame in the chunk stream is neither chunk nor end.
 		sc.begin(8)
-		sc.send(frameMsg{})
-		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
+		sc.send(&ackMsg{})
+		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) || !errors.Is(err, errFrameType) {
 			t.Fatalf("verdict = %v", err)
 		}
 	}},
 	{"envelope carrying both frames", func(t *testing.T, sc *streamScript) {
-		sc.begin(8)
+		// One chunk frame whose body also carries the end frame's.
+		sc.begin(4)
 		var ck chunker
-		f := ck.frame(sc.seal(0, 4))
-		sc.send(frameMsg{Chunk: f, End: ck.endFrame(4)})
+		chunk := ck.frame(sc.seal(0, 4))
+		both := rawFrame{frameChunk, sc.end(&ck, 4).appendBody(chunk.appendBody(nil))}
+		sc.send(both)
+		err := sc.verdict()
+		if !errors.Is(err, sc.dir.frame) || !strings.Contains(err.Error(), "after the last field") {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"unknown frame type", func(t *testing.T, sc *streamScript) {
+		sc.begin(8)
+		sc.send(rawFrame{typ: numFrameTypes})
 		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"body over the chunk cap", func(t *testing.T, sc *streamScript) {
+		// The header alone: the receiver refuses it without waiting for
+		// a body that never comes.
+		sc.begin(8)
+		if _, err := sc.sess.w.Write([]byte{frameChunk, 0xff, 0xff, 0xff, 0xff}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) || !strings.Contains(err.Error(), "cap") {
+			t.Fatalf("verdict = %v", err)
+		}
+	}},
+	{"chunk row count the body cannot hold", func(t *testing.T, sc *streamScript) {
+		sc.begin(8)
+		sc.send(rawFrame{frameChunk, []byte{0, 0, 0, 0, 0x7f, 0xff, 0xff, 0xff}})
+		if err := sc.verdict(); !errors.Is(err, sc.dir.frame) || !strings.Contains(err.Error(), "overrun") {
 			t.Fatalf("verdict = %v", err)
 		}
 	}},
@@ -291,90 +338,69 @@ func TestChunkedFramingViolations(t *testing.T) {
 
 // TestResultFramingViolations runs the same scripts against a recipient's
 // FetchResult, which must answer each with the delivery sentinel, and
-// pins that frames in the shapes of the separate result frame types a
-// ProtoVersion 2 server sent before upload and delivery shared one stream
-// still decode into a completed fetch, the end frame with the tag every
-// stream has ended with since version 6.
+// pins the byte layout of the stream's frames (DESIGN §9's table) with
+// frames built by hand rather than by the codec: a begin frame, two chunk
+// frames and the end frame so written complete the fetch, and every ack
+// the recipient writes back is the documented bytes.
 func TestResultFramingViolations(t *testing.T) {
 	for _, s := range framingScripts {
 		t.Run(s.name, func(t *testing.T) { s.run(t, startDeliveryScript(t)) })
 	}
 
 	t.Run("result frame shapes on the wire", func(t *testing.T) {
-		type resultChunkMsg struct {
-			Seq  uint32
-			Rows [][]byte
+		u32 := func(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
+		u64 := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+		str := func(b []byte) []byte { return append(u32(uint32(len(b))), b...) }
+		frame := func(typ byte, fields ...[]byte) []byte {
+			body := bytes.Join(fields, nil)
+			return append(append([]byte{typ}, u32(uint32(len(body)))...), body...)
 		}
-		type resultEndMsg struct {
-			Frames uint32
-			Rows   int64
-			Tag    []byte
-		}
-		type resultFrameMsg struct {
-			Chunk *resultChunkMsg
-			End   *resultEndMsg
-		}
-		type resultAckMsg struct {
-			Seq    uint32
-			Window int
-			Done   bool
-			Err    string
+		ack := func(seq uint32, done byte) []byte {
+			return frame(8, u32(seq), u32(DefaultResultWindow), []byte{done}, u32(0))
 		}
 		sc := startDeliveryScript(t)
-		ack := func() resultAckMsg {
-			var a resultAckMsg
-			if err := sc.sess.dec.Decode(&a); err != nil {
+		write := func(b []byte) {
+			if _, err := sc.sess.w.Write(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		readAck := func(want []byte) {
+			got := make([]byte, len(want))
+			if _, err := io.ReadFull(sc.sess.r, got); err != nil {
 				t.Fatalf("reading ack: %v", err)
 			}
-			if a.Err != "" {
-				t.Fatalf("refused: %s", a.Err)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("ack on the wire %x, want %x", got, want)
 			}
-			return a
 		}
-		b := sc.beginf(8)
+
+		b := sc.beginf(8).(*resultBeginMsg)
 		sc.bind = b.digest()
-		sc.send(b)
-		if a := ack(); a.Window != DefaultResultWindow {
-			t.Fatalf("grant = %+v", a)
+		begin := [][]byte{str([]byte(b.ContractID)), u32(uint32(len(b.Schema.Attrs)))}
+		for _, a := range b.Schema.Attrs {
+			begin = append(begin, str([]byte(a.Name)), []byte{byte(a.Type)}, u64(uint64(a.Width)))
 		}
+		begin = append(begin, str(nil), u32(b.TotalChunks), u32(b.StartChunk), u64(uint64(b.StreamRows)))
+		if want := frame(5, begin...); !bytes.Equal(appendFrame(nil, b), want) {
+			t.Fatalf("begin frame %x, want %x", appendFrame(nil, b), want)
+		}
+		write(frame(5, begin...))
+		readAck(ack(0, 0))
 		var ck chunker
 		for lo := 0; lo < 8; lo += 4 {
 			c := ck.frame(sc.seal(lo, lo+4))
-			sc.send(resultFrameMsg{Chunk: &resultChunkMsg{Seq: c.Seq, Rows: c.Rows}})
-			if a := ack(); a.Seq != c.Seq+1 {
-				t.Fatalf("ack after chunk %d = %+v", c.Seq, a)
+			chunk := [][]byte{u32(c.Seq), u32(uint32(len(c.Rows)))}
+			for _, r := range c.Rows {
+				chunk = append(chunk, str(r))
 			}
+			write(frame(6, chunk...))
+			readAck(ack(c.Seq+1, 0))
 		}
 		e := sc.end(&ck, 8)
-		sc.send(resultFrameMsg{End: &resultEndMsg{Frames: e.Frames, Rows: e.Rows, Tag: e.Tag}})
-		if a := ack(); !a.Done || a.Seq != 2 {
-			t.Fatalf("done ack = %+v", a)
-		}
+		write(frame(7, u32(e.Frames), u64(uint64(e.Rows)), str(e.Tag)))
+		readAck(ack(2, 1))
 		if err := sc.verdict(); err != nil {
-			t.Fatalf("fetch of result-shaped frames: %v", err)
-		}
-
-		// And frame for frame: each shape decodes into the stream's type.
-		var buf bytes.Buffer
-		enc, dec := gob.NewEncoder(&buf), gob.NewDecoder(&buf)
-		for _, tc := range []struct{ old, want any }{
-			{resultFrameMsg{Chunk: &resultChunkMsg{Seq: 7, Rows: [][]byte{{1}, {2, 3}}}},
-				frameMsg{Chunk: &chunkMsg{Seq: 7, Rows: [][]byte{{1}, {2, 3}}}}},
-			{resultFrameMsg{End: &resultEndMsg{Frames: 3, Rows: 130}},
-				frameMsg{End: &endMsg{Frames: 3, Rows: 130}}},
-			{resultAckMsg{Seq: 4, Window: 8, Done: true}, ackMsg{Seq: 4, Window: 8, Done: true}},
-			{resultAckMsg{Err: "refused"}, ackMsg{Err: "refused"}},
-		} {
-			if err := enc.Encode(tc.old); err != nil {
-				t.Fatal(err)
-			}
-			got := reflect.New(reflect.TypeOf(tc.want))
-			if err := dec.Decode(got.Interface()); err != nil {
-				t.Fatalf("decoding %T into %T: %v", tc.old, tc.want, err)
-			}
-			if !reflect.DeepEqual(got.Elem().Interface(), tc.want) {
-				t.Fatalf("%+v decoded as %+v", tc.old, got.Elem().Interface())
-			}
+			t.Fatalf("fetch of hand-built frames: %v", err)
 		}
 	})
 }
@@ -401,38 +427,60 @@ func TestChunkAssemblerTerminalState(t *testing.T) {
 	}
 }
 
-// TestFrameSizeIndependentOfCRC pins that a frame's wire size is a
-// function of its public fields only — a chunk's sequence number and row
-// lengths (an end frame carries nothing but its totals) — and never of the
-// sealed bytes it carries, or the byte-size trace of a stream would vary from run to run
-// with the session key. (Frames once carried a running CRC, which gob's
-// native unsigned encoding shortened by a byte whenever it began with a
-// zero byte.)
+// TestFrameSizeIndependentOfCRC pins that every frame's wire size is a
+// function of its public fields only — the lengths of its strings and
+// byte strings and the number of its rows and links — and never of an
+// integer's value or of the bytes a field carries, or the byte-size trace
+// of a session would vary with the session key, the sequence numbers or a
+// row count. Each of the eight frame types is encoded with every integer
+// field at 0, 1, 255, 2^31 and the maximum, and every byte field filled
+// five ways; the length must not move. Under gob, which wrote integers in
+// as few bytes as their value needs, this failed; its name is for the
+// running CRC that gob once shortened by a byte whenever it began with a
+// zero byte.
 func TestFrameSizeIndependentOfCRC(t *testing.T) {
-	size := func(f frameMsg) int {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		// The first message carries gob's type descriptors; measure the second.
-		for i := 0; i < 2; i++ {
-			buf.Reset()
-			if err := enc.Encode(f); err != nil {
-				t.Fatal(err)
+	msgs := func(v uint64, fill byte) []wireMsg {
+		b := func(n int) []byte {
+			out := bytes.Repeat([]byte{fill}, n)
+			out[n/2] = ^fill
+			return out
+		}
+		s := func(n int) string { return string(b(n)) }
+		attr := func(n int) relation.Attr {
+			return relation.Attr{Name: s(n), Type: relation.AttrType(v), Width: int(v)}
+		}
+		schema := schemaWire{Attrs: []relation.Attr{attr(3), attr(5)}}
+		cert := secop.Certificate{SubjectLayer: secop.Layer(v), SubjectName: s(9), SubjectDigest: [32]byte(b(32)),
+			SubjectKey: b(32), SignerKey: b(32), Signature: b(64)}
+		return []wireMsg{
+			&Hello{Party: s(5), Role: Role(s(8)), Challenge: b(32), ContractID: s(12), Proto: byte(v),
+				ResumeChunks: uint32(v), JobID: s(14)},
+			&serverAuthMsg{Att: secop.Attestation{Chain: []secop.Certificate{cert, cert, cert}, Challenge: b(32),
+				Signature: b(64)}, ECDHPub: b(32), Sig: b(64)},
+			&clientKeyMsg{ECDHPub: b(32), Sig: b(64)},
+			&uploadBeginMsg{ContractID: s(12), Schema: schema, DeclaredRows: int64(v)},
+			&resultBeginMsg{ContractID: s(12), Schema: schema, Err: s(20), TotalChunks: uint32(v),
+				StartChunk: uint32(v), StreamRows: int64(v)},
+			&chunkMsg{Seq: uint32(v), Rows: [][]byte{b(40), b(40), b(41)}},
+			&endMsg{Frames: uint32(v), Rows: int64(v), Tag: b(40)},
+			&ackMsg{Seq: uint32(v), Window: uint32(v), Done: v&1 == 1, Err: s(17)},
+		}
+	}
+	want := msgs(0, 0)
+	seen := map[byte]bool{}
+	for _, m := range want {
+		seen[m.frameType()] = true
+	}
+	if len(seen) != int(numFrameTypes)-1 {
+		t.Fatalf("the test covers %d frame types, the codec has %d", len(seen), numFrameTypes-1)
+	}
+	for _, v := range []uint64{0, 1, 255, 1 << 31, math.MaxUint32, math.MaxUint64} {
+		for _, fill := range []byte{0x00, 0x01, 0x7f, 0x80, 0xff} {
+			for i, m := range msgs(v, fill) {
+				if got, w := len(appendFrame(nil, m)), len(appendFrame(nil, want[i])); got != w {
+					t.Errorf("%T with integers %d and bytes %#x is %d bytes, with zeros %d", m, v, fill, got, w)
+				}
 			}
-		}
-		return buf.Len()
-	}
-	chunk := func(fill byte) frameMsg {
-		rows := make([][]byte, 3)
-		for i := range rows {
-			rows[i] = bytes.Repeat([]byte{fill}, 40)
-			rows[i][i] = ^fill
-		}
-		return frameMsg{Chunk: &chunkMsg{Seq: 1, Rows: rows}}
-	}
-	want := size(chunk(0xff))
-	for _, fill := range []byte{0x00, 0x01, 0x7f, 0x80} {
-		if got := size(chunk(fill)); got != want {
-			t.Errorf("chunk frame of %#x-filled rows is %d bytes, of 0xff-filled rows %d", fill, got, want)
 		}
 	}
 }

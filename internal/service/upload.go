@@ -4,14 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"ppj/internal/relation"
 	"ppj/internal/sim"
 )
 
 // ProtoVersion is the one wire protocol version served, carried in the
-// hello: a provider's relation travels in as the chunk stream of stream.go
-// after an uploadBeginMsg — so server memory per connection is bounded by
+// hello: every session message is a fixed-width frame (frame.go); a
+// provider's relation travels in as the chunk stream of stream.go after
+// an uploadBeginMsg — so server memory per connection is bounded by
 // window × chunk bytes — and the result, an aggregate's one row included,
 // travels back out as the same stream after a resultBeginMsg, resumable
 // (result.go); every sealed row is AES-GCM under its direction's key,
@@ -22,10 +24,11 @@ import (
 // and no associated data; version 3, whose aggregate cell rode in the
 // result begin frame and whose attestation was gob nested in gob; version
 // 4, whose frames carried a running CRC, whose rows carried the contract
-// ID and whose begin frames no tag covered; and version 5, whose streams
-// without rows, failure verdicts included, carried no tag, are no longer
-// spoken; Handshake refuses them.)
-const ProtoVersion byte = 6
+// ID and whose begin frames no tag covered; version 5, whose streams
+// without rows, failure verdicts included, carried no tag; and version 6,
+// the same messages as gob values, are no longer spoken; Handshake refuses
+// them, and a version 6 hello does not parse as a frame.)
+const ProtoVersion byte = 7
 
 // ErrUnsupportedProto refuses a hello whose version byte is not
 // ProtoVersion, before any attestation signing or key agreement.
@@ -89,18 +92,26 @@ func (b *uploadBeginMsg) digest() []byte {
 // upload as truncated (the abandoned read unblocks when the caller closes
 // the connection).
 func (s *Service) receiveChunked(ctx context.Context, sess *Session) (*relation.Relation, error) {
-	decode := func(v any) error {
-		done := make(chan error, 1)
-		go func() { done <- sess.dec.Decode(v) }()
+	read := func() (byte, []byte, error) {
+		type frame struct {
+			typ  byte
+			body []byte
+			err  error
+		}
+		done := make(chan frame, 1)
+		go func() {
+			typ, body, err := sess.readFrame()
+			done <- frame{typ, body, err}
+		}()
 		select {
-		case err := <-done:
-			return err
+		case f := <-done:
+			return f.typ, f.body, f.err
 		case <-ctx.Done():
-			return ctx.Err()
+			return 0, nil, ctx.Err()
 		}
 	}
 	var begin uploadBeginMsg
-	if err := decode(&begin); err != nil {
+	if err := readMsg(read, &begin); err != nil {
 		return nil, sess.nack(uploadStream.decodeErr(err))
 	}
 	if begin.ContractID != s.Contract.ID {
@@ -114,11 +125,11 @@ func (s *Service) receiveChunked(ctx context.Context, sess *Session) (*relation.
 	if err != nil {
 		return nil, sess.nack(err)
 	}
-	rel, bind, window := relation.NewRelation(schema), begin.digest(), s.UploadWindow
-	if window <= 0 {
-		window = DefaultUploadWindow
+	rel, bind, window := relation.NewRelation(schema), begin.digest(), uint32(DefaultUploadWindow)
+	if s.UploadWindow > 0 {
+		window = uint32(min(int64(s.UploadWindow), math.MaxUint32))
 	}
-	r := receiver{sess: sess, dir: uploadStream, decode: decode, asm: asm, bind: bind, window: window,
+	r := receiver{sess: sess, dir: uploadStream, read: read, asm: asm, bind: bind, window: window,
 		consume: func(c *chunkMsg) error {
 			if s.chunkConsumeHook != nil {
 				s.chunkConsumeHook(int(c.Seq))

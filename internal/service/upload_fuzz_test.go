@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"testing"
 )
@@ -27,9 +26,10 @@ func requireTypedUploadErr(t *testing.T, err error) {
 // row's bytes survived the trip is the session tag's to say, not the
 // assembler's.)
 //
-// Part 2 feeds the same raw bytes straight into the wire-frame reader as a
-// hostile gob stream: whatever garbage arrives, the outcome is a typed
-// verdict (usually a truncated or malformed frame), never a panic.
+// Part 2 feeds the same raw bytes straight into the stream-frame reader as
+// a hostile byte stream: whatever garbage arrives — a lying body length, a
+// row count the body cannot hold, an unknown frame type — the outcome is a
+// typed verdict (usually a truncated or malformed frame), never a panic.
 func FuzzUploadStream(f *testing.F) {
 	f.Add(int64(4), int64(0), []byte{0, 2, 1, 3, 5, 0})
 	f.Add(int64(0), int64(64), []byte{5, 0})
@@ -39,6 +39,12 @@ func FuzzUploadStream(f *testing.F) {
 	f.Add(int64(9), int64(0), []byte{0, 5, 4, 0, 3, 2})
 	f.Add(int64(3), int64(0), []byte{1, 6, 5, 1})
 	f.Add(int64(8), int64(256), []byte{0, 3, 5, 3})
+	// Frames for part 2: an honest chunk and end, a chunk whose header
+	// declares more body than follows, and a header over the chunk cap.
+	honest := appendFrame(appendFrame(nil, &chunkMsg{Rows: [][]byte{bytes.Repeat([]byte{7}, 40)}}), &endMsg{Frames: 1, Rows: 1})
+	f.Add(int64(1), int64(0), honest)
+	f.Add(int64(1), int64(0), append([]byte{frameChunk, 0, 0, 0x10, 0}, honest[frameHeaderLen:]...))
+	f.Add(int64(1), int64(0), []byte{frameChunk, 0xff, 0xff, 0xff, 0xff, 0})
 
 	f.Fuzz(func(t *testing.T, declared, maxBytes int64, script []byte) {
 		fuzzAssembler(t, declared, maxBytes, script)
@@ -190,17 +196,21 @@ func fuzzAssembler(t *testing.T, declared, maxBytes int64, script []byte) {
 	}
 }
 
-// fuzzFrameReader aims the raw fuzz bytes at the wire-frame reader: a
-// hostile peer's gob stream must always terminate in a typed verdict.
+// fuzzFrameReader aims the raw fuzz bytes at the stream-frame reader: a
+// hostile peer's byte stream must always terminate in a typed verdict.
 func fuzzFrameReader(t *testing.T, raw []byte) {
-	dec := gob.NewDecoder(bytes.NewReader(raw))
+	sess := newSession(rawConn{bytes.NewReader(raw)})
+	var (
+		c chunkMsg
+		e endMsg
+	)
 	for n := 0; ; n++ {
-		f, err := uploadStream.readFrame(dec.Decode)
+		end, err := uploadStream.readFrame(sess.readFrame, &c, &e)
 		if err != nil {
 			requireTypedUploadErr(t, err)
 			return
 		}
-		if f.End != nil {
+		if end {
 			return
 		}
 		if n > 1<<16 {
