@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -291,5 +292,40 @@ func TestExportScanFixture(t *testing.T) {
 	}
 	if want := []string{"store.Gone"}; !reflect.DeepEqual(stale, want) || noReason != nil {
 		t.Errorf("stale allowlist entries = %v, want %v; entries without a reason %v", stale, want, noReason)
+	}
+}
+
+// TestOneByteFormat: every byte the wire carries or the host keeps is in
+// internal/frame's format, so no non-test file imports encoding/gob, and
+// only internal/frame imports hash/crc32, for the one checksum disk frames
+// end in.
+func TestOneByteFormat(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if name := d.Name(); d.IsDir() && p != "." && (name == "testdata" || name[0] == '.' || name[0] == '_') {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			switch ipath, _ := strconv.Unquote(imp.Path.Value); {
+			case ipath == "encoding/gob":
+				t.Errorf("%s imports encoding/gob: encode with internal/frame", p)
+			case ipath == "hash/crc32" && filepath.ToSlash(filepath.Dir(p)) != "internal/frame":
+				t.Errorf("%s imports hash/crc32: checked frames are internal/frame's", p)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"ppj/internal/server"
 	"ppj/internal/server/wal"
+	"ppj/internal/service"
 )
 
 // seedShardWAL hand-writes one shard's WAL: each contract registered, then
@@ -25,11 +26,7 @@ func seedShardWAL(t *testing.T, dir string, jobs map[*group][]walTransition, ord
 		t.Fatal(err)
 	}
 	for _, g := range order {
-		raw, err := server.EncodeContract(g.contract)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs := []wal.Record{{Type: wal.TypeRegistered, Contract: raw}}
+		recs := []wal.Record{{Type: wal.TypeRegistered, Contract: service.MarshalContract(g.contract)}}
 		for _, tr := range jobs[g] {
 			recs = append(recs, wal.Record{Type: wal.TypeTransition, ContractID: g.contract.ID, From: int32(tr.from), To: int32(tr.to), Cause: tr.cause})
 		}

@@ -47,8 +47,8 @@ func (e *ResultEvictedError) Is(target error) bool { return target == ErrResultE
 // gauge counts those. A successful run lands in Stored — the sealed result
 // is in the durable result store and recipients are being (re)served from
 // it — and moves to Delivered once every contracted recipient has fetched
-// its copy. (Stored's ordinal sits after Failed so WAL records from older
-// logs replay unchanged.)
+// its copy. (Transition records carry these ordinals, so Stored's sits
+// after Failed, where it was added.)
 type State int32
 
 const (

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"ppj/internal/frame"
 	"ppj/internal/relation"
 	"ppj/internal/server/wal"
 	"ppj/internal/service"
@@ -21,19 +22,25 @@ type walFrame struct {
 	end int
 }
 
-// walFrames splits a log file at its record boundaries: a frame is a u32
-// payload length, a u32 checksum and the payload. It stops at the first
-// frame that does not replay, as wal.Recover does.
+// walMagic opens every log.
+const walMagic = "PPJWAL1\n"
+
+// walFrames splits a log file at its record boundaries: after the magic, a
+// frame is a type byte, a u32 body length, the body and a u32 checksum. It
+// stops at the first frame that does not replay, as wal.Recover does.
 func walFrames(tb testing.TB, raw []byte) []walFrame {
 	tb.Helper()
+	if !bytes.HasPrefix(raw, []byte(walMagic)) {
+		tb.Fatalf("log starts %q, not with the magic", raw[:min(len(raw), len(walMagic))])
+	}
 	var frames []walFrame
-	for off := 0; off+8 <= len(raw); {
-		end := off + 8 + int(binary.BigEndian.Uint32(raw[off:]))
+	for off := len(walMagic); off+frame.HeaderLen <= len(raw); {
+		end := off + frame.HeaderLen + int(binary.BigEndian.Uint32(raw[off+1:])) + frame.CRCLen
 		if end > len(raw) {
 			break
 		}
-		recs, n := wal.Replay(bytes.NewReader(raw[off:end]))
-		if len(recs) != 1 || n != int64(end-off) {
+		recs, n := wal.Replay(raw[off:end])
+		if len(recs) != 1 || n != end-off {
 			break
 		}
 		frames = append(frames, walFrame{recs[0], end})
@@ -49,7 +56,7 @@ func recordJob(tb testing.TB, rec wal.Record) string {
 	if rec.Type != wal.TypeRegistered {
 		return rec.ContractID
 	}
-	c, err := decodeContract(rec.Contract)
+	c, err := service.UnmarshalContract(rec.Contract)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -83,7 +90,8 @@ func dirFiles(tb testing.TB, dir string) map[string][]byte {
 // point a power cut can leave its log. The log is one append-only file,
 // and recovery truncates at the first invalid frame, so every such state
 // is a prefix of the final log at a record boundary, or that prefix plus a
-// torn next frame. Three jobs are driven first — one to Delivered, one to
+// torn next frame, or a prefix of the magic (a torn create, which
+// recovers as an empty log). Three jobs are driven first — one to Delivered, one to
 // Failed, one left Stored — and every record the server acknowledges
 // (registration, settlement, completion) must lie inside the bytes fsynced
 // by then. Then each prefix, with every result segment the run wrote,
@@ -210,20 +218,25 @@ func TestRecoveryFromEveryJournalPrefix(t *testing.T) {
 	if len(frames) == 0 || frames[len(frames)-1].end != len(raw) {
 		t.Fatalf("final log of %d bytes splits into %d frames", len(raw), len(frames))
 	}
+	// A subtest is named for the records its log holds, not for its byte
+	// count, which moves whenever a record's encoding does; only a torn
+	// create is named for its bytes, a prefix of the fixed magic.
+	check := func(name string, size, k int) {
+		t.Run(name, func(t *testing.T) {
+			checkPrefixRecovery(t, final, raw[:size], frames[:k], groups)
+		})
+	}
+	for size := range len(walMagic) {
+		check(fmt.Sprintf("0-records-%d-bytes", size), size, 0)
+	}
 	for k := 0; k <= len(frames); k++ {
-		cut := 0
+		cut := len(walMagic)
 		if k > 0 {
 			cut = frames[k-1].end
 		}
-		variants := []int{cut}
+		check(fmt.Sprintf("%d-records", k), cut, k)
 		if k < len(frames) {
-			variants = append(variants, cut+(frames[k].end-cut)/2)
-		}
-		for _, size := range variants {
-			name := fmt.Sprintf("%d-records-%d-bytes", k, size)
-			t.Run(name, func(t *testing.T) {
-				checkPrefixRecovery(t, final, raw[:size], frames[:k], groups)
-			})
+			check(fmt.Sprintf("%d-records-torn", k), cut+(frames[k].end-cut)/2, k)
 		}
 	}
 }

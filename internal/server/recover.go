@@ -73,9 +73,8 @@ type replayed struct {
 }
 
 // foldRecords replays WAL records. Transition and result-manifest records
-// address executions by job ID — which is the contract ID itself for first
-// executions, so logs written before re-execution existed fold
-// identically. Later records simply overwrite earlier ones — the log is
+// address executions by job ID, which is the contract ID itself for first
+// executions. Later records simply overwrite earlier ones — the log is
 // the authority on ordering — and records for unregistered contracts or
 // unborn jobs (possible only through manual log surgery) are dropped.
 func foldRecords(recs []wal.Record) (*replayed, error) {
@@ -89,7 +88,7 @@ func foldRecords(recs []wal.Record) (*replayed, error) {
 	for _, rec := range recs {
 		switch rec.Type {
 		case wal.TypeRegistered:
-			c, err := decodeContract(rec.Contract)
+			c, err := service.UnmarshalContract(rec.Contract)
 			if err != nil {
 				return nil, err
 			}

@@ -1,14 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"ppj/internal/relation"
 	"ppj/internal/server/wal"
 	"ppj/internal/service"
 )
@@ -119,7 +124,7 @@ func TestRecoverRebuildsJobTable(t *testing.T) {
     "attached": 0,
     "max": 0
   },
-  "result_store_bytes": 269,
+  "result_store_bytes": 182,
   "result_store_evictions": 0,
   "result_store_recovery_evictions": 0,
   "sort_cache_bytes": 0,
@@ -475,11 +480,8 @@ func seedJournal(tb testing.TB, dir string) *journal {
 
 func seedRegistered(tb testing.TB, jn *journal, c *service.Contract) {
 	tb.Helper()
-	raw, err := EncodeContract(c)
-	if err == nil {
-		err = jn.append(SiteRegister, wal.Record{Type: wal.TypeRegistered, Contract: raw}, true)
-	}
-	if err != nil {
+	rec := wal.Record{Type: wal.TypeRegistered, Contract: service.MarshalContract(c)}
+	if err := jn.append(SiteRegister, rec, true); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -551,5 +553,63 @@ func BenchmarkRecover1kJobs(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// TestOldFormatLogRefused opens a data directory whose log an earlier
+// build wrote, in the format before the magic: one record of each of the
+// eight types. Recovery refuses it with wal.ErrFormat instead of reading
+// it as a torn tail and truncating every job away, and leaves it byte for
+// byte as it was.
+func TestOldFormatLogRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, wal.FileName)
+	if err := os.WriteFile(path, walBytesUnmagicked, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Recover(dir); !errors.Is(err, wal.ErrFormat) {
+		t.Fatalf("wal.Recover = %v, want wal.ErrFormat", err)
+	}
+	if _, err := New(Config{Workers: 1, Memory: 16, DataDir: dir}); !errors.Is(err, wal.ErrFormat) {
+		t.Fatalf("New = %v, want wal.ErrFormat", err)
+	}
+	if raw, err := os.ReadFile(path); err != nil || !bytes.Equal(raw, walBytesUnmagicked) {
+		t.Fatalf("the refused log changed (%v)", err)
+	}
+}
+
+// walBytesUnmagicked is a log as builds before the magic wrote it: each
+// record a u32 length, a CRC-32 (IEEE) and a type byte and body.
+var walBytesUnmagicked = []byte{
+	0x00, 0x00, 0x00, 0x11, 0x92, 0xa1, 0x3c, 0x8f, 0x01, 0x63, 0x6f, 0x6e, 0x74, 0x72, 0x61, 0x63,
+	0x74, 0x2d, 0x62, 0x79, 0x74, 0x65, 0x73, 0x00, 0xff, 0x00, 0x00, 0x00, 0x22, 0x44, 0x1c, 0x29,
+	0x89, 0x02, 0x00, 0x02, 0x63, 0x31, 0x02, 0x04, 0x00, 0x19, 0x63, 0x6f, 0x6e, 0x74, 0x65, 0x78,
+	0x74, 0x20, 0x64, 0x65, 0x61, 0x64, 0x6c, 0x69, 0x6e, 0x65, 0x20, 0x65, 0x78, 0x63, 0x65, 0x65,
+	0x64, 0x65, 0x64, 0x00, 0x00, 0x00, 0x0d, 0xfd, 0xd0, 0xad, 0x71, 0x03, 0x00, 0x02, 0x63, 0x31,
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0xa6, 0x00, 0x00, 0x00, 0x0a, 0x93, 0x26, 0xb3, 0xe2,
+	0x04, 0x00, 0x02, 0x63, 0x31, 0x00, 0x03, 0x74, 0x74, 0x6c, 0x00, 0x00, 0x00, 0x0b, 0xeb, 0x92,
+	0x6b, 0xfd, 0x05, 0x00, 0x02, 0x63, 0x31, 0x00, 0x04, 0x63, 0x31, 0x23, 0x32, 0x00, 0x00, 0x00,
+	0x16, 0xc1, 0xf0, 0xce, 0xd1, 0x06, 0x00, 0x0b, 0x63, 0x31, 0x7c, 0x41, 0x7c, 0x38, 0x7c, 0x61,
+	0x62, 0x31, 0x32, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x13, 0x55,
+	0xc3, 0xb7, 0x22, 0x07, 0x00, 0x0b, 0x63, 0x31, 0x7c, 0x41, 0x7c, 0x38, 0x7c, 0x61, 0x62, 0x31,
+	0x32, 0x00, 0x03, 0x63, 0x61, 0x70, 0x00, 0x00, 0x00, 0x15, 0x0a, 0x0d, 0xc1, 0x65, 0x08, 0x00,
+	0x02, 0x63, 0x31, 0x00, 0x00, 0x00, 0x0d, 0xf8, 0x47, 0x58, 0x00, 0x18, 0xda, 0x8d, 0x55, 0x74,
+	0x88, 0x00, 0x00,
+}
+
+// TestResultMetaSizeIndependentOfValues: a stored result's meta has the
+// same length whatever its numbers (the device count, the attributes'
+// widths); only its strings' lengths and its attribute count move it.
+func TestResultMetaSizeIndependentOfValues(t *testing.T) {
+	size := func(v uint64) int {
+		n := int(min(v, math.MaxInt64))
+		schema := relation.MustSchema(relation.Attr{Name: "k", Type: relation.Int64, Width: n},
+			relation.Attr{Name: "s", Type: relation.Bytes, Width: max(1, n)})
+		return len(encodeResultMeta(&service.Outcome{Schema: schema, Algorithm: "alg5", Devices: n}))
+	}
+	for _, v := range []uint64{1, 255, 1 << 31, math.MaxUint64} {
+		if got, want := size(v), size(0); got != want {
+			t.Errorf("with numbers %d the meta is %d bytes, with zeros %d", v, got, want)
+		}
 	}
 }

@@ -1,53 +1,43 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
+	"ppj/internal/frame"
 	"ppj/internal/relation"
 	"ppj/internal/server/resultstore"
 	"ppj/internal/service"
 )
 
-// resultMeta is the stored half of an Outcome that is not rows: everything
-// delivery needs to rebuild the begin frame after a restart. It is sealed
-// inside the segment's header record. Every stored result is rows of a
-// schema (an aggregate's is one row of core.AggSchema), so a meta without
-// attributes is refused.
-type resultMeta struct {
-	Attrs     []relation.Attr
-	Algorithm string
-	Devices   int
-}
-
-// encodeResultMeta serialises an outcome's non-row fields.
-func encodeResultMeta(out *service.Outcome) ([]byte, error) {
-	m := resultMeta{Attrs: make([]relation.Attr, out.Schema.NumAttrs()),
-		Algorithm: out.Algorithm, Devices: out.Devices}
-	for i := range m.Attrs {
-		m.Attrs[i] = out.Schema.Attr(i)
+// encodeResultMeta encodes the stored half of an outcome that is not rows:
+// everything delivery needs to rebuild the begin frame after a restart,
+// in the fields a begin frame carries them in — the schema's attributes,
+// the algorithm, the device count. It is sealed inside the segment's
+// header record.
+func encodeResultMeta(out *service.Outcome) []byte {
+	attrs := make([]relation.Attr, out.Schema.NumAttrs())
+	for i := range attrs {
+		attrs[i] = out.Schema.Attr(i)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("server: encoding result meta: %w", err)
-	}
-	return buf.Bytes(), nil
+	b := frame.AppendStr(frame.AppendAttrs(nil, attrs), out.Algorithm)
+	return frame.AppendU64(b, uint64(out.Devices))
 }
 
 // decodeResultMeta is encodeResultMeta's inverse (rows are attached by the
-// caller).
+// caller). Every stored result is rows of a schema (an aggregate's is one
+// row of core.AggSchema), so a meta without attributes is refused.
 func decodeResultMeta(raw []byte) (service.Outcome, error) {
-	var m resultMeta
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
+	f := frame.NewFields(raw)
+	attrs, alg, devices := f.Attrs(), f.Str(), int(f.U64())
+	if err := f.End(); err != nil {
 		return service.Outcome{}, fmt.Errorf("server: decoding result meta: %w", err)
 	}
-	schema, err := relation.NewSchema(m.Attrs...)
+	schema, err := relation.NewSchema(attrs...)
 	if err != nil {
 		return service.Outcome{}, fmt.Errorf("server: result meta: %w", err)
 	}
-	return service.Outcome{Schema: schema, Algorithm: m.Algorithm, Devices: m.Devices}, nil
+	return service.Outcome{Schema: schema, Algorithm: alg, Devices: devices}, nil
 }
 
 // storeResult persists a successful outcome to the result store (segment
@@ -56,12 +46,7 @@ func decodeResultMeta(raw []byte) (service.Outcome, error) {
 // durable where it can be (a cap refusal tombstones the ID), and a crash
 // before every recipient fetched resolves against whatever the WAL says.
 func (s *Server) storeResult(id string, out *service.Outcome) {
-	meta, err := encodeResultMeta(out)
-	if err != nil {
-		s.logf("server: result store: %s: %v", id, err)
-		return
-	}
-	if err := s.results.Put(id, meta, out.Rows); err != nil {
+	if err := s.results.Put(id, encodeResultMeta(out), out.Rows); err != nil {
 		s.logf("server: result store: %s: %v", id, err)
 	}
 }

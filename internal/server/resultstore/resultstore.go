@@ -7,7 +7,7 @@
 //
 // A result is written once at job completion and read any number of times
 // by delivery. Small results stay cached in memory; every result also
-// spills to a per-job segment file of CRC-framed, AES-GCM-sealed records
+// spills to a per-job segment file of checked frames of AES-GCM-sealed records
 // (the at-rest analogue of the session sealer — the host's disk never sees
 // plaintext). Each segment seals under its own salted subkey of the store
 // key, and each record's associated data binds it to its segment's ID and

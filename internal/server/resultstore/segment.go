@@ -4,47 +4,46 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"slices"
 
+	"ppj/internal/frame"
 	"ppj/internal/sim"
 )
 
-// Segment file layout — one file per stored result:
+// Segment file layout — one file per stored result, in checked frames
+// (internal/frame):
 //
-//	segment := magic(8) || header-frame || row-frame*
-//	frame   := length(u32 BE) || crc32c(u32 BE) || payload
+//	segment := magic(8) || header frame || row frame*
+//	header  := contractID(str) || rowCount(u32) || salt(16) || sealed(meta)(str)
+//	row     := sealed(row), the whole body
 //
-// The header frame's payload is
-//
-//	header := idLen(u16 BE) || contractID || rowCount(u32 BE) || salt(16)
-//	payload := header || sealed(meta)
-//
-// and each row frame's payload is one sealed row. The header is plaintext
-// (the contract ID and row count already appear in the WAL manifest). Meta
-// and rows are sealed with AES-GCM under the segment's own subkey,
-// SHA-256(label || store key || salt)[:16], so the host's disk holds only
-// ciphertext, exactly like the host's RAM during a join. The subkey is
-// fresh per segment because the store key outlives the process while a
-// sealer's nonce counter restarts at 1 in every process. The associated
-// data of record i (meta is 0, row r is r+1) is the header followed by i,
-// so a record opens only in its own segment, at its own place, under the
-// row count and ID the header states. The CRC (Castagnoli, the same
-// polynomial as the wire protocol's chunk chain) covers the full payload,
-// so a torn write, a truncated tail, or flipped bits all fail validation
-// before any ciphertext is opened.
+// The header's first three fields are plaintext (the contract ID and row
+// count already appear in the WAL manifest). Meta and rows are sealed with
+// AES-GCM under the segment's own subkey, SHA-256(label || store key ||
+// salt)[:16], so the host's disk holds only ciphertext, exactly like the
+// host's RAM during a join. The subkey is fresh per segment because the
+// store key outlives the process while a sealer's nonce counter restarts
+// at 1 in every process. The associated data of record i (meta is 0, row
+// r is r+1) is those three fields followed by i, so a record opens only
+// in its own segment, at its own place, under the row count and ID the
+// header states. Each frame's CRC fails a torn write, a truncated tail or
+// flipped bits before any ciphertext is opened, and lets the header's ID
+// be read for tombstoning before any tag is checked.
 
 // segMagic identifies a result segment and pins its format version. A
 // segment of another version fails validation as torn.
-var segMagic = []byte("PPJRES2\n")
+var segMagic = []byte("PPJRES3\n")
 
-// segCRCTable is the Castagnoli table segment frames are checksummed with.
-var segCRCTable = crc32.MakeTable(crc32.Castagnoli)
+// Segment frame types and their body caps: a header carries the same
+// schema a result begin frame does, a row one sealed row.
+const (
+	segHeader byte = 1
+	segRow    byte = 2
+)
+
+var segCaps = frame.Caps{segHeader: 1 << 20, segRow: 16 << 20}
 
 // errSegment reports a torn, truncated, or corrupt segment.
 var errSegment = errors.New("resultstore: torn segment")
@@ -55,16 +54,15 @@ const saltSize = 16
 // sealOverhead is the sealed size of a record beyond its plaintext.
 var sealOverhead = int64(new(sim.GCMSealer).Overhead())
 
-// segFrameOverhead is the per-frame framing cost (length + CRC).
-const segFrameOverhead = 8
+// frameOverhead is a checked frame's header and CRC.
+const frameOverhead = frame.HeaderLen + frame.CRCLen
 
 // segmentSize computes a segment's exact on-disk size before writing it,
 // so cap admission and LRU eviction run against the true byte cost.
 func segmentSize(id string, meta []byte, rows [][]byte) int64 {
-	size := int64(len(segMagic))
-	size += segFrameOverhead + 2 + int64(len(id)) + 4 + saltSize + int64(len(meta)) + sealOverhead
+	size := int64(len(segMagic)) + frameOverhead + 4 + int64(len(id)) + 4 + saltSize + 4 + int64(len(meta)) + sealOverhead
 	for _, r := range rows {
-		size += segFrameOverhead + int64(len(r)) + sealOverhead
+		size += frameOverhead + int64(len(r)) + sealOverhead
 	}
 	return size
 }
@@ -78,78 +76,49 @@ func segmentSealer(key, salt []byte) (*sim.GCMSealer, error) {
 	return sim.NewGCMSealer(h.Sum(nil)[:16])
 }
 
-// recordAD writes the associated data of record i, the header followed by
-// i, into ad's storage.
+// headerAD is the header's plaintext fields, the associated data every
+// record of the segment starts with.
+func headerAD(id string, rows uint32, salt []byte) []byte {
+	return append(frame.AppendU32(frame.AppendStr(nil, id), rows), salt...)
+}
+
+// recordAD writes the associated data of record i, the header's plaintext
+// fields followed by i, into ad's storage.
 func recordAD(ad, header []byte, i uint32) []byte {
-	return binary.BigEndian.AppendUint32(append(ad[:0], header...), i)
-}
-
-// writeFrame appends one CRC frame to w.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [segFrameOverhead]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, segCRCTable))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-// readFrame splits one verified CRC frame off the front of b. A length
-// beyond the bytes left is refused before anything is allocated; the
-// payload aliases b.
-func readFrame(b []byte) (payload, rest []byte, err error) {
-	if len(b) < segFrameOverhead {
-		return nil, nil, fmt.Errorf("%w: %d-byte frame header", errSegment, len(b))
-	}
-	n, left := binary.BigEndian.Uint32(b[0:4]), b[segFrameOverhead:]
-	if uint64(n) > uint64(len(left)) {
-		return nil, nil, fmt.Errorf("%w: frame length %d beyond the %d bytes left", errSegment, n, len(left))
-	}
-	if crc32.Checksum(left[:n], segCRCTable) != binary.BigEndian.Uint32(b[4:8]) {
-		return nil, nil, fmt.Errorf("%w: frame checksum mismatch", errSegment)
-	}
-	return left[:n], left[n:], nil
+	return frame.AppendU32(append(ad[:0], header...), i)
 }
 
 // writeSegment writes one result's segment under a fresh salt and fsyncs
 // it: after return, the bytes a recovery scan will validate are on disk.
 func writeSegment(path string, key []byte, id string, meta []byte, rows [][]byte) error {
-	if len(id) > 0xffff {
-		return fmt.Errorf("resultstore: contract id too long (%d bytes)", len(id))
-	}
-	hdr := make([]byte, 0, 2+len(id)+4+saltSize)
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(len(id)))
-	hdr = append(hdr, id...)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(rows)))
 	salt := make([]byte, saltSize)
 	if _, err := rand.Read(salt); err != nil {
 		return fmt.Errorf("resultstore: drawing salt: %w", err)
 	}
-	hdr = append(hdr, salt...)
 	sealer, err := segmentSealer(key, salt)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
+	}
+	hdr := headerAD(id, uint32(len(rows)), salt)
+	b := append(make([]byte, 0, segmentSize(id, meta, rows)), segMagic...)
+	b = append(frame.Start(b, segHeader), hdr...)
+	ad := recordAD(nil, hdr, 0)
+	b = frame.AppendStr(b, sealer.SealAD(nil, meta, ad))
+	if n := len(b) - len(segMagic) - frame.HeaderLen; n > int(segCaps[segHeader]) {
+		return fmt.Errorf("resultstore: %d-byte segment header over the %d cap", n, segCaps[segHeader])
+	}
+	b = frame.FinishChecked(b, len(segMagic))
+	for i, row := range rows {
+		start := len(b)
+		ad = recordAD(ad, hdr, uint32(i)+1)
+		b = frame.FinishChecked(sealer.SealAD(frame.Start(b, segRow), row, ad), start)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	defer f.Close()
-	w := bytes.NewBuffer(make([]byte, 0, segmentSize(id, meta, rows)))
-	w.Write(segMagic)
-	ad := recordAD(nil, hdr, 0)
-	if err := writeFrame(w, sealer.SealAD(slices.Clone(hdr), meta, ad)); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	for i, row := range rows {
-		ad = recordAD(ad, hdr, uint32(i)+1)
-		if err := writeFrame(w, sealer.SealAD(nil, row, ad)); err != nil {
-			return fmt.Errorf("resultstore: %w", err)
-		}
-	}
-	if _, err := f.Write(w.Bytes()); err != nil {
+	if _, err := f.Write(b); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	if err := f.Sync(); err != nil {
@@ -169,6 +138,18 @@ func readSegment(path string, key []byte) (id string, meta []byte, rows [][]byte
 	return id, meta, rows, int64(len(raw)), err
 }
 
+// cutFrame splits the next frame, which must be of type want, off b.
+func cutFrame(b []byte, want byte) (body, rest []byte, err error) {
+	typ, body, rest, err := segCaps.Cut(b)
+	if err == nil && typ != want {
+		err = fmt.Errorf("frame type %d, want %d", typ, want)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", errSegment, err)
+	}
+	return body, rest, nil
+}
+
 // parseSegment validates a whole segment's bytes and returns its contents.
 // The contract ID is returned even when validation fails later in the
 // file — the header frame is self-checksummed — so a torn segment can still
@@ -177,35 +158,30 @@ func parseSegment(raw, key []byte) (id string, meta []byte, rows [][]byte, err e
 	if !bytes.HasPrefix(raw, segMagic) {
 		return "", nil, nil, fmt.Errorf("%w: bad magic", errSegment)
 	}
-	payload, rest, err := readFrame(raw[len(segMagic):])
+	body, rest, err := cutFrame(raw[len(segMagic):], segHeader)
 	if err != nil {
 		return "", nil, nil, err
 	}
-	if len(payload) < 2 {
-		return "", nil, nil, fmt.Errorf("%w: short header", errSegment)
+	f := frame.NewFields(body)
+	id, rowCount, salt, sealedMeta := f.Str(), f.U32(), f.Take(saltSize), f.Bytes()
+	if err := f.End(); err != nil {
+		return "", nil, nil, fmt.Errorf("%w: header: %v", errSegment, err)
 	}
-	idLen := int(binary.BigEndian.Uint16(payload[0:2]))
-	hdrLen := 2 + idLen + 4 + saltSize
-	if len(payload) < hdrLen {
-		return "", nil, nil, fmt.Errorf("%w: short header", errSegment)
-	}
-	hdr := payload[:hdrLen]
-	id = string(hdr[2 : 2+idLen])
-	rowCount := binary.BigEndian.Uint32(hdr[2+idLen:])
-	sealer, err := segmentSealer(key, hdr[hdrLen-saltSize:])
+	sealer, err := segmentSealer(key, salt)
 	if err != nil {
 		return id, nil, nil, fmt.Errorf("%w: %v", errSegment, err)
 	}
 	// The meta tag covers the header, so a forged row count fails here,
 	// before any row is allocated.
+	hdr := headerAD(id, rowCount, salt)
 	ad := recordAD(nil, hdr, 0)
-	if meta, err = sealer.OpenAD(nil, payload[hdrLen:], ad); err != nil {
+	if meta, err = sealer.OpenAD(nil, sealedMeta, ad); err != nil {
 		return id, nil, nil, fmt.Errorf("%w: meta: %v", errSegment, err)
 	}
 	rows = make([][]byte, 0, rowCount)
 	for i := uint32(1); i <= rowCount; i++ {
 		var sealed []byte
-		if sealed, rest, err = readFrame(rest); err != nil {
+		if sealed, rest, err = cutFrame(rest, segRow); err != nil {
 			return id, nil, nil, err
 		}
 		ad = recordAD(ad, hdr, i)

@@ -4,26 +4,33 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
+
+	"ppj/internal/frame"
 )
 
-// segmentFrames splits a segment file into copies of its frames, each with
-// its length and CRC header, after the magic.
-func segmentFrames(t *testing.T, raw []byte) [][]byte {
+// segFrame is one frame of a segment file: its type and a copy of its body.
+type segFrame struct {
+	typ  byte
+	body []byte
+}
+
+// segmentFrames splits a segment file into its frames after the magic.
+func segmentFrames(t *testing.T, raw []byte) []segFrame {
 	t.Helper()
 	rest := raw[len(segMagic):]
-	var frames [][]byte
+	var frames []segFrame
 	for len(rest) > 0 {
-		payload, next, err := readFrame(rest)
+		typ, body, next, err := segCaps.Cut(rest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames = append(frames, slices.Clone(rest[:segFrameOverhead+len(payload)]))
+		frames = append(frames, segFrame{typ, slices.Clone(body)})
 		rest = next
 	}
 	return frames
@@ -31,13 +38,13 @@ func segmentFrames(t *testing.T, raw []byte) [][]byte {
 
 // joinFrames reassembles a segment from frames, recomputing each frame's
 // length and CRC as a host rewriting the file would.
-func joinFrames(frames [][]byte) []byte {
-	var b bytes.Buffer
-	b.Write(segMagic)
+func joinFrames(frames []segFrame) []byte {
+	b := slices.Clone(segMagic)
 	for _, f := range frames {
-		writeFrame(&b, f[segFrameOverhead:])
+		start := len(b)
+		b = frame.FinishChecked(append(frame.Start(b, f.typ), f.body...), start)
 	}
-	return b.Bytes()
+	return b
 }
 
 // TestSegmentTamperReadsTorn edits a stored segment the ways a host can
@@ -47,29 +54,29 @@ func joinFrames(frames [][]byte) []byte {
 // tell. Each read answers *EvictedError (torn) and never serves rows, and a
 // re-opened store serves none of them either.
 func TestSegmentTamperReadsTorn(t *testing.T) {
-	header := func(frames [][]byte) []byte { return frames[0][segFrameOverhead:] }
+	header := func(frames []segFrame) []byte { return frames[0].body }
 	for _, c := range []struct {
 		name string
-		edit func(t *testing.T, dir string, frames [][]byte) [][]byte
+		edit func(t *testing.T, dir string, frames []segFrame) []segFrame
 	}{
-		{"another job's segment copied over", func(t *testing.T, dir string, _ [][]byte) [][]byte {
+		{"another job's segment copied over", func(t *testing.T, dir string, _ []segFrame) []segFrame {
 			raw, err := os.ReadFile(SegmentPath(dir, "job-a"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return segmentFrames(t, raw)
 		}},
-		{"two row frames swapped", func(t *testing.T, _ string, frames [][]byte) [][]byte {
+		{"two row frames swapped", func(t *testing.T, _ string, frames []segFrame) []segFrame {
 			frames[1], frames[2] = frames[2], frames[1]
 			return frames
 		}},
-		{"a row dropped and the count edited", func(t *testing.T, _ string, frames [][]byte) [][]byte {
+		{"a row dropped and the count edited", func(t *testing.T, _ string, frames []segFrame) []segFrame {
 			h := header(frames)
-			binary.BigEndian.PutUint32(h[2+len("job-b"):], 2)
+			binary.BigEndian.PutUint32(h[4+len("job-b"):], 2)
 			return append(frames[:2], frames[3:]...)
 		}},
-		{"header id edited", func(t *testing.T, _ string, frames [][]byte) [][]byte {
-			copy(header(frames)[2:], "job-c")
+		{"header id edited", func(t *testing.T, _ string, frames []segFrame) []segFrame {
+			copy(header(frames)[4:], "job-c")
 			return frames
 		}},
 	} {
@@ -134,9 +141,9 @@ func TestSegmentSaltPerWrite(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := segmentFrames(t, raw)[0][segFrameOverhead:]
-		hdrLen := 2 + len("job") + 4 + saltSize
-		return slices.Clone(h[hdrLen-saltSize : hdrLen]), slices.Clone(h[hdrLen : hdrLen+12])
+		h := segmentFrames(t, raw)[0].body
+		hdrLen := 4 + len("job") + 4 + saltSize
+		return slices.Clone(h[hdrLen-saltSize : hdrLen]), slices.Clone(h[hdrLen+4 : hdrLen+4+12])
 	}
 	salt1, nonce1 := write()
 	salt2, nonce2 := write()
@@ -148,47 +155,61 @@ func TestSegmentSaltPerWrite(t *testing.T) {
 	}
 }
 
-// TestSegmentOldVersionReadsTorn pins the format bump: a segment under the
-// previous magic fails validation and is dropped at scan like a torn one.
+// TestSegmentSizeIndependentOfValues: a segment's header fields, and so
+// every record's associated data, have the same length whatever the row
+// count. (That a segment is segmentSize bytes, a function of the lengths
+// of its ID, meta and rows, is FuzzReadSegment's oracle.)
+func TestSegmentSizeIndependentOfValues(t *testing.T) {
+	salt := make([]byte, saltSize)
+	for _, v := range []uint32{1, 255, 1 << 31, math.MaxUint32} {
+		if got, want := len(headerAD("job", v, salt)), len(headerAD("job", 0, salt)); got != want {
+			t.Errorf("a header for %d rows is %d bytes, for none %d", v, got, want)
+		}
+	}
+}
+
+// TestSegmentOldVersionReadsTorn pins the format bumps: a segment under an
+// earlier magic fails validation and is dropped at scan like a torn one.
 func TestSegmentOldVersionReadsTorn(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("job", []byte("meta"), mkRows(2, 16)); err != nil {
-		t.Fatal(err)
-	}
-	path := SegmentPath(dir, "job")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(raw, "PPJRES1\n")
-	if err := os.WriteFile(path, raw, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Has("job") {
-		t.Fatal("a PPJRES1 segment survived the scan")
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("PPJRES1 segment not deleted: %v", err)
+	for _, old := range []string{"PPJRES1\n", "PPJRES2\n"} {
+		dir := t.TempDir()
+		s, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put("job", []byte("meta"), mkRows(2, 16)); err != nil {
+			t.Fatal(err)
+		}
+		path := SegmentPath(dir, "job")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(raw, old)
+		if err := os.WriteFile(path, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s2.Has("job") {
+			t.Fatalf("a %q segment survived the scan", old)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%q segment not deleted: %v", old, err)
+		}
 	}
 }
 
 // TestScanRefusesOversizedFrameBeforeAllocating opens a directory of
-// 16-byte segments whose header frames each declare a 256 MiB payload: the
-// scan refuses each length against the bytes left in its file before
-// allocating anything near it.
+// 13-byte segments whose header frames each declare a 256 MiB body: the
+// scan refuses each length against the header's cap before allocating
+// anything near it.
 func TestScanRefusesOversizedFrameBeforeAllocating(t *testing.T) {
 	dir := t.TempDir()
 	for i := range 4 {
-		raw := binary.BigEndian.AppendUint32(append([]byte(nil), segMagic...), 1<<28)
-		raw = binary.BigEndian.AppendUint32(raw, crc32.Checksum(nil, segCRCTable))
+		raw := binary.BigEndian.AppendUint32(append(slices.Clone(segMagic), segHeader), 1<<28)
 		if err := os.WriteFile(filepath.Join(dir, "seg-"+string(rune('a'+i))+".res"), raw, 0o600); err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +234,8 @@ func TestScanRefusesOversizedFrameBeforeAllocating(t *testing.T) {
 // readSegment after the file read). Every parse either fails with an
 // errSegment-wrapped error or returns exactly the segment the seed wrote
 // under the fuzz key, from exactly segmentSize bytes: without the key no
-// other contents open, and a trailing byte (the third seed) is not ignored.
+// other contents open, and a trailing byte (the fourth seed) is not
+// ignored.
 // None panics. Each fuzz process writes its own seed under a fresh salt, so
 // the valid bytes differ between processes.
 func FuzzReadSegment(f *testing.F) {
@@ -229,6 +251,7 @@ func FuzzReadSegment(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(slices.Clone(segMagic))
+	f.Add(valid[:segmentSize(id, meta, nil)]) // the header frame alone
 	f.Add(append(slices.Clone(valid), 0))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		gotID, gotMeta, gotRows, err := parseSegment(raw, key)

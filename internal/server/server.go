@@ -400,10 +400,7 @@ func (s *Server) Register(c *service.Contract) (*Job, error) {
 	if strings.Contains(c.ID, "#") {
 		return nil, fmt.Errorf("server: contract ID %q: '#' is reserved for re-execution job IDs", c.ID)
 	}
-	raw, err := EncodeContract(c)
-	if err != nil {
-		return nil, err
-	}
+	raw := service.MarshalContract(c)
 	j, err := s.newJob(c, c.ID, 1, StatePending)
 	if err != nil {
 		return nil, err

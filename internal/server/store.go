@@ -1,13 +1,9 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
-	"fmt"
 
 	"ppj/internal/server/wal"
-	"ppj/internal/service"
 )
 
 // SiteRegister is the faultpoint fired before a registration record is
@@ -159,24 +155,4 @@ func (m manifest) ResultStored(id string, size int64) error {
 // ResultEvicted implements resultstore.Journal.
 func (m manifest) ResultEvicted(id, cause string) error {
 	return m.s.record(m.evictedSite, wal.Record{Type: m.evicted, ContractID: id, Cause: cause}, true)
-}
-
-// EncodeContract serialises a contract for a registration record. Gob
-// round-trips every exported field, signatures included, so recovery can
-// re-verify the contract exactly as Register did.
-func EncodeContract(c *service.Contract) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		return nil, fmt.Errorf("server: encoding contract %q: %w", c.ID, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeContract is EncodeContract's inverse.
-func decodeContract(raw []byte) (*service.Contract, error) {
-	var c service.Contract
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&c); err != nil {
-		return nil, fmt.Errorf("server: decoding contract record: %w", err)
-	}
-	return &c, nil
 }

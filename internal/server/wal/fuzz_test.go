@@ -2,7 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"testing"
+
+	"ppj/internal/service"
 )
 
 // FuzzWALDecode fuzzes the record decoder with arbitrary bytes. The
@@ -27,11 +30,11 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(stream[:len(stream)-3])                 // torn tail
 	f.Add(append(stream, 0xde, 0xad, 0xbe, 0xef)) // garbage tail
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // huge claimed length
+	f.Add([]byte{byte(TypeRegistered), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // huge claimed length
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, off := Replay(bytes.NewReader(data))
-		if off < 0 || off > int64(len(data)) {
+		recs, off := Replay(data)
+		if off < 0 || off > len(data) {
 			t.Fatalf("offset %d out of range [0, %d]", off, len(data))
 		}
 		var reenc []byte
@@ -50,7 +53,7 @@ func FuzzWALDecode(f *testing.F) {
 		// valid stream that was misaligned, which canonical framing rules
 		// out only for the first record. Cheap sanity: replay of the
 		// truncated prefix reproduces the same records.
-		again, off2 := Replay(bytes.NewReader(data[:off]))
+		again, off2 := Replay(data[:off])
 		if off2 != off || len(again) != len(recs) {
 			t.Fatalf("replay of valid prefix: %d records / %d bytes, want %d / %d", len(again), off2, len(recs), off)
 		}
@@ -58,8 +61,13 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 func sampleRecordsFuzzSeed() []Record {
+	owner := ed25519.NewKeyFromSeed(bytes.Repeat([]byte{1}, ed25519.SeedSize))
+	c := &service.Contract{ID: "tenant-1", Algorithm: "alg5", Tenant: "tenant",
+		Parties:   []service.Party{{Name: "owner", Identity: owner.Public().(ed25519.PublicKey), Role: service.RoleProvider}},
+		Predicate: service.PredicateSpec{Kind: "equi", AttrA: "key", AttrB: "key"}}
+	c.Sign(0, owner)
 	return []Record{
-		{Type: TypeRegistered, Contract: []byte("gob-bytes-of-a-contract")},
+		{Type: TypeRegistered, Contract: service.MarshalContract(c)},
 		{Type: TypeTransition, ContractID: "tenant-1", From: 0, To: 1},
 		{Type: TypeTransition, ContractID: "tenant-1", From: 2, To: 4, Cause: "server: job interrupted by host crash"},
 		{Type: TypeResultStored, ContractID: "tenant-1", Bytes: 4096},

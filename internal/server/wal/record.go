@@ -1,29 +1,30 @@
 // Package wal is the job server's write-ahead log: an append-only,
-// checksummed, length-prefixed record stream of contract registrations and
-// job state transitions. The untrusted host H of the PPJ model can crash or
+// checksummed record stream of contract registrations and job state
+// transitions. The untrusted host H of the PPJ model can crash or
 // misbehave at any instant; the WAL is what lets a restarted server give
 // every tenant a deterministic answer about every job it ever admitted —
 // the serving-layer analogue of the paper's "T is the only trusted party"
 // stance, where H's only obligations are storage and liveness.
 //
-// On-disk format, one record per event:
+// On-disk format: the magic, then one checked frame (internal/frame) per
+// record, its frame type the record's Type:
 //
-//	record  := length(u32 BE) || crc32(u32 BE) || payload
-//	payload := type(u8) || body
+//	log := "PPJWAL1\n" || frame*
 //
-// The CRC (IEEE) covers the payload. Replay accepts any prefix of valid
-// records: the first torn, truncated, or corrupt record ends the replay and
-// everything from it on is discarded as a torn tail (the crash happened
-// mid-write), never surfaced as a recovery error.
+// Replay accepts any prefix of valid records: the first torn, truncated,
+// or corrupt record ends the replay and everything from it on is discarded
+// as a torn tail (the crash happened mid-write), never surfaced as a
+// recovery error. A log that does not start with the magic is not
+// truncated but refused (ErrFormat), unless it is a prefix of the magic: a
+// create the crash tore, which reads as an empty log.
 package wal
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
+
+	"ppj/internal/frame"
 )
 
 // Type discriminates WAL records.
@@ -65,15 +66,12 @@ const (
 	TypeScheduled Type = 8
 )
 
-// MaxPayload bounds a record payload. Contracts are a few KB; anything
+// MaxPayload bounds a record's body. Contracts are a few KB; anything
 // larger in a length prefix is corruption, not data.
 const MaxPayload = 1 << 20
 
-// headerSize is the frame prefix: u32 length + u32 crc.
-const headerSize = 8
-
 // Record is one durable event. Type selects which fields are populated
-// (the layouts table lists them per type); the rest stay zero.
+// (appendBody lists them per type); the rest stay zero.
 type Record struct {
 	Type Type
 	// Contract is the serialised contract (TypeRegistered only). The codec
@@ -81,9 +79,9 @@ type Record struct {
 	// higher layer.
 	Contract []byte
 	// ContractID names the job of a transition or stored/evicted result
-	// (for first executions the job ID equals the contract ID, so old logs
-	// replay unchanged), the contract of a resubmission, and the cache key
-	// of the cache-manifest records.
+	// (for first executions the job ID equals the contract ID), the
+	// contract of a resubmission, and the cache key of the cache-manifest
+	// records.
 	ContractID string
 	// JobID is the per-execution job ID a resubmission minted
 	// (TypeResubmitted only).
@@ -102,188 +100,118 @@ type Record struct {
 	Every, Due int64
 }
 
-// field is one slot of a record body. The Go type at points to is its wire
-// encoding: *[]byte takes the rest of the payload and must not be empty,
-// *string is a u16 length and that many bytes, *int32 is one byte, *int64 is
-// a big-endian u64 inside [min, max].
-type field struct {
-	name     string
-	at       func(*Record) any
-	min, max int64 // *int64 fields
-	nonEmpty bool  // *string fields
-}
+// magic opens every log this format writes.
+var magic = []byte("PPJWAL1\n")
 
-var (
-	fContract   = field{name: "contract bytes", at: func(r *Record) any { return &r.Contract }}
-	fContractID = field{name: "contract id", at: func(r *Record) any { return &r.ContractID }}
-	fJobID      = field{name: "job id", at: func(r *Record) any { return &r.JobID }, nonEmpty: true}
-	fFrom       = field{name: "from state", at: func(r *Record) any { return &r.From }}
-	fTo         = field{name: "to state", at: func(r *Record) any { return &r.To }}
-	fCause      = field{name: "cause", at: func(r *Record) any { return &r.Cause }}
-	fBytes      = field{name: "stored size", at: func(r *Record) any { return &r.Bytes }, max: 1 << 62}
-	fEvery      = field{name: "schedule interval", at: func(r *Record) any { return &r.Every }, min: 1, max: math.MaxInt64}
-	fDue        = field{name: "schedule due time", at: func(r *Record) any { return &r.Due }, max: math.MaxInt64}
-)
+// ErrFormat refuses a log that does not start with the magic: one an
+// earlier build wrote, or not a log at all. Recover leaves it untouched.
+var ErrFormat = errors.New("wal: log is not in this build's format")
 
-// layouts is the whole body format: each record type's fields in wire
-// order, after the type byte. Both directions of the codec walk it, so a
-// payload has exactly one encoding (decode rejects trailing bytes) and
-// decodePayload(encodePayload(r)) == r — what the fuzz harness relies on.
-var layouts = map[Type][]field{
-	TypeRegistered:    {fContract},
-	TypeTransition:    {fContractID, fFrom, fTo, fCause},
-	TypeResultStored:  {fContractID, fBytes},
-	TypeResultEvicted: {fContractID, fCause},
-	TypeResubmitted:   {fContractID, fJobID},
-	TypeCacheStored:   {fContractID, fBytes},
-	TypeCacheEvicted:  {fContractID, fCause},
-	TypeScheduled:     {fContractID, fEvery, fDue},
-}
+// recordCaps caps every record type's body at MaxPayload.
+var recordCaps = frame.Caps{0, MaxPayload, MaxPayload, MaxPayload, MaxPayload, MaxPayload, MaxPayload, MaxPayload, MaxPayload}
 
-var errEncode = errors.New("wal: cannot encode record")
-
-// encodePayload renders the type byte and body.
-func (r Record) encodePayload() ([]byte, error) {
-	layout := layouts[r.Type]
-	if layout == nil {
-		return nil, fmt.Errorf("%w: unknown type %d", errEncode, r.Type)
+// check refuses a record its type's body cannot carry, or that decoding
+// could not reproduce: the encoding stays canonical.
+func (r Record) check() error {
+	ok := r.Type >= TypeRegistered && r.Type <= TypeScheduled
+	switch r.Type {
+	case TypeRegistered:
+		ok = len(r.Contract) > 0
+	case TypeTransition:
+		ok = r.From >= 0 && r.From <= 0xff && r.To >= 0 && r.To <= 0xff
+	case TypeResultStored, TypeCacheStored:
+		ok = r.Bytes >= 0 && r.Bytes <= 1<<62
+	case TypeResubmitted:
+		ok = r.JobID != ""
+	case TypeScheduled:
+		ok = r.Every > 0 && r.Due >= 0
 	}
-	// Every body but a registration's is a few short strings and numbers.
-	p := make([]byte, 1, 64+len(r.Contract))
-	p[0] = byte(r.Type)
-	for _, f := range layout {
-		ok := true
-		switch v := f.at(&r).(type) {
-		case *[]byte:
-			ok = len(*v) > 0
-			p = append(p, *v...)
-		case *string:
-			ok = len(*v) <= 0xffff && !(f.nonEmpty && *v == "")
-			p = binary.BigEndian.AppendUint16(p, uint16(len(*v)))
-			p = append(p, *v...)
-		case *int32:
-			ok = *v >= 0 && *v <= 0xff
-			p = append(p, byte(*v))
-		case *int64:
-			ok = *v >= f.min && *v <= f.max
-			p = binary.BigEndian.AppendUint64(p, uint64(*v))
-		}
-		if !ok {
-			return nil, fmt.Errorf("%w: type %d: %s missing or out of range", errEncode, r.Type, f.name)
-		}
+	if !ok {
+		return fmt.Errorf("wal: type %d record: unknown type, or a field missing or out of range", r.Type)
 	}
-	return p, nil
+	return nil
 }
 
-// encodeFrame renders the full framed record: header + payload.
+// appendBody appends the fields of r's type: the contract, or the ID and
+// then the rest. A string or the contract is u32-prefixed, a state one
+// byte, a size, interval or instant a u64.
+func (r Record) appendBody(b []byte) []byte {
+	if r.Type == TypeRegistered {
+		return frame.AppendStr(b, r.Contract)
+	}
+	b = frame.AppendStr(b, r.ContractID)
+	switch r.Type {
+	case TypeTransition:
+		return frame.AppendStr(append(b, byte(r.From), byte(r.To)), r.Cause)
+	case TypeResultStored, TypeCacheStored:
+		return frame.AppendU64(b, uint64(r.Bytes))
+	case TypeResultEvicted, TypeCacheEvicted:
+		return frame.AppendStr(b, r.Cause)
+	case TypeResubmitted:
+		return frame.AppendStr(b, r.JobID)
+	default:
+		return frame.AppendU64(frame.AppendU64(b, uint64(r.Every)), uint64(r.Due))
+	}
+}
+
+// decodeRecord is appendBody's inverse, and refuses what check refuses.
+func decodeRecord(typ byte, body []byte) (Record, error) {
+	f := frame.NewFields(body)
+	r := Record{Type: Type(typ)}
+	if r.Type == TypeRegistered {
+		r.Contract = bytes.Clone(f.Bytes())
+	} else {
+		r.ContractID = f.Str()
+	}
+	switch r.Type {
+	case TypeTransition:
+		r.From, r.To, r.Cause = int32(f.U8()), int32(f.U8()), f.Str()
+	case TypeResultStored, TypeCacheStored:
+		r.Bytes = int64(f.U64())
+	case TypeResultEvicted, TypeCacheEvicted:
+		r.Cause = f.Str()
+	case TypeResubmitted:
+		r.JobID = f.Str()
+	case TypeScheduled:
+		r.Every, r.Due = int64(f.U64()), int64(f.U64())
+	}
+	if err := f.End(); err != nil {
+		return Record{}, fmt.Errorf("wal: type %d record: %w", typ, err)
+	}
+	return r, r.check()
+}
+
+// encodeFrame renders r as one checked frame.
 func (r Record) encodeFrame() ([]byte, error) {
-	payload, err := r.encodePayload()
-	if err != nil {
+	if err := r.check(); err != nil {
 		return nil, err
 	}
-	if len(payload) > MaxPayload {
-		return nil, fmt.Errorf("%w: payload %d bytes exceeds cap", errEncode, len(payload))
+	b := r.appendBody(frame.Start(make([]byte, 0, 64+len(r.Contract)), byte(r.Type)))
+	if n := len(b) - frame.HeaderLen; n > MaxPayload {
+		return nil, fmt.Errorf("wal: type %d record: %d-byte body over the %d cap", r.Type, n, MaxPayload)
 	}
-	frame := make([]byte, headerSize+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[headerSize:], payload)
-	return frame, nil
+	return frame.FinishChecked(b, 0), nil
 }
 
-var errDecode = errors.New("wal: invalid record")
-
-// decodePayload parses one checksummed payload.
-func decodePayload(p []byte) (Record, error) {
-	if len(p) < 1 {
-		return Record{}, fmt.Errorf("%w: empty payload", errDecode)
-	}
-	r := Record{Type: Type(p[0])}
-	layout := layouts[r.Type]
-	if layout == nil {
-		return Record{}, fmt.Errorf("%w: unknown type %d", errDecode, p[0])
-	}
-	body := p[1:]
-	for _, f := range layout {
-		ok := false
-		switch v := f.at(&r).(type) {
-		case *[]byte:
-			ok = len(body) > 0
-			*v, body = append([]byte(nil), body...), nil
-		case *string:
-			if len(body) < 2 {
-				break
-			}
-			n := int(binary.BigEndian.Uint16(body))
-			if ok = len(body) >= 2+n && !(f.nonEmpty && n == 0); ok {
-				*v, body = string(body[2:2+n]), body[2+n:]
-			}
-		case *int32:
-			if ok = len(body) >= 1; ok {
-				*v, body = int32(body[0]), body[1:]
-			}
-		case *int64:
-			if len(body) < 8 {
-				break
-			}
-			u := binary.BigEndian.Uint64(body)
-			if ok = u >= uint64(f.min) && u <= uint64(f.max); ok {
-				*v, body = int64(u), body[8:]
-			}
-		}
-		if !ok {
-			return Record{}, fmt.Errorf("%w: type %d: %s short or out of range", errDecode, p[0], f.name)
-		}
-	}
-	if len(body) != 0 {
-		return Record{}, fmt.Errorf("%w: type %d: %d trailing bytes", errDecode, p[0], len(body))
-	}
-	return r, nil
-}
-
-// readFrame reads one framed record. Any malformation — short header, a
-// length beyond MaxPayload, a truncated payload, a CRC mismatch, an
-// undecodable payload — is reported as an error; Replay turns that into
-// torn-tail truncation.
-func readFrame(r io.Reader) (Record, int64, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Record{}, 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	if n == 0 || n > MaxPayload {
-		return Record{}, 0, fmt.Errorf("%w: payload length %d", errDecode, n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Record{}, 0, err
-	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:8]) {
-		return Record{}, 0, fmt.Errorf("%w: checksum mismatch", errDecode)
-	}
-	rec, err := decodePayload(payload)
-	if err != nil {
-		return Record{}, 0, err
-	}
-	return rec, int64(headerSize + int(n)), nil
-}
-
-// Replay decodes records from r until EOF or the first invalid byte. It
-// never fails: a torn or corrupt record ends the replay and the returned
-// offset marks the end of the last valid record, so callers can truncate
-// the tail. Arbitrary input therefore yields some (possibly empty) prefix
-// of records — the property FuzzWALDecode pins.
-func Replay(r io.Reader) ([]Record, int64) {
-	var (
-		recs []Record
-		off  int64
-	)
+// Replay decodes the records of a log's frames, the bytes after its magic,
+// until the end or the first invalid byte. It never fails: a torn or
+// corrupt record ends the replay and the returned offset marks the end of
+// the last valid record, so callers can truncate the tail. Arbitrary input
+// therefore yields some (possibly empty) prefix of records — the property
+// FuzzWALDecode pins.
+func Replay(b []byte) ([]Record, int) {
+	var recs []Record
+	off := 0
 	for {
-		rec, n, err := readFrame(r)
+		typ, body, rest, err := recordCaps.Cut(b[off:])
+		if err != nil {
+			return recs, off
+		}
+		rec, err := decodeRecord(typ, body)
 		if err != nil {
 			return recs, off
 		}
 		recs = append(recs, rec)
-		off += n
+		off = len(b) - len(rest)
 	}
 }

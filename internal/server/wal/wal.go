@@ -1,13 +1,16 @@
 package wal
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"ppj/internal/frame"
 )
 
 // FileName is the log's file name inside its data directory.
@@ -30,15 +33,25 @@ type Log struct {
 	unsynced bool
 }
 
-// Open opens (creating as needed) dir's log for appending. Callers
-// reopening after a crash should run Recover first so a torn tail is
-// truncated before new records follow it.
+// Open opens (creating as needed) dir's log for appending, writing the
+// magic into an empty one: it is durable with the first fsynced record,
+// and a crash before that leaves a torn create. Callers reopening after a
+// crash should run Recover first so a torn tail is truncated before new
+// records follow it.
 func Open(dir string, faults *Faults) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	f, err := os.OpenFile(filepath.Join(dir, FileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() == 0 {
+		_, err = f.Write(magic)
+	}
+	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	return &Log{f: f, faults: faults}, nil
@@ -56,7 +69,7 @@ func (l *Log) Append(rec Record) error { return l.write(rec, true) }
 func (l *Log) Write(rec Record) error { return l.write(rec, false) }
 
 func (l *Log) write(rec Record, sync bool) error {
-	frame, err := rec.encodeFrame()
+	buf, err := rec.encodeFrame()
 	if err != nil {
 		return err
 	}
@@ -69,19 +82,15 @@ func (l *Log) write(rec Record, sync bool) error {
 		l.crashed = true
 		switch {
 		case errors.Is(err, ErrShortWrite):
-			l.f.Write(frame[:len(frame)/2])
+			l.f.Write(buf[:len(buf)/2])
 			l.f.Sync()
 		case errors.Is(err, ErrTornWrite):
-			n := headerSize - 2
-			if n > len(frame) {
-				n = len(frame)
-			}
-			l.f.Write(frame[:n])
+			l.f.Write(buf[:frame.HeaderLen-2])
 			l.f.Sync()
 		}
 		return err
 	}
-	if _, err := l.f.Write(frame); err != nil {
+	if _, err := l.f.Write(buf); err != nil {
 		l.crashed = true
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -138,9 +147,12 @@ func (l *Log) Close() error {
 
 // Recover replays dir's log, returning every durable record and truncating
 // any torn or corrupt tail so the next Open appends after the last valid
-// record. A missing directory or file is an empty history, not an error.
+// record. A missing directory or file, or a prefix of the magic, is an
+// empty history, not an error. A log without the magic is refused with
+// ErrFormat and left as it is.
 func Recover(dir string) ([]Record, error) {
-	f, err := os.OpenFile(filepath.Join(dir, FileName), os.O_RDWR, 0)
+	path := filepath.Join(dir, FileName)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -148,13 +160,21 @@ func Recover(dir string) ([]Record, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	recs, off := Replay(bufio.NewReader(f))
-	fi, err := f.Stat()
+	raw, err := io.ReadAll(f)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if fi.Size() > off {
-		if err := f.Truncate(off); err != nil {
+	var recs []Record
+	off := 0
+	switch {
+	case bytes.HasPrefix(raw, magic):
+		recs, off = Replay(raw[len(magic):])
+		off += len(magic)
+	case !bytes.HasPrefix(magic, raw):
+		return nil, fmt.Errorf("%w: %s", ErrFormat, path)
+	}
+	if len(raw) > off {
+		if err := f.Truncate(int64(off)); err != nil {
 			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
 		if err := f.Sync(); err != nil {

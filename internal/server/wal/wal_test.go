@@ -3,10 +3,13 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"ppj/internal/frame"
 )
 
 func sampleRecords() []Record {
@@ -82,15 +85,15 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	}
 	tails := map[string][]byte{
 		"half-frame":    frames[2][:len(frames[2])/2],
-		"header-only":   frames[2][:5],
-		"flipped-crc":   append(append([]byte{}, frames[2][:6]...), frames[2][6]^0xff, frames[2][7]),
+		"header-only":   frames[2][:frame.HeaderLen],
+		"flipped-crc":   append(bytes.Clone(frames[2][:len(frames[2])-1]), frames[2][len(frames[2])-1]^0xff),
 		"garbage":       {0xde, 0xad, 0xbe, 0xef, 0x00, 0x01},
-		"huge-length":   {0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3},
+		"huge-length":   {byte(TypeRegistered), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3},
 		"corrupt-runon": append(append([]byte{}, frames[2]...), frames[3]...),
 	}
-	// corrupt-runon: flip a payload byte of the first tail frame so it and
-	// everything after is discarded even though a "valid" frame follows.
-	tails["corrupt-runon"][headerSize] ^= 0xff
+	// corrupt-runon: flip a body byte of the first tail frame so it and
+	// everything after is discarded even though a valid frame follows.
+	tails["corrupt-runon"][frame.HeaderLen] ^= 0xff
 
 	for name, tail := range tails {
 		t.Run(name, func(t *testing.T) {
@@ -113,7 +116,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 			if len(got) != 2 || !recordsEqual(got[0], full[0]) || !recordsEqual(got[1], full[1]) {
 				t.Fatalf("recovered %+v, want first two sample records", got)
 			}
-			wantSize := int64(len(frames[0]) + len(frames[1]))
+			wantSize := int64(len(magic) + len(frames[0]) + len(frames[1]))
 			if fi, err := os.Stat(path); err != nil || fi.Size() != wantSize {
 				t.Fatalf("post-recovery size = %v (%v), want %d", fi.Size(), err, wantSize)
 			}
@@ -337,11 +340,45 @@ func TestFaultsRegistry(t *testing.T) {
 	}
 }
 
+// TestRecordSizeIndependentOfValues: a record's frame length is a
+// function of its strings' lengths only, never of its numbers, for every
+// record type: each number at 0, 1, 255, 2^31 and its field's largest
+// value encodes to the same length.
+func TestRecordSizeIndependentOfValues(t *testing.T) {
+	recs := func(v uint64) []Record {
+		state, size, t64 := int32(min(v, 0xff)), int64(min(v, 1<<62)), int64(min(v, math.MaxInt64))
+		return []Record{
+			{Type: TypeRegistered, Contract: []byte("contract")},
+			{Type: TypeTransition, ContractID: "c1", From: state, To: state, Cause: "cause"},
+			{Type: TypeResultStored, ContractID: "c1", Bytes: size},
+			{Type: TypeResultEvicted, ContractID: "c1", Cause: "ttl"},
+			{Type: TypeResubmitted, ContractID: "c1", JobID: "c1#2"},
+			{Type: TypeCacheStored, ContractID: "c1", Bytes: size},
+			{Type: TypeCacheEvicted, ContractID: "c1", Cause: "cap"},
+			{Type: TypeScheduled, ContractID: "c1", Every: max(1, t64), Due: t64},
+		}
+	}
+	size := func(r Record) int {
+		buf, err := r.encodeFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(buf)
+	}
+	want := recs(0)
+	for _, v := range []uint64{1, 255, 1 << 31, math.MaxUint64} {
+		for i, r := range recs(v) {
+			if got, w := size(r), size(want[i]); got != w {
+				t.Errorf("type %d record with numbers %d is %d bytes, with zeros %d", r.Type, v, got, w)
+			}
+		}
+	}
+}
+
 // TestWALBytesStable pins the on-disk format: walBytesGolden is a log
-// holding one record of each of the eight types, byte for byte as the
-// hand-written per-type codec (the one the field table replaced) wrote it.
-// It must replay to the expected records and re-encode to the same bytes,
-// so data directories written by any earlier build recover unchanged.
+// holding the magic and one record of each of the eight types, byte for
+// byte. It must replay to the expected records and re-encode to the same
+// bytes, so a change to the format is a change to this test.
 func TestWALBytesStable(t *testing.T) {
 	want := []Record{
 		{Type: TypeRegistered, Contract: []byte("contract-bytes\x00\xff")},
@@ -353,23 +390,27 @@ func TestWALBytesStable(t *testing.T) {
 		{Type: TypeCacheEvicted, ContractID: "c1|A|8|ab12", Cause: "cap"},
 		{Type: TypeScheduled, ContractID: "c1", Every: 60e9, Due: 1790899200e9},
 	}
-	recs, off := Replay(bytes.NewReader(walBytesGolden))
-	if off != int64(len(walBytesGolden)) {
-		t.Fatalf("replay consumed %d of %d golden bytes", off, len(walBytesGolden))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, FileName), walBytesGolden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(recs) != len(want) {
 		t.Fatalf("replayed %d records, want %d", len(recs), len(want))
 	}
-	var reenc []byte
+	reenc := bytes.Clone(magic)
 	for i, r := range recs {
 		if !reflect.DeepEqual(r, want[i]) {
 			t.Errorf("record %d = %+v, want %+v", i, r, want[i])
 		}
-		frame, err := want[i].encodeFrame()
+		buf, err := want[i].encodeFrame()
 		if err != nil {
 			t.Fatal(err)
 		}
-		reenc = append(reenc, frame...)
+		reenc = append(reenc, buf...)
 	}
 	if !bytes.Equal(reenc, walBytesGolden) {
 		t.Fatalf("re-encoding differs from the golden bytes:\n got %x\nwant %x", reenc, walBytesGolden)
@@ -377,18 +418,20 @@ func TestWALBytesStable(t *testing.T) {
 }
 
 var walBytesGolden = []byte{
-	0x00, 0x00, 0x00, 0x11, 0x92, 0xa1, 0x3c, 0x8f, 0x01, 0x63, 0x6f, 0x6e, 0x74, 0x72, 0x61, 0x63,
-	0x74, 0x2d, 0x62, 0x79, 0x74, 0x65, 0x73, 0x00, 0xff, 0x00, 0x00, 0x00, 0x22, 0x44, 0x1c, 0x29,
-	0x89, 0x02, 0x00, 0x02, 0x63, 0x31, 0x02, 0x04, 0x00, 0x19, 0x63, 0x6f, 0x6e, 0x74, 0x65, 0x78,
-	0x74, 0x20, 0x64, 0x65, 0x61, 0x64, 0x6c, 0x69, 0x6e, 0x65, 0x20, 0x65, 0x78, 0x63, 0x65, 0x65,
-	0x64, 0x65, 0x64, 0x00, 0x00, 0x00, 0x0d, 0xfd, 0xd0, 0xad, 0x71, 0x03, 0x00, 0x02, 0x63, 0x31,
-	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0xa6, 0x00, 0x00, 0x00, 0x0a, 0x93, 0x26, 0xb3, 0xe2,
-	0x04, 0x00, 0x02, 0x63, 0x31, 0x00, 0x03, 0x74, 0x74, 0x6c, 0x00, 0x00, 0x00, 0x0b, 0xeb, 0x92,
-	0x6b, 0xfd, 0x05, 0x00, 0x02, 0x63, 0x31, 0x00, 0x04, 0x63, 0x31, 0x23, 0x32, 0x00, 0x00, 0x00,
-	0x16, 0xc1, 0xf0, 0xce, 0xd1, 0x06, 0x00, 0x0b, 0x63, 0x31, 0x7c, 0x41, 0x7c, 0x38, 0x7c, 0x61,
-	0x62, 0x31, 0x32, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x13, 0x55,
-	0xc3, 0xb7, 0x22, 0x07, 0x00, 0x0b, 0x63, 0x31, 0x7c, 0x41, 0x7c, 0x38, 0x7c, 0x61, 0x62, 0x31,
-	0x32, 0x00, 0x03, 0x63, 0x61, 0x70, 0x00, 0x00, 0x00, 0x15, 0x0a, 0x0d, 0xc1, 0x65, 0x08, 0x00,
-	0x02, 0x63, 0x31, 0x00, 0x00, 0x00, 0x0d, 0xf8, 0x47, 0x58, 0x00, 0x18, 0xda, 0x8d, 0x55, 0x74,
-	0x88, 0x00, 0x00,
+	0x50, 0x50, 0x4a, 0x57, 0x41, 0x4c, 0x31, 0x0a, 0x01, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00,
+	0x10, 0x63, 0x6f, 0x6e, 0x74, 0x72, 0x61, 0x63, 0x74, 0x2d, 0x62, 0x79, 0x74, 0x65, 0x73, 0x00,
+	0xff, 0x13, 0x3b, 0x12, 0x9d, 0x02, 0x00, 0x00, 0x00, 0x25, 0x00, 0x00, 0x00, 0x02, 0x63, 0x31,
+	0x02, 0x04, 0x00, 0x00, 0x00, 0x19, 0x63, 0x6f, 0x6e, 0x74, 0x65, 0x78, 0x74, 0x20, 0x64, 0x65,
+	0x61, 0x64, 0x6c, 0x69, 0x6e, 0x65, 0x20, 0x65, 0x78, 0x63, 0x65, 0x65, 0x64, 0x65, 0x64, 0x01,
+	0xb8, 0xa4, 0xca, 0x03, 0x00, 0x00, 0x00, 0x0e, 0x00, 0x00, 0x00, 0x02, 0x63, 0x31, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x00, 0x03, 0xa6, 0x96, 0x05, 0x53, 0xa1, 0x04, 0x00, 0x00, 0x00, 0x0d, 0x00,
+	0x00, 0x00, 0x02, 0x63, 0x31, 0x00, 0x00, 0x00, 0x03, 0x74, 0x74, 0x6c, 0x58, 0xcc, 0xb4, 0xd3,
+	0x05, 0x00, 0x00, 0x00, 0x0e, 0x00, 0x00, 0x00, 0x02, 0x63, 0x31, 0x00, 0x00, 0x00, 0x04, 0x63,
+	0x31, 0x23, 0x32, 0xee, 0x50, 0x82, 0xef, 0x06, 0x00, 0x00, 0x00, 0x17, 0x00, 0x00, 0x00, 0x0b,
+	0x63, 0x31, 0x7c, 0x41, 0x7c, 0x38, 0x7c, 0x61, 0x62, 0x31, 0x32, 0x00, 0x00, 0x01, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x6d, 0x6c, 0x3b, 0xba, 0x07, 0x00, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x0b,
+	0x63, 0x31, 0x7c, 0x41, 0x7c, 0x38, 0x7c, 0x61, 0x62, 0x31, 0x32, 0x00, 0x00, 0x00, 0x03, 0x63,
+	0x61, 0x70, 0x9b, 0xb0, 0x7b, 0xa0, 0x08, 0x00, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x02, 0x63,
+	0x31, 0x00, 0x00, 0x00, 0x0d, 0xf8, 0x47, 0x58, 0x00, 0x18, 0xda, 0x8d, 0x55, 0x74, 0x88, 0x00,
+	0x00, 0x15, 0x95, 0xbe, 0x1c,
 }

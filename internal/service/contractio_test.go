@@ -4,57 +4,87 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"encoding/hex"
+	"math"
+	"reflect"
 	"testing"
 
 	"ppj/internal/relation"
 )
 
+// TestContractJSONRoundTrip: a contract that sets every field survives
+// its frame codec whole, signatures included, and encodes the same again.
 func TestContractJSONRoundTrip(t *testing.T) {
 	pA, pB, pC := newParty(t, "p1"), newParty(t, "p2"), newParty(t, "r")
-	c := buildContract(t, "alg6", pA, pB, pC,
+	c := buildContract(t, "aggregate", pA, pB, pC,
 		PredicateSpec{Kind: "band", AttrA: "x", AttrB: "y", Param: 2.5}, 1e-12)
+	c.Aggregate, c.Tenant = AggregateSpec{Kind: "SUM", Table: 1, Attr: "y"}, "clinic-7"
+	c.Sign(0, pA.priv)
+	c.Sign(1, pB.priv)
 
-	var buf bytes.Buffer
-	if err := WriteContract(&buf, c); err != nil {
-		t.Fatal(err)
+	data := MarshalContract(c)
+	back, err := UnmarshalContract(data)
+	if err == nil {
+		err = back.Verify()
 	}
-	back, err := ReadContract(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ID != c.ID || back.Algorithm != "alg6" || back.Epsilon != 1e-12 {
-		t.Fatalf("fields lost: %+v", back)
+	if !reflect.DeepEqual(back, c) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", back, c)
 	}
-	if back.Predicate != c.Predicate {
-		t.Fatalf("predicate lost: %+v", back.Predicate)
-	}
-	if len(back.Parties) != 3 || !back.Parties[0].Identity.Equal(pA.pub) {
-		t.Fatal("parties lost")
-	}
-	// Signatures must still verify after the round trip.
-	if err := back.Verify(); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(MarshalContract(back), data) {
+		t.Fatal("the decoded contract encodes to other bytes")
 	}
 }
 
+// TestUnmarshalContractRejectsTampering: a contract whose bytes had any
+// one byte flipped, or lost or gained a byte, fails to parse or fails its
+// owners' signatures, and a well-formed contract whose signed fields
+// changed after signing fails them.
 func TestUnmarshalContractRejectsTampering(t *testing.T) {
 	pA, pB, pC := newParty(t, "p1"), newParty(t, "p2"), newParty(t, "r")
 	c := buildContract(t, "alg5", pA, pB, pC,
 		PredicateSpec{Kind: "equi", AttrA: "key", AttrB: "key"}, 0)
-	data, err := MarshalContract(c)
-	if err != nil {
-		t.Fatal(err)
+	accepted := func(data []byte) bool {
+		back, err := UnmarshalContract(data)
+		return err == nil && back.Verify() == nil
+	}
+	data := MarshalContract(c)
+	if !accepted(data) {
+		t.Fatal("the signed contract is refused")
+	}
+	for i := range data {
+		tampered := bytes.Clone(data)
+		tampered[i] ^= 0x01
+		if accepted(tampered) {
+			t.Fatalf("contract with byte %d of %d flipped accepted", i, len(data))
+		}
+	}
+	if accepted(data[:len(data)-1]) || accepted(append(bytes.Clone(data), 0)) {
+		t.Fatal("a contract a byte short or long accepted")
 	}
 	// Change the contracted algorithm: the owners' signatures must fail.
-	tampered := bytes.Replace(data, []byte(`"alg5"`), []byte(`"alg4"`), 1)
-	if !bytes.Contains(tampered, []byte(`"alg4"`)) {
-		t.Fatal("test setup: algorithm field not found")
+	c.Algorithm = "alg4"
+	if accepted(MarshalContract(c)) {
+		t.Fatal("contract re-encoded with another algorithm accepted")
 	}
-	if _, err := UnmarshalContract(tampered); err == nil {
-		t.Fatal("tampered contract accepted")
+}
+
+// TestContractSizeIndependentOfValues: an encoded contract's length is a
+// function of its strings' lengths and its party and signature counts,
+// never of its numbers (ε, the predicate parameter, the aggregate table).
+func TestContractSizeIndependentOfValues(t *testing.T) {
+	size := func(v uint64) int {
+		c := &Contract{ID: "c", Parties: []Party{{Name: "p", Identity: make([]byte, 32), Role: RoleProvider}},
+			Predicate: PredicateSpec{Kind: "band", AttrA: "a", AttrB: "b", Param: math.Float64frombits(v)},
+			Algorithm: "alg5", Epsilon: math.Float64frombits(v),
+			Aggregate: AggregateSpec{Kind: "SUM", Table: int(v), Attr: "a"}, Signatures: [][]byte{make([]byte, 64)}}
+		return len(MarshalContract(c))
 	}
-	if _, err := UnmarshalContract([]byte("{not json")); err == nil {
-		t.Fatal("malformed json accepted")
+	for _, v := range []uint64{1, 255, 1 << 31, math.MaxUint64} {
+		if got, want := size(v), size(0); got != want {
+			t.Errorf("with numbers %d a contract is %d bytes, with zeros %d", v, got, want)
+		}
 	}
 }
 

@@ -184,7 +184,7 @@ func (cs *ClientSession) FetchResult(f *ResultFetch) error {
 		return err
 	}
 	bind := begin.digest()
-	r := receiver{sess: sess, dir: deliveryStream, read: sess.readFrame, asm: asm, bind: bind,
+	r := receiver{sess: sess, dir: deliveryStream, read: sess.r.Next, asm: asm, bind: bind,
 		window: DefaultResultWindow, pauseAfter: f.PauseAfter,
 		consume: func(c *chunkMsg) error {
 			cells := make([][]byte, len(c.Rows))

@@ -100,7 +100,7 @@ func (s *Service) receiveChunked(ctx context.Context, sess *Session) (*relation.
 		}
 		done := make(chan frame, 1)
 		go func() {
-			typ, body, err := sess.readFrame()
+			typ, body, err := sess.r.Next()
 			done <- frame{typ, body, err}
 		}()
 		select {

@@ -205,7 +205,7 @@ func fuzzFrameReader(t *testing.T, raw []byte) {
 		e endMsg
 	)
 	for n := 0; ; n++ {
-		end, err := uploadStream.readFrame(sess.readFrame, &c, &e)
+		end, err := uploadStream.readFrame(sess.r.Next, &c, &e)
 		if err != nil {
 			requireTypedUploadErr(t, err)
 			return
